@@ -99,14 +99,20 @@ def normalize(p: HullPoint) -> HullPoint:
     return HullPoint(om, t, p.colour, cur, s)
 
 
+def _check_affine(a: float, b: float):
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("scale and translation must be finite")
+    if a <= 0:
+        raise ValueError("scale factor must be positive")
+
+
 def act(a: float, b: float, p: HullPoint) -> HullPoint:
     """Image of p under z -> a z + b, renormalized.
 
     The translation lands in t scaled by the new overall scale a * 2**s;
     the scale itself moves s by log2(a).
     """
-    if a <= 0:
-        raise ValueError("scale factor must be positive")
+    _check_affine(a, b)
     u = 2.0 ** p.s
     return normalize(HullPoint(
         p.omega, p.t + b / (a * u), p.colour, p.cursor, p.s + math.log2(a)))
@@ -370,8 +376,10 @@ class SampleBatch:
         return (1 << self.precision) - 1
 
     def _carry(self):
-        c = np.floor(self.t).astype(np.int64)
-        self.omega = (self.omega + c) & self.mask
+        c = np.floor(self.t)
+        # fmod is exact, and |wrap| < 2**precision <= 2**62 fits in int64
+        wrap = np.fmod(c, float(1 << self.precision)).astype(np.int64)
+        self.omega = (self.omega + wrap) & self.mask
         self.t = self.t - c
 
     def normalize(self):
@@ -405,8 +413,7 @@ class SampleBatch:
             raise ValueError("scale coordinate does not wrap up to [0,1)")
 
     def act(self, a: float, b: float):
-        if a <= 0:
-            raise ValueError("scale factor must be positive")
+        _check_affine(a, b)
         self.t = self.t + b / (a * np.exp2(self.s))
         self.s = self.s + math.log2(a)
         self.normalize()

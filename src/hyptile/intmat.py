@@ -1,8 +1,11 @@
 """Exact integer matrix routines: Smith form, integer solves, kernels.
 
 Matrices are lists of lists of Python ints, so nothing here ever
-overflows or rounds.  The Smith reduction tracks the unimodular row and
-column transforms so every factorization can be re-multiplied and checked.
+overflows or rounds.  The Smith reduction tracks the unimodular row
+transform U, the column transform V and its inverse V^-1 (each column
+operation on V is the inverse row operation on V^-1), so one
+factorization answers solves, kernels and lattice membership, and every
+factorization is re-multiplied and checked.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ def identity(n: int) -> list[list[int]]:
 
 def matmul(a, b):
     n, k, m = len(a), len(b), len(b[0]) if b else 0
-    assert all(len(row) == k for row in [a[i] for i in range(n)]) or True
     out = [[0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
@@ -40,36 +42,12 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def det_bareiss(a) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def smith_normal_form(mat):
-    """Smith normal form with transforms: returns (U, S, V), U*mat*V = S.
+    """Smith normal form with transforms: (U, S, V, V^-1), U*mat*V = S.
 
     U and V are unimodular; S is diagonal with nonnegative entries and
-    each diagonal entry divides the next.  The factorization is verified
+    each diagonal entry divides the next.  The rows of S*V^-1 span the
+    row lattice of mat.  The factorization and the inverse are verified
     by re-multiplication before returning.
     """
     a = [row[:] for row in mat]
@@ -77,6 +55,7 @@ def smith_normal_form(mat):
     m = len(a[0]) if n else 0
     u = identity(n)
     v = identity(m)
+    v_inv = identity(m)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -87,6 +66,7 @@ def smith_normal_form(mat):
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def row_add(dst, src, c):
         # row dst += c * row src
@@ -98,6 +78,8 @@ def smith_normal_form(mat):
             row[dst] += c * row[src]
         for row in v:
             row[dst] += c * row[src]
+        # V -> V*E with E = I + c*e_src*e_dst^T; E^-1 acts on rows of V^-1
+        v_inv[src] = [x - c * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def row_neg(i):
         a[i] = [-x for x in a[i]]
@@ -157,11 +139,12 @@ def smith_normal_form(mat):
     s = a
     check = matmul(matmul(u, [row[:] for row in mat]), v)
     assert check == s, "Smith reduction lost track of its transforms"
-    return u, s, v
+    assert matmul(v, v_inv) == identity(m), "Smith reduction lost track of V^-1"
+    return u, s, v, v_inv
 
 
 def smith_diagonal(mat) -> list[int]:
-    _, s, _ = smith_normal_form(mat)
+    _, s, _, _ = smith_normal_form(mat)
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 
@@ -177,7 +160,7 @@ def solve_integer(mat, rhs):
     """One integer solution x of mat @ x = rhs, or None if none exists."""
     n = len(mat)
     m = len(mat[0]) if n else 0
-    u, s, v = smith_normal_form(mat)
+    u, s, v, _ = smith_normal_form(mat)
     y = mat_vec(u, rhs)
     r = snf_rank(s)
     z = [0] * m
@@ -201,7 +184,7 @@ def integer_kernel(mat):
         return []
     if n == 0:
         return identity(m)
-    u, s, v = smith_normal_form(mat)
+    u, s, v, _ = smith_normal_form(mat)
     r = snf_rank(s)
     return [[v[i][j] for i in range(m)] for j in range(r, m)]
 
@@ -284,6 +267,3 @@ def lattice_contains(rows, vec) -> bool:
         return all(x == 0 for x in vec)
     return solve_integer(cols, list(vec)) is not None
 
-
-def lattice_equal(rows_a, rows_b) -> bool:
-    return hnf_row_lattice(rows_a) == hnf_row_lattice(rows_b)

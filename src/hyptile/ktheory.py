@@ -20,31 +20,31 @@ e_u over the length-(N+1) language with one combined relation per
 length-N word (right refinement minus psi-weighted left extension).
 Consecutive truncations are compared through the induced maps; the
 ``stabilized`` flag is a certificate that two consecutive maps are
-isomorphisms, never an assumption.  Over Z[1/2] the integer Smith form
-is used and 2-power invariant factors are discarded, since 2 is a unit.
+isomorphisms (for a periodic word, from a level at which the language
+has stopped growing), never an assumption.  Over Z[1/2] the integer
+Smith form is used and 2-power invariant factors are discarded, since 2
+is a unit.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber
 from .intmat import (
     hnf_row_lattice,
     identity,
     integer_kernel,
     lattice_contains,
     rational_rank,
-    smith_diagonal,
     smith_normal_form,
     transpose,
 )
 from .subshift import (
     HorizonExhausted,
     MeasureValue,
+    Periodic,
     SubshiftSpec,
     approximate,
     language,
@@ -372,43 +372,6 @@ def group_to_json(g: FPAbelianGroup) -> dict:
     return out
 
 
-def _int_inverse(mat) -> list:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if a[i][col])
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
-    out = []
-    for row in a:
-        vals = row[n:]
-        assert all(x.denominator == 1 for x in vals), "matrix was not unimodular"
-        out.append([int(x) for x in vals])
-    return out
-
-
-def _saturate2(rows, width: int) -> list:
-    """Basis of {v : 2^j v in the row lattice for some j >= 0}."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    _, s, v = smith_normal_form(rows)
-    v_inv = _int_inverse(v)
-    diag = [s[i][i] for i in range(min(len(s), width))]
-    out = []
-    for i, d in enumerate(diag):
-        if d:
-            out.append([_odd(d) * x for x in v_inv[i]])
-    return out
-
-
 @dataclass(frozen=True)
 class _Presentation:
     ring: str
@@ -420,6 +383,28 @@ class _Presentation:
     diag: tuple
     tors: tuple  # ((column index, invariant factor), ...)
     free: tuple  # column indices
+
+    def relation_basis(self) -> list:
+        """Rows diag[i] * V^-1[i] spanning the relation lattice.
+
+        Over Z[1/2] diag holds odd parts, so this is the lattice of
+        integer vectors that some power of 2 moves into the relations.
+        """
+        return [[d * x for x in self.v_inv[i]]
+                for i, d in enumerate(self.diag) if d]
+
+    def contains(self, x) -> bool:
+        """Is the integer vector x in the lattice of relation_basis()?
+
+        It is when every coordinate of x*V is a multiple of its diag
+        entry, and 0 where that entry is 0 or missing.
+        """
+        y = [0] * len(self.cols)
+        for xi, row in zip(x, self.v):
+            if xi:
+                y = [a + xi * b for a, b in zip(y, row)]
+        diag = self.diag + (0,) * (len(y) - len(self.diag))
+        return all(yj % d == 0 if d else yj == 0 for yj, d in zip(y, diag))
 
 
 def _relation_rows(spec: SubshiftSpec, n: int, psi: int):
@@ -443,14 +428,13 @@ def _presentation(spec: SubshiftSpec, ring: str, n: int) -> _Presentation:
     rows, cols = _relation_rows(spec, n, psi)
     m = len(cols)
     if any(any(r) for r in rows):
-        _, s, v = smith_normal_form(rows)
+        _, s, v, v_inv = smith_normal_form(rows)
         diag = [s[i][i] for i in range(min(len(s), m))]
     else:
-        v = identity(m)
+        v = v_inv = identity(m)
         diag = []
     if ring == RING_HALF:
         diag = [_odd(d) if d else 0 for d in diag]
-    v_inv = _int_inverse(v)
     tors = []
     free = []
     for j in range(m):
@@ -499,31 +483,23 @@ def _bonding_matrix(p1: _Presentation, p2: _Presentation) -> list:
 
 
 def _bonding_is_iso(p1: _Presentation, p2: _Presentation, ring: str) -> bool:
+    """Is the induced map from p1's group to p2's an isomorphism?
+
+    One Smith form of [F; B2]^T, F the bonding matrix and B2 p2's
+    relation basis, answers both halves.  Onto: the image of F and the
+    relations fill the ring's lattice, so every nonzero invariant factor
+    is a unit and there are c2 of them.  One to one: the kernel vectors
+    (x, y) of x*F + y*B2 = 0, read off V, have x in p1's relations.
+    """
     c1, c2 = len(p1.cols), len(p2.cols)
-    f_rows = _bonding_matrix(p1, p2)
-
-    stack = [list(r) for r in f_rows] + [list(r) for r in p2.rows]
-    diag = smith_diagonal(stack)
-    nonzero = [d for d in diag if d]
-    if len(nonzero) != c2:
+    stacked = _bonding_matrix(p1, p2) + p2.relation_basis()
+    _, s, v, _ = smith_normal_form(transpose(stacked))
+    nonzero = [s[i][i] for i in range(min(c2, len(stacked))) if s[i][i]]
+    unit = _odd if ring == RING_HALF else abs
+    if len(nonzero) != c2 or any(unit(d) != 1 for d in nonzero):
         return False
-    if ring == RING_HALF:
-        if any(_odd(d) != 1 for d in nonzero):
-            return False
-    elif any(d != 1 for d in nonzero):
-        return False
-
-    if ring == RING_HALF:
-        b1 = _saturate2(p1.rows, c1)
-        b2 = _saturate2(p2.rows, c2)
-    else:
-        b1 = [list(r) for r in p1.rows if any(r)]
-        b2 = [list(r) for r in p2.rows if any(r)]
-    stacked = f_rows + b2
-    for vec in integer_kernel(transpose(stacked)):
-        if not lattice_contains(b1, vec[:c1]):
-            return False
-    return True
+    return all(p1.contains([row[j] for row in v[:c1]])
+               for j in range(c2, len(stacked)))
 
 
 def _coinvariant_chain(spec: SubshiftSpec, ring: str, n_max: int):
@@ -543,6 +519,12 @@ def _coinvariant_chain(spec: SubshiftSpec, ring: str, n_max: int):
     return levels, isos, truncated
 
 
+def _settled(spec: SubshiftSpec, n: int) -> bool:
+    if not isinstance(spec, Periodic):
+        return True
+    return len(language(spec, n)) == len(language(spec, n + 1))
+
+
 def coinvariants(spec: SubshiftSpec, ring: str, n_max: int = 8):
     """Shift coinvariants at truncation, with a stabilization certificate.
 
@@ -550,6 +532,10 @@ def coinvariants(spec: SubshiftSpec, ring: str, n_max: int = 8):
     truncation N whose two following induced maps are isomorphisms; when
     no such N exists up to n_max the last computed group is returned
     with stabilized = False rather than pretending the chain settled.
+    For a periodic word N must also satisfy |L(N)| = |L(N + 1)|: from
+    there on every presentation is the circulant of the orbit and every
+    bonding map permutes generators, while below it two isomorphisms in
+    a row can still be followed by a collapse.
     """
     _check_ring(ring)
     if n_max < 2:
@@ -561,7 +547,7 @@ def coinvariants(spec: SubshiftSpec, ring: str, n_max: int = 8):
     approx = approximate(spec) or truncated
     pick = None
     for i in range(len(isos) - 1):
-        if isos[i] and isos[i + 1]:
+        if isos[i] and isos[i + 1] and _settled(spec, levels[i].level):
             pick = i
             break
     if pick is not None:
@@ -569,38 +555,13 @@ def coinvariants(spec: SubshiftSpec, ring: str, n_max: int = 8):
     return _group_from(levels[-1], False, approx), False
 
 
-def invariant_rank(spec: SubshiftSpec, ring: str, n: int) -> int:
-    """Rank of the fixed functions of the shift operator at window n."""
-    _check_ring(ring)
-    lo = language(spec, n)
-    hi = language(spec, n + 1)
-    if ring == RING_HALF:
-        # c[v[:n]] = 2 c[v[1:]] for every longer word v; count solutions.
-        idx = {u: j for j, u in enumerate(lo)}
-        rows = []
-        for v in hi:
-            row = [0] * len(lo)
-            row[idx[v[:n]]] += 1
-            row[idx[v[1:]]] -= 2
-            rows.append(row)
-        return len(lo) - rational_rank(rows)
-    parent = list(range(len(lo)))
+def _overlap_parts(spec: SubshiftSpec, n: int):
+    """Union-find roots of language(n) under the overlap relation.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    idx = {u: j for j, u in enumerate(lo)}
-    for v in hi:
-        a, b = find(idx[v[:n]]), find(idx[v[1:]])
-        if a != b:
-            parent[a] = b
-    return len({find(i) for i in range(len(lo))})
-
-
-def _components(spec: SubshiftSpec, n: int):
+    Words u and u' are joined when some word of language(n + 1) starts
+    with u and ends with u'.  Returns (lo, root), root[j] the class of
+    lo[j].
+    """
     lo = language(spec, n)
     idx = {u: j for j, u in enumerate(lo)}
     parent = list(range(len(lo)))
@@ -615,9 +576,40 @@ def _components(spec: SubshiftSpec, n: int):
         a, b = find(idx[v[:n]]), find(idx[v[1:]])
         if a != b:
             parent[a] = b
+    return lo, [find(i) for i in range(len(lo))]
+
+
+def _doubling_rows(spec: SubshiftSpec, n: int):
+    """Rows c[v[:n]] - 2 c[v[1:]] = 0, one per word v of language(n + 1).
+
+    Their kernel is the set of functions on language(n) fixed by the
+    doubling shift.  Returns (lo, rows), columns indexed by lo.
+    """
+    lo = language(spec, n)
+    idx = {u: j for j, u in enumerate(lo)}
+    rows = []
+    for v in language(spec, n + 1):
+        row = [0] * len(lo)
+        row[idx[v[:n]]] += 1
+        row[idx[v[1:]]] -= 2
+        rows.append(row)
+    return lo, rows
+
+
+def invariant_rank(spec: SubshiftSpec, ring: str, n: int) -> int:
+    """Rank of the fixed functions of the shift operator at window n."""
+    _check_ring(ring)
+    if ring == RING_HALF:
+        lo, rows = _doubling_rows(spec, n)
+        return len(lo) - rational_rank(rows)
+    return len(set(_overlap_parts(spec, n)[1]))
+
+
+def _components(spec: SubshiftSpec, n: int):
+    lo, root = _overlap_parts(spec, n)
     groups: dict = {}
-    for u in lo:
-        groups.setdefault(find(idx[u]), []).append(u)
+    for u, r in zip(lo, root):
+        groups.setdefault(r, []).append(u)
     return [sorted(words) for _, words in sorted(groups.items(),
                                                  key=lambda kv: kv[1][0])]
 
@@ -652,15 +644,7 @@ def invariants(spec: SubshiftSpec, ring: str,
     if ring == RING_HALF:
         if any(ranks):
             n_bad = ranks.index(next(r for r in ranks if r)) + 1
-            lo = language(spec, n_bad)
-            hi = language(spec, n_bad + 1)
-            idx = {u: j for j, u in enumerate(lo)}
-            rows = []
-            for v in hi:
-                row = [0] * len(lo)
-                row[idx[v[:n_bad]]] += 1
-                row[idx[v[1:]]] -= 2
-                rows.append(row)
+            lo, rows = _doubling_rows(spec, n_bad)
             gens = tuple(
                 (f"f{i}",
                  CylinderFunction.of(ring, 0,

@@ -1,6 +1,7 @@
 """Suspension-point arithmetic, the rescaling relation, and MC checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,15 @@ class TestAct:
             act(0.0, 1.0, hp(0, 0.0, 0.0))
         with pytest.raises(ValueError):
             act(-2.0, 1.0, hp(0, 0.0, 0.0))
+
+    def test_non_finite_rejected(self):
+        batch = sample_batch(TM, 4, 3)
+        for a, b in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
+                     (1.0, -math.inf), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                act(a, b, hp(0, 0.0, 0.0))
+            with pytest.raises(ValueError):
+                batch.act(a, b)
 
     def test_repeated_halving_exhausts_precision(self):
         p = hp(3, 0.0, 0.0, prec=2)
@@ -253,6 +263,21 @@ class TestSampler:
         batch.act(2.5, -1.25)
         for i, p in enumerate(before):
             assert close(act(2.5, -1.25, p), batch.point(i), tol=1e-9)
+
+    def test_huge_translations_match_scalar_act(self):
+        # floor(t) passes 2**63 here; the carry must wrap, not overflow
+        batch = sample_batch(TM, 4, 77)
+        points = [batch.point(i) for i in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for b in (2.0 ** 70, -2.0 ** 70):
+                batch.act(1.0, b)
+                points = [act(1.0, b, p) for p in points]
+                for i, p in enumerate(points):
+                    q = batch.point(i)
+                    assert p.t == q.t == 0.0
+                    assert ((p.omega.residue, p.s, p.cursor)
+                            == (q.omega.residue, q.s, q.cursor))
 
     def test_validation(self):
         with pytest.raises(ValueError):

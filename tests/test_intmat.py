@@ -1,14 +1,39 @@
 import random
 
-from hyptile.intmat import (det_bareiss, hnf_row_lattice, identity,
-                            integer_kernel, lattice_contains, lattice_equal,
-                            matmul, mat_vec, rational_rank, smith_diagonal,
-                            smith_normal_form, snf_rank, solve_integer)
+from hyptile.intmat import (hnf_row_lattice, identity, integer_kernel,
+                            lattice_contains, matmul, mat_vec, rational_rank,
+                            smith_diagonal, smith_normal_form, snf_rank,
+                            solve_integer)
+
+
+def det_bareiss(a) -> int:
+    """Exact determinant by fraction-free Gaussian elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def test_snf_frozen_example():
     # by hand: d1 = gcd of entries = 2, d1*d2 = |det| = |16 - 24| = 8
-    u, s, v = smith_normal_form([[2, 4], [6, 8]])
+    u, s, v, _ = smith_normal_form([[2, 4], [6, 8]])
     assert [s[0][0], s[1][1]] == [2, 4]
     assert abs(det_bareiss(u)) == 1
     assert abs(det_bareiss(v)) == 1
@@ -20,7 +45,7 @@ def test_snf_transform_identity_on_random_matrices():
         n = rng.randrange(1, 6)
         m = rng.randrange(1, 6)
         mat = [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(n)]
-        u, s, v = smith_normal_form(mat)
+        u, s, v, _ = smith_normal_form(mat)
         assert matmul(matmul(u, mat), v) == s
         assert abs(det_bareiss(u)) == 1
         assert abs(det_bareiss(v)) == 1
@@ -34,6 +59,34 @@ def test_snf_transform_identity_on_random_matrices():
                 if i != j:
                     assert s[i][j] == 0
         assert snf_rank(s) == rational_rank(mat)
+
+
+def _random_shapes(rng):
+    """Random matrices, some with zero rows or columns spliced in."""
+    for _ in range(60):
+        n, m = rng.randrange(1, 7), rng.randrange(1, 7)
+        mat = [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(n)]
+        if rng.random() < 0.4:
+            mat.insert(rng.randrange(n + 1), [0] * m)
+        if rng.random() < 0.4:
+            j = rng.randrange(m + 1)
+            mat = [row[:j] + [0] + row[j:] for row in mat]
+        yield mat
+    for n, m in ((1, 1), (2, 3), (4, 2), (3, 3)):
+        yield [[0] * m for _ in range(n)]
+
+
+def test_snf_tracks_inverse_of_v():
+    rng = random.Random(43)
+    for mat in _random_shapes(rng):
+        n, m = len(mat), len(mat[0])
+        u, s, v, v_inv = smith_normal_form(mat)
+        assert matmul(matmul(u, mat), v) == s
+        assert matmul(v, v_inv) == identity(m)
+        # U*mat = S*V^-1, so the rows d_i * V^-1[i] span the row lattice
+        basis = [[s[i][i] * x for x in v_inv[i]]
+                 for i in range(min(n, m)) if s[i][i]]
+        assert hnf_row_lattice(basis) == hnf_row_lattice(mat)
 
 
 def test_snf_invariant_under_unimodular_moves():
@@ -111,10 +164,10 @@ def test_hnf_lattice_identities():
         assert lattice_contains(rows, comb)
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert lattice_equal(rows, shuffled)
+        assert hnf_row_lattice(rows) == hnf_row_lattice(shuffled)
         doubled = [[2 * x for x in r] for r in rows]
         if any(any(r) for r in rows):
-            assert not lattice_equal(rows, doubled) or all(
+            assert hnf_row_lattice(rows) != hnf_row_lattice(doubled) or all(
                 lattice_contains(doubled, r) for r in rows)
 
 
