@@ -266,9 +266,8 @@ class AlgebraicNumber:
 
 def _real_root_intervals(coeffs):
     """Disjoint isolating intervals for the real roots of a Fraction poly."""
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sum(sympy.Rational(c) * x ** i
-                          for i, c in enumerate(coeffs)), x)
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(coeffs)], sympy.Symbol("x"))
     out = []
     for (a, b), _mult in poly.intervals():
         out.append((Fraction(a.p, a.q), Fraction(b.p, b.q)))
@@ -283,8 +282,7 @@ def perron_eigenvalue(mat):
     a real eigenvalue (true for nonnegative matrices)."""
     cp = sympy.Matrix(mat).charpoly()
     cands = []  # [coeffs or None, lo, hi]; None marks an exact rational root
-    for factor, _mult in sympy.factor_list(cp.as_expr())[1]:
-        fp = sympy.Poly(factor)
+    for fp, _mult in cp.factor_list()[1]:
         all_c = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q)
                  for c in fp.all_coeffs()]
         coeffs = tuple(c / all_c[0] for c in reversed(all_c))

@@ -27,10 +27,11 @@ from .geometry import ColourWindow, generate_patch, scale_range
 from .hull import (
     BumpProfile,
     TestFunction,
-    harmonicity_check,
-    invariance_check,
+    first_word_control,
+    harmonicity_report,
+    invariance_reports,
     sample_batch,
-    tau_pairing,
+    tau_reports,
 )
 from .ktheory import (
     CylinderFunction,
@@ -83,8 +84,18 @@ class JobConfig:
 _NMAX_DEFAULT = {"kgroups": 8, "cech": 8, "gaplabels": 6, "measures": 4}
 
 
+class UsageError(ValueError):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # report usage errors like every other failure, not as exit 2
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hyptile",
         description="Pentagon tilings of the half-plane: figures, "
                     "K-theoretic group reports, measures, and seeded "
@@ -259,16 +270,16 @@ def _run_hullcheck(cfg: JobConfig) -> str:
             "pass": abs(freq_word - p_first)
             <= 3 * math.sqrt(p_first * (1 - p_first) / cfg.samples)},
     }
-    reports = {}
-    for i, f in enumerate(_default_functions(cfg.spec)):
-        reports[f"invariance_{i}"] = invariance_check(
-            cfg.spec, f, gs, cfg.samples, cfg.seed)
-    reports["harmonicity"] = harmonicity_check(
-        cfg.spec, TestFunction.bump(0.5, 0.45, 0.5, 0.45),
-        cfg.samples, cfg.seed)
-    biased = invariance_check(cfg.spec, _default_functions(cfg.spec)[0],
-                              gs, cfg.samples, cfg.seed,
-                              word_bias="first-word")
+    # one draw for every check; the negative control is the same sample
+    # with the letters a first-word-biased sampler would give
+    f0, f1 = _default_functions(cfg.spec)
+    biased_words = first_word_control(cfg.spec, batch).words
+    inv0, inv1, biased = invariance_reports(
+        batch, [(f0, batch.words), (f1, batch.words), (f0, biased_words)],
+        gs, cfg.seed)
+    reports = {"invariance_0": inv0, "invariance_1": inv1,
+               "harmonicity": harmonicity_report(
+                   batch, TestFunction.bump(0.5, 0.45, 0.5, 0.45), cfg.seed)}
     control = {"detected": not biased["pass"], "report": biased}
     ok = (all(m["pass"] for m in marginals.values())
           and all(r["pass"] for r in reports.values())
@@ -280,16 +291,12 @@ def _run_hullcheck(cfg: JobConfig) -> str:
 
 def _run_cocycle(cfg: JobConfig) -> str:
     rng = np.random.default_rng(cfg.seed)
-    pairs = []
-    for i in range(3):
-        f = TestFunction.bump(*_bump_params(rng))
-        g = TestFunction.bump(*_bump_params(rng))
-        rep = tau_pairing(cfg.spec, f, g, cfg.samples, cfg.seed)
-        pairs.append(rep)
-    with_one = tau_pairing(cfg.spec,
-                           TestFunction.bump(0.5, 0.45, 0.5, 0.45),
-                           TestFunction.constant(),
-                           cfg.samples, cfg.seed)
+    fgs = [(TestFunction.bump(*_bump_params(rng)),
+            TestFunction.bump(*_bump_params(rng))) for _ in range(3)]
+    fgs.append((TestFunction.bump(0.5, 0.45, 0.5, 0.45),
+                TestFunction.constant()))
+    *pairs, with_one = tau_reports(
+        sample_batch(cfg.spec, cfg.samples, cfg.seed), fgs, cfg.seed)
     ok = with_one["pass"] and all(r["pass"] for r in pairs)
     return _dump({"config": cfg.document(), "pass": ok,
                   "tau_with_one": with_one, "pairs": pairs})
@@ -323,9 +330,8 @@ def run(cfg: JobConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return run(load_config(args))
+        return run(load_config(build_parser().parse_args(argv)))
     except Exception as exc:  # structured error, no partial artifacts
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)

@@ -43,9 +43,13 @@ __all__ = [
     "SampleBatch",
     "sample_batch",
     "sample_product_measure",
+    "first_word_control",
     "invariance_check",
+    "invariance_reports",
     "harmonicity_check",
+    "harmonicity_report",
     "tau_pairing",
+    "tau_reports",
 ]
 
 _MAX_WRAPS = 64
@@ -339,9 +343,12 @@ def _word_table(spec: SubshiftSpec, length: int):
         for w in words:
             acc += mv[w].as_float()
             bounds.append(acc)
-    codes = np.array([[ord(ch) - ord("0") for ch in w] for w in words],
-                     dtype=np.int8)
-    return codes, np.array(bounds)
+    return _letter_codes(words), np.array(bounds)
+
+
+def _letter_codes(words) -> np.ndarray:
+    return np.array([[ord(ch) - ord("0") for ch in w] for w in words],
+                    dtype=np.int8)
 
 
 class SampleBatch:
@@ -370,6 +377,11 @@ class SampleBatch:
         return SampleBatch(self.omega.copy(), self.t.copy(), self.s.copy(),
                            self.cursor.copy(), self.words, self.origin,
                            self.precision)
+
+    def with_words(self, words) -> "SampleBatch":
+        """The same coordinate arrays (shared, not copied) with other letters."""
+        return SampleBatch(self.omega, self.t, self.s, self.cursor, words,
+                           self.origin, self.precision)
 
     @property
     def mask(self) -> int:
@@ -471,6 +483,18 @@ def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
                        codes[idx], halfwidth, precision)
 
 
+def first_word_control(spec: SubshiftSpec, batch: SampleBatch) -> SampleBatch:
+    """batch's coordinates with every row's letters the first admissible window.
+
+    For batch = sample_batch(spec, n, seed, ...) this is exactly what
+    sample_batch(spec, n, seed, ..., word_bias="first-word") draws, since
+    both take omega, t and s from the same streams; a negative control
+    can so share the genuine check's sample and its moved copies.
+    """
+    first = _letter_codes(language(spec, batch.words.shape[1])[:1])
+    return batch.with_words(np.broadcast_to(first, batch.words.shape))
+
+
 def sample_product_measure(spec: SubshiftSpec, rng_seed: int, *,
                            precision: int = 48,
                            halfwidth: int = 8) -> HullPoint:
@@ -510,22 +534,38 @@ def invariance_check(spec: SubshiftSpec, f: TestFunction, g_list,
     """
     base = sample_batch(spec, n_samples, seed, precision=precision,
                         halfwidth=halfwidth, word_bias=word_bias)
-    f0 = f.on_batch(base)
-    per_g = []
-    worst = (0.0, 0.0)
-    ok_all = True
+    return invariance_reports(base, [(f, base.words)], g_list, seed)[0]
+
+
+def invariance_reports(base: SampleBatch, cases, g_list,
+                       seed: int) -> list[dict]:
+    """invariance_check's report for each (f, letters) case on one sample.
+
+    Each case pairs a test function with a letter matrix for base's rows
+    (base.words, or a control's from first_word_control).  Each g acts
+    once, on one copy of base's coordinates, and every case is evaluated
+    on that copy; only the per-g scalars are kept.
+    """
+    f0 = [f.on_batch(base.with_words(words)) for f, words in cases]
+    per_g = [[] for _ in cases]
     for a, b in g_list:
         moved = base.copy()
         moved.act(a, b)
-        d = f.on_batch(moved) - f0
-        diff, se = _mean_se(d)
-        ok = abs(diff) <= 3.0 * se + _EXACT_SLACK
-        ok_all = ok_all and ok
-        if abs(diff) >= worst[0]:
-            worst = (abs(diff), se)
-        per_g.append({"g": [float(a), float(b)], "statistic": diff,
-                      "std_error": se, "pass": ok})
-    return _report(worst[0], worst[1], n_samples, ok_all, seed, per_g=per_g)
+        for (f, words), fk, out in zip(cases, f0, per_g):
+            diff, se = _mean_se(f.on_batch(moved.with_words(words)) - fk)
+            out.append({"g": [float(a), float(b)], "statistic": diff,
+                        "std_error": se,
+                        "pass": abs(diff) <= 3.0 * se + _EXACT_SLACK})
+    reports = []
+    for entries in per_g:
+        worst = (0.0, 0.0)
+        for e in entries:
+            if abs(e["statistic"]) >= worst[0]:
+                worst = (abs(e["statistic"]), e["std_error"])
+        reports.append(_report(worst[0], worst[1], base.n,
+                               all(e["pass"] for e in entries), seed,
+                               per_g=entries))
+    return reports
 
 
 def _validate_step(h: float):
@@ -546,6 +586,13 @@ def harmonicity_check(spec: SubshiftSpec, f: TestFunction, n_samples: int,
     _validate_step(h)
     base = sample_batch(spec, n_samples, seed, precision=precision,
                         halfwidth=halfwidth)
+    return harmonicity_report(base, f, seed, h=h)
+
+
+def harmonicity_report(base: SampleBatch, f: TestFunction, seed: int, *,
+                       h: float = 2.0 ** -6) -> dict:
+    """harmonicity_check's report on a given sample."""
+    _validate_step(h)
 
     def probe(a, b):
         m = base.copy()
@@ -559,7 +606,7 @@ def harmonicity_check(spec: SubshiftSpec, f: TestFunction, n_samples: int,
     stat, se = _mean_se(lap)
     bias = f.laplacian_bias(h)
     ok = abs(stat) <= 3.0 * se + bias + _EXACT_SLACK
-    return _report(stat, se, n_samples, ok, seed, fd_bias=bias, h=h)
+    return _report(stat, se, base.n, ok, seed, fd_bias=bias, h=h)
 
 
 def tau_pairing(spec: SubshiftSpec, f: TestFunction, g: TestFunction,
@@ -575,23 +622,37 @@ def tau_pairing(spec: SubshiftSpec, f: TestFunction, g: TestFunction,
     _validate_step(h)
     base = sample_batch(spec, n_samples, seed, precision=precision,
                         halfwidth=halfwidth)
+    return tau_reports(base, [(f, g)], seed, h=h)[0]
+
+
+def tau_reports(base: SampleBatch, pairs, seed: int, *,
+                h: float = 2.0 ** -6) -> list[dict]:
+    """tau_pairing's report for each (f, g) pair on one sample.
+
+    The flow moves base up and down once, and every pair is evaluated
+    on those two copies.
+    """
+    _validate_step(h)
+    up = base.copy()
+    up.act(2.0 ** h, 0.0)
+    down = base.copy()
+    down.act(2.0 ** -h, 0.0)
 
     def flow_diff(fn):
-        up = base.copy()
-        up.act(2.0 ** h, 0.0)
-        down = base.copy()
-        down.act(2.0 ** -h, 0.0)
         return (fn.on_batch(up) - fn.on_batch(down)) / (2.0 * h)
 
-    yf = flow_diff(f)
-    yg = flow_diff(g)
-    f0 = f.on_batch(base)
-    g0 = g.on_batch(base)
-    tau, se = _mean_se(yf * g0)
-    defect, se_d = _mean_se(yf * g0 + yg * f0)
-    bias = 2.0 * (f.flow_bias(h) * g.sup_bound()
-                  + g.flow_bias(h) * f.sup_bound())
-    ok = abs(defect) <= 3.0 * se_d + bias + _EXACT_SLACK
-    return _report(tau, se, n_samples, ok, seed,
-                   antisymmetry_defect=abs(defect), defect_std_error=se_d,
-                   fd_bias=bias, h=h)
+    reports = []
+    for f, g in pairs:
+        yf = flow_diff(f)
+        yg = flow_diff(g)
+        f0 = f.on_batch(base)
+        g0 = g.on_batch(base)
+        tau, se = _mean_se(yf * g0)
+        defect, se_d = _mean_se(yf * g0 + yg * f0)
+        bias = 2.0 * (f.flow_bias(h) * g.sup_bound()
+                      + g.flow_bias(h) * f.sup_bound())
+        ok = abs(defect) <= 3.0 * se_d + bias + _EXACT_SLACK
+        reports.append(_report(
+            tau, se, base.n, ok, seed, antisymmetry_defect=abs(defect),
+            defect_std_error=se_d, fd_bias=bias, h=h))
+    return reports

@@ -23,7 +23,7 @@ the question.  Non-bijective rules only ever emit a definite "periodic"
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -201,10 +201,6 @@ def _seed_power(spec: Substitution) -> tuple[dict, str]:
     return out, c
 
 
-_lang_lock = threading.Lock()
-_lang_cache: dict = {}
-
-
 def _pair_closure(spec: Substitution) -> frozenset:
     """Two-letter junction closure seeded from every letter's image.
 
@@ -235,10 +231,11 @@ def language(spec: SubshiftSpec, n: int):
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
-    key = (spec, n)
-    with _lang_lock:
-        if key in _lang_cache:
-            return list(_lang_cache[key])
+    return list(_language(spec, n))
+
+
+@functools.lru_cache(maxsize=256)
+def _language(spec: SubshiftSpec, n: int) -> tuple[str, ...]:
     if isinstance(spec, Periodic):
         p = len(spec.word)
         reps = spec.word * (n // p + 2)
@@ -265,9 +262,7 @@ def language(spec: SubshiftSpec, n: int):
             img = rules[pair[0]] + rules[pair[1]]
             out.update(img[i:i + n] for i in range(len(rules[pair[0]])))
         words = sorted(out)
-    with _lang_lock:
-        _lang_cache[key] = tuple(words)
-    return words
+    return tuple(words)
 
 
 def constant_length(spec: Substitution):
@@ -367,27 +362,26 @@ def block_substitution(spec: Substitution, n: int):
     return blocks, out
 
 
-_meas_lock = threading.Lock()
-_meas_cache: dict = {}
-_perron_cache: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _spec_perron(spec: Substitution):
-    """One eigenvalue object per spec, so every block level shares a field."""
-    with _meas_lock:
-        if spec not in _perron_cache:
-            s = constant_length(spec)
-            _perron_cache[spec] = Fraction(s) if s is not None \
-                else perron_eigenvalue(incidence_matrix(spec))
-        return _perron_cache[spec]
+    """One eigenvalue object per spec, so every block level shares a field.
+
+    Never evicted: measures cached at one level are combined with this
+    eigenvalue at the next, and number fields must not mix.
+    """
+    s = constant_length(spec)
+    return Fraction(s) if s is not None \
+        else perron_eigenvalue(incidence_matrix(spec))
 
 
 def measure_vector(spec: SubshiftSpec, n: int) -> dict:
     """Exact invariant probabilities of all length-n cylinders."""
-    key = (spec, n)
-    with _meas_lock:
-        if key in _meas_cache:
-            return dict(_meas_cache[key])
+    return dict(_measures(spec, n))
+
+
+@functools.lru_cache(maxsize=256)
+def _measures(spec: SubshiftSpec, n: int) -> tuple:
+    """(word, MeasureValue) pairs over language(spec, n), in its order."""
     if isinstance(spec, ExplicitWindow):
         raise UnsupportedSpec("not uniquely ergodic / unsupported spec")
     if isinstance(spec, Periodic):
@@ -397,31 +391,73 @@ def measure_vector(spec: SubshiftSpec, n: int) -> dict:
         for i in range(p):
             w = reps[i:i + n]
             counts[w] = counts.get(w, 0) + 1
-        vec = {w: MeasureValue(Fraction(c, p)) for w, c in counts.items()}
-    else:
-        if not is_primitive(spec):
-            raise UnsupportedSpec("not uniquely ergodic / unsupported spec")
-        blocks, sub = block_substitution(spec, n)
-        lam = _spec_perron(spec)
-        mat = [[Fraction(sub[u].count(v)) for u in blocks] for v in blocks]
-        if isinstance(lam, AlgebraicNumber):
-            field = lam.field
-            mat = [[field.rational(x) for x in row] for row in mat]
-        for i in range(len(blocks)):
-            mat[i][i] = mat[i][i] - lam
-        v = nullspace_vector(mat)
-        total = v[0]
-        for x in v[1:]:
-            total = total + x
-        mu = [x / total for x in v]
-        for x in mu:
-            positive = x > 0 if isinstance(x, Fraction) else x.sign() > 0
-            if not positive:
-                raise ValueError("Perron vector not strictly positive")
-        vec = {u: MeasureValue(x) for u, x in zip(blocks, mu)}
-    with _meas_lock:
-        _meas_cache[key] = dict(vec)
-    return vec
+        return tuple((w, MeasureValue(Fraction(c, p)))
+                     for w, c in counts.items())
+    if not is_primitive(spec):
+        raise UnsupportedSpec("not uniquely ergodic / unsupported spec")
+    blocks = language(spec, n)
+    m = _head_level(spec, n)
+    mu = _nullspace_measure(spec, n) if m == n else _pushed_measure(spec, m, n)
+    for x in mu:
+        positive = x > 0 if isinstance(x, Fraction) else x.sign() > 0
+        if not positive:
+            raise ValueError("Perron vector not strictly positive")
+    return tuple((u, MeasureValue(x)) for u, x in zip(blocks, mu))
+
+
+def _head_level(spec: Substitution, n: int) -> int:
+    """Smallest m <= n with |sigma(v[1:])| >= n - 1 for every v in L(m).
+
+    For m < n the block image of any u in L(n) then reads only
+    sigma(u[:m]), which is what _pushed_measure relies on.
+    """
+    rules = spec.mapping()
+    for m in range(1, n):
+        if all(len(_apply(rules, v[1:])) >= n - 1
+               for v in language(spec, m)):
+            return m
+    return n
+
+
+def _pushed_measure(spec: Substitution, m: int, n: int) -> list:
+    """Length-n measures from length-m ones by the induced-block recursion.
+
+    The block image of u in L(n) depends only on v = u[:m], and the
+    measures of the u extending v add up to mu_m(v), so the eigen
+    equation of the block substitution becomes
+    lambda * mu_n(w) = sum over v in L(m) of
+    mu_m(v) * #{j < |sigma(v[0])| : sigma(v)[j:j+n] = w}
+    (Queffelec, Substitution Dynamical Systems, LNM 1294).
+    """
+    rules = spec.mapping()
+    acc: dict = {}
+    for v, x in _measures(spec, m):
+        img = _apply(rules, v)
+        for j in range(len(rules[v[0]])):
+            w = img[j:j + n]
+            acc[w] = acc[w] + x.value if w in acc else x.value
+    blocks = language(spec, n)
+    if set(acc) != set(blocks):
+        raise ValueError("block images do not cover the language")
+    inv = 1 / _spec_perron(spec)
+    return [acc[u] * inv for u in blocks]
+
+
+def _nullspace_measure(spec: Substitution, n: int) -> list:
+    """Normalized kernel of (block matrix - lambda), over language(spec, n)."""
+    blocks, sub = block_substitution(spec, n)
+    lam = _spec_perron(spec)
+    mat = [[Fraction(sub[u].count(v)) for u in blocks] for v in blocks]
+    if isinstance(lam, AlgebraicNumber):
+        field = lam.field
+        mat = [[field.rational(x) for x in row] for row in mat]
+    for i in range(len(blocks)):
+        mat[i][i] = mat[i][i] - lam
+    v = nullspace_vector(mat)
+    total = v[0]
+    for x in v[1:]:
+        total = total + x
+    return [x / total for x in v]
 
 
 def cylinder_measure(spec: SubshiftSpec, u: str) -> MeasureValue:

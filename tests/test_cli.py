@@ -1,13 +1,19 @@
 """Command-line driver: examples, determinism, round-trips, error hygiene."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hyptile import cli
 from hyptile.cli import main
 from hyptile.geometry import ColourWindow, generate_patch
+from hyptile.hull import TestFunction as TFn
+from hyptile.hull import harmonicity_check, invariance_check, tau_pairing
 from hyptile.subshift import parse_spec, spec_to_json
 
 
@@ -24,6 +30,7 @@ def run(args):
 PERIODIC_12 = {"type": "periodic", "word": "12"}
 PERIODIC_112 = {"type": "periodic", "word": "112"}
 THUE_MORSE = {"type": "substitution", "rules": {"1": "12", "2": "21"}}
+FIBONACCI = {"type": "substitution", "rules": {"1": "12", "2": "1"}}
 
 
 class TestKGroups:
@@ -154,6 +161,56 @@ class TestStochasticCommands:
         assert all(p["pass"] for p in res["pairs"])
 
 
+class TestSharedDraw:
+    """One draw per job gives the reports of the public checks run apart."""
+
+    @staticmethod
+    def json_round_trip(doc):
+        return json.loads(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc", [THUE_MORSE, FIBONACCI])
+    def test_hullcheck_matches_separate_checks(self, tmp_path, doc):
+        out = tmp_path / "h.json"
+        n, seed = 4000, 29
+        assert run(["hullcheck", "--spec", write_spec(tmp_path, doc),
+                    "--samples", str(n), "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        res = json.loads(out.read_text())
+        spec = parse_spec(doc)
+        gs = cli._random_group_elements(np.random.default_rng(seed), 8)
+        f0, f1 = cli._default_functions(spec)
+        expect = {
+            "invariance_0": invariance_check(spec, f0, gs, n, seed),
+            "invariance_1": invariance_check(spec, f1, gs, n, seed),
+            "harmonicity": harmonicity_check(
+                spec, TFn.bump(0.5, 0.45, 0.5, 0.45), n, seed),
+        }
+        assert res["checks"] == self.json_round_trip(expect)
+        biased = invariance_check(spec, f0, gs, n, seed,
+                                  word_bias="first-word")
+        assert res["negative_control"]["report"] == \
+            self.json_round_trip(biased)
+
+    def test_cocycle_matches_separate_pairings(self, tmp_path):
+        out = tmp_path / "c.json"
+        n, seed = 4000, 31
+        assert run(["cocycle", "--spec", write_spec(tmp_path, FIBONACCI),
+                    "--samples", str(n), "--seed", str(seed),
+                    "--out", str(out)]) == 0
+        res = json.loads(out.read_text())
+        spec = parse_spec(FIBONACCI)
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(3):
+            f = TFn.bump(*cli._bump_params(rng))
+            g = TFn.bump(*cli._bump_params(rng))
+            pairs.append(tau_pairing(spec, f, g, n, seed))
+        with_one = tau_pairing(spec, TFn.bump(0.5, 0.45, 0.5, 0.45),
+                               TFn.constant(), n, seed)
+        assert res["pairs"] == self.json_round_trip(pairs)
+        assert res["tau_with_one"] == self.json_round_trip(with_one)
+
+
 class TestErrorHygiene:
     def assert_error(self, rc, capsys, out=None):
         assert rc == 1
@@ -191,17 +248,29 @@ class TestErrorHygiene:
         assert out.read_text() == "keep me"
 
     def test_unknown_command(self, capsys):
-        with pytest.raises(SystemExit):
-            run(["frobnicate", "--spec", "x.json"])
-        capsys.readouterr()
+        rc = run(["frobnicate", "--spec", "x.json"])
+        self.assert_error(rc, capsys)
+
+    def test_missing_spec_flag(self, capsys):
+        self.assert_error(run(["kgroups"]), capsys)
+
+    def test_non_integer_nmax(self, tmp_path, capsys):
+        out = tmp_path / "k.json"
+        rc = run(["kgroups", "--spec", write_spec(tmp_path, THUE_MORSE),
+                  "--nmax", "eight", "--out", str(out)])
+        self.assert_error(rc, capsys, out)
 
 
 def test_module_entry_point(tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps(PERIODIC_12))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "hyptile.cli", "gaplabels",
          "--spec", str(spec)],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gap_labels"]["generators"] == ["1/2"]

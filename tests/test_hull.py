@@ -21,19 +21,23 @@ from hyptile.hull import (
     TestFunction as TFn,
     act,
     check_relation_RPw,
+    first_word_control,
     harmonicity_check,
     invariance_check,
+    invariance_reports,
     normalize,
     random_colour_window,
     relation_defects,
     sample_batch,
     sample_product_measure,
     tau_pairing,
+    tau_reports,
 )
 from hyptile.ktheory import CylinderFunction
 from hyptile.subshift import Substitution, language
 
 TM = Substitution.of({"1": "12", "2": "21"})
+FIB = Substitution.of({"1": "12", "2": "1"})
 WIDE = ColourWindow("1" * 21, -10)
 
 
@@ -286,6 +290,18 @@ class TestSampler:
             sample_batch(TM, 4, 0, word_bias="coin-flip")
 
 
+class TestFirstWordControl:
+    def test_equals_biased_draw(self):
+        for spec, n, seed in ((TM, 1000, 3), (FIB, 777, 41)):
+            shared = first_word_control(spec, sample_batch(spec, n, seed))
+            drawn = sample_batch(spec, n, seed, word_bias="first-word")
+            for name in ("omega", "t", "s", "cursor", "words"):
+                a, b = getattr(shared, name), getattr(drawn, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert (shared.origin, shared.precision, shared.n) == \
+                (drawn.origin, drawn.precision, drawn.n)
+
+
 class TestInvarianceCheck:
     GS = [(1.0, 0.7), (2.0, 0.0), (0.5, 0.0), (1.5, -0.9)]
 
@@ -368,3 +384,56 @@ class TestTauPairing:
         a = tau_pairing(TM, f, g, 5_000, 99)
         b = tau_pairing(TM, f, g, 5_000, 99)
         assert a == b
+
+
+class TestSharedCores:
+    """The batch-level cores against a fresh draw and fresh moves per use."""
+
+    GS = [(1.0, 0.7), (2.0, 0.0), (0.5, 0.0), (1.5, -0.9), (0.7, 2.5)]
+    N, SEED = 3000, 77
+
+    @staticmethod
+    def mean_se(x):
+        return float(x.mean()), float(x.std(ddof=1)) / math.sqrt(len(x))
+
+    def test_invariance_cases_match_separate_draws(self):
+        f0 = TFn.word_indicator("12")
+        f1 = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1}),
+                 t_bump=BumpProfile("bump3", 0.5, 0.45),
+                 s_bump=BumpProfile("bump3", 0.5, 0.45))
+        base = sample_batch(TM, self.N, self.SEED)
+        control = first_word_control(TM, base)
+        reports = invariance_reports(
+            base, [(f0, base.words), (f1, base.words), (f0, control.words)],
+            self.GS, self.SEED)
+        for rep, (f, bias) in zip(reports, [(f0, None), (f1, None),
+                                            (f0, "first-word")]):
+            for entry, (a, b) in zip(rep["per_g"], self.GS):
+                fresh = sample_batch(TM, self.N, self.SEED, word_bias=bias)
+                moved = fresh.copy()
+                moved.act(a, b)
+                diff, se = self.mean_se(f.on_batch(moved) - f.on_batch(fresh))
+                assert (entry["statistic"], entry["std_error"]) == (diff, se)
+
+    def test_tau_pairs_match_separate_flows(self):
+        h = 2.0 ** -6
+        pairs = [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn.constant()),
+                 (TFn.bump(0.45, 0.3, 0.55, 0.35), TFn.word_indicator("12"))]
+        reports = tau_reports(sample_batch(TM, self.N, self.SEED), pairs,
+                              self.SEED, h=h)
+
+        def flow(fn):
+            base = sample_batch(TM, self.N, self.SEED)
+            up, down = base.copy(), base.copy()
+            up.act(2.0 ** h, 0.0)
+            down.act(2.0 ** -h, 0.0)
+            return ((fn.on_batch(up) - fn.on_batch(down)) / (2.0 * h),
+                    fn.on_batch(base))
+
+        for rep, (f, g) in zip(reports, pairs):
+            (yf, f0), (yg, g0) = flow(f), flow(g)
+            assert (rep["statistic"], rep["std_error"]) == \
+                self.mean_se(yf * g0)
+            defect, se_d = self.mean_se(yf * g0 + yg * f0)
+            assert rep["antisymmetry_defect"] == abs(defect)
+            assert rep["defect_std_error"] == se_d

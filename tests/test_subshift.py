@@ -14,6 +14,7 @@ import pytest
 
 from hyptile.algebraic import AlgebraicNumber
 from hyptile.subshift import (
+    _nullspace_measure,
     ExplicitWindow,
     HorizonExhausted,
     MeasureValue,
@@ -360,6 +361,32 @@ class TestSubstitutionMeasures:
     def test_non_primitive_unsupported(self):
         with pytest.raises(UnsupportedSpec):
             cylinder_measure(Substitution.of({"1": "12", "2": "22"}), "1")
+
+
+class TestMeasureRecursion:
+    """The induced-block recursion against the block-nullspace solve."""
+
+    SPECS = [
+        (TM, 12),
+        (Substitution.of({"1": "12", "2": "11"}), 12),  # period doubling
+        (FIB, 12),
+        (Substitution.of({"1": "12", "2": "13", "3": "1"}), 12),  # tribonacci
+        (Substitution.of({"1": "1234", "2": "2143", "3": "3412",
+                          "4": "4321"}), 6),
+    ]
+
+    @pytest.mark.parametrize("spec,nmax", SPECS)
+    def test_equals_nullspace_solution(self, spec, nmax):
+        for n in range(1, nmax + 1):
+            got = measure_vector(spec, n)
+            assert list(got) == language(spec, n)
+            assert [v.value for v in got.values()] == \
+                _nullspace_measure(spec, n), n
+
+    def test_callers_get_fresh_dicts(self):
+        vec = measure_vector(TM, 3)
+        vec.clear()
+        assert len(measure_vector(TM, 3)) == len(language(TM, 3))
 
 
 class TestMeasureValue:
