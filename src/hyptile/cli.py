@@ -30,6 +30,7 @@ from .hull import (
     first_word_control,
     harmonicity_report,
     invariance_reports,
+    letter_codes,
     sample_batch,
     tau_reports,
 )
@@ -258,8 +259,8 @@ def _run_hullcheck(cfg: JobConfig) -> str:
     first = language(cfg.spec, 1)[0]
     p_first = measure_vector(cfg.spec, 1)[first].as_float()
     freq_omega = float((batch.omega & 3 == 1).mean())
-    freq_word = float((batch.words[:, batch.origin]
-                       == ord(first) - ord("0")).mean())
+    code = letter_codes([first], batch.alphabet)[0, 0]
+    freq_word = float((batch.words[:, batch.origin] == code).mean())
     marginals = {
         "omega_mod4_is1": {
             "statistic": freq_omega, "expected": 0.25,

@@ -1,10 +1,10 @@
 """Dyadic rationals and the 2-adic odometer.
 
-Two number-like types live here.  DyadicRational is the exact ring
-Z[1/2] used for half-plane coordinates: every value is mantissa * 2**exponent
-with an odd (or zero) mantissa.  DyadicInt is a truncated 2-adic integer,
-a residue known modulo 2**precision, which is the state space the odometer
-x -> x + 1 acts on.
+DyadicRational is the exact ring Z[1/2] used for half-plane coordinates:
+every value is mantissa * 2**exponent with an odd (or zero) mantissa.
+The odometer x -> x + 1 acts on the 2-adic integers; a sampled point
+carries its 2-adic coordinate as a residue modulo 2**precision (see
+hull.SampleBatch).
 
 Clopen subsets of the 2-adic integers are finite disjoint unions of
 cylinders F(n, k) = 2**n * Omega + k, and locally constant integer (or
@@ -149,59 +149,6 @@ def _coerce(x) -> DyadicRational:
 
 DZERO = DyadicRational(0)
 DONE = DyadicRational(1)
-DHALF = DyadicRational(1, -1)
-
-
-@dataclass(frozen=True)
-class DyadicInt:
-    """A 2-adic integer known modulo 2**precision.
-
-    The residue is reduced to [0, 2**precision).  Arithmetic that reads
-    digits beyond the stored precision raises PrecisionExhausted; halving
-    an even residue costs one digit of precision, doubling costs none.
-    """
-
-    residue: int
-    precision: int
-
-    def __post_init__(self):
-        if self.precision < 0:
-            raise PrecisionExhausted("no dyadic digits left")
-        object.__setattr__(self, "residue", self.residue % (1 << self.precision))
-
-    def add(self, k: int) -> "DyadicInt":
-        return DyadicInt(self.residue + k, self.precision)
-
-    def successor(self) -> "DyadicInt":
-        return self.add(1)
-
-    def double(self) -> "DyadicInt":
-        # 2x is known mod 2**(precision+1); we keep the same precision,
-        # which only forgets the new top digit.
-        return DyadicInt(self.residue << 1, self.precision)
-
-    def half(self) -> "DyadicInt":
-        if self.residue & 1:
-            raise ValueError("cannot halve an odd 2-adic integer")
-        if self.precision == 0:
-            raise PrecisionExhausted("no dyadic digits left")
-        return DyadicInt(self.residue >> 1, self.precision - 1)
-
-    def parity(self) -> int:
-        if self.precision == 0:
-            raise PrecisionExhausted("parity unknown at precision 0")
-        return self.residue & 1
-
-    def project(self, precision: int) -> "DyadicInt":
-        if precision > self.precision:
-            raise PrecisionExhausted(
-                f"cannot extend precision {self.precision} to {precision}")
-        return DyadicInt(self.residue, precision)
-
-
-def odometer_add(x: DyadicInt, k: int = 1) -> DyadicInt:
-    """k-fold odometer step x -> x + k (k may be negative)."""
-    return x.add(k)
 
 
 @dataclass(frozen=True)
@@ -227,10 +174,6 @@ class ClopenSet:
     @staticmethod
     def cylinder(n: int, k: int) -> "ClopenSet":
         return ClopenSet(((n, k),))
-
-    @staticmethod
-    def empty() -> "ClopenSet":
-        return ClopenSet(())
 
     def translate(self, j: int) -> "ClopenSet":
         """Image under x -> x + j; Haar measure is preserved."""
@@ -351,12 +294,6 @@ class LocallyConstFn:
         n = 1 << self.level
         return LocallyConstFn(self.level,
                               tuple(self.values[(k - 1) % n] for k in range(n)))
-
-    def evaluate(self, x: DyadicInt):
-        if x.precision < self.level:
-            raise PrecisionExhausted(
-                f"level-{self.level} function needs {self.level} digits")
-        return self.values[x.residue % (1 << self.level)]
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)

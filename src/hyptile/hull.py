@@ -1,19 +1,20 @@
 """Doubly suspended odometer-subshift points and their affine symmetry.
 
-A point is stored by four coordinates: a 2-adic integer omega together
-with t in [0,1) (suspension of the odometer x -> x+1), a colour window
-with a cursor into the letter sequence, and s in [0,1), the base-2
-logarithm of a positive scale.  Crossing s = 1 downward is identified
-with doubling the odometer part and shifting the letters left by one;
-crossing s = 0 is the inverse, which halves omega (branching on parity)
-and costs one dyadic digit of precision.  Keeping the scale in log base
-2 makes both identifications unit translations in s.
+Points are the rows of a SampleBatch (a single point is a one-row
+batch), stored column-wise by four coordinates: a 2-adic integer omega
+with t in [0,1) (suspension of the odometer x -> x+1), a letter window
+with a cursor into it, and s in [0,1), the base-2 logarithm of a
+positive scale.  Crossing s = 1 downward is identified with doubling
+the odometer part and shifting the letters left by one; crossing s = 0
+is the inverse, which halves omega (branching on parity) and costs the
+batch one dyadic digit.  Keeping the scale in log base 2 makes both
+identifications unit translations in s.
 
 The affine map z -> a z + b acts by scaling s and feeding b, divided by
 the new scale, into the suspension coordinate t; integer carries flow
 into omega.  Monte-Carlo checks (invariance of the product measure,
-leafwise harmonicity, the flow pairing) run on column-vectorized sample
-batches with one deterministic RNG stream per worker chunk.
+leafwise harmonicity, the flow pairing) run on batches drawn with one
+deterministic RNG stream per worker chunk.
 """
 
 from __future__ import annotations
@@ -26,15 +27,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import DyadicInt, LocallyConstFn, PrecisionExhausted
+from .dyadic import LocallyConstFn, PrecisionExhausted
 from .geometry import ColourWindow, ColourWindowExhausted, TileSet, generate_patch
 from .ktheory import CylinderFunction
-from .subshift import SubshiftSpec, language, measure_vector
+from .subshift import SubshiftSpec, alphabet, language, measure_vector
 
 __all__ = [
-    "HullPoint",
-    "normalize",
-    "act",
     "check_relation_RPw",
     "relation_defects",
     "random_colour_window",
@@ -42,7 +40,7 @@ __all__ = [
     "TestFunction",
     "SampleBatch",
     "sample_batch",
-    "sample_product_measure",
+    "letter_codes",
     "first_word_control",
     "invariance_check",
     "invariance_reports",
@@ -55,71 +53,11 @@ __all__ = [
 _MAX_WRAPS = 64
 
 
-@dataclass(frozen=True)
-class HullPoint:
-    """One point: odometer pair (omega, t), letters (colour, cursor), scale s.
-
-    The visible letter at index j is colour[cursor + j]; the cursor moves
-    by one per unit of s crossed, so the window must be wide enough for
-    every query made against it (ColourWindowExhausted otherwise).
-    """
-
-    omega: DyadicInt
-    t: float
-    colour: ColourWindow
-    cursor: int
-    s: float
-
-    def letter(self, j: int) -> int:
-        return self.colour.get(self.cursor + j)
-
-
-def normalize(p: HullPoint) -> HullPoint:
-    """Canonical representative with t in [0,1) and s in [0,1).
-
-    Integer parts of t are carried into omega.  Each unit of s above 1
-    doubles (omega, t) and advances the cursor; each unit below 0 halves
-    them (odd omega borrows into t) and retreats the cursor, consuming
-    one dyadic digit.  Idempotent.
-    """
-    om, t, s, cur = p.omega, p.t, p.s, p.cursor
-    c = math.floor(t)
-    om, t = om.add(c), t - c
-    wraps = 0
-    while s >= 1.0:
-        om, t, s, cur = om.double(), 2.0 * t, s - 1.0, cur + 1
-        c = math.floor(t)
-        om, t = om.add(c), t - c
-        wraps += 1
-        if wraps > _MAX_WRAPS:
-            raise ValueError("scale coordinate does not wrap down to [0,1)")
-    while s < 0.0:
-        par = om.parity()
-        om = om.add(-par).half()
-        t, s, cur = (t + par) / 2.0, s + 1.0, cur - 1
-        wraps += 1
-        if wraps > _MAX_WRAPS:
-            raise ValueError("scale coordinate does not wrap up to [0,1)")
-    return HullPoint(om, t, p.colour, cur, s)
-
-
 def _check_affine(a: float, b: float):
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("scale and translation must be finite")
     if a <= 0:
         raise ValueError("scale factor must be positive")
-
-
-def act(a: float, b: float, p: HullPoint) -> HullPoint:
-    """Image of p under z -> a z + b, renormalized.
-
-    The translation lands in t scaled by the new overall scale a * 2**s;
-    the scale itself moves s by log2(a).
-    """
-    _check_affine(a, b)
-    u = 2.0 ** p.s
-    return normalize(HullPoint(
-        p.omega, p.t + b / (a * u), p.colour, p.cursor, p.s + math.log2(a)))
 
 
 # -- colour relation ----------------------------------------------------
@@ -186,13 +124,11 @@ class BumpProfile:
             if self.center - self.width <= 0 or self.center + self.width >= 1:
                 raise ValueError("bump support must lie inside (0, 1)")
 
-    def __call__(self, x):
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.name == "one":
-            return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+            return np.ones_like(x)
         z = (x - self.center) / self.width
-        if isinstance(z, np.ndarray):
-            return np.where(np.abs(z) < 1.0, (1.0 - z * z) ** 3, 0.0)
-        return (1.0 - z * z) ** 3 if abs(z) < 1.0 else 0.0
+        return np.where(np.abs(z) < 1.0, (1.0 - z * z) ** 3, 0.0)
 
     # max |d^k/dx^k| over the line, from the polynomial (1-z^2)**3:
     # |phi'| <= 2.08, |phi''| <= 6, |phi'''| <= 48, |phi''''| <= 288.
@@ -237,16 +173,6 @@ class TestFunction:
     def word_indicator(u: str, start: int = 0) -> "TestFunction":
         return TestFunction(word_part=CylinderFunction.of("Z", start, {u: 1}))
 
-    def __call__(self, p: HullPoint) -> float:
-        out = 1.0
-        if self.word_part is not None:
-            a, b = self.word_part.window
-            seen = "".join(str(p.letter(j)) for j in range(a, b))
-            out *= float(dict(self.word_part.coeffs).get(seen, 0))
-        if self.omega_part is not None:
-            out *= float(self.omega_part.evaluate(p.omega))
-        return out * self.t_bump(p.t) * self.s_bump(p.s)
-
     def on_batch(self, batch: "SampleBatch") -> np.ndarray:
         out = np.ones(batch.n)
         if self.word_part is not None:
@@ -261,8 +187,8 @@ class TestFunction:
             seen = np.take_along_axis(batch.words, cols, axis=1)
             acc = np.zeros(batch.n)
             for u, c in self.word_part.coeffs:
-                codes = np.frombuffer(u.encode(), dtype=np.int8) - ord("0")
-                acc += float(c) * (seen == codes).all(axis=1)
+                code = letter_codes([u], batch.alphabet)[0]
+                acc += float(c) * (seen == code).all(axis=1)
             out *= acc
         if self.omega_part is not None:
             lev = self.omega_part.level
@@ -325,12 +251,9 @@ def _worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def _word_table(spec: SubshiftSpec, length: int):
+def _word_table(spec: SubshiftSpec, length: int, letters: tuple[str, ...]):
     """Letter-code matrix of the admissible words and cumulative weights."""
     words = language(spec, length)
-    for w in words:
-        if not w.isdigit():
-            raise ValueError("sampling needs single-digit letters")
     mv = measure_vector(spec, length)
     bounds = []
     if all(mv[w].is_rational for w in words):
@@ -343,11 +266,19 @@ def _word_table(spec: SubshiftSpec, length: int):
         for w in words:
             acc += mv[w].as_float()
             bounds.append(acc)
-    return _letter_codes(words), np.array(bounds)
+    return letter_codes(words, letters), np.array(bounds)
 
 
-def _letter_codes(words) -> np.ndarray:
-    return np.array([[ord(ch) - ord("0") for ch in w] for w in words],
+def letter_codes(words, letters: tuple[str, ...]) -> np.ndarray:
+    """int8 matrix of each word's letters as their indices in letters.
+
+    A letter outside letters codes as -1, which matches no sampled row.
+    """
+    if len(letters) > 127:
+        raise ValueError(f"alphabet of {len(letters)} letters exceeds the "
+                         "127 that int8 letter codes hold")
+    index = {ch: i for i, ch in enumerate(letters)}
+    return np.array([[index.get(ch, -1) for ch in w] for w in words],
                     dtype=np.int8)
 
 
@@ -355,33 +286,35 @@ class SampleBatch:
     """Column arrays of points drawn from the product measure.
 
     omega holds residues mod 2**precision; words holds one letter window
-    per row with column `origin` at letter index 0.  Batches are cheap
-    to copy (the word matrix is shared read-only) so group elements can
-    be applied to common random numbers.
+    per row (letter_codes against alphabet) with column `origin` at letter
+    index 0.  Batches are cheap to copy (the word matrix is shared
+    read-only) so group elements can be applied to common random numbers.
     """
 
-    __slots__ = ("omega", "t", "s", "cursor", "words", "origin",
+    __slots__ = ("omega", "t", "s", "cursor", "words", "alphabet", "origin",
                  "precision", "n")
 
-    def __init__(self, omega, t, s, cursor, words, origin, precision):
+    def __init__(self, omega, t, s, cursor, words, alphabet, origin,
+                 precision):
         self.omega = omega
         self.t = t
         self.s = s
         self.cursor = cursor
         self.words = words
+        self.alphabet = alphabet
         self.origin = origin
         self.precision = precision
         self.n = len(t)
 
     def copy(self) -> "SampleBatch":
         return SampleBatch(self.omega.copy(), self.t.copy(), self.s.copy(),
-                           self.cursor.copy(), self.words, self.origin,
-                           self.precision)
+                           self.cursor.copy(), self.words, self.alphabet,
+                           self.origin, self.precision)
 
     def with_words(self, words) -> "SampleBatch":
         """The same coordinate arrays (shared, not copied) with other letters."""
         return SampleBatch(self.omega, self.t, self.s, self.cursor, words,
-                           self.origin, self.precision)
+                           self.alphabet, self.origin, self.precision)
 
     @property
     def mask(self) -> int:
@@ -430,13 +363,6 @@ class SampleBatch:
         self.s = self.s + math.log2(a)
         self.normalize()
 
-    def point(self, i: int) -> HullPoint:
-        word = "".join(chr(ord("0") + int(c)) for c in self.words[i])
-        return HullPoint(DyadicInt(int(self.omega[i]), self.precision),
-                         float(self.t[i]),
-                         ColourWindow(word, -self.origin),
-                         int(self.cursor[i]), float(self.s[i]))
-
 
 def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
                  precision: int = 48, halfwidth: int = 8,
@@ -450,11 +376,14 @@ def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
     replaces the letter distribution by a deterministic constant draw;
     that sampler is deliberately wrong, for negative controls.
     """
+    if n < 1:
+        raise ValueError(f"sample size must be at least 1, got {n}")
     if precision < 1 or precision > 62:
         raise ValueError("precision must be in [1, 62]")
     if word_bias not in (None, "first-word"):
         raise ValueError(f"unknown word bias {word_bias!r}")
-    codes, bounds = _word_table(spec, 2 * halfwidth + 1)
+    letters = alphabet(spec)
+    codes, bounds = _word_table(spec, 2 * halfwidth + 1, letters)
     children = np.random.SeedSequence(seed).spawn(_CHUNKS)
     sizes = [n // _CHUNKS + (1 if i < n % _CHUNKS else 0)
              for i in range(_CHUNKS)]
@@ -480,7 +409,7 @@ def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
     s = np.concatenate([p[2] for p in parts])
     idx = np.concatenate([p[3] for p in parts])
     return SampleBatch(om, t, s, np.zeros(n, dtype=np.int64),
-                       codes[idx], halfwidth, precision)
+                       codes[idx], letters, halfwidth, precision)
 
 
 def first_word_control(spec: SubshiftSpec, batch: SampleBatch) -> SampleBatch:
@@ -491,16 +420,9 @@ def first_word_control(spec: SubshiftSpec, batch: SampleBatch) -> SampleBatch:
     both take omega, t and s from the same streams; a negative control
     can so share the genuine check's sample and its moved copies.
     """
-    first = _letter_codes(language(spec, batch.words.shape[1])[:1])
+    first = letter_codes(language(spec, batch.words.shape[1])[:1],
+                         batch.alphabet)
     return batch.with_words(np.broadcast_to(first, batch.words.shape))
-
-
-def sample_product_measure(spec: SubshiftSpec, rng_seed: int, *,
-                           precision: int = 48,
-                           halfwidth: int = 8) -> HullPoint:
-    """One deterministic draw from the product measure."""
-    return sample_batch(spec, 1, rng_seed, precision=precision,
-                        halfwidth=halfwidth).point(0)
 
 
 # -- Monte-Carlo checks ---------------------------------------------------
@@ -513,9 +435,13 @@ def _report(stat, se, n, ok, seed, **extra) -> dict:
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    n = len(x)
-    se = float(x.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return float(x.mean()), se
+    return float(x.mean()), float(x.std(ddof=1)) / math.sqrt(len(x))
+
+
+def _check_rows(base: SampleBatch):
+    if base.n < 2:
+        raise ValueError("a standard error needs at least 2 samples, "
+                         f"the batch has {base.n}")
 
 
 _EXACT_SLACK = 1e-12
@@ -546,6 +472,7 @@ def invariance_reports(base: SampleBatch, cases, g_list,
     once, on one copy of base's coordinates, and every case is evaluated
     on that copy; only the per-g scalars are kept.
     """
+    _check_rows(base)
     f0 = [f.on_batch(base.with_words(words)) for f, words in cases]
     per_g = [[] for _ in cases]
     for a, b in g_list:
@@ -593,6 +520,7 @@ def harmonicity_report(base: SampleBatch, f: TestFunction, seed: int, *,
                        h: float = 2.0 ** -6) -> dict:
     """harmonicity_check's report on a given sample."""
     _validate_step(h)
+    _check_rows(base)
 
     def probe(a, b):
         m = base.copy()
@@ -633,6 +561,7 @@ def tau_reports(base: SampleBatch, pairs, seed: int, *,
     on those two copies.
     """
     _validate_step(h)
+    _check_rows(base)
     up = base.copy()
     up.act(2.0 ** h, 0.0)
     down = base.copy()

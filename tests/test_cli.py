@@ -13,7 +13,8 @@ from hyptile import cli
 from hyptile.cli import main
 from hyptile.geometry import ColourWindow, generate_patch
 from hyptile.hull import TestFunction as TFn
-from hyptile.hull import harmonicity_check, invariance_check, tau_pairing
+from hyptile.hull import (harmonicity_check, invariance_check, sample_batch,
+                          tau_pairing)
 from hyptile.subshift import parse_spec, spec_to_json
 
 
@@ -159,6 +160,23 @@ class TestStochasticCommands:
         assert res["pass"] is True
         assert res["tau_with_one"]["pass"] is True
         assert all(p["pass"] for p in res["pairs"])
+
+    def test_letter_alphabet(self, tmp_path):
+        # letters that are not digits are coded by their alphabet index
+        doc = {"type": "periodic", "word": "ab"}
+        spec = write_spec(tmp_path, doc)
+        h, c = tmp_path / "h.json", tmp_path / "c.json"
+        assert run(["hullcheck", "--spec", spec, "--samples", "3000",
+                    "--seed", "7", "--out", str(h)]) == 0
+        assert run(["cocycle", "--spec", spec, "--samples", "3000",
+                    "--seed", "7", "--out", str(c)]) == 0
+        first = json.loads(h.read_text())["marginals"]["first_letter"]
+        batch = sample_batch(parse_spec(doc), 3000, 7)
+        assert first["expected"] == 0.5
+        assert first["statistic"] == float(
+            (batch.words[:, batch.origin] == 0).mean())
+        assert 0.4 < first["statistic"] < 0.6
+        assert json.loads(c.read_text())["tau_with_one"]["n"] == 3000
 
 
 class TestSharedDraw:

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hyptile.dyadic import (ClopenSet, DyadicInt, DyadicRational, LocallyConstFn,
-                            PrecisionExhausted, dyadic_norm, integrate,
-                            odometer_add, omega_coinvariant_class)
+from hyptile.dyadic import (ClopenSet, DyadicRational, LocallyConstFn,
+                            dyadic_norm, integrate, omega_coinvariant_class)
 
 
 def test_dyadic_rational_canonical_form():
@@ -58,35 +57,6 @@ def test_dyadic_norm_ultrametric():
     for _ in range(300):
         m, n = rng.randrange(-50, 51), rng.randrange(-50, 51)
         assert dyadic_norm(m + n) <= max(dyadic_norm(m), dyadic_norm(n))
-
-
-def test_odometer_orbit_covers_all_residues():
-    x = DyadicInt(0, 3)
-    seen = set()
-    for _ in range(8):
-        seen.add(x.residue)
-        x = odometer_add(x)
-    assert seen == set(range(8))
-    assert x.residue == 0  # full cycle of length 2**3
-
-
-def test_dyadic_int_double_half():
-    x = DyadicInt(5, 4)
-    assert x.double().residue == 10
-    assert x.double().precision == 4
-    y = DyadicInt(6, 4).half()
-    assert (y.residue, y.precision) == (3, 3)
-    with pytest.raises(ValueError):
-        DyadicInt(5, 4).half()
-    with pytest.raises(PrecisionExhausted):
-        DyadicInt(0, 0).parity()
-
-
-def test_dyadic_int_projection_coherence():
-    # operations commute with forgetting digits
-    x = DyadicInt(13, 5)
-    assert odometer_add(x).project(3).residue == odometer_add(x.project(3)).residue
-    assert x.double().project(4).residue == x.project(4).double().residue
 
 
 def test_clopen_rejects_overlap():

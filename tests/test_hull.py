@@ -1,12 +1,13 @@
 """Suspension-point arithmetic, the rescaling relation, and MC checks."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from hyptile.dyadic import ClopenSet, DyadicInt, LocallyConstFn, PrecisionExhausted
+from hyptile.dyadic import ClopenSet, LocallyConstFn, PrecisionExhausted
 from hyptile.geometry import (
     ColourWindow,
     ColourWindowExhausted,
@@ -16,123 +17,243 @@ from hyptile.geometry import (
 )
 from hyptile.hull import (
     BumpProfile,
-    HullPoint,
     SampleBatch,
     TestFunction as TFn,
-    act,
     check_relation_RPw,
     first_word_control,
     harmonicity_check,
+    harmonicity_report,
     invariance_check,
     invariance_reports,
-    normalize,
+    letter_codes,
     random_colour_window,
     relation_defects,
     sample_batch,
-    sample_product_measure,
     tau_pairing,
     tau_reports,
 )
 from hyptile.ktheory import CylinderFunction
-from hyptile.subshift import Substitution, language
+from hyptile.subshift import Periodic, Substitution, language
 
 TM = Substitution.of({"1": "12", "2": "21"})
 FIB = Substitution.of({"1": "12", "2": "1"})
-WIDE = ColourWindow("1" * 21, -10)
+AB = Periodic("ab")
 
 
-def hp(om, t, s, cursor=0, prec=16, colour=WIDE):
-    return HullPoint(DyadicInt(om, prec), t, colour, cursor, s)
+# -- test oracle ----------------------------------------------------------
+# The chart identification on one point in plain ints, independent of
+# SampleBatch.  A point is (omega, precision, t, s, cursor).
+
+def ref_normalize(om, prec, t, s, cur):
+    c = math.floor(t)
+    om, t = (om + c) % (1 << prec), t - c
+    while s >= 1.0:
+        om, t, s, cur = (om << 1) % (1 << prec), 2.0 * t, s - 1.0, cur + 1
+        c = math.floor(t)
+        om, t = (om + c) % (1 << prec), t - c
+    while s < 0.0:
+        if prec == 0:
+            raise PrecisionExhausted("no dyadic digits left")
+        par = om & 1
+        om, prec = om >> 1, prec - 1
+        t, s, cur = (t + par) / 2.0, s + 1.0, cur - 1
+    return om, prec, t, s, cur
+
+
+def ref_act(a, b, p):
+    om, prec, t, s, cur = p
+    # np.exp2 as in SampleBatch.act: 2.0 ** s differs from it in the last
+    # place for some s, and a huge b turns that place into another carry
+    u = float(np.exp2(s))
+    return ref_normalize(om, prec, t + b / (a * u), s + math.log2(a), cur)
+
+
+def batch_of(rows, prec=16, word="1" * 21, origin=10):
+    """Batch of (omega, t, s, cursor) rows sharing one TM letter window."""
+    om, t, s, cur = zip(*rows)
+    words = np.repeat(letter_codes([word], ("1", "2")), len(rows), axis=0)
+    return SampleBatch(np.array(om, dtype=np.int64), np.array(t, dtype=float),
+                       np.array(s, dtype=float),
+                       np.array(cur, dtype=np.int64), words, ("1", "2"),
+                       origin, prec)
+
+
+def point(om, t, s, cursor=0, prec=16):
+    return batch_of([(om, t, s, cursor)], prec)
+
+
+def row(batch, i=0):
+    return (int(batch.omega[i]), batch.precision, float(batch.t[i]),
+            float(batch.s[i]), int(batch.cursor[i]))
+
+
+def normalized(batch):
+    batch.normalize()
+    return batch
 
 
 def close(p, q, tol=1e-9):
-    prec = min(p.omega.precision, q.omega.precision)
-    return (p.omega.project(prec) == q.omega.project(prec)
-            and p.cursor == q.cursor
-            and abs(p.t - q.t) <= tol and abs(p.s - q.s) <= tol)
+    """Same point up to tol in t and s, omega compared on common digits."""
+    mod = 1 << min(p[1], q[1])
+    return (p[0] % mod == q[0] % mod and p[4] == q[4]
+            and abs(p[2] - q[2]) <= tol and abs(p[3] - q[3]) <= tol)
 
 
 class TestNormalize:
     def test_integer_carry(self):
-        p = normalize(hp(0, 1.25, 0.0))
-        assert (p.omega.residue, p.t, p.s, p.cursor) == (1, 0.25, 0.0, 0)
+        assert row(normalized(point(0, 1.25, 0.0))) == (1, 16, 0.25, 0.0, 0)
 
     def test_scale_wrap_down(self):
-        p = normalize(hp(3, 0.5, 1.0))
-        assert (p.omega.residue, p.t, p.s, p.cursor) == (7, 0.0, 0.0, 1)
-        assert p.omega.precision == 16
+        assert row(normalized(point(3, 0.5, 1.0))) == (7, 16, 0.0, 0.0, 1)
 
     def test_scale_wrap_up_even_and_odd(self):
-        p = normalize(hp(7, 0.0, -1.0))
-        assert (p.omega.residue, p.t, p.s, p.cursor) == (3, 0.5, 0.0, -1)
-        assert p.omega.precision == 15
-        q = normalize(hp(6, 0.5, -1.0))
-        assert (q.omega.residue, q.t, q.s, q.cursor) == (3, 0.25, 0.0, -1)
+        assert row(normalized(point(7, 0.0, -1.0))) == (3, 15, 0.5, 0.0, -1)
+        assert row(normalized(point(6, 0.5, -1.0))) == (3, 15, 0.25, 0.0, -1)
 
     def test_idempotent(self):
-        for args in ((0, 1.25, 0.0), (3, 0.5, 1.0), (7, 0.25, -0.75)):
-            p = normalize(hp(*args))
-            assert normalize(p) == p
+        rows = [(0, 1.25, 0.0, 0), (3, 0.5, 1.0, 0), (7, 0.25, -0.75, 0)]
+        for batch in [point(*r) for r in rows] + [batch_of(rows)]:
+            batch.normalize()
+            once = [row(batch, i) for i in range(batch.n)]
+            batch.normalize()
+            assert [row(batch, i) for i in range(batch.n)] == once
 
     def test_wrap_then_normalize_is_class_invariant(self):
         # Rewriting the point through the doubling identification first
         # must land on the same normal form (up to the digit it costs).
-        p = hp(11, 0.3, 0.25)
-        moved = HullPoint(p.omega.double(), 2 * p.t, p.colour,
-                          p.cursor + 1, p.s - 1.0)
-        assert close(normalize(moved), normalize(p))
+        p = normalized(point(11, 0.3, 0.25))
+        moved = normalized(point(22, 0.6, -0.75, cursor=1))
+        assert close(row(moved), row(p))
 
     def test_precision_exhaustion(self):
         with pytest.raises(PrecisionExhausted):
-            normalize(hp(1, 0.0, -1.0, prec=0))
+            point(0, 0.0, -1.0, prec=0).normalize()
 
 
 class TestAct:
     def test_unit_translation_carries(self):
-        p = act(1.0, 1.0, hp(0, 0.0, 0.0))
-        assert (p.omega.residue, p.t, p.s) == (1, 0.0, 0.0)
+        p = point(0, 0.0, 0.0)
+        p.act(1.0, 1.0)
+        assert row(p) == (1, 16, 0.0, 0.0, 0)
 
     def test_identity_fixes_points(self):
-        p = normalize(hp(9, 0.625, 0.375))
-        assert act(1.0, 0.0, p) == p
+        p = normalized(point(9, 0.625, 0.375))
+        before = row(p)
+        p.act(1.0, 0.0)
+        assert row(p) == before
 
     def test_pure_doubling_wraps_once(self):
-        p = act(2.0, 0.0, hp(5, 0.25, 0.0))
-        assert (p.omega.residue, p.t, p.s, p.cursor) == (10, 0.5, 0.0, 1)
+        p = point(5, 0.25, 0.0)
+        p.act(2.0, 0.0)
+        assert row(p) == (10, 16, 0.5, 0.0, 1)
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
-            act(0.0, 1.0, hp(0, 0.0, 0.0))
+            point(0, 0.0, 0.0).act(0.0, 1.0)
         with pytest.raises(ValueError):
-            act(-2.0, 1.0, hp(0, 0.0, 0.0))
+            point(0, 0.0, 0.0).act(-2.0, 1.0)
 
     def test_non_finite_rejected(self):
-        batch = sample_batch(TM, 4, 3)
-        for a, b in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
-                     (1.0, -math.inf), (1.0, math.nan)):
-            with pytest.raises(ValueError):
-                act(a, b, hp(0, 0.0, 0.0))
-            with pytest.raises(ValueError):
-                batch.act(a, b)
+        for batch in (sample_batch(TM, 4, 3), sample_batch(TM, 1, 3)):
+            for a, b in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
+                         (1.0, -math.inf), (1.0, math.nan)):
+                with pytest.raises(ValueError):
+                    batch.act(a, b)
 
     def test_repeated_halving_exhausts_precision(self):
-        p = hp(3, 0.0, 0.0, prec=2)
-        p = act(0.5, 0.0, p)
-        p = act(0.5, 0.0, p)
+        p = point(3, 0.0, 0.0, prec=2)
+        p.act(0.5, 0.0)
+        p.act(0.5, 0.0)
         with pytest.raises(PrecisionExhausted):
-            act(0.5, 0.0, p)
+            p.act(0.5, 0.0)
 
     def test_group_law_thousand_pairs(self):
         rng = np.random.default_rng(12)
-        for _ in range(1000):
+        base = sample_batch(TM, 16, 12)
+        for k in range(1000):
             a1, a2 = np.exp2(rng.uniform(-1.5, 1.5, 2))
+            if k % 10 == 0:  # one factor at an extreme scale
+                a1, a2 = [(a1, 2.0 ** 20), (2.0 ** -20, a2),
+                          (2.0 ** 20, a2), (a1, 2.0 ** -20)][k // 10 % 4]
             b1, b2 = rng.uniform(-3.0, 3.0, 2)
-            base = hp(int(rng.integers(0, 1 << 16)), float(rng.random()),
-                      float(rng.random()), prec=40)
-            lhs = act(a1, b1, act(a2, b2, base))
-            rhs = act(a1 * a2, a1 * b2 + b1, base)
-            assert close(lhs, rhs, tol=2e-9)
+            lhs, rhs = base.copy(), base.copy()
+            lhs.act(a2, b2)
+            lhs.act(a1, b1)
+            rhs.act(a1 * a2, a1 * b2 + b1)
+            for i in range(base.n):
+                assert close(row(lhs, i), row(rhs, i), tol=2e-9)
 
+
+class TestOracle:
+    """SampleBatch.act against the plain-int oracle, row by row."""
+
+    @staticmethod
+    def actions(rng):
+        """Endless mixed chain of (a, b).
+
+        Moderate scales and translations, a fifth of them |b| = 2**70,
+        and within the first 40 one scale by 2**20 and one by 2**-20.
+        """
+        extremes = dict(zip(rng.choice(40, 2, replace=False).tolist(),
+                            (2.0 ** 20, 2.0 ** -20)))
+        for step in itertools.count():
+            a = float(np.exp2(rng.uniform(-1.5, 1.5)))
+            b = float(rng.uniform(-3.0, 3.0))
+            if step in extremes:
+                yield extremes[step], b
+            elif rng.random() < 0.2:
+                yield a, float(rng.choice([-1.0, 1.0])) * 2.0 ** 70
+            else:
+                yield a, b
+
+    def run_chain(self, batch, rng):
+        """Act until the batch runs out of digits, checking every row.
+
+        Returns the number of actions that succeeded and, per row,
+        whether the oracle ran out on the action that stopped the batch.
+        """
+        refs = [row(batch, i) for i in range(batch.n)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for step, (a, b) in zip(range(2000), self.actions(rng)):
+                try:
+                    batch.act(a, b)
+                    exhausted = False
+                except PrecisionExhausted:
+                    exhausted = True
+                dead = []
+                for i, p in enumerate(refs):
+                    try:
+                        refs[i] = ref_act(a, b, p)
+                        dead.append(False)
+                    except PrecisionExhausted:
+                        dead.append(True)
+                if exhausted:
+                    return step, dead
+                # the batch drops a digit whenever any row halves, so no
+                # row runs out before it does
+                assert not any(dead)
+                for i, (om, prec, t, s, cur) in enumerate(refs):
+                    assert batch.precision <= prec
+                    q = row(batch, i)
+                    assert (om % (1 << batch.precision), t, s, cur) == \
+                        (q[0], q[2], q[3], q[4])
+        raise AssertionError("precision never ran out")
+
+    def test_one_row_batches_match_oracle(self):
+        rng = np.random.default_rng(2024)
+        for seed in range(8):
+            steps, dead = self.run_chain(
+                sample_batch(TM, 1, seed, precision=62), rng)
+            assert dead == [True]  # batch and point run out together
+            assert steps >= 40
+
+    def test_mixed_batch_matches_oracle(self):
+        rng = np.random.default_rng(2025)
+        for spec, seed in ((TM, 5), (FIB, 6), (AB, 7)):
+            steps, _ = self.run_chain(
+                sample_batch(spec, 64, seed, precision=62), rng)
+            assert steps >= 40
 
 class TestRescalingRelation:
     def test_random_admissible_windows(self):
@@ -181,10 +302,11 @@ class TestTestFunction:
 
     def test_bump_values(self):
         b = BumpProfile("bump3", 0.5, 0.25)
-        assert b(0.5) == 1.0
-        assert b(0.25) == 0.0 and b(0.9) == 0.0
         z = 0.5
-        assert b(0.5 + 0.125) == pytest.approx((1 - z * z) ** 3)
+        vals = b(np.array([0.5, 0.25, 0.9, 0.5 + 0.125]))
+        assert vals[:3].tolist() == [1.0, 0.0, 0.0]
+        assert vals[3] == pytest.approx((1 - z * z) ** 3)
+        assert BumpProfile()(np.array([0.3, 0.9])).tolist() == [1.0, 1.0]
 
     def test_scalar_evaluation(self):
         f = TFn(
@@ -192,25 +314,44 @@ class TestTestFunction:
             omega_part=ClopenSet.cylinder(2, 1).indicator(),
             t_bump=BumpProfile("bump3", 0.5, 0.5 - 1e-9),
         )
-        win = ColourWindow("1121", -1)
-        p = HullPoint(DyadicInt(5, 8), 0.5, win, 0, 0.0)
-        assert f(p) == pytest.approx(3.0)
-        q = HullPoint(DyadicInt(6, 8), 0.5, win, 0, 0.0)
-        assert f(q) == 0.0  # omega not in the residue class
-        r = HullPoint(DyadicInt(5, 8), 0.5, win, 1, 0.0)
-        assert f(r) == 0.0  # cursor moved off the cylinder
+
+        def value(om, cursor):
+            p = batch_of([(om, 0.5, 0.0, cursor)], prec=8, word="1121",
+                         origin=1)
+            return f.on_batch(p)[0]
+
+        assert value(5, 0) == pytest.approx(3.0)
+        assert value(6, 0) == 0.0  # omega not in the residue class
+        assert value(5, 1) == 0.0  # cursor moved off the cylinder
 
     def test_scalar_matches_batch(self):
+        # letters are read from the window strings, not from their codes;
+        # "131" and "aca" hold a letter outside the alphabet
         f = TFn(
-            word_part=CylinderFunction.of("Z", -1, {"121": 2, "212": -1}),
-            omega_part=ClopenSet.cylinder(3, 5).indicator(),
-            t_bump=BumpProfile("bump3", 0.4, 0.3),
-            s_bump=BumpProfile("bump3", 0.6, 0.3),
+            word_part=CylinderFunction.of(
+                "Z", -1, {"121": 2, "212": -1, "131": 5, "aba": 3,
+                          "bab": -2, "aca": 7}),
+            omega_part=ClopenSet.cylinder(1, 1).indicator(),
+            t_bump=BumpProfile("bump3", 0.45, 0.4),
+            s_bump=BumpProfile("bump3", 0.55, 0.4),
         )
-        batch = sample_batch(TM, 64, 2024)
-        vals = f.on_batch(batch)
-        for i in range(64):
-            assert vals[i] == pytest.approx(f(batch.point(i)), abs=1e-12)
+        coeffs = dict(f.word_part.coeffs)
+        rng = np.random.default_rng(2024)
+        for spec in (TM, FIB, AB):
+            batch = sample_batch(spec, 256, 2024)
+            pool = language(spec, batch.words.shape[1])
+            windows = [pool[k] for k in rng.integers(0, len(pool), batch.n)]
+            batch = batch.with_words(letter_codes(windows, batch.alphabet))
+            batch.act(2.5, -1.25)  # move the cursors off zero
+            assert batch.cursor.any()
+            vals = f.on_batch(batch)
+            for i, win in enumerate(windows):
+                lo = batch.origin + int(batch.cursor[i]) - 1
+                expect = (coeffs.get(win[lo:lo + 3], 0)
+                          * (int(batch.omega[i]) % 2 == 1)
+                          * f.t_bump(batch.t[i]) * f.s_bump(batch.s[i]))
+                assert vals[i] == pytest.approx(expect, abs=1e-12)
+            assert np.count_nonzero(vals) >= 20
 
     def test_batch_window_exhaustion(self):
         f = TFn.word_indicator("12")
@@ -232,8 +373,8 @@ class TestSampler:
         assert np.array_equal(a.omega, b.omega)
         assert np.array_equal(a.t, b.t)
         assert np.array_equal(a.words, b.words)
-        assert sample_product_measure(TM, 8) == sample_product_measure(TM, 8)
-        assert sample_product_measure(TM, 8) != sample_product_measure(TM, 9)
+        one = [row(sample_batch(TM, 1, seed)) for seed in (8, 8, 9)]
+        assert one[0] == one[1] != one[2]
 
     def test_thread_count_does_not_change_the_draw(self, monkeypatch):
         monkeypatch.setenv("HYPTILE_THREADS", "1")
@@ -251,7 +392,9 @@ class TestSampler:
     def test_word_marginal(self):
         b = sample_batch(TM, 100_000, 617)
         o = b.origin
-        freq = float(((b.words[:, o] == 1) & (b.words[:, o + 1] == 2)).mean())
+        # letters are coded by their index in the alphabet ("1", "2")
+        assert b.alphabet == ("1", "2")
+        freq = float(((b.words[:, o] == 0) & (b.words[:, o + 1] == 1)).mean())
         p = 1 / 3
         assert abs(freq - p) <= 3 * math.sqrt(p * (1 - p) / b.n)
 
@@ -263,31 +406,71 @@ class TestSampler:
 
     def test_batch_act_matches_scalar_act(self):
         batch = sample_batch(TM, 32, 909)
-        before = [batch.point(i) for i in range(32)]
+        before = [row(batch, i) for i in range(32)]
         batch.act(2.5, -1.25)
         for i, p in enumerate(before):
-            assert close(act(2.5, -1.25, p), batch.point(i), tol=1e-9)
+            assert close(ref_act(2.5, -1.25, p), row(batch, i), tol=1e-9)
 
     def test_huge_translations_match_scalar_act(self):
         # floor(t) passes 2**63 here; the carry must wrap, not overflow
         batch = sample_batch(TM, 4, 77)
-        points = [batch.point(i) for i in range(4)]
+        points = [row(batch, i) for i in range(4)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for b in (2.0 ** 70, -2.0 ** 70):
                 batch.act(1.0, b)
-                points = [act(1.0, b, p) for p in points]
+                points = [ref_act(1.0, b, p) for p in points]
                 for i, p in enumerate(points):
-                    q = batch.point(i)
-                    assert p.t == q.t == 0.0
-                    assert ((p.omega.residue, p.s, p.cursor)
-                            == (q.omega.residue, q.s, q.cursor))
+                    assert p == row(batch, i)
+                    assert p[2] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_batch(TM, 4, 0, precision=0)
         with pytest.raises(ValueError):
             sample_batch(TM, 4, 0, word_bias="coin-flip")
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                sample_batch(TM, n, 0)
+
+    def test_letters_coded_by_alphabet_index(self):
+        b = sample_batch(AB, 200, 4)
+        assert b.alphabet == ("a", "b") and b.words.dtype == np.int8
+        assert set(np.unique(b.words).tolist()) == {0, 1}
+        # periodic: each window alternates, so neighbours differ
+        assert (b.words[:, 1:] != b.words[:, :-1]).all()
+        assert letter_codes(["ba", "ax"], b.alphabet).tolist() == \
+            [[1, 0], [0, -1]]
+
+    def test_alphabet_beyond_int8_rejected(self):
+        letters = tuple(chr(0x4E00 + i) for i in range(128))
+        with pytest.raises(ValueError, match="127"):
+            letter_codes([letters[0]], letters)
+        with pytest.raises(ValueError, match="127"):
+            sample_batch(Periodic("".join(letters)), 4, 0, halfwidth=2)
+        assert letter_codes([letters[126]], letters[:127]).tolist() == [[126]]
+
+
+class TestSampleSizeGuards:
+    def test_checks_need_two_samples(self):
+        f = TFn.word_indicator("12")
+        gs = [(2.0, 0.5)]
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="at least"):
+                invariance_check(TM, f, gs, n, 5)
+            with pytest.raises(ValueError, match="at least"):
+                harmonicity_check(TM, f, n, 5)
+            with pytest.raises(ValueError, match="at least"):
+                tau_pairing(TM, f, f, n, 5)
+        one = sample_batch(TM, 1, 5)
+        with pytest.raises(ValueError, match="at least 2"):
+            invariance_reports(one, [(f, one.words)], gs, 5)
+        with pytest.raises(ValueError, match="at least 2"):
+            harmonicity_report(one, f, 5)
+        with pytest.raises(ValueError, match="at least 2"):
+            tau_reports(one, [(f, f)], 5)
+        two = sample_batch(TM, 2, 5)
+        assert invariance_reports(two, [(f, two.words)], gs, 5)[0]["n"] == 2
 
 
 class TestFirstWordControl:
