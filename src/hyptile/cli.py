@@ -48,6 +48,7 @@ from .subshift import (
     Periodic,
     SubshiftSpec,
     Substitution,
+    alphabet,
     language,
     measure_vector,
     parse_spec,
@@ -169,13 +170,14 @@ def _colour_window(spec: SubshiftSpec, radius: float) -> ColourWindow:
     """Letters w[-hw..hw] wide enough to colour every scale in the patch."""
     ks = scale_range(radius)
     hw = max(abs(ks.start), abs(ks.stop - 1))
+    letters = alphabet(spec)
     if isinstance(spec, Periodic):
         p = len(spec.word)
         word = "".join(spec.word[j % p] for j in range(-hw, hw + 1))
-        return ColourWindow(word, -hw)
+        return ColourWindow(word, -hw, letters)
     if isinstance(spec, Substitution):
-        return ColourWindow(language(spec, 2 * hw + 1)[0], -hw)
-    window = ColourWindow(spec.left + spec.right, -len(spec.left))
+        return ColourWindow(language(spec, 2 * hw + 1)[0], -hw, letters)
+    window = ColourWindow(spec.left + spec.right, -len(spec.left), letters)
     window.get(-hw), window.get(hw)  # fail early if too narrow
     return window
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import DyadicRational, DZERO, DONE
+from .dyadic import DyadicRational, DZERO, DONE, _v2
 
 LN2 = math.log(2.0)
 
@@ -59,9 +59,6 @@ class Point:
     def __post_init__(self):
         if not self.y > DZERO:
             raise ValueError("points must lie strictly above the real axis")
-
-    def to_floats(self) -> tuple[float, float]:
-        return float(self.x), float(self.y)
 
 
 def pt(x, y) -> Point:
@@ -167,19 +164,34 @@ def geodesic_arc(p: Point, q: Point) -> GeodesicArc:
     return GeodesicArc(p, q, c, r2)
 
 
+DIGIT_LETTERS = tuple("123456789")
+
+
 @dataclass(frozen=True)
 class ColourWindow:
-    """Finite window of a colour sequence: w[j] for start <= j < start+len."""
+    """Finite window of a colour sequence: w[j] for start <= j < start+len.
+
+    The colour of a letter is 1 + its index in alphabet, the order in
+    which hull.letter_codes codes letters, so over an alphabet of exactly
+    1..r every digit is its own colour.  The default alphabet is 1..9.
+    """
 
     word: str
     start: int = 0
+    alphabet: tuple[str, ...] = DIGIT_LETTERS
+
+    def __post_init__(self):
+        unknown = sorted(set(self.word) - set(self.alphabet))
+        if unknown:
+            raise ValueError(f"letters {unknown} are not in the colour "
+                             f"alphabet {list(self.alphabet)}")
 
     def get(self, j: int) -> int:
         if not (self.start <= j < self.start + len(self.word)):
             raise ColourWindowExhausted(
                 f"colour window exhausted: index {j} outside "
                 f"[{self.start}, {self.start + len(self.word)})")
-        return int(self.word[j - self.start])
+        return 1 + self.alphabet.index(self.word[j - self.start])
 
 
 @dataclass(frozen=True)
@@ -502,10 +514,6 @@ def _cosh_point_to_pentagon(c: Fraction, k: int) -> float:
     return best
 
 
-def _v2_int(n: int) -> int:
-    return (n & -n).bit_length() - 1
-
-
 def agreement_radius(n: int, m: int) -> float:
     """Largest radius at which the tilings P+n and P+m look identical
     around i.
@@ -517,7 +525,7 @@ def agreement_radius(n: int, m: int) -> float:
     """
     if n == m:
         return math.inf
-    k = _v2_int(m - n) + 1
+    k = _v2(m - n) + 1
     w = Fraction(1 << k)
     best = None
     for t in (n, m):

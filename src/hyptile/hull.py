@@ -79,7 +79,7 @@ def relation_defects(spec: SubshiftSpec | None, window: ColourWindow,
             raise ValueError("window letters do not form an admissible word")
     if patch is None:
         patch = generate_patch(radius, colouring=window)
-    shifted = ColourWindow(window.word, window.start - 1)
+    shifted = ColourWindow(window.word, window.start - 1, window.alphabet)
     bad = []
     for tile in patch.tiles:
         q = tile.k + 1
@@ -97,7 +97,8 @@ def check_relation_RPw(spec: SubshiftSpec | None, window: ColourWindow,
 def random_colour_window(spec: SubshiftSpec, rng, halfwidth: int) -> ColourWindow:
     """Admissible window of letters w[-halfwidth..halfwidth], uniform choice."""
     words = language(spec, 2 * halfwidth + 1)
-    return ColourWindow(words[int(rng.integers(0, len(words)))], -halfwidth)
+    return ColourWindow(words[int(rng.integers(0, len(words)))], -halfwidth,
+                        alphabet(spec))
 
 
 # -- test functions ------------------------------------------------------
@@ -322,10 +323,15 @@ class SampleBatch:
 
     def _carry(self):
         c = np.floor(self.t)
+        t = self.t - c
+        # a tiny negative t leaves 1 - |t|, which rounds to 1.0: one more wrap
+        up = t == 1.0
+        c += up
+        t[up] = 0.0
         # fmod is exact, and |wrap| < 2**precision <= 2**62 fits in int64
         wrap = np.fmod(c, float(1 << self.precision)).astype(np.int64)
         self.omega = (self.omega + wrap) & self.mask
-        self.t = self.t - c
+        self.t = t
 
     def normalize(self):
         self._carry()

@@ -18,6 +18,11 @@ a finite, exact computation on truncations of that module:
 Truncation at window length N presents the coinvariants by generators
 e_u over the length-(N+1) language with one combined relation per
 length-N word (right refinement minus psi-weighted left extension).
+The invariants at the same truncation are the left kernel of that one
+relation matrix: the combinations c of length-N words with c * rows = 0
+are the functions with c[v[:N]] = psi * c[v[1:]] for every word v of
+length N + 1.  One Smith form U * rows * V = S gives both, the cokernel
+from S and V and the left kernel as the rows of U past the rank.
 Consecutive truncations are compared through the induced maps; the
 ``stabilized`` flag is a certificate that two consecutive maps are
 isomorphisms (for a periodic word, from a level at which the language
@@ -28,6 +33,7 @@ is a unit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,9 +41,7 @@ from fractions import Fraction
 from .intmat import (
     hnf_row_lattice,
     identity,
-    integer_kernel,
     lattice_contains,
-    rational_rank,
     smith_normal_form,
     transpose,
 )
@@ -339,9 +343,6 @@ class FPAbelianGroup:
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.torsion
 
-    def generator_map(self) -> dict:
-        return dict(self.generators)
-
 
 def _coeff_json(ring: str, v):
     if ring == RING_Z:
@@ -383,6 +384,7 @@ class _Presentation:
     diag: tuple
     tors: tuple  # ((column index, invariant factor), ...)
     free: tuple  # column indices
+    kernel: tuple  # rows of U past the rank: a basis of {c : c * rows = 0}
 
     def relation_basis(self) -> list:
         """Rows diag[i] * V^-1[i] spanning the relation lattice.
@@ -423,16 +425,20 @@ def _relation_rows(spec: SubshiftSpec, n: int, psi: int):
     return rows, hi
 
 
+@functools.lru_cache(maxsize=64)
 def _presentation(spec: SubshiftSpec, ring: str, n: int) -> _Presentation:
+    """The level-n relation matrix and its Smith form, computed once."""
     psi = 2 if ring == RING_HALF else 1
     rows, cols = _relation_rows(spec, n, psi)
     m = len(cols)
     if any(any(r) for r in rows):
-        _, s, v, v_inv = smith_normal_form(rows)
+        u, s, v, v_inv = smith_normal_form(rows)
         diag = [s[i][i] for i in range(min(len(s), m))]
     else:
+        u = identity(len(rows))
         v = v_inv = identity(m)
         diag = []
+    kernel = u[sum(1 for d in diag if d):]
     if ring == RING_HALF:
         diag = [_odd(d) if d else 0 for d in diag]
     tors = []
@@ -446,7 +452,8 @@ def _presentation(spec: SubshiftSpec, ring: str, n: int) -> _Presentation:
     return _Presentation(
         ring, n, tuple(cols), tuple(tuple(r) for r in rows),
         tuple(tuple(r) for r in v), tuple(tuple(r) for r in v_inv),
-        tuple(diag), tuple(tors), tuple(free))
+        tuple(diag), tuple(tors), tuple(free),
+        tuple(tuple(r) for r in kernel))
 
 
 def _group_from(pres: _Presentation, stabilized: bool,
@@ -502,8 +509,8 @@ def _bonding_is_iso(p1: _Presentation, p2: _Presentation, ring: str) -> bool:
                for j in range(c2, len(stacked)))
 
 
-def _coinvariant_chain(spec: SubshiftSpec, ring: str, n_max: int):
-    """Presentations for N = 1..n_max plus per-step isomorphism flags."""
+def _levels(spec: SubshiftSpec, ring: str, n_max: int):
+    """Presentations for N = 1..n_max, and whether the horizon cut them."""
     levels = []
     truncated = False
     for n in range(1, n_max + 1):
@@ -512,6 +519,15 @@ def _coinvariant_chain(spec: SubshiftSpec, ring: str, n_max: int):
         except HorizonExhausted:
             truncated = True
             break
+    if not levels:
+        raise HorizonExhausted(
+            "horizon exhausted: no truncation could be computed")
+    return levels, truncated
+
+
+def _coinvariant_chain(spec: SubshiftSpec, ring: str, n_max: int):
+    """Presentations for N = 1..n_max plus per-step isomorphism flags."""
+    levels, truncated = _levels(spec, ring, n_max)
     isos = [
         _bonding_is_iso(levels[i], levels[i + 1], ring)
         for i in range(len(levels) - 1)
@@ -541,9 +557,6 @@ def coinvariants(spec: SubshiftSpec, ring: str, n_max: int = 8):
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     levels, isos, truncated = _coinvariant_chain(spec, ring, n_max)
-    if not levels:
-        raise HorizonExhausted(
-            "horizon exhausted: no truncation could be computed")
     approx = approximate(spec) or truncated
     pick = None
     for i in range(len(isos) - 1):
@@ -555,118 +568,48 @@ def coinvariants(spec: SubshiftSpec, ring: str, n_max: int = 8):
     return _group_from(levels[-1], False, approx), False
 
 
-def _overlap_parts(spec: SubshiftSpec, n: int):
-    """Union-find roots of language(n) under the overlap relation.
-
-    Words u and u' are joined when some word of language(n + 1) starts
-    with u and ends with u'.  Returns (lo, root), root[j] the class of
-    lo[j].
-    """
-    lo = language(spec, n)
-    idx = {u: j for j, u in enumerate(lo)}
-    parent = list(range(len(lo)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for v in language(spec, n + 1):
-        a, b = find(idx[v[:n]]), find(idx[v[1:]])
-        if a != b:
-            parent[a] = b
-    return lo, [find(i) for i in range(len(lo))]
-
-
-def _doubling_rows(spec: SubshiftSpec, n: int):
-    """Rows c[v[:n]] - 2 c[v[1:]] = 0, one per word v of language(n + 1).
-
-    Their kernel is the set of functions on language(n) fixed by the
-    doubling shift.  Returns (lo, rows), columns indexed by lo.
-    """
-    lo = language(spec, n)
-    idx = {u: j for j, u in enumerate(lo)}
-    rows = []
-    for v in language(spec, n + 1):
-        row = [0] * len(lo)
-        row[idx[v[:n]]] += 1
-        row[idx[v[1:]]] -= 2
-        rows.append(row)
-    return lo, rows
-
-
 def invariant_rank(spec: SubshiftSpec, ring: str, n: int) -> int:
     """Rank of the fixed functions of the shift operator at window n."""
     _check_ring(ring)
-    if ring == RING_HALF:
-        lo, rows = _doubling_rows(spec, n)
-        return len(lo) - rational_rank(rows)
-    return len(set(_overlap_parts(spec, n)[1]))
-
-
-def _components(spec: SubshiftSpec, n: int):
-    lo, root = _overlap_parts(spec, n)
-    groups: dict = {}
-    for u, r in zip(lo, root):
-        groups.setdefault(r, []).append(u)
-    return [sorted(words) for _, words in sorted(groups.items(),
-                                                 key=lambda kv: kv[1][0])]
+    return len(_presentation(spec, ring, n).kernel)
 
 
 def invariants(spec: SubshiftSpec, ring: str,
                n_cap: int = 8) -> FPAbelianGroup:
     """Fixed functions of the shift operator, as a group with witnesses.
 
-    Over Z[1/2] the doubling operator scales every fixed function's
-    largest coefficient by 2, so only zero is fixed; the chain of
-    truncations is still checked explicitly up to n_cap.  Over Z the
-    fixed functions at truncation n are spanned by the indicator
+    At truncation n they are the left kernel of the level-n relation
+    matrix, read off the coinvariants' Smith form; the generators are
+    its Hermite basis.  Over Z[1/2] the doubling operator scales every
+    fixed function's largest coefficient by 2, so only zero is fixed;
+    the chain of truncations is still checked explicitly up to n_cap,
+    and a level with fixed functions is reported unstabilized.  Over Z
+    the fixed functions at truncation n are spanned by the indicator
     functions of the connected components of the length-n language
-    under the overlap relation, and the rank chain certifies
-    stabilization when it repeats.
+    under the overlap relation, so the Hermite basis is those
+    indicators in order of their first word, and the rank chain
+    certifies stabilization when it repeats.
     """
     _check_ring(ring)
-    approx = approximate(spec)
-    ranks = []
-    limit = n_cap
-    for n in range(1, n_cap + 1):
-        try:
-            ranks.append(invariant_rank(spec, ring, n))
-        except HorizonExhausted:
-            approx = True
-            limit = n - 1
-            break
-    if not ranks:
-        raise HorizonExhausted(
-            "horizon exhausted: no truncation could be computed")
-
+    levels, truncated = _levels(spec, ring, n_cap)
+    ranks = [len(p.kernel) for p in levels]
     if ring == RING_HALF:
-        if any(ranks):
-            n_bad = ranks.index(next(r for r in ranks if r)) + 1
-            lo, rows = _doubling_rows(spec, n_bad)
-            gens = tuple(
-                (f"f{i}",
-                 CylinderFunction.of(ring, 0,
-                                     {w: c for w, c in zip(lo, vec) if c}))
-                for i, vec in enumerate(integer_kernel(rows)))
-            return FPAbelianGroup(ring, len(gens), (), gens,
-                                  False, n_bad, approx)
-        stabilized = len(ranks) >= 2
-        return FPAbelianGroup(ring, 0, (), (), stabilized, limit, approx)
-
-    pick = None
-    for i in range(len(ranks) - 1):
-        if ranks[i] == ranks[i + 1]:
-            pick = i + 1  # 1-based truncation level
-            break
-    n_used = pick if pick is not None else limit
-    comps = _components(spec, n_used)
+        pick = next((i for i, r in enumerate(ranks) if r), None)
+        stabilized = pick is None and len(ranks) >= 2
+        prefix = "f"
+    else:
+        pick = next((i for i in range(len(ranks) - 1)
+                     if ranks[i] == ranks[i + 1]), None)
+        stabilized = pick is not None
+        prefix = "c"
+    pres = levels[-1 if pick is None else pick]
+    words = language(spec, pres.level)
     gens = tuple(
-        (f"c{i}", CylinderFunction.of(ring, 0, {w: 1 for w in comp}))
-        for i, comp in enumerate(comps))
-    return FPAbelianGroup(ring, len(comps), (), gens,
-                          pick is not None, n_used, approx)
+        (f"{prefix}{i}",
+         CylinderFunction.of(ring, 0, {w: c for w, c in zip(words, vec) if c}))
+        for i, vec in enumerate(hnf_row_lattice(pres.kernel)))
+    return FPAbelianGroup(ring, len(gens), (), gens, stabilized, pres.level,
+                          approximate(spec) or truncated)
 
 
 def coinvariant_class(spec: SubshiftSpec, f: CylinderFunction,
@@ -762,20 +705,14 @@ class GapLabelGroup:
 
 def _frac_rows_canon(rows) -> tuple:
     """Canonical form of the lattice spanned by rows of Fractions."""
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for row in rows for x in row))
     scaled = [[int(x * den) for x in row] for row in rows]
     hnf = hnf_row_lattice(scaled)
     return tuple(tuple(Fraction(x, den) for x in row) for row in hnf)
 
 
 def _frac_in_lattice(rows, vec) -> bool:
-    den = 1
-    for row in list(rows) + [vec]:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for row in [*rows, vec] for x in row))
     scaled = [[int(x * den) for x in row] for row in rows]
     target = [int(x * den) for x in vec]
     return lattice_contains(scaled, target)
@@ -833,9 +770,7 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
                         break
             gens = tuple(MeasureValue(values[i]) for i in kept)
         else:
-            den = 1
-            for v in values:
-                den = den * v.denominator // math.gcd(den, v.denominator)
+            den = math.lcm(*(v.denominator for v in values))
             num = 0
             for v in values:
                 num = math.gcd(num, int(v * den))

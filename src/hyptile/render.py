@@ -58,7 +58,7 @@ def tile_path(t: TileIndex) -> str:
 def _fill(colour, palette) -> str:
     if colour is None:
         return _UNCOLOURED
-    return palette[(int(colour) - 1) % len(palette)]
+    return palette[(colour - 1) % len(palette)]
 
 
 def svg_render(ts: TileSet, colours=None, window=None,

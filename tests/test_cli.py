@@ -177,6 +177,17 @@ class TestStochasticCommands:
             (batch.words[:, batch.origin] == 0).mean())
         assert 0.4 < first["statistic"] < 0.6
         assert json.loads(c.read_text())["tau_with_one"]["n"] == 3000
+        # and tiles colour by 1 + that index: scale k takes the letter at
+        # -k, so a (colour 1) at even k and b (colour 2) at odd k
+        p, r = tmp_path / "p.json", tmp_path / "r.svg"
+        assert run(["patch", "--spec", spec, "--radius", "2",
+                    "--out", str(p)]) == 0
+        assert run(["render", "--spec", spec, "--radius", "2",
+                    "--out", str(r)]) == 0
+        tiles = json.loads(p.read_text())["tiles"]
+        assert {t["k"] % 2 for t in tiles} == {0, 1}
+        assert all(t["colour"] == 1 + t["k"] % 2 for t in tiles)
+        assert r.read_text().count("<path ") == len(tiles)
 
 
 class TestSharedDraw:
@@ -279,16 +290,33 @@ class TestErrorHygiene:
         self.assert_error(rc, capsys, out)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(args):
+    """A fresh interpreter with the package's src on its path."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src")
+               + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
 def test_module_entry_point(tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps(PERIODIC_12))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hyptile.cli", "gaplabels",
-         "--spec", str(spec)],
-        capture_output=True, text=True, timeout=120, env=env)
+    proc = run_python(["-m", "hyptile.cli", "gaplabels", "--spec", str(spec)])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["gap_labels"]["generators"] == ["1/2"]
+
+
+def test_readme_quick_start():
+    # The README's library example runs as printed and prints the
+    # Thue-Morse two-word measures it shows.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python(["-c", block])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == \
+        "{'11': '1/6', '12': '1/3', '21': '1/3', '22': '1/6'}\n"

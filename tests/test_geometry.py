@@ -202,6 +202,22 @@ class TestPatch:
         with pytest.raises(ColourWindowExhausted):
             generate_patch(3.0, colouring=ColourWindow("11", start=0))
 
+    def test_colour_is_alphabet_index_plus_one(self):
+        w = ColourWindow("ba21", -1, ("1", "2", "a", "b"))
+        assert [w.get(j) for j in range(-1, 3)] == [4, 3, 2, 1]
+        # over exactly 1..r a digit is its own colour, as by default
+        digits = ColourWindow("3122", 0, ("1", "2", "3"))
+        assert [digits.get(j) for j in range(4)] == \
+            [ColourWindow("3122").get(j) for j in range(4)] == [3, 1, 2, 2]
+        # other alphabets renumber: 1 and 3 colour 1 and 2
+        assert ColourWindow("31", 0, ("1", "3")).get(0) == 2
+
+    def test_letters_outside_the_alphabet_rejected(self):
+        with pytest.raises(ValueError):
+            ColourWindow("ab")
+        with pytest.raises(ValueError):
+            ColourWindow("102", 0, ("1", "2"))
+
     def test_duplicate_tiles_rejected(self):
         with pytest.raises(ValueError):
             TileSet((TileIndex(0, 0), TileIndex(0, 0, colour=1)), 0.0)

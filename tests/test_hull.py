@@ -44,13 +44,19 @@ AB = Periodic("ab")
 # The chart identification on one point in plain ints, independent of
 # SampleBatch.  A point is (omega, precision, t, s, cursor).
 
-def ref_normalize(om, prec, t, s, cur):
+def ref_carry(om, prec, t):
     c = math.floor(t)
-    om, t = (om + c) % (1 << prec), t - c
+    t -= c
+    if t == 1.0:  # 1 - |t| rounded up for a tiny negative t: wrap again
+        c, t = c + 1, 0.0
+    return (om + c) % (1 << prec), t
+
+
+def ref_normalize(om, prec, t, s, cur):
+    om, t = ref_carry(om, prec, t)
     while s >= 1.0:
         om, t, s, cur = (om << 1) % (1 << prec), 2.0 * t, s - 1.0, cur + 1
-        c = math.floor(t)
-        om, t = (om + c) % (1 << prec), t - c
+        om, t = ref_carry(om, prec, t)
     while s < 0.0:
         if prec == 0:
             raise PrecisionExhausted("no dyadic digits left")
@@ -255,12 +261,26 @@ class TestOracle:
                 sample_batch(spec, 64, seed, precision=62), rng)
             assert steps >= 40
 
+    def test_tiny_negative_t_wraps_into_omega(self):
+        # t = 2**-60 - 2**-59 = -2**-60, and t - floor(t) rounds to 1.0
+        a, b = 1.0, -2.0 ** -59
+        assert ref_act(a, b, (0, 16, 2.0 ** -60, 0.0, 0)) == \
+            (0, 16, 0.0, 0.0, 0)
+        rows = [(0, 2.0 ** -60, 0.0, 0), (5, 0.5, 0.25, 0)]
+        for batch in (batch_of(rows[:1]), batch_of(rows)):
+            batch.act(a, b)
+            for i, (om, t, s, cur) in enumerate(rows[:batch.n]):
+                assert row(batch, i) == ref_act(a, b, (om, 16, t, s, cur))
+
+
 class TestRescalingRelation:
     def test_random_admissible_windows(self):
+        # letters that are not digits colour by alphabet index as well
         rng = np.random.default_rng(77)
-        for _ in range(25):
-            win = random_colour_window(TM, rng, 5)
-            assert check_relation_RPw(TM, win, 3.0)
+        for spec in (TM, AB):
+            for _ in range(25):
+                win = random_colour_window(spec, rng, 5)
+                assert check_relation_RPw(spec, win, 3.0)
 
     def test_constant_word_is_shift_fixed(self):
         win = ColourWindow("1" * 7, -3)

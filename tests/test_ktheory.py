@@ -13,7 +13,9 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from hyptile.intmat import lattice_contains, rational_rank
+from hyptile import ktheory
+from hyptile.intmat import (hnf_row_lattice, integer_kernel, lattice_contains,
+                            rational_rank)
 from hyptile.ktheory import (
     RING_HALF,
     RING_Z,
@@ -287,6 +289,60 @@ class TestInvariants:
             ranks = [invariant_rank(spec, RING_Z, n) for n in range(1, 7)]
             assert all(a <= b for a, b in zip(ranks, ranks[1:]))
 
+    @pytest.mark.parametrize("spec, want", [
+        (TM, [{"1": 1, "2": 1}]),
+        (FIB, [{"1": 1, "2": 1}]),
+        (Periodic("11212"), [{"1": 1, "2": 1}]),
+        (TWO_ORBITS, [{"1": 1}, {"2": 1}]),
+    ], ids=["tm", "fib", "11212", "two-orbits"])
+    def test_level_and_generators_pinned(self, spec, want):
+        # Ranks 1, 1 (2, 2 for the two orbits) repeat from N = 1, so the
+        # rule reports N = 1 and one indicator per component there.
+        g = invariants(spec, RING_Z)
+        assert g.n_used == 1 and g.stabilized
+        assert [name for name, _ in g.generators] == \
+            [f"c{i}" for i in range(len(want))]
+        assert [(f.start, f.as_dict()) for _, f in g.generators] == \
+            [(0, w) for w in want]
+
+    def test_ring_half_kernel_matches_doubling_rows(self):
+        # On 11222211 the doubling-fixed functions first appear at N = 4.
+        # Oracle: the integer kernel of c[v[:n]] - 2 c[v[1:]] = 0, one
+        # row per word v of length n + 1, built here from the language.
+        win = ExplicitWindow("1122", "2211", 6)
+
+        def oracle(n):
+            lo = language(win, n)
+            rows = []
+            for v in language(win, n + 1):
+                row = [0] * len(lo)
+                row[lo.index(v[:n])] += 1
+                row[lo.index(v[1:])] -= 2
+                rows.append(row)
+            return lo, integer_kernel(rows)
+
+        ranks = [invariant_rank(win, RING_HALF, n) for n in range(1, 6)]
+        assert ranks == [len(oracle(n)[1]) for n in range(1, 6)]
+        assert ranks == [0, 0, 0, 1, 1]
+        g = invariants(win, RING_HALF)
+        assert (g.rank, g.n_used, g.stabilized, g.approximate) == \
+            (1, 4, False, True)
+        lo, kernel = oracle(4)
+        gens = [[f.as_dict().get(w, 0) for w in lo] for _, f in g.generators]
+        assert all(f.window == (0, 4) for _, f in g.generators)
+        assert hnf_row_lattice(gens) == hnf_row_lattice(kernel)
+
+    def test_read_off_the_coinvariant_presentations(self, monkeypatch):
+        # Once coinvariants has run, invariants takes no Smith form and
+        # never tests a bonding map.
+        for ring in (RING_Z, RING_HALF):
+            coinvariants(S4, ring, 4)
+            with monkeypatch.context() as m:
+                for name in ("smith_normal_form", "_bonding_is_iso"):
+                    m.setattr(ktheory, name, None)
+                g = invariants(S4, ring, n_cap=4)
+            assert g.rank == (1 if ring == RING_Z else 0)
+
 
 class TestCoinvariants:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
@@ -354,6 +410,8 @@ class TestCoinvariants:
                 rows, cols = _relation_rows(spec, n, 1)
                 pres = _presentation(spec, RING_Z, n)
                 assert len(pres.free) == len(cols) - rational_rank(rows)
+                assert invariant_rank(spec, RING_Z, n) == \
+                    len(rows) - rational_rank(rows)
 
     def test_presentation_order_independence(self):
         # Impose refinement and shift relations on the two-level generator
