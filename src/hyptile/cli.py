@@ -30,7 +30,6 @@ from .hull import (
     first_word_control,
     harmonicity_report,
     invariance_reports,
-    letter_codes,
     sample_batch,
     tau_reports,
 )
@@ -124,8 +123,12 @@ def load_config(args: argparse.Namespace) -> JobConfig:
     if args.command in _STOCHASTIC and args.seed is None:
         raise ValueError(f"--seed is required for {args.command} "
                          "(stochastic output must be reproducible)")
+    if not math.isfinite(args.radius):
+        raise ValueError("--radius must be finite")
     if args.radius < 0:
         raise ValueError("--radius must be >= 0")
+    if args.seed is not None and args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
     nmax = args.nmax
@@ -261,8 +264,8 @@ def _run_hullcheck(cfg: JobConfig) -> str:
     first = language(cfg.spec, 1)[0]
     p_first = measure_vector(cfg.spec, 1)[first].as_float()
     freq_omega = float((batch.omega & 3 == 1).mean())
-    code = letter_codes([first], batch.alphabet)[0, 0]
-    freq_word = float((batch.words[:, batch.origin] == code).mean())
+    freq_word = float(
+        TestFunction.word_indicator(first).on_batch(batch).mean())
     marginals = {
         "omega_mod4_is1": {
             "statistic": freq_omega, "expected": 0.25,
@@ -274,12 +277,11 @@ def _run_hullcheck(cfg: JobConfig) -> str:
             <= 3 * math.sqrt(p_first * (1 - p_first) / cfg.samples)},
     }
     # one draw for every check; the negative control is the same sample
-    # with the letters a first-word-biased sampler would give
+    # with every row reading the first window
     f0, f1 = _default_functions(cfg.spec)
-    biased_words = first_word_control(cfg.spec, batch).words
     inv0, inv1, biased = invariance_reports(
-        batch, [(f0, batch.words), (f1, batch.words), (f0, biased_words)],
-        gs, cfg.seed)
+        batch, [(f0, batch.index), (f1, batch.index),
+                (f0, first_word_control(batch).index)], gs, cfg.seed)
     reports = {"invariance_0": inv0, "invariance_1": inv1,
                "harmonicity": harmonicity_report(
                    batch, TestFunction.bump(0.5, 0.45, 0.5, 0.45), cfg.seed)}

@@ -175,26 +175,8 @@ class ClopenSet:
     def cylinder(n: int, k: int) -> "ClopenSet":
         return ClopenSet(((n, k),))
 
-    def translate(self, j: int) -> "ClopenSet":
-        """Image under x -> x + j; Haar measure is preserved."""
-        return ClopenSet(tuple((n, (k + j) % (1 << n)) for n, k in self.cylinders))
-
     def haar_measure(self) -> Fraction:
         return sum((Fraction(1, 1 << n) for n, _ in self.cylinders), Fraction(0))
-
-    def contains_residue(self, x: int, precision: int) -> bool:
-        """Membership of the residue class x mod 2**precision.
-
-        Requires every cylinder level to be <= precision, else membership
-        is not determined by the residue.
-        """
-        for n, k in self.cylinders:
-            if n > precision:
-                raise PrecisionExhausted(
-                    f"membership in a level-{n} cylinder needs {n} digits")
-            if x % (1 << n) == k:
-                return True
-        return False
 
     def indicator(self, level: int | None = None) -> "LocallyConstFn":
         lev = max([n for n, _ in self.cylinders], default=0)

@@ -171,8 +171,8 @@ DIGIT_LETTERS = tuple("123456789")
 class ColourWindow:
     """Finite window of a colour sequence: w[j] for start <= j < start+len.
 
-    The colour of a letter is 1 + its index in alphabet, the order in
-    which hull.letter_codes codes letters, so over an alphabet of exactly
+    The colour of a letter is 1 + its index in alphabet, which callers
+    take as the spec's sorted letters, so over an alphabet of exactly
     1..r every digit is its own colour.  The default alphabet is 1..9.
     """
 

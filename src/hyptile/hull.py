@@ -13,15 +13,13 @@ identifications unit translations in s.
 The affine map z -> a z + b acts by scaling s and feeding b, divided by
 the new scale, into the suspension coordinate t; integer carries flow
 into omega.  Monte-Carlo checks (invariance of the product measure,
-leafwise harmonicity, the flow pairing) run on batches drawn with one
-deterministic RNG stream per worker chunk.
+leafwise harmonicity, the flow pairing) run on batches drawn from a
+fixed number of RNG streams spawned from one seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +38,6 @@ __all__ = [
     "TestFunction",
     "SampleBatch",
     "sample_batch",
-    "letter_codes",
     "first_word_control",
     "invariance_check",
     "invariance_reports",
@@ -178,19 +175,20 @@ class TestFunction:
         out = np.ones(batch.n)
         if self.word_part is not None:
             a, b = self.word_part.window
-            lo = batch.origin + a + int(batch.cursor.min())
+            cmin = int(batch.cursor.min())
+            lo = batch.origin + a + cmin
             hi = batch.origin + b + int(batch.cursor.max())
-            if lo < 0 or hi > batch.words.shape[1]:
+            width = len(batch.windows[0])
+            if lo < 0 or hi > width:
                 raise ColourWindowExhausted(
-                    f"sampled window of width {batch.words.shape[1]} cannot "
+                    f"sampled window of width {width} cannot "
                     f"serve letter indices [{lo}, {hi})")
-            cols = batch.cursor[:, None] + (batch.origin + np.arange(a, b))
-            seen = np.take_along_axis(batch.words, cols, axis=1)
-            acc = np.zeros(batch.n)
-            for u, c in self.word_part.coeffs:
-                code = letter_codes([u], batch.alphabet)[0]
-                acc += float(c) * (seen == code).all(axis=1)
-            out *= acc
+            # the letter factor of each window at each cursor offset
+            coeffs = dict(self.word_part.coeffs)
+            table = np.array([[float(coeffs.get(w[j:j + b - a], 0))
+                               for j in range(lo, hi - (b - a) + 1)]
+                              for w in batch.windows])
+            out *= table[batch.index, batch.cursor - cmin]
         if self.omega_part is not None:
             lev = self.omega_part.level
             if lev > batch.precision:
@@ -245,17 +243,9 @@ class TestFunction:
 _CHUNKS = 16
 
 
-def _worker_count() -> int:
-    env = os.environ.get("HYPTILE_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
-def _word_table(spec: SubshiftSpec, length: int, letters: tuple[str, ...]):
-    """Letter-code matrix of the admissible words and cumulative weights."""
-    words = language(spec, length)
-    mv = measure_vector(spec, length)
+def _cumulative_measure(spec: SubshiftSpec, words) -> np.ndarray:
+    """Running sums of the measures of words, all of one length."""
+    mv = measure_vector(spec, len(words[0]))
     bounds = []
     if all(mv[w].is_rational for w in words):
         acc = Fraction(0)
@@ -267,55 +257,42 @@ def _word_table(spec: SubshiftSpec, length: int, letters: tuple[str, ...]):
         for w in words:
             acc += mv[w].as_float()
             bounds.append(acc)
-    return letter_codes(words, letters), np.array(bounds)
-
-
-def letter_codes(words, letters: tuple[str, ...]) -> np.ndarray:
-    """int8 matrix of each word's letters as their indices in letters.
-
-    A letter outside letters codes as -1, which matches no sampled row.
-    """
-    if len(letters) > 127:
-        raise ValueError(f"alphabet of {len(letters)} letters exceeds the "
-                         "127 that int8 letter codes hold")
-    index = {ch: i for i, ch in enumerate(letters)}
-    return np.array([[index.get(ch, -1) for ch in w] for w in words],
-                    dtype=np.int8)
+    return np.array(bounds)
 
 
 class SampleBatch:
     """Column arrays of points drawn from the product measure.
 
-    omega holds residues mod 2**precision; words holds one letter window
-    per row (letter_codes against alphabet) with column `origin` at letter
-    index 0.  Batches are cheap to copy (the word matrix is shared
-    read-only) so group elements can be applied to common random numbers.
+    omega holds residues mod 2**precision; row i reads the letter window
+    windows[index[i]], whose position `origin` is letter index 0.
+    Batches are cheap to copy (windows and index are shared read-only)
+    so group elements can be applied to common random numbers.
     """
 
-    __slots__ = ("omega", "t", "s", "cursor", "words", "alphabet", "origin",
+    __slots__ = ("omega", "t", "s", "cursor", "index", "windows", "origin",
                  "precision", "n")
 
-    def __init__(self, omega, t, s, cursor, words, alphabet, origin,
+    def __init__(self, omega, t, s, cursor, index, windows, origin,
                  precision):
         self.omega = omega
         self.t = t
         self.s = s
         self.cursor = cursor
-        self.words = words
-        self.alphabet = alphabet
+        self.index = index
+        self.windows = windows
         self.origin = origin
         self.precision = precision
         self.n = len(t)
 
     def copy(self) -> "SampleBatch":
         return SampleBatch(self.omega.copy(), self.t.copy(), self.s.copy(),
-                           self.cursor.copy(), self.words, self.alphabet,
+                           self.cursor.copy(), self.index, self.windows,
                            self.origin, self.precision)
 
-    def with_words(self, words) -> "SampleBatch":
-        """The same coordinate arrays (shared, not copied) with other letters."""
-        return SampleBatch(self.omega, self.t, self.s, self.cursor, words,
-                           self.alphabet, self.origin, self.precision)
+    def with_index(self, index) -> "SampleBatch":
+        """The same coordinate arrays (shared, not copied) with other windows."""
+        return SampleBatch(self.omega, self.t, self.s, self.cursor, index,
+                           self.windows, self.origin, self.precision)
 
     @property
     def mask(self) -> int:
@@ -371,64 +348,41 @@ class SampleBatch:
 
 
 def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
-                 precision: int = 48, halfwidth: int = 8,
-                 word_bias: str | None = None) -> SampleBatch:
+                 precision: int = 48, halfwidth: int = 8) -> SampleBatch:
     """n points: omega and (t, s) uniform, letter windows by their measure.
 
-    Sampling is split over a fixed number of child RNG streams spawned
-    from the master seed, so results are bit-identical for a given
-    (spec, n, seed) regardless of worker-thread count (capped by the
-    HYPTILE_THREADS environment variable).  word_bias="first-word"
-    replaces the letter distribution by a deterministic constant draw;
-    that sampler is deliberately wrong, for negative controls.
+    The windows are the admissible words of length 2*halfwidth + 1 in
+    language order.  Rows are drawn in a fixed number of chunks, each
+    from its own child RNG stream spawned from the seed, so the draw is
+    a function of (spec, n, seed) alone.
     """
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
     if precision < 1 or precision > 62:
         raise ValueError("precision must be in [1, 62]")
-    if word_bias not in (None, "first-word"):
-        raise ValueError(f"unknown word bias {word_bias!r}")
-    letters = alphabet(spec)
-    codes, bounds = _word_table(spec, 2 * halfwidth + 1, letters)
-    children = np.random.SeedSequence(seed).spawn(_CHUNKS)
-    sizes = [n // _CHUNKS + (1 if i < n % _CHUNKS else 0)
-             for i in range(_CHUNKS)]
-
-    def draw(args):
-        child, size = args
+    windows = tuple(language(spec, 2 * halfwidth + 1))
+    bounds = _cumulative_measure(spec, windows)
+    parts = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(_CHUNKS)):
+        size = n // _CHUNKS + (1 if i < n % _CHUNKS else 0)
         rng = np.random.default_rng(child)
-        om = rng.integers(0, 1 << precision, size=size, dtype=np.int64)
-        t = rng.random(size)
-        s = rng.random(size)
-        u = rng.random(size)
-        if word_bias == "first-word":
-            idx = np.zeros(size, dtype=np.int64)
-        else:
-            idx = np.minimum(np.searchsorted(bounds, u, side="right"),
-                             len(bounds) - 1)
-        return om, t, s, idx
-
-    with ThreadPoolExecutor(max_workers=_worker_count()) as ex:
-        parts = list(ex.map(draw, zip(children, sizes)))
-    om = np.concatenate([p[0] for p in parts])
-    t = np.concatenate([p[1] for p in parts])
-    s = np.concatenate([p[2] for p in parts])
-    idx = np.concatenate([p[3] for p in parts])
-    return SampleBatch(om, t, s, np.zeros(n, dtype=np.int64),
-                       codes[idx], letters, halfwidth, precision)
+        parts.append((rng.integers(0, 1 << precision, size=size,
+                                   dtype=np.int64),
+                      rng.random(size), rng.random(size), rng.random(size)))
+    om, t, s, u = (np.concatenate(col) for col in zip(*parts))
+    index = np.minimum(np.searchsorted(bounds, u, side="right"),
+                       len(bounds) - 1)
+    return SampleBatch(om, t, s, np.zeros(n, dtype=np.int64), index,
+                       windows, halfwidth, precision)
 
 
-def first_word_control(spec: SubshiftSpec, batch: SampleBatch) -> SampleBatch:
-    """batch's coordinates with every row's letters the first admissible window.
+def first_word_control(batch: SampleBatch) -> SampleBatch:
+    """batch's coordinates with every row reading the first window.
 
-    For batch = sample_batch(spec, n, seed, ...) this is exactly what
-    sample_batch(spec, n, seed, ..., word_bias="first-word") draws, since
-    both take omega, t and s from the same streams; a negative control
-    can so share the genuine check's sample and its moved copies.
+    A deliberately wrong letter distribution that shares the genuine
+    check's sample and its moved copies, for negative controls.
     """
-    first = letter_codes(language(spec, batch.words.shape[1])[:1],
-                         batch.alphabet)
-    return batch.with_words(np.broadcast_to(first, batch.words.shape))
+    return batch.with_index(np.zeros_like(batch.index))
 
 
 # -- Monte-Carlo checks ---------------------------------------------------
@@ -455,8 +409,7 @@ _EXACT_SLACK = 1e-12
 
 def invariance_check(spec: SubshiftSpec, f: TestFunction, g_list,
                      n_samples: int, seed: int, *,
-                     precision: int = 48, halfwidth: int = 8,
-                     word_bias: str | None = None) -> dict:
+                     precision: int = 48, halfwidth: int = 8) -> dict:
     """Compare E[f o g] with E[f] for each affine g = (a, b).
 
     Common random numbers: every g is applied to a copy of one shared
@@ -465,27 +418,27 @@ def invariance_check(spec: SubshiftSpec, f: TestFunction, g_list,
     the worst absolute difference over g_list.
     """
     base = sample_batch(spec, n_samples, seed, precision=precision,
-                        halfwidth=halfwidth, word_bias=word_bias)
-    return invariance_reports(base, [(f, base.words)], g_list, seed)[0]
+                        halfwidth=halfwidth)
+    return invariance_reports(base, [(f, base.index)], g_list, seed)[0]
 
 
 def invariance_reports(base: SampleBatch, cases, g_list,
                        seed: int) -> list[dict]:
-    """invariance_check's report for each (f, letters) case on one sample.
+    """invariance_check's report for each (f, index) case on one sample.
 
-    Each case pairs a test function with a letter matrix for base's rows
-    (base.words, or a control's from first_word_control).  Each g acts
+    Each case pairs a test function with window indices for base's rows
+    (base.index, or a control's from first_word_control).  Each g acts
     once, on one copy of base's coordinates, and every case is evaluated
     on that copy; only the per-g scalars are kept.
     """
     _check_rows(base)
-    f0 = [f.on_batch(base.with_words(words)) for f, words in cases]
+    f0 = [f.on_batch(base.with_index(index)) for f, index in cases]
     per_g = [[] for _ in cases]
     for a, b in g_list:
         moved = base.copy()
         moved.act(a, b)
-        for (f, words), fk, out in zip(cases, f0, per_g):
-            diff, se = _mean_se(f.on_batch(moved.with_words(words)) - fk)
+        for (f, index), fk, out in zip(cases, f0, per_g):
+            diff, se = _mean_se(f.on_batch(moved.with_index(index)) - fk)
             out.append({"g": [float(a), float(b)], "statistic": diff,
                         "std_error": se,
                         "pass": abs(diff) <= 3.0 * se + _EXACT_SLACK})

@@ -29,9 +29,12 @@ from hyptile.hull import (
     BumpProfile,
     TestFunction as TFn,
     check_relation_RPw,
+    first_word_control,
     harmonicity_check,
     invariance_check,
+    invariance_reports,
     random_colour_window,
+    sample_batch,
     tau_pairing,
 )
 from hyptile.ktheory import (
@@ -327,8 +330,9 @@ def test_criterion_09_invariance_and_harmonicity():
                                 100000, seed + 10 + i)
         assert rep["pass"], rep
 
-    biased = invariance_check(TM, observables[0], gs, 100000, seed,
-                              word_bias="first-word")
+    base = sample_batch(TM, 100000, seed)
+    biased = invariance_reports(
+        base, [(observables[0], first_word_control(base).index)], gs, seed)[0]
     assert not biased["pass"]
     budget(t0, 120, "criterion 09 invariance and harmonicity")
 

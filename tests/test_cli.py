@@ -13,7 +13,8 @@ from hyptile import cli
 from hyptile.cli import main
 from hyptile.geometry import ColourWindow, generate_patch
 from hyptile.hull import TestFunction as TFn
-from hyptile.hull import (harmonicity_check, invariance_check, sample_batch,
+from hyptile.hull import (first_word_control, harmonicity_check,
+                          invariance_check, invariance_reports, sample_batch,
                           tau_pairing)
 from hyptile.subshift import parse_spec, spec_to_json
 
@@ -162,7 +163,7 @@ class TestStochasticCommands:
         assert all(p["pass"] for p in res["pairs"])
 
     def test_letter_alphabet(self, tmp_path):
-        # letters that are not digits are coded by their alphabet index
+        # letters need not be digits
         doc = {"type": "periodic", "word": "ab"}
         spec = write_spec(tmp_path, doc)
         h, c = tmp_path / "h.json", tmp_path / "c.json"
@@ -173,8 +174,8 @@ class TestStochasticCommands:
         first = json.loads(h.read_text())["marginals"]["first_letter"]
         batch = sample_batch(parse_spec(doc), 3000, 7)
         assert first["expected"] == 0.5
-        assert first["statistic"] == float(
-            (batch.words[:, batch.origin] == 0).mean())
+        assert first["statistic"] == float(np.mean(
+            [batch.windows[k][batch.origin] == "a" for k in batch.index]))
         assert 0.4 < first["statistic"] < 0.6
         assert json.loads(c.read_text())["tau_with_one"]["n"] == 3000
         # and tiles colour by 1 + that index: scale k takes the letter at
@@ -215,8 +216,9 @@ class TestSharedDraw:
                 spec, TFn.bump(0.5, 0.45, 0.5, 0.45), n, seed),
         }
         assert res["checks"] == self.json_round_trip(expect)
-        biased = invariance_check(spec, f0, gs, n, seed,
-                                  word_bias="first-word")
+        base = sample_batch(spec, n, seed)
+        biased = invariance_reports(
+            base, [(f0, first_word_control(base).index)], gs, seed)[0]
         assert res["negative_control"]["report"] == \
             self.json_round_trip(biased)
 
@@ -282,6 +284,19 @@ class TestErrorHygiene:
 
     def test_missing_spec_flag(self, capsys):
         self.assert_error(run(["kgroups"]), capsys)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--radius", "nan"), ("--radius", "inf"), ("--radius", "-inf"),
+        ("--seed", "-1")])
+    def test_flag_out_of_range(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "h.json"
+        rc = run(["hullcheck", "--spec", write_spec(tmp_path, THUE_MORSE),
+                  "--samples", "100", "--seed", "3", f"{flag}={value}",
+                  "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError" and flag in err["message"]
+        assert not out.exists()
 
     def test_non_integer_nmax(self, tmp_path, capsys):
         out = tmp_path / "k.json"

@@ -2,16 +2,19 @@
 
 perfbench/tracer.py wraps package functions named in its REPORTED table
 and _DELIMITERS list; a name deleted or renamed in the package would
-only show as a crash of a traced benchmark run.
+only show as a crash of a traced benchmark run.  The package itself
+reads no environment variable, so no hidden knob changes its results.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer():
@@ -43,3 +46,16 @@ def test_all_entries_resolve(module):
     assert mod.__all__
     for name in mod.__all__:
         assert hasattr(mod, name), f"{module}.{name}"
+
+
+def test_package_reads_no_environment():
+    names = {"environ", "environb", "getenv", "getenvb"}
+    sources = sorted((ROOT / "src" / "hyptile").glob("**/*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in names, f"{path.name}: {node.attr}"
+            elif isinstance(node, ast.ImportFrom):
+                used = {a.name for a in node.names} & names
+                assert not used, f"{path.name}: {used}"
