@@ -1,4 +1,5 @@
-"""Exact arithmetic in a real number field Q(t).
+"""Exact arithmetic in a real number field Q(t), and the Perron root of
+an integer matrix as an element of one.
 
 Elements are residue polynomials modulo a fixed monic minimal polynomial,
 with the distinguished real root pinned down by an isolating interval
@@ -10,14 +11,27 @@ irreducible polynomial of higher degree.
 The minimal polynomial always has degree >= 2 here (rational eigenvalues
 take the plain Fraction path), so no rational point is a root and any
 rational bisection endpoint is sign-definite.
+
+perron_eigenvalue uses int and Fraction arithmetic only:
+
+- the characteristic polynomial, by Faddeev-LeVerrier;
+- its square-free part f / gcd(f, f');
+- its integer roots, by the rational-root test, divided out;
+- the largest remaining real root, isolated by a Sturm sequence;
+- the irreducible factor over Z holding that root, by Zassenhaus's
+  method: a distinct-degree sieve mod a few primes, Cantor-Zassenhaus
+  splitting, Hensel lifting and recombination of the lifted factors.
+
+That factor is the field's minimal polynomial, and the Sturm interval is
+its isolating interval.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
-
-import sympy
 
 
 def _trim(cs):
@@ -87,8 +101,8 @@ class NumberField:
     """Q(t) for t the unique root of minpoly inside (lo, hi).
 
     minpoly is monic with Fraction coefficients, degree >= 2, irreducible
-    over Q, and changes sign across the interval.  The interval only ever
-    narrows, so concurrent readers stay consistent.
+    over Q, and changes sign across the interval.  refine() only ever
+    narrows the interval, monotonically.
     """
 
     def __init__(self, minpoly, lo: Fraction, hi: Fraction):
@@ -262,16 +276,299 @@ class AlgebraicNumber:
 
 
 # -- Perron data ---------------------------------------------------------
+#
+# Integer polynomials below are ascending coefficient lists.  The methods
+# follow Cohen, A Course in Computational Algebraic Number Theory (GTM
+# 138): characteristic polynomial, Sturm sequences, and factoring over Z
+# by factoring mod p and Hensel lifting.
 
 
-def _real_root_intervals(coeffs):
-    """Disjoint isolating intervals for the real roots of a Fraction poly."""
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                       for c in reversed(coeffs)], sympy.Symbol("x"))
-    out = []
-    for (a, b), _mult in poly.intervals():
-        out.append((Fraction(a.p, a.q), Fraction(b.p, b.q)))
+def _charpoly(mat):
+    """det(xI - mat) of a square integer matrix, by Faddeev-LeVerrier.
+
+    Monic with int coefficients; every division by k is exact."""
+    n = len(mat)
+    coeffs = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]  # M_k = A M_{k-1} + c_{n-k+1} I
+    for k in range(1, n + 1):
+        for i in range(n):
+            m[i][i] += coeffs[n - k + 1]
+        cols = list(zip(*m))
+        am = [[sum(a * b for a, b in zip(row, col)) for col in cols]
+              for row in mat]
+        coeffs[n - k] = -sum(am[i][i] for i in range(n)) // k
+        m = am
+    return coeffs
+
+
+def _derivative(f):
+    return _trim(i * c for i, c in enumerate(f))[1:]
+
+
+def _squarefree(f):
+    """f / gcd(f, f') for monic integer f: monic with int coefficients."""
+    r0, r1 = f, _derivative(f)
+    while r1:
+        r0, r1 = r1, poly_divmod(r0, r1)[1]
+    q, _ = poly_divmod(f, r0)
+    return [int(c * r0[-1]) for c in q]  # monic divisor: Gauss's lemma
+
+
+def _root_bound(f) -> int:
+    """A power of two strictly above |z| for every complex root z of monic
+    f (Fujiwara: |z| <= 2 max_k |a_{n-k}|^(1/k))."""
+    n = len(f) - 1
+    return max((1 << (1 - (-abs(f[n - k]).bit_length() // k))
+                for k in range(1, n + 1)), default=2)
+
+
+def _split_integer_roots(f):
+    """(integer roots, cofactor) of square-free monic integer f.
+
+    A monic integer polynomial has only integer rational roots, and each
+    divides the constant term; the cofactor has no rational root."""
+    roots = []
+    if f[0] == 0:
+        roots.append(0)
+        f = f[1:]
+    for a in range(1, _root_bound(f)):
+        for r in (a, -a):
+            if f[0] % r == 0 and poly_eval(f, r) == 0:
+                roots.append(r)
+                f = [int(c) for c in poly_divmod(f, (-r, 1))[0]]
+    return roots, f
+
+
+def _variations(chain, x) -> int:
+    signs = [v > 0 for v in (poly_eval(p, x) for p in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _top_root_interval(f):
+    """(lo, hi) holding the largest real root of f and no other root, or
+    None when f has no real root.
+
+    f is square-free, monic, of degree >= 1 and has no rational root, so
+    no bisection point is a root.  Sturm's theorem counts the roots in
+    (a, b] as V(a) - V(b)."""
+    chain = [tuple(f), _derivative(f)]
+    while len(chain[-1]) > 1:
+        chain.append(poly_neg(poly_divmod(chain[-2], chain[-1])[1]))
+    hi = Fraction(_root_bound(f))
+    lo = -hi
+    v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
+    if v_lo == v_hi:
+        return None
+    while v_lo - v_hi > 1:
+        mid = (lo + hi) / 2
+        v_mid = _variations(chain, mid)
+        if v_mid > v_hi:
+            lo, v_lo = mid, v_mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+# Polynomials mod m: ascending coefficients in [0, m), trimmed.  m is a
+# prime p, or a power of p when every divisor is monic.
+
+
+def _mod_mul(a, b, m):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trim(c % m for c in out)
+
+
+def _mod_sub(a, b, m):
+    n = max(len(a), len(b))
+    return _trim(((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0))
+                 % m for i in range(n))
+
+
+def _mod_divmod(a, b, m):
+    a = list(a)
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] * inv % m
+        if c:
+            q[i] = c
+            for j, cb in enumerate(b):
+                a[i + j] = (a[i + j] - c * cb) % m
+    return _trim(q), _trim(a)
+
+
+def _mod_gcd(a, b, p):
+    """Monic gcd mod the prime p."""
+    while b:
+        a, b = b, _mod_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return tuple(c * inv % p for c in a)
+
+
+def _mod_powmod(a, e, f, p):
+    """a**e mod (f, p), by square-and-multiply."""
+    out = (1,)
+    for bit in bin(e)[2:]:
+        out = _mod_divmod(_mod_mul(out, out, p), f, p)[1]
+        if bit == "1":
+            out = _mod_divmod(_mod_mul(out, a, p), f, p)[1]
     return out
+
+
+def _distinct_degree(f, p):
+    """[(d, product of the irreducible factors of degree d)] for f monic
+    and square-free mod p."""
+    out = []
+    h = (0, 1)
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _mod_powmod(h, p, f, p)  # x^(p^d) mod f
+        g = _mod_gcd(f, _mod_sub(h, (0, 1), p), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _mod_divmod(f, g, p)[0]
+            h = _mod_divmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
+def _equal_degree(g, d, p, rng):
+    """The monic irreducible factors of g mod the odd prime p, all of
+    degree d (Cantor-Zassenhaus)."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _trim(rng.randrange(p) for _ in range(len(g) - 1))
+        if len(a) < 2:
+            continue
+        b = _mod_powmod(a, (p ** d - 1) // 2, g, p)
+        c = _mod_gcd(g, _mod_sub(b, (1,), p), p)
+        if 1 < len(c) < len(g):
+            return (_equal_degree(c, d, p, rng)
+                    + _equal_degree(_mod_divmod(g, c, p)[0], d, p, rng))
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
+
+def _pick_prime(f):
+    """(p, distinct-degree split of f mod p, possible factor degrees).
+
+    A factor of f over Z reduces mod p to a product of irreducible
+    factors mod p, so its degree is a subset sum of theirs.  The sieve
+    intersects those sums over the first eight odd primes at which f
+    stays square-free (all but finitely many), and p is the one with the
+    fewest factors."""
+    allowed = set(range(len(f)))
+    best = None
+    good = 0
+    for p in _odd_primes():
+        fp = _trim(c % p for c in f)
+        if len(_mod_gcd(fp, _trim(c % p for c in _derivative(fp)), p)) != 1:
+            continue
+        split = _distinct_degree(fp, p)
+        count = sum((len(g) - 1) // d for d, g in split)
+        if best is None or count < best[0]:
+            best = (count, p, split)
+        sums = {0}
+        for d, g in split:
+            for _ in range((len(g) - 1) // d):
+                sums |= {s + d for s in sums}
+        allowed &= sums
+        good += 1
+        if good == 8 or len(allowed) == 2:
+            break
+    return best[1], best[2], allowed
+
+
+def _hensel_pair(f, g, h, p, k):
+    """Monic G = g, H = h (mod p) with f = G H (mod p^k), for f = g h
+    (mod p) and g, h coprime mod p; linear lifting one power at a time."""
+    r0, r1, t0, t1 = g, h, (), (1,)  # t: t h = 1 (mod g, p)
+    while r1:
+        q, r = _mod_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        t0, t1 = t1, _mod_sub(t0, _mod_mul(q, t1, p), p)
+    t = tuple(c * pow(r0[0], -1, p) % p for c in t0)
+    big_g, big_h, q = list(g), list(h), p
+    while q < p ** k:
+        # f = G H (mod q), so (f - G H) / q mod p needs G H mod q p only
+        e = _trim(c // q for c in _mod_sub(
+            f, _mod_mul(big_g, big_h, q * p), q * p))
+        # g a + h b = e (mod p) with deg b < deg g, deg a < deg h
+        b = _mod_divmod(_mod_mul(e, t, p), g, p)[1]
+        a = _mod_divmod(_mod_sub(e, _mod_mul(h, b, p), p), g, p)[0]
+        for i, c in enumerate(b):
+            big_g[i] += q * c
+        for i, c in enumerate(a):
+            big_h[i] += q * c
+        q *= p
+    return big_g, big_h
+
+
+def _hensel(f, factors, p, k):
+    """Lift f = prod(factors) (mod p) to monic factors mod p^k."""
+    if len(factors) == 1:
+        return [[c % p ** k for c in f]]
+    rest = (1,)
+    for g in factors[1:]:
+        rest = _mod_mul(rest, g, p)
+    g, h = _hensel_pair(f, factors[0], rest, p, k)
+    return [g] + _hensel(h, factors[1:], p, k)
+
+
+def _minimal_polynomial(f, lo, hi):
+    """The monic irreducible factor of f with a root in (lo, hi).
+
+    f is square-free, monic, integral, without rational roots, and has
+    exactly one root in (lo, hi).  Zassenhaus: lift the factorization
+    mod p past twice Mignotte's coefficient bound, then try products of
+    lifted factors by increasing count; each one that divides is an
+    irreducible factor over Z."""
+    p, split, allowed = _pick_prime(f)
+    if not allowed & set(range(1, len(f) - 1)):
+        return f
+    rng = random.Random(p)
+    factors = [g for d, prod in split for g in _equal_degree(prod, d, p, rng)]
+    n = len(f) - 1
+    bound = 2 ** n * (math.isqrt(sum(c * c for c in f)) + 1)
+    k = 1
+    while p ** k <= 2 * bound:
+        k += 1
+    m = p ** k
+    lifted = _hensel(f, factors, p, k)
+    size = 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            if sum(len(lifted[i]) - 1 for i in subset) not in allowed:
+                continue
+            g = (1,)
+            for i in subset:
+                g = _mod_mul(g, lifted[i], m)
+            g = [c - m if 2 * c > m else c for c in g]
+            if g[0] == 0 or f[0] % g[0]:
+                continue
+            q, r = poly_divmod(f, g)
+            if r:
+                continue
+            if (poly_eval(g, lo) > 0) != (poly_eval(g, hi) > 0):
+                return g
+            f = [int(c) for c in q]
+            lifted = [u for i, u in enumerate(lifted) if i not in subset]
+            break
+        else:
+            size += 1
+    return f
 
 
 def perron_eigenvalue(mat):
@@ -280,38 +577,16 @@ def perron_eigenvalue(mat):
     Returns a Fraction when that eigenvalue is rational, otherwise an
     AlgebraicNumber generating its field.  The matrix must actually have
     a real eigenvalue (true for nonnegative matrices)."""
-    cp = sympy.Matrix(mat).charpoly()
-    cands = []  # [coeffs or None, lo, hi]; None marks an exact rational root
-    for fp, _mult in cp.factor_list()[1]:
-        all_c = [Fraction(sympy.Rational(c).p, sympy.Rational(c).q)
-                 for c in fp.all_coeffs()]
-        coeffs = tuple(c / all_c[0] for c in reversed(all_c))
-        if len(coeffs) == 2:
-            cands.append([None, -coeffs[0], -coeffs[0]])
-            continue
-        for lo, hi in _real_root_intervals(coeffs):
-            cands.append([coeffs, lo, hi])
-    if not cands:
-        raise ValueError("matrix has no real eigenvalue")
-    # all roots are distinct reals, so interval bisection separates them;
-    # rational points are never roots of the irreducible deg>=2 factors
-    while True:
-        best = max(cands, key=lambda c: c[2])
-        if all(c is best or c[2] < best[1] for c in cands):
-            break
-        for c in cands:
-            if c[0] is None:
-                continue
-            coeffs, lo, hi = c
-            mid = (lo + hi) / 2
-            if (poly_eval(coeffs, mid) > 0) == (poly_eval(coeffs, lo) > 0):
-                c[1] = mid
-            else:
-                c[2] = mid
-    coeffs, lo, hi = best
-    if coeffs is None:
-        return lo
-    return NumberField(coeffs, lo, hi).generator()
+    roots, f = _split_integer_roots(_squarefree(_charpoly(mat)))
+    top = _top_root_interval(f) if len(f) > 1 else None
+    if top is None:
+        if not roots:
+            raise ValueError("matrix has no real eigenvalue")
+        return Fraction(max(roots))
+    lam = NumberField(_minimal_polynomial(f, *top), *top).generator()
+    if roots and max(roots) > lam:
+        return Fraction(max(roots))
+    return lam
 
 
 # -- generic exact linear algebra ----------------------------------------

@@ -18,7 +18,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .ktheory import (
 )
 from .render import svg_render
 from .subshift import (
-    ExplicitWindow,
     Periodic,
     SubshiftSpec,
     Substitution,

@@ -2,9 +2,11 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from hyptile.algebraic import (
     AlgebraicNumber,
@@ -13,6 +15,7 @@ from hyptile.algebraic import (
     perron_eigenvalue,
     poly_eval,
 )
+from hyptile.subshift import block_substitution, parse_spec
 
 
 F = Fraction
@@ -124,6 +127,114 @@ class TestPerron:
 
     def test_poly_eval_horner(self):
         assert poly_eval((F(-1), F(-1), F(1)), F(2)) == F(1)
+
+
+def block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def s4_two_block_matrix():
+    """Incidence matrix of S4's induced substitution on its 16 two-letter
+    blocks: characteristic polynomial x^3 (x-4) (x-1)^6 (x+1)^6."""
+    spec = parse_spec({"type": "substitution", "rules": {
+        "1": "1234", "2": "2143", "3": "3412", "4": "4321"}})
+    blocks, images = block_substitution(spec, 2)
+    return [[images[b].count(a) for b in blocks] for a in blocks]
+
+
+def oracle_corpus():
+    """320 nonnegative integer matrices: 300 seeded ones of sizes 1 to 6
+    (dense, sparse, block-diagonal and repeated-block), then named ones."""
+    rng = random.Random(20090)
+
+    def rand(n, top, density):
+        return [[rng.randint(0, top) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(n)]
+
+    mats = []
+    for i in range(300):
+        n, kind = 1 + i % 6, (i // 6) % 4
+        if kind == 0 or n == 1:
+            mats.append(rand(n, 3, 1.0))
+        elif kind == 1:
+            mats.append(rand(n, 5, 0.4))
+        elif kind == 2:
+            a = rng.randint(1, n - 1)
+            mats.append(block_diag(rand(a, 3, 0.8), rand(n - a, 3, 0.8)))
+        else:
+            b = rand(n // 2, 3, 0.8)
+            mats.append(block_diag(b, b, *([rand(1, 3, 1.0)] * (n % 2))))
+    fib, fib2 = [[1, 1], [1, 0]], [[2, 1], [1, 1]]
+    mats += [
+        [[1] * 4 for _ in range(4)],  # S4's letters: x^3 (x - 4)
+        s4_two_block_matrix(),
+        block_diag([[3]], fib2),  # 3 beats 2.618
+        block_diag([[2]], fib2),  # 2.618 beats 2
+        block_diag(fib, [[1]], fib, [[0]]),  # repeated irrational root
+        block_diag([[0, 1], [1, 0]], [[1, 1, 1], [1, 0, 0], [0, 1, 0]]),
+        block_diag(fib2, [[3, 1], [1, 0]], fib),  # three quadratic factors
+        [[0, 0, 1], [1, 0, 1], [0, 1, 0]],  # x^3 - x - 1
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 1], [0, 0]],
+    ]
+    rng = random.Random(11)
+    for n in (4, 5):  # two irreducible blocks of degree n
+        for _ in range(5):
+            mats.append(block_diag(rand(n, 3, 1.0), rand(n, 3, 1.0)))
+    return mats
+
+
+def sympy_perron(mat):
+    """(largest real eigenvalue, its monic minimal polynomial as ascending
+    Fractions), from sympy's factorization of the characteristic
+    polynomial."""
+    x = sympy.Symbol("x")
+    best = None
+    for fac, _mult in sympy.Matrix(mat).charpoly(x).factor_list()[1]:
+        for root in sympy.Poly(fac, x).real_roots():
+            if best is None or root > best[0]:
+                best = (root, fac)
+    root, fac = best
+    coeffs = sympy.Poly(fac, x).monic().all_coeffs()
+    return root, tuple(F(int(c.p), int(c.q)) for c in reversed(coeffs))
+
+
+class TestPerronOracle:
+    def test_s4_two_block_charpoly(self):
+        x = sympy.Symbol("x")
+        cp = sympy.Matrix(s4_two_block_matrix()).charpoly(x).as_expr()
+        assert sympy.expand(cp - x**3 * (x - 4) * (x - 1)**6 * (x + 1)**6) \
+            == 0
+
+    def test_matches_sympy(self):
+        # Same Fraction, or same minimal polynomial with the root strictly
+        # inside the isolating interval.  The time bound keeps factoring
+        # over Z from going exponential: Kronecker's method, even behind
+        # the degree sieve, took 68 s on one 10x10 block-diagonal matrix
+        # here.
+        mats = oracle_corpus()
+        assert len(mats) >= 300
+        for mat in mats:
+            t0 = time.perf_counter()
+            lam = perron_eigenvalue(mat)
+            elapsed = time.perf_counter() - t0
+            assert elapsed < 1.0, (mat, elapsed)
+            root, minpoly = sympy_perron(mat)
+            if len(minpoly) == 2:
+                assert lam == -minpoly[0], mat
+                continue
+            assert isinstance(lam, AlgebraicNumber), mat
+            fld = lam.field
+            assert fld.minpoly == minpoly, mat
+            assert sympy.Rational(fld.lo.numerator, fld.lo.denominator) \
+                < root < sympy.Rational(fld.hi.numerator, fld.hi.denominator)
 
 
 class TestNullspace:

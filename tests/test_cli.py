@@ -335,3 +335,32 @@ def test_readme_quick_start():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == \
         "{'11': '1/6', '12': '1/3', '21': '1/3', '22': '1/6'}\n"
+
+
+TRIBONACCI = {"type": "substitution", "rules": {"1": "12", "2": "13", "3": "1"}}
+
+NO_SYMPY = """
+import json, sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from hyptile.cli import main
+print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))
+"""
+
+
+def test_commands_run_without_sympy(tmp_path):
+    # Perron data for non-constant-length substitutions is computed
+    # without sympy, which is only a test dependency.
+    jobs = []
+    for name, doc in (("fib", FIBONACCI), ("trib", TRIBONACCI)):
+        spec = write_spec(tmp_path, doc, f"{name}.json")
+        for command, extra in (("gaplabels", []),
+                               ("measures", ["--nmax", "4"]),
+                               ("hullcheck", ["--samples", "3000",
+                                              "--seed", "1"]),
+                               ("cocycle", ["--samples", "3000",
+                                            "--seed", "2"])):
+            out = tmp_path / f"{name}-{command}.json"
+            jobs.append([command, "--spec", spec, *extra, "--out", str(out)])
+    proc = run_python(["-c", NO_SYMPY, json.dumps(jobs)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(jobs), proc.stderr

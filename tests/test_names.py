@@ -3,7 +3,9 @@
 perfbench/tracer.py wraps package functions named in its REPORTED table
 and _DELIMITERS list; a name deleted or renamed in the package would
 only show as a crash of a traced benchmark run.  The package itself
-reads no environment variable, so no hidden knob changes its results.
+reads no environment variable, so no hidden knob changes its results;
+it imports no sympy, which only the tests use as an oracle; and it keeps
+no unused top-level import.
 """
 
 import ast
@@ -48,14 +50,54 @@ def test_all_entries_resolve(module):
         assert hasattr(mod, name), f"{module}.{name}"
 
 
-def test_package_reads_no_environment():
-    names = {"environ", "environb", "getenv", "getenvb"}
+def _package_trees():
     sources = sorted((ROOT / "src" / "hyptile").glob("**/*.py"))
     assert sources
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    return [(path, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sources]
+
+
+def test_package_reads_no_environment():
+    names = {"environ", "environb", "getenv", "getenvb"}
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 assert node.attr not in names, f"{path.name}: {node.attr}"
             elif isinstance(node, ast.ImportFrom):
                 used = {a.name for a in node.names} & names
                 assert not used, f"{path.name}: {used}"
+
+
+def test_package_imports_no_sympy():
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] != "sympy", \
+                    f"{path.name}:{node.lineno}: {module}"
+
+
+def test_no_unused_top_level_imports():
+    for path, tree in _package_trees():
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    bound[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                for a in node.names:
+                    bound[a.asname or a.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:  # names re-exported through __all__
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used |= {e.value for e in node.value.elts}
+        unused = sorted(set(bound) - used, key=bound.get)
+        assert not unused, f"{path.name}: unused imports {unused}"
