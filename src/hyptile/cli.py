@@ -19,19 +19,9 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import __version__
-from .geometry import ColourWindow, generate_patch, scale_range
-from .hull import (
-    BumpProfile,
-    TestFunction,
-    first_word_control,
-    harmonicity_report,
-    invariance_reports,
-    sample_batch,
-    tau_reports,
-)
+from .geometry import (ColourWindow, TileSet, generate_patch, patch_size,
+                       scale_range)
 from .ktheory import (
     CylinderFunction,
     cech_cohomology,
@@ -183,15 +173,21 @@ def _colour_window(spec: SubshiftSpec, radius: float) -> ColourWindow:
     return window
 
 
-def _run_render(cfg: JobConfig) -> str:
+def _coloured_patch(cfg: JobConfig) -> TileSet:
+    # refuse an oversized patch first: its colour window alone could be
+    # too long to build
+    patch_size(cfg.radius)
     colouring = _colour_window(cfg.spec, cfg.radius)
-    ts = generate_patch(cfg.radius, colouring=colouring)
+    return generate_patch(cfg.radius, colouring=colouring)
+
+
+def _run_render(cfg: JobConfig) -> str:
+    ts = _coloured_patch(cfg)
     return svg_render(ts, config=json.dumps(cfg.document(), sort_keys=True))
 
 
 def _run_patch(cfg: JobConfig) -> str:
-    colouring = _colour_window(cfg.spec, cfg.radius)
-    ts = generate_patch(cfg.radius, colouring=colouring)
+    ts = _coloured_patch(cfg)
     tiles = [{"k": t.k, "n": t.n, "colour": t.colour} for t in ts.tiles]
     return _dump({"config": cfg.document(), "count": len(tiles),
                   "tiles": tiles})
@@ -239,7 +235,11 @@ def _run_measures(cfg: JobConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _default_functions(spec: SubshiftSpec) -> list[TestFunction]:
+# numpy and the hull sampler are imported by the sampler commands alone,
+# so the other commands start without them
+
+def _default_functions(spec: SubshiftSpec) -> list:
+    from .hull import BumpProfile, TestFunction
     first2 = language(spec, 2)[0]
     return [
         TestFunction.word_indicator(first2),
@@ -250,12 +250,16 @@ def _default_functions(spec: SubshiftSpec) -> list[TestFunction]:
 
 
 def _random_group_elements(rng, count: int) -> list[tuple[float, float]]:
+    import numpy as np
     a = np.exp2(rng.uniform(-1.5, 1.5, count))
     b = rng.uniform(-3.0, 3.0, count)
     return [(float(x), float(y)) for x, y in zip(a, b)]
 
 
 def _run_hullcheck(cfg: JobConfig) -> str:
+    import numpy as np
+    from .hull import (TestFunction, first_word_control, harmonicity_report,
+                       invariance_reports, sample_batch)
     rng = np.random.default_rng(cfg.seed)
     gs = _random_group_elements(rng, 8)
     batch = sample_batch(cfg.spec, cfg.samples, cfg.seed)
@@ -293,6 +297,8 @@ def _run_hullcheck(cfg: JobConfig) -> str:
 
 
 def _run_cocycle(cfg: JobConfig) -> str:
+    import numpy as np
+    from .hull import TestFunction, sample_batch, tau_reports
     rng = np.random.default_rng(cfg.seed)
     fgs = [(TestFunction.bump(*_bump_params(rng)),
             TestFunction.bump(*_bump_params(rng))) for _ in range(3)]

@@ -15,12 +15,18 @@ hyperbolic ball around i=(0,1): the disk with center (0, cosh r) and
 radius sinh r.  The default tile test compares that disk against the
 tile's bounding box (vertices plus arc apexes), which is deliberately a
 slight superset; `tile_meets_disk_exact` is the exact polygon test with
-rational predicates.
+rational predicates.  At each scale the boxes differ only in their
+x-interval, so the kept tiles form one n-interval, solved from one
+square root and settled by the box test at its ends.  The patch size
+is therefore known before any tile is built, and patches above
+MAX_PATCH_TILES are refused.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,14 +125,6 @@ class TileIndex:
 def tile_vertices(t: TileIndex) -> tuple[Point, ...]:
     f = t.affine()
     return tuple(f.apply(Point(x, y)) for x, y in BASE_VERTICES)
-
-
-def tile_edges(t: TileIndex):
-    """The five edges as (label, endpoint frozenset) in A1A2..A5A1 order."""
-    v = tile_vertices(t)
-    pairs = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
-    return [(lab, frozenset((v[i], v[j])))
-            for lab, (i, j) in zip(EDGE_LABELS, pairs)]
 
 
 def cosh_distance(p: Point, q: Point) -> Fraction:
@@ -230,6 +228,80 @@ def scale_range(radius: float) -> range:
     return range(k_min, k_max + 1)
 
 
+def _settle_end(w: float, top: float, c: float, s: float, guess: int) -> int:
+    """Largest n >= 0 whose box [w n, w (n+1)] x [w, top] meets the disk,
+    or -1 when none does, found by moving guess with the box test.
+
+    The box's x-distance from the line x = 0 is w n for n > 0 and 0 at
+    n = 0, all exact in floats, so the test is monotone in n; box -1-n
+    lies at the same distance as box n, so the kept n are exactly
+    -1-end .. end.
+    """
+    def meets(n):
+        return _box_meets_disk(w * n, w * (n + 1), w, top, c, s)
+
+    if not meets(0):
+        return -1
+    end = guess
+    while end > 0 and not meets(end):
+        end -= 1
+    while meets(end + 1):
+        end += 1
+    return end
+
+
+# Patches are refused above this many tiles (from about radius 11.2).
+MAX_PATCH_TILES = 10 ** 6
+# cosh and sinh overflow a double above this radius
+_MAX_FINITE_RADIUS = math.acosh(sys.float_info.max)
+
+
+def _patch_too_large(radius: float, count: int | None = None) -> ValueError:
+    held = "more tiles than" if count is None else f"{count} tiles, more than"
+    return ValueError(f"a patch of radius {radius} would hold {held} "
+                      f"the bound of {MAX_PATCH_TILES} tiles")
+
+
+def _scale_ends(radius: float) -> list[tuple[int, int]]:
+    """(k, end) for every scale k: the kept n are -1-end .. end.
+
+    Raises ValueError when the patch would hold more than
+    MAX_PATCH_TILES tiles, before any tile is built.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if radius > _MAX_FINITE_RADIUS:
+        raise _patch_too_large(radius)
+    c = math.cosh(radius)
+    s = math.sinh(radius)
+    reach2 = s * s + 1e-9 * (1.0 + s * s)  # _box_meets_disk's padded bound
+    ends = []
+    count = 0
+    for k in scale_range(radius):
+        # box = x interval times [2**k, 2**k sqrt(17)/2] (vertices + apexes)
+        w = 2.0 ** k
+        top = w * _APEX
+        dy = max(w, min(c, top)) - c
+        half = math.sqrt(max(reach2 - dy * dy, 0.0)) / w
+        if not half <= MAX_PATCH_TILES:  # also an overflowed inf or nan
+            raise _patch_too_large(radius)
+        end = _settle_end(w, top, c, s, math.floor(half))
+        ends.append((k, end))
+        count += 2 * (end + 1)
+    if count > MAX_PATCH_TILES:
+        raise _patch_too_large(radius, count)
+    return ends
+
+
+def patch_size(radius: float) -> int:
+    """Number of tiles generate_patch(radius) keeps (exact=False).
+
+    Raises ValueError above MAX_PATCH_TILES, so a caller can refuse an
+    oversized patch before preparing anything else for it.
+    """
+    return sum(2 * (end + 1) for _, end in _scale_ends(radius))
+
+
 def generate_patch(radius: float, colouring: ColourWindow | None = None,
                    exact: bool = False) -> TileSet:
     """All tiles meeting the closed ball of the given radius around i=(0,1).
@@ -240,21 +312,16 @@ def generate_patch(radius: float, colouring: ColourWindow | None = None,
     Balls are closed, so e.g. radius 0 keeps the four tiles whose closure
     contains i.  When a colouring window is given, the tile at scale k is
     coloured by w[-k]; a too-narrow window raises ColourWindowExhausted.
+    A patch of more than MAX_PATCH_TILES tiles raises ValueError before
+    any tile is built.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    c = math.cosh(radius)
-    s = math.sinh(radius)
+    ends = _scale_ends(radius)
+    cy, r2 = Fraction(math.cosh(radius)), Fraction(math.sinh(radius)) ** 2
     tiles = []
-    for k in scale_range(radius):
-        w = 2.0 ** k
+    for k, end in ends:
         colour = None
-        for n in range(math.floor(-s / w) - 1, math.ceil(s / w) + 2):
-            # box = x interval times [2**k, 2**k sqrt(17)/2] (vertices + apexes)
-            if not _box_meets_disk(w * n, w * (n + 1), w, w * _APEX, c, s):
-                continue
-            if exact and not tile_meets_disk_exact(
-                    TileIndex(k, n), Fraction(c), Fraction(s) ** 2):
+        for n in range(-1 - end, end + 1):
+            if exact and not tile_meets_disk_exact(TileIndex(k, n), cy, r2):
                 continue
             if colouring is not None and colour is None:
                 colour = colouring.get(-k)
@@ -389,12 +456,24 @@ def edge_adjacency(ts: TileSet) -> AdjacencyReport:
     rule: a positive A4A5 side always meets a negative A1A2 or A2A3 side
     of a tile one scale up, verticals meet opposite verticals at the same
     scale.  Boundary edges are reported separately and never counted in
-    the tally.
+    the tally.  The interior dict is keyed by the frozenset of the edge's
+    two endpoint Points, as tile_vertices gives them.
     """
+    # vertices as integer pairs in units of 2**(k_min - 1): tile (k, n)
+    # has corners at x = 2n f, (2n+1) f, (2n+2) f and y = 2f, 4f with
+    # f = 2**(k - k_min); each edge key lists its lower-left end first
+    k_min = ts.tiles[0].k if ts.tiles else 0
     by_key: dict = {}
     for t in ts.tiles:
-        for lab, key in tile_edges(t):
+        f = 1 << (t.k - k_min)
+        x, y = 2 * t.n * f, 2 * f
+        a1, a2, a3 = (x, y), (x + f, y), (x + 2 * f, y)
+        a4, a5 = (x + 2 * f, 2 * y), (x, 2 * y)
+        for lab, key in zip(EDGE_LABELS, ((a1, a2), (a2, a3), (a3, a4),
+                                          (a5, a4), (a1, a5))):
             by_key.setdefault(key, []).append((t, lab))
+    coord = functools.cache(lambda m: DyadicRational(m, k_min - 1))
+    point = functools.cache(lambda v: Point(coord(v[0]), coord(v[1])))
     interior = {}
     boundary = []
     top_matches = []
@@ -411,7 +490,7 @@ def edge_adjacency(ts: TileSet) -> AdjacencyReport:
                 bneg += 1
             continue
         (t1, l1), (t2, l2) = sides
-        interior[key] = ((t1, l1), (t2, l2))
+        interior[frozenset(map(point, key))] = ((t1, l1), (t2, l2))
         for t, lab in sides:
             if lab == POSITIVE_EDGE:
                 ip += 1

@@ -2,18 +2,22 @@
 
 Every tile becomes one closed path: three circular arcs (the two bottom
 edges and the top edge, whose full geodesics are half-circles centred
-on the real axis) joined by two vertical segments.  All arc endpoints
-are taken from the exact dyadic vertex coordinates, so neighbouring
-tiles emit byte-identical endpoint strings and the seams are gapless.
-Coordinates are written y-flipped (SVG y grows downward) with 17
-significant digits, the only place floats appear.
+on the real axis) joined by two vertical segments.  Tile (k, n) has its
+vertices at integers times 2**(k-1) and its arc radii at 2**k sqrt(17)/4
+and 2**k sqrt(17)/2, so every coordinate is math.ldexp of an integer,
+exact, and every radius is the correctly rounded sqrt of
+ldexp(17, 2k-4) or ldexp(17, 2k-2).  Neighbouring tiles therefore emit
+byte-identical endpoint strings and the seams are gapless.  Coordinates
+are written y-flipped (SVG y grows downward) with 17 significant
+digits, the only place floats appear.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .geometry import GeodesicArc, TileIndex, TileSet, geodesic_arc, tile_vertices
+from .geometry import TileIndex, TileSet
 
 __all__ = ["PALETTE", "svg_render", "tile_path"]
 
@@ -26,33 +30,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _xy(p) -> str:
-    return f"{_fmt(float(p.x))} {_fmt(-float(p.y))}"
-
-
-def _arc_to(arc: GeodesicArc) -> str:
-    """SVG command for the geodesic arc, already standing at arc.start.
-
-    The geodesic circle is centred on the real axis, so of the two
-    candidate arcs the renderer needs the one bulging away from it;
-    with flipped y that is sweep 1 left-to-right and sweep 0 back.
-    """
-    r = _fmt(math.sqrt(float(arc.radius_sq)))
-    sweep = 1 if arc.end.x > arc.start.x else 0
-    return f"A {r} {r} 0 0 {sweep} {_xy(arc.end)}"
+@functools.lru_cache(maxsize=128)
+def _scale_strings(k: int) -> tuple[str, str, str, str]:
+    """Flipped y of the bottom and top corners and the bottom and top arc
+    radii, shared by every tile at scale k."""
+    return (_fmt(-math.ldexp(1.0, k)), _fmt(-math.ldexp(1.0, k + 1)),
+            _fmt(math.sqrt(math.ldexp(17.0, 2 * k - 4))),
+            _fmt(math.sqrt(math.ldexp(17.0, 2 * k - 2))))
 
 
 def tile_path(t: TileIndex) -> str:
-    """Closed path d-string: bottom arcs, right wall, top arc, left wall."""
-    v = tile_vertices(t)
-    return " ".join([
-        f"M {_xy(v[0])}",
-        _arc_to(geodesic_arc(v[0], v[1])),
-        _arc_to(geodesic_arc(v[1], v[2])),
-        f"L {_xy(v[3])}",
-        _arc_to(geodesic_arc(v[3], v[4])),
-        "Z",
-    ])
+    """Closed path d-string: bottom arcs, right wall, top arc, left wall.
+
+    The bottom arcs run left to right and the top arc back; with y
+    flipped, bulging away from the real axis is sweep 1 and sweep 0.
+    """
+    y1, y2, low, high = _scale_strings(t.k)
+    e, m = t.k - 1, 2 * t.n
+    x0 = _fmt(math.ldexp(m, e))
+    x1 = _fmt(math.ldexp(m + 1, e))
+    x2 = _fmt(math.ldexp(m + 2, e))
+    return (f"M {x0} {y1} A {low} {low} 0 0 1 {x1} {y1} "
+            f"A {low} {low} 0 0 1 {x2} {y1} L {x2} {y2} "
+            f"A {high} {high} 0 0 0 {x0} {y2} Z")
 
 
 def _fill(colour, palette) -> str:

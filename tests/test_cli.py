@@ -1,9 +1,11 @@
 """Command-line driver: examples, determinism, round-trips, error hygiene."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +110,13 @@ class TestSmallCommands:
         ks = [(t["k"], t["n"]) for t in res["tiles"]]
         assert ks == sorted(ks)
         assert all(t["colour"] in (1, 2) for t in res["tiles"])
+
+    def test_patch_json_is_pinned(self, tmp_path, capsys):
+        assert run(["patch", "--spec", write_spec(tmp_path, FIBONACCI),
+                    "--radius", "5"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == ("a8800f9318bac9de9a5c44bd2a5262d3"
+                          "c3029a8b1356bb734bfa988df37892ea")
 
     def test_stdout_default(self, tmp_path, capsys):
         assert run(["gaplabels", "--spec",
@@ -298,6 +307,20 @@ class TestErrorHygiene:
         assert err["type"] == "ValueError" and flag in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["render", "patch"])
+    @pytest.mark.parametrize("radius", ["30", "400", "1e6"])
+    def test_oversized_patch_refused(self, tmp_path, capsys, command, radius):
+        out = tmp_path / "p.out"
+        t0 = time.perf_counter()
+        rc = run([command, "--spec", write_spec(tmp_path, THUE_MORSE),
+                  "--radius", radius, "--out", str(out)])
+        assert time.perf_counter() - t0 < 1.0
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError"
+        assert "bound of 1000000 tiles" in err["message"]
+        assert not out.exists()
+
     def test_non_integer_nmax(self, tmp_path, capsys):
         out = tmp_path / "k.json"
         rc = run(["kgroups", "--spec", write_spec(tmp_path, THUE_MORSE),
@@ -345,6 +368,31 @@ sys.modules["sympy"] = None  # any import of sympy now raises ImportError
 from hyptile.cli import main
 print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))
 """
+
+
+NO_NUMPY = """
+import json, sys
+import hyptile.cli
+print("numpy" in sys.modules)
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+print(json.dumps([hyptile.cli.main(args) for args in json.loads(sys.argv[1])]))
+"""
+
+
+def test_non_sampler_commands_run_without_numpy(tmp_path):
+    # only hullcheck and cocycle draw samples, so only they import numpy
+    spec = write_spec(tmp_path, THUE_MORSE)
+    jobs = [[command, "--spec", spec, *extra,
+             "--out", str(tmp_path / f"{command}.out")]
+            for command, extra in (("render", ["--radius", "2"]),
+                                   ("patch", ["--radius", "2"]),
+                                   ("kgroups", ["--nmax", "4"]),
+                                   ("cech", ["--nmax", "4"]),
+                                   ("gaplabels", ["--nmax", "3"]),
+                                   ("measures", ["--nmax", "3"]))]
+    proc = run_python(["-c", NO_NUMPY, json.dumps(jobs)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", json.dumps([0] * len(jobs))]
 
 
 def test_commands_run_without_sympy(tmp_path):

@@ -7,7 +7,12 @@ from fractions import Fraction
 import pytest
 
 from hyptile.dyadic import DyadicRational, DZERO, DONE
+import hyptile.geometry as geometry
 from hyptile.geometry import (
+    EDGE_LABELS,
+    MAX_PATCH_TILES,
+    NEGATIVE_EDGES,
+    POSITIVE_EDGE,
     AffineMap,
     ColourWindow,
     ColourWindowExhausted,
@@ -20,11 +25,14 @@ from hyptile.geometry import (
     generate_patch,
     geodesic_arc,
     interiors_disjoint,
+    patch_size,
     pt,
     scale_range,
     tile_meets_disk_exact,
     tile_vertices,
+    _box_meets_disk,
     _cosh_point_to_pentagon,
+    _settle_end,
 )
 
 LN2 = math.log(2.0)
@@ -228,6 +236,81 @@ class TestPatch:
         assert idx == sorted(idx)
 
 
+def ref_generate_patch(radius, colouring=None, exact=False):
+    """The full scan: every box of every scale whose x-range can reach
+    the disk, tested one by one."""
+    c, s = math.cosh(radius), math.sinh(radius)
+    tiles = []
+    for k in scale_range(radius):
+        w = 2.0 ** k
+        colour = None
+        for n in range(math.floor(-s / w) - 1, math.ceil(s / w) + 2):
+            if not _box_meets_disk(w * n, w * (n + 1), w,
+                                   w * math.sqrt(17.0) / 2.0, c, s):
+                continue
+            if exact and not tile_meets_disk_exact(
+                    TileIndex(k, n), Fraction(c), Fraction(s) ** 2):
+                continue
+            if colouring is not None and colour is None:
+                colour = colouring.get(-k)
+            tiles.append(TileIndex(k, n, colour))
+    return TileSet(tuple(tiles), radius)
+
+
+def thue_morse_window(radius):
+    hw = max(abs(k) for k in scale_range(radius))
+    word = "".join("12"[bin(j).count("1") % 2] for j in range(2 * hw + 1))
+    return ColourWindow(word, -hw)
+
+
+class TestSolvedPatch:
+    RADII = (0.0, 0.3, 0.5, 1.0, 1.5, 2.2, 3.0, 4.0, 5.0, 6.0)
+
+    @pytest.mark.parametrize("radius", RADII)
+    def test_matches_full_scan(self, radius):
+        window = thue_morse_window(radius)
+        exacts = (False, True) if radius <= 3.0 else (False,)
+        for exact in exacts:
+            got = generate_patch(radius, colouring=window, exact=exact)
+            want = ref_generate_patch(radius, colouring=window, exact=exact)
+            assert got.tiles == want.tiles
+        assert patch_size(radius) == len(ref_generate_patch(radius).tiles)
+
+    def test_end_is_settled_from_any_guess(self):
+        radius = 4.0
+        c, s = math.cosh(radius), math.sinh(radius)
+        scan = ref_generate_patch(radius)
+        for k in scale_range(radius):
+            want = max((t.n for t in scan.tiles if t.k == k), default=-1)
+            w = 2.0 ** k
+            for guess in {0, want // 2, want, want + 1, 2 * want + 5}:
+                assert _settle_end(w, w * math.sqrt(17.0) / 2.0, c, s,
+                                   max(guess, 0)) == want
+
+    def test_box_tests_per_scale(self, monkeypatch):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _box_meets_disk(*args)
+
+        monkeypatch.setattr(geometry, "_box_meets_disk", counted)
+        assert len(generate_patch(7.0).tiles) == 10532
+        assert 0 < calls <= 8 * len(scale_range(7.0))
+
+    def test_oversized_patch_refused(self):
+        # radius 12 is past the bound, and its tile count is still solved
+        with pytest.raises(ValueError, match=r"hold 3354136 tiles, more "
+                           rf"than the bound of {MAX_PATCH_TILES} tiles"):
+            patch_size(12.0)
+
+    @pytest.mark.parametrize("radius", [30.0, 400.0, 710.0, 1e6, math.inf])
+    def test_huge_radius_refused_without_overflow(self, radius):
+        with pytest.raises(ValueError, match=str(MAX_PATCH_TILES)):
+            generate_patch(radius, colouring=ColourWindow("1"))
+
+
 class TestExactDiskPredicate:
     def test_point_disk_keeps_only_closures_containing_i(self):
         keep = {(0, 0), (0, -1), (-1, 0), (-1, -1)}
@@ -311,6 +394,52 @@ class TestAdjacency:
         for key, ((t1, l1), (t2, l2)) in rep.interior.items():
             if {l1, l2} == {"A3A4", "A5A1"}:
                 assert t1.k == t2.k and abs(t1.n - t2.n) == 1
+
+
+def ref_edge_adjacency(ts):
+    """Edges keyed by the frozenset of their tile_vertices endpoints."""
+    by_key = {}
+    for t in ts.tiles:
+        v = tile_vertices(t)
+        for i, lab in enumerate(EDGE_LABELS):
+            key = frozenset((v[i], v[(i + 1) % 5]))
+            by_key.setdefault(key, []).append((t, lab))
+    interior = {key: tuple(sides) for key, sides in by_key.items()
+                if len(sides) == 2}
+    boundary = tuple(sides[0] for sides in by_key.values() if len(sides) == 1)
+    tops = []
+    for (t1, l1), (t2, l2) in interior.values():
+        if POSITIVE_EDGE in (l1, l2):
+            lower, (upper, lab) = ((t1, (t2, l2)) if l1 == POSITIVE_EDGE
+                                   else (t2, (t1, l1)))
+            tops.append((lower, upper, lab))
+
+    def charges(sides):
+        return (sum(lab == POSITIVE_EDGE for _, lab in sides),
+                sum(lab in NEGATIVE_EDGES for _, lab in sides))
+
+    return interior, boundary, tops, charges(
+        [s for pair in interior.values() for s in pair]), charges(boundary)
+
+
+class TestIntegerKeyedAdjacency:
+    @pytest.mark.parametrize("radius", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    def test_matches_vertex_keyed_reference(self, radius):
+        ts = generate_patch(radius, exact=radius <= 2.0)
+        rep = edge_adjacency(ts)
+        interior, boundary, tops, (ip, ineg), (bp, bneg) = \
+            ref_edge_adjacency(ts)
+        assert rep.interior == interior
+        assert list(rep.interior) == list(interior)
+        assert rep.boundary == boundary
+        assert rep.top_matches == tuple(tops)
+        assert (rep.interior_positive, rep.interior_negative) == (ip, ineg)
+        assert (rep.boundary_positive, rep.boundary_negative) == (bp, bneg)
+        assert rep.tally == ip - ineg
+
+    def test_empty_patch(self):
+        rep = edge_adjacency(TileSet((), 0.0))
+        assert rep.interior == {} and rep.boundary == ()
 
 
 class TestStabilizer:

@@ -1,10 +1,12 @@
 """SVG rendering: exact endpoints, valid arcs, palette bands, determinism."""
 
+import hashlib
 import math
 import re
 
 import pytest
 
+from hyptile.cli import _colour_window
 from hyptile.geometry import (
     ColourWindow,
     TileIndex,
@@ -14,6 +16,7 @@ from hyptile.geometry import (
     tile_vertices,
 )
 from hyptile.render import PALETTE, svg_render, tile_path
+from hyptile.subshift import parse_spec
 
 
 def svg_arc_center(x1, y1, x2, y2, r, large, sweep):
@@ -69,6 +72,46 @@ class TestTilePath:
                          f"{format(-float(p.y), '.17g')}")
                 assert token in paths[(t1.k, t1.n)]
                 assert token in paths[(t2.k, t2.n)]
+
+
+def ref_tile_path(t):
+    """The path from exact vertices and Fraction geodesic circles."""
+    def xy(p):
+        return f"{format(float(p.x), '.17g')} {format(-float(p.y), '.17g')}"
+
+    def arc_to(arc):
+        r = format(math.sqrt(float(arc.radius_sq)), ".17g")
+        sweep = 1 if arc.end.x > arc.start.x else 0
+        return f"A {r} {r} 0 0 {sweep} {xy(arc.end)}"
+
+    v = tile_vertices(t)
+    return " ".join([f"M {xy(v[0])}", arc_to(geodesic_arc(v[0], v[1])),
+                     arc_to(geodesic_arc(v[1], v[2])), f"L {xy(v[3])}",
+                     arc_to(geodesic_arc(v[3], v[4])), "Z"])
+
+
+class TestClosedFormPath:
+    def test_matches_exact_construction(self):
+        tiles = list(generate_patch(4.0).tiles)
+        tiles += [TileIndex(k, n) for k in range(-30, 31, 3)
+                  for n in (-1_000_003, -2, -1, 0, 1, 7, 123_457)]
+        for t in tiles:
+            assert tile_path(t) == ref_tile_path(t), t
+
+    # sha256 of svg_render(generate_patch(r, colouring=...)) on Thue-Morse,
+    # coloured as the render command colours it
+    PINNED = {
+        5.0: "1a201661ee43f9197df5c7a493a9e740b08f39a671fe8d195649e6679012f8c3",
+        7.0: "ea4a9aaae5c03ea47b946a5b4796d6551ef5847a360c0a76521d8f0edf532acf",
+    }
+
+    @pytest.mark.parametrize("radius", sorted(PINNED))
+    def test_document_is_pinned(self, radius):
+        tm = parse_spec({"type": "substitution", "rules": {"1": "12",
+                                                           "2": "21"}})
+        ts = generate_patch(radius, colouring=_colour_window(tm, radius))
+        digest = hashlib.sha256(svg_render(ts).encode()).hexdigest()
+        assert digest == self.PINNED[radius]
 
 
 class TestSvgRender:
