@@ -408,8 +408,7 @@ _EXACT_SLACK = 1e-12
 
 
 def invariance_check(spec: SubshiftSpec, f: TestFunction, g_list,
-                     n_samples: int, seed: int, *,
-                     precision: int = 48, halfwidth: int = 8) -> dict:
+                     n_samples: int, seed: int) -> dict:
     """Compare E[f o g] with E[f] for each affine g = (a, b).
 
     Common random numbers: every g is applied to a copy of one shared
@@ -417,8 +416,7 @@ def invariance_check(spec: SubshiftSpec, f: TestFunction, g_list,
     own spread sets the 3-sigma tolerance.  The top-level statistic is
     the worst absolute difference over g_list.
     """
-    base = sample_batch(spec, n_samples, seed, precision=precision,
-                        halfwidth=halfwidth)
+    base = sample_batch(spec, n_samples, seed)
     return invariance_reports(base, [(f, base.index)], g_list, seed)[0]
 
 
@@ -460,8 +458,7 @@ def _validate_step(h: float):
 
 
 def harmonicity_check(spec: SubshiftSpec, f: TestFunction, n_samples: int,
-                      seed: int, *, h: float = 2.0 ** -6,
-                      precision: int = 48, halfwidth: int = 8) -> dict:
+                      seed: int, *, h: float = 2.0 ** -6) -> dict:
     """Estimate the mean leafwise Laplacian of f against the sample.
 
     At each point the leaf is charted by (x, y) -> (y, x).p with the
@@ -470,8 +467,7 @@ def harmonicity_check(spec: SubshiftSpec, f: TestFunction, n_samples: int,
     the reported O(h**2) bias bound.
     """
     _validate_step(h)
-    base = sample_batch(spec, n_samples, seed, precision=precision,
-                        halfwidth=halfwidth)
+    base = sample_batch(spec, n_samples, seed)
     return harmonicity_report(base, f, seed, h=h)
 
 
@@ -497,8 +493,7 @@ def harmonicity_report(base: SampleBatch, f: TestFunction, seed: int, *,
 
 
 def tau_pairing(spec: SubshiftSpec, f: TestFunction, g: TestFunction,
-                n_samples: int, seed: int, *, h: float = 2.0 ** -6,
-                precision: int = 48, halfwidth: int = 8) -> dict:
+                n_samples: int, seed: int, *, h: float = 2.0 ** -6) -> dict:
     """Flow-derivative pairing E[Y(f) g] with its antisymmetry defect.
 
     Y differentiates along the scale flow (unit speed in s, realized by
@@ -507,8 +502,7 @@ def tau_pairing(spec: SubshiftSpec, f: TestFunction, g: TestFunction,
     within 3 sigma plus the finite-difference bias.
     """
     _validate_step(h)
-    base = sample_batch(spec, n_samples, seed, precision=precision,
-                        halfwidth=halfwidth)
+    base = sample_batch(spec, n_samples, seed)
     return tau_reports(base, [(f, g)], seed, h=h)[0]
 
 

@@ -262,8 +262,7 @@ def hnf_row_lattice(rows):
 
 def lattice_contains(rows, vec) -> bool:
     """Is vec in the lattice spanned by the given row vectors?"""
-    cols = transpose(rows) if rows else [[] for _ in vec]
     if not rows:
         return all(x == 0 for x in vec)
-    return solve_integer(cols, list(vec)) is not None
+    return solve_integer(transpose(rows), list(vec)) is not None
 

@@ -26,7 +26,10 @@ from S and V and the left kernel as the rows of U past the rank.
 Consecutive truncations are compared through the induced maps; the
 ``stabilized`` flag is a certificate that two consecutive maps are
 isomorphisms (for a periodic word, from a level at which the language
-has stopped growing), never an assumption.  Over Z[1/2] the integer
+has stopped growing), never an assumption.  A map is certified an
+isomorphism when it is onto and both groups have the same rank and
+torsion: finitely generated modules over a commutative ring are
+Hopfian, so such a map is one to one as well.  Over Z[1/2] the integer
 Smith form is used and 2-power invariant factors are discarded, since 2
 is a unit.
 """
@@ -210,100 +213,59 @@ def apply_shift(f: CylinderFunction, mode: str) -> CylinderFunction:
         f.ring, f.start + 1, {w: v * scale for w, v in f.coeffs})
 
 
-def _unshift(f: CylinderFunction, mode: str) -> CylinderFunction:
-    if mode == SHIFT_DOUBLING and f.ring != RING_HALF:
-        raise ValueError("doubling shift needs ring Z[1/2]")
-    scale = Fraction(1, 2) if mode == SHIFT_DOUBLING else 1
-    return CylinderFunction.of(
-        f.ring, f.start - 1, {w: v * scale for w, v in f.coeffs})
-
-
-def _ring_mode(ring: str) -> str:
-    return SHIFT_DOUBLING if ring == RING_HALF else SHIFT_PLAIN
-
-
 def _language_filter(spec: SubshiftSpec, f: CylinderFunction) -> CylinderFunction:
     # Words outside the language are empty cylinders; drop them.
-    if f.is_zero:
-        return f
-    legal = set(language(spec, f.length))
-    return CylinderFunction.of(
-        f.ring, f.start, {w: v for w, v in f.coeffs if w in legal})
+    return refine_to(spec, f, *f.window)
 
 
 def refine_right(spec: SubshiftSpec, f: CylinderFunction) -> CylinderFunction:
     """Rewrite f over a window one letter longer on the right."""
-    if f.is_zero:
-        return f
-    f = _language_filter(spec, f)
-    longer = language(spec, f.length + 1)
-    out: dict = {}
-    for w, v in f.coeffs:
-        for ext in longer:
-            if ext[:-1] == w:
-                out[ext] = out.get(ext, 0) + v
-    return CylinderFunction.of(f.ring, f.start, out)
+    return refine_to(spec, f, f.start, f.window[1] + 1)
 
 
 def refine_left(spec: SubshiftSpec, f: CylinderFunction) -> CylinderFunction:
     """Rewrite f over a window one letter longer on the left."""
-    if f.is_zero:
-        return f
-    f = _language_filter(spec, f)
-    longer = language(spec, f.length + 1)
-    out: dict = {}
-    for w, v in f.coeffs:
-        for ext in longer:
-            if ext[1:] == w:
-                out[ext] = out.get(ext, 0) + v
-    return CylinderFunction.of(f.ring, f.start - 1, out)
+    return refine_to(spec, f, f.start - 1, f.window[1])
 
 
 def refine_to(spec: SubshiftSpec, f: CylinderFunction,
               start: int, stop: int) -> CylinderFunction:
+    """Rewrite f over the window [start, stop), which must contain f's.
+
+    Each word of the language on the new window takes f's coefficient
+    of its subword on f's window; words outside the language drop out.
+    """
     if f.is_zero:
         return CylinderFunction.of(f.ring, start, {})
     a, b = f.window
     if start > a or stop < b:
         raise ValueError("target window must contain the current one")
-    while f.start > start:
-        f = refine_left(spec, f)
-    while f.window[1] < stop:
-        f = refine_right(spec, f)
-    return f
+    data = f.as_dict()
+    return CylinderFunction.of(f.ring, start, {
+        w: data.get(w[a - start:b - start], 0)
+        for w in language(spec, stop - start)})
 
 
 def canonical(spec: SubshiftSpec, f: CylinderFunction) -> CylinderFunction:
     """Shrink the window while the coefficients allow it.
 
-    A letter can be dropped from an end of the window when the
-    coefficient map factors through forgetting it (with absent language
-    words counting as coefficient 0).  Stops at window length 1.
+    A letter can be dropped from an end of the window when refining the
+    shrunk function back gives f again (with absent language words
+    counting as coefficient 0).  Stops at window length 1.
     """
     f = _language_filter(spec, f)
     if f.is_zero:
         return CylinderFunction.of(f.ring, 0, {})
-    changed = True
-    while changed and f.length > 1:
-        changed = False
-        data = f.as_dict()
-        lang = language(spec, f.length)
-        shorter = language(spec, f.length - 1)
-        for side in ("right", "left"):
-            cut = (lambda w: w[:-1]) if side == "right" else (lambda w: w[1:])
-            merged: dict = {}
-            ok = True
-            for p in shorter:
-                vals = {data.get(w, 0) for w in lang if cut(w) == p}
-                if len(vals) != 1:
-                    ok = False
-                    break
-                merged[p] = vals.pop()
-            if ok:
-                f = CylinderFunction.of(
-                    f.ring, f.start + (0 if side == "right" else 1), merged)
-                changed = True
+    while f.length > 1:
+        a, b = f.window
+        for lo, hi in ((0, f.length - 1), (1, f.length)):
+            g = CylinderFunction.of(
+                f.ring, a + lo, {w[lo:hi]: v for w, v in f.coeffs})
+            if refine_to(spec, g, a, b) == f:
+                f = g
                 break
+        else:
+            break
     return f
 
 
@@ -395,33 +357,19 @@ class _Presentation:
         return [[d * x for x in self.v_inv[i]]
                 for i, d in enumerate(self.diag) if d]
 
-    def contains(self, x) -> bool:
-        """Is the integer vector x in the lattice of relation_basis()?
-
-        It is when every coordinate of x*V is a multiple of its diag
-        entry, and 0 where that entry is 0 or missing.
-        """
-        y = [0] * len(self.cols)
-        for xi, row in zip(x, self.v):
-            if xi:
-                y = [a + xi * b for a, b in zip(y, row)]
-        diag = self.diag + (0,) * (len(y) - len(self.diag))
-        return all(yj % d == 0 if d else yj == 0 for yj, d in zip(y, diag))
+    def generator_columns(self) -> list:
+        """(name, column, invariant factor or 0): torsion, then free."""
+        return ([(f"t{i}", j, d) for i, (j, d) in enumerate(self.tors)]
+                + [(f"f{i}", j, 0) for i, j in enumerate(self.free)])
 
 
 def _relation_rows(spec: SubshiftSpec, n: int, psi: int):
-    lo = language(spec, n)
+    lo = {u: i for i, u in enumerate(language(spec, n))}
     hi = language(spec, n + 1)
-    idx = {v: j for j, v in enumerate(hi)}
-    rows = []
-    for u in lo:
-        row = [0] * len(hi)
-        for v in hi:
-            if v[:n] == u:
-                row[idx[v]] += 1
-            if v[1:] == u:
-                row[idx[v]] -= psi
-        rows.append(row)
+    rows = [[0] * len(hi) for _ in lo]
+    for j, v in enumerate(hi):
+        rows[lo[v[:n]]][j] += 1
+        rows[lo[v[1:]]][j] -= psi
     return rows, hi
 
 
@@ -458,22 +406,15 @@ def _presentation(spec: SubshiftSpec, ring: str, n: int) -> _Presentation:
 
 def _group_from(pres: _Presentation, stabilized: bool,
                 approximate_flag: bool) -> FPAbelianGroup:
-    gens = []
-    for i, (j, _d) in enumerate(pres.tors):
-        rep = CylinderFunction.of(
-            pres.ring, 0,
-            {w: c for w, c in zip(pres.cols, pres.v_inv[j]) if c})
-        gens.append((f"t{i}", rep))
-    for i, j in enumerate(pres.free):
-        rep = CylinderFunction.of(
-            pres.ring, 0,
-            {w: c for w, c in zip(pres.cols, pres.v_inv[j]) if c})
-        gens.append((f"f{i}", rep))
+    gens = tuple(
+        (name, CylinderFunction.of(
+            pres.ring, 0, {w: c for w, c in zip(pres.cols, pres.v_inv[j]) if c}))
+        for name, j, _ in pres.generator_columns())
     return FPAbelianGroup(
         ring=pres.ring,
         rank=len(pres.free),
         torsion=tuple(d for _, d in pres.tors),
-        generators=tuple(gens),
+        generators=gens,
         stabilized=stabilized,
         n_used=pres.level,
         approximate=approximate_flag,
@@ -482,31 +423,34 @@ def _group_from(pres: _Presentation, stabilized: bool,
 
 
 def _bonding_matrix(p1: _Presentation, p2: _Presentation) -> list:
-    # e_v -> sum of its one-letter right refinements, rows over p1.cols.
-    out = []
-    for w in p1.cols:
-        out.append([1 if v[:-1] == w else 0 for v in p2.cols])
+    # e_w -> sum of its one-letter right refinements, rows over p1.cols.
+    idx = {w: i for i, w in enumerate(p1.cols)}
+    out = [[0] * len(p2.cols) for _ in p1.cols]
+    for j, v in enumerate(p2.cols):
+        out[idx[v[:-1]]][j] = 1
     return out
 
 
 def _bonding_is_iso(p1: _Presentation, p2: _Presentation, ring: str) -> bool:
     """Is the induced map from p1's group to p2's an isomorphism?
 
-    One Smith form of [F; B2]^T, F the bonding matrix and B2 p2's
-    relation basis, answers both halves.  Onto: the image of F and the
-    relations fill the ring's lattice, so every nonzero invariant factor
-    is a unit and there are c2 of them.  One to one: the kernel vectors
-    (x, y) of x*F + y*B2 = 0, read off V, have x in p1's relations.
+    The two groups must have the same rank and torsion; then the map is
+    an isomorphism exactly when it is onto, since a finitely generated
+    module over a commutative ring is Hopfian (an onto endomorphism is
+    one to one).  Onto is one Smith form of [F; B2]^T, F the bonding
+    matrix and B2 p2's relation basis: the image of F and the relations
+    fill the ring's lattice, so every nonzero invariant factor is a unit
+    and there are c2 of them.
     """
-    c1, c2 = len(p1.cols), len(p2.cols)
+    if (len(p1.free) != len(p2.free)
+            or [d for _, d in p1.tors] != [d for _, d in p2.tors]):
+        return False
+    c2 = len(p2.cols)
     stacked = _bonding_matrix(p1, p2) + p2.relation_basis()
-    _, s, v, _ = smith_normal_form(transpose(stacked))
+    s = smith_normal_form(transpose(stacked))[1]
     nonzero = [s[i][i] for i in range(min(c2, len(stacked))) if s[i][i]]
     unit = _odd if ring == RING_HALF else abs
-    if len(nonzero) != c2 or any(unit(d) != 1 for d in nonzero):
-        return False
-    return all(p1.contains([row[j] for row in v[:c1]])
-               for j in range(c2, len(stacked)))
+    return len(nonzero) == c2 and all(unit(d) == 1 for d in nonzero)
 
 
 def _levels(spec: SubshiftSpec, ring: str, n_max: int):
@@ -625,25 +569,21 @@ def coinvariant_class(spec: SubshiftSpec, f: CylinderFunction,
                          "use a group returned by coinvariants()")
     if f.ring != group.ring:
         raise ValueError("ring of the function and the group differ")
-    mode = _ring_mode(group.ring)
-    while f.start > 0:
-        f = _unshift(f, mode)
-    while f.start < 0:
-        f = apply_shift(f, mode)
-    f = _language_filter(spec, f)
+    # f - shift(f) is a coboundary, so moving f to window 0 scales it by
+    # psi**-start, psi the shift operator's factor.
+    psi = Fraction(2 if group.ring == RING_HALF else 1)
+    f = CylinderFunction.of(
+        f.ring, 0, {w: v * psi ** -f.start for w, v in f.coeffs})
     width = pres.level + 1
     if f.length > width:
         raise ValueError(
             f"window of length {f.length} exceeds the truncation; "
             f"refine N_max to at least {f.length - 1}")
-    if not f.is_zero:
-        f = refine_to(spec, f, 0, width)
-    data = f.as_dict()
+    data = refine_to(spec, f, 0, width).as_dict()
     x = [data.get(w, 0) for w in pres.cols]
-    names = [name for name, _ in group.generators]
     coords = {}
-    order = list(pres.tors) + [(j, 0) for j in pres.free]
-    for name, (j, d) in zip(names, order):
+    for (name, _), (_, j, d) in zip(group.generators,
+                                    pres.generator_columns()):
         w = sum(Fraction(xi) * vij for xi, vij in zip(x, [row[j] for row in pres.v]))
         if d:
             num, den = w.numerator, w.denominator
@@ -848,8 +788,6 @@ def measure_pairing(spec: SubshiftSpec, f: CylinderFunction):
     not constant on doubling-shift classes; no additive functional into
     the reals can be, because those groups have torsion.
     """
-    if f.is_zero:
-        return Fraction(0)
     f = _language_filter(spec, f)
     if f.is_zero:
         return Fraction(0)

@@ -391,8 +391,8 @@ def _measures(spec: SubshiftSpec, n: int) -> tuple:
         for i in range(p):
             w = reps[i:i + n]
             counts[w] = counts.get(w, 0) + 1
-        return tuple((w, MeasureValue(Fraction(c, p)))
-                     for w, c in counts.items())
+        return tuple((w, MeasureValue(Fraction(counts[w], p)))
+                     for w in language(spec, n))
     if not is_primitive(spec):
         raise UnsupportedSpec("not uniquely ergodic / unsupported spec")
     blocks = language(spec, n)

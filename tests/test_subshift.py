@@ -266,6 +266,13 @@ class TestPeriodicMeasures:
                 total = sum(v.value for v in measure_vector(spec, n).values())
                 assert total == 1
 
+    @pytest.mark.parametrize("spec", [
+        Periodic("212"), Periodic("11212"), Periodic("aab"), TM, FIB,
+    ], ids=["212", "11212", "aab", "tm", "fib"])
+    def test_vector_in_language_order(self, spec):
+        for n in range(1, 6):
+            assert list(measure_vector(spec, n)) == language(spec, n)
+
     def test_word_not_in_language(self):
         with pytest.raises(ValueError):
             cylinder_measure(Periodic("112"), "22")
