@@ -1,10 +1,11 @@
 """Dyadic rationals and the 2-adic odometer.
 
-DyadicRational is the exact ring Z[1/2] used for half-plane coordinates:
-every value is mantissa * 2**exponent with an odd (or zero) mantissa.
-The odometer x -> x + 1 acts on the 2-adic integers; a sampled point
-carries its 2-adic coordinate as a residue modulo 2**precision (see
-hull.SampleBatch).
+The ring Z[1/2] of half-plane coordinates and of doubling coefficients
+is `fractions.Fraction`; `dyadic` is the one check that a value lies in
+it (its denominator is a power of two), and `odd_part` strips the
+factors 2 that are units there.  The odometer x -> x + 1 acts on the
+2-adic integers; a sampled point carries its 2-adic coordinate as a
+residue modulo 2**precision (see hull.SampleBatch).
 
 Clopen subsets of the 2-adic integers are finite disjoint unions of
 cylinders F(n, k) = 2**n * Omega + k, and locally constant integer (or
@@ -42,113 +43,22 @@ def dyadic_norm(n: int) -> Fraction:
     return Fraction(1, 1 << _v2(n))
 
 
-@dataclass(frozen=True, order=False)
-class DyadicRational:
-    """Exact element of Z[1/2], stored as mantissa * 2**exponent.
+def odd_part(n: int) -> int:
+    """|n| with every factor 2 removed; odd_part(0) = 0."""
+    return abs(n) >> _v2(n) if n else 0
 
-    Canonical form: mantissa is odd or zero, and zero carries exponent 0.
-    Addition, subtraction and multiplication stay in the ring; there is no
-    general division (convert to Fraction for quotients).
+
+def dyadic(q) -> Fraction:
+    """q as an element of Z[1/2], a Fraction (ints are converted).
+
+    Raises ValueError unless the denominator is a power of two.
     """
-
-    mantissa: int
-    exponent: int = 0
-
-    def __post_init__(self):
-        m, e = self.mantissa, self.exponent
-        if m == 0:
-            e = 0
-        else:
-            s = _v2(m)
-            m >>= s
-            e += s
-        object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "exponent", e)
-
-    @staticmethod
-    def from_fraction(q: Fraction | int) -> "DyadicRational":
+    if type(q) is not Fraction:  # Fraction(q) would copy a Fraction
         q = Fraction(q)
-        d = q.denominator
-        if d & (d - 1):
-            raise ValueError(f"{q} is not a dyadic rational")
-        return DyadicRational(q.numerator, -(d.bit_length() - 1))
-
-    def as_fraction(self) -> Fraction:
-        if self.exponent >= 0:
-            return Fraction(self.mantissa << self.exponent)
-        return Fraction(self.mantissa, 1 << -self.exponent)
-
-    def __float__(self) -> float:
-        return self.mantissa * 2.0 ** self.exponent
-
-    def _aligned(self, other: "DyadicRational") -> tuple[int, int, int]:
-        e = min(self.exponent, other.exponent)
-        return (self.mantissa << (self.exponent - e),
-                other.mantissa << (other.exponent - e), e)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        a, b, e = self._aligned(other)
-        return DyadicRational(a + b, e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        a, b, e = self._aligned(other)
-        return DyadicRational(a - b, e)
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
-    def __neg__(self):
-        return DyadicRational(-self.mantissa, self.exponent)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return DyadicRational(self.mantissa * other.mantissa,
-                              self.exponent + other.exponent)
-
-    __rmul__ = __mul__
-
-    def scale_pow2(self, k: int) -> "DyadicRational":
-        """Multiply by 2**k (exact for either sign of k)."""
-        if self.mantissa == 0:
-            return self
-        return DyadicRational(self.mantissa, self.exponent + k)
-
-    def _cmp_key(self, other: "DyadicRational") -> int:
-        a, b, _ = self._aligned(other)
-        return (a > b) - (a < b)
-
-    def __lt__(self, other):
-        return self._cmp_key(_coerce(other)) < 0
-
-    def __le__(self, other):
-        return self._cmp_key(_coerce(other)) <= 0
-
-    def __gt__(self, other):
-        return self._cmp_key(_coerce(other)) > 0
-
-    def __ge__(self, other):
-        return self._cmp_key(_coerce(other)) >= 0
-
-    def __repr__(self):
-        return f"DyadicRational({self.mantissa}, {self.exponent})"
-
-
-def _coerce(x) -> DyadicRational:
-    if isinstance(x, DyadicRational):
-        return x
-    if isinstance(x, int):
-        return DyadicRational(x, 0)
-    if isinstance(x, Fraction):
-        return DyadicRational.from_fraction(x)
-    raise TypeError(f"cannot coerce {x!r} to DyadicRational")
-
-
-DZERO = DyadicRational(0)
-DONE = DyadicRational(1)
+    d = q.denominator
+    if d & (d - 1):
+        raise ValueError(f"{q} is not a dyadic rational")
+    return q
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 The base pentagon P has vertices A1=(0,1), A2=(1/2,1), A3=(1,1), A4=(1,2),
 A5=(0,2).  Its images under z -> 2**k (z + n), k and n integers, tile the
-half-plane.  All vertex coordinates are dyadic rationals, so adjacency is
-decided by exact endpoint comparison, never by float tolerance.
+half-plane.  All vertex coordinates are dyadic rationals, held as
+`Fraction`s that `dyadic.dyadic` has checked, so adjacency is decided by
+exact endpoint comparison, never by float tolerance.
 
 Edge bookkeeping follows the charge rule: each tile's top edge A4A5 can
 only meet the bottom edges A1A2 or A2A3 of a tile one scale up, while the
@@ -30,21 +31,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadic import DyadicRational, DZERO, DONE, _v2
+from .dyadic import _v2, dyadic
 
 LN2 = math.log(2.0)
-
-_HALF = DyadicRational(1, -1)
-_TWO = DyadicRational(2)
-
-# base pentagon, in vertex order A1..A5
-BASE_VERTICES = (
-    (DZERO, DONE),
-    (_HALF, DONE),
-    (DONE, DONE),
-    (DONE, _TWO),
-    (DZERO, _TWO),
-)
 
 EDGE_LABELS = ("A1A2", "A2A3", "A3A4", "A4A5", "A5A1")
 POSITIVE_EDGE = "A4A5"
@@ -55,26 +44,34 @@ class ColourWindowExhausted(Exception):
     """A colour index fell outside the supplied colour window."""
 
 
+@functools.lru_cache(maxsize=128)  # Fraction ** k is slow; few k recur
+def _pow2(k: int) -> Fraction:
+    return Fraction(2) ** k
+
+
 @dataclass(frozen=True)
 class Point:
-    """Point of the upper half-plane with dyadic coordinates."""
+    """Point of the upper half-plane with dyadic coordinates, stored as
+    `dyadic` of the given values (ints become Fractions)."""
 
-    x: DyadicRational
-    y: DyadicRational
+    x: Fraction
+    y: Fraction
 
     def __post_init__(self):
-        if not self.y > DZERO:
+        object.__setattr__(self, "x", dyadic(self.x))
+        object.__setattr__(self, "y", dyadic(self.y))
+        if self.y.numerator <= 0:  # denominators are positive
             raise ValueError("points must lie strictly above the real axis")
 
+    def __hash__(self):
+        # cheaper than Fraction.__hash__, which takes a modular inverse
+        return hash((self.x.as_integer_ratio(), self.y.as_integer_ratio()))
 
-def pt(x, y) -> Point:
-    def conv(v):
-        if isinstance(v, DyadicRational):
-            return v
-        if isinstance(v, int):
-            return DyadicRational(v)
-        return DyadicRational.from_fraction(v)
-    return Point(conv(x), conv(y))
+
+pt = Point  # short spelling of Point(x, y)
+
+# base pentagon, in vertex order A1..A5
+BASE_VERTICES = (pt(0, 1), pt(Fraction(1, 2), 1), pt(1, 1), pt(1, 2), pt(0, 2))
 
 
 @dataclass(frozen=True)
@@ -82,31 +79,35 @@ class AffineMap:
     """z -> 2**k z + b with b dyadic: the exact maps the tiling uses."""
 
     k: int
-    b: DyadicRational = DZERO
+    b: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", dyadic(self.b))
 
     def apply(self, p: Point) -> Point:
-        return Point(p.x.scale_pow2(self.k) + self.b, p.y.scale_pow2(self.k))
+        s = _pow2(self.k)
+        return Point(s * p.x + self.b, s * p.y)
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         # self o other : z -> 2**(k1+k2) z + (2**k1 b2 + b1)
-        return AffineMap(self.k + other.k, other.b.scale_pow2(self.k) + self.b)
+        return AffineMap(self.k + other.k, _pow2(self.k) * other.b + self.b)
 
     def inverse(self) -> "AffineMap":
-        return AffineMap(-self.k, (-self.b).scale_pow2(-self.k))
+        return AffineMap(-self.k, -self.b * _pow2(-self.k))
 
     @staticmethod
     def identity() -> "AffineMap":
-        return AffineMap(0, DZERO)
+        return AffineMap(0)
 
     @staticmethod
     def doubling() -> "AffineMap":
         """R: z -> 2z."""
-        return AffineMap(1, DZERO)
+        return AffineMap(1)
 
     @staticmethod
     def unit_shift(n: int = 1) -> "AffineMap":
         """S**n: z -> z + n."""
-        return AffineMap(0, DyadicRational(n))
+        return AffineMap(0, n)
 
 
 @dataclass(frozen=True)
@@ -119,20 +120,20 @@ class TileIndex:
     colour: int | None = None
 
     def affine(self) -> AffineMap:
-        return AffineMap(self.k, DyadicRational(self.n).scale_pow2(self.k))
+        return AffineMap(self.k, self.n * _pow2(self.k))
 
 
 def tile_vertices(t: TileIndex) -> tuple[Point, ...]:
     f = t.affine()
-    return tuple(f.apply(Point(x, y)) for x, y in BASE_VERTICES)
+    return tuple(map(f.apply, BASE_VERTICES))
 
 
 def cosh_distance(p: Point, q: Point) -> Fraction:
     """cosh of the hyperbolic distance, exactly:
     1 + ((x1-x2)**2 + (y1-y2)**2) / (2 y1 y2)."""
-    dx = (p.x - q.x).as_fraction()
-    dy = (p.y - q.y).as_fraction()
-    return 1 + (dx * dx + dy * dy) / (2 * p.y.as_fraction() * q.y.as_fraction())
+    dx = p.x - q.x
+    dy = p.y - q.y
+    return 1 + (dx * dx + dy * dy) / (2 * p.y * q.y)
 
 
 @dataclass(frozen=True)
@@ -155,8 +156,7 @@ def geodesic_arc(p: Point, q: Point) -> GeodesicArc:
         if p.y == q.y:
             raise ValueError("no geodesic between identical points")
         return GeodesicArc(p, q, None, None)
-    xp, yp = p.x.as_fraction(), p.y.as_fraction()
-    xq, yq = q.x.as_fraction(), q.y.as_fraction()
+    xp, yp, xq, yq = p.x, p.y, q.x, q.y
     c = (xp + xq) / 2 + (yq * yq - yp * yp) / (2 * (xq - xp))
     r2 = (xp - c) ** 2 + yp * yp
     return GeodesicArc(p, q, c, r2)
@@ -378,7 +378,7 @@ def _edge_within(edge_kind, data, cy: Fraction, r2: Fraction) -> bool:
 
 
 def _tile_edge_data(t: TileIndex):
-    v = [(p.x.as_fraction(), p.y.as_fraction()) for p in tile_vertices(t)]
+    v = [(p.x, p.y) for p in tile_vertices(t)]
     (x1, y1), (x2, _), (x3, _), (_, y4), _ = v
     h = y1          # 2**k
     top = y4        # 2**(k+1)
@@ -397,7 +397,7 @@ def _tile_edge_data(t: TileIndex):
 
 
 def _center_in_tile(t: TileIndex, cy: Fraction) -> bool:
-    v = [(p.x.as_fraction(), p.y.as_fraction()) for p in tile_vertices(t)]
+    v = [(p.x, p.y) for p in tile_vertices(t)]
     (x1, y1), (x2, _), (x3, _), (_, y4), _ = v
     if not (x1 <= 0 <= x3):
         return False
@@ -420,8 +420,7 @@ def tile_meets_disk_exact(t: TileIndex, cy: Fraction, r2: Fraction) -> bool:
     tile, or some edge passes within the radius.
     """
     for p in tile_vertices(t):
-        x, y = p.x.as_fraction(), p.y.as_fraction()
-        if x * x + (y - cy) ** 2 <= r2:
+        if p.x * p.x + (p.y - cy) ** 2 <= r2:
             return True
     if _center_in_tile(t, cy):
         return True
@@ -472,7 +471,8 @@ def edge_adjacency(ts: TileSet) -> AdjacencyReport:
         for lab, key in zip(EDGE_LABELS, ((a1, a2), (a2, a3), (a3, a4),
                                           (a5, a4), (a1, a5))):
             by_key.setdefault(key, []).append((t, lab))
-    coord = functools.cache(lambda m: DyadicRational(m, k_min - 1))
+    unit = _pow2(k_min - 1)
+    coord = functools.cache(lambda m: m * unit)
     point = functools.cache(lambda v: Point(coord(v[0]), coord(v[1])))
     interior = {}
     boundary = []
@@ -543,17 +543,17 @@ def interiors_disjoint(ts: TileSet) -> bool:
                 # band [2**k, 2**k sqrt(17)/2] vs [2**k', ...]: 17/4 < 16
                 continue
             # adjacent scales: x-overlap must lie along the common circle
-            xl_lo = Fraction(lo.n) * (1 << lo.k) if lo.k >= 0 else Fraction(lo.n, 1 << -lo.k)
-            xr_lo = xl_lo + (Fraction(1 << lo.k) if lo.k >= 0 else Fraction(1, 1 << -lo.k))
-            xl_hi = Fraction(hi.n) * 2 * (xr_lo - xl_lo)
-            xr_hi = xl_hi + 2 * (xr_lo - xl_lo)
+            w = _pow2(lo.k)
+            xl_lo = lo.n * w
+            xr_lo = xl_lo + w
+            xl_hi = hi.n * 2 * w
+            xr_hi = xl_hi + 2 * w
             if xr_lo <= xl_hi or xr_hi <= xl_lo:
                 continue
             # top arc of lo and the overlapping bottom arc of hi must agree
             top = _tile_edge_data(lo)[3][1]
-            bots = [_tile_edge_data(hi)[0][1], _tile_edge_data(hi)[1][1]]
-            if not any(arc[0] == top[0] and arc[1] == top[1] and
-                       arc[2] == top[2] and arc[3] == top[3] for arc in bots):
+            bots = [arc for _, arc in _tile_edge_data(hi)[:2]]
+            if top not in bots:
                 return False
     return True
 
@@ -563,7 +563,7 @@ def interiors_disjoint(ts: TileSet) -> bool:
 def _cosh_point_to_pentagon(c: Fraction, k: int) -> float:
     """cosh distance from i=(0,1) to the closed pentagon with x-interval
     [c, c + 2**k] at scale k (offset c rational)."""
-    w = Fraction(1 << k) if k >= 0 else Fraction(1, 1 << -k)
+    w = _pow2(k)
     h = w
     top = 2 * w
     xs = [c, c + w / 2, c + w, c + w, c]
@@ -605,7 +605,7 @@ def agreement_radius(n: int, m: int) -> float:
     if n == m:
         return math.inf
     k = _v2(m - n) + 1
-    w = Fraction(1 << k)
+    w = _pow2(k)
     best = None
     for t in (n, m):
         j0 = math.floor(Fraction(-t) / w)

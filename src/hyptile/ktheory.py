@@ -23,10 +23,15 @@ relation matrix: the combinations c of length-N words with c * rows = 0
 are the functions with c[v[:N]] = psi * c[v[1:]] for every word v of
 length N + 1.  One Smith form U * rows * V = S gives both, the cokernel
 from S and V and the left kernel as the rows of U past the rank.
-Consecutive truncations are compared through the induced maps; the
-``stabilized`` flag is a certificate that two consecutive maps are
-isomorphisms (for a periodic word, from a level at which the language
-has stopped growing), never an assumption.  A map is certified an
+Consecutive truncations are compared through the induced maps, and
+the ``stabilized`` flag says only what was checked.  For a periodic
+word it means the level is past the point where the language stops
+growing: from there every presentation is the circulant of the orbit,
+so the group is exact.  For a substitution it means only that two
+consecutive bonding maps are isomorphisms.  That says nothing about
+later levels, so it does not certify the group: the chains of
+Thue-Morse and period doubling settle on wrong groups, and their H^1
+is not finitely generated (ROADMAP item 1).  A map is certified an
 isomorphism when it is onto and both groups have the same rank and
 torsion: finitely generated modules over a commutative ring are
 Hopfian, so such a map is one to one as well.  Over Z[1/2] the integer
@@ -41,6 +46,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .dyadic import dyadic, odd_part
 from .intmat import (
     hnf_row_lattice,
     identity,
@@ -98,27 +104,12 @@ def _check_ring(ring: str):
         raise ValueError(f"unknown coefficient ring {ring!r}")
 
 
-def _odd(n: int) -> int:
-    n = abs(n)
-    while n and n % 2 == 0:
-        n //= 2
-    return n
-
-
 def _coerce_coeff(ring: str, value):
-    if ring == RING_Z:
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise ValueError("ring Z needs integer coefficients")
-            return int(value)
-        if isinstance(value, int):
-            return int(value)
+    if ring == RING_HALF:
+        return dyadic(value)
+    if not isinstance(value, (int, Fraction)) or int(value) != value:
         raise ValueError("ring Z needs integer coefficients")
-    v = Fraction(value)
-    den = v.denominator
-    if den & (den - 1):
-        raise ValueError("ring Z[1/2] needs power-of-two denominators")
-    return v
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -388,7 +379,7 @@ def _presentation(spec: SubshiftSpec, ring: str, n: int) -> _Presentation:
         diag = []
     kernel = u[sum(1 for d in diag if d):]
     if ring == RING_HALF:
-        diag = [_odd(d) if d else 0 for d in diag]
+        diag = [odd_part(d) for d in diag]
     tors = []
     free = []
     for j in range(m):
@@ -449,7 +440,7 @@ def _bonding_is_iso(p1: _Presentation, p2: _Presentation, ring: str) -> bool:
     stacked = _bonding_matrix(p1, p2) + p2.relation_basis()
     s = smith_normal_form(transpose(stacked))[1]
     nonzero = [s[i][i] for i in range(min(c2, len(stacked))) if s[i][i]]
-    unit = _odd if ring == RING_HALF else abs
+    unit = odd_part if ring == RING_HALF else abs
     return len(nonzero) == c2 and all(unit(d) == 1 for d in nonzero)
 
 
@@ -486,7 +477,7 @@ def _settled(spec: SubshiftSpec, n: int) -> bool:
 
 
 def coinvariants(spec: SubshiftSpec, ring: str, n_max: int = 8):
-    """Shift coinvariants at truncation, with a stabilization certificate.
+    """Shift coinvariants at truncation, with a stabilization flag.
 
     Returns (group, stabilized).  The group is reported at the first
     truncation N whose two following induced maps are isomorphisms; when
@@ -494,8 +485,11 @@ def coinvariants(spec: SubshiftSpec, ring: str, n_max: int = 8):
     with stabilized = False rather than pretending the chain settled.
     For a periodic word N must also satisfy |L(N)| = |L(N + 1)|: from
     there on every presentation is the circulant of the orbit and every
-    bonding map permutes generators, while below it two isomorphisms in
-    a row can still be followed by a collapse.
+    bonding map permutes generators, so the flag certifies the group,
+    while below it two isomorphisms in a row can still be followed by a
+    collapse.  For a substitution the flag means only those two
+    isomorphisms, not the group: a later level can still change it
+    (ROADMAP item 1).
     """
     _check_ring(ring)
     if n_max < 2:
@@ -732,7 +726,7 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
             tuple(x / 2 for x in row) for row in canons[-2])
         if halved and not algebraic:
             g = gens_last[0].value
-            dyadic_base = Fraction(_odd(g.numerator), _odd(g.denominator))
+            dyadic_base = Fraction(odd_part(g.numerator), odd_part(g.denominator))
     return GapLabelGroup(
         kind="algebraic" if algebraic else "rational",
         minpoly=minpoly,

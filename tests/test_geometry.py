@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from hyptile.dyadic import DyadicRational, DZERO, DONE
 import hyptile.geometry as geometry
 from hyptile.geometry import (
     EDGE_LABELS,
@@ -42,14 +41,17 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
+def rand_dyadic(rng, lo, hi, e_lo, e_hi):
+    # m * 2**e with m in [lo, hi) and e in [e_lo, e_hi)
+    return rng.randrange(lo, hi) * F(2) ** rng.randrange(e_lo, e_hi)
+
+
 def rand_affine(rng):
-    return AffineMap(rng.randrange(-4, 5),
-                     DyadicRational(rng.randrange(-50, 51), rng.randrange(-3, 3)))
+    return AffineMap(rng.randrange(-4, 5), rand_dyadic(rng, -50, 51, -3, 3))
 
 
 def rand_point(rng):
-    return Point(DyadicRational(rng.randrange(-40, 41), rng.randrange(-3, 2)),
-                 DyadicRational(rng.randrange(1, 40), rng.randrange(-3, 2)))
+    return Point(rand_dyadic(rng, -40, 41, -3, 2), rand_dyadic(rng, 1, 40, -3, 2))
 
 
 class TestAffine:
@@ -61,7 +63,7 @@ class TestAffine:
         assert AffineMap.unit_shift().apply(pt(F(1, 2), 1)) == pt(F(3, 2), 1)
 
     def test_contracting_shift(self):
-        m = AffineMap(-2, DyadicRational(5))
+        m = AffineMap(-2, 5)
         assert m.apply(pt(4, 8)) == pt(6, 2)
 
     def test_composition_matches_pointwise(self):
@@ -81,7 +83,19 @@ class TestAffine:
 
     def test_lower_half_plane_rejected(self):
         with pytest.raises(ValueError):
-            Point(DZERO, DyadicRational(-1))
+            Point(0, -1)
+
+    def test_non_dyadic_coordinates_rejected(self):
+        for make in (lambda: pt(F(1, 3), 1), lambda: Point(0, F(1, 3)),
+                     lambda: AffineMap(0, F(1, 3))):
+            with pytest.raises(ValueError):
+                make()
+
+    def test_ints_normalized_to_fractions(self):
+        p, q = Point(1, 2), Point(F(1), F(2))
+        assert p == q and hash(p) == hash(q)
+        assert type(p.x) is Fraction and type(p.y) is Fraction
+        assert type(AffineMap(1, 3).b) is Fraction
 
 
 class TestTiles:
@@ -149,7 +163,7 @@ class TestGeodesicArc:
                 continue
             a = geodesic_arc(p, q)
             for e in (p, q):
-                x, y = e.x.as_fraction(), e.y.as_fraction()
+                x, y = e.x, e.y
                 assert (x - a.center) ** 2 + y * y == a.radius_sq
 
     def test_identical_points_rejected(self):
@@ -159,7 +173,7 @@ class TestGeodesicArc:
 
 def _point_in_tile(t: TileIndex, x: Fraction, y: Fraction) -> bool:
     # closed tile: between the two bottom arcs and the top arc
-    v = [(p.x.as_fraction(), p.y.as_fraction()) for p in tile_vertices(t)]
+    v = [(p.x, p.y) for p in tile_vertices(t)]
     (x1, y1), (x2, _), (x3, _), (_, y4), _ = v
     if not (x1 <= x <= x3):
         return False
@@ -344,7 +358,7 @@ class TestExactDiskPredicate:
     def test_vertex_in_disk_detected(self):
         # from (0,1) the nearest point of tile (1,3) is its corner (6,2)
         t = TileIndex(1, 3)
-        vx, vy = tile_vertices(t)[0].x.as_fraction(), tile_vertices(t)[0].y.as_fraction()
+        vx, vy = tile_vertices(t)[0].x, tile_vertices(t)[0].y
         r2 = vx * vx + (vy - 1) ** 2
         assert tile_meets_disk_exact(t, F(1), r2)
         assert not tile_meets_disk_exact(t, F(1), r2 - F(1, 1000))
@@ -457,7 +471,7 @@ class TestStabilizer:
         moved = S.compose(TileIndex(1, 0).affine())
         lattice = {TileIndex(1, n).affine() for n in range(-4, 5)}
         assert moved not in lattice
-        assert moved.b == DONE and moved.k == 1
+        assert moved.b == 1 and moved.k == 1
 
 
 class TestAgreementRadius:

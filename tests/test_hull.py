@@ -328,6 +328,16 @@ class TestTestFunction:
         assert vals[3] == pytest.approx((1 - z * z) ** 3)
         assert BumpProfile()(np.array([0.3, 0.9])).tolist() == [1.0, 1.0]
 
+    def test_bump_equals_evaluation_on_every_row(self):
+        # reference: the polynomial evaluated everywhere, then masked
+        x = np.random.default_rng(11).uniform(0.0, 1.0, 10_000)
+        for c, w in ((0.5, 0.45), (0.4, 0.2), (0.6, 0.1)):
+            z = (x - c) / w
+            want = np.where(np.abs(z) < 1.0, (1.0 - z * z) ** 3, 0.0)
+            got = BumpProfile("bump3", c, w)(x)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_scalar_evaluation(self):
         f = TFn(
             word_part=CylinderFunction.of("Z", 0, {"12": 3}),

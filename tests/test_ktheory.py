@@ -402,6 +402,20 @@ class TestCoinvariants:
         _, isos, _ = _coinvariant_chain(TM, RING_Z, 8)
         assert not any(a and b for a, b in zip(isos, isos[1:]))
 
+    # Known defect: two consecutive isomorphisms do not certify the group
+    # of a substitution.  H^1 of TM and PD is Z[1/2] + Z, which is not
+    # finitely generated, yet PD is flagged stabilized at N = 8 with rank
+    # 3 and TM at N = 9 with rank 5.  The marker comes off when
+    # substitutions get exact direct limits (ROADMAP item 1).
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="false stabilization certificates for "
+                       "substitutions (ROADMAP item 1)")
+    @pytest.mark.parametrize("spec, n_max", [(PD, 10), (TM, 12)],
+                             ids=["pd", "tm"])
+    def test_no_false_certificate(self, spec, n_max):
+        g, stab = coinvariants(spec, RING_Z, n_max)
+        assert not stab and not g.stabilized
+
     @pytest.mark.parametrize("spec, n_max", [
         (TM, 6), (PD, 6), (FIB, 6), (TRIB, 6), (S4, 4),
         (Periodic("11212"), 6), (Periodic("1122"), 6), (Periodic("aab"), 6),
