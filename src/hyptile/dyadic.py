@@ -25,10 +25,6 @@ class PrecisionExhausted(Exception):
     """A 2-adic residue was asked for more digits than it carries."""
 
 
-class WitnessDepthExceeded(Exception):
-    """No coboundary witness exists within the allowed refinement depth."""
-
-
 def _v2(n: int) -> int:
     # 2-adic valuation of a nonzero integer
     if n == 0:
@@ -51,9 +47,13 @@ def odd_part(n: int) -> int:
 def dyadic(q) -> Fraction:
     """q as an element of Z[1/2], a Fraction (ints are converted).
 
-    Raises ValueError unless the denominator is a power of two.
+    Raises ValueError unless q is an int or a Fraction whose denominator
+    is a power of two.  Floats are refused although every finite double
+    is dyadic: 0.1 would silently become 3602879701896397 / 2**55.
     """
     if type(q) is not Fraction:  # Fraction(q) would copy a Fraction
+        if not isinstance(q, int) or isinstance(q, bool):
+            raise ValueError(f"{q!r} is not an int or a Fraction")
         q = Fraction(q)
     d = q.denominator
     if d & (d - 1):
@@ -207,8 +207,7 @@ def integrate(f: LocallyConstFn) -> Fraction:
     return sum(map(Fraction, f.values), Fraction(0)) / (1 << f.level)
 
 
-def omega_coinvariant_class(f: LocallyConstFn, want_witness: bool = False,
-                            witness_depth: int = 2):
+def omega_coinvariant_class(f: LocallyConstFn, want_witness: bool = False):
     """Class of an integer-valued f in the odometer coinvariants.
 
     The class group is identified with Z[1/2] by f -> integral of f.
@@ -217,9 +216,8 @@ def omega_coinvariant_class(f: LocallyConstFn, want_witness: bool = False,
         f - p * indicator(F(n, 0)) = g - g o (x -> x - 1)
 
     where integrate(f) = p / 2**n in lowest terms.  The witness lives at
-    level max(level(f), n) <= level(f) + witness_depth; if the required
-    level exceeds that bound, WitnessDepthExceeded is raised (a budget
-    condition, not evidence the witness fails to exist).
+    level(f): the integral of an integer-valued f has a denominator
+    dividing 2**level(f), so n <= level(f).
     """
     for v in f.values:
         if not isinstance(v, int) and not (isinstance(v, Fraction) and v.denominator == 1):
@@ -228,11 +226,9 @@ def omega_coinvariant_class(f: LocallyConstFn, want_witness: bool = False,
     if not want_witness:
         return value, None
     p = value.numerator
-    n = 0 if p == 0 else (value.denominator.bit_length() - 1)
-    lev = max(f.level, n)
-    if lev > f.level + witness_depth:
-        raise WitnessDepthExceeded(f"witness not found at depth {witness_depth}")
-    h = f.refine(lev) - ClopenSet.cylinder(n, 0).indicator(lev).scale(p)
+    n = value.denominator.bit_length() - 1
+    lev = f.level
+    h = f - ClopenSet.cylinder(n, 0).indicator(lev).scale(p)
     # The odometer acts on level-lev residues as the 2**lev cycle k -> k+1,
     # so any zero-sum h is the coboundary of its partial sums.
     assert sum(h.values) == 0

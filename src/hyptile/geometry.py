@@ -11,16 +11,19 @@ only meet the bottom edges A1A2 or A2A3 of a tile one scale up, while the
 two vertical edges pair with same-scale neighbours.  Every tile carries
 one positive edge (A4A5) and two negative ones (A1A2, A2A3).
 
-Ball membership for patch generation uses the Euclidean model of the
-hyperbolic ball around i=(0,1): the disk with center (0, cosh r) and
-radius sinh r.  The default tile test compares that disk against the
-tile's bounding box (vertices plus arc apexes), which is deliberately a
-slight superset; `tile_meets_disk_exact` is the exact polygon test with
-rational predicates.  At each scale the boxes differ only in their
-x-interval, so the kept tiles form one n-interval, solved from one
-square root and settled by the box test at its ends.  The patch size
-is therefore known before any tile is built, and patches above
-MAX_PATCH_TILES are refused.
+Ball membership has one exact distance.  Tile (k, n) is the image of P
+under z -> 2**k (z + n), so its distance from i=(0,1) is the distance
+from the dyadic point (-n, 2**-k) to P.  The sinh**2 of the distance
+from a point to a vertex, a vertical edge or an arc of P is rational in
+the point's coordinates, so `tile_distance_sinh2` is exact, and
+`generate_patch(exact=True)` and `agreement_radius` both read it.  The
+default patch rule is a float superset: it compares each tile's bounding
+box (vertices plus arc apexes) with the Euclidean disk of the ball, the
+disk with center (0, cosh r) and radius sinh r.  At each scale the boxes
+differ only in their x-interval, so the kept tiles form one n-interval,
+solved from one square root and settled by the box test at its ends.
+The patch size is therefore known before any tile is built, and patches
+above MAX_PATCH_TILES are refused.
 """
 
 from __future__ import annotations
@@ -307,21 +310,22 @@ def generate_patch(radius: float, colouring: ColourWindow | None = None,
     """All tiles meeting the closed ball of the given radius around i=(0,1).
 
     Membership is the documented conservative test: bounding box of the
-    tile against the Euclidean disk of the ball.  With exact=True the
-    candidates are filtered by the exact polygon-disk predicate instead.
-    Balls are closed, so e.g. radius 0 keeps the four tiles whose closure
-    contains i.  When a colouring window is given, the tile at scale k is
-    coloured by w[-k]; a too-narrow window raises ColourWindowExhausted.
-    A patch of more than MAX_PATCH_TILES tiles raises ValueError before
-    any tile is built.
+    tile against the Euclidean disk of the ball.  With exact=True a
+    candidate is kept only when one of its exact distance terms
+    (`_sinh2_terms`) is at most sinh(radius)**2.  Balls are closed, so
+    e.g. radius 0 keeps the four tiles whose closure contains i.  When a
+    colouring window is given, the tile at scale k is coloured by w[-k];
+    a too-narrow window raises ColourWindowExhausted.  A patch of more
+    than MAX_PATCH_TILES tiles raises ValueError before any tile is built.
     """
     ends = _scale_ends(radius)
-    cy, r2 = Fraction(math.cosh(radius)), Fraction(math.sinh(radius)) ** 2
+    r2 = Fraction(math.sinh(radius)) ** 2
     tiles = []
     for k, end in ends:
         colour = None
+        y = _pow2(-k)
         for n in range(-1 - end, end + 1):
-            if exact and not tile_meets_disk_exact(TileIndex(k, n), cy, r2):
+            if exact and not any(d <= r2 for d in _sinh2_terms(-n, y)):
                 continue
             if colouring is not None and colour is None:
                 colour = colouring.get(-k)
@@ -329,103 +333,48 @@ def generate_patch(radius: float, colouring: ColourWindow | None = None,
     return TileSet(tuple(tiles), radius)
 
 
-# -- exact disk predicates ----------------------------------------------
+# -- exact distance ------------------------------------------------------
 
-def _sign_lin_sqrt(alpha: Fraction, beta: Fraction, gamma: Fraction) -> int:
-    """Sign of alpha + beta * sqrt(gamma) for rational inputs, gamma >= 0."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    if gamma == 0 or beta == 0:
-        return (alpha > 0) - (alpha < 0)
-    if alpha == 0:
-        return (beta > 0) - (beta < 0)
-    sa = 1 if alpha > 0 else -1
-    sb = 1 if beta > 0 else -1
-    if sa == sb:
-        return sa
-    lhs = alpha * alpha
-    rhs = beta * beta * gamma
-    if lhs == rhs:
-        return 0
-    return sa if lhs > rhs else sb
+# the base pentagon P: its vertices, its vertical edges x = a, and its
+# arcs as (center m, squared radius q, x-range of the edge)
+_P_VERTICES = tuple((v.x, v.y) for v in BASE_VERTICES)
+_P_VERTICALS = (0, 1)
+_P_ARCS = ((Fraction(1, 4), Fraction(17, 16), 0, Fraction(1, 2)),    # A1A2
+           (Fraction(3, 4), Fraction(17, 16), Fraction(1, 2), 1),    # A2A3
+           (Fraction(1, 2), Fraction(17, 4), 0, 1))                  # A4A5
 
 
-def _le_twice_sqrt(a: Fraction, c: Fraction) -> bool:
-    # a <= 2 sqrt(c), c >= 0
-    if a <= 0:
-        return True
-    return a * a <= 4 * c
+def _sinh2_terms(x, y: Fraction):
+    """sinh**2 of the hyperbolic distance from (x, y) to each part of the
+    closed base pentagon P, exactly and lazily; their min is the distance.
 
-
-def _edge_within(edge_kind, data, cy: Fraction, r2: Fraction) -> bool:
-    """Euclidean distance from (0, cy) to the edge is <= sqrt(r2)."""
-    if edge_kind == "vertical":
-        x, y1, y2 = data
-        yc = min(max(cy, y1), y2)
-        return x * x + (cy - yc) ** 2 <= r2
-    m, q, xa, xb = data  # circle center (m, 0), radius**2 q, x range
-    d2 = m * m + cy * cy
-    if d2 == 0:
-        return False
-    # closest circle point to the disk center: x* = m (1 - sqrt(q/d2))
-    g = q / d2
-    in_lo = _sign_lin_sqrt(m - xa, -m, g) >= 0
-    in_hi = _sign_lin_sqrt(xb - m, m, g) >= 0
-    if in_lo and in_hi:
-        # |sqrt(d2) - sqrt(q)| <= sqrt(r2)
-        return _le_twice_sqrt(d2 + q - r2, d2 * q)
-    return False  # nearest in-range point is an endpoint: vertex check covers it
-
-
-def _tile_edge_data(t: TileIndex):
-    v = [(p.x, p.y) for p in tile_vertices(t)]
-    (x1, y1), (x2, _), (x3, _), (_, y4), _ = v
-    h = y1          # 2**k
-    top = y4        # 2**(k+1)
-
-    def arc(xa, xb, yy):
-        m = (xa + xb) / 2
-        return ("arc", (m, (xb - xa) ** 2 / 4 + yy * yy, xa, xb))
-
-    return [
-        arc(x1, x2, h),                       # A1A2
-        arc(x2, x3, h),                       # A2A3
-        ("vertical", (x3, h, top)),           # A3A4
-        arc(x1, x3, top),                     # A4A5
-        ("vertical", (x1, h, top)),           # A5A1
-    ]
-
-
-def _center_in_tile(t: TileIndex, cy: Fraction) -> bool:
-    v = [(p.x, p.y) for p in tile_vertices(t)]
-    (x1, y1), (x2, _), (x3, _), (_, y4), _ = v
-    if not (x1 <= 0 <= x3):
-        return False
-    # below the top arc
-    mt = (x1 + x3) / 2
-    qt = (x3 - x1) ** 2 / 4 + y4 * y4
-    if mt * mt + cy * cy > qt:
-        return False
-    # above the bottom arc covering x=0
-    xa, xb = (x1, x2) if 0 <= x2 else (x2, x3)
-    mb = (xa + xb) / 2
-    qb = (xb - xa) ** 2 / 4 + y1 * y1
-    return mb * mb + cy * cy >= qb
-
-
-def tile_meets_disk_exact(t: TileIndex, cy: Fraction, r2: Fraction) -> bool:
-    """Exact test of tile against the Euclidean disk center (0, cy), radius**2 r2.
-
-    True iff some vertex is in the disk, or the disk center lies in the
-    tile, or some edge passes within the radius.
+    The vertices come first, as cosh**2 - 1; then 0 when the point lies
+    in P; then each edge whose nearest point to (x, y) lies inside it.
+    The nearest point on x = a is (a, sqrt((x-a)**2 + y**2)), at
+    sinh**2 (x-a)**2 / y**2.  On the half-circle with center m and
+    squared radius q, with s = (x-m)**2 + y**2, it is at
+    m + 2 q (x-m) / (s + q), at sinh**2 (s - q)**2 / (4 y**2 q).
     """
-    for p in tile_vertices(t):
-        if p.x * p.x + (p.y - cy) ** 2 <= r2:
-            return True
-    if _center_in_tile(t, cy):
-        return True
-    return any(_edge_within(kind, data, cy, r2)
-               for kind, data in _tile_edge_data(t))
+    for vx, vy in _P_VERTICES:
+        d = ((x - vx) ** 2 + (y - vy) ** 2) / (2 * y * vy)  # cosh - 1
+        yield d * (d + 2)
+    s = [(x - m) ** 2 + y * y for m, _, _, _ in _P_ARCS]
+    # inside: over [0, 1], below the top arc and above the bottom arc
+    if (0 <= x <= 1 and s[2] <= _P_ARCS[2][1]
+            and s[0 if 2 * x <= 1 else 1] >= _P_ARCS[0][1]):
+        yield Fraction(0)
+    for a in _P_VERTICALS:
+        if 1 <= (x - a) ** 2 + y * y <= 4:
+            yield (x - a) ** 2 / (y * y)
+    for (m, q, lo, hi), sm in zip(_P_ARCS, s):
+        if lo <= m + 2 * q * (x - m) / (sm + q) <= hi:
+            yield (sm - q) ** 2 / (4 * y * y * q)
+
+
+def tile_distance_sinh2(t: TileIndex) -> Fraction:
+    """sinh**2 of the hyperbolic distance from i=(0,1) to the closed tile,
+    exactly; 0 when the tile contains i."""
+    return min(_sinh2_terms(-t.n, _pow2(-t.k)))
 
 
 # -- adjacency ----------------------------------------------------------
@@ -523,75 +472,33 @@ def edge_adjacency(ts: TileSet) -> AdjacencyReport:
 
 
 def interiors_disjoint(ts: TileSet) -> bool:
-    """Exact pairwise disjointness of open tiles in the patch.
+    """Exact disjointness of the open tiles in the patch.
 
-    Same-scale tiles occupy disjoint open x-intervals; scales k and k+1
-    touch only along the shared boundary curve (their arcs sit on one
-    circle through identical endpoints); scales two or more apart are
-    separated outright because the apex factor sqrt(17)/2 is below 2.
+    Same-scale tiles occupy disjoint open x-intervals, and scales two or
+    more apart are separated outright because the apex factor
+    sqrt(17)/2 is below 2.  Tile (k, n) overlaps in x only tile
+    (k+1, n // 2) a scale up, and the two touch only along a shared
+    curve when the lower tile's top arc is one of the upper tile's
+    bottom arcs.  Arcs are compared exactly, as (twice the center,
+    four times the squared radius) in units of 2**(k-1), where tile
+    (k, n) has corners x = 2n, 2n+1, 2n+2, y = 2, 4 and tile (k+1, j)
+    has x = 4j, 4j+2, 4j+4, y = 4, 8.
     """
-    tiles = ts.tiles
-    for i in range(len(tiles)):
-        for j in range(i + 1, len(tiles)):
-            a, b = tiles[i], tiles[j]
-            if a.k == b.k:
-                if a.n == b.n:
-                    return False
-                continue
-            lo, hi = (a, b) if a.k < b.k else (b, a)
-            if hi.k - lo.k >= 2:
-                # band [2**k, 2**k sqrt(17)/2] vs [2**k', ...]: 17/4 < 16
-                continue
-            # adjacent scales: x-overlap must lie along the common circle
-            w = _pow2(lo.k)
-            xl_lo = lo.n * w
-            xr_lo = xl_lo + w
-            xl_hi = hi.n * 2 * w
-            xr_hi = xl_hi + 2 * w
-            if xr_lo <= xl_hi or xr_hi <= xl_lo:
-                continue
-            # top arc of lo and the overlapping bottom arc of hi must agree
-            top = _tile_edge_data(lo)[3][1]
-            bots = [arc for _, arc in _tile_edge_data(hi)[:2]]
-            if top not in bots:
-                return False
+    def arc(xa, xb, y):
+        return xa + xb, (xb - xa) ** 2 + 4 * y * y
+
+    present = ts.index_set()
+    for t in ts.tiles:
+        j = t.n // 2
+        if (t.k + 1, j) not in present:
+            continue
+        top = arc(2 * t.n, 2 * t.n + 2, 4)
+        if top not in (arc(4 * j, 4 * j + 2, 4), arc(4 * j + 2, 4 * j + 4, 4)):
+            return False
     return True
 
 
-# -- distances and agreement --------------------------------------------
-
-def _cosh_point_to_pentagon(c: Fraction, k: int) -> float:
-    """cosh distance from i=(0,1) to the closed pentagon with x-interval
-    [c, c + 2**k] at scale k (offset c rational)."""
-    w = _pow2(k)
-    h = w
-    top = 2 * w
-    xs = [c, c + w / 2, c + w, c + w, c]
-    ys = [h, h, h, top, top]
-    best = None
-
-    def upd(val: float):
-        nonlocal best
-        if best is None or val < best:
-            best = val
-
-    for x, y in zip(xs, ys):
-        upd(float(1 + (x * x + (y - 1) ** 2) / (2 * y)))
-    arcs = [(c, c + w / 2, h), (c + w / 2, c + w, h), (c, c + w, top)]
-    for xa, xb, yy in arcs:
-        m = (xa + xb) / 2
-        q = (xb - xa) ** 2 / 4 + yy * yy
-        d = m * m + 1 + q
-        xstar = m * (d - 2 * q) / d
-        if xa <= xstar <= xb:
-            val2 = (d * d - 4 * q * m * m) / (4 * q)
-            upd(math.sqrt(float(val2)))
-    for x in (c, c + w):
-        y2 = x * x + 1
-        if h * h <= y2 <= top * top:
-            upd(math.sqrt(float(y2)))
-    return best
-
+# -- agreement ------------------------------------------------------------
 
 def agreement_radius(n: int, m: int) -> float:
     """Largest radius at which the tilings P+n and P+m look identical
@@ -604,14 +511,13 @@ def agreement_radius(n: int, m: int) -> float:
     """
     if n == m:
         return math.inf
-    k = _v2(m - n) + 1
-    w = _pow2(k)
-    best = None
+    w = _pow2(_v2(m - n) + 1)
+    best = math.inf
     for t in (n, m):
-        j0 = math.floor(Fraction(-t) / w)
-        for j in (j0 - 1, j0, j0 + 1):
-            c = w * j + t
-            val = _cosh_point_to_pentagon(c, k)
-            if best is None or val < best:
-                best = val
-    return math.acosh(best)
+        # the tiles are the images of P under z -> w (z + J) + t; the
+        # three J nearest -t/w send (x - j, 1/w) to i, j = -1, 0, 1
+        x = Fraction(-t) / w
+        x -= math.floor(x)
+        for j in (-1, 0, 1):
+            best = min(best, *_sinh2_terms(x - j, 1 / w))
+    return math.asinh(math.sqrt(best))

@@ -115,15 +115,37 @@ def alphabet(spec: SubshiftSpec) -> tuple[str, ...]:
 
 # -- JSON ingestion ------------------------------------------------------
 
+def _field(obj: dict, name: str, kind: type, default=None):
+    """obj[name], which must be a kind (and not a bool)."""
+    if name not in obj:
+        if default is None:
+            raise ValueError(f"spec field {name!r} is missing")
+        return default
+    value = obj[name]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"spec field {name!r} must be of type "
+                         f"{kind.__name__}, got {value!r}")
+    return value
+
+
 def parse_spec(obj: dict) -> SubshiftSpec:
+    """The spec a JSON document describes; ValueError names a bad field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a spec must be a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "periodic":
-        return Periodic(obj["word"])
+        return Periodic(_field(obj, "word", str))
     if kind == "substitution":
-        return Substitution.of(obj["rules"])
+        rules = _field(obj, "rules", dict)
+        for letter, image in rules.items():
+            if not (isinstance(letter, str) and isinstance(image, str)):
+                raise ValueError(f"spec field 'rules' must map letters to "
+                                 f"strings, got {letter!r}: {image!r}")
+        return Substitution.of(rules)
     if kind == "explicit":
-        return ExplicitWindow(obj.get("left", ""), obj.get("right", ""),
-                              int(obj["horizon"]))
+        return ExplicitWindow(_field(obj, "left", str, ""),
+                              _field(obj, "right", str, ""),
+                              _field(obj, "horizon", int))
     raise ValueError(f"unknown subshift spec type: {kind!r}")
 
 

@@ -278,6 +278,26 @@ class TestErrorHygiene:
         rc = run(["kgroups", "--spec", bad, "--out", str(out)])
         self.assert_error(rc, capsys, out)
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"type": "explicit", "right": "12", "horizon": 3.7}, "horizon"),
+        ({"type": "explicit", "right": "12", "horizon": True}, "horizon"),
+        ({"type": "explicit", "right": "12"}, "horizon"),
+        ({"type": "explicit", "right": 12, "horizon": 3}, "right"),
+        ({"type": "periodic"}, "word"),
+        ({"type": "periodic", "word": 12}, "word"),
+        ({"type": "substitution", "rules": {"1": 12, "2": "21"}}, "rules"),
+        ({"type": "substitution", "rules": ["12", "21"]}, "rules"),
+        ([{"type": "periodic", "word": "12"}], "JSON object"),
+    ])
+    def test_spec_field_types(self, tmp_path, capsys, doc, field):
+        out = tmp_path / "k.json"
+        rc = run(["kgroups", "--spec", write_spec(tmp_path, doc),
+                  "--out", str(out)])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ValueError" and field in err["message"]
+        assert not out.exists()
+
     def test_error_does_not_clobber_existing_output(self, tmp_path, capsys):
         out = tmp_path / "k.json"
         out.write_text("keep me")

@@ -5,6 +5,8 @@ import pytest
 
 from hyptile.dyadic import (ClopenSet, LocallyConstFn, dyadic, dyadic_norm,
                             integrate, odd_part, omega_coinvariant_class)
+from hyptile.geometry import AffineMap, Point
+from hyptile.ktheory import RING_HALF, CylinderFunction
 
 
 def _odd_by_division(n):
@@ -26,6 +28,26 @@ def test_dyadic_rational_rejects_non_dyadic():
     for q in (Fraction(1, 3), Fraction(5, 12)):
         with pytest.raises(ValueError):
             dyadic(q)
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 2.0, "1/2", "3", True, None])
+def test_dyadic_accepts_only_ints_and_fractions(q):
+    # floats are dyadic but inexact inputs; strings parse through Fraction
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        dyadic(q)
+
+
+def test_float_coordinates_and_coefficients_refused():
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        Point(0.1, 1)
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        Point(0, 1.0)
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        AffineMap(1, 0.5)
+    with pytest.raises(ValueError, match="not an int or a Fraction"):
+        CylinderFunction.of(RING_HALF, 0, {"1": 0.1})
+    assert CylinderFunction.of(RING_HALF, 0, {"1": Fraction(1, 4)}).coeffs \
+        == (("1", Fraction(1, 4)),)
 
 
 def test_odd_part_matches_halving_loop():

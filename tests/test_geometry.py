@@ -27,11 +27,11 @@ from hyptile.geometry import (
     patch_size,
     pt,
     scale_range,
-    tile_meets_disk_exact,
+    tile_distance_sinh2,
     tile_vertices,
     _box_meets_disk,
-    _cosh_point_to_pentagon,
     _settle_end,
+    _sinh2_terms,
 )
 
 LN2 = math.log(2.0)
@@ -262,8 +262,7 @@ def ref_generate_patch(radius, colouring=None, exact=False):
             if not _box_meets_disk(w * n, w * (n + 1), w,
                                    w * math.sqrt(17.0) / 2.0, c, s):
                 continue
-            if exact and not tile_meets_disk_exact(
-                    TileIndex(k, n), Fraction(c), Fraction(s) ** 2):
+            if exact and tile_distance_sinh2(TileIndex(k, n)) > Fraction(s) ** 2:
                 continue
             if colouring is not None and colour is None:
                 colour = colouring.get(-k)
@@ -326,48 +325,60 @@ class TestSolvedPatch:
 
 
 class TestExactDiskPredicate:
+    """The exact ball rule: sinh**2 of the distance from i to a tile,
+    compared with sinh**2 of the radius."""
+
     def test_point_disk_keeps_only_closures_containing_i(self):
         keep = {(0, 0), (0, -1), (-1, 0), (-1, -1)}
         drop = {(0, 1), (1, 0), (-1, 1), (-2, 0), (-1, -2)}
         for k, n in keep:
-            assert tile_meets_disk_exact(TileIndex(k, n), F(1), F(0))
+            assert tile_distance_sinh2(TileIndex(k, n)) == 0
         for k, n in drop:
-            assert not tile_meets_disk_exact(TileIndex(k, n), F(1), F(0))
+            assert tile_distance_sinh2(TileIndex(k, n)) > 0
+
+    def test_point_inside_pentagon(self):
+        # i's image under the scale -1 pentagon z -> z/2 - 1/4 over
+        # [-1/4, 1/4] is (1/2, 2), inside P below its top arc; each tile
+        # that contains i has it as a vertex, so tiles cannot show this
+        terms = list(_sinh2_terms(F(1, 2), F(2)))
+        assert min(terms) == 0 and terms.count(0) == 1
 
     def test_agrees_with_point_sampling(self):
-        # any sampled point of disk-cap-tile forces the predicate true
+        # the distance to a tile is at most the distance to any of its points
         rng = random.Random(23)
+        i = pt(0, 1)
         for _ in range(40):
-            rho = rng.uniform(0.1, 2.0)
-            cy, r2 = Fraction(math.cosh(rho)), Fraction(math.sinh(rho)) ** 2
             t = TileIndex(rng.randrange(-2, 3), rng.randrange(-4, 5))
-            verdict = tile_meets_disk_exact(t, cy, r2)
-            hit = False
+            got = tile_distance_sinh2(t)
+            x0, y0 = tile_vertices(t)[0].x, tile_vertices(t)[0].y
+            hits = 0
             for _ in range(300):
-                x = Fraction(rng.uniform(-float(math.sinh(rho)), float(math.sinh(rho))))
-                y = cy + Fraction(rng.uniform(-1, 1)) * Fraction(math.sinh(rho))
-                if y <= 0 or x * x + (y - cy) ** 2 > r2:
-                    continue
+                x = x0 + Fraction(rng.random()) * y0
+                y = y0 + Fraction(rng.random()) * 2 * y0
                 if _point_in_tile(t, x, y):
-                    hit = True
-                    break
-            if hit:
-                assert verdict
-            # verdict true with no sampled hit is fine: sampling is sparse
+                    hits += 1
+                    assert got <= cosh_distance(i, Point(x, y)) ** 2 - 1
+            assert hits
 
     def test_vertex_in_disk_detected(self):
-        # from (0,1) the nearest point of tile (1,3) is its corner (6,2)
-        t = TileIndex(1, 3)
-        vx, vy = tile_vertices(t)[0].x, tile_vertices(t)[0].y
-        r2 = vx * vx + (vy - 1) ** 2
-        assert tile_meets_disk_exact(t, F(1), r2)
-        assert not tile_meets_disk_exact(t, F(1), r2 - F(1, 1000))
+        # from (0,1) the nearest point of tile (1,3) is its corner (6,4),
+        # at cosh 1 + 45/8; the Euclidean-nearest corner (6,2) lies at
+        # cosh 1 + 37/4, and the feet on the left edge (y = sqrt 37) and
+        # the top arc (x = 7 - 238/67) fall outside the tile
+        assert tile_distance_sinh2(TileIndex(1, 3)) == F(53, 8) ** 2 - 1
 
     def test_vertical_edge_grazing(self):
-        # from (0,3) the nearest point of tile (1,3) is (6,3) on its left edge
-        t = TileIndex(1, 3)
-        assert tile_meets_disk_exact(t, F(3), F(36))
-        assert not tile_meets_disk_exact(t, F(3), F(36) - F(1, 1000))
+        # from (0,1) the nearest point of tile (1,1) is (2, sqrt 5) on its
+        # left edge x = 2, at sinh 2/1; its nearest corner (2,2) is at
+        # sinh**2 65/16
+        assert tile_distance_sinh2(TileIndex(1, 1)) == 4
+
+    def test_arc_nearest(self):
+        # tile (-2,0) lies below the half-circle with center 1/8 and
+        # squared radius 17/64; from (0,1) the foot x = 1/8 - 17/328 lies
+        # inside its top edge, at sinh**2 (65/64 - 17/64)**2 / (4 17/64),
+        # below the nearest corner (0,1/2) at sinh**2 9/16
+        assert tile_distance_sinh2(TileIndex(-2, 0)) == F(9, 17)
 
 
 class TestAdjacency:
@@ -403,11 +414,49 @@ class TestAdjacency:
         for r in (0.0, 1.0, 2.5):
             assert interiors_disjoint(generate_patch(r))
 
+    @pytest.mark.parametrize("radius", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_interiors_disjoint_matches_pair_scan(self, radius):
+        ts = generate_patch(radius)
+        disjoint, overlapping = ref_interiors_disjoint(ts)
+        assert interiors_disjoint(ts) == disjoint
+        # the one tile a scale up that overlaps (k, n) in x is (k+1, n//2)
+        present = ts.index_set()
+        assert overlapping == {((t.k, t.n), (t.k + 1, t.n // 2))
+                               for t in ts.tiles
+                               if (t.k + 1, t.n // 2) in present}
+
     def test_vertical_neighbours_same_scale(self):
         rep = edge_adjacency(generate_patch(2.0))
         for key, ((t1, l1), (t2, l2)) in rep.interior.items():
             if {l1, l2} == {"A3A4", "A5A1"}:
                 assert t1.k == t2.k and abs(t1.n - t2.n) == 1
+
+
+def ref_interiors_disjoint(ts):
+    """Every pair of tiles, decided from tile_vertices and geodesic_arc.
+
+    Returns the verdict and the set of adjacent-scale pairs whose open
+    x-intervals overlap."""
+    disjoint, overlapping = True, set()
+    for i, a in enumerate(ts.tiles):  # sorted by (k, n), so b.k >= a.k
+        va = tile_vertices(a)
+        for b in ts.tiles[i + 1:]:
+            vb = tile_vertices(b)
+            if b.k == a.k:
+                disjoint &= va[2].x <= vb[0].x or vb[2].x <= va[0].x
+                continue
+            if b.k >= a.k + 2:
+                # a's apex height (17/4) 4**k lies below b's floor 4**(k+2)
+                disjoint &= F(17, 4) * va[0].y ** 2 < vb[0].y ** 2
+                continue
+            if va[2].x <= vb[0].x or vb[2].x <= va[0].x:
+                continue
+            overlapping.add(((a.k, a.n), (b.k, b.n)))
+            top = geodesic_arc(va[3], va[4])
+            bottoms = (geodesic_arc(vb[0], vb[1]), geodesic_arc(vb[1], vb[2]))
+            disjoint &= any((top.center, top.radius_sq)
+                            == (arc.center, arc.radius_sq) for arc in bottoms)
+    return disjoint, overlapping
 
 
 def ref_edge_adjacency(ts):
@@ -528,12 +577,14 @@ class TestPointToPentagon:
     def test_matches_dense_boundary_sampling(self):
         rng = random.Random(43)
         for _ in range(12):
+            # scale >= 1 tiles never contain i, so their distance is the
+            # distance to their boundary
             k = rng.randrange(1, 4)
-            w = Fraction(2) ** k
-            c = Fraction(rng.randrange(-3 * 2 ** k, 2 * 2 ** k), 4)
-            got = _cosh_point_to_pentagon(c, k)
+            n = rng.randrange(-4, 4)
+            got = math.sqrt(1 + tile_distance_sinh2(TileIndex(k, n)))
             best = math.inf
-            cf, wf = float(c), float(w)
+            wf = 2.0 ** k
+            cf = n * wf
             # dense walk over all five edges in float arithmetic
             for i in range(2001):
                 s = i / 2000.0
