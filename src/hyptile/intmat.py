@@ -4,8 +4,17 @@ Matrices are lists of lists of Python ints, so nothing here ever
 overflows or rounds.  The Smith reduction tracks the unimodular row
 transform U, the column transform V and its inverse V^-1 (each column
 operation on V is the inverse row operation on V^-1), so one
-factorization answers solves, kernels and lattice membership, and every
-factorization is re-multiplied and checked.
+factorization answers solves, kernels and lattice membership.
+
+The pivot is always the first entry of least magnitude, in row-major
+order, of the trailing block; printed generators are rows of V^-1, so
+this rule fixes them.  The scan stops at the first unit, which no entry
+can beat.  Every factorization is checked exactly before it is
+returned, by U*A*V == S and V*V^-1 == I; these matrices are mostly
+zeros, so `matmul` skips the zero entries of both operands.
+
+`matmul`, `mat_vec`, `solve_integer` and `lattice_contains` raise
+ValueError on operands whose shapes do not match.
 """
 
 from __future__ import annotations
@@ -14,25 +23,43 @@ from fractions import Fraction
 
 
 def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(out):
+        row[i] = 1
+    return out
+
+
+def _width(rows, what: str) -> int:
+    """Common length of the rows; ValueError if they differ."""
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise ValueError(f"{what} has rows of lengths {sorted(widths)}")
+    return widths.pop() if widths else 0
 
 
 def matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
+    k = len(b)
+    m = _width(b, "right operand")
+    if a and _width(a, "left operand") != k:
+        raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} "
+                         f"by {k}x{m}")
+    # the nonzeros of each row of b, listed once
+    nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for ai in a:
+        oi = [0] * m
+        for x, bt in zip(ai, nz):
             if x:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += x * bt[j]
+                for j, y in bt:
+                    oi[j] += x * y
+        out.append(oi)
     return out
 
 
 def mat_vec(a, v):
+    if a and _width(a, "matrix") != len(v):
+        raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} "
+                         f"by a vector of length {len(v)}")
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
@@ -48,7 +75,7 @@ def smith_normal_form(mat):
     U and V are unimodular; S is diagonal with nonnegative entries and
     each diagonal entry divides the next.  The rows of S*V^-1 span the
     row lattice of mat.  The factorization and the inverse are verified
-    by re-multiplication before returning.
+    by exact re-multiplication before returning.
     """
     a = [row[:] for row in mat]
     n = len(a)
@@ -75,9 +102,11 @@ def smith_normal_form(mat):
 
     def col_add(dst, src, c):
         for row in a:
-            row[dst] += c * row[src]
+            if row[src]:
+                row[dst] += c * row[src]
         for row in v:
-            row[dst] += c * row[src]
+            if row[src]:
+                row[dst] += c * row[src]
         # V -> V*E with E = I + c*e_src*e_dst^T; E^-1 acts on rows of V^-1
         v_inv[src] = [x - c * y for x, y in zip(v_inv[src], v_inv[dst])]
 
@@ -87,14 +116,22 @@ def smith_normal_form(mat):
 
     t = 0
     while t < min(n, m):
-        # pick the minimal-magnitude nonzero pivot in the trailing block
+        # the first minimal-magnitude nonzero entry of the trailing
+        # block, row-major; nothing beats a unit, so stop at the first
         pivot = None
         best = None
         for i in range(t, n):
+            row = a[i]
             for j in range(t, m):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best, pivot = x, (i, j)
+                x = row[j]
+                if x:
+                    x = abs(x)
+                    if best is None or x < best:
+                        best, pivot = x, (i, j)
+                        if x == 1:
+                            break
+            if best == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -122,22 +159,22 @@ def smith_normal_form(mat):
                     if a[t][j]:
                         col_swap(t, j)
                         dirty = True
-        # divisibility: a[t][t] must divide the rest of the block
+        # divisibility: a[t][t] must divide the rest of the block; a
+        # unit always does
         offender = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if a[i][j] % a[t][t]:
+        d = a[t][t]
+        if d not in (1, -1):
+            for i in range(t + 1, n):
+                if any(x % d for x in a[i][t + 1:]):
                     offender = i
                     break
-            if offender is not None:
-                break
         if offender is not None:
             row_add(t, offender, 1)
             continue
         t += 1
 
     s = a
-    check = matmul(matmul(u, [row[:] for row in mat]), v)
+    check = matmul(matmul(u, mat), v)
     assert check == s, "Smith reduction lost track of its transforms"
     assert matmul(v, v_inv) == identity(m), "Smith reduction lost track of V^-1"
     return u, s, v, v_inv
@@ -159,7 +196,10 @@ def snf_rank(s) -> int:
 def solve_integer(mat, rhs):
     """One integer solution x of mat @ x = rhs, or None if none exists."""
     n = len(mat)
-    m = len(mat[0]) if n else 0
+    if len(rhs) != n:
+        raise ValueError(f"right-hand side of length {len(rhs)} "
+                         f"for a matrix of {n} rows")
+    m = _width(mat, "matrix")
     u, s, v, _ = smith_normal_form(mat)
     y = mat_vec(u, rhs)
     r = snf_rank(s)
@@ -264,5 +304,8 @@ def lattice_contains(rows, vec) -> bool:
     """Is vec in the lattice spanned by the given row vectors?"""
     if not rows:
         return all(x == 0 for x in vec)
+    if _width(rows, "row set") != len(vec):
+        raise ValueError(f"vector of length {len(vec)} against rows "
+                         f"of length {len(rows[0])}")
     return solve_integer(transpose(rows), list(vec)) is not None
 

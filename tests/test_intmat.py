@@ -1,9 +1,13 @@
 import random
 
+import pytest
+
+from hyptile import ktheory
 from hyptile.intmat import (hnf_row_lattice, identity, integer_kernel,
                             lattice_contains, matmul, mat_vec, rational_rank,
                             smith_diagonal, smith_normal_form, snf_rank,
                             solve_integer)
+from hyptile.subshift import Periodic, Substitution
 
 
 def det_bareiss(a) -> int:
@@ -177,3 +181,205 @@ def test_hnf_canonical_form_example():
 
 def test_identity_and_matmul():
     assert matmul(identity(3), identity(3)) == identity(3)
+    assert identity(0) == []
+    assert identity(2) == [[1, 0], [0, 1]]
+
+
+def _dense_matmul(a, b):
+    """The triple-loop definition of the matrix product."""
+    k = len(b)
+    m = len(b[0]) if b else 0
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
+            for i in range(len(a))]
+
+
+def test_sparse_matmul_matches_dense_definition():
+    rng = random.Random(47)
+    entries = [0, 0, 0, 0, 1, -1, 2, -3, 7]
+    for _ in range(300):
+        n, k, m = (rng.randrange(0, 6) for _ in range(3))
+        a = [[rng.choice(entries) for _ in range(k)] for _ in range(n)]
+        b = [[rng.choice(entries) for _ in range(m)] for _ in range(k)]
+        if n and rng.random() < 0.3:
+            a[rng.randrange(n)] = [0] * k
+        if k and rng.random() < 0.3:
+            b[rng.randrange(k)] = [0] * m
+        if rng.random() < 0.1:
+            a = [[0] * k for _ in range(n)]
+        if rng.random() < 0.1:
+            b = [[0] * m for _ in range(k)]
+        assert matmul(a, b) == _dense_matmul(a, b)
+    # n x 0 times 0 x m: with no rows, b cannot say its width, so n x 0
+    assert matmul([[], [], []], []) == [[], [], []]
+    # 0 x k times k x m is 0 x m, that is no rows
+    assert matmul([], [[1, 2], [3, 4]]) == []
+    assert matmul([[0, 0]], [[0, 0, 0], [0, 0, 0]]) == [[0, 0, 0]]
+
+
+def test_matmul_refuses_mismatched_shapes():
+    with pytest.raises(ValueError):
+        matmul([[1, 2]], [[1, 0]])
+    with pytest.raises(ValueError):
+        matmul([[1, 2], [3]], [[1], [0]])
+    with pytest.raises(ValueError):
+        matmul([[1]], [[1, 0], [2]])
+
+
+def test_mat_vec_refuses_mismatched_shapes():
+    assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
+    with pytest.raises(ValueError):
+        mat_vec([[1, 2], [3, 4]], [1])
+    with pytest.raises(ValueError):
+        mat_vec([[1, 2], [3, 4]], [1, 0, 5])
+
+
+def test_solve_integer_refuses_mismatched_shapes():
+    with pytest.raises(ValueError):
+        solve_integer([[1, 0], [0, 1]], [1])
+    with pytest.raises(ValueError):
+        solve_integer([[1, 0], [0, 1]], [1, 0, 0])
+    with pytest.raises(ValueError):
+        solve_integer([[1, 0], [0]], [1, 0])
+
+
+def test_lattice_contains_refuses_mismatched_shapes():
+    assert lattice_contains([[1, 0]], [3, 0])
+    with pytest.raises(ValueError):
+        lattice_contains([[1, 0]], [1, 0, 7])
+    with pytest.raises(ValueError):
+        lattice_contains([[1, 0, 0]], [1, 0])
+    with pytest.raises(ValueError):
+        lattice_contains([[1, 0], [0, 1, 0]], [1, 0])
+
+
+def _reference_snf(mat):
+    """`smith_normal_form` before its scans, column additions and checks
+    were sped up, with the dense product in its checks.  The transforms,
+    not only S, must match it: printed generators are rows of V^-1.
+    """
+    a = [row[:] for row in mat]
+    n = len(a)
+    m = len(a[0]) if n else 0
+    u = identity(n)
+    v = identity(m)
+    v_inv = identity(m)
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def row_add(dst, src, c):
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def col_add(dst, src, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+        v_inv[src] = [x - c * y for x, y in zip(v_inv[src], v_inv[dst])]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(n, m):
+        pivot = None
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                x = abs(a[i][j])
+                if x and (best is None or x < best):
+                    best, pivot = x, (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        row_swap(t, pi)
+        col_swap(t, pj)
+        if a[t][t] < 0:
+            row_neg(t)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    row_add(i, t, -q)
+                    if a[i][t]:
+                        row_swap(t, i)
+                        if a[t][t] < 0:
+                            row_neg(t)
+                        dirty = True
+            for j in range(t + 1, m):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_add(j, t, -q)
+                    if a[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+        offender = None
+        for i in range(t + 1, n):
+            for j in range(t + 1, m):
+                if a[i][j] % a[t][t]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+        t += 1
+
+    s = a
+    assert _dense_matmul(_dense_matmul(u, mat), v) == s
+    assert _dense_matmul(v, v_inv) == identity(m)
+    return u, s, v, v_inv
+
+
+_PINNED_SPECS = {
+    "tm": Substitution.of({"1": "12", "2": "21"}),
+    "pd": Substitution.of({"1": "12", "2": "11"}),
+    "fib": Substitution.of({"1": "12", "2": "1"}),
+    "trib": Substitution.of({"1": "12", "2": "13", "3": "1"}),
+    "11212": Periodic("11212"),
+    "s4": Substitution.of({"1": "1234", "2": "2143", "3": "3412",
+                           "4": "4321"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SPECS))
+def test_snf_transforms_pinned_on_group_matrices(monkeypatch, name):
+    # every matrix k_groups and cech_cohomology factor, over Z and Z[1/2]
+    spec = _PINNED_SPECS[name]
+    seen = []
+
+    def recording(mat):
+        seen.append([list(row) for row in mat])
+        return smith_normal_form(mat)
+
+    monkeypatch.setattr(ktheory, "smith_normal_form", recording)
+    for groups in (ktheory.k_groups, ktheory.cech_cohomology):
+        ktheory._presentation.cache_clear()
+        groups(spec, 5)
+    ktheory._presentation.cache_clear()
+    assert seen
+    for mat in seen:
+        assert smith_normal_form(mat) == _reference_snf(mat)
+
+
+def test_snf_transforms_pinned_on_unit_ties():
+    # mostly zeros and units: many pivot ties, zero rows and columns
+    rng = random.Random(53)
+    entries = [0, 0, 0, 1, -1, 2, -2]
+    for _ in range(200):
+        n, m = rng.randrange(1, 7), rng.randrange(1, 7)
+        mat = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
+        assert smith_normal_form(mat) == _reference_snf(mat)
