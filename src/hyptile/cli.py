@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import __version__
 from .geometry import (ColourWindow, TileSet, generate_patch, patch_size,
@@ -230,8 +231,8 @@ def _run_measures(cfg: JobConfig) -> str:
         mv = measure_vector(cfg.spec, n)
         for w in sorted(mv):
             v = mv[w]
-            shown = str(v.value) if v.is_rational else "algebraic"
-            lines.append(f"{w},{n},{shown},{format(v.as_float(), '.17g')}")
+            shown = str(v) if isinstance(v, Fraction) else "algebraic"
+            lines.append(f"{w},{n},{shown},{format(float(v), '.17g')}")
     return "\n".join(lines) + "\n"
 
 
@@ -264,7 +265,7 @@ def _run_hullcheck(cfg: JobConfig) -> str:
     gs = _random_group_elements(rng, 8)
     batch = sample_batch(cfg.spec, cfg.samples, cfg.seed)
     first = language(cfg.spec, 1)[0]
-    p_first = measure_vector(cfg.spec, 1)[first].as_float()
+    p_first = float(measure_vector(cfg.spec, 1)[first])
     freq_omega = float((batch.omega & 3 == 1).mean())
     freq_word = float(
         TestFunction.word_indicator(first).on_batch(batch).mean())

@@ -252,15 +252,15 @@ def _cumulative_measure(spec: SubshiftSpec, words) -> np.ndarray:
     """Running sums of the measures of words, all of one length."""
     mv = measure_vector(spec, len(words[0]))
     bounds = []
-    if all(mv[w].is_rational for w in words):
+    if all(isinstance(mv[w], Fraction) for w in words):
         acc = Fraction(0)
         for w in words:
-            acc += mv[w].value
+            acc += mv[w]
             bounds.append(float(acc))
     else:
         acc = 0.0
         for w in words:
-            acc += mv[w].as_float()
+            acc += float(mv[w])
             bounds.append(acc)
     return np.array(bounds)
 

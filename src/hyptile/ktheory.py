@@ -56,7 +56,6 @@ from .intmat import (
 )
 from .subshift import (
     HorizonExhausted,
-    MeasureValue,
     Periodic,
     SubshiftSpec,
     approximate,
@@ -444,30 +443,28 @@ def _bonding_is_iso(p1: _Presentation, p2: _Presentation, ring: str) -> bool:
     return len(nonzero) == c2 and all(unit(d) == 1 for d in nonzero)
 
 
-def _levels(spec: SubshiftSpec, ring: str, n_max: int):
-    """Presentations for N = 1..n_max, and whether the horizon cut them."""
+def _levels(spec: SubshiftSpec, ring: str, n_max: int) -> list:
+    """Presentations for N = 1..n_max, or up to an explicit window's horizon."""
     levels = []
-    truncated = False
     for n in range(1, n_max + 1):
         try:
             levels.append(_presentation(spec, ring, n))
         except HorizonExhausted:
-            truncated = True
             break
     if not levels:
         raise HorizonExhausted(
             "horizon exhausted: no truncation could be computed")
-    return levels, truncated
+    return levels
 
 
 def _coinvariant_chain(spec: SubshiftSpec, ring: str, n_max: int):
     """Presentations for N = 1..n_max plus per-step isomorphism flags."""
-    levels, truncated = _levels(spec, ring, n_max)
+    levels = _levels(spec, ring, n_max)
     isos = [
         _bonding_is_iso(levels[i], levels[i + 1], ring)
         for i in range(len(levels) - 1)
     ]
-    return levels, isos, truncated
+    return levels, isos
 
 
 def _settled(spec: SubshiftSpec, n: int) -> bool:
@@ -494,8 +491,8 @@ def coinvariants(spec: SubshiftSpec, ring: str, n_max: int = 8):
     _check_ring(ring)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    levels, isos, truncated = _coinvariant_chain(spec, ring, n_max)
-    approx = approximate(spec) or truncated
+    levels, isos = _coinvariant_chain(spec, ring, n_max)
+    approx = approximate(spec)
     pick = None
     for i in range(len(isos) - 1):
         if isos[i] and isos[i + 1] and _settled(spec, levels[i].level):
@@ -529,7 +526,7 @@ def invariants(spec: SubshiftSpec, ring: str,
     certifies stabilization when it repeats.
     """
     _check_ring(ring)
-    levels, truncated = _levels(spec, ring, n_cap)
+    levels = _levels(spec, ring, n_cap)
     ranks = [len(p.kernel) for p in levels]
     if ring == RING_HALF:
         pick = next((i for i, r in enumerate(ranks) if r), None)
@@ -547,7 +544,7 @@ def invariants(spec: SubshiftSpec, ring: str,
          CylinderFunction.of(ring, 0, {w: c for w, c in zip(words, vec) if c}))
         for i, vec in enumerate(hnf_row_lattice(pres.kernel)))
     return FPAbelianGroup(ring, len(gens), (), gens, stabilized, pres.level,
-                          approximate(spec) or truncated)
+                          approximate(spec))
 
 
 def coinvariant_class(spec: SubshiftSpec, f: CylinderFunction,
@@ -630,7 +627,7 @@ class GapLabelGroup:
 
     kind: str  # "rational" | "algebraic"
     minpoly: tuple | None  # ascending Fraction coefficients, monic
-    generators: tuple  # MeasureValue, reduced, each in [0, 1]
+    generators: tuple  # Fraction | AlgebraicNumber, reduced, each in (0, 1]
     chain: tuple  # per-truncation records, n = 1..n_used
     stabilized: bool
     n_used: int
@@ -662,11 +659,12 @@ def _value_row(value, degree: int) -> list:
 def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
     """Group of cylinder-measure values, truncation by truncation.
 
-    Rational measures collapse to a single gcd generator; algebraic ones
-    keep a reduced list of measure values, none lying in the lattice
-    spanned by the others over the field's rational coordinate basis.
-    A halving step at the end of the chain is reported as a dyadic
-    pattern with the odd part of the final generator as its base.
+    Each level's lattice is the Hermite basis of the values' coordinates
+    over the field's rational basis.  Rational measures collapse to its
+    one generator, their gcd; algebraic ones keep a reduced list of the
+    values, none in the lattice of the others.  A halving step at the end
+    of the chain is reported as a dyadic pattern with the odd part of the
+    final generator as its base.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -675,9 +673,9 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
         per_level.append(measure_vector(spec, n))  # raises UnsupportedSpec
 
     first = next(iter(per_level[0].values()))
-    algebraic = not first.is_rational
+    algebraic = not isinstance(first, Fraction)
     if algebraic:
-        fld = first.value.field
+        fld = first.field
         degree = len(fld.minpoly) - 1
         minpoly = tuple(fld.minpoly)
     else:
@@ -689,27 +687,20 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
     gens_last: tuple = ()
     for n, mu in enumerate(per_level, start=1):
         words = sorted(mu)
-        values = [mu[w].value for w in words]
+        values = [mu[w] for w in words]
         rows = [_value_row(v, degree) for v in values]
-        if algebraic:
-            kept = list(range(len(values)))
-            changed = True
-            while changed:
-                changed = False
-                for pos in list(kept):
-                    others = [rows[i] for i in kept if i != pos]
-                    if others and _frac_in_lattice(others, rows[pos]):
-                        kept.remove(pos)
-                        changed = True
-                        break
-            gens = tuple(MeasureValue(values[i]) for i in kept)
-        else:
-            den = math.lcm(*(v.denominator for v in values))
-            num = 0
-            for v in values:
-                num = math.gcd(num, int(v * den))
-            gens = (MeasureValue(Fraction(num, den)),)
         canon = _frac_rows_canon(rows)
+        if algebraic:
+            # dropping a value only shrinks the others' lattice, so a value
+            # kept once stays kept and one pass in order suffices
+            kept = list(range(len(values)))
+            for pos in range(len(values)):
+                others = [rows[i] for i in kept if i != pos]
+                if others and _frac_in_lattice(others, rows[pos]):
+                    kept.remove(pos)
+            gens = tuple(values[i] for i in kept)
+        else:
+            gens = (canon[0][0],)
         agrees = bool(canons) and canon == canons[-1]
         canons.append(canon)
         gens_last = gens
@@ -725,7 +716,7 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
         halved = canons[-1] == tuple(
             tuple(x / 2 for x in row) for row in canons[-2])
         if halved and not algebraic:
-            g = gens_last[0].value
+            g = gens_last[0]
             dyadic_base = Fraction(odd_part(g.numerator), odd_part(g.denominator))
     return GapLabelGroup(
         kind="algebraic" if algebraic else "rational",
@@ -738,13 +729,12 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
     )
 
 
-def _measure_value_json(mv: MeasureValue):
-    if mv.is_rational:
-        v = mv.value
+def _measure_value_json(v):
+    if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     return {"coordinates": [f"{Fraction(c).numerator}/{Fraction(c).denominator}"
-                            for c in mv.value.coeffs],
-            "approx": mv.as_float()}
+                            for c in v.coeffs],
+            "approx": float(v)}
 
 
 def gap_label_to_json(g: GapLabelGroup) -> dict:
@@ -786,8 +776,4 @@ def measure_pairing(spec: SubshiftSpec, f: CylinderFunction):
     if f.is_zero:
         return Fraction(0)
     mu = measure_vector(spec, f.length)
-    acc = None
-    for w, c in f.coeffs:
-        term = mu[w].value * Fraction(c)
-        acc = term if acc is None else acc + term
-    return acc
+    return sum(mu[w] * Fraction(c) for w, c in f.coeffs)

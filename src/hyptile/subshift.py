@@ -27,7 +27,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebraic import AlgebraicNumber, perron_eigenvalue, nullspace_vector
+from .algebraic import perron_eigenvalue, nullspace_vector
 
 
 class HorizonExhausted(Exception):
@@ -345,28 +345,6 @@ def check_minimal_aperiodic(spec: SubshiftSpec) -> dict:
 
 # -- exact invariant measures ---------------------------------------------
 
-@dataclass(frozen=True)
-class MeasureValue:
-    """Exact cylinder measure: a Fraction or a field element."""
-
-    value: object  # Fraction | AlgebraicNumber
-
-    @property
-    def is_rational(self) -> bool:
-        return isinstance(self.value, Fraction)
-
-    def as_float(self) -> float:
-        return float(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, MeasureValue):
-            return self.value == other.value
-        return self.value == other
-
-    def __hash__(self):
-        return hash(str(self.value))
-
-
 def block_substitution(spec: Substitution, n: int):
     """Induced substitution on length-n blocks.
 
@@ -389,21 +367,25 @@ def _spec_perron(spec: Substitution):
     """One eigenvalue object per spec, so every block level shares a field.
 
     Never evicted: measures cached at one level are combined with this
-    eigenvalue at the next, and number fields must not mix.
+    eigenvalue at the next, and number fields must not mix.  A rule of
+    constant length s gives Fraction(s), since every column of its
+    incidence matrix sums to s.
     """
-    s = constant_length(spec)
-    return Fraction(s) if s is not None \
-        else perron_eigenvalue(incidence_matrix(spec))
+    return perron_eigenvalue(incidence_matrix(spec))
 
 
 def measure_vector(spec: SubshiftSpec, n: int) -> dict:
-    """Exact invariant probabilities of all length-n cylinders."""
+    """Exact invariant probabilities of all length-n cylinders.
+
+    Each value is a Fraction, or an AlgebraicNumber in the field of the
+    Perron eigenvalue when that eigenvalue is irrational.
+    """
     return dict(_measures(spec, n))
 
 
 @functools.lru_cache(maxsize=256)
 def _measures(spec: SubshiftSpec, n: int) -> tuple:
-    """(word, MeasureValue) pairs over language(spec, n), in its order."""
+    """(word, measure) pairs over language(spec, n), in its order."""
     if isinstance(spec, ExplicitWindow):
         raise UnsupportedSpec("not uniquely ergodic / unsupported spec")
     if isinstance(spec, Periodic):
@@ -413,18 +395,16 @@ def _measures(spec: SubshiftSpec, n: int) -> tuple:
         for i in range(p):
             w = reps[i:i + n]
             counts[w] = counts.get(w, 0) + 1
-        return tuple((w, MeasureValue(Fraction(counts[w], p)))
+        return tuple((w, Fraction(counts[w], p))
                      for w in language(spec, n))
     if not is_primitive(spec):
         raise UnsupportedSpec("not uniquely ergodic / unsupported spec")
     blocks = language(spec, n)
     m = _head_level(spec, n)
     mu = _nullspace_measure(spec, n) if m == n else _pushed_measure(spec, m, n)
-    for x in mu:
-        positive = x > 0 if isinstance(x, Fraction) else x.sign() > 0
-        if not positive:
-            raise ValueError("Perron vector not strictly positive")
-    return tuple((u, MeasureValue(x)) for u, x in zip(blocks, mu))
+    if not all(x > 0 for x in mu):
+        raise ValueError("Perron vector not strictly positive")
+    return tuple(zip(blocks, mu))
 
 
 def _head_level(spec: Substitution, n: int) -> int:
@@ -457,7 +437,7 @@ def _pushed_measure(spec: Substitution, m: int, n: int) -> list:
         img = _apply(rules, v)
         for j in range(len(rules[v[0]])):
             w = img[j:j + n]
-            acc[w] = acc[w] + x.value if w in acc else x.value
+            acc[w] = acc[w] + x if w in acc else x
     blocks = language(spec, n)
     if set(acc) != set(blocks):
         raise ValueError("block images do not cover the language")
@@ -470,19 +450,14 @@ def _nullspace_measure(spec: Substitution, n: int) -> list:
     blocks, sub = block_substitution(spec, n)
     lam = _spec_perron(spec)
     mat = [[Fraction(sub[u].count(v)) for u in blocks] for v in blocks]
-    if isinstance(lam, AlgebraicNumber):
-        field = lam.field
-        mat = [[field.rational(x) for x in row] for row in mat]
     for i in range(len(blocks)):
         mat[i][i] = mat[i][i] - lam
     v = nullspace_vector(mat)
-    total = v[0]
-    for x in v[1:]:
-        total = total + x
+    total = sum(v)
     return [x / total for x in v]
 
 
-def cylinder_measure(spec: SubshiftSpec, u: str) -> MeasureValue:
+def cylinder_measure(spec: SubshiftSpec, u: str):
     """Invariant probability of the cylinder [u], exactly."""
     if not u:
         raise ValueError("cylinder word must be nonempty")

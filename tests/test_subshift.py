@@ -12,12 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from hyptile.algebraic import AlgebraicNumber
+from hyptile.algebraic import AlgebraicNumber, perron_eigenvalue
 from hyptile.subshift import (
     _nullspace_measure,
     ExplicitWindow,
     HorizonExhausted,
-    MeasureValue,
     Periodic,
     Substitution,
     SubshiftSpec,
@@ -46,6 +45,8 @@ DOUBLING = Substitution.of({"1": "11"})
 FOUR_CYCLE = Substitution.of({"1": "12", "2": "34", "3": "12", "4": "34"})
 # bijective rules with periodic fixed word (12)^inf
 BIJ_PERIODIC = Substitution.of({"1": "121", "2": "212"})
+PD = Substitution.of({"1": "12", "2": "11"})
+S4 = Substitution.of({"1": "1234", "2": "2143", "3": "3412", "4": "4321"})
 
 
 def iterate_prefix(spec: Substitution, length: int) -> str:
@@ -196,6 +197,20 @@ class TestIncidenceAndPrimitivity:
         assert constant_length(TM) == 2
         assert constant_length(FIB) is None
         assert constant_length(BIJ_PERIODIC) == 3
+        # every column of the incidence matrix sums to s, so the Perron
+        # eigenvalue of a constant-length rule is Fraction(s)
+        rng = random.Random(11)
+        rules = [TM, PD, S4, BIJ_PERIODIC, FOUR_CYCLE, DOUBLING]
+        for _ in range(40):
+            letters = "1234"[:rng.randint(1, 4)]
+            s = rng.randint(1, 4)
+            rules.append(Substitution.of({
+                a: "".join(rng.choice(letters) for _ in range(s))
+                for a in letters}))
+        for spec in rules:
+            lam = perron_eigenvalue(incidence_matrix(spec))
+            assert isinstance(lam, Fraction)
+            assert lam == constant_length(spec)
 
 
 class TestCertificates:
@@ -254,7 +269,7 @@ def cyclic_count(word: str, u: str) -> Fraction:
 class TestPeriodicMeasures:
     def test_period_three_letter_weight(self):
         got = cylinder_measure(Periodic("112"), "1")
-        assert got.is_rational and got.value == F(2, 3)
+        assert isinstance(got, Fraction) and got == F(2, 3)
 
     def test_matches_cyclic_count_oracle(self):
         rng = random.Random(3)
@@ -262,8 +277,8 @@ class TestPeriodicMeasures:
             spec = Periodic(word)
             for n in range(1, 6):
                 for u in language(spec, n):
-                    assert cylinder_measure(spec, u).value == cyclic_count(word, u)
-                total = sum(v.value for v in measure_vector(spec, n).values())
+                    assert cylinder_measure(spec, u) == cyclic_count(word, u)
+                total = sum(measure_vector(spec, n).values())
                 assert total == 1
 
     @pytest.mark.parametrize("spec", [
@@ -283,39 +298,37 @@ class TestPeriodicMeasures:
 class TestSubstitutionMeasures:
     def test_thue_morse_pair(self):
         got = cylinder_measure(TM, "12")
-        assert got.is_rational and got.value == F(1, 3)
+        assert isinstance(got, Fraction) and got == F(1, 3)
 
     def test_thue_morse_two_block_vector(self):
         vec = measure_vector(TM, 2)
-        assert {u: v.value for u, v in vec.items()} == {
+        assert vec == {
             "11": F(1, 6), "12": F(1, 3), "21": F(1, 3), "22": F(1, 6)}
 
     def test_fibonacci_letter_measure(self):
-        got = cylinder_measure(FIB, "1")
-        assert isinstance(got.value, AlgebraicNumber)
-        x = got.value
+        x = cylinder_measure(FIB, "1")
+        assert isinstance(x, AlgebraicNumber)
         assert x * x + x - 1 == 0
-        assert got.as_float() == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-12)
+        assert float(x) == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-12)
 
     def test_four_cycle_matches_periodic(self):
         # (1234)^inf presented two ways must agree measure-for-measure
         for n in (1, 2, 3):
             lhs = measure_vector(FOUR_CYCLE, n)
             rhs = measure_vector(Periodic("1234"), n)
-            assert {u: v.value for u, v in lhs.items()} == \
-                   {u: v.value for u, v in rhs.items()}
+            assert lhs == rhs
 
     def test_empirical_frequency_oracle(self):
         prefix = iterate_prefix(TM, 1 << 14)
         for u in language(TM, 3):
             emp = sum(prefix[i:i + 3] == u for i in range(len(prefix) - 2)) \
                 / (len(prefix) - 2)
-            assert cylinder_measure(TM, u).as_float() == pytest.approx(emp, abs=2e-3)
+            assert float(cylinder_measure(TM, u)) == pytest.approx(emp, abs=2e-3)
         prefix = iterate_prefix(FIB, 1 << 14)
         for u in language(FIB, 2):
             emp = sum(prefix[i:i + 2] == u for i in range(len(prefix) - 1)) \
                 / (len(prefix) - 1)
-            assert cylinder_measure(FIB, u).as_float() == pytest.approx(emp, abs=2e-3)
+            assert float(cylinder_measure(FIB, u)) == pytest.approx(emp, abs=2e-3)
 
     def test_kolmogorov_consistency_exact(self):
         for spec in (TM, FIB, FOUR_CYCLE):
@@ -324,21 +337,21 @@ class TestSubstitutionMeasures:
                 vec = measure_vector(spec, n)
                 ext = measure_vector(spec, n + 1)
                 for u, mu in vec.items():
-                    right = [ext[u + a].value for a in letters if u + a in ext]
-                    left = [ext[a + u].value for a in letters if a + u in ext]
+                    right = [ext[u + a] for a in letters if u + a in ext]
+                    left = [ext[a + u] for a in letters if a + u in ext]
                     rsum = right[0]
                     for x in right[1:]:
                         rsum = rsum + x
                     lsum = left[0]
                     for x in left[1:]:
                         lsum = lsum + x
-                    assert rsum == mu.value
-                    assert lsum == mu.value
+                    assert rsum == mu
+                    assert lsum == mu
 
     def test_total_mass_exact(self):
         for spec in (TM, FIB):
             for n in (1, 2, 3, 4):
-                vals = [v.value for v in measure_vector(spec, n).values()]
+                vals = list(measure_vector(spec, n).values())
                 total = vals[0]
                 for x in vals[1:]:
                     total = total + x
@@ -347,11 +360,11 @@ class TestSubstitutionMeasures:
     def test_positivity_certified(self):
         for spec in (TM, FIB):
             for v in measure_vector(spec, 3).values():
-                if v.is_rational:
-                    assert 0 < v.value <= 1
+                if isinstance(v, Fraction):
+                    assert 0 < v <= 1
                 else:
-                    assert v.value.sign() > 0
-                    assert (v.value - 1).sign() <= 0
+                    assert v.sign() > 0
+                    assert (v - 1).sign() <= 0
 
     def test_block_substitution_shape(self):
         blocks, sub = block_substitution(TM, 2)
@@ -387,8 +400,7 @@ class TestMeasureRecursion:
         for n in range(1, nmax + 1):
             got = measure_vector(spec, n)
             assert list(got) == language(spec, n)
-            assert [v.value for v in got.values()] == \
-                _nullspace_measure(spec, n), n
+            assert list(got.values()) == _nullspace_measure(spec, n), n
 
     def test_callers_get_fresh_dicts(self):
         vec = measure_vector(TM, 3)
@@ -396,14 +408,22 @@ class TestMeasureRecursion:
         assert len(measure_vector(TM, 3)) == len(language(TM, 3))
 
 
-class TestMeasureValue:
-    def test_rational_wrapper(self):
-        mv = MeasureValue(F(1, 3))
-        assert mv.is_rational
-        assert mv.as_float() == pytest.approx(1 / 3)
-        assert mv == F(1, 3)
+class TestPlainMeasures:
+    """A measure is a plain number: a Fraction or an AlgebraicNumber."""
 
-    def test_algebraic_wrapper(self):
-        mv = cylinder_measure(FIB, "1")
-        assert not mv.is_rational
-        assert 0.0 < mv.as_float() < 1.0
+    def test_rational_measures(self):
+        for spec in (TM, PD, S4, Periodic("112")):
+            for n in (1, 2, 3):
+                for v in measure_vector(spec, n).values():
+                    assert isinstance(v, Fraction)
+                    assert 0.0 < float(v) < 1.0
+        assert cylinder_measure(TM, "12") == F(1, 3)
+        assert float(cylinder_measure(TM, "12")) == pytest.approx(1 / 3)
+
+    def test_algebraic_measures(self):
+        trib = Substitution.of({"1": "12", "2": "13", "3": "1"})
+        for spec in (FIB, trib):
+            for n in (1, 2, 3):
+                for v in measure_vector(spec, n).values():
+                    assert isinstance(v, AlgebraicNumber)
+                    assert 0.0 < float(v) < 1.0
