@@ -8,7 +8,10 @@ positive scale.  Crossing s = 1 downward is identified with doubling
 the odometer part and shifting the letters left by one; crossing s = 0
 is the inverse, which halves omega (branching on parity) and costs the
 batch one dyadic digit.  Keeping the scale in log base 2 makes both
-identifications unit translations in s.
+identifications unit translations in s.  Doubling t and shifting omega
+are exact, so k downward crossings are one shift by k bits and one
+carry; halving t + parity rounds, so upward crossings take one step per
+digit.
 
 The affine map z -> a z + b acts by scaling s and feeding b, divided by
 the new scale, into the suspension coordinate t; integer carries flow
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,13 +52,8 @@ __all__ = [
 ]
 
 _MAX_WRAPS = 64
-
-
-def _check_affine(a: float, b: float):
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("scale and translation must be finite")
-    if a <= 0:
-        raise ValueError("scale factor must be positive")
+# 2**k for k scale wraps: a lookup is several times faster than np.ldexp
+_POW2 = np.ldexp(1.0, np.arange(_MAX_WRAPS))
 
 
 # -- colour relation ----------------------------------------------------
@@ -125,13 +124,18 @@ class BumpProfile:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.name == "one":
             return np.ones_like(x)
-        z = (x - self.center) / self.width
+        z = np.subtract(x, self.center, out=np.empty_like(x, dtype=float))
+        z /= self.width
         # pow is slow on negative bases, so evaluate only on the support
-        # (keep ** 3: u * u * u differs in the last bit)
-        out = np.zeros_like(z)
+        # (keep the power 3: u * u * u differs in the last bit)
         inside = np.abs(z) < 1.0
-        out[inside] = (1.0 - z[inside] ** 2) ** 3
-        return out
+        u = z[inside]
+        np.square(u, out=u)
+        np.subtract(1.0, u, out=u)
+        np.power(u, 3, out=u)
+        z.fill(0.0)
+        z[inside] = u
+        return z
 
     # max |d^k/dx^k| over the line, from the polynomial (1-z^2)**3:
     # |phi'| <= 2.08, |phi''| <= 6, |phi'''| <= 48, |phi''''| <= 288.
@@ -177,7 +181,13 @@ class TestFunction:
         return TestFunction(word_part=CylinderFunction.of("Z", start, {u: 1}))
 
     def on_batch(self, batch: "SampleBatch") -> np.ndarray:
-        out = np.ones(batch.n)
+        # letter x omega x t x s; constant profiles are skipped: x * 1.0 == x
+        out = None
+        for factor in self._factors(batch):
+            out = factor if out is None else np.multiply(out, factor, out=out)
+        return np.ones(batch.n) if out is None else out
+
+    def _factors(self, batch: "SampleBatch"):
         if self.word_part is not None:
             a, b = self.word_part.window
             cmin = int(batch.cursor.min())
@@ -190,10 +200,10 @@ class TestFunction:
                     f"serve letter indices [{lo}, {hi})")
             # the letter factor of each window at each cursor offset
             coeffs = dict(self.word_part.coeffs)
-            table = np.array([[float(coeffs.get(w[j:j + b - a], 0))
-                               for j in range(lo, hi - (b - a) + 1)]
-                              for w in batch.windows])
-            out *= table[batch.index, batch.cursor - cmin]
+            cols = range(lo, hi - (b - a) + 1)
+            table = np.array([float(coeffs.get(w[j:j + b - a], 0))
+                              for w in batch.windows for j in cols])
+            yield table.take(batch.index * len(cols) + (batch.cursor - cmin))
         if self.omega_part is not None:
             lev = self.omega_part.level
             if lev > batch.precision:
@@ -201,8 +211,10 @@ class TestFunction:
                     f"level-{lev} odometer factor needs {lev} digits, "
                     f"batch retains {batch.precision}")
             table = np.array([float(v) for v in self.omega_part.values])
-            out *= table[batch.omega & ((1 << lev) - 1)]
-        return out * self.t_bump(batch.t) * self.s_bump(batch.s)
+            yield table.take(batch.omega & ((1 << lev) - 1))
+        for bump, x in ((self.t_bump, batch.t), (self.s_bump, batch.s)):
+            if bump.name != "one":
+                yield bump(x)
 
     def sup_bound(self) -> float:
         out = 1.0
@@ -251,18 +263,9 @@ _CHUNKS = 16
 def _cumulative_measure(spec: SubshiftSpec, words) -> np.ndarray:
     """Running sums of the measures of words, all of one length."""
     mv = measure_vector(spec, len(words[0]))
-    bounds = []
-    if all(isinstance(mv[w], Fraction) for w in words):
-        acc = Fraction(0)
-        for w in words:
-            acc += mv[w]
-            bounds.append(float(acc))
-    else:
-        acc = 0.0
-        for w in words:
-            acc += float(mv[w])
-            bounds.append(acc)
-    return np.array(bounds)
+    exact = all(isinstance(mv[w], Fraction) for w in words)
+    sums = accumulate(mv[w] if exact else float(mv[w]) for w in words)
+    return np.array([float(x) for x in sums])
 
 
 class SampleBatch:
@@ -270,8 +273,9 @@ class SampleBatch:
 
     omega holds residues mod 2**precision; row i reads the letter window
     windows[index[i]], whose position `origin` is letter index 0.
-    Batches are cheap to copy (windows and index are shared read-only)
-    so group elements can be applied to common random numbers.
+    act rebinds the coordinate arrays and never writes into them, so
+    copies share every array and group elements can be applied to
+    common random numbers at no cost.
     """
 
     __slots__ = ("omega", "t", "s", "cursor", "index", "windows", "origin",
@@ -290,66 +294,61 @@ class SampleBatch:
         self.n = len(t)
 
     def copy(self) -> "SampleBatch":
-        return SampleBatch(self.omega.copy(), self.t.copy(), self.s.copy(),
-                           self.cursor.copy(), self.index, self.windows,
-                           self.origin, self.precision)
+        return self.with_index(self.index)
 
     def with_index(self, index) -> "SampleBatch":
         """The same coordinate arrays (shared, not copied) with other windows."""
         return SampleBatch(self.omega, self.t, self.s, self.cursor, index,
                            self.windows, self.origin, self.precision)
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.precision) - 1
+    def normalize(self):
+        """Carry t and s into normal form: the action of the identity."""
+        self.act(1.0, 0.0)
 
-    def _carry(self):
-        c = np.floor(self.t)
-        t = self.t - c
+    def act(self, a: float, b: float):
+        if not (math.isfinite(a) and math.isfinite(b) and a > 0):
+            raise ValueError("need a finite scale a > 0, finite translation")
+        t = b / (a * np.exp2(self.s))
+        t += self.t
+        s = self.s + math.log2(a)
+        c = np.floor(t)
+        t -= c
         # a tiny negative t leaves 1 - |t|, which rounds to 1.0: one more wrap
         up = t == 1.0
         c += up
         t[up] = 0.0
-        # fmod is exact, and |wrap| < 2**precision <= 2**62 fits in int64
-        wrap = np.fmod(c, float(1 << self.precision)).astype(np.int64)
-        self.omega = (self.omega + wrap) & self.mask
-        self.t = t
-
-    def normalize(self):
-        self._carry()
-        for _ in range(_MAX_WRAPS):
-            m = self.s >= 1.0
-            if not m.any():
-                break
-            self.omega[m] = (self.omega[m] << 1) & self.mask
-            self.t[m] *= 2.0
-            self.s[m] -= 1.0
-            self.cursor[m] += 1
-            self._carry()
-        else:
+        # fmod(c, 2**precision) with exact steps, but faster
+        c -= np.trunc(c * 2.0 ** -self.precision) * 2.0 ** self.precision
+        omega = c.astype(np.int64)
+        omega += self.omega
+        f = np.floor(s)
+        if f.max() >= _MAX_WRAPS:
             raise ValueError("scale coordinate does not wrap down to [0,1)")
-        for _ in range(_MAX_WRAPS):
-            m = self.s < 0.0
-            if not m.any():
-                break
-            if self.precision == 0:
-                raise PrecisionExhausted("no dyadic digits left to halve")
-            par = self.omega[m] & 1
-            self.omega[m] = (self.omega[m] - par) >> 1
-            self.t[m] = (self.t[m] + par) / 2.0
-            self.s[m] += 1.0
-            self.cursor[m] -= 1
-            # one digit gone for the whole batch: residues stay comparable
-            self.precision -= 1
-            self.omega &= self.mask
-        else:
-            raise ValueError("scale coordinate does not wrap up to [0,1)")
-
-    def act(self, a: float, b: float):
-        _check_affine(a, b)
-        self.t = self.t + b / (a * np.exp2(self.s))
-        self.s = self.s + math.log2(a)
-        self.normalize()
+        cursor = f.astype(np.int64)
+        s -= f
+        # k wraps down in s double t and shift omega, all exactly, so they
+        # are one shift and one carry below 2**63; omega stays exact mod
+        # 2**64 (uint64 wraps) and is reduced once, at the end
+        k = np.maximum(cursor, 0)
+        t *= _POW2.take(k, out=f)
+        np.floor(t, out=c)
+        t -= c
+        u = omega.view(np.uint64)
+        u <<= k.view(np.uint64)
+        u += c.astype(np.uint64)
+        # wraps up halve t + parity, which rounds: one step per digit
+        d = np.subtract(k, cursor, out=k)
+        steps = int(d.max())
+        if steps > self.precision:
+            raise PrecisionExhausted("no dyadic digits left to halve")
+        for j in range(steps):
+            np.copyto(t, (t + ((omega >> j) & 1)) / 2.0, where=d > j)
+        # one digit gone for the whole batch per step: residues stay comparable
+        self.precision -= steps
+        omega >>= d
+        omega &= (1 << self.precision) - 1
+        cursor += self.cursor
+        self.omega, self.t, self.s, self.cursor = omega, t, s, cursor
 
 
 def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,

@@ -118,6 +118,21 @@ class TestSmallCommands:
         assert digest == ("a8800f9318bac9de9a5c44bd2a5262d3"
                           "c3029a8b1356bb734bfa988df37892ea")
 
+    # sha256 of stdout at 20000 samples: every statistic of every report
+    # depends on the chart identification bit for bit
+    @pytest.mark.parametrize("command, spec, seed, expect", [
+        ("hullcheck", THUE_MORSE, 7, "0d9762936dbd1a717e4d84bc87ae569a"
+                                     "dfd08219544740b092bf65ef8fa50b64"),
+        ("cocycle", FIBONACCI, 3, "fdb902dc7a882983de6ce5c7910d8d38"
+                                  "fcbd4297844d0f63466f42681673aa33"),
+    ])
+    def test_hull_reports_are_pinned(self, tmp_path, capsys, command, spec,
+                                     seed, expect):
+        assert run([command, "--spec", write_spec(tmp_path, spec),
+                    "--samples", "20000", "--seed", str(seed)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == expect
+
     def test_stdout_default(self, tmp_path, capsys):
         assert run(["gaplabels", "--spec",
                     write_spec(tmp_path, PERIODIC_12)]) == 0

@@ -135,6 +135,17 @@ class TestNormalize:
         with pytest.raises(PrecisionExhausted):
             point(0, 0.0, -1.0, prec=0).normalize()
 
+    def test_scale_wrap_limits(self):
+        # 63 downward crossings fit one shift of int64; 64 are refused
+        for om, prec in ((12345, 16), ((1 << 62) - 3, 62)):
+            p = normalized(point(om, 0.3, 63.5, prec=prec))
+            assert row(p) == ref_normalize(om, prec, 0.3, 63.5, 0)
+        with pytest.raises(ValueError):
+            point(5, 0.3, 64.0).normalize()
+        # more upward crossings than any batch has digits
+        with pytest.raises(PrecisionExhausted):
+            point(5, 0.3, -100.0, prec=62).normalize()
+
 
 class TestAct:
     def test_unit_translation_carries(self):
@@ -329,14 +340,23 @@ class TestTestFunction:
         assert BumpProfile()(np.array([0.3, 0.9])).tolist() == [1.0, 1.0]
 
     def test_bump_equals_evaluation_on_every_row(self):
-        # reference: the polynomial evaluated everywhere, then masked
-        x = np.random.default_rng(11).uniform(0.0, 1.0, 10_000)
-        for c, w in ((0.5, 0.45), (0.4, 0.2), (0.6, 0.1)):
+        # reference: the polynomial evaluated everywhere, then masked; the
+        # bytes also pin +0.0 outside the support
+        rng = np.random.default_rng(11)
+        profiles = [(0.5, 0.45), (0.4, 0.2), (0.6, 0.1)]
+        for _ in range(20):
+            c = float(rng.uniform(0.2, 0.8))
+            profiles.append((c, float(rng.uniform(0.01, min(c, 1.0 - c)))))
+        for c, w in profiles:
+            # both sides of each end of the support, and the ends
+            edges = [np.nextafter(e, d) for e in (c - w, c + w)
+                     for d in (0.0, 1.0)] + [c - w, c + w]
+            x = np.concatenate([rng.uniform(0.0, 1.0, 2000), edges])
             z = (x - c) / w
             want = np.where(np.abs(z) < 1.0, (1.0 - z * z) ** 3, 0.0)
             got = BumpProfile("bump3", c, w)(x)
             assert got.dtype == want.dtype
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert got.tobytes() == want.tobytes()
 
     def test_scalar_evaluation(self):
         f = TFn(
