@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 
@@ -198,12 +199,9 @@ class TestFunction:
                 raise ColourWindowExhausted(
                     f"sampled window of width {width} cannot "
                     f"serve letter indices [{lo}, {hi})")
-            # the letter factor of each window at each cursor offset
-            coeffs = dict(self.word_part.coeffs)
-            cols = range(lo, hi - (b - a) + 1)
-            table = np.array([float(coeffs.get(w[j:j + b - a], 0))
-                              for w in batch.windows for j in cols])
-            yield table.take(batch.index * len(cols) + (batch.cursor - cmin))
+            table = _letter_table(self.word_part, batch.windows, lo, hi)
+            offsets = hi - lo - (b - a) + 1
+            yield table.take(batch.index * offsets + (batch.cursor - cmin))
         if self.omega_part is not None:
             lev = self.omega_part.level
             if lev > batch.precision:
@@ -255,6 +253,22 @@ class TestFunction:
         return h * h / 6.0 * m3
 
 
+@lru_cache(maxsize=64)
+def _letter_table(word_part: CylinderFunction, windows: tuple, lo: int,
+                  hi: int) -> np.ndarray:
+    """word_part on each window read from each offset in [lo, hi), flat.
+
+    Every row block of a check asks for the same few tables, so they are
+    built once.
+    """
+    length = word_part.window[1] - word_part.window[0]
+    coeffs = dict(word_part.coeffs)
+    table = np.array([float(coeffs.get(w[j:j + length], 0))
+                      for w in windows for j in range(lo, hi - length + 1)])
+    table.flags.writeable = False
+    return table
+
+
 # -- product-measure sampling --------------------------------------------
 
 _CHUNKS = 16
@@ -295,6 +309,12 @@ class SampleBatch:
 
     def copy(self) -> "SampleBatch":
         return self.with_index(self.index)
+
+    def rows(self, rows: slice) -> "SampleBatch":
+        """The rows in a slice, as views of the coordinate arrays."""
+        return SampleBatch(self.omega[rows], self.t[rows], self.s[rows],
+                           self.cursor[rows], self.index[rows], self.windows,
+                           self.origin, self.precision)
 
     def with_index(self, index) -> "SampleBatch":
         """The same coordinate arrays (shared, not copied) with other windows."""
@@ -408,6 +428,65 @@ def _check_rows(base: SampleBatch):
                          f"the batch has {base.n}")
 
 
+# Most rows per block in the checks: an action's block-sized temporaries
+# are reused from the heap, where whole-batch ones were mapped and
+# faulted in again at every action; at 2048 rows numpy's per-call cost
+# shows.
+_BLOCK = 16384
+
+
+def _moved(batch: SampleBatch, a: float, b: float,
+           precision: int | None = None) -> SampleBatch:
+    """A copy of batch acted on by (a, b), keeping at most precision digits."""
+    out = batch.copy()
+    out.act(a, b)
+    if precision is not None and precision < out.precision:
+        out.omega = out.omega & ((1 << precision) - 1)
+        out.precision = precision
+    return out
+
+
+def _per_row(base: SampleBatch, values, size: int = _BLOCK) -> list:
+    """Full-length columns of per-row values, computed a block at a time.
+
+    values(rows, block, move) yields arrays over `block`, the view of
+    base's rows in the slice `rows`, one per column; move(a, b) is a
+    moved copy of the block.  Each block keeps the digits the whole
+    batch keeps (those of its row with the smallest s, which halves the
+    most), so a moved block holds exactly the whole batch's moved rows,
+    and the columns reduce to the whole batch's statistics bit for bit.
+    If a block raises, the whole batch runs as one block and raises its
+    first error.
+    """
+    if size >= base.n:
+        return list(values(slice(None), base,
+                           lambda a, b: _moved(base, a, b)))
+    i = int(base.s.argmin())
+    lowest = base.rows(slice(i, i + 1))
+    digits = {}
+
+    def kept(a, b):
+        if (a, b) not in digits:
+            digits[a, b] = _moved(lowest, a, b).precision
+        return digits[a, b]
+
+    blocks = -(-base.n // size)
+    size = -(-base.n // blocks)  # blocks as equal as possible, none larger
+    cols = []
+    try:
+        for lo in range(0, base.n, size):
+            rows = slice(lo, lo + size)
+            block = base.rows(rows)
+            for j, v in enumerate(values(rows, block, lambda a, b:
+                                         _moved(block, a, b, kept(a, b)))):
+                if j == len(cols):
+                    cols.append(np.empty(base.n, dtype=v.dtype))
+                cols[j][rows] = v
+    except (ValueError, PrecisionExhausted, ColourWindowExhausted):
+        return _per_row(base, values, base.n)
+    return cols
+
+
 _EXACT_SLACK = 1e-12
 
 
@@ -430,17 +509,21 @@ def invariance_reports(base: SampleBatch, cases, g_list,
 
     Each case pairs a test function with window indices for base's rows
     (base.index, or a control's from first_word_control).  Each g acts
-    once, on one copy of base's coordinates, and every case is evaluated
-    on that copy; only the per-g scalars are kept.
+    once on each block of base's rows, and every case is evaluated on
+    the moved block; only the per-g scalars are kept.
     """
     _check_rows(base)
-    f0 = [f.on_batch(base.with_index(index)) for f, index in cases]
+    f0 = _per_row(base, lambda rows, block, move: (
+        f.on_batch(block.with_index(index[rows])) for f, index in cases))
     per_g = [[] for _ in cases]
     for a, b in g_list:
-        moved = base.copy()
-        moved.act(a, b)
-        for (f, index), fk, out in zip(cases, f0, per_g):
-            diff, se = _mean_se(f.on_batch(moved.with_index(index)) - fk)
+        def diffs(rows, block, move):
+            moved = move(a, b)
+            for (f, index), fk in zip(cases, f0):
+                yield f.on_batch(moved.with_index(index[rows])) - fk[rows]
+
+        for d, out in zip(_per_row(base, diffs), per_g):
+            diff, se = _mean_se(d)
             out.append({"g": [float(a), float(b)], "statistic": diff,
                         "std_error": se,
                         "pass": abs(diff) <= 3.0 * se + _EXACT_SLACK})
@@ -481,15 +564,14 @@ def harmonicity_report(base: SampleBatch, f: TestFunction, seed: int, *,
     _validate_step(h)
     _check_rows(base)
 
-    def probe(a, b):
-        m = base.copy()
-        m.act(a, b)
-        return f.on_batch(m)
+    def laplacian(rows, block, move):
+        centre = f.on_batch(block)
+        yield (f.on_batch(move(1.0, h)) + f.on_batch(move(1.0, -h))
+               + f.on_batch(move(1.0 + h, 0.0))
+               + f.on_batch(move(1.0 - h, 0.0))
+               - 4.0 * centre) / (h * h)
 
-    centre = f.on_batch(base)
-    lap = (probe(1.0, h) + probe(1.0, -h)
-           + probe(1.0 + h, 0.0) + probe(1.0 - h, 0.0)
-           - 4.0 * centre) / (h * h)
+    lap, = _per_row(base, laplacian)
     stat, se = _mean_se(lap)
     bias = f.laplacian_bias(h)
     ok = abs(stat) <= 3.0 * se + bias + _EXACT_SLACK
@@ -514,27 +596,31 @@ def tau_reports(base: SampleBatch, pairs, seed: int, *,
                 h: float = 2.0 ** -6) -> list[dict]:
     """tau_pairing's report for each (f, g) pair on one sample.
 
-    The flow moves base up and down once, and every pair is evaluated
-    on those two copies.
+    The flow moves each block of base's rows up and down once, and every
+    pair is evaluated on those two moved blocks.
     """
     _validate_step(h)
     _check_rows(base)
-    up = base.copy()
-    up.act(2.0 ** h, 0.0)
-    down = base.copy()
-    down.act(2.0 ** -h, 0.0)
 
-    def flow_diff(fn):
-        return (fn.on_batch(up) - fn.on_batch(down)) / (2.0 * h)
+    def products(rows, block, move):
+        up, down = move(2.0 ** h, 0.0), move(2.0 ** -h, 0.0)
 
+        def flow_diff(fn):
+            return (fn.on_batch(up) - fn.on_batch(down)) / (2.0 * h)
+
+        for f, g in pairs:
+            yf = flow_diff(f)
+            yg = flow_diff(g)
+            f0 = f.on_batch(block)
+            yf_g0 = yf * g.on_batch(block)
+            yield yf_g0
+            yield yf_g0 + yg * f0
+
+    cols = _per_row(base, products)
     reports = []
-    for f, g in pairs:
-        yf = flow_diff(f)
-        yg = flow_diff(g)
-        f0 = f.on_batch(base)
-        g0 = g.on_batch(base)
-        tau, se = _mean_se(yf * g0)
-        defect, se_d = _mean_se(yf * g0 + yg * f0)
+    for (f, g), yf_g0, sym in zip(pairs, cols[::2], cols[1::2]):
+        tau, se = _mean_se(yf_g0)
+        defect, se_d = _mean_se(sym)
         bias = 2.0 * (f.flow_bias(h) * g.sup_bound()
                       + g.flow_bias(h) * f.sup_bound())
         ok = abs(defect) <= 3.0 * se_d + bias + _EXACT_SLACK

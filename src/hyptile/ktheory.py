@@ -769,8 +769,10 @@ def measure_pairing(spec: SubshiftSpec, f: CylinderFunction):
     preserves it, by additivity of the measure), equal to the word
     measure on cylinder indicators, and constant on plain-shift
     coinvariant classes since the measure is shift invariant.  It is
-    not constant on doubling-shift classes; no additive functional into
-    the reals can be, because those groups have torsion.
+    not constant on doubling-shift classes, and no positive additive
+    functional into the reals can be: 1 and 2 lie in one class there,
+    so nu(1) = 2 nu(1) forces nu(1) = 0.  (Torsion alone would only
+    force such a functional to vanish on the torsion.)
     """
     f = _language_filter(spec, f)
     if f.is_zero:

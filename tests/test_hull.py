@@ -17,6 +17,8 @@ from hyptile.geometry import (
     generate_patch,
 )
 from hyptile.hull import (
+    _BLOCK,
+    _per_row,
     BumpProfile,
     SampleBatch,
     TestFunction as TFn,
@@ -632,22 +634,30 @@ class TestTauPairing:
         assert a == b
 
 
+# sizes around the row blocks of the checks: one tiny block, one block
+# just short of full, one full block, two halves, and three blocks
+BLOCK_SIZES = pytest.mark.parametrize(
+    "n", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17],
+    ids=["two", "block-1", "block", "block+1", "2block+17"])
+
+
 class TestSharedCores:
     """The batch-level cores against a fresh draw and fresh moves per use."""
 
     GS = [(1.0, 0.7), (2.0, 0.0), (0.5, 0.0), (1.5, -0.9), (0.7, 2.5)]
-    N, SEED = 3000, 77
+    SEED = 77
 
     @staticmethod
     def mean_se(x):
         return float(x.mean()), float(x.std(ddof=1)) / math.sqrt(len(x))
 
-    def test_invariance_cases_match_separate_draws(self):
+    @BLOCK_SIZES
+    def test_invariance_cases_match_separate_draws(self, n):
         f0 = TFn.word_indicator("12")
         f1 = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1}),
                  t_bump=BumpProfile("bump3", 0.5, 0.45),
                  s_bump=BumpProfile("bump3", 0.5, 0.45))
-        base = sample_batch(TM, self.N, self.SEED)
+        base = sample_batch(TM, n, self.SEED)
         control = first_word_control(base)
         reports = invariance_reports(
             base, [(f0, base.index), (f1, base.index), (f0, control.index)],
@@ -655,7 +665,7 @@ class TestSharedCores:
         for rep, (f, biased) in zip(reports, [(f0, False), (f1, False),
                                               (f0, True)]):
             for entry, (a, b) in zip(rep["per_g"], self.GS):
-                fresh = sample_batch(TM, self.N, self.SEED)
+                fresh = sample_batch(TM, n, self.SEED)
                 if biased:
                     fresh = first_word_control(fresh)
                 moved = fresh.copy()
@@ -663,15 +673,36 @@ class TestSharedCores:
                 diff, se = self.mean_se(f.on_batch(moved) - f.on_batch(fresh))
                 assert (entry["statistic"], entry["std_error"]) == (diff, se)
 
-    def test_tau_pairs_match_separate_flows(self):
+    @BLOCK_SIZES
+    def test_harmonicity_matches_whole_batch_probes(self, n):
+        h = 2.0 ** -6
+        f = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1, "21": -2}),
+                omega_part=ClopenSet.cylinder(2, 1).indicator(),
+                t_bump=BumpProfile("bump3", 0.5, 0.45),
+                s_bump=BumpProfile("bump3", 0.5, 0.45))
+        rep = harmonicity_report(sample_batch(TM, n, self.SEED), f,
+                                 self.SEED, h=h)
+
+        def probe(a, b):
+            moved = sample_batch(TM, n, self.SEED)
+            moved.act(a, b)
+            return f.on_batch(moved)
+
+        centre = f.on_batch(sample_batch(TM, n, self.SEED))
+        lap = (probe(1.0, h) + probe(1.0, -h) + probe(1.0 + h, 0.0)
+               + probe(1.0 - h, 0.0) - 4.0 * centre) / (h * h)
+        assert (rep["statistic"], rep["std_error"]) == self.mean_se(lap)
+
+    @BLOCK_SIZES
+    def test_tau_pairs_match_separate_flows(self, n):
         h = 2.0 ** -6
         pairs = [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn.constant()),
                  (TFn.bump(0.45, 0.3, 0.55, 0.35), TFn.word_indicator("12"))]
-        reports = tau_reports(sample_batch(TM, self.N, self.SEED), pairs,
+        reports = tau_reports(sample_batch(TM, n, self.SEED), pairs,
                               self.SEED, h=h)
 
         def flow(fn):
-            base = sample_batch(TM, self.N, self.SEED)
+            base = sample_batch(TM, n, self.SEED)
             up, down = base.copy(), base.copy()
             up.act(2.0 ** h, 0.0)
             down.act(2.0 ** -h, 0.0)
@@ -685,3 +716,109 @@ class TestSharedCores:
             defect, se_d = self.mean_se(yf * g0 + yg * f0)
             assert rep["antisymmetry_defect"] == abs(defect)
             assert rep["defect_std_error"] == se_d
+
+
+def with_s(batch, s):
+    """batch's rows with the scale coordinates s."""
+    return SampleBatch(batch.omega, batch.t, np.array(s, dtype=float),
+                       batch.cursor, batch.index, batch.windows,
+                       batch.origin, batch.precision)
+
+
+class TestBlockErrors:
+    """Errors of the blocked checks are those of the whole batch.
+
+    The rows of the last block sit where a move costs one more digit or
+    pushes the cursor out of the window, so the first blocks alone would
+    pass; each case compares with the move done on the whole batch.
+    """
+
+    N = 2 * _BLOCK + 17
+    LAST = slice(2 * _BLOCK, None)
+    SQRT_HALF = 2.0 ** -1.5  # two halvings for s < 1/2, one for s >= 1/2
+
+    def costly_last_block(self, prec=4):
+        s = np.full(self.N, 0.75)
+        s[self.LAST] = 0.25
+        return with_s(sample_batch(TM, self.N, 8, precision=prec), s)
+
+    def test_moved_blocks_are_the_whole_batch_rows(self):
+        base = self.costly_last_block(prec=30)
+        cols = _per_row(base, lambda rows, block, move: [
+            (m := move(self.SQRT_HALF, 0.3)).omega, m.t, m.s, m.cursor,
+            np.full(block.n, m.precision)])
+        whole = base.copy()
+        whole.act(self.SQRT_HALF, 0.3)
+        assert whole.precision == 28
+        for col, expect in zip(cols, (whole.omega, whole.t, whole.s,
+                                      whole.cursor)):
+            assert np.array_equal(col, expect)
+        assert (cols[4] == 28).all()
+
+    @pytest.mark.parametrize("check", ["invariance", "harmonicity", "tau"])
+    def test_precision_exhausted_as_for_the_whole_batch(self, check):
+        prec = 4
+        if check == "invariance":
+            base, (a, b) = self.costly_last_block(prec), (self.SQRT_HALF, 0.0)
+        else:
+            # the scale flow's 2**-h and the probe 1 - h halve rows at s = 0
+            s = np.full(self.N, 0.5)
+            s[self.LAST] = 0.0
+            base = with_s(sample_batch(TM, self.N, 8, precision=prec), s)
+            h = 2.0 ** -6
+            a, b = (2.0 ** -h if check == "tau" else 1.0 - h), 0.0
+        whole = base.copy()
+        whole.act(a, b)
+        lost = prec - whole.precision
+        run = {"invariance": lambda f: invariance_reports(
+                   base, [(f, base.index)], [(a, b)], 1),
+               "harmonicity": lambda f: harmonicity_report(base, f, 1),
+               "tau": lambda f: tau_reports(base, [(f, f)], 1)}[check]
+        def parity_at(level):
+            return TFn(omega_part=LocallyConstFn(
+                level, (0, 1) * (1 << level - 1)))
+
+        # one digit more than the whole batch keeps, which the first
+        # blocks alone would still carry
+        too_fine = parity_at(prec - lost + 1)
+        with pytest.raises(PrecisionExhausted) as expect:
+            too_fine.on_batch(whole)
+        with pytest.raises(PrecisionExhausted) as got:
+            run(too_fine)
+        assert str(got.value) == str(expect.value)
+        # a level the whole batch still carries passes
+        run(parity_at(prec - lost))
+
+    def test_window_exhausted_as_for_the_whole_batch(self):
+        # sqrt 2 moves the cursor up one letter on rows with s >= 1/2
+        f = TFn.word_indicator("12")
+        g = [(2.0 ** 0.5, 0.0)]
+        inside = with_s(sample_batch(TM, self.N, 9, halfwidth=1),
+                        np.full(self.N, 0.25))
+        rep = invariance_reports(inside, [(f, inside.index)], g, 1)[0]
+        assert rep["n"] == self.N
+        s = np.full(self.N, 0.25)
+        s[self.LAST] = 0.75
+        base = with_s(inside, s)
+        whole = base.copy()
+        whole.act(*g[0])
+        with pytest.raises(ColourWindowExhausted) as expect:
+            f.on_batch(whole)
+        with pytest.raises(ColourWindowExhausted) as got:
+            invariance_reports(base, [(f, base.index)], g, 1)
+        assert str(got.value) == str(expect.value)
+
+    def test_first_error_of_the_whole_batch_wins(self):
+        # the first blocks lose a digit and the last overruns the window:
+        # the whole batch meets the letter case first, so it raises
+        # ColourWindowExhausted although the first block alone would
+        # raise PrecisionExhausted in the odometer case
+        s = np.full(self.N, -0.75)
+        s[self.LAST] = 0.75
+        base = with_s(sample_batch(TM, self.N, 10, precision=3,
+                                   halfwidth=1), s)
+        cases = [(TFn.word_indicator("12"), base.index),
+                 (TFn(omega_part=LocallyConstFn(3, tuple(range(8)))),
+                  base.index)]
+        with pytest.raises(ColourWindowExhausted):
+            invariance_reports(base, cases, [(2.0 ** 0.5, 0.0)], 1)
