@@ -2,11 +2,12 @@
 an integer matrix as an element of one.
 
 Elements are residue polynomials modulo a fixed monic minimal polynomial,
-with the distinguished real root pinned down by an isolating interval
-with rational endpoints.  Signs are decided by refining the interval
-until interval-arithmetic evaluation of the residue excludes zero; this
-terminates because a nonzero residue cannot vanish at a root of an
-irreducible polynomial of higher degree.
+integer numerators over one denominator, with the distinguished real root
+pinned down by an isolating interval with (dyadic) rational endpoints.
+Signs are decided by refining the interval until integer interval
+evaluation of the residue excludes zero, and float() until both ends
+round to the same double; this terminates because a nonzero residue
+cannot vanish at a root of an irreducible polynomial of higher degree.
 
 The minimal polynomial always has degree >= 2 here (rational eigenvalues
 take the plain Fraction path), so no rational point is a root and any
@@ -28,6 +29,7 @@ its isolating interval.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -39,27 +41,6 @@ def _trim(cs):
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
-
-
-def poly_neg(a):
-    return tuple(-c for c in a)
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _trim(out)
 
 
 def poly_divmod(a, b):
@@ -83,26 +64,26 @@ def poly_eval(a, x: Fraction) -> Fraction:
     return r
 
 
-def _ival_mul(p, q):
-    prods = (p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1])
-    return (min(prods), max(prods))
-
-
-def poly_eval_interval(a, lo: Fraction, hi: Fraction):
-    """Interval-arithmetic Horner evaluation of a on [lo, hi]."""
-    r = (Fraction(0), Fraction(0))
-    for c in reversed(a):
-        r = _ival_mul(r, (lo, hi))
-        r = (r[0] + c, r[1] + c)
-    return r
+def _enclose(p, a: int, b: int, d: int):
+    """Integer bounds of d**deg(p) * p(x) over x in [a/d, b/d], for
+    integer p: Horner's rule in interval arithmetic (exact when a == b)."""
+    lo, hi, scale = 0, 0, 1
+    for c in reversed(p):
+        prods = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(prods) + c * scale, max(prods) + c * scale
+        scale *= d
+    return lo, hi
 
 
 class NumberField:
     """Q(t) for t the unique root of minpoly inside (lo, hi).
 
     minpoly is monic with Fraction coefficients, degree >= 2, irreducible
-    over Q, and changes sign across the interval.  refine() only ever
-    narrows the interval, monotonically.
+    over Q, and changes sign across the interval.  Elements reduce by
+    `scaled`, the least integer multiple of minpoly, so their arithmetic
+    is on integers in every field.  The interval is (_lo, _hi) / _den in
+    integers, dyadic when lo and hi are (as Perron data's are); refine()
+    only ever narrows it, by bisection.
     """
 
     def __init__(self, minpoly, lo: Fraction, hi: Fraction):
@@ -111,165 +92,185 @@ class NumberField:
             raise ValueError("minpoly must be monic of degree >= 2")
         if not lo < hi:
             raise ValueError("empty isolating interval")
-        slo, shi = poly_eval(minpoly, lo), poly_eval(minpoly, hi)
+        self.minpoly = minpoly
+        m = math.lcm(*(c.denominator for c in minpoly))
+        self.scaled = tuple(int(c * m) for c in minpoly)
+        self._den = math.lcm(lo.denominator, hi.denominator)
+        self._lo, self._hi = int(lo * self._den), int(hi * self._den)
+        slo, shi = (_enclose(self.scaled, x, x, self._den)[0]
+                    for x in (self._lo, self._hi))
         if slo == 0 or shi == 0 or (slo > 0) == (shi > 0):
             raise ValueError("interval endpoints must straddle the root")
-        self.minpoly = minpoly
-        self.lo = lo
-        self.hi = hi
-        self._sign_lo = 1 if slo > 0 else -1
+        self._lo_positive = slo > 0
 
-    @property
-    def degree(self) -> int:
-        return len(self.minpoly) - 1
+    lo = property(lambda self: Fraction(self._lo, self._den))
+    hi = property(lambda self: Fraction(self._hi, self._den))
 
     def refine(self):
-        mid = (self.lo + self.hi) / 2
-        s = poly_eval(self.minpoly, mid)
+        mid, self._den = self._lo + self._hi, 2 * self._den
+        self._lo, self._hi = 2 * self._lo, 2 * self._hi
         # minpoly is irreducible of degree >= 2: no rational root
-        if (s > 0) == (self._sign_lo > 0):
-            self.lo = mid
+        if (_enclose(self.scaled, mid, mid, self._den)[0] > 0) \
+                == self._lo_positive:
+            self._lo = mid
         else:
-            self.hi = mid
-
-    def element(self, coeffs) -> "AlgebraicNumber":
-        return AlgebraicNumber(self, coeffs)
-
-    def generator(self) -> "AlgebraicNumber":
-        return self.element((0, 1))
-
-    def rational(self, c) -> "AlgebraicNumber":
-        return self.element((c,))
+            self._hi = mid
 
     def __repr__(self):
         return f"NumberField({self.minpoly}, ({self.lo}, {self.hi}))"
 
 
+@functools.total_ordering
 class AlgebraicNumber:
-    """Residue polynomial in the field generator, exact Fraction coeffs."""
+    """Residue polynomial in the field generator: the integers num over
+    the positive integer den, reduced mod minpoly and in lowest terms, so
+    equal elements have equal (num, den)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, coeffs):
-        cs = _trim(Fraction(c) for c in coeffs)
-        if len(cs) > field.degree:
-            _, cs = poly_divmod(cs, field.minpoly)
+    def __init__(self, field: NumberField, coeffs, den: int | None = None):
+        """Rational coeffs, or with den given, integer numerators over it."""
+        num = list(coeffs)
+        if den is None:
+            num = [Fraction(c) for c in num]
+            den = math.lcm(*(c.denominator for c in num))
+            num = [int(c * den) for c in num]
+        # pseudo-division by scaled: lead * num - c * x**k * scaled cancels
+        # num's top term c * x**(n + k), and den takes the factor lead
+        m = field.scaled
+        n, lead = len(m) - 1, m[-1]
+        while num and (len(num) > n or num[-1] == 0):
+            c = num.pop()
+            if c:
+                k = len(num) - n
+                if lead != 1:
+                    num = [lead * x for x in num]
+                    den *= lead
+                for i in range(n):
+                    num[k + i] -= c * m[i]
+        g = math.gcd(den, *num)
         self.field = field
-        self.coeffs = cs
+        self.num, self.den = tuple(x // g for x in num), den // g
 
-    def _coerce(self, other):
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def _parts(self, other):
+        """other as (numerators, denominator), or None outside the field."""
         if isinstance(other, AlgebraicNumber):
             if other.field is not self.field:
                 raise ValueError("mixed number fields")
-            return other
+            return other.num, other.den
         if isinstance(other, (int, Fraction)):
-            return AlgebraicNumber(self.field, (other,))
-        return NotImplemented
+            return ((other.numerator,) if other else ()), other.denominator
+        return None
+
+    def _add(self, other, sign=1):
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        (b, db), a, da = parts, self.num, self.den
+        if da != db:
+            a, b, db = [x * db for x in a], [y * da for y in b], da * db
+        return AlgebraicNumber(self.field, [
+            x + sign * y for x, y in itertools.zip_longest(a, b, fillvalue=0)
+        ], db)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return AlgebraicNumber(self.field, poly_add(self.coeffs, o.coeffs))
+        return self._add(other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(self.field, poly_neg(self.coeffs))
+        return AlgebraicNumber(self.field, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return AlgebraicNumber(self.field, poly_mul(self.coeffs, o.coeffs))
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        b, db = parts
+        out = [0] * (len(self.num) + len(b) - 1) if self.num and b else []
+        for i, x in enumerate(self.num):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return AlgebraicNumber(self.field, out, self.den * db)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicNumber":
-        if not self.coeffs:
+        if not self.num:
             raise ZeroDivisionError("algebraic zero has no inverse")
-        # extended Euclid in Q[x]: u*self + v*minpoly = 1
+        # Euclid on (minpoly, self) in Q[x], keeping r_i = u_i * self in
+        # the field; the last remainder is a nonzero constant
         r0, r1 = self.field.minpoly, self.coeffs
-        u0, u1 = (), (Fraction(1),)
+        u0, u1 = 0, AlgebraicNumber(self.field, (1,))
         while len(r1) > 1:
             q, r = poly_divmod(r0, r1)
             r0, r1 = r1, r
-            u0, u1 = u1, poly_add(u0, poly_neg(poly_mul(q, u1)))
+            u0, u1 = u1, u0 - AlgebraicNumber(self.field, q) * u1
         if not r1:
             raise ZeroDivisionError("residue shares a factor with minpoly")
-        scale = Fraction(1) / r1[0]
-        return AlgebraicNumber(self.field, tuple(c * scale for c in u1))
+        return u1 * Fraction(1, r1[0])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        if isinstance(other, AlgebraicNumber):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * Fraction(1, other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.coeffs == o.coeffs
+        p = self._parts(other)
+        return NotImplemented if p is None else (self.num, self.den) == p
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return hash((id(self.field), self.num, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
+
+    def _enclosure(self):
+        """(lo, hi, scale): lo/scale <= self <= hi/scale, integers."""
+        f = self.field
+        return (*_enclose(self.num, f._lo, f._hi, f._den),
+                f._den ** (len(self.num) - 1) * self.den)
 
     def sign(self) -> int:
-        if not self.coeffs:
+        if not self.num:
             return 0
-        f = self.field
         while True:
-            lo, hi = poly_eval_interval(self.coeffs, f.lo, f.hi)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            f.refine()
+            lo, hi, _ = self._enclosure()
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
+            self.field.refine()
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        return (self - o).sign() >= 0
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        # a comparison with 0 builds no zero element
+        return (self._add(other, -1) if parts[0] else self).sign() < 0
 
     def __float__(self):
-        f = self.field
-        for _ in range(200):
-            lo, hi = poly_eval_interval(self.coeffs, f.lo, f.hi)
-            if hi - lo < Fraction(1, 10 ** 20):
-                break
-            f.refine()
-        lo, hi = poly_eval_interval(self.coeffs, f.lo, f.hi)
-        return float((lo + hi) / 2)
+        """The double nearest the value: the interval is refined until
+        both ends of the value's enclosure round to the same double."""
+        if not self.num:
+            return 0.0
+        while True:
+            lo, hi, scale = self._enclosure()
+            if lo / scale == hi / scale:
+                return lo / scale
+            self.field.refine()
 
     def __repr__(self):
         return f"AlgebraicNumber({self.coeffs})"
@@ -353,7 +354,7 @@ def _top_root_interval(f):
     (a, b] as V(a) - V(b)."""
     chain = [tuple(f), _derivative(f)]
     while len(chain[-1]) > 1:
-        chain.append(poly_neg(poly_divmod(chain[-2], chain[-1])[1]))
+        chain.append(tuple(-c for c in poly_divmod(chain[-2], chain[-1])[1]))
     hi = Fraction(_root_bound(f))
     lo = -hi
     v_lo, v_hi = _variations(chain, lo), _variations(chain, hi)
@@ -583,7 +584,8 @@ def perron_eigenvalue(mat):
         if not roots:
             raise ValueError("matrix has no real eigenvalue")
         return Fraction(max(roots))
-    lam = NumberField(_minimal_polynomial(f, *top), *top).generator()
+    lam = AlgebraicNumber(NumberField(_minimal_polynomial(f, *top), *top),
+                          (0, 1))
     if roots and max(roots) > lam:
         return Fraction(max(roots))
     return lam
@@ -607,15 +609,15 @@ def nullspace_vector(rows):
     free = []
     r = 0
     for col in range(n):
-        piv = next((i for i in range(r, n) if not _is_zero(a[i][col])), None)
+        piv = next((i for i in range(r, n) if a[i][col]), None)
         if piv is None:
             free.append(col)
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = a[r][col]
-        a[r] = [x / inv for x in a[r]]
+        inv = Fraction(1) / a[r][col]
+        a[r] = [x * inv for x in a[r]]
         for i in range(n):
-            if i != r and not _is_zero(a[i][col]):
+            if i != r and a[i][col]:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         piv_col_of_row[r] = col
@@ -626,21 +628,8 @@ def nullspace_vector(rows):
         raise ValueError("kernel dimension exceeds 1")
     fcol = free[0]
     v = [None] * n
-    v[fcol] = _one_like(rows)
+    v[fcol] = Fraction(1)
     for i, col in piv_col_of_row.items():
         v[col] = -a[i][fcol]
     return v
 
-
-def _is_zero(x) -> bool:
-    if isinstance(x, AlgebraicNumber):
-        return x.is_zero()
-    return x == 0
-
-
-def _one_like(rows):
-    for r in rows:
-        for x in r:
-            if isinstance(x, AlgebraicNumber):
-                return x.field.rational(1)
-    return Fraction(1)

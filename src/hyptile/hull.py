@@ -127,15 +127,16 @@ class BumpProfile:
             return np.ones_like(x)
         z = np.subtract(x, self.center, out=np.empty_like(x, dtype=float))
         z /= self.width
-        # pow is slow on negative bases, so evaluate only on the support
-        # (keep the power 3: u * u * u differs in the last bit)
-        inside = np.abs(z) < 1.0
-        u = z[inside]
-        np.square(u, out=u)
-        np.subtract(1.0, u, out=u)
-        np.power(u, 3, out=u)
-        z.fill(0.0)
-        z[inside] = u
+        # off the support the clamp makes 1 - z**2 exactly +0.0; pow is slow
+        # at 0, so those rows take 1.0 to the power and the mask zeroes
+        # them (keep the power 3: u * u * u differs in the last bit)
+        np.clip(z, -1.0, 1.0, out=z)
+        np.square(z, out=z)
+        np.subtract(1.0, z, out=z)
+        inside = z > 0.0
+        z += ~inside
+        np.power(z, 3, out=z)
+        z *= inside
         return z
 
     # max |d^k/dx^k| over the line, from the polynomial (1-z^2)**3:
@@ -328,44 +329,49 @@ class SampleBatch:
     def act(self, a: float, b: float):
         if not (math.isfinite(a) and math.isfinite(b) and a > 0):
             raise ValueError("need a finite scale a > 0, finite translation")
-        t = b / (a * np.exp2(self.s))
-        t += self.t
+        # b / (a * 2**s) is a zero of b's sign when b is zero
+        t = self.t + b if b == 0 else b / (a * np.exp2(self.s)) + self.t
         s = self.s + math.log2(a)
         c = np.floor(t)
         t -= c
         # a tiny negative t leaves 1 - |t|, which rounds to 1.0: one more wrap
         up = t == 1.0
-        c += up
+        c[up] += 1.0
         t[up] = 0.0
-        # fmod(c, 2**precision) with exact steps, but faster
-        c -= np.trunc(c * 2.0 ** -self.precision) * 2.0 ** self.precision
+        # |c| < 2**62 casts exactly, omega + c stays in int64 and the last
+        # mask reduces it; else fmod(c, 2**precision) in exact steps, faster
+        if not (-2.0 ** 62 < c.min() and c.max() < 2.0 ** 62):
+            c -= np.trunc(c * 2.0 ** -self.precision) * 2.0 ** self.precision
         omega = c.astype(np.int64)
         omega += self.omega
         f = np.floor(s)
-        if f.max() >= _MAX_WRAPS:
+        top, low = f.max(), f.min()
+        if top >= _MAX_WRAPS:
             raise ValueError("scale coordinate does not wrap down to [0,1)")
         cursor = f.astype(np.int64)
         s -= f
-        # k wraps down in s double t and shift omega, all exactly, so they
-        # are one shift and one carry below 2**63; omega stays exact mod
-        # 2**64 (uint64 wraps) and is reduced once, at the end
-        k = np.maximum(cursor, 0)
-        t *= _POW2.take(k, out=f)
-        np.floor(t, out=c)
-        t -= c
-        u = omega.view(np.uint64)
-        u <<= k.view(np.uint64)
-        u += c.astype(np.uint64)
-        # wraps up halve t + parity, which rounds: one step per digit
-        d = np.subtract(k, cursor, out=k)
-        steps = int(d.max())
+        steps = max(-int(low), 0)
         if steps > self.precision:
             raise PrecisionExhausted("no dyadic digits left to halve")
+        if top > 0:
+            # k wraps down in s double t and shift omega, all exactly, so
+            # they are one shift and one carry below 2**63; omega stays
+            # exact mod 2**64 (uint64 wraps) and is reduced once, at the end
+            k = np.maximum(cursor, 0)
+            t *= _POW2.take(k, out=f)
+            np.floor(t, out=c)
+            t -= c
+            u = omega.view(np.uint64)
+            u <<= k.view(np.uint64)
+            u += c.astype(np.uint64)
+        # wraps up halve t + parity, which rounds: one step per digit
         for j in range(steps):
-            np.copyto(t, (t + ((omega >> j) & 1)) / 2.0, where=d > j)
+            half = ((omega >> j) & 1).astype(float)
+            np.copyto(t, (half + t) / 2.0, where=cursor < -j)
+        if steps:
+            omega >>= np.maximum(-cursor, 0)
         # one digit gone for the whole batch per step: residues stay comparable
         self.precision -= steps
-        omega >>= d
         omega &= (1 << self.precision) - 1
         cursor += self.cursor
         self.omega, self.t, self.s, self.cursor = omega, t, s, cursor

@@ -10,8 +10,9 @@ The pivot is always the first entry of least magnitude, in row-major
 order, of the trailing block; printed generators are rows of V^-1, so
 this rule fixes them.  The scan stops at the first unit, which no entry
 can beat.  Every factorization is checked exactly before it is
-returned, by U*A*V == S and V*V^-1 == I; these matrices are mostly
-zeros, so `matmul` skips the zero entries of both operands.
+returned, by V*V^-1 == I and U*A == S*V^-1 (equivalent to U*A*V == S
+given the first, and S*V^-1 is a row scaling); these matrices are
+mostly zeros, so `matmul` skips the zero entries of both operands.
 
 `matmul`, `mat_vec`, `solve_integer` and `lattice_contains` raise
 ValueError on operands whose shapes do not match.
@@ -173,11 +174,13 @@ def smith_normal_form(mat):
             continue
         t += 1
 
-    s = a
-    check = matmul(matmul(u, mat), v)
-    assert check == s, "Smith reduction lost track of its transforms"
     assert matmul(v, v_inv) == identity(m), "Smith reduction lost track of V^-1"
-    return u, s, v, v_inv
+    # given V*V^-1 == I, U*mat*V == S iff U*mat == S*V^-1, a row scaling
+    sv = [[a[i][i] * x for x in v_inv[i]] if i < m else [0] * m
+          for i in range(n)]
+    assert matmul(u, mat) == sv, \
+        "Smith reduction lost track of its transforms"
+    return u, a, v, v_inv
 
 
 def smith_diagonal(mat) -> list[int]:

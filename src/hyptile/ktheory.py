@@ -650,10 +650,8 @@ def _frac_in_lattice(rows, vec) -> bool:
 
 
 def _value_row(value, degree: int) -> list:
-    if isinstance(value, Fraction):
-        return [value] + [Fraction(0)] * (degree - 1)
-    coeffs = list(value.coeffs)
-    return [Fraction(c) for c in coeffs] + [Fraction(0)] * (degree - len(coeffs))
+    cs = (value,) if isinstance(value, Fraction) else value.coeffs
+    return list(cs) + [Fraction(0)] * (degree - len(cs))
 
 
 def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:

@@ -364,14 +364,15 @@ def block_substitution(spec: Substitution, n: int):
 
 @functools.lru_cache(maxsize=None)
 def _spec_perron(spec: Substitution):
-    """One eigenvalue object per spec, so every block level shares a field.
+    """(lambda, 1 / lambda) once per spec: every block level shares a field.
 
     Never evicted: measures cached at one level are combined with this
     eigenvalue at the next, and number fields must not mix.  A rule of
     constant length s gives Fraction(s), since every column of its
     incidence matrix sums to s.
     """
-    return perron_eigenvalue(incidence_matrix(spec))
+    lam = perron_eigenvalue(incidence_matrix(spec))
+    return lam, 1 / lam
 
 
 def measure_vector(spec: SubshiftSpec, n: int) -> dict:
@@ -441,14 +442,14 @@ def _pushed_measure(spec: Substitution, m: int, n: int) -> list:
     blocks = language(spec, n)
     if set(acc) != set(blocks):
         raise ValueError("block images do not cover the language")
-    inv = 1 / _spec_perron(spec)
+    inv = _spec_perron(spec)[1]
     return [acc[u] * inv for u in blocks]
 
 
 def _nullspace_measure(spec: Substitution, n: int) -> list:
     """Normalized kernel of (block matrix - lambda), over language(spec, n)."""
     blocks, sub = block_substitution(spec, n)
-    lam = _spec_perron(spec)
+    lam = _spec_perron(spec)[0]
     mat = [[Fraction(sub[u].count(v)) for u in blocks] for v in blocks]
     for i in range(len(blocks)):
         mat[i][i] = mat[i][i] - lam

@@ -102,6 +102,88 @@ class TestFieldArithmetic:
         assert lam * lam * lam == lam + 1
 
 
+X = sympy.Symbol("x")
+
+# (matrix whose Perron root generates the field, that root's minimal
+# polynomial); the plastic number is test_float_agrees_with_resolvent's
+ROUNDING_FIELDS = {
+    "fibonacci": ([[1, 1], [1, 0]], X**2 - X - 1),
+    "tribonacci": ([[1, 1, 1], [1, 0, 0], [0, 1, 0]], X**3 - X**2 - X - 1),
+    "plastic": ([[0, 0, 1], [1, 0, 1], [0, 1, 0]], X**3 - X - 1),
+}
+
+
+def sympy_value(a: AlgebraicNumber, root):
+    return sum(sympy.Rational(c.numerator, c.denominator) * root**i
+               for i, c in enumerate(a.coeffs))
+
+
+def nearest_double(a: AlgebraicNumber, root) -> float:
+    """The double nearest a, from sympy's 60-digit value of a."""
+    return float(sympy.N(sympy_value(a, root), 60))
+
+
+class TestCorrectRounding:
+    """float() is the nearest double, however small the value, and signs
+    stay exact next to doubles."""
+
+    @staticmethod
+    def field(name):
+        mat, minpoly = ROUNDING_FIELDS[name]
+        return (perron_eigenvalue(mat),
+                max(sympy.Poly(minpoly, X).real_roots()),
+                sympy.degree(minpoly, X))
+
+    @pytest.mark.parametrize("name", sorted(ROUNDING_FIELDS))
+    def test_powers(self, name):
+        lam, root, _ = self.field(name)
+        inv = 1 / lam
+        up, down = lam, inv
+        for _ in range(79):
+            assert float(down) == nearest_double(down, root)
+            assert float(up) == nearest_double(up, root)
+            up, down = up * lam, down * inv
+
+    def test_fibonacci_inverse_twentieth_power(self):
+        # float() once returned an interval midpoint here, 2 ulps high
+        lam, root, _ = self.field("fibonacci")
+        v = F(1)
+        for _ in range(20):
+            v = v / lam
+        assert float(v) == float(sympy.N(root**-20, 60))
+        assert 6.6e-5 < float(v) < 6.7e-5
+
+    @pytest.mark.parametrize("name", sorted(ROUNDING_FIELDS))
+    def test_random_elements(self, name):
+        lam, root, degree = self.field(name)
+        rng = random.Random(name)
+        powers = [F(1)]
+        while len(powers) < degree:
+            powers.append(powers[-1] * lam)
+        for _ in range(40):
+            den = rng.choice([1, 3, 1024, 10**9 + 7])
+            a = sum(F(rng.randint(-10**6, 10**6), den) * p for p in powers)
+            assert float(a) == nearest_double(a, root)
+            for q in (F(float(a)), F(0)):
+                exact = sympy_value(a, root) - sympy.Rational(
+                    q.numerator, q.denominator)
+                assert (a > q) == (sympy.N(exact, 80) > 0)
+                assert (a < q) == (sympy.N(exact, 80) < 0)
+
+    def test_field_with_fraction_minpoly(self):
+        # x**2 - 1/2 reduces by 2 x**2 - 1, so denominators take factors 2
+        fld = NumberField((F(-1, 2), F(0), F(1)), F(0), F(1))
+        t = AlgebraicNumber(fld, (0, 1))
+        assert t * t == F(1, 2)
+        assert (t + 1) * (t + 1) == 2 * t + F(3, 2)
+        assert 1 / t == 2 * t
+        assert float(t) == 0.5 ** 0.5
+        v = t / 3
+        for _ in range(8):
+            v = v * t
+        assert float(v) == float(sympy.N(sympy.sqrt(2) ** -9 / 3, 60))
+
+
 class TestPerron:
     def test_rational_dominant_root(self):
         assert perron_eigenvalue([[1, 1], [1, 1]]) == F(2)
@@ -260,3 +342,7 @@ class TestNullspace:
     def test_mixed_int_entries(self):
         v = nullspace_vector([[-2, 2], [2, -2]])
         assert v[0] == v[1]
+        # all-int input stays exact: 1/3, not a float
+        v = nullspace_vector([[-3, 1], [3, -1]])
+        assert v == [F(1, 3), F(1)]
+        assert all(isinstance(x, F) for x in v)

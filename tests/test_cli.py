@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from hyptile.hull import TestFunction as TFn
 from hyptile.hull import (first_word_control, harmonicity_check,
                           invariance_check, invariance_reports, sample_batch,
                           tau_pairing)
-from hyptile.subshift import parse_spec, spec_to_json
+from hyptile.subshift import language, parse_spec, spec_to_json
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -132,6 +133,20 @@ class TestSmallCommands:
                     "--samples", "20000", "--seed", str(seed)]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == expect
+
+    def test_invariance_report_is_pinned(self):
+        # 48 elements with log2(a) in [-1.5, 1.5]: single moves wrap s down
+        # or up by up to two digits, and |b| stays below the carry's bound
+        spec = parse_spec(FIBONACCI)
+        rng = random.Random(5)
+        g_list = [(rng.uniform(0.35, 2.8), rng.uniform(-3.0, 3.0))
+                  for _ in range(48)]
+        f = TFn.word_indicator(language(spec, 2)[0])
+        report = invariance_check(spec, f, g_list, 70_000, 11)
+        digest = hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == ("cf3781a3f7564fc69c681c7be10f28c2"
+                          "b13fe0d0cb8d9d56f54b28d457be213a")
 
     def test_stdout_default(self, tmp_path, capsys):
         assert run(["gaplabels", "--spec",

@@ -286,6 +286,116 @@ class TestOracle:
                 assert row(batch, i) == ref_act(a, b, (om, 16, t, s, cur))
 
 
+def full_pass_act(batch, a, b):
+    """SampleBatch.act with every pass run on every row.
+
+    The same chart identification with no pass skipped: the carry is
+    always reduced mod 2**precision, and both wrap blocks always run.
+    """
+    t = b / (a * np.exp2(batch.s))
+    t += batch.t
+    s = batch.s + math.log2(a)
+    c = np.floor(t)
+    t -= c
+    up = t == 1.0
+    c += up
+    t[up] = 0.0
+    c -= np.trunc(c * 2.0 ** -batch.precision) * 2.0 ** batch.precision
+    omega = c.astype(np.int64)
+    omega += batch.omega
+    f = np.floor(s)
+    if f.max() >= 64:
+        raise ValueError("scale coordinate does not wrap down to [0,1)")
+    cursor = f.astype(np.int64)
+    s -= f
+    k = np.maximum(cursor, 0)
+    t *= np.ldexp(1.0, k)
+    np.floor(t, out=c)
+    t -= c
+    u = omega.view(np.uint64)
+    u <<= k.view(np.uint64)
+    u += c.astype(np.uint64)
+    d = k - cursor
+    steps = int(d.max())
+    if steps > batch.precision:
+        raise PrecisionExhausted("no dyadic digits left to halve")
+    for j in range(steps):
+        np.copyto(t, (t + ((omega >> j) & 1)) / 2.0, where=d > j)
+    batch.precision -= steps
+    omega >>= d
+    omega &= (1 << batch.precision) - 1
+    batch.omega, batch.t, batch.s = omega, t, s
+    batch.cursor = cursor + batch.cursor
+
+
+class TestSkippedPasses:
+    """act skips the passes that are identities for (a, b): the wrap-down
+    block when no row wraps down, the wrap-up block when none wraps up,
+    and the carry's reduction when every carry is below 2**62 in
+    magnitude (always, for |b| < 2**61 a on a batch in normal form).
+    Every row must come out as with all passes run, and as the plain-int
+    oracle says."""
+
+    # (s range, log2(a) range): rows wrap not at all, only down, only up
+    # by 1 to 3 digits, or (s out of normal form) both ways in one act
+    WRAPS = {
+        "none": ((0.0, 0.5), (0.0, 0.4)),
+        "down": ((0.0, 1.0), (0.1, 3.0)),
+        "up": ((0.0, 1.0), (-3.0, -0.1)),
+        "both": ((-2.5, 3.5), (-0.5, 0.5)),
+    }
+
+    @staticmethod
+    def translations(rng, a):
+        bound = 2.0 ** 61 * a
+        below = float(np.nextafter(bound, 0.0))
+        return [0.0, -0.0, float(rng.uniform(-3.0, 3.0)), below, -below,
+                bound, -bound, 1e300, -1e300]
+
+    @staticmethod
+    def batch(rng, n, s_range, prec):
+        return SampleBatch(
+            rng.integers(0, 1 << prec, n), rng.random(n),
+            rng.uniform(*s_range, n), rng.integers(-3, 4, n),
+            np.zeros(n, dtype=np.int64), ("1" * 21,), 10, prec)
+
+    @pytest.mark.parametrize("wraps", sorted(WRAPS))
+    def test_rows_match_full_passes_and_oracle(self, wraps):
+        rng = np.random.default_rng(sorted(self.WRAPS).index(wraps))
+        s_range, log2a_range = self.WRAPS[wraps]
+        raised = 0
+        for trial in range(12):
+            prec = (2, 16, 62)[trial % 3]
+            a = float(np.exp2(rng.uniform(*log2a_range)))
+            for b in self.translations(rng, a):
+                base = self.batch(rng, 64, s_range, prec)
+                got, want = base.copy(), base.copy()
+                outcome = []
+                for move in (lambda: got.act(a, b),
+                             lambda: full_pass_act(want, a, b)):
+                    try:
+                        move()
+                        outcome.append(None)
+                    except PrecisionExhausted as exc:
+                        outcome.append(str(exc))
+                assert outcome[0] == outcome[1]
+                if outcome[0] is not None:
+                    raised += 1
+                    continue
+                assert got.precision == want.precision
+                for col in ("omega", "t", "s", "cursor"):
+                    assert getattr(got, col).tobytes() == \
+                        getattr(want, col).tobytes(), (col, a, b)
+                for i in range(base.n):
+                    om, prec_i, t, s, cur = ref_act(a, b, row(base, i))
+                    assert prec_i >= got.precision
+                    assert (om % (1 << got.precision), t, s, cur) == \
+                        (int(got.omega[i]), float(got.t[i]),
+                         float(got.s[i]), int(got.cursor[i]))
+        # up to three digits halved at precision 2 must run out sometimes
+        assert (raised > 0) == (wraps in ("up", "both"))
+
+
 class TestRescalingRelation:
     def test_random_admissible_windows(self):
         # letters that are not digits colour by alphabet index as well
@@ -341,24 +451,46 @@ class TestTestFunction:
         assert vals[3] == pytest.approx((1 - z * z) ** 3)
         assert BumpProfile()(np.array([0.3, 0.9])).tolist() == [1.0, 1.0]
 
+    @staticmethod
+    def gathered_bump(x, c, w):
+        """(1 - z**2)**3 evaluated on the support only and scattered back."""
+        z = (x - c) / w
+        inside = np.abs(z) < 1.0
+        u = z[inside]
+        out = np.zeros_like(z)
+        out[inside] = np.power(1.0 - np.square(u), 3)
+        return out
+
     def test_bump_equals_evaluation_on_every_row(self):
-        # reference: the polynomial evaluated everywhere, then masked; the
-        # bytes also pin +0.0 outside the support
+        # the bytes also pin +0.0 outside the support
         rng = np.random.default_rng(11)
-        profiles = [(0.5, 0.45), (0.4, 0.2), (0.6, 0.1)]
+        tiny = 2.0 ** -53
+        profiles = [(0.5, 0.45), (0.4, 0.2), (0.6, 0.1), (0.5, 1e-12),
+                    (0.3, 1e-12), (0.25, 0.25 - tiny), (0.75, 0.25 - tiny),
+                    (0.5, 0.5 - tiny)]
         for _ in range(20):
             c = float(rng.uniform(0.2, 0.8))
             profiles.append((c, float(rng.uniform(0.01, min(c, 1.0 - c)))))
+        far = [-1e295, -1e10, -3.0, -0.0, 0.0, 1.0, 7.5, 1e10, 1e295]
         for c, w in profiles:
+            bump = BumpProfile("bump3", c, w)
             # both sides of each end of the support, and the ends
             edges = [np.nextafter(e, d) for e in (c - w, c + w)
                      for d in (0.0, 1.0)] + [c - w, c + w]
-            x = np.concatenate([rng.uniform(0.0, 1.0, 2000), edges])
-            z = (x - c) / w
-            want = np.where(np.abs(z) < 1.0, (1.0 - z * z) ** 3, 0.0)
-            got = BumpProfile("bump3", c, w)(x)
+            x = np.concatenate([rng.uniform(0.0, 1.0, 2000),
+                                rng.uniform(c - 1.5 * w, c + 1.5 * w, 500),
+                                edges, far])
+            want = self.gathered_bump(x, c, w)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(all="raise"):
+                    got = bump(x)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+            off = np.abs((x - c) / w) >= 1.0
+            assert off[-len(far):].all()
+            assert not np.signbit(got[off]).any() and not got[off].any()
+            assert (got[~off] > 0.0).all()
 
     def test_scalar_evaluation(self):
         f = TFn(
