@@ -20,8 +20,9 @@ perron_eigenvalue uses int and Fraction arithmetic only:
 - its integer roots, by the rational-root test, divided out;
 - the largest remaining real root, isolated by a Sturm sequence;
 - the irreducible factor over Z holding that root, by Zassenhaus's
-  method: a distinct-degree sieve mod a few primes, Cantor-Zassenhaus
-  splitting, Hensel lifting and recombination of the lifted factors.
+  method: the distinct-degree split mod the first odd prime that keeps
+  it square-free, Cantor-Zassenhaus splitting, Hensel lifting, and
+  recombination of the lifted factors by exact division.
 
 That factor is the field's minimal polynomial, and the Sturm interval is
 its isolating interval.
@@ -34,6 +35,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+
+from .intmat import matmul, row_reduce
 
 
 def _trim(cs):
@@ -294,11 +297,8 @@ def _charpoly(mat):
     for k in range(1, n + 1):
         for i in range(n):
             m[i][i] += coeffs[n - k + 1]
-        cols = list(zip(*m))
-        am = [[sum(a * b for a, b in zip(row, col)) for col in cols]
-              for row in mat]
-        coeffs[n - k] = -sum(am[i][i] for i in range(n)) // k
-        m = am
+        m = matmul(mat, m)
+        coeffs[n - k] = -sum(m[i][i] for i in range(n)) // k
     return coeffs
 
 
@@ -454,42 +454,17 @@ def _equal_degree(g, d, p, rng):
                     + _equal_degree(_mod_divmod(g, c, p)[0], d, p, rng))
 
 
-def _odd_primes():
+def _pick_prime(f):
+    """(p, distinct-degree split of f mod p) for the first odd prime p at
+    which f stays square-free; all but finitely many primes do."""
     p = 3
     while True:
         if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
-            yield p
+            fp = _trim(c % p for c in f)
+            dp = _trim(c % p for c in _derivative(fp))
+            if len(_mod_gcd(fp, dp, p)) == 1:
+                return p, _distinct_degree(fp, p)
         p += 2
-
-
-def _pick_prime(f):
-    """(p, distinct-degree split of f mod p, possible factor degrees).
-
-    A factor of f over Z reduces mod p to a product of irreducible
-    factors mod p, so its degree is a subset sum of theirs.  The sieve
-    intersects those sums over the first eight odd primes at which f
-    stays square-free (all but finitely many), and p is the one with the
-    fewest factors."""
-    allowed = set(range(len(f)))
-    best = None
-    good = 0
-    for p in _odd_primes():
-        fp = _trim(c % p for c in f)
-        if len(_mod_gcd(fp, _trim(c % p for c in _derivative(fp)), p)) != 1:
-            continue
-        split = _distinct_degree(fp, p)
-        count = sum((len(g) - 1) // d for d, g in split)
-        if best is None or count < best[0]:
-            best = (count, p, split)
-        sums = {0}
-        for d, g in split:
-            for _ in range((len(g) - 1) // d):
-                sums |= {s + d for s in sums}
-        allowed &= sums
-        good += 1
-        if good == 8 or len(allowed) == 2:
-            break
-    return best[1], best[2], allowed
 
 
 def _hensel_pair(f, g, h, p, k):
@@ -532,13 +507,12 @@ def _minimal_polynomial(f, lo, hi):
     """The monic irreducible factor of f with a root in (lo, hi).
 
     f is square-free, monic, integral, without rational roots, and has
-    exactly one root in (lo, hi).  Zassenhaus: lift the factorization
-    mod p past twice Mignotte's coefficient bound, then try products of
-    lifted factors by increasing count; each one that divides is an
-    irreducible factor over Z."""
-    p, split, allowed = _pick_prime(f)
-    if not allowed & set(range(1, len(f) - 1)):
-        return f
+    exactly one root in (lo, hi).  Zassenhaus: factor f mod one prime,
+    lift the factorization past twice Mignotte's coefficient bound, then
+    try products of lifted factors by increasing count.  Every product
+    is tested by exact division over Z, and the first that divides at
+    each count is an irreducible factor; no degree sieve is needed."""
+    p, split = _pick_prime(f)
     rng = random.Random(p)
     factors = [g for d, prod in split for g in _equal_degree(prod, d, p, rng)]
     n = len(f) - 1
@@ -551,8 +525,6 @@ def _minimal_polynomial(f, lo, hi):
     size = 1
     while 2 * size <= len(lifted):
         for subset in itertools.combinations(range(len(lifted)), size):
-            if sum(len(lifted[i]) - 1 for i in subset) not in allowed:
-                continue
             g = (1,)
             for i in subset:
                 g = _mod_mul(g, lifted[i], m)
@@ -599,29 +571,15 @@ def nullspace_vector(rows):
 
     Entries may be Fractions or AlgebraicNumbers of one shared field
     (mixing with ints is fine).  Requires a 1-dimensional kernel; raises
-    ValueError when the kernel is trivial or has higher dimension.
+    ValueError when the kernel is trivial or has higher dimension.  The
+    vector is read off the one free column of the reduced row echelon
+    form, with 1 in that column.
     """
     n = len(rows)
-    a = [list(r) for r in rows]
-    if any(len(r) != n for r in a):
+    if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    piv_col_of_row = {}
-    free = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, n) if a[i][col]), None)
-        if piv is None:
-            free.append(col)
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_col_of_row[r] = col
-        r += 1
+    a, pivots = row_reduce(rows)
+    free = [col for col in range(n) if col not in pivots]
     if len(free) == 0:
         raise ValueError("kernel is trivial")
     if len(free) > 1:
@@ -629,7 +587,6 @@ def nullspace_vector(rows):
     fcol = free[0]
     v = [None] * n
     v[fcol] = Fraction(1)
-    for i, col in piv_col_of_row.items():
-        v[col] = -a[i][fcol]
+    for row, col in zip(a, pivots):
+        v[col] = -row[fcol]
     return v
-

@@ -471,33 +471,6 @@ def edge_adjacency(ts: TileSet) -> AdjacencyReport:
     )
 
 
-def interiors_disjoint(ts: TileSet) -> bool:
-    """Exact disjointness of the open tiles in the patch.
-
-    Same-scale tiles occupy disjoint open x-intervals, and scales two or
-    more apart are separated outright because the apex factor
-    sqrt(17)/2 is below 2.  Tile (k, n) overlaps in x only tile
-    (k+1, n // 2) a scale up, and the two touch only along a shared
-    curve when the lower tile's top arc is one of the upper tile's
-    bottom arcs.  Arcs are compared exactly, as (twice the center,
-    four times the squared radius) in units of 2**(k-1), where tile
-    (k, n) has corners x = 2n, 2n+1, 2n+2, y = 2, 4 and tile (k+1, j)
-    has x = 4j, 4j+2, 4j+4, y = 4, 8.
-    """
-    def arc(xa, xb, y):
-        return xa + xb, (xb - xa) ** 2 + 4 * y * y
-
-    present = ts.index_set()
-    for t in ts.tiles:
-        j = t.n // 2
-        if (t.k + 1, j) not in present:
-            continue
-        top = arc(2 * t.n, 2 * t.n + 2, 4)
-        if top not in (arc(4 * j, 4 * j + 2, 4), arc(4 * j + 2, 4 * j + 4, 4)):
-            return False
-    return True
-
-
 # -- agreement ------------------------------------------------------------
 
 def agreement_radius(n: int, m: int) -> float:

@@ -1,7 +1,8 @@
-"""Exact integer matrix routines: Smith form, integer solves, kernels.
+"""Exact matrix routines: Smith form, integer solves, kernels, and row
+reduction over a field.
 
-Matrices are lists of lists of Python ints, so nothing here ever
-overflows or rounds.  The Smith reduction tracks the unimodular row
+Integer matrices are lists of lists of Python ints, so nothing here
+ever overflows or rounds.  The Smith reduction tracks the unimodular row
 transform U, the column transform V and its inverse V^-1 (each column
 operation on V is the inverse row operation on V^-1), so one
 factorization answers solves, kernels and lattice membership.
@@ -14,8 +15,11 @@ returned, by V*V^-1 == I and U*A == S*V^-1 (equivalent to U*A*V == S
 given the first, and S*V^-1 is a row scaling); these matrices are
 mostly zeros, so `matmul` skips the zero entries of both operands.
 
-`matmul`, `mat_vec`, `solve_integer` and `lattice_contains` raise
-ValueError on operands whose shapes do not match.
+`row_reduce` is the one Gaussian elimination over a field: rank over Q
+and the kernel vectors of measure equations both read its output.
+
+`matmul`, `mat_vec`, `row_reduce`, `solve_integer` and `lattice_contains`
+raise ValueError on operands whose shapes do not match.
 """
 
 from __future__ import annotations
@@ -232,33 +236,37 @@ def integer_kernel(mat):
     return [[v[i][j] for i in range(m)] for j in range(r, m)]
 
 
-def rational_rank(mat) -> int:
-    """Rank over Q by fraction Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    rank = 0
-    row = 0
+def row_reduce(rows):
+    """(reduced row echelon form, pivot columns) over an exact field.
+
+    Entries may be ints, Fractions or AlgebraicNumbers of one field; the
+    form keeps one row per input row, its zero rows last.  Being
+    canonical, it answers rank and kernel questions alike.
+    """
+    a = [list(r) for r in rows]
+    n, m = len(a), _width(a, "matrix")
+    pivots = []
     for col in range(m):
-        piv = None
-        for i in range(row, n):
-            if a[i][col]:
-                piv = i
-                break
+        r = len(pivots)
+        piv = next((i for i in range(r, n) if a[i][col]), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
+        a[r], a[piv] = a[piv], a[r]
+        inv = Fraction(1) / a[r][col]
+        a[r] = [x * inv for x in a[r]]
         for i in range(n):
-            if i != row and a[i][col]:
+            if i != r and a[i][col]:
                 c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[row])]
-        rank += 1
-        row += 1
-        if row == n:
+                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        if r + 1 == n:
             break
-    return rank
+    return a, pivots
+
+
+def rational_rank(mat) -> int:
+    """Rank over Q."""
+    return len(row_reduce(mat)[1])
 
 
 def hnf_row_lattice(rows):

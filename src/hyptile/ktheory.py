@@ -50,7 +50,6 @@ from .dyadic import dyadic, odd_part
 from .intmat import (
     hnf_row_lattice,
     identity,
-    lattice_contains,
     smith_normal_form,
     transpose,
 )
@@ -642,13 +641,6 @@ def _frac_rows_canon(rows) -> tuple:
     return tuple(tuple(Fraction(x, den) for x in row) for row in hnf)
 
 
-def _frac_in_lattice(rows, vec) -> bool:
-    den = math.lcm(*(x.denominator for row in [*rows, vec] for x in row))
-    scaled = [[int(x * den) for x in row] for row in rows]
-    target = [int(x * den) for x in vec]
-    return lattice_contains(scaled, target)
-
-
 def _value_row(value, degree: int) -> list:
     cs = (value,) if isinstance(value, Fraction) else value.coeffs
     return list(cs) + [Fraction(0)] * (degree - len(cs))
@@ -690,11 +682,13 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
         canon = _frac_rows_canon(rows)
         if algebraic:
             # dropping a value only shrinks the others' lattice, so a value
-            # kept once stays kept and one pass in order suffices
+            # kept once stays kept and one pass in order suffices; the kept
+            # values always span the level's lattice, so a value lies in
+            # the others' lattice iff they alone still span it
             kept = list(range(len(values)))
             for pos in range(len(values)):
                 others = [rows[i] for i in kept if i != pos]
-                if others and _frac_in_lattice(others, rows[pos]):
+                if others and _frac_rows_canon(others) == canon:
                     kept.remove(pos)
             gens = tuple(values[i] for i in kept)
         else:

@@ -231,9 +231,22 @@ def s4_two_block_matrix():
     return [[images[b].count(a) for b in blocks] for a in blocks]
 
 
+def companion(poly):
+    """Integer companion matrix of the monic ascending coefficients poly:
+    its characteristic polynomial is poly."""
+    n = len(poly) - 1
+    return [[int(i == j + 1) for j in range(n - 1)] + [-poly[i]]
+            for i in range(n)]
+
+
 def oracle_corpus():
-    """320 nonnegative integer matrices: 300 seeded ones of sizes 1 to 6
-    (dense, sparse, block-diagonal and repeated-block), then named ones."""
+    """323 integer matrices: 300 seeded nonnegative ones of sizes 1 to 6
+    (dense, sparse, block-diagonal and repeated-block), then named ones.
+
+    The last three are companion matrices of the minimal polynomials of
+    sqrt2 + sqrt3, sqrt2 + sqrt3 + sqrt5 and sqrt2 + sqrt3 + sqrt5 +
+    sqrt7: irreducible over Z but split into factors of degree at most 2
+    modulo every prime, the worst case for recombining lifted factors."""
     rng = random.Random(20090)
 
     def rand(n, top, density):
@@ -270,6 +283,12 @@ def oracle_corpus():
     for n in (4, 5):  # two irreducible blocks of degree n
         for _ in range(5):
             mats.append(block_diag(rand(n, 3, 1.0), rand(n, 3, 1.0)))
+    mats += [
+        companion([1, 0, -10, 0, 1]),
+        companion([576, 0, -960, 0, 352, 0, -40, 0, 1]),
+        companion([46225, 0, -5596840, 0, 13950764, 0, -7453176, 0,
+                   1513334, 0, -141912, 0, 6476, 0, -136, 0, 1]),
+    ]
     return mats
 
 
@@ -298,9 +317,8 @@ class TestPerronOracle:
     def test_matches_sympy(self):
         # Same Fraction, or same minimal polynomial with the root strictly
         # inside the isolating interval.  The time bound keeps factoring
-        # over Z from going exponential: Kronecker's method, even behind
-        # the degree sieve, took 68 s on one 10x10 block-diagonal matrix
-        # here.
+        # over Z from going exponential: Kronecker's method took 68 s on
+        # one 10x10 block-diagonal matrix here.
         mats = oracle_corpus()
         assert len(mats) >= 300
         for mat in mats:
@@ -330,6 +348,19 @@ class TestNullspace:
         v = nullspace_vector(mat)
         # (M - lam I) v = 0 for M = [[1,1],[1,0]]: v0 = lam * v1
         assert v[0] == lam * v[1]
+
+    @pytest.mark.parametrize("mat", [
+        [[1, 1], [1, 0]],
+        [[1, 1, 1], [1, 0, 0], [0, 1, 0]],
+    ], ids=["fibonacci", "tribonacci"])
+    def test_perron_eigenvector(self, mat):
+        lam = perron_eigenvalue(mat)
+        shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(mat)]
+        v = nullspace_vector(shifted)
+        assert any(v)
+        assert all(sum(x * y for x, y in zip(row, v)) == 0
+                   for row in shifted)
 
     def test_trivial_kernel_rejected(self):
         with pytest.raises(ValueError):

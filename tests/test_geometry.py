@@ -23,7 +23,6 @@ from hyptile.geometry import (
     edge_adjacency,
     generate_patch,
     geodesic_arc,
-    interiors_disjoint,
     patch_size,
     pt,
     scale_range,
@@ -410,15 +409,11 @@ class TestAdjacency:
             assert rep.tally == 0
             assert rep.boundary_charge_gap() == len(ts.tiles)
 
-    def test_interiors_disjoint(self):
-        for r in (0.0, 1.0, 2.5):
-            assert interiors_disjoint(generate_patch(r))
-
     @pytest.mark.parametrize("radius", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-    def test_interiors_disjoint_matches_pair_scan(self, radius):
+    def test_overlapping_pairs_match_pair_scan(self, radius):
         ts = generate_patch(radius)
         disjoint, overlapping = ref_interiors_disjoint(ts)
-        assert interiors_disjoint(ts) == disjoint
+        assert disjoint
         # the one tile a scale up that overlaps (k, n) in x is (k+1, n//2)
         present = ts.index_set()
         assert overlapping == {((t.k, t.n), (t.k + 1, t.n // 2))

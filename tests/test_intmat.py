@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
 
 from hyptile import ktheory
 from hyptile.intmat import (hnf_row_lattice, identity, integer_kernel,
                             lattice_contains, matmul, mat_vec, rational_rank,
-                            smith_diagonal, smith_normal_form, snf_rank,
-                            solve_integer)
+                            row_reduce, smith_diagonal, smith_normal_form,
+                            snf_rank, solve_integer)
 from hyptile.subshift import Periodic, Substitution
 
 
@@ -250,6 +252,46 @@ def test_lattice_contains_refuses_mismatched_shapes():
         lattice_contains([[1, 0, 0]], [1, 0])
     with pytest.raises(ValueError):
         lattice_contains([[1, 0], [0, 1, 0]], [1, 0])
+
+
+def _random_rationals(rng, n, m, rank=None):
+    """n x m Fraction matrix; of rank at most `rank` when it is given."""
+    def rand(a, b):
+        return [[Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+                 for _ in range(b)] for _ in range(a)]
+    if rank is None:
+        return rand(n, m)
+    left, right = rand(n, rank), rand(rank, m)
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*right)] for row in left]
+
+
+def test_row_reduce_matches_sympy_rref():
+    rng = random.Random(53)
+    cases = [[], [[], [], []], [[0] * 4 for _ in range(3)],
+             [[Fraction(0)] * 2 for _ in range(5)],
+             [[2, 4], [3, 1]], [[3, 1], [6, 2]]]  # ints come back exact
+    for _ in range(12):
+        cases.append(_random_rationals(rng, 2, rng.randrange(4, 7)))  # wide
+        cases.append(_random_rationals(rng, rng.randrange(4, 7), 2))  # tall
+        n, m = rng.randrange(1, 6), rng.randrange(1, 6)
+        cases.append(_random_rationals(rng, n, m))
+        cases.append(_random_rationals(rng, n, m, rng.randrange(0, min(n, m))))
+    for rows in cases:
+        n, m = len(rows), len(rows[0]) if rows else 0
+        ref, ref_pivots = sympy.Matrix(n, m, [x for r in rows for x in r]).rref()
+        form, pivots = row_reduce(rows)
+        assert form == [[Fraction(int(x.p), int(x.q)) for x in row]
+                        for row in ref.tolist()], rows
+        assert pivots == list(ref_pivots), rows
+        assert rational_rank(rows) == len(ref_pivots)
+
+
+def test_row_reduce_refuses_ragged_rows():
+    with pytest.raises(ValueError):
+        row_reduce([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        rational_rank([[1], [2, 3], [4]])
 
 
 def _reference_snf(mat):
