@@ -9,23 +9,23 @@ evaluation of the residue excludes zero, and float() until both ends
 round to the same double; this terminates because a nonzero residue
 cannot vanish at a root of an irreducible polynomial of higher degree.
 
-The minimal polynomial always has degree >= 2 here (rational eigenvalues
-take the plain Fraction path), so no rational point is a root and any
-rational bisection endpoint is sign-definite.
+A field's minimal polynomial has degree >= 2, so no rational point is a
+root and any rational bisection endpoint is sign-definite.
 
-perron_eigenvalue uses int and Fraction arithmetic only:
+perron_eigenvalue uses int and Fraction arithmetic only, one path for
+every matrix:
 
 - the characteristic polynomial, by Faddeev-LeVerrier;
 - its square-free part f / gcd(f, f');
-- its integer roots, by the rational-root test, divided out;
-- the largest remaining real root, isolated by a Sturm sequence;
+- the largest real root of f, isolated by a Sturm sequence;
 - the irreducible factor over Z holding that root, by Zassenhaus's
   method: the distinct-degree split mod the first odd prime that keeps
   it square-free, Cantor-Zassenhaus splitting, Hensel lifting, and
   recombination of the lifted factors by exact division.
 
-That factor is the field's minimal polynomial, and the Sturm interval is
-its isolating interval.
+A linear factor x - r gives the rational eigenvalue r.  Otherwise the
+factor is the field's minimal polynomial, and the Sturm interval is its
+isolating interval.
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ def poly_divmod(a, b):
             for j, cb in enumerate(b):
                 a[i + j] -= c * cb
     return _trim(q), _trim(a)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def poly_eval(a, x: Fraction) -> Fraction:
@@ -199,11 +207,8 @@ class AlgebraicNumber:
         if parts is None:
             return NotImplemented
         b, db = parts
-        out = [0] * (len(self.num) + len(b) - 1) if self.num and b else []
-        for i, x in enumerate(self.num):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return AlgebraicNumber(self.field, out, self.den * db)
+        return AlgebraicNumber(self.field, _poly_mul(self.num, b),
+                               self.den * db)
 
     __rmul__ = __mul__
 
@@ -323,35 +328,20 @@ def _root_bound(f) -> int:
                 for k in range(1, n + 1)), default=2)
 
 
-def _split_integer_roots(f):
-    """(integer roots, cofactor) of square-free monic integer f.
-
-    A monic integer polynomial has only integer rational roots, and each
-    divides the constant term; the cofactor has no rational root."""
-    roots = []
-    if f[0] == 0:
-        roots.append(0)
-        f = f[1:]
-    for a in range(1, _root_bound(f)):
-        for r in (a, -a):
-            if f[0] % r == 0 and poly_eval(f, r) == 0:
-                roots.append(r)
-                f = [int(c) for c in poly_divmod(f, (-r, 1))[0]]
-    return roots, f
-
-
 def _variations(chain, x) -> int:
     signs = [v > 0 for v in (poly_eval(p, x) for p in chain) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def _top_root_interval(f):
-    """(lo, hi) holding the largest real root of f and no other root, or
-    None when f has no real root.
+    """(lo, hi) with the largest real root of f in (lo, hi] and no other
+    root there, or None when f has no real root.
 
-    f is square-free, monic, of degree >= 1 and has no rational root, so
-    no bisection point is a root.  Sturm's theorem counts the roots in
-    (a, b] as V(a) - V(b)."""
+    f is square-free and monic.  Sturm's theorem counts the roots in
+    (a, b] as V(a) - V(b), also when a or b is a root: V drops zero
+    terms, so V(x) is V just right of x.  A rational top root may thus
+    be hi itself, a bisection point; an irrational one lies strictly
+    inside."""
     chain = [tuple(f), _derivative(f)]
     while len(chain[-1]) > 1:
         chain.append(tuple(-c for c in poly_divmod(chain[-2], chain[-1])[1]))
@@ -375,11 +365,7 @@ def _top_root_interval(f):
 
 
 def _mod_mul(a, b, m):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(c % m for c in out)
+    return _trim(c % m for c in _poly_mul(a, b))
 
 
 def _mod_sub(a, b, m):
@@ -504,14 +490,17 @@ def _hensel(f, factors, p, k):
 
 
 def _minimal_polynomial(f, lo, hi):
-    """The monic irreducible factor of f with a root in (lo, hi).
+    """The monic irreducible factor of f with a root in (lo, hi].
 
-    f is square-free, monic, integral, without rational roots, and has
-    exactly one root in (lo, hi).  Zassenhaus: factor f mod one prime,
-    lift the factorization past twice Mignotte's coefficient bound, then
-    try products of lifted factors by increasing count.  Every product
-    is tested by exact division over Z, and the first that divides at
-    each count is an irreducible factor; no degree sieve is needed."""
+    f is square-free, monic and integral, and has exactly one root in
+    (lo, hi], which may be rational (the factor is then linear, and its
+    root may be hi).  Zassenhaus: factor f mod one prime, lift the
+    factorization past twice Mignotte's coefficient bound, then try
+    products of lifted factors by increasing count.  Every product is
+    tested by exact division over Z, and the first that divides at each
+    count is an irreducible factor; no degree sieve is needed.  The
+    constant-term prefilter lets a factor x through (g[0] == 0), since
+    skipping it would leave f's cofactor unsplit."""
     p, split = _pick_prime(f)
     rng = random.Random(p)
     factors = [g for d, prod in split for g in _equal_degree(prod, d, p, rng)]
@@ -529,12 +518,13 @@ def _minimal_polynomial(f, lo, hi):
             for i in subset:
                 g = _mod_mul(g, lifted[i], m)
             g = [c - m if 2 * c > m else c for c in g]
-            if g[0] == 0 or f[0] % g[0]:
+            if g[0] and f[0] % g[0]:
                 continue
             q, r = poly_divmod(f, g)
             if r:
                 continue
-            if (poly_eval(g, lo) > 0) != (poly_eval(g, hi) > 0):
+            g_hi = poly_eval(g, hi)
+            if g_hi == 0 or poly_eval(g, lo) * g_hi < 0:
                 return g
             f = [int(c) for c in q]
             lifted = [u for i, u in enumerate(lifted) if i not in subset]
@@ -550,17 +540,14 @@ def perron_eigenvalue(mat):
     Returns a Fraction when that eigenvalue is rational, otherwise an
     AlgebraicNumber generating its field.  The matrix must actually have
     a real eigenvalue (true for nonnegative matrices)."""
-    roots, f = _split_integer_roots(_squarefree(_charpoly(mat)))
-    top = _top_root_interval(f) if len(f) > 1 else None
+    f = _squarefree(_charpoly(mat))
+    top = _top_root_interval(f)
     if top is None:
-        if not roots:
-            raise ValueError("matrix has no real eigenvalue")
-        return Fraction(max(roots))
-    lam = AlgebraicNumber(NumberField(_minimal_polynomial(f, *top), *top),
-                          (0, 1))
-    if roots and max(roots) > lam:
-        return Fraction(max(roots))
-    return lam
+        raise ValueError("matrix has no real eigenvalue")
+    g = _minimal_polynomial(f, *top)
+    if len(g) == 2:
+        return Fraction(-g[0])
+    return AlgebraicNumber(NumberField(g, *top), (0, 1))
 
 
 # -- generic exact linear algebra ----------------------------------------

@@ -49,7 +49,6 @@ from fractions import Fraction
 from .dyadic import dyadic, odd_part
 from .intmat import (
     hnf_row_lattice,
-    identity,
     smith_normal_form,
     transpose,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "CylinderFunction",
     "FPAbelianGroup",
     "GapLabelGroup",
-    "smith_normal_form",
     "apply_shift",
     "constant_one",
     "refine_left",
@@ -368,13 +366,8 @@ def _presentation(spec: SubshiftSpec, ring: str, n: int) -> _Presentation:
     psi = 2 if ring == RING_HALF else 1
     rows, cols = _relation_rows(spec, n, psi)
     m = len(cols)
-    if any(any(r) for r in rows):
-        u, s, v, v_inv = smith_normal_form(rows)
-        diag = [s[i][i] for i in range(min(len(s), m))]
-    else:
-        u = identity(len(rows))
-        v = v_inv = identity(m)
-        diag = []
+    u, s, v, v_inv = smith_normal_form(rows)
+    diag = [s[i][i] for i in range(min(len(s), m))]
     kernel = u[sum(1 for d in diag if d):]
     if ring == RING_HALF:
         diag = [odd_part(d) for d in diag]

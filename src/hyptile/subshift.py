@@ -57,6 +57,8 @@ class Substitution:
         return Substitution(tuple(sorted(mapping.items())))
 
     def __post_init__(self):
+        if not self.rules:
+            raise ValueError("substitution rules must be nonempty")
         seen = set()
         for letter, image in self.rules:
             if len(letter) != 1:

@@ -239,14 +239,30 @@ def companion(poly):
             for i in range(n)]
 
 
+# Top roots far from the origin: a search over the integers up to the
+# root bound would be linear in the root.
+LARGE_TOP_ROOTS = [[[10**6]], [[10**7]], [[10**6, 1], [1, 0]], [[2**40]]]
+
+PINNED_ROOTS = {
+    # f = x (x^2 - 3x - 3), and the quadratic splits mod 5: the factor x
+    # has constant term 0 and must still reach the exact division
+    "root-zero-factor": [[1, 2, 3], [1, 0, 2], [1, 0, 2]],
+    # Sturm bisection ends on (1, 2]: the top root is the interval's end
+    "root-at-bisection-end": block_diag([[1]], [[2]]),
+    # (-1, 0]: the top root 0 is hi, and the other root -1 is lo
+    "root-zero-beside-negative": block_diag([[0]], [[-1]]),
+}
+
+
 def oracle_corpus():
-    """323 integer matrices: 300 seeded nonnegative ones of sizes 1 to 6
+    """330 integer matrices: 300 seeded nonnegative ones of sizes 1 to 6
     (dense, sparse, block-diagonal and repeated-block), then named ones.
 
-    The last three are companion matrices of the minimal polynomials of
-    sqrt2 + sqrt3, sqrt2 + sqrt3 + sqrt5 and sqrt2 + sqrt3 + sqrt5 +
-    sqrt7: irreducible over Z but split into factors of degree at most 2
-    modulo every prime, the worst case for recombining lifted factors."""
+    Three are companion matrices of the minimal polynomials of sqrt2 +
+    sqrt3, sqrt2 + sqrt3 + sqrt5 and sqrt2 + sqrt3 + sqrt5 + sqrt7:
+    irreducible over Z but split into factors of degree at most 2 modulo
+    every prime, the worst case for recombining lifted factors.  The
+    last seven follow them (see LARGE_TOP_ROOTS and PINNED_ROOTS)."""
     rng = random.Random(20090)
 
     def rand(n, top, density):
@@ -289,7 +305,7 @@ def oracle_corpus():
         companion([46225, 0, -5596840, 0, 13950764, 0, -7453176, 0,
                    1513334, 0, -141912, 0, 6476, 0, -136, 0, 1]),
     ]
-    return mats
+    return mats + LARGE_TOP_ROOTS + list(PINNED_ROOTS.values())
 
 
 def sympy_perron(mat):
@@ -308,6 +324,17 @@ def sympy_perron(mat):
 
 
 class TestPerronOracle:
+    @pytest.mark.parametrize("mat", LARGE_TOP_ROOTS,
+                             ids=["1e6", "1e7", "1e6-quadratic", "2^40"])
+    def test_large_top_root_is_fast(self, mat):
+        t0 = time.perf_counter()
+        lam = perron_eigenvalue(mat)
+        assert time.perf_counter() - t0 < 0.1
+        if len(mat) == 1:
+            assert type(lam) is Fraction and lam == mat[0][0]
+        else:
+            assert lam * lam == 10**6 * lam + 1 and lam > 10**6
+
     def test_s4_two_block_charpoly(self):
         x = sympy.Symbol("x")
         cp = sympy.Matrix(s4_two_block_matrix()).charpoly(x).as_expr()

@@ -318,6 +318,7 @@ class TestErrorHygiene:
         ({"type": "substitution", "rules": {"1": 12, "2": "21"}}, "rules"),
         ({"type": "substitution", "rules": ["12", "21"]}, "rules"),
         ([{"type": "periodic", "word": "12"}], "JSON object"),
+        ({"type": "substitution", "rules": {}}, "rules"),
     ])
     def test_spec_field_types(self, tmp_path, capsys, doc, field):
         out = tmp_path / "k.json"

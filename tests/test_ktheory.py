@@ -15,7 +15,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hyptile import ktheory
 from hyptile.intmat import (hnf_row_lattice, integer_kernel, lattice_contains,
-                            rational_rank, transpose)
+                            rational_rank, smith_normal_form, transpose)
 from hyptile.ktheory import (
     RING_HALF,
     RING_Z,
@@ -42,7 +42,6 @@ from hyptile.ktheory import (
     refine_left,
     refine_right,
     refine_to,
-    smith_normal_form,
 )
 from hyptile.subshift import (
     ExplicitWindow,
@@ -699,6 +698,26 @@ class TestKGroupsAndCech:
         assert (inv_z.rank, list(inv_z.torsion)) == (1, [])
         assert (kg["K1"].rank, list(kg["K1"].torsion), kg["K1"].n_used) == (1, [], 4)
         assert co_half.stabilized and kg["K1"].stabilized
+
+    @pytest.mark.parametrize("spec", [Substitution.of({"1": "11"}),
+                                      Periodic("1")])
+    @pytest.mark.parametrize("n_max", [2, 3, 8])
+    def test_one_letter_k_groups_from_zero_relations(self, spec, n_max):
+        # one word per level and psi = 1: the Z relation matrix is zero,
+        # so its Smith form has a zero diagonal and identity transforms
+        kg = k_groups(spec, n_max)
+        co_half, inv_z = kg["K0"]
+        assert (co_half.ring, co_half.rank, co_half.torsion,
+                co_half.generators) == (RING_HALF, 0, (), ())
+        k1 = kg["K1"]
+        one = constant_one(spec, RING_Z)
+        for g, name in ((inv_z, "c0"), (k1, "f0")):
+            assert (g.ring, g.rank, g.torsion) == (RING_Z, 1, ())
+            (gen_name, gen), = g.generators
+            assert gen_name == name and cf_equal(spec, gen, one)
+        # the coinvariant chains need two equal levels to stabilize
+        assert co_half.stabilized == k1.stabilized == (n_max > 2)
+        assert inv_z.stabilized
 
     def test_k0_generators_tagged(self):
         co_half, _ = k_groups(Periodic("12"), 6)["K0"]

@@ -78,6 +78,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Substitution.of({"1": "12", "2": ""})
 
+    def test_empty_rules_rejected(self):
+        with pytest.raises(ValueError, match="rules"):
+            parse_spec({"type": "substitution", "rules": {}})
+
     def test_unknown_image_letter_rejected(self):
         with pytest.raises(ValueError):
             Substitution.of({"1": "13"})
