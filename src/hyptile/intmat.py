@@ -18,8 +18,9 @@ mostly zeros, so `matmul` skips the zero entries of both operands.
 `row_reduce` is the one Gaussian elimination over a field: rank over Q
 and the kernel vectors of measure equations both read its output.
 
-`matmul`, `mat_vec`, `row_reduce`, `solve_integer` and `lattice_contains`
-raise ValueError on operands whose shapes do not match.
+`matmul`, `mat_vec`, `smith_normal_form`, `hnf_row_lattice`,
+`row_reduce`, `solve_integer` and `lattice_contains` raise ValueError on
+ragged rows or on operands whose shapes do not match.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def smith_normal_form(mat):
     """
     a = [row[:] for row in mat]
     n = len(a)
-    m = len(a[0]) if n else 0
+    m = _width(a, "matrix")
     u = identity(n)
     v = identity(m)
     v_inv = identity(m)
@@ -276,10 +277,8 @@ def hnf_row_lattice(rows):
     [0, pivot).  Two row sets span the same lattice iff their forms are
     equal.  Zero rows are dropped.
     """
+    m = _width(rows, "row set")
     work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    m = len(work[0])
     r = 0
     for col in range(m):
         # gcd-eliminate column col among rows r..

@@ -22,21 +22,22 @@ The invariants at the same truncation are the left kernel of that one
 relation matrix: the combinations c of length-N words with c * rows = 0
 are the functions with c[v[:N]] = psi * c[v[1:]] for every word v of
 length N + 1.  One Smith form U * rows * V = S gives both, the cokernel
-from S and V and the left kernel as the rows of U past the rank.
-Consecutive truncations are compared through the induced maps, and
-the ``stabilized`` flag says only what was checked.  For a periodic
-word it means the level is past the point where the language stops
-growing: from there every presentation is the circulant of the orbit,
-so the group is exact.  For a substitution it means only that two
-consecutive bonding maps are isomorphisms.  That says nothing about
-later levels, so it does not certify the group: the chains of
-Thue-Morse and period doubling settle on wrong groups, and their H^1
-is not finitely generated (ROADMAP item 1).  A map is certified an
-isomorphism when it is onto and both groups have the same rank and
-torsion: finitely generated modules over a commutative ring are
-Hopfian, so such a map is one to one as well.  Over Z[1/2] the integer
-Smith form is used and 2-power invariant factors are discarded, since 2
-is a unit.
+from S and V and the left kernel as the rows of U past the rank.  It is
+the only Smith form taken, once per spec, ring and level.  The
+``stabilized`` flag says only what was checked.  A periodic word is
+read at its orbit level, where the language stops growing: from there
+every presentation is the circulant of the orbit, so the group is exact
+and no bonding map is tested.  Substitutions and explicit windows
+compare consecutive truncations through the induced maps, and the flag
+means only that two consecutive bonding maps are isomorphisms.  That
+says nothing about later levels, so it does not certify the group: the
+chains of Thue-Morse and period doubling settle on wrong groups, and
+their H^1 is not finitely generated (ROADMAP item 1).  A map is
+certified an isomorphism when it is onto, read off a Hermite form, and
+both groups have the same rank and torsion: finitely generated modules
+over a commutative ring are Hopfian, so such a map is one to one as
+well.  Over Z[1/2] both forms are taken over Z and powers of 2 are
+discarded, since 2 is a unit.
 """
 
 from __future__ import annotations
@@ -47,11 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .dyadic import dyadic, odd_part
-from .intmat import (
-    hnf_row_lattice,
-    smith_normal_form,
-    transpose,
-)
+from .intmat import hnf_row_lattice, smith_normal_form
 from .subshift import (
     HorizonExhausted,
     Periodic,
@@ -419,20 +416,18 @@ def _bonding_is_iso(p1: _Presentation, p2: _Presentation, ring: str) -> bool:
     The two groups must have the same rank and torsion; then the map is
     an isomorphism exactly when it is onto, since a finitely generated
     module over a commutative ring is Hopfian (an onto endomorphism is
-    one to one).  Onto is one Smith form of [F; B2]^T, F the bonding
-    matrix and B2 p2's relation basis: the image of F and the relations
-    fill the ring's lattice, so every nonzero invariant factor is a unit
-    and there are c2 of them.
+    one to one).  Onto means the rows of F, the bonding matrix, and of
+    B2, p2's relation basis, span the ring's lattice: their Hermite form
+    is square, with one row per column of p2, and its pivots, whose
+    product is the index of the span, are units of the ring.
     """
     if (len(p1.free) != len(p2.free)
             or [d for _, d in p1.tors] != [d for _, d in p2.tors]):
         return False
-    c2 = len(p2.cols)
-    stacked = _bonding_matrix(p1, p2) + p2.relation_basis()
-    s = smith_normal_form(transpose(stacked))[1]
-    nonzero = [s[i][i] for i in range(min(c2, len(stacked))) if s[i][i]]
+    hnf = hnf_row_lattice(_bonding_matrix(p1, p2) + p2.relation_basis())
     unit = odd_part if ring == RING_HALF else abs
-    return len(nonzero) == c2 and all(unit(d) == 1 for d in nonzero)
+    return (len(hnf) == len(p2.cols)
+            and all(unit(row[i]) == 1 for i, row in enumerate(hnf)))
 
 
 def _levels(spec: SubshiftSpec, ring: str, n_max: int) -> list:
@@ -459,40 +454,35 @@ def _coinvariant_chain(spec: SubshiftSpec, ring: str, n_max: int):
     return levels, isos
 
 
-def _settled(spec: SubshiftSpec, n: int) -> bool:
-    if not isinstance(spec, Periodic):
-        return True
-    return len(language(spec, n)) == len(language(spec, n + 1))
+def coinvariants(spec: SubshiftSpec, ring: str,
+                 n_max: int = 8) -> FPAbelianGroup:
+    """Shift coinvariants at truncation; ``stabilized`` says what was checked.
 
-
-def coinvariants(spec: SubshiftSpec, ring: str, n_max: int = 8):
-    """Shift coinvariants at truncation, with a stabilization flag.
-
-    Returns (group, stabilized).  The group is reported at the first
+    A periodic word's group is read at its orbit level N0, the first N
+    with |L(N)| = |L(N + 1)|: from there on every presentation is the
+    circulant of the orbit, so the group is exact and flagged stabilized
+    whenever N0 <= n_max.  Otherwise the group is reported at the first
     truncation N whose two following induced maps are isomorphisms; when
-    no such N exists up to n_max the last computed group is returned
-    with stabilized = False rather than pretending the chain settled.
-    For a periodic word N must also satisfy |L(N)| = |L(N + 1)|: from
-    there on every presentation is the circulant of the orbit and every
-    bonding map permutes generators, so the flag certifies the group,
-    while below it two isomorphisms in a row can still be followed by a
-    collapse.  For a substitution the flag means only those two
-    isomorphisms, not the group: a later level can still change it
-    (ROADMAP item 1).
+    no such N exists up to n_max (or N0 > n_max) the last computed group
+    is returned unstabilized rather than pretending the chain settled.
+    For a substitution the flag means only those two isomorphisms, not
+    the group: a later level can still change it (ROADMAP item 1).
     """
     _check_ring(ring)
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    levels, isos = _coinvariant_chain(spec, ring, n_max)
     approx = approximate(spec)
-    pick = None
-    for i in range(len(isos) - 1):
-        if isos[i] and isos[i + 1] and _settled(spec, levels[i].level):
-            pick = i
-            break
-    if pick is not None:
-        return _group_from(levels[pick], True, approx), True
-    return _group_from(levels[-1], False, approx), False
+    if isinstance(spec, Periodic):
+        n0 = next((n for n in range(1, n_max + 1)
+                   if len(language(spec, n)) == len(language(spec, n + 1))),
+                  n_max + 1)
+        return _group_from(_presentation(spec, ring, min(n0, n_max)),
+                           n0 <= n_max, approx)
+    levels, isos = _coinvariant_chain(spec, ring, n_max)
+    pick = next((i for i in range(len(isos) - 1)
+                 if isos[i] and isos[i + 1]), None)
+    return _group_from(levels[-1 if pick is None else pick],
+                       pick is not None, approx)
 
 
 def invariant_rank(spec: SubshiftSpec, ring: str, n: int) -> int:
@@ -544,7 +534,10 @@ def coinvariant_class(spec: SubshiftSpec, f: CylinderFunction,
     """Coordinates of the class of f in the group's generator basis.
 
     Linear in f, kills coboundaries f - shift(f), and reduces torsion
-    coordinates modulo their invariant factor.
+    coordinates modulo their invariant factor.  f is first shrunk by
+    ``canonical``, so every cylinder function has a class in a periodic
+    group read at its orbit level; otherwise a group of level N takes
+    windows of at most N + 1 letters.
     """
     pres: _Presentation = group.pres
     if pres is None:
@@ -555,13 +548,14 @@ def coinvariant_class(spec: SubshiftSpec, f: CylinderFunction,
     # f - shift(f) is a coboundary, so moving f to window 0 scales it by
     # psi**-start, psi the shift operator's factor.
     psi = Fraction(2 if group.ring == RING_HALF else 1)
+    f = canonical(spec, f)
     f = CylinderFunction.of(
         f.ring, 0, {w: v * psi ** -f.start for w, v in f.coeffs})
     width = pres.level + 1
     if f.length > width:
         raise ValueError(
-            f"window of length {f.length} exceeds the truncation; "
-            f"refine N_max to at least {f.length - 1}")
+            f"window of length {f.length} does not fit the group's level "
+            f"N = {pres.level}, which takes windows of at most {width} letters")
     data = refine_to(spec, f, 0, width).as_dict()
     x = [data.get(w, 0) for w in pres.cols]
     coords = {}
@@ -592,16 +586,16 @@ def k_groups(spec: SubshiftSpec, n_max: int = 8) -> dict:
     extension class.  The coinvariant summand's generators are tagged as
     projection classes; the names are opaque labels.
     """
-    co_half, _ = coinvariants(spec, RING_HALF, n_max)
-    co_z, _ = coinvariants(spec, RING_Z, n_max)
+    co_half = coinvariants(spec, RING_HALF, n_max)
+    co_z = coinvariants(spec, RING_Z, n_max)
     inv_z = invariants(spec, RING_Z, n_cap=n_max)
     return {"K0": (_retag(co_half, "projection-class"), inv_z), "K1": co_z}
 
 
 def cech_cohomology(spec: SubshiftSpec, n_max: int = 8) -> dict:
     """Degree 0..2 cohomology of the hull, from the shift module."""
-    h1, _ = coinvariants(spec, RING_Z, n_max)
-    h2, _ = coinvariants(spec, RING_HALF, n_max)
+    h1 = coinvariants(spec, RING_Z, n_max)
+    h2 = coinvariants(spec, RING_HALF, n_max)
     return {
         "H0": invariants(spec, RING_Z, n_cap=n_max),
         "H1": h1,

@@ -254,6 +254,20 @@ def test_lattice_contains_refuses_mismatched_shapes():
         lattice_contains([[1, 0], [0, 1, 0]], [1, 0])
 
 
+def test_smith_normal_form_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="rows of lengths"):
+        smith_normal_form([[1, 2], [3]])
+    with pytest.raises(ValueError, match="rows of lengths"):
+        smith_normal_form([[1], [3, 4]])
+
+
+def test_hnf_row_lattice_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="rows of lengths"):
+        hnf_row_lattice([[0, 2], [3, 0, 5]])
+    with pytest.raises(ValueError, match="rows of lengths"):
+        hnf_row_lattice([[0, 0], [1]])
+
+
 def _random_rationals(rng, n, m, rank=None):
     """n x m Fraction matrix; of rank at most `rank` when it is given."""
     def rand(a, b):
