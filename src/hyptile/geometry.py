@@ -52,23 +52,30 @@ def _pow2(k: int) -> Fraction:
     return Fraction(2) ** k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Point:
     """Point of the upper half-plane with dyadic coordinates, stored as
-    `dyadic` of the given values (ints become Fractions)."""
+    `dyadic` of the given values (ints become Fractions).
+
+    The hash is computed once, when the Point is made: a patch's edge
+    keys are frozensets of Points, and each one hashes both of its ends.
+    """
 
     x: Fraction
     y: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", dyadic(self.x))
-        object.__setattr__(self, "y", dyadic(self.y))
-        if self.y.numerator <= 0:  # denominators are positive
+    def __init__(self, x, y):
+        x, y = dyadic(x), dyadic(y)
+        if y.numerator <= 0:  # denominators are positive
             raise ValueError("points must lie strictly above the real axis")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        # cheaper than Fraction.__hash__, which takes a modular inverse
+        object.__setattr__(self, "_hash", hash((x.as_integer_ratio(),
+                                                y.as_integer_ratio())))
 
     def __hash__(self):
-        # cheaper than Fraction.__hash__, which takes a modular inverse
-        return hash((self.x.as_integer_ratio(), self.y.as_integer_ratio()))
+        return self._hash
 
 
 pt = Point  # short spelling of Point(x, y)
@@ -322,14 +329,13 @@ def generate_patch(radius: float, colouring: ColourWindow | None = None,
     r2 = Fraction(math.sinh(radius)) ** 2
     tiles = []
     for k, end in ends:
-        colour = None
-        y = _pow2(-k)
-        for n in range(-1 - end, end + 1):
-            if exact and not any(d <= r2 for d in _sinh2_terms(-n, y)):
-                continue
-            if colouring is not None and colour is None:
-                colour = colouring.get(-k)
-            tiles.append(TileIndex(k, n, colour))
+        ns = range(-1 - end, end + 1)
+        if exact:
+            y = _pow2(-k)
+            ns = [n for n in ns if any(d <= r2 for d in _sinh2_terms(-n, y))]
+        # a scale with no tile never reads the window
+        colour = colouring.get(-k) if colouring is not None and ns else None
+        tiles += [TileIndex(k, n, colour) for n in ns]
     return TileSet(tuple(tiles), radius)
 
 
@@ -405,60 +411,90 @@ def edge_adjacency(ts: TileSet) -> AdjacencyReport:
     of a tile one scale up, verticals meet opposite verticals at the same
     scale.  Boundary edges are reported separately and never counted in
     the tally.  The interior dict is keyed by the frozenset of the edge's
-    two endpoint Points, as tile_vertices gives them.
+    two endpoint Points, as tile_vertices gives them, and both interior
+    and boundary list edges in the order they first occur: tiles in
+    (k, n) order, each tile's edges in EDGE_LABELS order.
+
+    The pairing runs on ints.  Vertices are integer pairs (x, y) in units
+    of 2**(k_min - 1): tile (k, n) has corners at x = 2n f, (2n+1) f,
+    (2n+2) f and y = 2f, 4f with f = 2**(k - k_min).  A vertex packs into
+    x * 2**ybits + y, and an edge into its lower-left end v times
+    2**ebits plus the other end's offset from v; a side is 5 * (tile
+    index) + (edge label index).  Points are built only for the ends of
+    interior edges, one per vertex.
     """
-    # vertices as integer pairs in units of 2**(k_min - 1): tile (k, n)
-    # has corners at x = 2n f, (2n+1) f, (2n+2) f and y = 2f, 4f with
-    # f = 2**(k - k_min); each edge key lists its lower-left end first
-    k_min = ts.tiles[0].k if ts.tiles else 0
-    by_key: dict = {}
-    for t in ts.tiles:
-        f = 1 << (t.k - k_min)
-        x, y = 2 * t.n * f, 2 * f
-        a1, a2, a3 = (x, y), (x + f, y), (x + 2 * f, y)
-        a4, a5 = (x + 2 * f, 2 * y), (x, 2 * y)
-        for lab, key in zip(EDGE_LABELS, ((a1, a2), (a2, a3), (a3, a4),
-                                          (a5, a4), (a1, a5))):
-            by_key.setdefault(key, []).append((t, lab))
-    unit = _pow2(k_min - 1)
-    coord = functools.cache(lambda m: m * unit)
-    point = functools.cache(lambda v: Point(coord(v[0]), coord(v[1])))
+    tiles = ts.tiles
+    k_min = tiles[0].k if tiles else 0
+    # with K = k_max - k_min, every y is at most 2**(K + 2) < 2**ybits, and
+    # an edge's far end lies at most 2**(K + 1 + ybits) < 2**ebits past v
+    ybits = (tiles[-1].k - k_min if tiles else 0) + 3
+    ebits = 2 * ybits
+    keys = []
+    k = None
+    for t in tiles:
+        if t.k != k:
+            k = t.k
+            y = 2 << (k - k_min)
+            step = y << (ybits - 1)  # packed, f to the right
+        a1 = ((t.n * y) << ybits) | y
+        a2 = a1 + step
+        keys += ((a1 << ebits) | step, (a2 << ebits) | step,
+                 ((a2 + step) << ebits) | y, ((a1 + y) << ebits) | 2 * step,
+                 (a1 << ebits) | y)
+    # each edge's first and last side; the key order is first occurrence
+    last = dict(zip(keys, range(len(keys))))
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    sides = [(t, lab) for t in tiles for lab in EDGE_LABELS]
+    # a coordinate m is m * 2**(k_min - 1)
+    num, den = _pow2(k_min - 1).as_integer_ratio()
+    ymask = (1 << ybits) - 1
+    emask = (1 << ebits) - 1
+    coords: dict = {}
+    points: dict = {}
+
+    def point(v):
+        x, y = v >> ybits, v & ymask
+        if x not in coords:
+            coords[x] = Fraction(x * num, den)
+        if y not in coords:
+            coords[y] = Fraction(y * num, den)
+        p = points[v] = Point(coords[x], coords[y])
+        return p
+
     interior = {}
     boundary = []
     top_matches = []
-    ip = ineg = bp = bneg = 0
-    for key, sides in by_key.items():
-        if len(sides) > 2:
-            raise ValueError("more than two tiles share an edge")
-        if len(sides) == 1:
-            t, lab = sides[0]
-            boundary.append((t, lab))
-            if lab == POSITIVE_EDGE:
-                bp += 1
-            elif lab in NEGATIVE_EDGES:
-                bneg += 1
+    for key, c2 in last.items():
+        c1 = first[key]
+        if c1 == c2:
+            boundary.append(sides[c1])
             continue
-        (t1, l1), (t2, l2) = sides
-        interior[frozenset(map(point, key))] = ((t1, l1), (t2, l2))
-        for t, lab in sides:
-            if lab == POSITIVE_EDGE:
-                ip += 1
-            elif lab in NEGATIVE_EDGES:
-                ineg += 1
-        labs = {l1, l2}
-        if POSITIVE_EDGE in labs:
-            upper = (t2, l2) if l1 == POSITIVE_EDGE else (t1, l1)
-            lower = (t1, l1) if l1 == POSITIVE_EDGE else (t2, l2)
-            if upper[1] not in NEGATIVE_EDGES:
-                raise ValueError(
-                    f"A4A5 edge of {lower[0]} met a {upper[1]} edge")
-            if upper[0].k != lower[0].k + 1:
+        v = key >> ebits
+        w = v + (key & emask)
+        s1, s2 = sides[c1], sides[c2]
+        interior[frozenset((points.get(v) or point(v),
+                            points.get(w) or point(w)))] = (s1, s2)
+        l1, l2 = s1[1], s2[1]
+        if POSITIVE_EDGE in (l1, l2):
+            (lower, _), (upper, lab) = ((s1, s2) if l1 == POSITIVE_EDGE
+                                        else (s2, s1))
+            if lab not in NEGATIVE_EDGES:
+                raise ValueError(f"A4A5 edge of {lower} met a {lab} edge")
+            if upper.k != lower.k + 1:
                 raise ValueError("A4A5 partner is not one scale up")
-            top_matches.append((lower[0], upper[0], upper[1]))
-        elif labs <= set(NEGATIVE_EDGES):
+            top_matches.append((lower, upper, lab))
+        elif l1 in NEGATIVE_EDGES and l2 in NEGATIVE_EDGES:
             raise ValueError("two negative edges matched each other")
-        elif labs == {"A3A4"} or labs == {"A5A1"}:
+        elif l1 == l2:
             raise ValueError("vertical edge matched an equal label")
+    # an edge with a middle side has first != last and one interior entry
+    if len(keys) != len(boundary) + 2 * len(interior):
+        raise ValueError("more than two tiles share an edge")
+    labels = [lab for _, lab in boundary]
+    bp = labels.count(POSITIVE_EDGE)
+    bneg = sum(map(labels.count, NEGATIVE_EDGES))
+    # every tile has one positive and two negative sides
+    ip, ineg = len(tiles) - bp, 2 * len(tiles) - bneg
     return AdjacencyReport(
         interior=interior,
         boundary=tuple(boundary),

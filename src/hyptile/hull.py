@@ -55,6 +55,8 @@ __all__ = [
 _MAX_WRAPS = 64
 # 2**k for k scale wraps: a lookup is several times faster than np.ldexp
 _POW2 = np.ldexp(1.0, np.arange(_MAX_WRAPS))
+# the factor of a halving step, by whether the row halves
+_HALVE = np.array([1.0, 0.5])
 
 
 # -- colour relation ----------------------------------------------------
@@ -364,10 +366,12 @@ class SampleBatch:
             u = omega.view(np.uint64)
             u <<= k.view(np.uint64)
             u += c.astype(np.uint64)
-        # wraps up halve t + parity, which rounds: one step per digit
+        # wraps up halve t + parity, which rounds: one step per digit, on
+        # every row without a branch (a row that stays adds 0, times 1)
         for j in range(steps):
-            half = ((omega >> j) & 1).astype(float)
-            np.copyto(t, (half + t) / 2.0, where=cursor < -j)
+            halve = cursor < -j
+            t += ((omega >> j) & halve).astype(float)
+            t *= _HALVE.take(halve)
         if steps:
             omega >>= np.maximum(-cursor, 0)
         # one digit gone for the whole batch per step: residues stay comparable

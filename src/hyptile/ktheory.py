@@ -430,23 +430,24 @@ def _bonding_is_iso(p1: _Presentation, p2: _Presentation, ring: str) -> bool:
             and all(unit(row[i]) == 1 for i, row in enumerate(hnf)))
 
 
-def _levels(spec: SubshiftSpec, ring: str, n_max: int) -> list:
-    """Presentations for N = 1..n_max, or up to an explicit window's horizon."""
-    levels = []
+def _iter_levels(spec: SubshiftSpec, ring: str, n_max: int):
+    """Presentations for N = 1..n_max, or up to an explicit window's
+    horizon, each built only when the caller asks for it."""
     for n in range(1, n_max + 1):
         try:
-            levels.append(_presentation(spec, ring, n))
+            pres = _presentation(spec, ring, n)
         except HorizonExhausted:
-            break
-    if not levels:
-        raise HorizonExhausted(
-            "horizon exhausted: no truncation could be computed")
-    return levels
+            if n == 1:
+                raise HorizonExhausted(
+                    "horizon exhausted: no truncation could be computed"
+                ) from None
+            return
+        yield pres
 
 
 def _coinvariant_chain(spec: SubshiftSpec, ring: str, n_max: int):
     """Presentations for N = 1..n_max plus per-step isomorphism flags."""
-    levels = _levels(spec, ring, n_max)
+    levels = list(_iter_levels(spec, ring, n_max))
     isos = [
         _bonding_is_iso(levels[i], levels[i + 1], ring)
         for i in range(len(levels) - 1)
@@ -508,18 +509,28 @@ def invariants(spec: SubshiftSpec, ring: str,
     certifies stabilization when it repeats.
     """
     _check_ring(ring)
-    levels = _levels(spec, ring, n_cap)
-    ranks = [len(p.kernel) for p in levels]
-    if ring == RING_HALF:
-        pick = next((i for i, r in enumerate(ranks) if r), None)
-        stabilized = pick is None and len(ranks) >= 2
+    half = ring == RING_HALF
+    # levels are built only up to the pick: over Z[1/2] the first level
+    # with fixed functions, over Z the first whose rank the next repeats
+    levels = []
+    for pres in _iter_levels(spec, ring, n_cap):
+        if half and pres.kernel:
+            pick = pres
+            break
+        if (not half and levels
+                and len(levels[-1].kernel) == len(pres.kernel)):
+            pick = levels[-1]
+            break
+        levels.append(pres)
+    else:
+        pick = None
+    if half:
+        stabilized = pick is None and len(levels) >= 2
         prefix = "f"
     else:
-        pick = next((i for i in range(len(ranks) - 1)
-                     if ranks[i] == ranks[i + 1]), None)
         stabilized = pick is not None
         prefix = "c"
-    pres = levels[-1 if pick is None else pick]
+    pres = levels[-1] if pick is None else pick
     words = language(spec, pres.level)
     gens = tuple(
         (f"{prefix}{i}",

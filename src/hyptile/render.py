@@ -10,6 +10,11 @@ ldexp(17, 2k-4) or ldexp(17, 2k-2).  Neighbouring tiles therefore emit
 byte-identical endpoint strings and the seams are gapless.  Coordinates
 are written y-flipped (SVG y grows downward) with 17 significant
 digits, the only place floats appear.
+
+There is one path format: a cached template per scale k, with that
+scale's y and arc-radius strings baked in, which `tile_path` and
+`svg_render` fill with a tile's three corner x strings.  `svg_render`
+formats each x once, since tile n's right corner is tile n + 1's left.
 """
 
 from __future__ import annotations
@@ -27,32 +32,37 @@ _UNCOLOURED = "#d8d2c7"
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 @functools.lru_cache(maxsize=128)
-def _scale_strings(k: int) -> tuple[str, str, str, str]:
-    """Flipped y of the bottom and top corners and the bottom and top arc
-    radii, shared by every tile at scale k."""
-    return (_fmt(-math.ldexp(1.0, k)), _fmt(-math.ldexp(1.0, k + 1)),
-            _fmt(math.sqrt(math.ldexp(17.0, 2 * k - 4))),
-            _fmt(math.sqrt(math.ldexp(17.0, 2 * k - 2))))
+def _path_template(k: int) -> tuple[str, ...]:
+    """The path of every tile at scale k, cut at the x of its corners:
+    the text after x0, x1, x2, x2 and x0 in turn (see `_fill_path`).
+
+    The flipped y of the bottom and top corners and the two arc radii
+    are baked in.  The bottom arcs run left to right and the top arc
+    back; with y flipped, bulging away from the real axis is sweep 1
+    and sweep 0.
+    """
+    y1, y2 = _fmt(-math.ldexp(1.0, k)), _fmt(-math.ldexp(1.0, k + 1))
+    low = _fmt(math.sqrt(math.ldexp(17.0, 2 * k - 4)))
+    high = _fmt(math.sqrt(math.ldexp(17.0, 2 * k - 2)))
+    return (f" {y1} A {low} {low} 0 0 1 ", f" {y1} A {low} {low} 0 0 1 ",
+            f" {y1} L ", f" {y2} A {high} {high} 0 0 0 ", f" {y2} Z")
+
+
+def _fill_path(template: tuple[str, ...], x0: str, x1: str, x2: str) -> str:
+    """The d-string of a tile whose corners lie at x0, x1 and x2."""
+    a, b, c, d, e = template
+    return f"M {x0}{a}{x1}{b}{x2}{c}{x2}{d}{x0}{e}"
 
 
 def tile_path(t: TileIndex) -> str:
-    """Closed path d-string: bottom arcs, right wall, top arc, left wall.
-
-    The bottom arcs run left to right and the top arc back; with y
-    flipped, bulging away from the real axis is sweep 1 and sweep 0.
-    """
-    y1, y2, low, high = _scale_strings(t.k)
-    e, m = t.k - 1, 2 * t.n
-    x0 = _fmt(math.ldexp(m, e))
-    x1 = _fmt(math.ldexp(m + 1, e))
-    x2 = _fmt(math.ldexp(m + 2, e))
-    return (f"M {x0} {y1} A {low} {low} 0 0 1 {x1} {y1} "
-            f"A {low} {low} 0 0 1 {x2} {y1} L {x2} {y2} "
-            f"A {high} {high} 0 0 0 {x0} {y2} Z")
+    """Closed path d-string: bottom arcs, right wall, top arc, left wall."""
+    m, e = 2 * t.n, t.k - 1
+    return _fill_path(_path_template(t.k), _fmt(math.ldexp(m, e)),
+                      _fmt(math.ldexp(m + 1, e)), _fmt(math.ldexp(m + 2, e)))
 
 
 def _fill(colour, palette) -> str:
@@ -91,9 +101,17 @@ def svg_render(ts: TileSet, colours=None, window=None,
         f'width="{_fmt(wide)}" height="{_fmt(high)}"/></clipPath></defs>')
     lines.append(f'<g clip-path="url(#window)" stroke="#26221c" '
                  f'stroke-width="{stroke}" stroke-linejoin="round">')
+    k = n_next = right = None
     for t in ts.tiles:
-        lines.append(f'<path data-k="{t.k}" data-n="{t.n}" '
-                     f'fill="{_fill(t.colour, palette)}" d="{tile_path(t)}"/>')
+        if t.k != k:
+            k, template, n_next = t.k, _path_template(t.k), None
+        # tile n's left corner is tile n - 1's right corner
+        m, e = 2 * t.n, k - 1
+        left = right if t.n == n_next else _fmt(math.ldexp(m, e))
+        right, n_next = _fmt(math.ldexp(m + 2, e)), t.n + 1
+        path = _fill_path(template, left, _fmt(math.ldexp(m + 1, e)), right)
+        lines.append(f'<path data-k="{k}" data-n="{t.n}" '
+                     f'fill="{_fill(t.colour, palette)}" d="{path}"/>')
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -480,20 +480,36 @@ def ref_edge_adjacency(ts):
         [s for pair in interior.values() for s in pair]), charges(boundary)
 
 
+def assert_matches_reference(ts):
+    rep = edge_adjacency(ts)
+    interior, boundary, tops, (ip, ineg), (bp, bneg) = ref_edge_adjacency(ts)
+    assert rep.interior == interior
+    assert list(rep.interior) == list(interior)
+    assert rep.boundary == boundary
+    assert rep.top_matches == tuple(tops)
+    assert (rep.interior_positive, rep.interior_negative) == (ip, ineg)
+    assert (rep.boundary_positive, rep.boundary_negative) == (bp, bneg)
+    assert rep.tally == ip - ineg
+
+
 class TestIntegerKeyedAdjacency:
-    @pytest.mark.parametrize("radius", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("radius", [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     def test_matches_vertex_keyed_reference(self, radius):
-        ts = generate_patch(radius, exact=radius <= 2.0)
-        rep = edge_adjacency(ts)
-        interior, boundary, tops, (ip, ineg), (bp, bneg) = \
-            ref_edge_adjacency(ts)
-        assert rep.interior == interior
-        assert list(rep.interior) == list(interior)
-        assert rep.boundary == boundary
-        assert rep.top_matches == tuple(tops)
-        assert (rep.interior_positive, rep.interior_negative) == (ip, ineg)
-        assert (rep.boundary_positive, rep.boundary_negative) == (bp, bneg)
-        assert rep.tally == ip - ineg
+        # the box rule at every radius, the exact rule up to radius 4
+        rules = (False, True) if radius <= 4.0 else (False,)
+        for exact in rules:
+            assert_matches_reference(generate_patch(radius, exact=exact))
+
+    @pytest.mark.parametrize("k_min", [-3, 0, 2])
+    def test_scattered_tiles_match_reference(self, k_min):
+        # gaps in n, a missing scale and scales above 0 (whole units)
+        rng = random.Random(41 + k_min)
+        cells = [(k, n) for k in (k_min, k_min + 1, k_min + 3)
+                 for n in range(-12, 12)]
+        for _ in range(5):
+            picked = rng.sample(cells, 30)
+            assert_matches_reference(TileSet(
+                tuple(TileIndex(k, n) for k, n in picked), 0.0))
 
     def test_empty_patch(self):
         rep = edge_adjacency(TileSet((), 0.0))

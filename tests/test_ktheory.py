@@ -480,11 +480,14 @@ class TestCoinvariants:
                     for j in range(len(nonzero), len(stacked)))
                 assert flag == (onto and one_to_one)
 
-    @pytest.mark.parametrize("spec, n, want", [(S4, 6, 12), (TM, 8, 16)],
-                             ids=["s4", "tm"])
+    @pytest.mark.parametrize("spec, n, want", [
+        (S4, 6, 12), (TM, 8, 16), (Periodic("11212"), 8, 4)],
+        ids=["s4", "tm", "periodic"])
     def test_smith_form_budget(self, monkeypatch, spec, n, want):
         # One Smith form per presentation, one presentation per ring and
-        # level: bonding maps are tested on the Hermite form.
+        # level: bonding maps are tested on the Hermite form.  A periodic
+        # word takes one per ring at its orbit level (4 for 11212) and,
+        # for the invariants over Z, levels 1 and 2, whose ranks repeat.
         _presentation.cache_clear()
         calls = []
         real = ktheory.smith_normal_form

@@ -10,6 +10,7 @@ from hyptile.cli import _colour_window
 from hyptile.geometry import (
     ColourWindow,
     TileIndex,
+    TileSet,
     edge_adjacency,
     generate_patch,
     geodesic_arc,
@@ -159,6 +160,25 @@ class TestSvgRender:
         doc = svg_render(generate_patch(0.0, colouring=win),
                          colours=("#000001", "#000002"))
         assert 'fill="#000002"' in doc
+
+    @pytest.mark.parametrize("coloured", [False, True])
+    def test_every_path_is_the_tile_path(self, coloured):
+        # svg_render reuses each tile's right corner as the next tile's
+        # left one; every d-string must still be tile_path's
+        tm = parse_spec({"type": "substitution", "rules": {"1": "12",
+                                                           "2": "21"}})
+        # a gap in n, a scale that starts at the n after the last scale's
+        # end, a missing scale
+        gappy = TileSet(tuple(TileIndex(k, n) for k, n in (
+            (0, 0), (0, 2), (0, 3), (1, 4), (1, 5), (3, 1))), 1.0)
+        colouring = _colour_window(tm, 5.0) if coloured else None
+        for ts in (generate_patch(5.0, colouring=colouring), gappy):
+            paths = re.findall(
+                r'<path data-k="(-?\d+)" data-n="(-?\d+)" fill="[^"]+" '
+                r'd="([^"]+)"/>', svg_render(ts))
+            assert len(paths) == len(ts.tiles)
+            for t, (k, n, d) in zip(ts.tiles, paths):
+                assert (int(k), int(n), d) == (t.k, t.n, tile_path(t))
 
     def test_window_validation(self):
         ts = generate_patch(0.0)
