@@ -7,13 +7,22 @@ transform U, the column transform V and its inverse V^-1 (each column
 operation on V is the inverse row operation on V^-1), so one
 factorization answers solves, kernels and lattice membership.
 
+The Smith and Hermite reductions work on sparse rows, dicts from
+column to nonzero int, built once from the input; an entry that is not
+a Python int (bool included) raises ValueError.  The Smith reduction
+keeps U and A by rows and V by columns, and swaps columns by relabelling:
+columns of A and V and rows of V^-1 keep an id, ordered by a position
+table.  So an operation touches only nonzeros (the relation matrices
+have at most two per column); answers are dense lists.
+
 The pivot is always the first entry of least magnitude, in row-major
 order, of the trailing block; printed generators are rows of V^-1, so
-this rule fixes them.  The scan stops at the first unit, which no entry
-can beat.  Every factorization is checked exactly before it is
-returned, by V*V^-1 == I and U*A == S*V^-1 (equivalent to U*A*V == S
-given the first, and S*V^-1 is a row scaling); these matrices are
-mostly zeros, so `matmul` skips the zero entries of both operands.
+this rule and the order of the row and column operations fix them.
+The scan stops after the first row holding a unit, which no entry can
+beat.  Every factorization is checked exactly before it is returned,
+by V^-1*V == I (for square matrices the same as V*V^-1 == I) and
+U*A == S*V^-1 (equivalent to U*A*V == S given the first, and S*V^-1 is
+a row scaling), both as products of sparse rows.
 
 `row_reduce` is the one Gaussian elimination over a field: rank over Q
 and the kernel vectors of measure equations both read its output.
@@ -26,6 +35,7 @@ ragged rows or on operands whose shapes do not match.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 
 def identity(n: int) -> list[list[int]]:
@@ -75,6 +85,56 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def _sparse_rows(rows, what: str):
+    """(rows as dicts {column: nonzero entry}, common width).
+
+    ValueError on ragged rows or on an entry that is not an int; bool is
+    refused too.
+    """
+    m = _width(rows, what)
+    if not {type(x) for row in rows for x in row} <= {int}:
+        i, j, x = next((i, j, x) for i, row in enumerate(rows)
+                       for j, x in enumerate(row) if type(x) is not int)
+        raise ValueError(f"{what} entry {x!r} at row {i}, column {j} "
+                         f"is not an int")
+    return [dict(compress(enumerate(row), row)) for row in rows], m
+
+
+def _add(dst, src, c):
+    """dst += c * src on sparse rows, in place, dropping new zeros."""
+    if c:
+        for k, y in src.items():
+            x = dst.get(k, 0) + c * y
+            if x:
+                dst[k] = x
+            else:
+                del dst[k]
+
+
+def _spmul(a, b, width):
+    """The product of sparse rows a and b, as lists: row i of the
+    product is the sum of x * b[k] over the entries k: x of a[i]."""
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def _dense(rows, width, at):
+    """Sparse rows as lists of ints; entry k goes to column at[k]."""
+    out = []
+    for row in rows:
+        d = [0] * width
+        for k, x in row.items():
+            d[at[k]] = x
+        out.append(d)
+    return out
+
+
 def smith_normal_form(mat):
     """Smith normal form with transforms: (U, S, V, V^-1), U*mat*V = S.
 
@@ -83,95 +143,101 @@ def smith_normal_form(mat):
     row lattice of mat.  The factorization and the inverse are verified
     by exact re-multiplication before returning.
     """
-    a = [row[:] for row in mat]
-    n = len(a)
-    m = _width(a, "matrix")
-    u = identity(n)
-    v = identity(m)
-    v_inv = identity(m)
+    orig, m = _sparse_rows(mat, "matrix")
+    n = len(orig)
+    a = [dict(row) for row in orig]  # rows of A, keyed by column id
+    u = [{i: 1} for i in range(n)]  # rows of U
+    v = [{j: 1} for j in range(m)]  # columns of V, by column id
+    v_inv = [{j: 1} for j in range(m)]  # rows of V^-1, by column id
+    col = list(range(m))  # position -> column id
+    pos = list(range(m))  # column id -> position
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
 
     def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+        # columns of A and V and rows of V^-1 move with their ids
+        col[i], col[j] = col[j], col[i]
+        pos[col[i]], pos[col[j]] = i, j
 
     def row_add(dst, src, c):
         # row dst += c * row src
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        _add(a[dst], a[src], c)
+        _add(u[dst], u[src], c)
 
-    def col_add(dst, src, c):
-        for row in a:
-            if row[src]:
-                row[dst] += c * row[src]
-        for row in v:
-            if row[src]:
-                row[dst] += c * row[src]
+    def col_add(dst, src, c, rows):
+        # column id dst += c * column id src; rows: A's rows meeting src
+        if not c:
+            return
+        for i in rows:  # one entry each: cheaper here than _add
+            row = a[i]
+            x = row.get(dst, 0) + c * row[src]
+            if x:
+                row[dst] = x
+            else:
+                del row[dst]
+        _add(v[dst], v[src], c)
         # V -> V*E with E = I + c*e_src*e_dst^T; E^-1 acts on rows of V^-1
-        v_inv[src] = [x - c * y for x, y in zip(v_inv[src], v_inv[dst])]
+        _add(v_inv[src], v_inv[dst], -c)
 
     def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        a[i] = {k: -x for k, x in a[i].items()}
+        u[i] = {k: -x for k, x in u[i].items()}
 
     t = 0
     while t < min(n, m):
         # the first minimal-magnitude nonzero entry of the trailing
-        # block, row-major; nothing beats a unit, so stop at the first
-        pivot = None
-        best = None
+        # block, row-major (rows t.. hold no entry left of column t);
+        # nothing beats a unit, so stop after the first row with one
+        best = pi = pj = None
         for i in range(t, n):
-            row = a[i]
-            for j in range(t, m):
-                x = row[j]
-                if x:
-                    x = abs(x)
-                    if best is None or x < best:
-                        best, pivot = x, (i, j)
-                        if x == 1:
-                            break
+            for k, x in a[i].items():
+                x = abs(x)
+                if (best is None or x < best
+                        or (x == best and i == pi and pos[k] < pj)):
+                    best, pi, pj = x, i, pos[k]
             if best == 1:
                 break
-        if pivot is None:
+        if best is None:
             break
-        pi, pj = pivot
         row_swap(t, pi)
         col_swap(t, pj)
-        if a[t][t] < 0:
+        if a[t][col[t]] < 0:
             row_neg(t)
         # clear row and column t; restart if a remainder revives an entry
         dirty = True
         while dirty:
             dirty = False
+            p = col[t]
+            rows = [t]  # A's rows meeting column p: t, then each swapped i
             for i in range(t + 1, n):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
+                if p in a[i]:
+                    q = a[i][p] // a[t][p]
                     row_add(i, t, -q)
-                    if a[i][t]:
+                    if p in a[i]:
                         row_swap(t, i)
-                        if a[t][t] < 0:
+                        if a[t][p] < 0:
                             row_neg(t)
+                        rows.append(i)
                         dirty = True
-            for j in range(t + 1, m):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
+            # an operation at column j leaves row t's entries past j alone
+            for j in sorted(pos[k] for k in a[t] if k != p):
+                k = col[j]
+                q = a[t][k] // a[t][p]
+                col_add(k, p, -q, rows)
+                if k in a[t]:
+                    col_swap(t, j)
+                    p = k
+                    rows = [i for i in range(t, n) if p in a[i]]
+                    dirty = True
         # divisibility: a[t][t] must divide the rest of the block; a
         # unit always does
         offender = None
-        d = a[t][t]
+        d = a[t][col[t]]
         if d not in (1, -1):
             for i in range(t + 1, n):
-                if any(x % d for x in a[i][t + 1:]):
+                if any(x % d for x in a[i].values()):
                     offender = i
                     break
         if offender is not None:
@@ -179,13 +245,21 @@ def smith_normal_form(mat):
             continue
         t += 1
 
-    assert matmul(v, v_inv) == identity(m), "Smith reduction lost track of V^-1"
+    v_rows = [{} for _ in range(m)]  # rows of V, keyed by column id
+    for k, c in enumerate(v):
+        for r, x in c.items():
+            v_rows[r][k] = x
+    # V^-1*V == I, the same as V*V^-1 == I for square matrices
+    assert _spmul(v_inv, v_rows, m) == identity(m), \
+        "Smith reduction lost track of V^-1"
+    # S: the diagonal of A, keyed by column id as the rows of V^-1 are;
     # given V*V^-1 == I, U*mat*V == S iff U*mat == S*V^-1, a row scaling
-    sv = [[a[i][i] * x for x in v_inv[i]] if i < m else [0] * m
-          for i in range(n)]
-    assert matmul(u, mat) == sv, \
+    s = [{k: x for k, x in row.items() if pos[k] == i}
+         for i, row in enumerate(a)]
+    assert _spmul(u, orig, m) == _spmul(s, v_inv, m), \
         "Smith reduction lost track of its transforms"
-    return u, a, v, v_inv
+    return (_dense(u, n, range(n)), _dense(s, m, pos), _dense(v_rows, m, pos),
+            _dense([v_inv[k] for k in col], m, range(m)))
 
 
 def smith_diagonal(mat) -> list[int]:
@@ -277,37 +351,37 @@ def hnf_row_lattice(rows):
     [0, pivot).  Two row sets span the same lattice iff their forms are
     equal.  Zero rows are dropped.
     """
-    m = _width(rows, "row set")
-    work = [list(r) for r in rows if any(r)]
+    work, m = _sparse_rows(rows, "row set")
+    work = list(filter(None, work))  # zero rows dropped
     r = 0
     for col in range(m):
         # gcd-eliminate column col among rows r..
         while True:
-            live = [i for i in range(r, len(work)) if work[i][col]]
+            live = [i for i, row in enumerate(work[r:], r) if col in row]
             if not live:
                 break
             piv = min(live, key=lambda i: abs(work[i][col]))
             work[r], work[piv] = work[piv], work[r]
             if work[r][col] < 0:
-                work[r] = [-x for x in work[r]]
+                work[r] = {k: -x for k, x in work[r].items()}
+            # the swap moved row r, live or not, to where piv was
+            rest = live[1:] if live[0] == r else [i for i in live if i != piv]
             done = True
-            for i in range(r + 1, len(work)):
-                if work[i][col]:
-                    q = work[i][col] // work[r][col]
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                    if work[i][col]:
-                        done = False
+            for i in rest:
+                _add(work[i], work[r], -(work[i][col] // work[r][col]))
+                if col in work[i]:
+                    done = False
             if done:
                 break
-        if r < len(work) and work[r][col]:
+        if r < len(work) and col in work[r]:
+            p = work[r][col]
             for k in range(r):
-                q = work[k][col] // work[r][col]
-                if q:
-                    work[k] = [x - q * y for x, y in zip(work[k], work[r])]
+                if col in work[k]:
+                    _add(work[k], work[r], -(work[k][col] // p))
             r += 1
         if r == len(work):
             break
-    return [row for row in work[:r]]
+    return _dense(work[:r], m, range(m))
 
 
 def lattice_contains(rows, vec) -> bool:

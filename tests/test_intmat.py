@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -424,7 +425,7 @@ def test_snf_transforms_pinned_on_group_matrices(monkeypatch, name):
     monkeypatch.setattr(ktheory, "smith_normal_form", recording)
     for groups in (ktheory.k_groups, ktheory.cech_cohomology):
         ktheory._presentation.cache_clear()
-        groups(spec, 5)
+        groups(spec, 6)
     ktheory._presentation.cache_clear()
     assert seen
     for mat in seen:
@@ -439,3 +440,128 @@ def test_snf_transforms_pinned_on_unit_ties():
         n, m = rng.randrange(1, 7), rng.randrange(1, 7)
         mat = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
         assert smith_normal_form(mat) == _reference_snf(mat)
+
+
+def test_snf_transforms_pinned_on_wide_entries():
+    # entries in -9..9: non-unit pivots, remainder swaps and the
+    # divisibility step (this set takes the first two a few hundred
+    # times, the last 75 times in 55 matrices).  Four entries in five
+    # are zero: on denser matrices of these shapes the transforms'
+    # entries can grow to thousands of bits under this pivot rule, for
+    # minutes.
+    rng = random.Random(59)
+    for _ in range(200):
+        n, m = rng.randrange(1, 9), rng.randrange(1, 10)
+        mat = [[rng.randrange(-9, 10) if rng.random() < 0.2 else 0
+                for _ in range(m)] for _ in range(n)]
+        assert smith_normal_form(mat) == _reference_snf(mat)
+
+
+def _reference_hnf(rows):
+    """`hnf_row_lattice` on dense lists, before it worked on sparse
+    rows.  The form is canonical, so the two must agree everywhere."""
+    m = len(rows[0]) if rows else 0
+    work = [list(r) for r in rows if any(r)]
+    r = 0
+    for col in range(m):
+        while True:
+            live = [i for i in range(r, len(work)) if work[i][col]]
+            if not live:
+                break
+            piv = min(live, key=lambda i: abs(work[i][col]))
+            work[r], work[piv] = work[piv], work[r]
+            if work[r][col] < 0:
+                work[r] = [-x for x in work[r]]
+            done = True
+            for i in range(r + 1, len(work)):
+                if work[i][col]:
+                    q = work[i][col] // work[r][col]
+                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+                    if work[i][col]:
+                        done = False
+            if done:
+                break
+        if r < len(work) and work[r][col]:
+            for k in range(r):
+                q = work[k][col] // work[r][col]
+                if q:
+                    work[k] = [x - q * y for x, y in zip(work[k], work[r])]
+            r += 1
+        if r == len(work):
+            break
+    return [row for row in work[:r]]
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_SPECS))
+def test_hnf_matches_reference_on_group_rows(name):
+    # the bonding stacks _bonding_is_iso reduces and the kernel rows
+    # invariants reduces, levels 1..6, over Z and Z[1/2]
+    spec = _PINNED_SPECS[name]
+    ktheory._presentation.cache_clear()
+    for ring in (ktheory.RING_Z, ktheory.RING_HALF):
+        levels = [ktheory._presentation(spec, ring, n) for n in range(1, 7)]
+        for p1, p2 in zip(levels, levels[1:]):
+            stack = ktheory._bonding_matrix(p1, p2) + p2.relation_basis()
+            assert hnf_row_lattice(stack) == _reference_hnf(stack)
+        for pres in levels:
+            assert (hnf_row_lattice(pres.kernel)
+                    == _reference_hnf(pres.kernel))
+    ktheory._presentation.cache_clear()
+
+
+def test_hnf_matches_reference_on_random_rows():
+    rng = random.Random(61)
+    entries = [0] * 6 + list(range(-9, 10))
+    for _ in range(200):
+        m = rng.randrange(1, 9)
+        rows = [[rng.choice(entries) for _ in range(m)]
+                for _ in range(rng.randrange(0, 9))]
+        if rows:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * m)
+            rows.append(list(rng.choice(rows)))
+            rows.append([-x for x in rng.choice(rows)])  # negative pivot
+        rng.shuffle(rows)
+        assert hnf_row_lattice(rows) == _reference_hnf(rows)
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), True, "1", 0.0, False])
+def test_non_int_entries_refused(bad):
+    with pytest.raises(ValueError, match=f"entry {re.escape(repr(bad))} "
+                                         f"at row 1, column 0 is not an int"):
+        smith_normal_form([[3, 2], [bad, 2]])
+    with pytest.raises(ValueError, match=f"entry {re.escape(repr(bad))} "
+                                         f"at row 1, column 1 is not an int"):
+        hnf_row_lattice([[2, 1], [3, bad]])
+
+
+@pytest.mark.parametrize("mat, snf, hnf", [
+    ([], ([], [], [], []), []),
+    ([[]], ([[1]], [[]], [], []), []),
+    ([[], []], ([[1, 0], [0, 1]], [[], []], [], []), []),
+    ([[0, 0]], ([[1]], [[0, 0]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]), []),
+    ([[4, 6, 10]],
+     ([[1]], [[2, 0, 0]], [[-1, 3, 5], [1, -2, -5], [0, 0, 1]],
+      [[2, 3, 5], [1, 1, 0], [0, 0, 1]]),
+     [[4, 6, 10]]),
+    ([[4], [6], [10]],
+     ([[-1, 1, 0], [3, -2, 0], [5, -5, 1]], [[2], [0], [0]], [[1]], [[1]]),
+     [[2]]),
+    ([[0, -3, 0]],
+     ([[-1]], [[3, 0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+      [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+     [[0, 3, 0]]),
+])
+def test_edge_shapes_and_return_types(mat, snf, hnf):
+    # answers recorded from the dense routines; tuple rows give the same
+    for rows in (mat, [tuple(r) for r in mat]):
+        got_snf = smith_normal_form(rows)
+        got_hnf = hnf_row_lattice(rows)
+        assert type(got_snf) is tuple and list(got_snf) == list(snf)
+        assert got_hnf == hnf
+        for out in (*got_snf, got_hnf):
+            assert type(out) is list
+            for row in out:
+                # fresh lists of ints, never an input row
+                assert type(row) is list
+                assert all(row is not r for r in rows)
+                assert all(type(x) is int for x in row)

@@ -339,6 +339,9 @@ class TestInvariants:
         lo, kernel = oracle(4)
         gens = [[f.as_dict().get(w, 0) for w in lo] for _, f in g.generators]
         assert all(f.window == (0, 4) for _, f in g.generators)
+        # Z[1/2] coefficients are Fractions; these are integers
+        assert all(Fraction(x).denominator == 1 for row in gens for x in row)
+        gens = [[int(x) for x in row] for row in gens]
         assert hnf_row_lattice(gens) == hnf_row_lattice(kernel)
 
     def test_read_off_the_coinvariant_presentations(self, monkeypatch):
