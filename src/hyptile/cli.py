@@ -120,11 +120,11 @@ def load_config(args: argparse.Namespace) -> JobConfig:
         raise ValueError("--seed must be >= 0")
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
-    nmax = args.nmax
-    if nmax is None:
-        nmax = _NMAX_DEFAULT.get(args.command)
-    elif nmax < (2 if args.command in ("kgroups", "cech") else 1):
-        raise ValueError("--nmax too small")
+    nmax = None  # commands without a truncation level ignore --nmax
+    if args.command in _NMAX_DEFAULT:
+        nmax = _NMAX_DEFAULT[args.command] if args.nmax is None else args.nmax
+        if nmax < (2 if args.command in ("kgroups", "cech") else 1):
+            raise ValueError("--nmax too small")
     return JobConfig(args.command, spec, args.radius, nmax,
                      args.samples, args.seed, args.out)
 

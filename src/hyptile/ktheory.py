@@ -52,7 +52,9 @@ from .intmat import hnf_row_lattice, smith_normal_form
 from .subshift import (
     HorizonExhausted,
     Periodic,
+    Substitution,
     SubshiftSpec,
+    _spec_perron,
     approximate,
     language,
     measure_vector,
@@ -122,6 +124,8 @@ class CylinderFunction:
     @classmethod
     def of(cls, ring: str, start: int, mapping) -> "CylinderFunction":
         _check_ring(ring)
+        if not isinstance(start, int) or isinstance(start, bool):
+            raise ValueError(f"window start must be an int, got {start!r}")
         clean = {}
         for word, value in dict(mapping).items():
             if not isinstance(word, str) or not word:
@@ -132,7 +136,7 @@ class CylinderFunction:
         lengths = {len(w) for w in clean}
         if len(lengths) > 1:
             raise ValueError("all coefficient words must share one length")
-        return cls(ring, int(start), tuple(sorted(clean.items())))
+        return cls(ring, start, tuple(sorted(clean.items())))
 
     @property
     def length(self) -> int:
@@ -652,7 +656,9 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
     one generator, their gcd; algebraic ones keep a reduced list of the
     values, none in the lattice of the others.  A halving step at the end
     of the chain is reported as a dyadic pattern with the odd part of the
-    final generator as its base.
+    final generator as its base.  A substitution's chain is flagged
+    stabilized only when its last lattice is also closed under 1/lambda,
+    lambda the Perron root (ROADMAP item 2).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -701,6 +707,12 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
         })
 
     stabilized = len(canons) >= 2 and canons[-1] == canons[-2]
+    if stabilized and isinstance(spec, Substitution):
+        # mu(x.P) = lambda * mu(x) under the tower map P, so the group is
+        # closed under 1/lambda; the last level's lattice must be too
+        inv = _spec_perron(spec)[1]
+        scaled = [_value_row(v * inv, degree) for v in values]
+        stabilized = _frac_rows_canon(rows + scaled) == canons[-1]
     dyadic_base = None
     if len(canons) >= 2:
         halved = canons[-1] == tuple(

@@ -5,20 +5,24 @@ define the subshift exactly; an explicit window only exhibits a finite
 stretch of one orbit, so everything derived from it is flagged
 approximate and measures are refused outright.
 
-Substitution languages are computed by the junction-closure fixpoint on
-2-blocks followed by one application of a high enough power of the rules;
-both steps are exact for primitive rules, which is the regime every
-measure-level operation requires anyway.
+Substitution languages are computed from the 2-blocks: those inside a
+letter's image, closed under adding the junction of each 2-block's image
+(the last letter of the first image and the first of the second), then
+read through the least power of the rules whose images have at least n
+letters.  Both steps are exact for primitive rules, which is the regime
+every measure-level operation requires anyway.
 
-Aperiodicity for substitutions is certified, not guessed.  For bijective
-constant-length rules (every column a permutation) the fixed word is
-periodic iff its minimal period p satisfies p <= alphabet size: first,
-gcd(p, s) > 1 would let a column map collapse the rotation by p/q to the
-identity, contradicting minimality; then windows of length >= p at the
-positions s^k * i are pinned by single letters, so same-letter positions
-coincide mod p.  Scanning those finitely many candidate periods decides
-the question.  Non-bijective rules only ever emit a definite "periodic"
-(via complexity stabilization, which is conclusive), else "unknown".
+Aperiodicity for substitutions is certified, not guessed.  A minimal
+subshift is periodic iff its complexity stops growing, |L(n)| = |L(n+1)|
+for some n (Morse-Hedlund).  For bijective constant-length rules (every
+column a permutation) a periodic fixed word has minimal period p <=
+alphabet size: first, gcd(p, s) > 1 would let a column map collapse the
+rotation by p/q to the identity, contradicting minimality; then windows
+of length >= p at the positions s^k * i are pinned by single letters, so
+same-letter positions coincide mod p.  A period p <= |A| caps |L(n)| at
+|A|, so the complexity test is conclusive once it has compared |L(n)|
+with |L(n+1)| for every n <= |A|.  Other rules only ever emit a definite
+"periodic" (|L(n)| = |L(n+1)| for some n < 40), else "unknown".
 """
 
 from __future__ import annotations
@@ -188,11 +192,10 @@ def _apply(rules: dict, word: str) -> str:
     return "".join(rules[c] for c in word)
 
 
-def _power(rules: dict, t: int) -> dict:
-    out = {c: c for c in rules}
-    for _ in range(t):
-        out = {c: _apply(rules, w) for c, w in out.items()}
-    return out
+def _windows(rules: dict, v: str, n: int) -> list[str]:
+    """The n-letter windows of rules(v) that start inside rules(v[0])."""
+    img = _apply(rules, v)
+    return [img[j:j + n] for j in range(len(rules[v[0]]))]
 
 
 def _reject_stuck(rules: dict):
@@ -207,43 +210,25 @@ def _reject_stuck(rules: dict):
         raise ValueError(f"letters {sorted(stuck)} never expand under the rules")
 
 
-def _seed_power(spec: Substitution) -> tuple[dict, str]:
-    """A power of the rules with a fixed first letter and images >= 2 long."""
-    rules = spec.mapping()
-    _reject_stuck(rules)
-    c = next(iter(sorted(rules)))
-    trail = [c]
-    while True:
-        c = rules[c][0]
-        if c in trail:
-            t = len(trail) - trail.index(c)
-            break
-        trail.append(c)
-    out = _power(rules, t)
-    while min(len(w) for w in out.values()) < 2:
-        out = {k: _apply(out, w) for k, w in out.items()}
-    return out, c
-
-
 def _pair_closure(spec: Substitution) -> frozenset:
     """Two-letter junction closure seeded from every letter's image.
 
-    Any 2-block of any iterate sits inside the image of a letter or of a
-    previously seen 2-block, so iterating cd -> 2-blocks(rules[c]+rules[d])
-    to a fixed point collects exactly the candidate junctions.
+    Any 2-block of any iterate sits inside the image of a letter or
+    straddles the junction rules[c][-1] + rules[d][0] of a previously seen
+    2-block cd, so adding junctions to a fixed point collects exactly the
+    candidate 2-blocks.
     """
     rules = spec.mapping()
-    pairs = set()
-    for img in rules.values():
-        pairs.update(img[i:i + 2] for i in range(len(img) - 1))
-    while True:
-        new = set(pairs)
-        for p in pairs:
-            img = rules[p[0]] + rules[p[1]]
-            new.update(img[i:i + 2] for i in range(len(img) - 1))
-        if new == pairs:
-            return frozenset(pairs)
-        pairs = new
+    pairs = {img[i:i + 2] for img in rules.values()
+             for i in range(len(img) - 1)}
+    todo = list(pairs)
+    while todo:
+        c, d = todo.pop()
+        junction = rules[c][-1] + rules[d][0]
+        if junction not in pairs:
+            pairs.add(junction)
+            todo.append(junction)
+    return frozenset(pairs)
 
 
 def language(spec: SubshiftSpec, n: int):
@@ -278,14 +263,11 @@ def _language(spec: SubshiftSpec, n: int) -> tuple[str, ...]:
     else:
         rules = spec.mapping()
         _reject_stuck(rules)
-        while min(len(w) for w in rules.values()) < n:
-            base = dict(rules)
-            rules = {k: _apply(base, w) for k, w in rules.items()}
-        out = set()
-        for pair in _pair_closure(spec):
-            img = rules[pair[0]] + rules[pair[1]]
-            out.update(img[i:i + n] for i in range(len(rules[pair[0]])))
-        words = sorted(out)
+        power = rules
+        while min(len(w) for w in power.values()) < n:
+            power = {c: _apply(rules, w) for c, w in power.items()}
+        words = sorted({w for pair in _pair_closure(spec)
+                        for w in _windows(power, pair, n)})
     return tuple(words)
 
 
@@ -304,13 +286,6 @@ def _is_bijective(spec: Substitution) -> bool:
                for j in range(s))
 
 
-def _fixed_prefix(rules: dict, a: str, length: int) -> str:
-    w = a
-    while len(w) < length:
-        w = _apply(rules, w)
-    return w[:length]
-
-
 def check_minimal_aperiodic(spec: SubshiftSpec) -> dict:
     """Minimality and aperiodicity verdicts, each True/False/"unknown"."""
     if isinstance(spec, Periodic):
@@ -318,31 +293,16 @@ def check_minimal_aperiodic(spec: SubshiftSpec) -> dict:
     if isinstance(spec, ExplicitWindow):
         return {"minimal": "unknown", "aperiodic": "unknown",
                 "approximate": True}
-    minimal = is_primitive(spec)
-    letters = alphabet(spec)
-    if len(letters) == 1:
-        return {"minimal": minimal, "aperiodic": False}
-    aperiodic = "unknown"
-    if minimal and _is_bijective(spec):
-        rules, a = _seed_power(spec)
-        s = len(next(iter(rules.values())))
-        periodic = False
-        for p in range(1, len(letters) + 1):
-            y = _fixed_prefix(rules, a, p)
-            if _apply(rules, y) == y * s:
-                periodic = True
-                break
-        aperiodic = not periodic
-    elif minimal:
-        # stabilized complexity is a conclusive periodicity certificate
-        prev = len(language(spec, 1))
-        for n in range(2, 41):
-            cur = len(language(spec, n))
-            if cur == prev:
-                aperiodic = False
-                break
-            prev = cur
-    return {"minimal": minimal, "aperiodic": aperiodic}
+    if not is_primitive(spec):
+        return {"minimal": False, "aperiodic": "unknown"}
+    # stabilized complexity is a conclusive periodicity certificate; for a
+    # bijective rule its absence up to |A| + 1 letters is one too
+    bijective = _is_bijective(spec)
+    last = len(alphabet(spec)) if bijective else 39
+    for n in range(1, last + 1):
+        if len(language(spec, n)) == len(language(spec, n + 1)):
+            return {"minimal": True, "aperiodic": False}
+    return {"minimal": True, "aperiodic": True if bijective else "unknown"}
 
 
 # -- exact invariant measures ---------------------------------------------
@@ -356,12 +316,7 @@ def block_substitution(spec: Substitution, n: int):
     """
     rules = spec.mapping()
     blocks = language(spec, n)
-    out = {}
-    for u in blocks:
-        img = _apply(rules, u)
-        head = len(rules[u[0]])
-        out[u] = [img[j:j + n] for j in range(head)]
-    return blocks, out
+    return blocks, {u: _windows(rules, u, n) for u in blocks}
 
 
 @functools.lru_cache(maxsize=None)
@@ -437,9 +392,7 @@ def _pushed_measure(spec: Substitution, m: int, n: int) -> list:
     rules = spec.mapping()
     acc: dict = {}
     for v, x in _measures(spec, m):
-        img = _apply(rules, v)
-        for j in range(len(rules[v[0]])):
-            w = img[j:j + n]
+        for w in _windows(rules, v, n):
             acc[w] = acc[w] + x if w in acc else x
     blocks = language(spec, n)
     if set(acc) != set(blocks):

@@ -148,6 +148,28 @@ class TestSmallCommands:
         assert digest == ("cf3781a3f7564fc69c681c7be10f28c2"
                           "b13fe0d0cb8d9d56f54b28d457be213a")
 
+    def test_nmax_ignored_where_unused(self, tmp_path, capsys):
+        # patch has no truncation level: --nmax neither enters its config
+        # nor is validated, as --seed is not for deterministic commands
+        spec = write_spec(tmp_path, THUE_MORSE)
+        outputs = []
+        for extra in ([], ["--nmax", "5"], ["--nmax", "0"]):
+            assert run(["patch", "--spec", spec, "--radius", "0",
+                        *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert "nmax" not in json.loads(outputs[0])["config"]
+
+    @pytest.mark.parametrize("command, nmax", [
+        ("kgroups", "1"), ("cech", "1"), ("gaplabels", "0"),
+        ("measures", "0")])
+    def test_nmax_too_small(self, tmp_path, capsys, command, nmax):
+        rc = run([command, "--spec", write_spec(tmp_path, THUE_MORSE),
+                  "--nmax", nmax])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": "--nmax too small"}
+
     def test_stdout_default(self, tmp_path, capsys):
         assert run(["gaplabels", "--spec",
                     write_spec(tmp_path, PERIODIC_12)]) == 0

@@ -443,6 +443,11 @@ class TestTestFunction:
         with pytest.raises(ValueError):
             BumpProfile("bump3", 0.5, 0.0)
 
+    @pytest.mark.parametrize("start", [1.5, True, "0"])
+    def test_word_indicator_start_must_be_int(self, start):
+        with pytest.raises(ValueError, match="start"):
+            TFn.word_indicator("12", start)
+
     def test_bump_values(self):
         b = BumpProfile("bump3", 0.5, 0.25)
         z = 0.5

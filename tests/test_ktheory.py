@@ -48,6 +48,7 @@ from hyptile.subshift import (
     Periodic,
     Substitution,
     UnsupportedSpec,
+    _spec_perron,
     constant_length,
     is_primitive,
     language,
@@ -136,6 +137,11 @@ class TestCylinderFunction:
             CylinderFunction.of(RING_HALF, 0, {"1": Fraction(1, 3)})
         with pytest.raises(ValueError):
             CylinderFunction.of(RING_Z, 0, {"1": 1, "22": 1})
+
+    @pytest.mark.parametrize("start", [1.5, True, "0"])
+    def test_start_must_be_int(self, start):
+        with pytest.raises(ValueError, match="start"):
+            CylinderFunction.of(RING_Z, start, {"1": 1})
 
     def test_dyadic_coefficients_kept_exact(self):
         f = CylinderFunction.of(RING_HALF, 0, {"1": Fraction(3, 4)})
@@ -837,6 +843,27 @@ class TestGapLabels:
         gl = gap_labels(TM, 6)
         assert gl.dyadic_base == Fraction(1, 3)
         assert not gl.stabilized
+
+    @pytest.mark.parametrize("n_max", [4, 6])
+    def test_substitution_flag_needs_inverse_lambda_closure(self, n_max):
+        # mu(x.P) = lambda * mu(x), so the gap-label group is closed under
+        # 1/lambda; PD's chain repeats at n_max 4 and 6 (1/12 at 6) on a
+        # lattice that is not, and only that closure clears its flag
+        from hyptile.ktheory import _value_row
+
+        expect = {PD: False, TM: False, S4: False, FIB: True, TRIB: True}
+        for spec, flag in expect.items():
+            gl = gap_labels(spec, n_max)
+            assert gl.stabilized is flag, spec
+            degree = 1 if gl.minpoly is None else len(gl.minpoly) - 1
+            rows = [_value_row(g, degree) for g in gl.generators]
+            inv = _spec_perron(spec)[1]
+            closed = all(frac_in_lattice(rows, _value_row(g * inv, degree))
+                         for g in gl.generators)
+            repeated = gl.chain[-1]["agrees_with_previous"]
+            assert flag == (repeated and closed), spec
+            if spec == PD:
+                assert repeated and not closed
 
     def test_one_pass_reduction_matches_restart_scan(self):
         # gap_labels drops lattice-redundant values in one pass; the

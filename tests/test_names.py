@@ -4,13 +4,15 @@ perfbench/tracer.py wraps package functions named in its REPORTED table
 and _DELIMITERS list; a name deleted or renamed in the package would
 only show as a crash of a traced benchmark run.  The package itself
 reads no environment variable, so no hidden knob changes its results;
-it imports no sympy, which only the tests use as an oracle; and it keeps
-no unused top-level import.
+it imports no sympy, which only the tests use as an oracle; it keeps
+no unused top-level import; and every private helper is used somewhere
+in the package.
 """
 
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -101,3 +103,33 @@ def test_no_unused_top_level_imports():
                 used |= {e.value for e in node.value.elts}
         unused = sorted(set(bound) - used, key=bound.get)
         assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_defs(tree):
+    """Top-level functions and classes, and their methods, named _x."""
+    for node in tree.body:
+        inner = node.body if isinstance(node, ast.ClassDef) else []
+        for d in [node] + inner:
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)) \
+                    and d.name.startswith("_") \
+                    and not d.name.startswith("__"):
+                yield d
+
+
+def _references(node) -> Counter:
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_no_dead_private_helpers():
+    trees = _package_trees()
+    used = Counter()
+    for _, tree in trees:
+        used += _references(tree)
+    for path, tree in trees:
+        for d in _private_defs(tree):
+            # a use inside its own body (recursion) keeps nothing alive
+            outside = used[d.name] - _references(d)[d.name]
+            assert outside > 0, f"{path.name}:{d.lineno}: {d.name} is unused"

@@ -1,8 +1,9 @@
 """Subshift presentations, languages, certificates, and exact measures.
 
 Languages of substitution systems are cross-checked against blocks of a
-long fixed-point prefix computed by plain rule iteration, and exact
-measures against empirical frequencies in the same prefix.
+long fixed-point prefix computed by plain rule iteration, exact measures
+against empirical frequencies in the same prefix, and the aperiodicity
+verdicts of bijective rules against a period search on their fixed word.
 """
 
 import json
@@ -46,6 +47,7 @@ FOUR_CYCLE = Substitution.of({"1": "12", "2": "34", "3": "12", "4": "34"})
 # bijective rules with periodic fixed word (12)^inf
 BIJ_PERIODIC = Substitution.of({"1": "121", "2": "212"})
 PD = Substitution.of({"1": "12", "2": "11"})
+TRIB = Substitution.of({"1": "12", "2": "13", "3": "1"})
 S4 = Substitution.of({"1": "1234", "2": "2143", "3": "3412", "4": "4321"})
 
 
@@ -117,11 +119,12 @@ class TestLanguage:
         assert language(TM, 2) == ["11", "12", "21", "22"]
 
     def test_matches_iteration_oracle(self):
-        prefix_tm = iterate_prefix(TM, 5000)
-        prefix_fib = iterate_prefix(FIB, 5000)
-        for n in range(1, 7):
-            assert set(language(TM, n)) == prefix_blocks(prefix_tm, n)
-            assert set(language(FIB, n)) == prefix_blocks(prefix_fib, n)
+        # every n up to 17, the length of the sampler's letter windows
+        for spec in (TM, FIB, PD, TRIB, S4, FOUR_CYCLE):
+            prefix = iterate_prefix(spec, 20_000)
+            for n in range(1, 18):
+                assert set(language(spec, n)) == prefix_blocks(prefix, n), \
+                    (spec, n)
 
     def test_thue_morse_complexity(self):
         # exact complexity values of the Thue-Morse shift
@@ -262,6 +265,64 @@ class TestCertificates:
             assert res["aperiodic"] is True
             # aperiodicity implies strictly growing complexity
             assert len(language(spec, 4)) > len(language(spec, 3))
+
+    def test_bijective_matches_fixed_word_search(self):
+        named = [TM, S4, BIJ_PERIODIC, DOUBLING,
+                 Substitution.of({"1": "12", "2": "23", "3": "31"}),
+                 Substitution.of({"1": "123", "2": "231", "3": "312"})]
+        rng = random.Random(23)
+        specs = list(named)
+        for _ in range(600):
+            letters = "12345"[:rng.randint(2, 5)]
+            cols = [rng.sample(letters, len(letters))
+                    for _ in range(rng.randint(2, 4))]
+            specs.append(Substitution.of({
+                a: "".join(col[i] for col in cols)
+                for i, a in enumerate(letters)}))
+        verdicts = set()
+        for spec in specs:
+            res = check_minimal_aperiodic(spec)
+            assert res["minimal"] is is_primitive(spec)
+            if res["minimal"]:
+                assert res["aperiodic"] is fixed_word_aperiodic(spec), spec
+                verdicts.add(res["aperiodic"])
+        assert verdicts == {True, False}
+
+
+def fixed_word_aperiodic(spec: Substitution) -> bool:
+    """Reference: the period search on the fixed word of a bijective rule.
+
+    A power sigma' of the rules fixes a first letter a and has images of
+    at least 2 letters; its fixed word y starting at a is periodic iff
+    sigma'(y[:p]) == y[:p]^s for some p <= |A| (the subshift module's
+    docstring bounds the period by the alphabet size).
+    """
+    rules = spec.mapping()
+
+    def apply(table, word):
+        return "".join(table[c] for c in word)
+
+    a = min(rules)
+    trail = [a]
+    while True:
+        a = rules[a][0]
+        if a in trail:
+            t = len(trail) - trail.index(a)
+            break
+        trail.append(a)
+    power = {c: c for c in rules}
+    for _ in range(t):
+        power = {c: apply(rules, w) for c, w in power.items()}
+    while min(len(w) for w in power.values()) < 2:
+        power = {c: apply(power, w) for c, w in power.items()}
+    s = len(power[a])
+    for p in range(1, len(rules) + 1):
+        y = a
+        while len(y) < p:
+            y = apply(power, y)
+        if apply(power, y[:p]) == y[:p] * s:
+            return False
+    return True
 
 
 def cyclic_count(word: str, u: str) -> Fraction:
