@@ -46,6 +46,7 @@ from .subshift import (
 COMMANDS = ("render", "patch", "kgroups", "cech", "gaplabels", "measures",
             "hullcheck", "cocycle")
 _STOCHASTIC = ("hullcheck", "cocycle")
+_PATCHED = ("render", "patch")  # the commands that read --radius
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class JobConfig:
     def document(self) -> dict:
         doc = {"command": self.command, "spec": spec_to_json(self.spec),
                "version": __version__}
-        if self.command in ("render", "patch"):
+        if self.command in _PATCHED:
             doc["radius"] = self.radius
         if self.nmax is not None:
             doc["nmax"] = self.nmax
@@ -112,13 +113,15 @@ def load_config(args: argparse.Namespace) -> JobConfig:
     if args.command in _STOCHASTIC and args.seed is None:
         raise ValueError(f"--seed is required for {args.command} "
                          "(stochastic output must be reproducible)")
-    if not math.isfinite(args.radius):
-        raise ValueError("--radius must be finite")
-    if args.radius < 0:
-        raise ValueError("--radius must be >= 0")
+    # --radius, --samples and --nmax are checked only where they are read
+    if args.command in _PATCHED:
+        if not math.isfinite(args.radius):
+            raise ValueError("--radius must be finite")
+        if args.radius < 0:
+            raise ValueError("--radius must be >= 0")
     if args.seed is not None and args.seed < 0:
         raise ValueError("--seed must be >= 0")
-    if args.samples < 2:
+    if args.command in _STOCHASTIC and args.samples < 2:
         raise ValueError("--samples must be at least 2")
     nmax = None  # commands without a truncation level ignore --nmax
     if args.command in _NMAX_DEFAULT:

@@ -3,13 +3,15 @@
 The base pentagon P has vertices A1=(0,1), A2=(1/2,1), A3=(1,1), A4=(1,2),
 A5=(0,2).  Its images under z -> 2**k (z + n), k and n integers, tile the
 half-plane.  All vertex coordinates are dyadic rationals, held as
-`Fraction`s that `dyadic.dyadic` has checked, so adjacency is decided by
-exact endpoint comparison, never by float tolerance.
+`Fraction`s that `dyadic.dyadic` has checked, so shared corners compare
+equal exactly, never by float tolerance.
 
-Edge bookkeeping follows the charge rule: each tile's top edge A4A5 can
-only meet the bottom edges A1A2 or A2A3 of a tile one scale up, while the
-two vertical edges pair with same-scale neighbours.  Every tile carries
-one positive edge (A4A5) and two negative ones (A1A2, A2A3).
+Edges pair by the charge rule: each tile's top edge A4A5 is one bottom
+edge, A1A2 or A2A3, of the tile one scale up, and its two vertical edges
+are those of its same-scale neighbours.  Every tile carries one positive
+edge (A4A5) and two negative ones (A1A2, A2A3).  `edge_adjacency` reads
+the pairing from the tile indices by that rule; the tests check it
+against edges keyed by the tiles' exact vertex coordinates.
 
 Ball membership has one exact distance.  Tile (k, n) is the image of P
 under z -> 2**k (z + n), so its distance from i=(0,1) is the distance
@@ -404,92 +406,56 @@ class AdjacencyReport:
 
 
 def edge_adjacency(ts: TileSet) -> AdjacencyReport:
-    """Pair up coincident edges of the patch by exact endpoints.
+    """Pair the edges of the patch by the charge rule.
 
-    Interior edges (both sides present) are checked against the charge
-    rule: a positive A4A5 side always meets a negative A1A2 or A2A3 side
-    of a tile one scale up, verticals meet opposite verticals at the same
-    scale.  Boundary edges are reported separately and never counted in
-    the tally.  The interior dict is keyed by the frozenset of the edge's
-    two endpoint Points, as tile_vertices gives them, and both interior
-    and boundary list edges in the order they first occur: tiles in
-    (k, n) order, each tile's edges in EDGE_LABELS order.
+    Tile (k, n) meets (k, n+1) along its A3A4 edge, that tile's A5A1, and
+    (k+1, n >> 1) along its positive edge A4A5, that tile's negative A1A2
+    for even n and A2A3 for odd n.  An edge is interior when both of its
+    tiles are present and is paired at the earlier one in (k, n) order;
+    an A1A2, A2A3 or A5A1 edge whose earlier tile is absent, and an A3A4
+    or A4A5 edge whose later tile is absent, is a boundary edge, never
+    counted in the tally.  The interior dict is keyed by the frozenset of
+    the edge's two endpoint Points, as tile_vertices gives them, put in
+    bottom to top (A3A4) or left to right (A4A5), and maps it to (earlier
+    side, later side).  Interior and boundary list edges in the order
+    they first occur: tiles in (k, n) order, each tile's edges in
+    EDGE_LABELS order.
 
-    The pairing runs on ints.  Vertices are integer pairs (x, y) in units
-    of 2**(k_min - 1): tile (k, n) has corners at x = 2n f, (2n+1) f,
-    (2n+2) f and y = 2f, 4f with f = 2**(k - k_min).  A vertex packs into
-    x * 2**ybits + y, and an edge into its lower-left end v times
-    2**ebits plus the other end's offset from v; a side is 5 * (tile
-    index) + (edge label index).  Points are built only for the ends of
-    interior edges, one per vertex.
+    Corners are ints in units of 2**(k_min - 1): tile (k, n) has corners
+    at x = 2n f, (2n+1) f, (2n+2) f and y = 2f, 4f with f = 2**(k - k_min).
+    Points are built only for the ends of interior edges, one per vertex.
     """
     tiles = ts.tiles
+    at = {(t.k, t.n): t for t in tiles}
     k_min = tiles[0].k if tiles else 0
-    # with K = k_max - k_min, every y is at most 2**(K + 2) < 2**ybits, and
-    # an edge's far end lies at most 2**(K + 1 + ybits) < 2**ebits past v
-    ybits = (tiles[-1].k - k_min if tiles else 0) + 3
-    ebits = 2 * ybits
-    keys = []
-    k = None
-    for t in tiles:
-        if t.k != k:
-            k = t.k
-            y = 2 << (k - k_min)
-            step = y << (ybits - 1)  # packed, f to the right
-        a1 = ((t.n * y) << ybits) | y
-        a2 = a1 + step
-        keys += ((a1 << ebits) | step, (a2 << ebits) | step,
-                 ((a2 + step) << ebits) | y, ((a1 + y) << ebits) | 2 * step,
-                 (a1 << ebits) | y)
-    # each edge's first and last side; the key order is first occurrence
-    last = dict(zip(keys, range(len(keys))))
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    sides = [(t, lab) for t in tiles for lab in EDGE_LABELS]
     # a coordinate m is m * 2**(k_min - 1)
     num, den = _pow2(k_min - 1).as_integer_ratio()
-    ymask = (1 << ybits) - 1
-    emask = (1 << ebits) - 1
-    coords: dict = {}
-    points: dict = {}
-
-    def point(v):
-        x, y = v >> ybits, v & ymask
-        if x not in coords:
-            coords[x] = Fraction(x * num, den)
-        if y not in coords:
-            coords[y] = Fraction(y * num, den)
-        p = points[v] = Point(coords[x], coords[y])
-        return p
+    coord = functools.cache(lambda m: Fraction(m * num, den))
+    point = functools.cache(lambda x, y: Point(coord(x), coord(y)))
 
     interior = {}
     boundary = []
     top_matches = []
-    for key, c2 in last.items():
-        c1 = first[key]
-        if c1 == c2:
-            boundary.append(sides[c1])
-            continue
-        v = key >> ebits
-        w = v + (key & emask)
-        s1, s2 = sides[c1], sides[c2]
-        interior[frozenset((points.get(v) or point(v),
-                            points.get(w) or point(w)))] = (s1, s2)
-        l1, l2 = s1[1], s2[1]
-        if POSITIVE_EDGE in (l1, l2):
-            (lower, _), (upper, lab) = ((s1, s2) if l1 == POSITIVE_EDGE
-                                        else (s2, s1))
-            if lab not in NEGATIVE_EDGES:
-                raise ValueError(f"A4A5 edge of {lower} met a {lab} edge")
-            if upper.k != lower.k + 1:
-                raise ValueError("A4A5 partner is not one scale up")
-            top_matches.append((lower, upper, lab))
-        elif l1 in NEGATIVE_EDGES and l2 in NEGATIVE_EDGES:
-            raise ValueError("two negative edges matched each other")
-        elif l1 == l2:
-            raise ValueError("vertical edge matched an equal label")
-    # an edge with a middle side has first != last and one interior entry
-    if len(keys) != len(boundary) + 2 * len(interior):
-        raise ValueError("more than two tiles share an edge")
+    for t in tiles:
+        k, n = t.k, t.n
+        right = at.get((k, n + 1))
+        up = at.get((k + 1, n >> 1))
+        for lab, paired in (("A1A2", (k - 1, 2 * n) in at),
+                            ("A2A3", (k - 1, 2 * n + 1) in at),
+                            ("A3A4", right), ("A4A5", up),
+                            ("A5A1", (k, n - 1) in at)):
+            if not paired:
+                boundary.append((t, lab))
+        f = 1 << (k - k_min)
+        x0, x1, y0, y1 = 2 * n * f, (2 * n + 2) * f, 2 * f, 4 * f
+        if right is not None:  # A3 to A4
+            interior[frozenset((point(x1, y0), point(x1, y1)))] = (
+                (t, "A3A4"), (right, "A5A1"))
+        if up is not None:  # A5 to A4
+            lab = NEGATIVE_EDGES[n & 1]
+            interior[frozenset((point(x0, y1), point(x1, y1)))] = (
+                (t, "A4A5"), (up, lab))
+            top_matches.append((t, up, lab))
     labels = [lab for _, lab in boundary]
     bp = labels.count(POSITIVE_EDGE)
     bneg = sum(map(labels.count, NEGATIVE_EDGES))

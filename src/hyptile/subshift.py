@@ -10,7 +10,9 @@ letter's image, closed under adding the junction of each 2-block's image
 (the last letter of the first image and the first of the second), then
 read through the least power of the rules whose images have at least n
 letters.  Both steps are exact for primitive rules, which is the regime
-every measure-level operation requires anyway.
+every measure-level operation requires anyway.  For a non-primitive rule
+the windows depend on the power that reads them, so its language is not
+exact, and everything derived from it is flagged approximate too.
 
 Aperiodicity for substitutions is certified, not guessed.  A minimal
 subshift is periodic iff its complexity stops growing, |L(n)| = |L(n+1)|
@@ -107,7 +109,11 @@ def _check_letters(s: str):
 
 
 def approximate(spec: SubshiftSpec) -> bool:
-    """Whether downstream results carry the horizon-limited caveat."""
+    """Whether downstream results carry a caveat: an explicit window shows
+    only a finite stretch of one orbit, and a non-primitive substitution's
+    language is not exact (see the module docstring)."""
+    if isinstance(spec, Substitution):
+        return not is_primitive(spec)
     return isinstance(spec, ExplicitWindow)
 
 

@@ -160,6 +160,46 @@ class TestSmallCommands:
         assert outputs[0] == outputs[1] == outputs[2]
         assert "nmax" not in json.loads(outputs[0])["config"]
 
+    @pytest.mark.parametrize("command, base, unread", [
+        ("kgroups", ["--nmax", "3"], ["--samples", "1"]),
+        ("patch", ["--radius", "0"], ["--samples", "1"]),
+        ("measures", ["--nmax", "2"], ["--radius", "-1"])],
+        ids=["kgroups-samples", "patch-samples", "measures-radius"])
+    def test_unread_flags_not_checked(self, tmp_path, capsys, command, base,
+                                      unread):
+        # only hullcheck and cocycle read --samples, only render and patch
+        # --radius; elsewhere an out-of-range value changes nothing
+        spec = write_spec(tmp_path, THUE_MORSE)
+        outputs = []
+        for extra in ([], unread):
+            assert run([command, "--spec", spec, *base, *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command, extra, message", [
+        ("hullcheck", ["--samples", "1", "--seed", "1"],
+         "--samples must be at least 2"),
+        ("render", ["--radius", "-1"], "--radius must be >= 0")],
+        ids=["hullcheck-samples", "render-radius"])
+    def test_read_flags_checked(self, tmp_path, capsys, command, extra,
+                                message):
+        rc = run([command, "--spec", write_spec(tmp_path, THUE_MORSE),
+                  *extra])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": message}
+
+    def test_non_primitive_groups_flagged_approximate(self, tmp_path,
+                                                      capsys):
+        # letter 4 is in no image, so the rule is not primitive
+        spec = {"type": "substitution",
+                "rules": {"1": "312", "2": "1", "3": "32", "4": "2231"}}
+        assert run(["cech", "--spec", write_spec(tmp_path, spec),
+                    "--nmax", "7"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [doc[h].get("approximate") for h in ("H0", "H1", "H2")] == \
+            [True, True, True]
+
     @pytest.mark.parametrize("command, nmax", [
         ("kgroups", "1"), ("cech", "1"), ("gaplabels", "0"),
         ("measures", "0")])
@@ -371,10 +411,12 @@ class TestErrorHygiene:
         ("--radius", "nan"), ("--radius", "inf"), ("--radius", "-inf"),
         ("--seed", "-1")])
     def test_flag_out_of_range(self, tmp_path, capsys, flag, value):
+        # each flag on a command that reads it
+        command = (["render"] if flag == "--radius" else
+                   ["hullcheck", "--samples", "100", "--seed", "3"])
         out = tmp_path / "h.json"
-        rc = run(["hullcheck", "--spec", write_spec(tmp_path, THUE_MORSE),
-                  "--samples", "100", "--seed", "3", f"{flag}={value}",
-                  "--out", str(out)])
+        rc = run([*command, "--spec", write_spec(tmp_path, THUE_MORSE),
+                  f"{flag}={value}", "--out", str(out)])
         assert rc == 1
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "ValueError" and flag in err["message"]
@@ -423,14 +465,17 @@ def test_module_entry_point(tmp_path):
 
 def test_readme_quick_start():
     # The README's library example runs as printed and prints the
-    # Thue-Morse two-word measures it shows.
+    # Thue-Morse two-word measures it shows, on the comment line after
+    # its print.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Library quick start", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    shown = [line[2:] for line in block.splitlines()
+             if line.startswith("# {")]
     proc = run_python(["-c", block])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == \
-        "{'11': '1/6', '12': '1/3', '21': '1/3', '22': '1/6'}\n"
+    assert proc.stdout.splitlines() == shown == \
+        ["{'11': '1/6', '12': '1/3', '21': '1/3', '22': '1/6'}"]
 
 
 TRIBONACCI = {"type": "substitution", "rules": {"1": "12", "2": "13", "3": "1"}}

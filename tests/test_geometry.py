@@ -511,6 +511,16 @@ class TestIntegerKeyedAdjacency:
             assert_matches_reference(TileSet(
                 tuple(TileIndex(k, n) for k, n in picked), 0.0))
 
+    @pytest.mark.parametrize("radius", [0.0, 1.0, 2.0, 3.0, 4.0])
+    def test_holes_inside_a_patch_match_reference(self, radius):
+        # a seeded 5-70 % of a real patch dropped: holes whose neighbours
+        # on every side, at the same scale and one scale up or down, remain
+        rng = random.Random(53 + int(radius))
+        tiles = generate_patch(radius).tiles
+        for drop in (0.05, 0.15, 0.3, 0.5, 0.7):
+            kept = tuple(t for t in tiles if rng.random() >= drop)
+            assert_matches_reference(TileSet(kept, radius))
+
     def test_empty_patch(self):
         rep = edge_adjacency(TileSet((), 0.0))
         assert rep.interior == {} and rep.boundary == ()

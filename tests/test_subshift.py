@@ -182,6 +182,12 @@ class TestLanguage:
         assert approximate(ExplicitWindow("", "11", 2))
         assert not approximate(TM)
         assert not approximate(Periodic("1"))
+        # a non-primitive rule's windows depend on the power that reads them
+        assert approximate(Substitution.of(
+            {"1": "312", "2": "1", "3": "32", "4": "2231"}))
+        assert approximate(Substitution.of({"1": "12", "2": "2"}))
+        for spec in (FIB, PD, TRIB, S4, DOUBLING, FOUR_CYCLE):
+            assert not approximate(spec)
 
 
 class TestIncidenceAndPrimitivity:
