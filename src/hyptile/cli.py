@@ -110,19 +110,20 @@ def build_parser() -> argparse.ArgumentParser:
 def load_config(args: argparse.Namespace) -> JobConfig:
     with open(args.spec, encoding="utf-8") as fh:
         spec = parse_spec(json.load(fh))
-    if args.command in _STOCHASTIC and args.seed is None:
-        raise ValueError(f"--seed is required for {args.command} "
-                         "(stochastic output must be reproducible)")
-    # --radius, --samples and --nmax are checked only where they are read
+    # each flag is checked only where it is read
+    if args.command in _STOCHASTIC:
+        if args.seed is None:
+            raise ValueError(f"--seed is required for {args.command} "
+                             "(stochastic output must be reproducible)")
+        if args.seed < 0:
+            raise ValueError("--seed must be >= 0")
+        if args.samples < 2:
+            raise ValueError("--samples must be at least 2")
     if args.command in _PATCHED:
         if not math.isfinite(args.radius):
             raise ValueError("--radius must be finite")
         if args.radius < 0:
             raise ValueError("--radius must be >= 0")
-    if args.seed is not None and args.seed < 0:
-        raise ValueError("--seed must be >= 0")
-    if args.command in _STOCHASTIC and args.samples < 2:
-        raise ValueError("--samples must be at least 2")
     nmax = None  # commands without a truncation level ignore --nmax
     if args.command in _NMAX_DEFAULT:
         nmax = _NMAX_DEFAULT[args.command] if args.nmax is None else args.nmax

@@ -119,6 +119,9 @@ class BumpProfile:
         if self.name not in ("one", "bump3"):
             raise ValueError(f"unknown profile {self.name!r}")
         if self.name == "bump3":
+            # a NaN fails every comparison below, so it is refused first
+            if not (math.isfinite(self.center) and math.isfinite(self.width)):
+                raise ValueError("bump center and width must be finite")
             if self.width <= 0:
                 raise ValueError("bump width must be positive")
             if self.center - self.width <= 0 or self.center + self.width >= 1:

@@ -513,6 +513,8 @@ def invariants(spec: SubshiftSpec, ring: str,
     certifies stabilization when it repeats.
     """
     _check_ring(ring)
+    if n_cap < 1:
+        raise ValueError("n_cap must be >= 1")
     half = ring == RING_HALF
     # levels are built only up to the pick: over Z[1/2] the first level
     # with fixed functions, over Z the first whose rank the next repeats

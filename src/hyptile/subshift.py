@@ -8,11 +8,16 @@ approximate and measures are refused outright.
 Substitution languages are computed from the 2-blocks: those inside a
 letter's image, closed under adding the junction of each 2-block's image
 (the last letter of the first image and the first of the second), then
-read through the least power of the rules whose images have at least n
-letters.  Both steps are exact for primitive rules, which is the regime
-every measure-level operation requires anyway.  For a non-primitive rule
-the windows depend on the power that reads them, so its language is not
-exact, and everything derived from it is flagged approximate too.
+read through the least power sigma^k of the rules whose images have at
+least n letters.  Both steps are exact for primitive rules, which is the
+regime every measure-level operation requires anyway.  For a non-primitive
+rule the windows depend on the power that reads them, so its language is
+not exact, and everything derived from it is flagged approximate too.
+
+Measures use the same windows.  The 2-block measure is the one Perron
+vector of the block substitution on L(2); every other length is pushed
+from it through the same sigma^k and scaled by lambda^-k, the transpose
+of the tower map that reads those windows.
 
 Aperiodicity for substitutions is certified, not guessed.  A minimal
 subshift is periodic iff its complexity stops growing, |L(n)| = |L(n+1)|
@@ -29,7 +34,9 @@ with |L(n+1)| for every n <= |A|.  Other rules only ever emit a definite
 
 from __future__ import annotations
 
+import collections
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -204,16 +211,22 @@ def _windows(rules: dict, v: str, n: int) -> list[str]:
     return [img[j:j + n] for j in range(len(rules[v[0]]))]
 
 
-def _reject_stuck(rules: dict):
-    """Refuse rule sets with a cycle of letters whose images never grow."""
+def _power(rules: dict, n: int) -> tuple[int, dict]:
+    """(k, sigma^k) for the least k >= 1 whose images all have >= n letters.
+
+    Every n-letter word of a primitive rule's subshift then starts inside
+    some sigma^k(v[0]) and ends inside sigma^k(v) for a 2-block v.  Rule
+    sets with a cycle of letters whose images never grow are refused.
+    """
     stuck = {c for c, w in rules.items() if len(w) == 1}
-    while True:
-        kept = {c for c in stuck if rules[c][0] in stuck}
-        if kept == stuck:
-            break
+    while (kept := {c for c in stuck if rules[c][0] in stuck}) != stuck:
         stuck = kept
     if stuck:
         raise ValueError(f"letters {sorted(stuck)} never expand under the rules")
+    k, power = 1, rules
+    while min(len(w) for w in power.values()) < n:
+        k, power = k + 1, {c: _apply(rules, w) for c, w in power.items()}
+    return k, power
 
 
 def _pair_closure(spec: Substitution) -> frozenset:
@@ -252,9 +265,7 @@ def language(spec: SubshiftSpec, n: int):
 @functools.lru_cache(maxsize=256)
 def _language(spec: SubshiftSpec, n: int) -> tuple[str, ...]:
     if isinstance(spec, Periodic):
-        p = len(spec.word)
-        reps = spec.word * (n // p + 2)
-        words = sorted({reps[i:i + n] for i in range(p)})
+        words = sorted(set(_orbit_windows(spec.word, n)))
     elif isinstance(spec, ExplicitWindow):
         w = spec.left + spec.right
         if n > spec.horizon:
@@ -267,14 +278,16 @@ def _language(spec: SubshiftSpec, n: int) -> tuple[str, ...]:
     elif len(alphabet(spec)) == 1:
         words = [alphabet(spec)[0] * n]
     else:
-        rules = spec.mapping()
-        _reject_stuck(rules)
-        power = rules
-        while min(len(w) for w in power.values()) < n:
-            power = {c: _apply(rules, w) for c, w in power.items()}
+        power = _power(spec.mapping(), n)[1]
         words = sorted({w for pair in _pair_closure(spec)
                         for w in _windows(power, pair, n)})
     return tuple(words)
+
+
+def _orbit_windows(word: str, n: int) -> list[str]:
+    """The n-letter windows of the periodic word's orbit, one per phase."""
+    reps = word * (n // len(word) + 2)
+    return [reps[i:i + n] for i in range(len(word))]
 
 
 def constant_length(spec: Substitution):
@@ -327,12 +340,12 @@ def block_substitution(spec: Substitution, n: int):
 
 @functools.lru_cache(maxsize=None)
 def _spec_perron(spec: Substitution):
-    """(lambda, 1 / lambda) once per spec: every block level shares a field.
+    """(lambda, 1 / lambda) once per spec: every length shares a field.
 
-    Never evicted: measures cached at one level are combined with this
-    eigenvalue at the next, and number fields must not mix.  A rule of
-    constant length s gives Fraction(s), since every column of its
-    incidence matrix sums to s.
+    Never evicted: the cached 2-block measures are combined with powers
+    of 1 / lambda at every other length, and number fields must not mix.
+    A rule of constant length s gives Fraction(s), since every column of
+    its incidence matrix sums to s.
     """
     lam = perron_eigenvalue(incidence_matrix(spec))
     return lam, 1 / lam
@@ -344,6 +357,8 @@ def measure_vector(spec: SubshiftSpec, n: int) -> dict:
     Each value is a Fraction, or an AlgebraicNumber in the field of the
     Perron eigenvalue when that eigenvalue is irrational.
     """
+    if n < 1:
+        raise ValueError("block length must be >= 1")
     return dict(_measures(spec, n))
 
 
@@ -353,58 +368,42 @@ def _measures(spec: SubshiftSpec, n: int) -> tuple:
     if isinstance(spec, ExplicitWindow):
         raise UnsupportedSpec("not uniquely ergodic / unsupported spec")
     if isinstance(spec, Periodic):
-        p = len(spec.word)
-        reps = spec.word * (n // p + 2)
-        counts: dict = {}
-        for i in range(p):
-            w = reps[i:i + n]
-            counts[w] = counts.get(w, 0) + 1
-        return tuple((w, Fraction(counts[w], p))
-                     for w in language(spec, n))
+        counts = collections.Counter(_orbit_windows(spec.word, n))
+        return tuple((w, Fraction(counts[w], len(spec.word)))
+                     for w in sorted(counts))
     if not is_primitive(spec):
         raise UnsupportedSpec("not uniquely ergodic / unsupported spec")
     blocks = language(spec, n)
-    m = _head_level(spec, n)
-    mu = _nullspace_measure(spec, n) if m == n else _pushed_measure(spec, m, n)
+    if len(blocks) == 1:
+        # one word (a one-letter alphabet) carries all the mass; the
+        # rule {1: "1"} never grows, so it could not be pushed
+        return ((blocks[0], Fraction(1)),)
+    mu = _nullspace_measure(spec, n) if n == 2 else _pushed_measure(spec, n)
     if not all(x > 0 for x in mu):
         raise ValueError("Perron vector not strictly positive")
     return tuple(zip(blocks, mu))
 
 
-def _head_level(spec: Substitution, n: int) -> int:
-    """Smallest m <= n with |sigma(v[1:])| >= n - 1 for every v in L(m).
+def _pushed_measure(spec: Substitution, n: int) -> list:
+    """Length-n measures pushed from the 2-block ones through sigma^k.
 
-    For m < n the block image of any u in L(n) then reads only
-    sigma(u[:m]), which is what _pushed_measure relies on.
-    """
-    rules = spec.mapping()
-    for m in range(1, n):
-        if all(len(_apply(rules, v[1:])) >= n - 1
-               for v in language(spec, m)):
-            return m
-    return n
-
-
-def _pushed_measure(spec: Substitution, m: int, n: int) -> list:
-    """Length-n measures from length-m ones by the induced-block recursion.
-
-    The block image of u in L(n) depends only on v = u[:m], and the
-    measures of the u extending v add up to mu_m(v), so the eigen
-    equation of the block substitution becomes
-    lambda * mu_n(w) = sum over v in L(m) of
-    mu_m(v) * #{j < |sigma(v[0])| : sigma(v)[j:j+n] = w}
+    With k from _power, an occurrence of w in sigma^k(y) starts inside
+    sigma^k(y[i]) for one i and ends inside sigma^k(y[i:i + 2]); the
+    2-block y[i:i + 2] has frequency mu_2, and sigma^k stretches lengths
+    by lambda^k, so mu_n(w) = lambda^-k * sum over v in L(2) of
+    mu_2(v) * #{j < |sigma^k(v[0])| : sigma^k(v)[j:j+n] = w}
     (Queffelec, Substitution Dynamical Systems, LNM 1294).
     """
-    rules = spec.mapping()
+    k, power = _power(spec.mapping(), n)
     acc: dict = {}
-    for v, x in _measures(spec, m):
-        for w in _windows(rules, v, n):
+    for v, x in _measures(spec, 2):
+        for w in _windows(power, v, n):
             acc[w] = acc[w] + x if w in acc else x
     blocks = language(spec, n)
     if set(acc) != set(blocks):
         raise ValueError("block images do not cover the language")
-    inv = _spec_perron(spec)[1]
-    return [acc[u] * inv for u in blocks]
+    scale = math.prod([_spec_perron(spec)[1]] * k)
+    return [acc[u] * scale for u in blocks]
 
 
 def _nullspace_measure(spec: Substitution, n: int) -> list:

@@ -163,12 +163,14 @@ class TestSmallCommands:
     @pytest.mark.parametrize("command, base, unread", [
         ("kgroups", ["--nmax", "3"], ["--samples", "1"]),
         ("patch", ["--radius", "0"], ["--samples", "1"]),
-        ("measures", ["--nmax", "2"], ["--radius", "-1"])],
-        ids=["kgroups-samples", "patch-samples", "measures-radius"])
+        ("measures", ["--nmax", "2"], ["--radius", "-1"]),
+        ("kgroups", ["--nmax", "3"], ["--seed", "-1"])],
+        ids=["kgroups-samples", "patch-samples", "measures-radius",
+             "kgroups-seed"])
     def test_unread_flags_not_checked(self, tmp_path, capsys, command, base,
                                       unread):
-        # only hullcheck and cocycle read --samples, only render and patch
-        # --radius; elsewhere an out-of-range value changes nothing
+        # only hullcheck and cocycle read --samples and --seed, only render
+        # and patch --radius; elsewhere an out-of-range value changes nothing
         spec = write_spec(tmp_path, THUE_MORSE)
         outputs = []
         for extra in ([], unread):

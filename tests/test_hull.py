@@ -442,6 +442,12 @@ class TestTestFunction:
             BumpProfile("bump3", 0.9, 0.2)
         with pytest.raises(ValueError):
             BumpProfile("bump3", 0.5, 0.0)
+        # every support check is False for a NaN, which then evaluated to
+        # NaN on every row
+        for center, width in [(math.nan, 0.2), (0.5, math.nan),
+                              (math.inf, 0.2), (0.5, -math.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                BumpProfile("bump3", center, width)
 
     @pytest.mark.parametrize("start", [1.5, True, "0"])
     def test_word_indicator_start_must_be_int(self, start):

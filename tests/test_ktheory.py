@@ -361,6 +361,15 @@ class TestInvariants:
                 g = invariants(S4, ring, n_cap=4)
             assert g.rank == (1 if ring == RING_Z else 0)
 
+    @pytest.mark.parametrize("ring", [RING_Z, RING_HALF])
+    @pytest.mark.parametrize("n_cap", [0, -1])
+    def test_n_cap_must_be_positive(self, monkeypatch, ring, n_cap):
+        # refused before any level is built, as coinvariants refuses
+        # n_max < 2
+        monkeypatch.setattr(ktheory, "_presentation", None)
+        with pytest.raises(ValueError, match="n_cap must be >= 1"):
+            invariants(TM, ring, n_cap=n_cap)
+
 
 class TestCoinvariants:
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])

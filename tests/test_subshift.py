@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyptile import subshift
 from hyptile.algebraic import AlgebraicNumber, perron_eigenvalue
 from hyptile.subshift import (
     _nullspace_measure,
@@ -454,8 +455,22 @@ class TestSubstitutionMeasures:
             cylinder_measure(Substitution.of({"1": "12", "2": "22"}), "1")
 
 
+def primitive_corpus(seed: int, count: int) -> list:
+    """Seeded primitive substitutions on 2-4 letters, images of 1-4."""
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        letters = "1234"[:rng.randint(2, 4)]
+        spec = Substitution.of({
+            c: "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+            for c in letters})
+        if is_primitive(spec):
+            specs.append(spec)
+    return specs
+
+
 class TestMeasureRecursion:
-    """The induced-block recursion against the block-nullspace solve."""
+    """Measures pushed from the 2-blocks against the block-nullspace solve."""
 
     SPECS = [
         (TM, 12),
@@ -464,7 +479,7 @@ class TestMeasureRecursion:
         (Substitution.of({"1": "12", "2": "13", "3": "1"}), 12),  # tribonacci
         (Substitution.of({"1": "1234", "2": "2143", "3": "3412",
                           "4": "4321"}), 6),
-    ]
+    ] + [(spec, 8) for spec in primitive_corpus(2026, 40)]
 
     @pytest.mark.parametrize("spec,nmax", SPECS)
     def test_equals_nullspace_solution(self, spec, nmax):
@@ -472,6 +487,38 @@ class TestMeasureRecursion:
             got = measure_vector(spec, n)
             assert list(got) == language(spec, n)
             assert list(got.values()) == _nullspace_measure(spec, n), n
+
+    @pytest.mark.parametrize("rules", [{"1": "1"}, {"1": "11"}])
+    def test_one_letter_rules(self, rules):
+        # {1: "1"} never grows, so no power of it reaches length n; its
+        # one cylinder still carries all the mass
+        spec = Substitution.of(rules)
+        for n in range(1, 7):
+            got = measure_vector(spec, n)
+            assert got == {"1" * n: 1}
+            assert type(got["1" * n]) is Fraction
+            assert list(got.values()) == _nullspace_measure(spec, n)
+
+    @pytest.mark.parametrize("spec", [TM, FIB, TRIB],
+                             ids=["tm", "fib", "trib"])
+    def test_one_nullspace_solve_per_spec(self, monkeypatch, spec):
+        # one solve, on the 2-blocks, whatever lengths are asked for
+        real, calls = subshift.nullspace_vector, []
+        monkeypatch.setattr(subshift, "nullspace_vector",
+                            lambda rows: calls.append(len(rows)) or real(rows))
+        subshift._measures.cache_clear()
+        subshift._language.cache_clear()
+        for n in range(1, 13):
+            measure_vector(spec, n)
+        assert calls == [len(language(spec, 2))]
+
+    @pytest.mark.parametrize("spec", [TM, Periodic("12"),
+                                      ExplicitWindow("1", "2", 3)])
+    def test_block_length_must_be_positive(self, spec):
+        # a periodic word's orbit windows would give {"": 1} at n = 0
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="block length"):
+                measure_vector(spec, n)
 
     def test_callers_get_fresh_dicts(self):
         vec = measure_vector(TM, 3)
