@@ -136,7 +136,32 @@ def load_config(args: argparse.Namespace) -> JobConfig:
 # -- artifact helpers -----------------------------------------------------
 
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n", byte for byte,
+    for a non-empty doc with str keys.
+
+    An indent sends json to its pure-Python encoder, so a list of
+    records that share their str keys and hold only ints (patch's tiles)
+    is written from one row template instead.  Every other value is
+    json's own text, indented one level: a JSON text holds no raw
+    newline inside a string.
+    """
+    return "{\n" + ",\n".join(f"  {json.dumps(key)}: {_value(doc[key])}"
+                              for key in sorted(doc)) + "\n}\n"
+
+
+def _value(v) -> str:
+    if (type(v) is list and v
+            and all(type(r) is dict and r.keys() == v[0].keys() for r in v)
+            and all(type(key) is str for key in v[0])):
+        keys = sorted(v[0])
+        cells = tuple(r[key] for r in v for key in keys)
+        if set(map(type, cells)) == {int}:
+            row = ",\n".join(
+                f"      {json.dumps(key).replace('%', '%%')}: %d"
+                for key in keys)
+            rows = ",\n".join([f"    {{\n{row}\n    }}"] * len(v))
+            return f"[\n{rows % cells}\n  ]"
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  ")
 
 
 def _atomic_write(path: str, text: str):

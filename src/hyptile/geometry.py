@@ -10,8 +10,9 @@ Edges pair by the charge rule: each tile's top edge A4A5 is one bottom
 edge, A1A2 or A2A3, of the tile one scale up, and its two vertical edges
 are those of its same-scale neighbours.  Every tile carries one positive
 edge (A4A5) and two negative ones (A1A2, A2A3).  `edge_adjacency` reads
-the pairing from the tile indices by that rule; the tests check it
-against edges keyed by the tiles' exact vertex coordinates.
+the pairing from the tile indices by that rule and returns each edge as
+its two tile sides, building no coordinate; the tests check it against
+edges keyed by the tiles' exact vertex coordinates.
 
 Ball membership has one exact distance.  Tile (k, n) is the image of P
 under z -> 2**k (z + n), so its distance from i=(0,1) is the distance
@@ -59,8 +60,8 @@ class Point:
     """Point of the upper half-plane with dyadic coordinates, stored as
     `dyadic` of the given values (ints become Fractions).
 
-    The hash is computed once, when the Point is made: a patch's edge
-    keys are frozensets of Points, and each one hashes both of its ends.
+    The hash is computed once, when the Point is made: a table of edges
+    keyed by their tile_vertices endpoints hashes both ends of each edge.
     """
 
     x: Fraction
@@ -389,7 +390,7 @@ def tile_distance_sinh2(t: TileIndex) -> Fraction:
 
 @dataclass(frozen=True)
 class AdjacencyReport:
-    interior: dict
+    interior: tuple
     boundary: tuple
     interior_positive: int
     interior_negative: int
@@ -414,26 +415,15 @@ def edge_adjacency(ts: TileSet) -> AdjacencyReport:
     tiles are present and is paired at the earlier one in (k, n) order;
     an A1A2, A2A3 or A5A1 edge whose earlier tile is absent, and an A3A4
     or A4A5 edge whose later tile is absent, is a boundary edge, never
-    counted in the tally.  The interior dict is keyed by the frozenset of
-    the edge's two endpoint Points, as tile_vertices gives them, put in
-    bottom to top (A3A4) or left to right (A4A5), and maps it to (earlier
-    side, later side).  Interior and boundary list edges in the order
-    they first occur: tiles in (k, n) order, each tile's edges in
-    EDGE_LABELS order.
-
-    Corners are ints in units of 2**(k_min - 1): tile (k, n) has corners
-    at x = 2n f, (2n+1) f, (2n+2) f and y = 2f, 4f with f = 2**(k - k_min).
-    Points are built only for the ends of interior edges, one per vertex.
+    counted in the tally.  Each interior edge is the pair (earlier side,
+    later side), a side being (tile, label); its endpoints are the
+    corners that tile_vertices gives either side.  Interior and boundary
+    list edges in the order they first occur: tiles in (k, n) order, each
+    tile's edges in EDGE_LABELS order.
     """
     tiles = ts.tiles
     at = {(t.k, t.n): t for t in tiles}
-    k_min = tiles[0].k if tiles else 0
-    # a coordinate m is m * 2**(k_min - 1)
-    num, den = _pow2(k_min - 1).as_integer_ratio()
-    coord = functools.cache(lambda m: Fraction(m * num, den))
-    point = functools.cache(lambda x, y: Point(coord(x), coord(y)))
-
-    interior = {}
+    interior = []
     boundary = []
     top_matches = []
     for t in tiles:
@@ -446,15 +436,11 @@ def edge_adjacency(ts: TileSet) -> AdjacencyReport:
                             ("A5A1", (k, n - 1) in at)):
             if not paired:
                 boundary.append((t, lab))
-        f = 1 << (k - k_min)
-        x0, x1, y0, y1 = 2 * n * f, (2 * n + 2) * f, 2 * f, 4 * f
-        if right is not None:  # A3 to A4
-            interior[frozenset((point(x1, y0), point(x1, y1)))] = (
-                (t, "A3A4"), (right, "A5A1"))
-        if up is not None:  # A5 to A4
+        if right is not None:
+            interior.append(((t, "A3A4"), (right, "A5A1")))
+        if up is not None:
             lab = NEGATIVE_EDGES[n & 1]
-            interior[frozenset((point(x0, y1), point(x1, y1)))] = (
-                (t, "A4A5"), (up, lab))
+            interior.append(((t, "A4A5"), (up, lab)))
             top_matches.append((t, up, lab))
     labels = [lab for _, lab in boundary]
     bp = labels.count(POSITIVE_EDGE)
@@ -462,7 +448,7 @@ def edge_adjacency(ts: TileSet) -> AdjacencyReport:
     # every tile has one positive and two negative sides
     ip, ineg = len(tiles) - bp, 2 * len(tiles) - bneg
     return AdjacencyReport(
-        interior=interior,
+        interior=tuple(interior),
         boundary=tuple(boundary),
         interior_positive=ip,
         interior_negative=ineg,

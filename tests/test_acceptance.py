@@ -17,6 +17,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hyptile.dyadic import ClopenSet, integrate, omega_coinvariant_class
 from hyptile.geometry import (
+    EDGE_LABELS,
     ColourWindow,
     NEGATIVE_EDGES,
     agreement_radius,
@@ -281,16 +282,19 @@ def test_criterion_07_patch_edges_and_interiors():
     report = edge_adjacency(ts)  # charge-rule pairs, checked below
     vertex_cache = {(t.k, t.n): tile_vertices(t) for t in ts.tiles}
 
+    def ends(t, lab):
+        v, i = vertex_cache[(t.k, t.n)], EDGE_LABELS.index(lab)
+        return frozenset((v[i], v[(i + 1) % 5]))
+
     top_edges_paired = 0
-    for key, ((t1, l1), (t2, l2)) in report.interior.items():
+    for (t1, l1), (t2, l2) in report.interior:
         assert not (l1 == "A4A5" and l2 == "A4A5")
         if "A4A5" in (l1, l2):
             other = l2 if l1 == "A4A5" else l1
             assert other in NEGATIVE_EDGES
             top_edges_paired += 1
-        for point in key:  # endpoint-exact: shared corners of both tiles
-            assert point in vertex_cache[(t1.k, t1.n)]
-            assert point in vertex_cache[(t2.k, t2.n)]
+        # endpoint-exact: both sides run between the same two corners
+        assert len(ends(t1, l1)) == 2 and ends(t1, l1) == ends(t2, l2)
     assert top_edges_paired == len(report.top_matches) > 0
     assert all(lab in NEGATIVE_EDGES for _, _, lab in report.top_matches)
 

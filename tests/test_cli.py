@@ -119,6 +119,22 @@ class TestSmallCommands:
         assert digest == ("a8800f9318bac9de9a5c44bd2a5262d3"
                           "c3029a8b1356bb734bfa988df37892ea")
 
+    # sha256 of stdout, with Fibonacci at radius 5 above: the indented
+    # layout of every tile record and of the config, byte for byte
+    @pytest.mark.parametrize("spec, radius, expect", [
+        (THUE_MORSE, "5", "5614c9bdb0b6e8916f5487a4d09d6899"
+                          "a32b80946bbf46b86e1715930c7c9c5b"),
+        ({"type": "periodic", "word": "ab"}, "0",
+         "4c7f03e39ed6d7cca3fd13e18e5f75cd"
+         "b206e175636bfcc3fafde46653c661c2"),
+    ], ids=["tm-r5", "ab-r0"])
+    def test_patch_reports_are_pinned(self, tmp_path, capsys, spec, radius,
+                                      expect):
+        assert run(["patch", "--spec", write_spec(tmp_path, spec),
+                    "--radius", radius]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == expect
+
     # sha256 of stdout at 20000 samples: every statistic of every report
     # depends on the chart identification bit for bit
     @pytest.mark.parametrize("command, spec, seed, expect", [
@@ -133,6 +149,56 @@ class TestSmallCommands:
                     "--samples", "20000", "--seed", str(seed)]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == expect
+
+    # every command at the quick benchmark's sizes; render and measures
+    # write no JSON report, so only their config document is checked
+    @pytest.mark.parametrize("command, spec, extra", [
+        ("render", THUE_MORSE, ["--radius", "2"]),
+        ("patch", FIBONACCI, ["--radius", "2"]),
+        ("kgroups", {"type": "periodic", "word": "11212"}, []),
+        ("cech", THUE_MORSE, ["--nmax", "4"]),
+        ("gaplabels", {"type": "periodic", "word": "11212"}, []),
+        ("measures", THUE_MORSE, ["--nmax", "3"]),
+        ("hullcheck", THUE_MORSE, ["--samples", "20000", "--seed", "1"]),
+        ("cocycle", FIBONACCI, ["--samples", "20000", "--seed", "1"]),
+        ("patch", {"type": "periodic", "word": "αβ"}, ["--radius", "1"]),
+    ], ids=["render", "patch", "kgroups", "cech", "gaplabels", "measures",
+            "hullcheck", "cocycle", "patch-non-ascii"])
+    def test_dump_equals_indented_json(self, tmp_path, monkeypatch, command,
+                                       spec, extra):
+        dump, docs = cli._dump, []
+        monkeypatch.setattr(cli, "_dump",
+                            lambda doc: docs.append(doc) or dump(doc))
+        args = [command, "--spec", write_spec(tmp_path, spec), *extra,
+                "--out", str(tmp_path / "out")]
+        assert run(args) == 0
+        assert len(docs) == (command not in ("render", "measures"))
+        docs.append(cli.load_config(cli.build_parser().parse_args(args))
+                    .document())
+        for doc in docs:
+            assert dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"config": {"command": "patch"}, "count": 0, "tiles": []},
+        # a hullcheck report's floats, and the ones json spells its own way
+        {"pass": False, "marginals": {"first_letter": {
+            "statistic": 0.49935, "expected": 0.5, "pass": True}},
+         "z": [-0.0, 5e-324, 1e300, 1 / 3, float("nan"), float("inf"),
+               -float("inf")]},
+        # records the row template must leave to json
+        {"tiles": [{"k": 1, "n": True}, {"k": 2, "n": 0}]},
+        {"tiles": [{"k": 1, "n": None}, {"k": 2, "n": 0.5}]},
+        {"tiles": [{"k": 1, "n": 2}, {"k": 2, "m": 0}]},
+        {"tiles": [{"k": 1, "n": 2}, {"k": 2}]},
+        {"tiles": [{1: 1, 2: 2}, {1: 3, 2: 4}]},
+        {"tiles": [{"k": 1}, [2]]},
+        # records it writes: one key, keys json escapes, unsorted keys
+        {"tiles": [{"k": -1}, {"k": 10 ** 30}]},
+        {"tiles": [{"é%d": 1, "\"": 2}, {"\"": 3, "é%d": 4}]},
+        {"tiles": [{"n": 1, "k": 2, "colour": 3}]},
+    ])
+    def test_dump_edge_cases(self, doc):
+        assert cli._dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_invariance_report_is_pinned(self):
         # 48 elements with log2(a) in [-1.5, 1.5]: single moves wrap s down

@@ -383,9 +383,10 @@ class TestExactDiskPredicate:
 class TestAdjacency:
     def test_interior_edges_pair_two_tiles(self):
         rep = edge_adjacency(generate_patch(2.0))
-        for key, sides in rep.interior.items():
-            assert len(sides) == 2
-            assert len(key) == 2
+        for earlier, later in rep.interior:
+            assert (earlier[0].k, earlier[0].n) < (later[0].k, later[0].n)
+            key = side_ends(earlier)
+            assert len(key) == 2 and side_ends(later) == key
 
     def test_top_edges_meet_bottom_edges_one_scale_up(self):
         rep = edge_adjacency(generate_patch(3.0))
@@ -422,7 +423,7 @@ class TestAdjacency:
 
     def test_vertical_neighbours_same_scale(self):
         rep = edge_adjacency(generate_patch(2.0))
-        for key, ((t1, l1), (t2, l2)) in rep.interior.items():
+        for (t1, l1), (t2, l2) in rep.interior:
             if {l1, l2} == {"A3A4", "A5A1"}:
                 assert t1.k == t2.k and abs(t1.n - t2.n) == 1
 
@@ -480,11 +481,24 @@ def ref_edge_adjacency(ts):
         [s for pair in interior.values() for s in pair]), charges(boundary)
 
 
+def side_ends(side):
+    """The frozenset of the two tile_vertices endpoints of a (tile, label)
+    side."""
+    t, lab = side
+    v = tile_vertices(t)
+    i = EDGE_LABELS.index(lab)
+    return frozenset((v[i], v[(i + 1) % 5]))
+
+
 def assert_matches_reference(ts):
     rep = edge_adjacency(ts)
     interior, boundary, tops, (ip, ineg), (bp, bneg) = ref_edge_adjacency(ts)
-    assert rep.interior == interior
-    assert list(rep.interior) == list(interior)
+    # each pair keyed by its earlier side's ends, as the reference keys it
+    keyed = {side_ends(earlier): (earlier, later)
+             for earlier, later in rep.interior}
+    assert len(keyed) == len(rep.interior)
+    assert keyed == interior
+    assert list(keyed) == list(interior)
     assert rep.boundary == boundary
     assert rep.top_matches == tuple(tops)
     assert (rep.interior_positive, rep.interior_negative) == (ip, ineg)
@@ -523,7 +537,20 @@ class TestIntegerKeyedAdjacency:
 
     def test_empty_patch(self):
         rep = edge_adjacency(TileSet((), 0.0))
-        assert rep.interior == {} and rep.boundary == ()
+        assert rep.interior == () and rep.boundary == ()
+
+    def test_builds_no_coordinate(self, monkeypatch):
+        # the pairing reads tile indices alone: no Point, no Fraction
+        ts = generate_patch(5.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("edge_adjacency built a coordinate")
+
+        for name in ("Point", "pt", "Fraction", "_pow2"):
+            monkeypatch.setattr(geometry, name, refuse)
+        rep = edge_adjacency(ts)
+        assert (len(ts.tiles), len(rep.interior), len(rep.boundary)) == (
+            1436, 2854, 1472)
 
 
 class TestStabilizer:

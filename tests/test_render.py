@@ -8,6 +8,7 @@ import pytest
 
 from hyptile.cli import _colour_window
 from hyptile.geometry import (
+    EDGE_LABELS,
     ColourWindow,
     TileIndex,
     TileSet,
@@ -67,8 +68,10 @@ class TestTilePath:
         ts = generate_patch(2.0, exact=True)
         paths = {(t.k, t.n): tile_path(t) for t in ts.tiles}
         report = edge_adjacency(ts)
-        for key, ((t1, _), (t2, _)) in report.interior.items():
-            for p in key:
+        for (t1, lab), (t2, _) in report.interior:
+            v = tile_vertices(t1)
+            i = EDGE_LABELS.index(lab)
+            for p in (v[i], v[(i + 1) % 5]):
                 token = (f"{format(float(p.x), '.17g')} "
                          f"{format(-float(p.y), '.17g')}")
                 assert token in paths[(t1.k, t1.n)]

@@ -6,8 +6,11 @@ against empirical frequencies in the same prefix, and the aperiodicity
 verdicts of bijective rules against a period search on their fixed word.
 """
 
+import collections
+import functools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -469,8 +472,42 @@ def primitive_corpus(seed: int, count: int) -> list:
     return specs
 
 
+def is_primitive_matrix(rows) -> bool:
+    """Some power of the nonnegative square matrix is positive.
+
+    By Wielandt's bound that power may be taken as 2**j >= (r - 1)**2 + 1,
+    reached by squaring the zero pattern, each row a bitmask.
+    """
+    r = len(rows)
+    reach = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+    power = 1
+    while power < (r - 1) ** 2 + 1:
+        reach = [functools.reduce(operator.or_, (reach[j] for j in range(r)
+                                                 if row >> j & 1), 0)
+                 for row in reach]
+        power *= 2
+    return all(row == (1 << r) - 1 for row in reach)
+
+
+def assert_perron_certificate(spec, n, mu):
+    """mu, over language(spec, n), is the Perron vector of the n-block
+    substitution: B mu = lambda mu, sum(mu) = 1 and mu > 0, with B
+    primitive (Queffelec, LNM 1294, ch. V).  By Perron-Frobenius only one
+    vector passes, so this pins mu without solving for it."""
+    blocks, sub = block_substitution(spec, n)
+    col = {u: collections.Counter(sub[u]) for u in blocks}
+    rows = [[col[u][v] for u in blocks] for v in blocks]
+    assert is_primitive_matrix(rows), n
+    lam = subshift._spec_perron(spec)[0]
+    image = [sum(c * x for c, x in zip(row, mu) if c) for row in rows]
+    assert image == [lam * x for x in mu], n
+    assert sum(mu) == 1 and all(x > 0 for x in mu), n
+
+
 class TestMeasureRecursion:
-    """Measures pushed from the 2-blocks against the block-nullspace solve."""
+    """Measures pushed from the 2-blocks against the block-nullspace solve,
+    and at n = 7 and 8, where that solve is slow, against the Perron
+    certificate."""
 
     SPECS = [
         (TM, 12),
@@ -486,7 +523,10 @@ class TestMeasureRecursion:
         for n in range(1, nmax + 1):
             got = measure_vector(spec, n)
             assert list(got) == language(spec, n)
-            assert list(got.values()) == _nullspace_measure(spec, n), n
+            if n in (7, 8):
+                assert_perron_certificate(spec, n, list(got.values()))
+            else:
+                assert list(got.values()) == _nullspace_measure(spec, n), n
 
     @pytest.mark.parametrize("rules", [{"1": "1"}, {"1": "11"}])
     def test_one_letter_rules(self, rules):
