@@ -235,7 +235,12 @@ def _box_meets_disk(x0, x1, y0, y1, c, s) -> bool:
 
 
 def scale_range(radius: float) -> range:
-    """Scales k whose band can meet the ball: 2**k in [e**-r / 2, 2 e**r]."""
+    """Scales k whose band can meet the ball: 2**k in [e**-r / 2, 2 e**r].
+
+    Raises ValueError for a negative or NaN radius.
+    """
+    if not radius >= 0:
+        raise ValueError("radius must be >= 0")
     k_min = math.ceil(-radius / LN2 - 1.0 - 1e-12)
     k_max = math.floor(radius / LN2 + 1.0 + 1e-12)
     return range(k_min, k_max + 1)
@@ -281,16 +286,15 @@ def _scale_ends(radius: float) -> list[tuple[int, int]]:
     Raises ValueError when the patch would hold more than
     MAX_PATCH_TILES tiles, before any tile is built.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
     if radius > _MAX_FINITE_RADIUS:
         raise _patch_too_large(radius)
+    scales = scale_range(radius)  # refuses a negative or NaN radius
     c = math.cosh(radius)
     s = math.sinh(radius)
     reach2 = s * s + 1e-9 * (1.0 + s * s)  # _box_meets_disk's padded bound
     ends = []
     count = 0
-    for k in scale_range(radius):
+    for k in scales:
         # box = x interval times [2**k, 2**k sqrt(17)/2] (vertices + apexes)
         w = 2.0 ** k
         top = w * _APEX

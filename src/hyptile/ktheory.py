@@ -102,7 +102,8 @@ def _check_ring(ring: str):
 def _coerce_coeff(ring: str, value):
     if ring == RING_HALF:
         return dyadic(value)
-    if not isinstance(value, (int, Fraction)) or int(value) != value:
+    if not isinstance(value, (int, Fraction)) or isinstance(value, bool) \
+            or int(value) != value:
         raise ValueError("ring Z needs integer coefficients")
     return int(value)
 

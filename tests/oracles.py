@@ -1,0 +1,502 @@
+"""The independent oracles, named specs and seeded corpus the tests share.
+
+Each oracle is defined here once.  Its docstring says what it reads of
+the package; most read nothing but a spec's rules, so a fault in the
+package cannot make an oracle agree with it.  A test module imports
+from here and defines none of these names itself (test_names.py checks
+both directions).
+"""
+
+import collections
+import functools
+import math
+import operator
+import random
+from fractions import Fraction
+
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.domains import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from hyptile.geometry import (EDGE_LABELS, NEGATIVE_EDGES, POSITIVE_EDGE,
+                              geodesic_arc, tile_vertices)
+from hyptile.subshift import Substitution, _spec_perron, block_substitution
+
+TM = Substitution.of({"1": "12", "2": "21"})
+PD = Substitution.of({"1": "12", "2": "11"})
+FIB = Substitution.of({"1": "12", "2": "1"})
+TRIB = Substitution.of({"1": "12", "2": "13", "3": "1"})
+S4 = Substitution.of({"1": "1234", "2": "2143", "3": "3412", "4": "4321"})
+
+
+# -- integers and lattices --------------------------------------------------
+
+def split_twos(n: int) -> tuple:
+    """(v, m) with |n| = 2**v * m and m odd, by repeated halving; (0, 0)
+    for n = 0.  Shares nothing with the package."""
+    n, v = abs(n), 0
+    while n and n % 2 == 0:
+        n //= 2
+        v += 1
+    return v, n
+
+
+def gcd_lattice(values) -> Fraction:
+    """The generator of the subgroup of Q spanned by the Fractions
+    values: the gcd of their numerators over a common denominator.
+    Shares nothing with the package."""
+    den = math.lcm(*(v.denominator for v in values))
+    return Fraction(math.gcd(*(int(v * den) for v in values)), den)
+
+
+def det_bareiss(a) -> int:
+    """Exact determinant by fraction-free Gaussian elimination.  Shares
+    nothing with the package."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def dense_matmul(a, b):
+    """The triple-loop definition of the matrix product.  Shares nothing
+    with the package."""
+    k = len(b)
+    m = len(b[0]) if b else 0
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
+            for i in range(len(a))]
+
+
+def sympy_smith_diagonal(rows) -> list:
+    """|S[i][i]| for i < min(shape), from sympy's Smith normal form.
+    Shares nothing with the package."""
+    s = sympy_snf(Matrix(rows))
+    return [abs(int(s[i, i])) for i in range(min(s.rows, s.cols))]
+
+
+def snf_group(rows, invert_two=False) -> tuple:
+    """(rank, sorted nontrivial invariant factors) of Z^cols / (row
+    lattice), read off sympy's Smith form; with invert_two, of the same
+    quotient over Z[1/2], where each factor keeps its odd part.  Shares
+    nothing with the package."""
+    diag = sympy_smith_diagonal(rows)
+    if invert_two:
+        diag = [split_twos(d)[1] for d in diag]
+    rank = len(rows[0]) - sum(1 for d in diag if d)
+    return rank, tuple(sorted(d for d in diag if d > 1))
+
+
+def circulant_rows(p, psi):
+    """Hand-built relation rows e_i - psi e_(i-1) of a periodic word of p
+    distinct letters: its coinvariants over Z (psi = 1) or, with the
+    doubling shift, over Z[1/2] (psi = 2).  Shares nothing with the
+    package."""
+    rows = []
+    for i in range(p):
+        row = [0] * p
+        row[i] += 1
+        row[(i - 1) % p] -= psi
+        rows.append(row)
+    return rows
+
+
+def reference_snf(mat):
+    """`smith_normal_form` before its scans, column additions and checks
+    were sped up, with the dense product in its checks.  The transforms,
+    not only S, must match it: printed generators are rows of V^-1.
+    Shares nothing with the package.
+    """
+    a = [row[:] for row in mat]
+    n = len(a)
+    m = len(a[0]) if n else 0
+
+    def identity(k):
+        return [[int(i == j) for j in range(k)] for i in range(k)]
+
+    u = identity(n)
+    v = identity(m)
+    v_inv = identity(m)
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+
+    def row_add(dst, src, c):
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def col_add(dst, src, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+        v_inv[src] = [x - c * y for x, y in zip(v_inv[src], v_inv[dst])]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(n, m):
+        pivot = None
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                x = abs(a[i][j])
+                if x and (best is None or x < best):
+                    best, pivot = x, (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        row_swap(t, pi)
+        col_swap(t, pj)
+        if a[t][t] < 0:
+            row_neg(t)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    row_add(i, t, -q)
+                    if a[i][t]:
+                        row_swap(t, i)
+                        if a[t][t] < 0:
+                            row_neg(t)
+                        dirty = True
+            for j in range(t + 1, m):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    col_add(j, t, -q)
+                    if a[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+        offender = None
+        for i in range(t + 1, n):
+            for j in range(t + 1, m):
+                if a[i][j] % a[t][t]:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+        t += 1
+
+    s = a
+    assert dense_matmul(dense_matmul(u, mat), v) == s
+    assert dense_matmul(v, v_inv) == identity(m)
+    return u, s, v, v_inv
+
+
+def reference_hnf(rows):
+    """`hnf_row_lattice` on dense lists, before it worked on sparse
+    rows.  The form is canonical, so the two must agree everywhere.
+    Shares nothing with the package."""
+    m = len(rows[0]) if rows else 0
+    work = [list(r) for r in rows if any(r)]
+    r = 0
+    for col in range(m):
+        while True:
+            live = [i for i in range(r, len(work)) if work[i][col]]
+            if not live:
+                break
+            piv = min(live, key=lambda i: abs(work[i][col]))
+            work[r], work[piv] = work[piv], work[r]
+            if work[r][col] < 0:
+                work[r] = [-x for x in work[r]]
+            done = True
+            for i in range(r + 1, len(work)):
+                if work[i][col]:
+                    q = work[i][col] // work[r][col]
+                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+                    if work[i][col]:
+                        done = False
+            if done:
+                break
+        if r < len(work) and work[r][col]:
+            for k in range(r):
+                q = work[k][col] // work[r][col]
+                if q:
+                    work[k] = [x - q * y for x, y in zip(work[k], work[r])]
+            r += 1
+        if r == len(work):
+            break
+    return [row for row in work[:r]]
+
+
+def is_odometer_coboundary(h, g) -> bool:
+    """h == g - g o (x -> x - 1) as locally constant functions on Z_2:
+    g witnesses that h is a transfer coboundary.  Reads the package's
+    LocallyConstFn refine, compose_odometer_inverse and subtraction."""
+    lhs = h.refine(g.level)
+    rhs = g - g.compose_odometer_inverse()
+    return (lhs - rhs).is_zero()
+
+
+# -- words and substitutions ------------------------------------------------
+
+def iterate_prefix(spec: Substitution, length: int) -> str:
+    """The first length letters of sigma^k(a), a the least letter, by
+    plain iteration of the rules: a fixed-point prefix when sigma(a)
+    starts with a.  Reads spec.mapping() only."""
+    rules = spec.mapping()
+    w = min(rules)
+    while len(w) < length:
+        w = "".join(rules[c] for c in w)
+    return w[:length]
+
+
+def prefix_blocks(prefix: str, n: int) -> set:
+    """The words of length n that occur in prefix.  Shares nothing with
+    the package."""
+    return {prefix[i:i + n] for i in range(len(prefix) - n + 1)}
+
+
+def periodic_by_complexity(spec: Substitution) -> bool:
+    """Some n <= 16 has at most n words of length n in a 1024-letter
+    iterate prefix.
+
+    A uniformly recurrent word with that complexity is periodic
+    (Morse-Hedlund), and an aperiodic one has at least n + 1 words of
+    every length n; a period above 16 goes unseen.  Reads spec.mapping()
+    only."""
+    prefix = iterate_prefix(spec, 1024)
+    return any(len(prefix_blocks(prefix, n)) <= n for n in range(1, 17))
+
+
+def fixed_word_aperiodic(spec: Substitution) -> bool:
+    """The period search on the fixed word of a bijective rule.
+
+    A power sigma' of the rules fixes a first letter a and has images of
+    at least 2 letters; its fixed word y starting at a is periodic iff
+    sigma'(y[:p]) == y[:p]^s for some p <= |A| (the subshift module's
+    docstring bounds the period by the alphabet size).  Reads
+    spec.mapping() only.
+    """
+    rules = spec.mapping()
+
+    def apply(table, word):
+        return "".join(table[c] for c in word)
+
+    a = min(rules)
+    trail = [a]
+    while True:
+        a = rules[a][0]
+        if a in trail:
+            t = len(trail) - trail.index(a)
+            break
+        trail.append(a)
+    power = {c: c for c in rules}
+    for _ in range(t):
+        power = {c: apply(rules, w) for c, w in power.items()}
+    while min(len(w) for w in power.values()) < 2:
+        power = {c: apply(power, w) for c, w in power.items()}
+    s = len(power[a])
+    for p in range(1, len(rules) + 1):
+        y = a
+        while len(y) < p:
+            y = apply(power, y)
+        if apply(power, y[:p]) == y[:p] * s:
+            return False
+    return True
+
+
+def is_primitive_matrix(rows) -> bool:
+    """Some power of the nonnegative square matrix is positive.
+
+    By Wielandt's bound that power may be taken as 2**j >= (r - 1)**2 + 1,
+    reached by squaring the zero pattern, each row a bitmask.  Shares
+    nothing with the package.
+    """
+    r = len(rows)
+    reach = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+    power = 1
+    while power < (r - 1) ** 2 + 1:
+        reach = [functools.reduce(operator.or_, (reach[j] for j in range(r)
+                                                 if row >> j & 1), 0)
+                 for row in reach]
+        power *= 2
+    return all(row == (1 << r) - 1 for row in reach)
+
+
+def substitution_corpus(seed: int, count: int, letters=4, image=4) -> list:
+    """count seeded primitive substitutions on 2 to letters letters, each
+    image of 1 to image letters.
+
+    Primitivity is judged by is_primitive_matrix on the incidence
+    matrix, so only Substitution.of is shared with the package.
+    """
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        abc = "1234"[:rng.randint(2, letters)]
+        rules = {c: "".join(rng.choice(abc)
+                            for _ in range(rng.randint(1, image)))
+                 for c in abc}
+        if is_primitive_matrix([[rules[b].count(a) for b in abc]
+                                for a in abc]):
+            specs.append(Substitution.of(rules))
+    return specs
+
+
+def assert_perron_certificate(spec, n, mu):
+    """mu, over language(spec, n), is the Perron vector of the n-block
+    substitution: B mu = lambda mu, sum(mu) = 1 and mu > 0, with B
+    primitive (Queffelec, LNM 1294, ch. V).  By Perron-Frobenius only one
+    vector passes, so this pins mu without solving for it.
+
+    Reads the package's block_substitution and its _spec_perron."""
+    blocks, sub = block_substitution(spec, n)
+    col = {u: collections.Counter(sub[u]) for u in blocks}
+    rows = [[col[u][v] for u in blocks] for v in blocks]
+    assert is_primitive_matrix(rows), n
+    lam = _spec_perron(spec)[0]
+    image = [sum(c * x for c, x in zip(row, mu) if c) for row in rows]
+    assert image == [lam * x for x in mu], n
+    assert sum(mu) == 1 and all(x > 0 for x in mu), n
+
+
+def anderson_putnam_rank(spec: Substitution) -> int:
+    """The rank of H^1(Omega; Q) from the Anderson-Putnam complex of
+    1-collared tiles (Anderson & Putnam, ETDS 18, 1998; Sadun, Topology
+    of Tiling Spaces, AMS 2008).
+
+    The language is read from a 4096-letter iterate prefix, not from
+    the package.  Edges are the words abc of length 3, and the right end
+    of abc is glued to the left end of bcd for each word abcd.  sigma*
+    sends the cochain of abc to the sum over the collared edges of
+    sigma(a)[-1] sigma(b) sigma(c)[0].  H^1 (x) Q is the eventual range
+    of sigma* on C^1 / im(delta): rank([A^k | delta]) - rank(delta),
+    with k raised until the value repeats.  Reads spec.mapping() only.
+    """
+    rules = spec.mapping()
+    prefix = iterate_prefix(spec, 4096)
+    edges = sorted(prefix_blocks(prefix, 3))
+    at = {e: i for i, e in enumerate(edges)}
+    parent = list(range(2 * len(edges)))  # 2i: left end of i, 2i+1: right
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for w in prefix_blocks(prefix, 4):
+        parent[root(2 * at[w[:3]] + 1)] = root(2 * at[w[1:]])
+    vertex = {r: j for j, r in enumerate(sorted({root(x) for x in parent}))}
+    delta = [[0] * len(vertex) for _ in edges]
+    pull = [[0] * len(edges) for _ in edges]
+    for i, (a, b, c) in enumerate(edges):
+        delta[i][vertex[root(2 * i + 1)]] += 1
+        delta[i][vertex[root(2 * i)]] -= 1
+        image = rules[a][-1] + rules[b] + rules[c][0]
+        for j in range(len(rules[b])):
+            pull[i][at[image[j:j + 3]]] += 1
+    d = DomainMatrix.from_list(delta, QQ)
+    a = DomainMatrix.from_list(pull, QQ)
+    base = d.rank()
+    power, last = a, None
+    while True:
+        got = power.hstack(d).rank() - base
+        if got == last:
+            return got
+        power, last = a.matmul(power), got
+
+
+# -- tilings ----------------------------------------------------------------
+
+def ref_interiors_disjoint(ts):
+    """Every pair of tiles, decided from tile_vertices and geodesic_arc.
+
+    Tiles of one scale must not overlap in x, a tile two or more scales
+    up must lie above the lower one's apex, and a tile one scale up that
+    overlaps a tile in x must have that tile's top arc, ends included,
+    as one of its bottom arcs.  Returns the verdict and the set of
+    adjacent-scale pairs whose open x-intervals overlap.  Reads the
+    package's tile_vertices and geodesic_arc."""
+    def curve(p, q):
+        arc = geodesic_arc(p, q)
+        return arc.center, arc.radius_sq, frozenset((p, q))
+
+    verts = [tile_vertices(t) for t in ts.tiles]
+    disjoint, overlapping = True, set()
+    for i, (a, va) in enumerate(zip(ts.tiles, verts)):
+        # sorted by (k, n), so b.k >= a.k
+        for b, vb in zip(ts.tiles[i + 1:], verts[i + 1:]):
+            if b.k == a.k:
+                disjoint &= va[2].x <= vb[0].x or vb[2].x <= va[0].x
+                continue
+            if b.k >= a.k + 2:
+                # a's apex height (17/4) 4**k lies below b's floor 4**(k+2)
+                disjoint &= Fraction(17, 4) * va[0].y ** 2 < vb[0].y ** 2
+                continue
+            if va[2].x <= vb[0].x or vb[2].x <= va[0].x:
+                continue
+            overlapping.add(((a.k, a.n), (b.k, b.n)))
+            disjoint &= curve(va[3], va[4]) in (curve(vb[0], vb[1]),
+                                                curve(vb[1], vb[2]))
+    return disjoint, overlapping
+
+
+def side_ends(side):
+    """The frozenset of the two endpoints of a (tile, label) side.  Reads
+    the package's tile_vertices and its edge labels."""
+    t, lab = side
+    v = tile_vertices(t)
+    i = EDGE_LABELS.index(lab)
+    return frozenset((v[i], v[(i + 1) % 5]))
+
+
+def ref_edge_adjacency(ts):
+    """Edges keyed by the frozenset of their tile_vertices endpoints.
+
+    Reads the package's tile_vertices, its exact corner coordinates,
+    and none of its pairing rule."""
+    by_key = {}
+    for t in ts.tiles:
+        v = tile_vertices(t)
+        for i, lab in enumerate(EDGE_LABELS):
+            key = frozenset((v[i], v[(i + 1) % 5]))
+            by_key.setdefault(key, []).append((t, lab))
+    interior = {key: tuple(sides) for key, sides in by_key.items()
+                if len(sides) == 2}
+    boundary = tuple(sides[0] for sides in by_key.values() if len(sides) == 1)
+    tops = []
+    for (t1, l1), (t2, l2) in interior.values():
+        if POSITIVE_EDGE in (l1, l2):
+            lower, (upper, lab) = ((t1, (t2, l2)) if l1 == POSITIVE_EDGE
+                                   else (t2, (t1, l1)))
+            tops.append((lower, upper, lab))
+
+    def charges(sides):
+        return (sum(lab == POSITIVE_EDGE for _, lab in sides),
+                sum(lab in NEGATIVE_EDGES for _, lab in sides))
+
+    return interior, boundary, tops, charges(
+        [s for pair in interior.values() for s in pair]), charges(boundary)

@@ -5,26 +5,20 @@ enforces the runtime budget; the pytest -v PASSED/FAILED line is the
 per-criterion verdict.
 """
 
-import math
 import random
 import time
 from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hyptile.dyadic import ClopenSet, integrate, omega_coinvariant_class
 from hyptile.geometry import (
-    EDGE_LABELS,
     ColourWindow,
     NEGATIVE_EDGES,
     agreement_radius,
     edge_adjacency,
     generate_patch,
-    geodesic_arc,
-    tile_vertices,
 )
 from hyptile.hull import (
     BumpProfile,
@@ -49,10 +43,12 @@ from hyptile.ktheory import (
     invariants,
     k_groups,
 )
-from hyptile.subshift import Periodic, Substitution, language, measure_vector
+from hyptile.subshift import Periodic, measure_vector
 
-TM = Substitution.of({"1": "12", "2": "21"})
-FIB = Substitution.of({"1": "12", "2": "1"})
+from oracles import (FIB, TM, circulant_rows, gcd_lattice,
+                     is_odometer_coboundary, ref_interiors_disjoint,
+                     side_ends, snf_group, split_twos)
+
 PERIODIC_WORDS = {1: "1", 2: "12", 3: "112", 4: "1122", 5: "11222",
                   6: "112122"}
 
@@ -65,13 +61,6 @@ def budget(t0, seconds, label):
 
 # -- 1: odometer coinvariant classes --------------------------------------
 
-def is_coboundary_pair(h, g):
-    """h == g - g o (x -> x-1) as locally constant functions."""
-    lhs = h.refine(g.level)
-    rhs = g - g.compose_odometer_inverse()
-    return (lhs - rhs).is_zero()
-
-
 def test_criterion_01_odometer_classes_and_witnesses():
     t0 = time.monotonic()
     for n in range(0, 7):
@@ -82,14 +71,14 @@ def test_criterion_01_odometer_classes_and_witnesses():
             assert value == Fraction(1, 2 ** n)
             # witness certifies the class equals that of the k = 0 cylinder
             diff = f.refine(witness.level) - base.refine(witness.level)
-            assert is_coboundary_pair(diff, witness)
+            assert is_odometer_coboundary(diff, witness)
     for n in range(0, 6):
         # one level-n cylinder splits into two level-(n+1) cylinders
         split = (ClopenSet.cylinder(n, 0).indicator(n + 1)
                  - ClopenSet.cylinder(n + 1, 0).indicator().scale(2))
         value, witness = omega_coinvariant_class(split, want_witness=True)
         assert value == 0 and integrate(split) == 0
-        assert is_coboundary_pair(split.refine(witness.level), witness)
+        assert is_odometer_coboundary(split.refine(witness.level), witness)
     budget(t0, 5, "criterion 01 odometer classes")
 
 
@@ -106,31 +95,6 @@ def test_criterion_02_half_ring_invariants_vanish():
 
 
 # -- 3: periodic K-table against an independent presentation oracle -------
-
-def circulant_rows(p, psi):
-    rows = []
-    for i in range(p):
-        row = [0] * p
-        row[i] += 1
-        row[(i - 1) % p] -= psi
-        rows.append(row)
-    return rows
-
-
-def snf_group(rows, invert_two=False):
-    m = Matrix(rows)
-    s = sympy_snf(m)
-    diag = [abs(int(s[i, i])) for i in range(min(s.rows, s.cols))]
-    if invert_two:
-        fixed = []
-        for d in diag:
-            while d and d % 2 == 0:
-                d //= 2
-            fixed.append(d)
-        diag = fixed
-    rank = m.cols - sum(1 for d in diag if d)
-    return rank, tuple(sorted(d for d in diag if d > 1))
-
 
 def test_criterion_03_periodic_k_table():
     t0 = time.monotonic()
@@ -206,16 +170,6 @@ def test_criterion_05_thue_morse_measures():
 
 # -- 6: gap label lattices --------------------------------------------------
 
-def gcd_lattice(values):
-    den = 1
-    for v in values:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    num = 0
-    for v in values:
-        num = math.gcd(num, int(v * den))
-    return Fraction(num, den)
-
-
 def test_criterion_06_gap_label_lattices():
     t0 = time.monotonic()
     for p in range(1, 7):
@@ -247,45 +201,10 @@ def test_criterion_06_gap_label_lattices():
 
 # -- 7: patch combinatorics and exact geometry ------------------------------
 
-def tiles_meet_only_along_arcs(ts) -> bool:
-    """Disjoint open tiles, read off tile_vertices and geodesic_arc.
-
-    A tile meets in x only its same-scale neighbours, whose x-intervals
-    must not overlap, and the tile one scale up over it, which must have
-    the lower tile's top arc as one of its bottom arcs.
-    """
-    verts = {(t.k, t.n): tile_vertices(t) for t in ts.tiles}
-
-    def curve(p, q):
-        arc = geodesic_arc(p, q)
-        return arc.center, arc.radius_sq, frozenset((p, q))
-
-    for (k, n), (_, _, _, a4, a5) in verts.items():
-        up = verts.get((k + 1, n // 2))
-        if up is not None and curve(a4, a5) not in (
-                curve(up[0], up[1]), curve(up[1], up[2])):
-            return False
-    by_scale = defaultdict(list)
-    for (k, _), vs in verts.items():
-        xs = [p.x for p in vs]
-        by_scale[k].append((min(xs), max(xs)))
-    for spans in by_scale.values():
-        spans.sort()
-        if any(nxt[0] < cur[1] for cur, nxt in zip(spans, spans[1:])):
-            return False
-    return True
-
-
 def test_criterion_07_patch_edges_and_interiors():
     t0 = time.monotonic()
     ts = generate_patch(3.0, exact=True)
     report = edge_adjacency(ts)  # charge-rule pairs, checked below
-    vertex_cache = {(t.k, t.n): tile_vertices(t) for t in ts.tiles}
-
-    def ends(t, lab):
-        v, i = vertex_cache[(t.k, t.n)], EDGE_LABELS.index(lab)
-        return frozenset((v[i], v[(i + 1) % 5]))
-
     top_edges_paired = 0
     for (t1, l1), (t2, l2) in report.interior:
         assert not (l1 == "A4A5" and l2 == "A4A5")
@@ -294,24 +213,16 @@ def test_criterion_07_patch_edges_and_interiors():
             assert other in NEGATIVE_EDGES
             top_edges_paired += 1
         # endpoint-exact: both sides run between the same two corners
-        assert len(ends(t1, l1)) == 2 and ends(t1, l1) == ends(t2, l2)
+        ends = side_ends((t1, l1))
+        assert len(ends) == 2 and ends == side_ends((t2, l2))
     assert top_edges_paired == len(report.top_matches) > 0
     assert all(lab in NEGATIVE_EDGES for _, _, lab in report.top_matches)
 
-    assert tiles_meet_only_along_arcs(ts)
+    assert ref_interiors_disjoint(ts)[0]
     budget(t0, 5, "criterion 07 patch edges")
 
 
 # -- 8: rescaling identity and window agreement -----------------------------
-
-def v2_int(x):
-    x = abs(x)
-    c = 0
-    while x % 2 == 0:
-        x //= 2
-        c += 1
-    return c
-
 
 def test_criterion_08_rescale_identity_and_agreement():
     t0 = time.monotonic()
@@ -329,7 +240,7 @@ def test_criterion_08_rescale_identity_and_agreement():
         n = pyrng.randint(-10 ** 6, 10 ** 6)
         m = pyrng.randint(-10 ** 6, 10 ** 6)
         if n != m:
-            by_v2[v2_int(m - n)].append(agreement_radius(n, m))
+            by_v2[split_twos(m - n)[0]].append(agreement_radius(n, m))
     levels = sorted(by_v2)
     for lo, hi in zip(levels, levels[1:]):
         assert max(by_v2[lo]) < min(by_v2[hi])

@@ -15,7 +15,9 @@ from hyptile.algebraic import (
     perron_eigenvalue,
     poly_eval,
 )
-from hyptile.subshift import block_substitution, parse_spec
+from hyptile.subshift import block_substitution
+
+from oracles import S4
 
 
 F = Fraction
@@ -225,9 +227,7 @@ def block_diag(*blocks):
 def s4_two_block_matrix():
     """Incidence matrix of S4's induced substitution on its 16 two-letter
     blocks: characteristic polynomial x^3 (x-4) (x-1)^6 (x+1)^6."""
-    spec = parse_spec({"type": "substitution", "rules": {
-        "1": "1234", "2": "2143", "3": "3412", "4": "4321"}})
-    blocks, images = block_substitution(spec, 2)
+    blocks, images = block_substitution(S4, 2)
     return [[images[b].count(a) for b in blocks] for a in blocks]
 
 
@@ -341,14 +341,16 @@ class TestPerronOracle:
         assert sympy.expand(cp - x**3 * (x - 4) * (x - 1)**6 * (x + 1)**6) \
             == 0
 
-    def test_matches_sympy(self):
+    @pytest.mark.parametrize("part", range(6))
+    def test_matches_sympy(self, part):
         # Same Fraction, or same minimal polynomial with the root strictly
         # inside the isolating interval.  The time bound keeps factoring
         # over Z from going exponential: Kronecker's method took 68 s on
-        # one 10x10 block-diagonal matrix here.
+        # one 10x10 block-diagonal matrix.  Each part takes every sixth
+        # matrix, so the named ones spread over the parts.
         mats = oracle_corpus()
         assert len(mats) >= 300
-        for mat in mats:
+        for mat in mats[part::6]:
             t0 = time.perf_counter()
             lam = perron_eigenvalue(mat)
             elapsed = time.perf_counter() - t0

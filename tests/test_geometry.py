@@ -8,10 +8,7 @@ import pytest
 
 import hyptile.geometry as geometry
 from hyptile.geometry import (
-    EDGE_LABELS,
     MAX_PATCH_TILES,
-    NEGATIVE_EDGES,
-    POSITIVE_EDGE,
     AffineMap,
     ColourWindow,
     ColourWindowExhausted,
@@ -32,6 +29,8 @@ from hyptile.geometry import (
     _settle_end,
     _sinh2_terms,
 )
+
+from oracles import ref_edge_adjacency, ref_interiors_disjoint, side_ends
 
 LN2 = math.log(2.0)
 
@@ -207,6 +206,14 @@ class TestPatch:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             generate_patch(-0.1)
+
+    @pytest.mark.parametrize("make", [generate_patch, patch_size, scale_range])
+    @pytest.mark.parametrize("radius", [math.nan, -0.1, -math.inf])
+    def test_nan_and_negative_radius_refused(self, make, radius):
+        # NaN fails every comparison, so it is refused by name, not
+        # left to math.ceil
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            make(radius)
 
     def test_exact_subset_of_conservative(self):
         for r in (0.0, 0.3, 1.0, 2.2):
@@ -426,68 +433,6 @@ class TestAdjacency:
         for (t1, l1), (t2, l2) in rep.interior:
             if {l1, l2} == {"A3A4", "A5A1"}:
                 assert t1.k == t2.k and abs(t1.n - t2.n) == 1
-
-
-def ref_interiors_disjoint(ts):
-    """Every pair of tiles, decided from tile_vertices and geodesic_arc.
-
-    Returns the verdict and the set of adjacent-scale pairs whose open
-    x-intervals overlap."""
-    disjoint, overlapping = True, set()
-    for i, a in enumerate(ts.tiles):  # sorted by (k, n), so b.k >= a.k
-        va = tile_vertices(a)
-        for b in ts.tiles[i + 1:]:
-            vb = tile_vertices(b)
-            if b.k == a.k:
-                disjoint &= va[2].x <= vb[0].x or vb[2].x <= va[0].x
-                continue
-            if b.k >= a.k + 2:
-                # a's apex height (17/4) 4**k lies below b's floor 4**(k+2)
-                disjoint &= F(17, 4) * va[0].y ** 2 < vb[0].y ** 2
-                continue
-            if va[2].x <= vb[0].x or vb[2].x <= va[0].x:
-                continue
-            overlapping.add(((a.k, a.n), (b.k, b.n)))
-            top = geodesic_arc(va[3], va[4])
-            bottoms = (geodesic_arc(vb[0], vb[1]), geodesic_arc(vb[1], vb[2]))
-            disjoint &= any((top.center, top.radius_sq)
-                            == (arc.center, arc.radius_sq) for arc in bottoms)
-    return disjoint, overlapping
-
-
-def ref_edge_adjacency(ts):
-    """Edges keyed by the frozenset of their tile_vertices endpoints."""
-    by_key = {}
-    for t in ts.tiles:
-        v = tile_vertices(t)
-        for i, lab in enumerate(EDGE_LABELS):
-            key = frozenset((v[i], v[(i + 1) % 5]))
-            by_key.setdefault(key, []).append((t, lab))
-    interior = {key: tuple(sides) for key, sides in by_key.items()
-                if len(sides) == 2}
-    boundary = tuple(sides[0] for sides in by_key.values() if len(sides) == 1)
-    tops = []
-    for (t1, l1), (t2, l2) in interior.values():
-        if POSITIVE_EDGE in (l1, l2):
-            lower, (upper, lab) = ((t1, (t2, l2)) if l1 == POSITIVE_EDGE
-                                   else (t2, (t1, l1)))
-            tops.append((lower, upper, lab))
-
-    def charges(sides):
-        return (sum(lab == POSITIVE_EDGE for _, lab in sides),
-                sum(lab in NEGATIVE_EDGES for _, lab in sides))
-
-    return interior, boundary, tops, charges(
-        [s for pair in interior.values() for s in pair]), charges(boundary)
-
-
-def side_ends(side):
-    """The frozenset of the two tile_vertices endpoints of a (tile, label)
-    side."""
-    t, lab = side
-    v = tile_vertices(t)
-    i = EDGE_LABELS.index(lab)
-    return frozenset((v[i], v[(i + 1) % 5]))
 
 
 def assert_matches_reference(ts):

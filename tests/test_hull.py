@@ -35,10 +35,10 @@ from hyptile.hull import (
     tau_reports,
 )
 from hyptile.ktheory import CylinderFunction
-from hyptile.subshift import Periodic, Substitution, language
+from hyptile.subshift import Periodic, language
 
-TM = Substitution.of({"1": "12", "2": "21"})
-FIB = Substitution.of({"1": "12", "2": "1"})
+from oracles import FIB, TM
+
 AB = Periodic("ab")
 
 

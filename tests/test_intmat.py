@@ -10,32 +10,10 @@ from hyptile.intmat import (hnf_row_lattice, identity, integer_kernel,
                             lattice_contains, matmul, mat_vec, rational_rank,
                             row_reduce, smith_diagonal, smith_normal_form,
                             snf_rank, solve_integer)
-from hyptile.subshift import Periodic, Substitution
+from hyptile.subshift import Periodic
 
-
-def det_bareiss(a) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+from oracles import (FIB, PD, S4, TM, TRIB, dense_matmul, det_bareiss,
+                     reference_hnf, reference_snf)
 
 
 def test_snf_frozen_example():
@@ -188,14 +166,6 @@ def test_identity_and_matmul():
     assert identity(2) == [[1, 0], [0, 1]]
 
 
-def _dense_matmul(a, b):
-    """The triple-loop definition of the matrix product."""
-    k = len(b)
-    m = len(b[0]) if b else 0
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(len(a))]
-
-
 def test_sparse_matmul_matches_dense_definition():
     rng = random.Random(47)
     entries = [0, 0, 0, 0, 1, -1, 2, -3, 7]
@@ -211,7 +181,7 @@ def test_sparse_matmul_matches_dense_definition():
             a = [[0] * k for _ in range(n)]
         if rng.random() < 0.1:
             b = [[0] * m for _ in range(k)]
-        assert matmul(a, b) == _dense_matmul(a, b)
+        assert matmul(a, b) == dense_matmul(a, b)
     # n x 0 times 0 x m: with no rows, b cannot say its width, so n x 0
     assert matmul([[], [], []], []) == [[], [], []]
     # 0 x k times k x m is 0 x m, that is no rows
@@ -309,107 +279,8 @@ def test_row_reduce_refuses_ragged_rows():
         rational_rank([[1], [2, 3], [4]])
 
 
-def _reference_snf(mat):
-    """`smith_normal_form` before its scans, column additions and checks
-    were sped up, with the dense product in its checks.  The transforms,
-    not only S, must match it: printed generators are rows of V^-1.
-    """
-    a = [row[:] for row in mat]
-    n = len(a)
-    m = len(a[0]) if n else 0
-    u = identity(n)
-    v = identity(m)
-    v_inv = identity(m)
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
-
-    def row_add(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def col_add(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-        v_inv[src] = [x - c * y for x, y in zip(v_inv[src], v_inv[dst])]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(n, m):
-        pivot = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                x = abs(a[i][j])
-                if x and (best is None or x < best):
-                    best, pivot = x, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        row_swap(t, pi)
-        col_swap(t, pj)
-        if a[t][t] < 0:
-            row_neg(t)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_add(i, t, -q)
-                    if a[i][t]:
-                        row_swap(t, i)
-                        if a[t][t] < 0:
-                            row_neg(t)
-                        dirty = True
-            for j in range(t + 1, m):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-        offender = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue
-        t += 1
-
-    s = a
-    assert _dense_matmul(_dense_matmul(u, mat), v) == s
-    assert _dense_matmul(v, v_inv) == identity(m)
-    return u, s, v, v_inv
-
-
-_PINNED_SPECS = {
-    "tm": Substitution.of({"1": "12", "2": "21"}),
-    "pd": Substitution.of({"1": "12", "2": "11"}),
-    "fib": Substitution.of({"1": "12", "2": "1"}),
-    "trib": Substitution.of({"1": "12", "2": "13", "3": "1"}),
-    "11212": Periodic("11212"),
-    "s4": Substitution.of({"1": "1234", "2": "2143", "3": "3412",
-                           "4": "4321"}),
-}
+_PINNED_SPECS = {"tm": TM, "pd": PD, "fib": FIB, "trib": TRIB,
+                 "11212": Periodic("11212"), "s4": S4}
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SPECS))
@@ -429,7 +300,7 @@ def test_snf_transforms_pinned_on_group_matrices(monkeypatch, name):
     ktheory._presentation.cache_clear()
     assert seen
     for mat in seen:
-        assert smith_normal_form(mat) == _reference_snf(mat)
+        assert smith_normal_form(mat) == reference_snf(mat)
 
 
 def test_snf_transforms_pinned_on_unit_ties():
@@ -439,7 +310,7 @@ def test_snf_transforms_pinned_on_unit_ties():
     for _ in range(200):
         n, m = rng.randrange(1, 7), rng.randrange(1, 7)
         mat = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
-        assert smith_normal_form(mat) == _reference_snf(mat)
+        assert smith_normal_form(mat) == reference_snf(mat)
 
 
 def test_snf_transforms_pinned_on_wide_entries():
@@ -454,42 +325,7 @@ def test_snf_transforms_pinned_on_wide_entries():
         n, m = rng.randrange(1, 9), rng.randrange(1, 10)
         mat = [[rng.randrange(-9, 10) if rng.random() < 0.2 else 0
                 for _ in range(m)] for _ in range(n)]
-        assert smith_normal_form(mat) == _reference_snf(mat)
-
-
-def _reference_hnf(rows):
-    """`hnf_row_lattice` on dense lists, before it worked on sparse
-    rows.  The form is canonical, so the two must agree everywhere."""
-    m = len(rows[0]) if rows else 0
-    work = [list(r) for r in rows if any(r)]
-    r = 0
-    for col in range(m):
-        while True:
-            live = [i for i in range(r, len(work)) if work[i][col]]
-            if not live:
-                break
-            piv = min(live, key=lambda i: abs(work[i][col]))
-            work[r], work[piv] = work[piv], work[r]
-            if work[r][col] < 0:
-                work[r] = [-x for x in work[r]]
-            done = True
-            for i in range(r + 1, len(work)):
-                if work[i][col]:
-                    q = work[i][col] // work[r][col]
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-                    if work[i][col]:
-                        done = False
-            if done:
-                break
-        if r < len(work) and work[r][col]:
-            for k in range(r):
-                q = work[k][col] // work[r][col]
-                if q:
-                    work[k] = [x - q * y for x, y in zip(work[k], work[r])]
-            r += 1
-        if r == len(work):
-            break
-    return [row for row in work[:r]]
+        assert smith_normal_form(mat) == reference_snf(mat)
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SPECS))
@@ -502,10 +338,10 @@ def test_hnf_matches_reference_on_group_rows(name):
         levels = [ktheory._presentation(spec, ring, n) for n in range(1, 7)]
         for p1, p2 in zip(levels, levels[1:]):
             stack = ktheory._bonding_matrix(p1, p2) + p2.relation_basis()
-            assert hnf_row_lattice(stack) == _reference_hnf(stack)
+            assert hnf_row_lattice(stack) == reference_hnf(stack)
         for pres in levels:
             assert (hnf_row_lattice(pres.kernel)
-                    == _reference_hnf(pres.kernel))
+                    == reference_hnf(pres.kernel))
     ktheory._presentation.cache_clear()
 
 
@@ -521,7 +357,7 @@ def test_hnf_matches_reference_on_random_rows():
             rows.append(list(rng.choice(rows)))
             rows.append([-x for x in rng.choice(rows)])  # negative pivot
         rng.shuffle(rows)
-        assert hnf_row_lattice(rows) == _reference_hnf(rows)
+        assert hnf_row_lattice(rows) == reference_hnf(rows)
 
 
 @pytest.mark.parametrize("bad", [1.5, Fraction(1, 2), True, "1", 0.0, False])

@@ -10,8 +10,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from hyptile import ktheory
 from hyptile.intmat import (hnf_row_lattice, integer_kernel, lattice_contains,
@@ -25,6 +23,7 @@ from hyptile.ktheory import (
     _coinvariant_chain,
     _presentation,
     _relation_rows,
+    _value_row,
     apply_shift,
     canonical,
     cech_cohomology,
@@ -49,18 +48,16 @@ from hyptile.subshift import (
     Substitution,
     UnsupportedSpec,
     _spec_perron,
-    constant_length,
-    is_primitive,
     language,
     measure_vector,
 )
 
-TM = Substitution.of({"1": "12", "2": "21"})
-PD = Substitution.of({"1": "12", "2": "11"})
-FIB = Substitution.of({"1": "12", "2": "1"})
-TRIB = Substitution.of({"1": "12", "2": "13", "3": "1"})
+from oracles import (FIB, PD, S4, TM, TRIB, anderson_putnam_rank,
+                     circulant_rows, det_bareiss, gcd_lattice,
+                     periodic_by_complexity, snf_group, split_twos,
+                     substitution_corpus, sympy_smith_diagonal)
+
 TWO_ORBITS = Substitution.of({"1": "11", "2": "22"})
-S4 = Substitution.of({"1": "1234", "2": "2143", "3": "3412", "4": "4321"})
 
 PERIODIC_WORDS = {1: "1", 2: "12", 3: "123", 4: "1234", 5: "12345"}
 
@@ -85,26 +82,6 @@ def coboundary(spec, f, mode):
     lo, hi = min(a, a + 1), max(b, b + 1)
     return refine_to(spec, f, lo, hi) - refine_to(
         spec, apply_shift(f, mode), lo, hi)
-
-
-def circulant_presentation(p, psi):
-    """Hand-built relation matrix for a distinct-letter periodic word."""
-    rows = []
-    for i in range(p):
-        row = [0] * p
-        row[i] += 1
-        row[(i - 1) % p] -= psi
-        rows.append(row)
-    return rows
-
-
-def sympy_group_data(rows):
-    """(rank, sorted nontrivial invariant factors) via an outside SNF."""
-    m = Matrix(rows)
-    s = sympy_snf(m)
-    diag = [abs(int(s[i, i])) for i in range(min(s.rows, s.cols))]
-    rank = m.cols - sum(1 for d in diag if d)
-    return rank, sorted(d for d in diag if d > 1)
 
 
 def frac_in_lattice(rows, vec) -> bool:
@@ -137,6 +114,13 @@ class TestCylinderFunction:
             CylinderFunction.of(RING_HALF, 0, {"1": Fraction(1, 3)})
         with pytest.raises(ValueError):
             CylinderFunction.of(RING_Z, 0, {"1": 1, "22": 1})
+
+    @pytest.mark.parametrize("ring", [RING_Z, RING_HALF])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_coefficients_refused(self, ring, value):
+        # over Z as over Z[1/2]: True is not the coefficient 1
+        with pytest.raises(ValueError):
+            CylinderFunction.of(ring, 0, {"1": value})
 
     @pytest.mark.parametrize("start", [1.5, True, "0"])
     def test_start_must_be_int(self, start):
@@ -227,8 +211,8 @@ class TestSmithNormalForm:
             n, m = rng.randint(1, 4), rng.randint(1, 4)
             mat = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
             u, s, v, _ = smith_normal_form(mat)
-            assert abs(Matrix(u).det()) == 1
-            assert abs(Matrix(v).det()) == 1
+            assert abs(det_bareiss(u)) == 1
+            assert abs(det_bareiss(v)) == 1
             diag = [s[i][i] for i in range(min(n, m))]
             assert all(d >= 0 for d in diag)
             for a, b in zip(diag, diag[1:]):
@@ -376,21 +360,20 @@ class TestCoinvariants:
     def test_periodic_ring_half_matches_circulant_oracle(self, p):
         spec = Periodic(PERIODIC_WORDS[p])
         got = coinvariants(spec, RING_HALF)
-        want_rank, want_tors = sympy_group_data(circulant_presentation(p, 2))
-        want_tors = [d for d in (odd_part(t) for t in want_tors) if d > 1]
+        want_rank, want_tors = snf_group(circulant_rows(p, 2), invert_two=True)
         assert got.stabilized
         assert got.rank == want_rank
-        assert list(got.torsion) == want_tors
+        assert got.torsion == want_tors
         expected = 2 ** p - 1
-        assert list(got.torsion) == ([expected] if expected > 1 else [])
+        assert got.torsion == ((expected,) if expected > 1 else ())
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_periodic_ring_z_matches_circulant_oracle(self, p):
         spec = Periodic(PERIODIC_WORDS[p])
         got = coinvariants(spec, RING_Z)
-        want_rank, want_tors = sympy_group_data(circulant_presentation(p, 1))
+        want = snf_group(circulant_rows(p, 1))
         assert got.stabilized
-        assert (got.rank, list(got.torsion)) == (want_rank, want_tors) == (1, [])
+        assert (got.rank, got.torsion) == want == (1, ())
 
     @pytest.mark.parametrize("ring, psi", [(RING_Z, 1), (RING_HALF, 2)])
     def test_repeated_letter_word_matches_circulant_oracle(self, ring, psi):
@@ -402,10 +385,10 @@ class TestCoinvariants:
         levels, isos = _coinvariant_chain(spec, ring, 6)
         assert isos[:3] == [True, True, False]
         got = coinvariants(spec, ring)
-        want_rank, want_tors = sympy_group_data(circulant_presentation(5, psi))
-        want_tors = [d for d in (odd_part(t) for t in want_tors) if d > 1]
+        want_rank, want_tors = snf_group(circulant_rows(5, psi),
+                                         invert_two=psi == 2)
         assert got.stabilized and got.n_used == 4
-        assert (got.rank, list(got.torsion)) == (want_rank, want_tors)
+        assert (got.rank, got.torsion) == (want_rank, want_tors)
         assert len(levels[0].free) == want_rank + 1
 
     @pytest.mark.parametrize(
@@ -418,15 +401,13 @@ class TestCoinvariants:
         n0 = next(n for n in range(1, p + 1)
                   if len({(word * 2)[i:i + n] for i in range(p)}) == p)
         for ring, psi in ((RING_Z, 1), (RING_HALF, 2)):
-            want_rank, want_tors = sympy_group_data(
-                circulant_presentation(p, psi))
-            want_tors = [d for d in (odd_part(t) for t in want_tors) if d > 1]
+            want = snf_group(circulant_rows(p, psi), invert_two=psi == 2)
             for n_max in range(2, n0 + 3):
                 g = coinvariants(spec, ring, n_max)
                 assert g.n_used == min(n0, n_max)
                 assert g.stabilized == (n0 <= n_max)
                 if g.stabilized:
-                    assert (g.rank, list(g.torsion)) == (want_rank, want_tors)
+                    assert (g.rank, g.torsion) == want
 
     def test_thue_morse_first_levels(self):
         # Hand-reduced: both levels are free of rank 3.
@@ -489,7 +470,8 @@ class TestCoinvariants:
                 _, s, v, _ = smith_normal_form(transpose(stacked))
                 nonzero = [s[i][i] for i in range(min(c2, len(stacked)))
                            if s[i][i]]
-                unit = odd_part if ring == RING_HALF else abs
+                unit = ((lambda d: split_twos(d)[1]) if ring == RING_HALF
+                        else abs)
                 onto = (len(nonzero) == c2
                         and all(unit(d) == 1 for d in nonzero))
                 basis = p1.relation_basis()
@@ -550,12 +532,12 @@ class TestCoinvariants:
                         if v[1:] == u:
                             row[cols[v]] -= psi
                     shift.append(row)
-                a = sympy_group_data(refinement + shift)
-                b = sympy_group_data(shift + refinement)
+                a = snf_group(refinement + shift)
+                b = snf_group(shift + refinement)
                 assert a == b
                 ring = RING_Z if psi == 1 else RING_HALF
                 pres = _presentation(spec, ring, n)
-                eliminated = sympy_group_data([list(r) for r in pres.rows])
+                eliminated = snf_group([list(r) for r in pres.rows])
                 assert a == eliminated
 
     def test_functoriality_on_relations(self):
@@ -588,11 +570,43 @@ class TestCoinvariants:
         assert g.approximate
 
 
-def odd_part(n):
-    n = abs(n)
-    while n and n % 2 == 0:
-        n //= 2
-    return n
+class TestAndersonPutnamOracle:
+    """H^1's rational rank against the Anderson-Putnam complex of
+    1-collared tiles, built by oracles.py on an iterate's language."""
+
+    @pytest.mark.parametrize("spec, periodic, rank", [
+        (TM, False, 2), (PD, False, 2), (FIB, False, 2), (TRIB, False, 3),
+        (S4, False, 10), (Substitution.of({"1": "121", "2": "212"}), True, 1),
+        (Substitution.of({"1": "12", "2": "12"}), True, 1),
+    ], ids=["tm", "pd", "fib", "trib", "s4", "121-212", "12-12"])
+    def test_pinned_ranks(self, spec, periodic, rank):
+        assert periodic_by_complexity(spec) is periodic
+        assert anderson_putnam_rank(spec) == rank
+
+    def test_periodic_corpus_rules_are_circles(self):
+        # the hull of a periodic rule is one circle, so H^1 = Z
+        specs = substitution_corpus(2026, 40, letters=3, image=3)
+        periodic = [s for s in specs if periodic_by_complexity(s)]
+        assert len(periodic) == 3
+        assert all(anderson_putnam_rank(s) == 1 for s in periodic)
+
+    # Known defect: on this corpus 20 of the 37 aperiodic rules get a
+    # stabilized H^1 whose rank is not the oracle's.  The marker comes
+    # off with the exact tower map (ROADMAP item 1, step A).
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="false stabilization certificates for "
+                       "substitutions (ROADMAP item 1, step A)")
+    def test_flagged_h1_has_oracle_rank(self):
+        specs = substitution_corpus(2026, 40, letters=3, image=3)
+        wrong = []
+        for spec in specs:
+            if periodic_by_complexity(spec):
+                continue
+            g = coinvariants(spec, RING_Z, 10)
+            want = anderson_putnam_rank(spec)
+            if g.stabilized and g.rank != want:
+                wrong.append((spec.mapping(), g.rank, want))
+        assert not wrong
 
 
 class TestRelationMembership:
@@ -610,10 +624,8 @@ class TestRelationMembership:
                 # one, e the largest 2-adic valuation of sympy's factors.
                 e = 0
                 if ring == RING_HALF:
-                    snf = sympy_snf(Matrix(rows))
-                    diag = [abs(int(snf[i, i]))
-                            for i in range(min(snf.rows, snf.cols))]
-                    e = max(((d & -d).bit_length() - 1 for d in diag if d),
+                    e = max((split_twos(d)[0]
+                             for d in sympy_smith_diagonal(rows) if d),
                             default=0)
 
                 def oracle(x):
@@ -837,14 +849,9 @@ class TestGapLabels:
             for entry in gl.chain:
                 n = entry["n"]
                 mu = measure_vector(spec, n)
-                den = 1
-                for v in mu.values():
-                    den = den * v.denominator // math.gcd(den, v.denominator)
-                num = 0
-                for v in mu.values():
-                    num = math.gcd(num, int(v * den))
                 (g,) = entry["generators"]
-                assert isinstance(g, Fraction) and g == Fraction(num, den)
+                assert isinstance(g, Fraction)
+                assert g == gcd_lattice(list(mu.values()))
         gl = gap_labels(TM, 6)
         assert gl.chain[1]["generators"][0] == Fraction(1, 6)
 
@@ -858,8 +865,6 @@ class TestGapLabels:
         # mu(x.P) = lambda * mu(x), so the gap-label group is closed under
         # 1/lambda; PD's chain repeats at n_max 4 and 6 (1/12 at 6) on a
         # lattice that is not, and only that closure clears its flag
-        from hyptile.ktheory import _value_row
-
         expect = {PD: False, TM: False, S4: False, FIB: True, TRIB: True}
         for spec, flag in expect.items():
             gl = gap_labels(spec, n_max)
@@ -878,15 +883,9 @@ class TestGapLabels:
         # gap_labels drops lattice-redundant values in one pass; the
         # oracle rescans from the start after every drop, and reduces
         # rational values to their gcd.
-        from hyptile.ktheory import _value_row
-
         def restart_scan(values, degree):
             if isinstance(values[0], Fraction):
-                den = math.lcm(*(v.denominator for v in values))
-                num = 0
-                for v in values:
-                    num = math.gcd(num, int(v * den))
-                return (Fraction(num, den),)
+                return (gcd_lattice(values),)
             rows = [_value_row(v, degree) for v in values]
             kept = list(range(len(values)))
             changed = True
@@ -900,16 +899,8 @@ class TestGapLabels:
                         break
             return tuple(values[i] for i in kept)
 
-        rng = random.Random(29)
-        specs = [FIB, TRIB, Substitution.of({"1": "132", "2": "1", "3": "12"})]
-        while len(specs) < 15:
-            letters = "123"[:rng.randint(2, 3)]
-            spec = Substitution.of({
-                a: "".join(rng.choice(letters)
-                           for _ in range(rng.randint(1, 3)))
-                for a in letters})
-            if is_primitive(spec) and constant_length(spec) != 1:
-                specs.append(spec)
+        specs = [FIB, TRIB, Substitution.of({"1": "132", "2": "1", "3": "12"}),
+                 *substitution_corpus(29, 12, letters=3, image=3)]
         for spec in specs:
             gl = gap_labels(spec, 5)
             degree = 1 if gl.minpoly is None else len(gl.minpoly) - 1
@@ -931,8 +922,6 @@ class TestGapLabels:
             assert entry["agrees_with_previous"]
 
     def test_generators_in_unit_interval_and_reduced(self):
-        from hyptile.ktheory import _value_row
-
         for spec in (TM, FIB, Periodic("112")):
             gl = gap_labels(spec, 4)
             degree = 1 if gl.minpoly is None else len(gl.minpoly) - 1

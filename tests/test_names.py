@@ -6,7 +6,8 @@ only show as a crash of a traced benchmark run.  The package itself
 reads no environment variable, so no hidden knob changes its results;
 it imports no sympy, which only the tests use as an oracle; it keeps
 no unused top-level import; and every private helper is used somewhere
-in the package.
+in the package.  Every function of tests/oracles.py is used by a test
+module, and no test module defines a name that tests/oracles.py defines.
 """
 
 import ast
@@ -19,6 +20,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+TESTS = ROOT / "tests"
 
 
 def _tracer():
@@ -52,11 +54,14 @@ def test_all_entries_resolve(module):
         assert hasattr(mod, name), f"{module}.{name}"
 
 
-def _package_trees():
-    sources = sorted((ROOT / "src" / "hyptile").glob("**/*.py"))
-    assert sources
+def _trees(paths):
+    assert paths
     return [(path, ast.parse(path.read_text(encoding="utf-8")))
-            for path in sources]
+            for path in paths]
+
+
+def _package_trees():
+    return _trees(sorted((ROOT / "src" / "hyptile").glob("**/*.py")))
 
 
 def test_package_reads_no_environment():
@@ -133,3 +138,39 @@ def test_no_dead_private_helpers():
             # a use inside its own body (recursion) keeps nothing alive
             outside = used[d.name] - _references(d)[d.name]
             assert outside > 0, f"{path.name}:{d.lineno}: {d.name} is unused"
+
+
+def _top_level_names(tree) -> set:
+    """Names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _test_modules():
+    return _trees(sorted(TESTS.glob("test_*.py")))
+
+
+def _oracles():
+    return _trees([TESTS / "oracles.py"])[0][1]
+
+
+def test_every_oracle_is_used():
+    used = Counter()
+    for _, tree in _test_modules():
+        used += _references(tree)
+    for node in _oracles().body:
+        if isinstance(node, ast.FunctionDef):
+            assert used[node.name], \
+                f"oracles.py:{node.lineno}: {node.name} is used by no test"
+
+
+def test_no_test_module_redefines_an_oracle():
+    shared = _top_level_names(_oracles())
+    for path, tree in _test_modules():
+        again = sorted(_top_level_names(tree) & shared)
+        assert not again, f"{path.name} defines {again} again"

@@ -18,7 +18,8 @@ from hyptile.geometry import (
     tile_vertices,
 )
 from hyptile.render import PALETTE, svg_render, tile_path
-from hyptile.subshift import parse_spec
+
+from oracles import TM
 
 
 def svg_arc_center(x1, y1, x2, y2, r, large, sweep):
@@ -111,9 +112,7 @@ class TestClosedFormPath:
 
     @pytest.mark.parametrize("radius", sorted(PINNED))
     def test_document_is_pinned(self, radius):
-        tm = parse_spec({"type": "substitution", "rules": {"1": "12",
-                                                           "2": "21"}})
-        ts = generate_patch(radius, colouring=_colour_window(tm, radius))
+        ts = generate_patch(radius, colouring=_colour_window(TM, radius))
         digest = hashlib.sha256(svg_render(ts).encode()).hexdigest()
         assert digest == self.PINNED[radius]
 
@@ -168,13 +167,11 @@ class TestSvgRender:
     def test_every_path_is_the_tile_path(self, coloured):
         # svg_render reuses each tile's right corner as the next tile's
         # left one; every d-string must still be tile_path's
-        tm = parse_spec({"type": "substitution", "rules": {"1": "12",
-                                                           "2": "21"}})
         # a gap in n, a scale that starts at the n after the last scale's
         # end, a missing scale
         gappy = TileSet(tuple(TileIndex(k, n) for k, n in (
             (0, 0), (0, 2), (0, 3), (1, 4), (1, 5), (3, 1))), 1.0)
-        colouring = _colour_window(tm, 5.0) if coloured else None
+        colouring = _colour_window(TM, 5.0) if coloured else None
         for ts in (generate_patch(5.0, colouring=colouring), gappy):
             paths = re.findall(
                 r'<path data-k="(-?\d+)" data-n="(-?\d+)" fill="[^"]+" '

@@ -6,11 +6,8 @@ against empirical frequencies in the same prefix, and the aperiodicity
 verdicts of bijective rules against a period search on their fixed word.
 """
 
-import collections
-import functools
 import json
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -24,7 +21,6 @@ from hyptile.subshift import (
     HorizonExhausted,
     Periodic,
     Substitution,
-    SubshiftSpec,
     UnsupportedSpec,
     alphabet,
     approximate,
@@ -40,35 +36,17 @@ from hyptile.subshift import (
     spec_to_json,
 )
 
+from oracles import (FIB, PD, S4, TM, TRIB, assert_perron_certificate,
+                     fixed_word_aperiodic, is_primitive_matrix,
+                     iterate_prefix, prefix_blocks, substitution_corpus)
 
 F = Fraction
 
-TM = Substitution.of({"1": "12", "2": "21"})
-FIB = Substitution.of({"1": "12", "2": "1"})
 DOUBLING = Substitution.of({"1": "11"})
 # fixed word (1234)^inf: constant length, primitive, not bijective
 FOUR_CYCLE = Substitution.of({"1": "12", "2": "34", "3": "12", "4": "34"})
 # bijective rules with periodic fixed word (12)^inf
 BIJ_PERIODIC = Substitution.of({"1": "121", "2": "212"})
-PD = Substitution.of({"1": "12", "2": "11"})
-TRIB = Substitution.of({"1": "12", "2": "13", "3": "1"})
-S4 = Substitution.of({"1": "1234", "2": "2143", "3": "3412", "4": "4321"})
-
-
-def iterate_prefix(spec: Substitution, length: int) -> str:
-    """Oracle: fixed-point prefix by direct iteration (first rule must
-    start with its own letter)."""
-    rules = spec.mapping()
-    start = min(rules)
-    assert rules[start][0] == start
-    w = start
-    while len(w) < length:
-        w = "".join(rules[c] for c in w)
-    return w[:length]
-
-
-def prefix_blocks(prefix: str, n: int) -> set:
-    return {prefix[i:i + n] for i in range(len(prefix) - n + 1)}
 
 
 class TestSpecValidation:
@@ -292,47 +270,12 @@ class TestCertificates:
         verdicts = set()
         for spec in specs:
             res = check_minimal_aperiodic(spec)
-            assert res["minimal"] is is_primitive(spec)
+            assert res["minimal"] is is_primitive(spec) \
+                is is_primitive_matrix(incidence_matrix(spec))
             if res["minimal"]:
                 assert res["aperiodic"] is fixed_word_aperiodic(spec), spec
                 verdicts.add(res["aperiodic"])
         assert verdicts == {True, False}
-
-
-def fixed_word_aperiodic(spec: Substitution) -> bool:
-    """Reference: the period search on the fixed word of a bijective rule.
-
-    A power sigma' of the rules fixes a first letter a and has images of
-    at least 2 letters; its fixed word y starting at a is periodic iff
-    sigma'(y[:p]) == y[:p]^s for some p <= |A| (the subshift module's
-    docstring bounds the period by the alphabet size).
-    """
-    rules = spec.mapping()
-
-    def apply(table, word):
-        return "".join(table[c] for c in word)
-
-    a = min(rules)
-    trail = [a]
-    while True:
-        a = rules[a][0]
-        if a in trail:
-            t = len(trail) - trail.index(a)
-            break
-        trail.append(a)
-    power = {c: c for c in rules}
-    for _ in range(t):
-        power = {c: apply(rules, w) for c, w in power.items()}
-    while min(len(w) for w in power.values()) < 2:
-        power = {c: apply(power, w) for c, w in power.items()}
-    s = len(power[a])
-    for p in range(1, len(rules) + 1):
-        y = a
-        while len(y) < p:
-            y = apply(power, y)
-        if apply(power, y[:p]) == y[:p] * s:
-            return False
-    return True
 
 
 def cyclic_count(word: str, u: str) -> Fraction:
@@ -412,25 +355,13 @@ class TestSubstitutionMeasures:
                 vec = measure_vector(spec, n)
                 ext = measure_vector(spec, n + 1)
                 for u, mu in vec.items():
-                    right = [ext[u + a] for a in letters if u + a in ext]
-                    left = [ext[a + u] for a in letters if a + u in ext]
-                    rsum = right[0]
-                    for x in right[1:]:
-                        rsum = rsum + x
-                    lsum = left[0]
-                    for x in left[1:]:
-                        lsum = lsum + x
-                    assert rsum == mu
-                    assert lsum == mu
+                    assert sum(ext[u + a] for a in letters if u + a in ext) == mu
+                    assert sum(ext[a + u] for a in letters if a + u in ext) == mu
 
     def test_total_mass_exact(self):
         for spec in (TM, FIB):
             for n in (1, 2, 3, 4):
-                vals = list(measure_vector(spec, n).values())
-                total = vals[0]
-                for x in vals[1:]:
-                    total = total + x
-                assert total == 1
+                assert sum(measure_vector(spec, n).values()) == 1
 
     def test_positivity_certified(self):
         for spec in (TM, FIB):
@@ -458,65 +389,14 @@ class TestSubstitutionMeasures:
             cylinder_measure(Substitution.of({"1": "12", "2": "22"}), "1")
 
 
-def primitive_corpus(seed: int, count: int) -> list:
-    """Seeded primitive substitutions on 2-4 letters, images of 1-4."""
-    rng = random.Random(seed)
-    specs = []
-    while len(specs) < count:
-        letters = "1234"[:rng.randint(2, 4)]
-        spec = Substitution.of({
-            c: "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
-            for c in letters})
-        if is_primitive(spec):
-            specs.append(spec)
-    return specs
-
-
-def is_primitive_matrix(rows) -> bool:
-    """Some power of the nonnegative square matrix is positive.
-
-    By Wielandt's bound that power may be taken as 2**j >= (r - 1)**2 + 1,
-    reached by squaring the zero pattern, each row a bitmask.
-    """
-    r = len(rows)
-    reach = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
-    power = 1
-    while power < (r - 1) ** 2 + 1:
-        reach = [functools.reduce(operator.or_, (reach[j] for j in range(r)
-                                                 if row >> j & 1), 0)
-                 for row in reach]
-        power *= 2
-    return all(row == (1 << r) - 1 for row in reach)
-
-
-def assert_perron_certificate(spec, n, mu):
-    """mu, over language(spec, n), is the Perron vector of the n-block
-    substitution: B mu = lambda mu, sum(mu) = 1 and mu > 0, with B
-    primitive (Queffelec, LNM 1294, ch. V).  By Perron-Frobenius only one
-    vector passes, so this pins mu without solving for it."""
-    blocks, sub = block_substitution(spec, n)
-    col = {u: collections.Counter(sub[u]) for u in blocks}
-    rows = [[col[u][v] for u in blocks] for v in blocks]
-    assert is_primitive_matrix(rows), n
-    lam = subshift._spec_perron(spec)[0]
-    image = [sum(c * x for c, x in zip(row, mu) if c) for row in rows]
-    assert image == [lam * x for x in mu], n
-    assert sum(mu) == 1 and all(x > 0 for x in mu), n
-
-
 class TestMeasureRecursion:
     """Measures pushed from the 2-blocks against the block-nullspace solve,
     and at n = 7 and 8, where that solve is slow, against the Perron
     certificate."""
 
     SPECS = [
-        (TM, 12),
-        (Substitution.of({"1": "12", "2": "11"}), 12),  # period doubling
-        (FIB, 12),
-        (Substitution.of({"1": "12", "2": "13", "3": "1"}), 12),  # tribonacci
-        (Substitution.of({"1": "1234", "2": "2143", "3": "3412",
-                          "4": "4321"}), 6),
-    ] + [(spec, 8) for spec in primitive_corpus(2026, 40)]
+        (TM, 12), (PD, 12), (FIB, 12), (TRIB, 12), (S4, 6),
+    ] + [(spec, 8) for spec in substitution_corpus(2026, 40)]
 
     @pytest.mark.parametrize("spec,nmax", SPECS)
     def test_equals_nullspace_solution(self, spec, nmax):
@@ -579,8 +459,7 @@ class TestPlainMeasures:
         assert float(cylinder_measure(TM, "12")) == pytest.approx(1 / 3)
 
     def test_algebraic_measures(self):
-        trib = Substitution.of({"1": "12", "2": "13", "3": "1"})
-        for spec in (FIB, trib):
+        for spec in (FIB, TRIB):
             for n in (1, 2, 3):
                 for v in measure_vector(spec, n).values():
                     assert isinstance(v, AlgebraicNumber)
