@@ -132,17 +132,15 @@ class BumpProfile:
             return np.ones_like(x)
         z = np.subtract(x, self.center, out=np.empty_like(x, dtype=float))
         z /= self.width
-        # off the support the clamp makes 1 - z**2 exactly +0.0; pow is slow
-        # at 0, so those rows take 1.0 to the power and the mask zeroes
-        # them (keep the power 3: u * u * u differs in the last bit)
         np.clip(z, -1.0, 1.0, out=z)
         np.square(z, out=z)
         np.subtract(1.0, z, out=z)
-        inside = z > 0.0
-        z += ~inside
-        np.power(z, 3, out=z)
-        z *= inside
-        return z
+        # off the support the clamp makes u = 1 - z**2 exactly +0.0, so its
+        # cube is +0.0 with no mask; (u * u) * u is two IEEE multiplies and
+        # so the same bits on every SIMD path, which np.power's are not
+        cube = np.square(z)
+        cube *= z
+        return cube
 
     # max |d^k/dx^k| over the line, from the polynomial (1-z^2)**3:
     # |phi'| <= 2.08, |phi''| <= 6, |phi'''| <= 48, |phi''''| <= 288.
@@ -187,11 +185,23 @@ class TestFunction:
     def word_indicator(u: str, start: int = 0) -> "TestFunction":
         return TestFunction(word_part=CylinderFunction.of("Z", start, {u: 1}))
 
+    @property
+    def letters_only(self) -> bool:
+        """Whether the function reads the letter window alone.
+
+        Then it reads no t, omega or s, and a batch moved by
+        SampleBatch.scaled serves it as well as one moved by act.
+        """
+        return (self.omega_part is None and self.t_bump.name == "one"
+                and self.s_bump.name == "one")
+
     def on_batch(self, batch: "SampleBatch") -> np.ndarray:
         # letter x omega x t x s; constant profiles are skipped: x * 1.0 == x
         out = None
         for factor in self._factors(batch):
             out = factor if out is None else np.multiply(out, factor, out=out)
+            # a spent factor's buffer is free for the next one
+            del factor
         return np.ones(batch.n) if out is None else out
 
     def _factors(self, batch: "SampleBatch"):
@@ -295,7 +305,8 @@ class SampleBatch:
     windows[index[i]], whose position `origin` is letter index 0.
     act rebinds the coordinate arrays and never writes into them, so
     copies share every array and group elements can be applied to
-    common random numbers at no cost.
+    common random numbers at no cost.  A batch from scaled has t and
+    omega None.
     """
 
     __slots__ = ("omega", "t", "s", "cursor", "index", "windows", "origin",
@@ -311,7 +322,7 @@ class SampleBatch:
         self.windows = windows
         self.origin = origin
         self.precision = precision
-        self.n = len(t)
+        self.n = len(s)
 
     def copy(self) -> "SampleBatch":
         return self.with_index(self.index)
@@ -331,12 +342,43 @@ class SampleBatch:
         """Carry t and s into normal form: the action of the identity."""
         self.act(1.0, 0.0)
 
-    def act(self, a: float, b: float):
+    def _scale(self, a: float, b: float):
+        """The scale half of act: the moved s and its wraps, writing nothing.
+
+        Returns s in [0, 1), floor of the unwrapped s (float and int64),
+        its maximum and the digits its halvings use.  Every error act
+        raises is raised here.
+        """
         if not (math.isfinite(a) and math.isfinite(b) and a > 0):
             raise ValueError("need a finite scale a > 0, finite translation")
+        s = self.s + math.log2(a)
+        f = np.floor(s)
+        top, low = f.max(), f.min()
+        if top >= _MAX_WRAPS:
+            raise ValueError("scale coordinate does not wrap down to [0,1)")
+        cursor = f.astype(np.int64)
+        s -= f
+        steps = max(-int(low), 0)
+        if steps > self.precision:
+            raise PrecisionExhausted("no dyadic digits left to halve")
+        return s, f, cursor, top, steps
+
+    def scaled(self, a: float, b: float) -> "SampleBatch":
+        """A copy moved by (a, b) in s, the cursor and the precision alone.
+
+        Its t and omega are None.  A test function that reads neither
+        (TestFunction.letters_only) takes the same values on it as on
+        the fully moved copy, and it raises exactly what act raises.
+        """
+        s, _, cursor, _, steps = self._scale(a, b)
+        cursor += self.cursor
+        return SampleBatch(None, None, s, cursor, self.index, self.windows,
+                           self.origin, self.precision - steps)
+
+    def act(self, a: float, b: float):
+        s, f, cursor, top, steps = self._scale(a, b)
         # b / (a * 2**s) is a zero of b's sign when b is zero
         t = self.t + b if b == 0 else b / (a * np.exp2(self.s)) + self.t
-        s = self.s + math.log2(a)
         c = np.floor(t)
         t -= c
         # a tiny negative t leaves 1 - |t|, which rounds to 1.0: one more wrap
@@ -349,15 +391,6 @@ class SampleBatch:
             c -= np.trunc(c * 2.0 ** -self.precision) * 2.0 ** self.precision
         omega = c.astype(np.int64)
         omega += self.omega
-        f = np.floor(s)
-        top, low = f.max(), f.min()
-        if top >= _MAX_WRAPS:
-            raise ValueError("scale coordinate does not wrap down to [0,1)")
-        cursor = f.astype(np.int64)
-        s -= f
-        steps = max(-int(low), 0)
-        if steps > self.precision:
-            raise PrecisionExhausted("no dyadic digits left to halve")
         if top > 0:
             # k wraps down in s double t and shift omega, all exactly, so
             # they are one shift and one carry below 2**63; omega stays
@@ -459,21 +492,24 @@ def _moved(batch: SampleBatch, a: float, b: float,
     return out
 
 
-def _per_row(base: SampleBatch, values, size: int = _BLOCK) -> list:
+def _per_row(base: SampleBatch, values, size: int = _BLOCK, *,
+             scale_only: bool = False) -> list:
     """Full-length columns of per-row values, computed a block at a time.
 
     values(rows, block, move) yields arrays over `block`, the view of
     base's rows in the slice `rows`, one per column; move(a, b) is a
-    moved copy of the block.  Each block keeps the digits the whole
+    moved copy of the block.  With scale_only, for test functions that
+    read the letter window alone, it is moved by the scale half only
+    (SampleBatch.scaled).  Else each block keeps the digits the whole
     batch keeps (those of its row with the smallest s, which halves the
-    most), so a moved block holds exactly the whole batch's moved rows,
-    and the columns reduce to the whole batch's statistics bit for bit.
-    If a block raises, the whole batch runs as one block and raises its
-    first error.
+    most), so a moved block holds exactly the whole batch's moved rows.
+    Either way the columns reduce to the whole batch's statistics bit
+    for bit.  If a block raises, the whole batch runs as one block and
+    raises its first error.
     """
     if size >= base.n:
-        return list(values(slice(None), base,
-                           lambda a, b: _moved(base, a, b)))
+        return list(values(slice(None), base, base.scaled if scale_only
+                           else lambda a, b: _moved(base, a, b)))
     i = int(base.s.argmin())
     lowest = base.rows(slice(i, i + 1))
     digits = {}
@@ -490,13 +526,14 @@ def _per_row(base: SampleBatch, values, size: int = _BLOCK) -> list:
         for lo in range(0, base.n, size):
             rows = slice(lo, lo + size)
             block = base.rows(rows)
-            for j, v in enumerate(values(rows, block, lambda a, b:
-                                         _moved(block, a, b, kept(a, b)))):
+            move = block.scaled if scale_only else (
+                lambda a, b: _moved(block, a, b, kept(a, b)))
+            for j, v in enumerate(values(rows, block, move)):
                 if j == len(cols):
                     cols.append(np.empty(base.n, dtype=v.dtype))
                 cols[j][rows] = v
     except (ValueError, PrecisionExhausted, ColourWindowExhausted):
-        return _per_row(base, values, base.n)
+        return _per_row(base, values, base.n, scale_only=scale_only)
     return cols
 
 
@@ -526,6 +563,7 @@ def invariance_reports(base: SampleBatch, cases, g_list,
     the moved block; only the per-g scalars are kept.
     """
     _check_rows(base)
+    scale_only = all(f.letters_only for f, _ in cases)
     f0 = _per_row(base, lambda rows, block, move: (
         f.on_batch(block.with_index(index[rows])) for f, index in cases))
     per_g = [[] for _ in cases]
@@ -535,7 +573,8 @@ def invariance_reports(base: SampleBatch, cases, g_list,
             for (f, index), fk in zip(cases, f0):
                 yield f.on_batch(moved.with_index(index[rows])) - fk[rows]
 
-        for d, out in zip(_per_row(base, diffs), per_g):
+        for d, out in zip(_per_row(base, diffs, scale_only=scale_only),
+                          per_g):
             diff, se = _mean_se(d)
             out.append({"g": [float(a), float(b)], "statistic": diff,
                         "std_error": se,
@@ -584,7 +623,7 @@ def harmonicity_report(base: SampleBatch, f: TestFunction, seed: int, *,
                + f.on_batch(move(1.0 - h, 0.0))
                - 4.0 * centre) / (h * h)
 
-    lap, = _per_row(base, laplacian)
+    lap, = _per_row(base, laplacian, scale_only=f.letters_only)
     stat, se = _mean_se(lap)
     bias = f.laplacian_bias(h)
     ok = abs(stat) <= 3.0 * se + bias + _EXACT_SLACK
@@ -629,7 +668,8 @@ def tau_reports(base: SampleBatch, pairs, seed: int, *,
             yield yf_g0
             yield yf_g0 + yg * f0
 
-    cols = _per_row(base, products)
+    cols = _per_row(base, products, scale_only=all(
+        f.letters_only and g.letters_only for f, g in pairs))
     reports = []
     for (f, g), yf_g0, sym in zip(pairs, cols[::2], cols[1::2]):
         tau, se = _mean_se(yf_g0)

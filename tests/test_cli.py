@@ -16,7 +16,7 @@ from hyptile import cli
 from hyptile.cli import main
 from hyptile.geometry import ColourWindow, generate_patch
 from hyptile.hull import TestFunction as TFn
-from hyptile.hull import (first_word_control, harmonicity_check,
+from hyptile.hull import (BumpProfile, first_word_control, harmonicity_check,
                           invariance_check, invariance_reports, sample_batch,
                           tau_pairing)
 from hyptile.subshift import language, parse_spec, spec_to_json
@@ -136,12 +136,15 @@ class TestSmallCommands:
         assert digest == expect
 
     # sha256 of stdout at 20000 samples: every statistic of every report
-    # depends on the chart identification bit for bit
+    # depends on the chart identification bit for bit.  cocycle's moves
+    # have b = 0 and are the same on every SIMD path; hullcheck's read
+    # np.exp2, whose last bits differ between numpy's dispatch paths, and
+    # its digest is the one on the AVX-512 path
     @pytest.mark.parametrize("command, spec, seed, expect", [
-        ("hullcheck", THUE_MORSE, 7, "0d9762936dbd1a717e4d84bc87ae569a"
-                                     "dfd08219544740b092bf65ef8fa50b64"),
-        ("cocycle", FIBONACCI, 3, "fdb902dc7a882983de6ce5c7910d8d38"
-                                  "fcbd4297844d0f63466f42681673aa33"),
+        ("hullcheck", THUE_MORSE, 7, "2d721b95b97963aa51b0f4b9a820b1d6"
+                                     "6bf8b54cebd640f27b7419add0525b1c"),
+        ("cocycle", FIBONACCI, 3, "a759110bb34e788534dc1783727ffb59"
+                                  "bae6e89a1aae842d505dba6c3f1730e5"),
     ])
     def test_hull_reports_are_pinned(self, tmp_path, capsys, command, spec,
                                      seed, expect):
@@ -514,13 +517,69 @@ class TestErrorHygiene:
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(args):
-    """A fresh interpreter with the package's src on its path."""
+def run_python(args, **environ):
+    """A fresh interpreter with the package's src on its path.
+
+    environ holds more variables for it, or None to remove one.
+    """
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src")
                + (os.pathsep + path if path else ""))
+    for key, value in environ.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, timeout=120, env=env)
+
+
+def simd_tables():
+    """numpy's dispatch targets and the CPU features it found."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_dispatch__, umath.__cpu_features__
+
+
+BUMP_ROWS = np.arange(20_000) / 20_000.0
+
+
+def bump_and_cocycle(out):
+    """bump3's bytes on BUMP_ROWS, and the cocycle report written to out."""
+    bump = BumpProfile("bump3", 0.5, 0.45)(BUMP_ROWS).tobytes().hex()
+    assert main(["cocycle", "--spec", write_spec(Path(out).parent, FIBONACCI),
+                 "--samples", "20000", "--seed", "3", "--out", out]) == 0
+    return bump, Path(out).read_text()
+
+
+ON_BASELINE = f"""
+import json, sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from test_cli import bump_and_cocycle, simd_tables
+features = simd_tables()[1]
+targets = json.loads(sys.argv[1])
+print(json.dumps([[t for t in targets if features[t]],
+                  bump_and_cocycle(sys.argv[2])]))
+"""
+
+
+def test_hull_outputs_do_not_depend_on_the_simd_path(tmp_path):
+    # numpy picks a kernel per CPU among its dispatch targets; a fresh
+    # interpreter with every target this CPU has disabled runs the
+    # baseline kernels, which must give the same bits
+    dispatch, features = simd_tables()
+    targets = [t for t in dispatch if features.get(t)]
+    if not targets:
+        pytest.skip("this CPU runs numpy's baseline kernels only")
+    out = str(tmp_path / "cocycle.json")
+    proc = run_python(["-c", ON_BASELINE, json.dumps(targets), out],
+                      NPY_DISABLE_CPU_FEATURES=" ".join(targets),
+                      NPY_ENABLE_CPU_FEATURES=None)
+    assert proc.returncode == 0, proc.stderr
+    still_on, got = json.loads(proc.stdout)
+    assert still_on == []
+    assert got == list(bump_and_cocycle(out))
 
 
 def test_module_entry_point(tmp_path):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import warnings
 
@@ -71,7 +72,10 @@ def ref_normalize(om, prec, t, s, cur):
 def ref_act(a, b, p):
     om, prec, t, s, cur = p
     # np.exp2 as in SampleBatch.act: 2.0 ** s differs from it in the last
-    # place for some s, and a huge b turns that place into another carry
+    # place for some s, and a huge b turns that place into another carry.
+    # np.exp2's last bits also depend on numpy's SIMD path, which this
+    # call shares with act's in one process.  s, the cursor and the
+    # precision (act's scale half, SampleBatch.scaled) need no exp2
     u = float(np.exp2(s))
     return ref_normalize(om, prec, t + b / (a * u), s + math.log2(a), cur)
 
@@ -464,12 +468,17 @@ class TestTestFunction:
 
     @staticmethod
     def gathered_bump(x, c, w):
-        """(1 - z**2)**3 evaluated on the support only and scattered back."""
+        """(1 - z**2)**3 evaluated on the support only and scattered back.
+
+        The cube is (v * v) * v, two IEEE multiplies, whose bits do not
+        depend on the CPU.
+        """
         z = (x - c) / w
         inside = np.abs(z) < 1.0
         u = z[inside]
+        v = 1.0 - np.square(u)
         out = np.zeros_like(z)
-        out[inside] = np.power(1.0 - np.square(u), 3)
+        out[inside] = (v * v) * v
         return out
 
     def test_bump_equals_evaluation_on_every_row(self):
@@ -721,6 +730,83 @@ class TestInvarianceCheck:
             self.GS, 5152)[0]
         assert not rep["pass"]
         assert any(not g["pass"] for g in rep["per_g"])
+
+
+class TestScaleOnlyMoves:
+    """A letter-only function's checks move s and the cursor alone.
+
+    Times a constant-1 omega factor, the same function reads omega and
+    so forces the full act; its values and errors are the reference.
+    """
+
+    N = _BLOCK + 1000  # two blocks
+
+    @staticmethod
+    def full_act(f):
+        return TFn(word_part=f.word_part,
+                   omega_part=LocallyConstFn.constant(1))
+
+    @staticmethod
+    def wrapping_moves(seed):
+        # log2(a) in (-2, 2): s wraps up or down by up to two digits
+        rng = np.random.default_rng(seed)
+        return [(float(2.0 ** u), float(b)) for u, b in
+                zip(rng.uniform(-2.0, 2.0, 24), rng.uniform(-3.0, 3.0, 24))]
+
+    @pytest.mark.parametrize("spec, seed", [(TM, 31), (FIB, 32)],
+                             ids=["tm", "fib"])
+    def test_report_equals_full_act(self, monkeypatch, spec, seed):
+        f = TFn.word_indicator(language(spec, 2)[0])
+        g = self.full_act(f)
+        assert f.letters_only and not g.letters_only
+        gs = self.wrapping_moves(seed) + [(0.25, 0.0), (4.0 - 1e-9, 1.0)]
+        full = json.dumps(invariance_check(spec, g, gs, self.N, seed))
+        acts = []
+        act = SampleBatch.act
+        monkeypatch.setattr(SampleBatch, "act", lambda self, a, b: (
+            acts.append((a, b)), act(self, a, b)))
+        scaled = json.dumps(invariance_check(spec, f, gs, self.N, seed))
+        assert acts == []
+        assert scaled == full
+        assert json.loads(scaled)["per_g"][0]["statistic"] != 0.0
+
+    def test_scaled_is_act_in_s_cursor_and_precision(self):
+        base = sample_batch(TM, 500, 36)
+        base.act(3.0, 0.2)  # cursors 1 and 2
+        assert base.cursor.any()
+        for a, b in self.wrapping_moves(36):
+            moved = base.copy()
+            moved.act(a, b)
+            got = base.scaled(a, b)
+            assert got.t is None and got.omega is None
+            assert got.s.tobytes() == moved.s.tobytes()
+            assert np.array_equal(got.cursor, moved.cursor)
+            assert (got.precision, got.n) == (moved.precision, moved.n)
+            assert got.index is base.index
+
+    def test_flow_and_laplacian_equal_full_act(self):
+        f = TFn.word_indicator("12")
+        g = self.full_act(f)
+        assert harmonicity_check(TM, f, self.N, 33) == \
+            harmonicity_check(TM, g, self.N, 33)
+        assert tau_pairing(TM, f, f, self.N, 34) == \
+            tau_pairing(TM, g, g, self.N, 34)
+
+    @pytest.mark.parametrize("a, b", [
+        (0.0, 0.0), (-1.0, 0.5), (math.nan, 0.0), (math.inf, 0.0),
+        (1.0, math.nan), (1.0, -math.inf), (2.0 ** 64, 0.0),
+        (2.0 ** 70, 1.0), (2.0 ** -50, 0.0), (2.0 ** -49, 2.5)],
+        ids=["zero", "negative", "nan-a", "inf-a", "nan-b", "inf-b",
+             "64-wraps", "70-wraps", "exhausted", "exhausted-b"])
+    def test_errors_equal_full_act(self, a, b):
+        f = TFn.word_indicator("12")
+        with pytest.raises(Exception) as expect:
+            invariance_check(TM, self.full_act(f), [(a, b)], self.N, 35)
+        with pytest.raises(Exception) as got:
+            invariance_check(TM, f, [(a, b)], self.N, 35)
+        assert type(got.value) is type(expect.value)
+        assert type(got.value) in (ValueError, PrecisionExhausted)
+        assert str(got.value) == str(expect.value)
 
 
 class TestHarmonicityCheck:
