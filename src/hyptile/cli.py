@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
@@ -49,15 +49,9 @@ _STOCHASTIC = ("hullcheck", "cocycle")
 _PATCHED = ("render", "patch")  # the commands that read --radius
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    command: str
-    spec: SubshiftSpec
-    radius: float
-    nmax: int | None
-    samples: int
-    seed: int | None
-    out: str | None
+class JobConfig(namedtuple("JobConfig",
+                           "command spec radius nmax samples seed out")):
+    __slots__ = ()
 
     def document(self) -> dict:
         doc = {"command": self.command, "spec": spec_to_json(self.spec),

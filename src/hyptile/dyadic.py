@@ -17,7 +17,7 @@ on request, an exact transfer witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -61,8 +61,7 @@ def dyadic(q) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
-class ClopenSet:
+class ClopenSet(namedtuple("ClopenSet", "cylinders")):
     """Finite disjoint union of cylinders F(n, k) = 2**n * Omega + k.
 
     Cylinders are stored normalized: residues reduced mod 2**n, pairwise
@@ -70,16 +69,16 @@ class ClopenSet:
     level.  The empty set is allowed.
     """
 
-    cylinders: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, cylinders):
         cyls = []
-        for n, k in self.cylinders:
+        for n, k in cylinders:
             if n < 0:
                 raise ValueError("cylinder level must be >= 0")
             cyls.append((n, k % (1 << n)))
         _check_disjoint(cyls)
-        object.__setattr__(self, "cylinders", _merge(cyls))
+        return super().__new__(cls, _merge(cyls))
 
     @staticmethod
     def cylinder(n: int, k: int) -> "ClopenSet":
@@ -134,20 +133,37 @@ def _merge(cyls):
     return tuple(cyls)
 
 
-@dataclass(frozen=True)
 class LocallyConstFn:
     """Function on the 2-adic integers constant on level-`level` cylinders.
 
     values[k] is the value on F(level, k).  Values are ints or Fractions;
-    all ring operations are exact.
+    all ring operations are exact.  Immutable and not a tuple, so `*`
+    stays undefined; equal and hashed as the tuple (level, values).
     """
 
-    level: int
-    values: tuple
+    __slots__ = ("level", "values")
 
-    def __post_init__(self):
-        if len(self.values) != 1 << self.level:
+    def __init__(self, level: int, values: tuple):
+        if len(values) != 1 << level:
             raise ValueError("value table length must be 2**level")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not LocallyConstFn:
+            return NotImplemented
+        return (self.level, self.values) == (other.level, other.values)
+
+    def __hash__(self):
+        return hash((self.level, self.values))
+
+    def __repr__(self):
+        return f"LocallyConstFn(level={self.level!r}, values={self.values!r})"
 
     @staticmethod
     def constant(c, level: int = 0) -> "LocallyConstFn":

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .dyadic import _v2, dyadic
@@ -55,17 +55,15 @@ def _pow2(k: int) -> Fraction:
     return Fraction(2) ** k
 
 
-@dataclass(frozen=True, init=False)
 class Point:
     """Point of the upper half-plane with dyadic coordinates, stored as
-    `dyadic` of the given values (ints become Fractions).
+    `dyadic` of the given values (ints become Fractions).  Immutable.
 
     The hash is computed once, when the Point is made: a table of edges
     keyed by their tile_vertices endpoints hashes both ends of each edge.
     """
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ("x", "y", "_hash")
 
     def __init__(self, x, y):
         x, y = dyadic(x), dyadic(y)
@@ -77,8 +75,21 @@ class Point:
         object.__setattr__(self, "_hash", hash((x.as_integer_ratio(),
                                                 y.as_integer_ratio())))
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not Point:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"Point(x={self.x!r}, y={self.y!r})"
 
 
 pt = Point  # short spelling of Point(x, y)
@@ -87,15 +98,13 @@ pt = Point  # short spelling of Point(x, y)
 BASE_VERTICES = (pt(0, 1), pt(Fraction(1, 2), 1), pt(1, 1), pt(1, 2), pt(0, 2))
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(namedtuple("AffineMap", "k b")):
     """z -> 2**k z + b with b dyadic: the exact maps the tiling uses."""
 
-    k: int
-    b: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "b", dyadic(self.b))
+    def __new__(cls, k: int, b=Fraction(0)):
+        return super().__new__(cls, k, dyadic(b))
 
     def apply(self, p: Point) -> Point:
         s = _pow2(self.k)
@@ -123,14 +132,11 @@ class AffineMap:
         return AffineMap(0, n)
 
 
-@dataclass(frozen=True)
-class TileIndex:
+class TileIndex(namedtuple("TileIndex", "k n colour", defaults=(None,))):
     """Tile R**k S**n P, the image of the base pentagon under
     z -> 2**k (z + n).  colour is an optional small int."""
 
-    k: int
-    n: int
-    colour: int | None = None
+    __slots__ = ()
 
     def affine(self) -> AffineMap:
         return AffineMap(self.k, self.n * _pow2(self.k))
@@ -149,8 +155,7 @@ def cosh_distance(p: Point, q: Point) -> Fraction:
     return 1 + (dx * dx + dy * dy) / (2 * p.y * q.y)
 
 
-@dataclass(frozen=True)
-class GeodesicArc:
+class GeodesicArc(namedtuple("GeodesicArc", "start end center radius_sq")):
     """Geodesic segment between two points.
 
     Vertical segments have center None; otherwise the full geodesic is the
@@ -158,10 +163,7 @@ class GeodesicArc:
     radius radius_sq.
     """
 
-    start: Point
-    end: Point
-    center: Fraction | None
-    radius_sq: Fraction | None
+    __slots__ = ()
 
 
 def geodesic_arc(p: Point, q: Point) -> GeodesicArc:
@@ -178,24 +180,24 @@ def geodesic_arc(p: Point, q: Point) -> GeodesicArc:
 DIGIT_LETTERS = tuple("123456789")
 
 
-@dataclass(frozen=True)
-class ColourWindow:
+class ColourWindow(namedtuple("ColourWindow", "word start alphabet")):
     """Finite window of a colour sequence: w[j] for start <= j < start+len.
 
-    The colour of a letter is 1 + its index in alphabet, which callers
-    take as the spec's sorted letters, so over an alphabet of exactly
-    1..r every digit is its own colour.  The default alphabet is 1..9.
+    The colour of a letter is 1 + its index in alphabet, a tuple of str,
+    which callers take as the spec's sorted letters, so over an alphabet
+    of exactly 1..r every digit is its own colour.  The default alphabet
+    is 1..9.
     """
 
-    word: str
-    start: int = 0
-    alphabet: tuple[str, ...] = DIGIT_LETTERS
+    __slots__ = ()
 
-    def __post_init__(self):
-        unknown = sorted(set(self.word) - set(self.alphabet))
+    def __new__(cls, word: str, start: int = 0,
+                alphabet: tuple[str, ...] = DIGIT_LETTERS):
+        unknown = sorted(set(word) - set(alphabet))
         if unknown:
             raise ValueError(f"letters {unknown} are not in the colour "
-                             f"alphabet {list(self.alphabet)}")
+                             f"alphabet {list(alphabet)}")
+        return super().__new__(cls, word, start, alphabet)
 
     def get(self, j: int) -> int:
         if not (self.start <= j < self.start + len(self.word)):
@@ -205,17 +207,17 @@ class ColourWindow:
         return 1 + self.alphabet.index(self.word[j - self.start])
 
 
-@dataclass(frozen=True)
-class TileSet:
-    tiles: tuple[TileIndex, ...]
-    radius: float
+class TileSet(namedtuple("TileSet", "tiles radius")):
+    """TileIndexes, each (k, n) once, kept in (k, n) order."""
 
-    def __post_init__(self):
-        idx = [(t.k, t.n) for t in self.tiles]
+    __slots__ = ()
+
+    def __new__(cls, tiles, radius: float):
+        idx = [(t.k, t.n) for t in tiles]
         if len(set(idx)) != len(idx):
             raise ValueError("duplicate tile index")
-        object.__setattr__(
-            self, "tiles", tuple(sorted(self.tiles, key=lambda t: (t.k, t.n))))
+        return super().__new__(
+            cls, tuple(sorted(tiles, key=lambda t: (t.k, t.n))), radius)
 
     def index_set(self) -> set[tuple[int, int]]:
         return {(t.k, t.n) for t in self.tiles}
@@ -392,16 +394,10 @@ def tile_distance_sinh2(t: TileIndex) -> Fraction:
 
 # -- adjacency ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class AdjacencyReport:
-    interior: tuple
-    boundary: tuple
-    interior_positive: int
-    interior_negative: int
-    tally: int
-    boundary_positive: int
-    boundary_negative: int
-    top_matches: tuple
+class AdjacencyReport(namedtuple("AdjacencyReport", [
+        "interior", "boundary", "interior_positive", "interior_negative",
+        "tally", "boundary_positive", "boundary_negative", "top_matches"])):
+    __slots__ = ()
 
     def boundary_charge_gap(self) -> int:
         """Negative minus positive boundary edges.  Each tile carries one

@@ -23,14 +23,14 @@ fixed number of RNG streams spawned from one seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 
-from .dyadic import LocallyConstFn, PrecisionExhausted
+from .dyadic import PrecisionExhausted
 from .geometry import ColourWindow, ColourWindowExhausted, TileSet, generate_patch
 from .ktheory import CylinderFunction
 from .subshift import SubshiftSpec, alphabet, language, measure_vector
@@ -102,8 +102,7 @@ def random_colour_window(spec: SubshiftSpec, rng, halfwidth: int) -> ColourWindo
 
 # -- test functions ------------------------------------------------------
 
-@dataclass(frozen=True)
-class BumpProfile:
+class BumpProfile(namedtuple("BumpProfile", "name center width")):
     """Named C2 profile in one real variable.
 
     "one" is the constant 1; "bump3" is (1 - z**2)**3 on |z| < 1 with
@@ -111,21 +110,21 @@ class BumpProfile:
     the open unit interval so wrapping the coordinate never crosses it.
     """
 
-    name: str = "one"
-    center: float = 0.5
-    width: float = 0.25
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name not in ("one", "bump3"):
-            raise ValueError(f"unknown profile {self.name!r}")
-        if self.name == "bump3":
+    def __new__(cls, name: str = "one", center: float = 0.5,
+                width: float = 0.25):
+        if name not in ("one", "bump3"):
+            raise ValueError(f"unknown profile {name!r}")
+        if name == "bump3":
             # a NaN fails every comparison below, so it is refused first
-            if not (math.isfinite(self.center) and math.isfinite(self.width)):
+            if not (math.isfinite(center) and math.isfinite(width)):
                 raise ValueError("bump center and width must be finite")
-            if self.width <= 0:
+            if width <= 0:
                 raise ValueError("bump width must be positive")
-            if self.center - self.width <= 0 or self.center + self.width >= 1:
+            if center - width <= 0 or center + width >= 1:
                 raise ValueError("bump support must lie inside (0, 1)")
+        return super().__new__(cls, name, center, width)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.name == "one":
@@ -154,8 +153,9 @@ class BumpProfile:
 ONE = BumpProfile("one")
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(namedtuple("TestFunction",
+                              "word_part omega_part t_bump s_bump",
+                              defaults=(None, None, ONE, ONE))):
     """Product observable: letters x odometer x smooth (t, s) profile.
 
     The letter factor reads the window through the cursor, the odometer
@@ -163,13 +163,11 @@ class TestFunction:
     factor is a product of named profiles.  Values are bounded; with
     interior bump profiles in both t and s the function is C2 along
     leaves, because every chart identification happens where the bumps
-    vanish to second order.
+    vanish to second order.  word_part is a CylinderFunction or None,
+    omega_part a LocallyConstFn or None, and both bumps BumpProfiles.
     """
 
-    word_part: CylinderFunction | None = None
-    omega_part: LocallyConstFn | None = None
-    t_bump: BumpProfile = ONE
-    s_bump: BumpProfile = ONE
+    __slots__ = ()
 
     @staticmethod
     def constant() -> "TestFunction":
@@ -474,10 +472,12 @@ def _check_rows(base: SampleBatch):
                          f"the batch has {base.n}")
 
 
-# Most rows per block in the checks: an action's block-sized temporaries
-# are reused from the heap, where whole-batch ones were mapped and
-# faulted in again at every action; at 2048 rows numpy's per-call cost
-# shows.
+# Most rows per block in the checks, sized by time, not by page faults:
+# on a 2-vCPU VM the hull benchmark's four jobs took 0.20 s at 16384 rows
+# and 0.22-0.24 s at 8192 (medians of 7, in one process), while a
+# 100 000-row hullcheck's minor faults fell only from about 2 630 to
+# 2 560 over its 96 actions.  Smaller blocks pay numpy's per-call cost
+# more often; whole-batch temporaries are mapped afresh at each action.
 _BLOCK = 16384
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .dyadic import dyadic, odd_part
@@ -108,19 +108,41 @@ def _coerce_coeff(ring: str, value):
     return int(value)
 
 
-@dataclass(frozen=True)
 class CylinderFunction:
     """Finitely supported combination of cylinder indicators.
 
     The function sits on the window [start, start + L) where L is the
     shared length of the coefficient words; the empty coefficient map is
     the zero function.  Coefficients live in Z or Z[1/2] according to
-    the ring flag.
+    the ring flag.  coeffs is sorted ((word, coefficient), ...).
+    Immutable and not a tuple, so `*` stays undefined; equal and hashed
+    as the tuple (ring, start, coeffs).
     """
 
-    ring: str
-    start: int
-    coeffs: tuple  # sorted ((word, coefficient), ...)
+    __slots__ = ("ring", "start", "coeffs")
+
+    def __init__(self, ring: str, start: int, coeffs: tuple):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not CylinderFunction:
+            return NotImplemented
+        return ((self.ring, self.start, self.coeffs)
+                == (other.ring, other.start, other.coeffs))
+
+    def __hash__(self):
+        return hash((self.ring, self.start, self.coeffs))
+
+    def __repr__(self):
+        return (f"CylinderFunction(ring={self.ring!r}, start={self.start!r}, "
+                f"coeffs={self.coeffs!r})")
 
     @classmethod
     def of(cls, ring: str, start: int, mapping) -> "CylinderFunction":
@@ -277,18 +299,47 @@ def cf_equal(spec: SubshiftSpec, f: CylinderFunction,
 # groups
 
 
-@dataclass(frozen=True)
 class FPAbelianGroup:
-    """Finitely presented abelian group in Smith-canonical form."""
+    """Finitely presented abelian group in Smith-canonical form.
 
-    ring: str
-    rank: int
-    torsion: tuple  # invariant factors > 1, odd when ring = Z[1/2]
-    generators: tuple  # ((name, CylinderFunction representative), ...)
-    stabilized: bool
-    n_used: int
-    approximate: bool = False
-    pres: object = field(default=None, repr=False, compare=False)
+    torsion holds the invariant factors > 1, odd when ring = Z[1/2];
+    generators is ((name, CylinderFunction representative), ...).  pres,
+    the _Presentation the group was read from, is left out of ==, hash
+    and repr: equal and hashed as the tuple of the other fields.
+    """
+
+    __slots__ = ("ring", "rank", "torsion", "generators", "stabilized",
+                 "n_used", "approximate", "pres")
+
+    def __init__(self, ring: str, rank: int, torsion: tuple,
+                 generators: tuple, stabilized: bool, n_used: int,
+                 approximate: bool = False, pres=None):
+        for name, value in zip(FPAbelianGroup.__slots__, (
+                ring, rank, torsion, generators, stabilized, n_used,
+                approximate, pres)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return (self.ring, self.rank, self.torsion, self.generators,
+                self.stabilized, self.n_used, self.approximate)
+
+    def __eq__(self, other):
+        if type(other) is not FPAbelianGroup:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("FPAbelianGroup(ring={!r}, rank={!r}, torsion={!r}, "
+                "generators={!r}, stabilized={!r}, n_used={!r}, "
+                "approximate={!r})".format(*self._key()))
 
     @property
     def is_zero(self) -> bool:
@@ -324,18 +375,19 @@ def group_to_json(g: FPAbelianGroup) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class _Presentation:
-    ring: str
-    level: int  # window length N of the relation index set
-    cols: tuple  # language(N + 1), the generator words
-    rows: tuple  # one combined relation per word of language(N)
-    v: tuple
-    v_inv: tuple
-    diag: tuple
-    tors: tuple  # ((column index, invariant factor), ...)
-    free: tuple  # column indices
-    kernel: tuple  # rows of U past the rank: a basis of {c : c * rows = 0}
+class _Presentation(namedtuple("_Presentation", [
+        "ring",
+        "level",  # window length N of the relation index set
+        "cols",  # language(N + 1), the generator words
+        "rows",  # one combined relation per word of language(N)
+        "v",
+        "v_inv",
+        "diag",
+        "tors",  # ((column index, invariant factor), ...)
+        "free",  # column indices
+        "kernel",  # rows of U past the rank: a basis of {c : c * rows = 0}
+])):
+    __slots__ = ()
 
     def relation_basis(self) -> list:
         """Rows diag[i] * V^-1[i] spanning the relation lattice.
@@ -450,13 +502,20 @@ def _iter_levels(spec: SubshiftSpec, ring: str, n_max: int):
         yield pres
 
 
-def _coinvariant_chain(spec: SubshiftSpec, ring: str, n_max: int):
-    """Presentations for N = 1..n_max plus per-step isomorphism flags."""
-    levels = list(_iter_levels(spec, ring, n_max))
-    isos = [
-        _bonding_is_iso(levels[i], levels[i + 1], ring)
-        for i in range(len(levels) - 1)
-    ]
+def _coinvariant_chain(spec: SubshiftSpec, ring: str, n_max: int,
+                       upto_pick: bool = False):
+    """Presentations for N = 1..n_max plus per-step isomorphism flags.
+
+    With upto_pick the chain ends at the first level whose two incoming
+    maps are isomorphisms, two levels past coinvariants' pick.
+    """
+    levels, isos = [], []
+    for pres in _iter_levels(spec, ring, n_max):
+        if levels:
+            isos.append(_bonding_is_iso(levels[-1], pres, ring))
+        levels.append(pres)
+        if upto_pick and isos[-2:] == [True, True]:
+            break
     return levels, isos
 
 
@@ -484,11 +543,10 @@ def coinvariants(spec: SubshiftSpec, ring: str,
                   n_max + 1)
         return _group_from(_presentation(spec, ring, min(n0, n_max)),
                            n0 <= n_max, approx)
-    levels, isos = _coinvariant_chain(spec, ring, n_max)
-    pick = next((i for i in range(len(isos) - 1)
-                 if isos[i] and isos[i + 1]), None)
-    return _group_from(levels[-1 if pick is None else pick],
-                       pick is not None, approx)
+    # the chain stops two levels past the pick, if there is one
+    levels, isos = _coinvariant_chain(spec, ring, n_max, upto_pick=True)
+    picked = isos[-2:] == [True, True]
+    return _group_from(levels[-3 if picked else -1], picked, approx)
 
 
 def invariant_rank(spec: SubshiftSpec, ring: str, n: int) -> int:
@@ -625,17 +683,18 @@ def cech_cohomology(spec: SubshiftSpec, n_max: int = 8) -> dict:
 # gap labels
 
 
-@dataclass(frozen=True)
-class GapLabelGroup:
+class GapLabelGroup(namedtuple("GapLabelGroup", [
+        "kind",  # "rational" | "algebraic"
+        "minpoly",  # ascending Fraction coefficients, monic, or None
+        "generators",  # Fraction | AlgebraicNumber, reduced, each in (0, 1]
+        "chain",  # per-truncation records, n = 1..n_used
+        "stabilized",
+        "n_used",
+        "dyadic_base",  # odd part of the generator when halving, or None
+])):
     """Subgroup of (R, +) spanned by cylinder measures, per truncation."""
 
-    kind: str  # "rational" | "algebraic"
-    minpoly: tuple | None  # ascending Fraction coefficients, monic
-    generators: tuple  # Fraction | AlgebraicNumber, reduced, each in (0, 1]
-    chain: tuple  # per-truncation records, n = 1..n_used
-    stabilized: bool
-    n_used: int
-    dyadic_base: Fraction | None  # odd part of the generator when halving
+    __slots__ = ()
 
 
 def _frac_rows_canon(rows) -> tuple:

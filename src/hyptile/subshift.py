@@ -37,7 +37,6 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebraic import perron_eigenvalue, nullspace_vector
@@ -51,29 +50,30 @@ class UnsupportedSpec(Exception):
     """Raised for measure requests outside the uniquely ergodic cases."""
 
 
-@dataclass(frozen=True)
-class Periodic:
-    word: str
+class Periodic(collections.namedtuple("Periodic", "word")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_letters(self.word)
-        if not self.word:
+    def __new__(cls, word: str):
+        _check_letters(word)
+        if not word:
             raise ValueError("periodic word must be nonempty")
+        return super().__new__(cls, word)
 
 
-@dataclass(frozen=True)
-class Substitution:
-    rules: tuple[tuple[str, str], ...]  # sorted (letter, image) pairs
+class Substitution(collections.namedtuple("Substitution", "rules")):
+    """rules: the sorted (letter, image) pairs."""
+
+    __slots__ = ()
 
     @staticmethod
     def of(mapping) -> "Substitution":
         return Substitution(tuple(sorted(mapping.items())))
 
-    def __post_init__(self):
-        if not self.rules:
+    def __new__(cls, rules: tuple[tuple[str, str], ...]):
+        if not rules:
             raise ValueError("substitution rules must be nonempty")
         seen = set()
-        for letter, image in self.rules:
+        for letter, image in rules:
             if len(letter) != 1:
                 raise ValueError("rule keys must be single letters")
             if letter in seen:
@@ -81,28 +81,30 @@ class Substitution:
             seen.add(letter)
             if not image:
                 raise ValueError(f"empty image for letter {letter!r}")
-        for letter, image in self.rules:
+        for letter, image in rules:
             for c in image:
                 if c not in seen:
                     raise ValueError(f"image letter {c!r} has no rule")
         _check_letters("".join(seen))
+        return super().__new__(cls, rules)
 
     def mapping(self) -> dict:
         return dict(self.rules)
 
 
-@dataclass(frozen=True)
-class ExplicitWindow:
-    left: str   # letters at indices ..., -2, -1
-    right: str  # letters at indices 0, 1, ...
-    horizon: int
+class ExplicitWindow(collections.namedtuple("ExplicitWindow", [
+        "left",  # letters at indices ..., -2, -1
+        "right",  # letters at indices 0, 1, ...
+        "horizon"])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_letters(self.left + self.right)
-        if not (self.left + self.right):
+    def __new__(cls, left: str, right: str, horizon: int):
+        _check_letters(left + right)
+        if not (left + right):
             raise ValueError("window must be nonempty")
-        if self.horizon < 1:
+        if horizon < 1:
             raise ValueError("horizon must be >= 1")
+        return super().__new__(cls, left, right, horizon)
 
 
 SubshiftSpec = Periodic | Substitution | ExplicitWindow

@@ -618,14 +618,20 @@ print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))
 NO_NUMPY = """
 import json, sys
 import hyptile.cli
-print("numpy" in sys.modules)
+print(json.dumps([m for m in ("dataclasses", "inspect", "numpy", "sympy")
+                  if m in sys.modules]))
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 print(json.dumps([hyptile.cli.main(args) for args in json.loads(sys.argv[1])]))
+del sys.modules["numpy"]
+import hyptile.hull
+print("dataclasses" in sys.modules)
 """
 
 
 def test_non_sampler_commands_run_without_numpy(tmp_path):
-    # only hullcheck and cocycle draw samples, so only they import numpy
+    # only hullcheck and cocycle draw samples, so only they import numpy;
+    # the value types generate no code at import, so the cli loads
+    # neither dataclasses nor the inspect module it imports
     spec = write_spec(tmp_path, THUE_MORSE)
     jobs = [[command, "--spec", spec, *extra,
              "--out", str(tmp_path / f"{command}.out")]
@@ -637,7 +643,8 @@ def test_non_sampler_commands_run_without_numpy(tmp_path):
                                    ("measures", ["--nmax", "3"]))]
     proc = run_python(["-c", NO_NUMPY, json.dumps(jobs)])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["False", json.dumps([0] * len(jobs))]
+    assert proc.stdout.splitlines() == ["[]", json.dumps([0] * len(jobs)),
+                                        "False"]
 
 
 def test_commands_run_without_sympy(tmp_path):
