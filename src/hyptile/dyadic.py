@@ -7,9 +7,9 @@ factors 2 that are units there.  The odometer x -> x + 1 acts on the
 2-adic integers; a sampled point carries its 2-adic coordinate as a
 residue modulo 2**precision (see hull.SampleBatch).
 
-Clopen subsets of the 2-adic integers are finite disjoint unions of
-cylinders F(n, k) = 2**n * Omega + k, and locally constant integer (or
-dyadic) valued functions are tables over the residues mod 2**level.
+A locally constant integer (or dyadic) valued function on the 2-adic
+integers is a `LocallyConstFn`, its table of values on the cylinders
+F(level, k) = 2**level * Omega + k, one per residue k mod 2**level.
 The class map of the odometer's coinvariants sends such a function to its
 Haar integral in Z[1/2]; `omega_coinvariant_class` computes the value and,
 on request, an exact transfer witness.
@@ -17,7 +17,6 @@ on request, an exact transfer witness.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
 
@@ -30,13 +29,6 @@ def _v2(n: int) -> int:
     if n == 0:
         raise ValueError("v2(0) is infinite")
     return (n & -n).bit_length() - 1
-
-
-def dyadic_norm(n: int) -> Fraction:
-    """2-adic absolute value of an integer: |n| = 2**(-v2(n)), |0| = 0."""
-    if n == 0:
-        return Fraction(0)
-    return Fraction(1, 1 << _v2(n))
 
 
 def odd_part(n: int) -> int:
@@ -61,91 +53,24 @@ def dyadic(q) -> Fraction:
     return q
 
 
-class ClopenSet(namedtuple("ClopenSet", "cylinders")):
-    """Finite disjoint union of cylinders F(n, k) = 2**n * Omega + k.
-
-    Cylinders are stored normalized: residues reduced mod 2**n, pairwise
-    disjoint, and no two cylinders of equal level merge into one of lower
-    level.  The empty set is allowed.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, cylinders):
-        cyls = []
-        for n, k in cylinders:
-            if n < 0:
-                raise ValueError("cylinder level must be >= 0")
-            cyls.append((n, k % (1 << n)))
-        _check_disjoint(cyls)
-        return super().__new__(cls, _merge(cyls))
-
-    @staticmethod
-    def cylinder(n: int, k: int) -> "ClopenSet":
-        return ClopenSet(((n, k),))
-
-    def haar_measure(self) -> Fraction:
-        return sum((Fraction(1, 1 << n) for n, _ in self.cylinders), Fraction(0))
-
-    def indicator(self, level: int | None = None) -> "LocallyConstFn":
-        lev = max([n for n, _ in self.cylinders], default=0)
-        if level is not None:
-            if level < lev:
-                raise ValueError(f"level {level} below finest cylinder level {lev}")
-            lev = level
-        vals = [0] * (1 << lev)
-        for n, k in self.cylinders:
-            step = 1 << n
-            for r in range(k, 1 << lev, step):
-                vals[r] = 1
-        return LocallyConstFn(lev, tuple(vals))
-
-
-def _check_disjoint(cyls):
-    for i in range(len(cyls)):
-        for j in range(i + 1, len(cyls)):
-            n1, k1 = cyls[i]
-            n2, k2 = cyls[j]
-            n = min(n1, n2)
-            if k1 % (1 << n) == k2 % (1 << n):
-                raise ValueError(f"cylinders {cyls[i]} and {cyls[j]} overlap")
-
-
-def _merge(cyls):
-    # F(n, k) | F(n, k + 2**(n-1)) = F(n-1, k mod 2**(n-1))
-    cyls = sorted(cyls)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cyls)):
-            for j in range(i + 1, len(cyls)):
-                n1, k1 = cyls[i]
-                n2, k2 = cyls[j]
-                if n1 == n2 and n1 > 0 and k1 % (1 << (n1 - 1)) == k2 % (1 << (n1 - 1)):
-                    merged = (n1 - 1, k1 % (1 << (n1 - 1)))
-                    cyls = [c for t, c in enumerate(cyls) if t not in (i, j)]
-                    cyls.append(merged)
-                    cyls.sort()
-                    changed = True
-                    break
-            if changed:
-                break
-    return tuple(cyls)
-
-
 class LocallyConstFn:
     """Function on the 2-adic integers constant on level-`level` cylinders.
 
-    values[k] is the value on F(level, k).  Values are ints or Fractions;
-    all ring operations are exact.  Immutable and not a tuple, so `*`
-    stays undefined; equal and hashed as the tuple (level, values).
+    values[k] is the value on F(level, k).  Values are ints or Fractions,
+    bools and floats refused, and are stored as a tuple; all ring
+    operations are exact.  Immutable and not a tuple, so `*` stays
+    undefined; equal and hashed as the tuple (level, values).
     """
 
     __slots__ = ("level", "values")
 
-    def __init__(self, level: int, values: tuple):
+    def __init__(self, level: int, values):
+        values = tuple(values)
         if len(values) != 1 << level:
             raise ValueError("value table length must be 2**level")
+        for v in values:
+            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+                raise ValueError(f"{v!r} is not an int or a Fraction")
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "values", values)
 
@@ -167,7 +92,7 @@ class LocallyConstFn:
 
     @staticmethod
     def constant(c, level: int = 0) -> "LocallyConstFn":
-        return LocallyConstFn(level, tuple([c] * (1 << level)))
+        return LocallyConstFn(level, [c] * (1 << level))
 
     def refine(self, level: int) -> "LocallyConstFn":
         """Rewrite at a finer level; each coefficient is duplicated, since
@@ -177,7 +102,7 @@ class LocallyConstFn:
         reps = 1 << (level - self.level)
         n = 1 << self.level
         vals = [self.values[k % n] for k in range(n * reps)]
-        return LocallyConstFn(level, tuple(vals))
+        return LocallyConstFn(level, vals)
 
     def _pair(self, other: "LocallyConstFn"):
         lev = max(self.level, other.level)
@@ -185,23 +110,23 @@ class LocallyConstFn:
 
     def __add__(self, other):
         a, b, lev = self._pair(other)
-        return LocallyConstFn(lev, tuple(x + y for x, y in zip(a.values, b.values)))
+        return LocallyConstFn(lev, (x + y for x, y in zip(a.values, b.values)))
 
     def __sub__(self, other):
         a, b, lev = self._pair(other)
-        return LocallyConstFn(lev, tuple(x - y for x, y in zip(a.values, b.values)))
+        return LocallyConstFn(lev, (x - y for x, y in zip(a.values, b.values)))
 
     def __neg__(self):
-        return LocallyConstFn(self.level, tuple(-x for x in self.values))
+        return LocallyConstFn(self.level, (-x for x in self.values))
 
     def scale(self, c) -> "LocallyConstFn":
-        return LocallyConstFn(self.level, tuple(c * x for x in self.values))
+        return LocallyConstFn(self.level, (c * x for x in self.values))
 
     def compose_odometer_inverse(self) -> "LocallyConstFn":
         """f -> f o (x -> x - 1): the value on F(n, k) becomes f(k - 1)."""
         n = 1 << self.level
         return LocallyConstFn(self.level,
-                              tuple(self.values[(k - 1) % n] for k in range(n)))
+                              (self.values[(k - 1) % n] for k in range(n)))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
@@ -244,14 +169,15 @@ def omega_coinvariant_class(f: LocallyConstFn, want_witness: bool = False):
     p = value.numerator
     n = value.denominator.bit_length() - 1
     lev = f.level
-    h = f - ClopenSet.cylinder(n, 0).indicator(lev).scale(p)
+    h = f - LocallyConstFn(lev, [0 if r & ((1 << n) - 1) else p
+                                 for r in range(1 << lev)])
     # The odometer acts on level-lev residues as the 2**lev cycle k -> k+1,
     # so any zero-sum h is the coboundary of its partial sums.
     assert sum(h.values) == 0
     g = [0] * (1 << lev)
     for k in range(1, 1 << lev):
         g[k] = g[k - 1] + h.values[k]
-    witness = LocallyConstFn(lev, tuple(int(v) for v in g))
+    witness = LocallyConstFn(lev, (int(v) for v in g))
     check = witness - witness.compose_odometer_inverse()
     assert (check - h).is_zero()
     return value, witness

@@ -147,36 +147,6 @@ def tile_vertices(t: TileIndex) -> tuple[Point, ...]:
     return tuple(map(f.apply, BASE_VERTICES))
 
 
-def cosh_distance(p: Point, q: Point) -> Fraction:
-    """cosh of the hyperbolic distance, exactly:
-    1 + ((x1-x2)**2 + (y1-y2)**2) / (2 y1 y2)."""
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return 1 + (dx * dx + dy * dy) / (2 * p.y * q.y)
-
-
-class GeodesicArc(namedtuple("GeodesicArc", "start end center radius_sq")):
-    """Geodesic segment between two points.
-
-    Vertical segments have center None; otherwise the full geodesic is the
-    half-circle with the given rational center on the real axis and squared
-    radius radius_sq.
-    """
-
-    __slots__ = ()
-
-
-def geodesic_arc(p: Point, q: Point) -> GeodesicArc:
-    if p.x == q.x:
-        if p.y == q.y:
-            raise ValueError("no geodesic between identical points")
-        return GeodesicArc(p, q, None, None)
-    xp, yp, xq, yq = p.x, p.y, q.x, q.y
-    c = (xp + xq) / 2 + (yq * yq - yp * yp) / (2 * (xq - xp))
-    r2 = (xp - c) ** 2 + yp * yp
-    return GeodesicArc(p, q, c, r2)
-
-
 DIGIT_LETTERS = tuple("123456789")
 
 

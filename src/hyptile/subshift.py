@@ -418,13 +418,3 @@ def _nullspace_measure(spec: Substitution, n: int) -> list:
     v = nullspace_vector(mat)
     total = sum(v)
     return [x / total for x in v]
-
-
-def cylinder_measure(spec: SubshiftSpec, u: str):
-    """Invariant probability of the cylinder [u], exactly."""
-    if not u:
-        raise ValueError("cylinder word must be nonempty")
-    vec = measure_vector(spec, len(u))
-    if u not in vec:
-        raise ValueError(f"word {u!r} is not in the language")
-    return vec[u]

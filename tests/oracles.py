@@ -19,8 +19,9 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
+from hyptile.dyadic import LocallyConstFn
 from hyptile.geometry import (EDGE_LABELS, NEGATIVE_EDGES, POSITIVE_EDGE,
-                              geodesic_arc, tile_vertices)
+                              tile_vertices)
 from hyptile.subshift import Substitution, _spec_perron, block_substitution
 
 TM = Substitution.of({"1": "12", "2": "21"})
@@ -260,6 +261,18 @@ def is_odometer_coboundary(h, g) -> bool:
     return (lhs - rhs).is_zero()
 
 
+def cylinder_indicator(n: int, k: int, level: int | None = None):
+    """The indicator of the cylinder F(n, k) = 2**n * Z_2 + k, as the
+    package's LocallyConstFn at level n or the given finer level: 1 on
+    the residues r = k mod 2**n, 0 elsewhere.  Reads only the
+    LocallyConstFn constructor."""
+    level = n if level is None else level
+    assert level >= n >= 0
+    m = 1 << n
+    return LocallyConstFn(level, [int(r % m == k % m)
+                                  for r in range(1 << level)])
+
+
 # -- words and substitutions ------------------------------------------------
 
 def iterate_prefix(spec: Substitution, length: int) -> str:
@@ -431,6 +444,34 @@ def anderson_putnam_rank(spec: Substitution) -> int:
 
 # -- tilings ----------------------------------------------------------------
 
+def cosh_distance(p, q) -> Fraction:
+    """cosh of the hyperbolic distance between two Points, exactly:
+    1 + ((x1-x2)**2 + (y1-y2)**2) / (2 y1 y2).  Reads their coordinates."""
+    dx = p.x - q.x
+    dy = p.y - q.y
+    return 1 + (dx * dx + dy * dy) / (2 * p.y * q.y)
+
+
+# Vertical segments have center None; otherwise the full geodesic is the
+# half-circle with the given rational center on the real axis and squared
+# radius radius_sq.
+GeodesicArc = collections.namedtuple("GeodesicArc",
+                                     "start end center radius_sq")
+
+
+def geodesic_arc(p, q) -> GeodesicArc:
+    """The geodesic segment between two Points, with its circle solved
+    from their coordinates alone."""
+    if p.x == q.x:
+        if p.y == q.y:
+            raise ValueError("no geodesic between identical points")
+        return GeodesicArc(p, q, None, None)
+    xp, yp, xq, yq = p.x, p.y, q.x, q.y
+    c = (xp + xq) / 2 + (yq * yq - yp * yp) / (2 * (xq - xp))
+    r2 = (xp - c) ** 2 + yp * yp
+    return GeodesicArc(p, q, c, r2)
+
+
 def ref_interiors_disjoint(ts):
     """Every pair of tiles, decided from tile_vertices and geodesic_arc.
 
@@ -439,7 +480,7 @@ def ref_interiors_disjoint(ts):
     overlaps a tile in x must have that tile's top arc, ends included,
     as one of its bottom arcs.  Returns the verdict and the set of
     adjacent-scale pairs whose open x-intervals overlap.  Reads the
-    package's tile_vertices and geodesic_arc."""
+    package's tile_vertices."""
     def curve(p, q):
         arc = geodesic_arc(p, q)
         return arc.center, arc.radius_sq, frozenset((p, q))

@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from hyptile.dyadic import (ClopenSet, LocallyConstFn, dyadic, dyadic_norm,
-                            integrate, odd_part, omega_coinvariant_class)
+from hyptile.dyadic import (LocallyConstFn, dyadic, integrate, odd_part,
+                            omega_coinvariant_class)
 from hyptile.geometry import AffineMap, Point
 from hyptile.ktheory import RING_HALF, CylinderFunction
 
-from oracles import is_odometer_coboundary, split_twos
+from oracles import cylinder_indicator, is_odometer_coboundary, split_twos
 
 
 def test_dyadic_accepts_ints_and_dyadic_fractions():
@@ -49,41 +49,17 @@ def test_odd_part_matches_halving_loop():
         assert odd_part(n) == split_twos(n)[1]
 
 
-def test_dyadic_norm_values():
-    assert dyadic_norm(12) == Fraction(1, 4)
-    assert dyadic_norm(0) == 0
-    assert dyadic_norm(1) == 1
-    assert dyadic_norm(-8) == Fraction(1, 8)
-
-
-def test_dyadic_norm_ultrametric():
-    rng = random.Random(3)
-    for _ in range(300):
-        m, n = rng.randrange(-50, 51), rng.randrange(-50, 51)
-        assert dyadic_norm(m + n) <= max(dyadic_norm(m), dyadic_norm(n))
-
-
-def test_clopen_rejects_overlap():
-    with pytest.raises(ValueError):
-        ClopenSet(((1, 0), (2, 2)))  # F(2,2) is inside F(1,0)
-
-
-def test_clopen_normalizes_sibling_pair():
-    s = ClopenSet(((2, 1), (2, 3)))
-    assert s.cylinders == ((1, 1),)
-
-
-def test_clopen_haar_measure():
-    s = ClopenSet(((2, 1), (3, 0)))
-    assert s.haar_measure() == Fraction(3, 8)
-
-
-def test_indicator_and_membership_agree():
-    s = ClopenSet(((2, 1), (3, 4)))
-    f = s.indicator()
-    for r in range(8):
-        inside = any(r % (1 << n) == k for n, k in s.cylinders)
-        assert f.values[r] == (1 if inside else 0)
+def test_locally_const_values_are_an_exact_tuple():
+    # a list table would be unhashable and changeable in place, and a
+    # float from arithmetic would break exactness (test_value_types.py
+    # checks the refused entries themselves)
+    f = LocallyConstFn(1, [0, 1])
+    assert type(f.values) is tuple and f == LocallyConstFn(1, (0, 1))
+    assert hash(f) == hash((1, (0, 1)))
+    with pytest.raises(AttributeError):
+        f.values.append(5)
+    with pytest.raises(ValueError, match="0.0 is not an int or a Fraction"):
+        f.scale(0.5)
 
 
 def test_locally_const_refine_and_canonical():
@@ -93,9 +69,20 @@ def test_locally_const_refine_and_canonical():
     assert g.canonical() == f
 
 
+def test_clopen_normalizes_sibling_pair():
+    # F(2, 1) | F(2, 3) = F(1, 1): canonical drops the level they share
+    f = cylinder_indicator(2, 1) + cylinder_indicator(2, 3)
+    assert f.canonical() == cylinder_indicator(1, 1)
+
+
+def test_clopen_haar_measure():
+    f = cylinder_indicator(2, 1, 3) + cylinder_indicator(3, 0)
+    assert integrate(f) == Fraction(3, 8)
+
+
 def test_integrate_example():
-    f1 = ClopenSet.cylinder(1, 0).indicator()
-    f2 = ClopenSet.cylinder(2, 0).indicator()
+    f1 = cylinder_indicator(1, 0)
+    f2 = cylinder_indicator(2, 0)
     assert integrate(f1 - f2.scale(2)) == 0
     assert integrate(f1) == Fraction(1, 2)
 
@@ -111,19 +98,19 @@ def test_integral_invariant_under_odometer():
 def test_coinvariant_class_of_cylinders():
     for n in range(0, 7):
         for k in range(1 << n):
-            f = ClopenSet.cylinder(n, k).indicator()
+            f = cylinder_indicator(n, k)
             value, witness = omega_coinvariant_class(f, want_witness=True)
             assert value == Fraction(1, 1 << n)
             # witness certifies f - indicator(F(n,0)) is a transfer coboundary
-            target = f - ClopenSet.cylinder(n, 0).indicator(f.level)
+            target = f - cylinder_indicator(n, 0, f.level)
             assert is_odometer_coboundary(target, witness)
 
 
 def test_coinvariant_doubling_chain():
     # indicator(F(n,0)) and 2*indicator(F(n+1,0)) share a class
     for n in range(0, 6):
-        f = ClopenSet.cylinder(n, 0).indicator()
-        g = ClopenSet.cylinder(n + 1, 0).indicator().scale(2)
+        f = cylinder_indicator(n, 0)
+        g = cylinder_indicator(n + 1, 0).scale(2)
         diff = f.refine(n + 1) - g
         value, witness = omega_coinvariant_class(diff, want_witness=True)
         assert value == 0

@@ -16,10 +16,8 @@ from hyptile.geometry import (
     TileIndex,
     TileSet,
     agreement_radius,
-    cosh_distance,
     edge_adjacency,
     generate_patch,
-    geodesic_arc,
     patch_size,
     pt,
     scale_range,
@@ -30,7 +28,8 @@ from hyptile.geometry import (
     _sinh2_terms,
 )
 
-from oracles import ref_edge_adjacency, ref_interiors_disjoint, side_ends
+from oracles import (cosh_distance, geodesic_arc, ref_edge_adjacency,
+                     ref_interiors_disjoint, side_ends)
 
 LN2 = math.log(2.0)
 
@@ -114,6 +113,8 @@ class TestTiles:
         assert f.apply(pt(0, 1)) == tile_vertices(t)[0]
 
 
+# cosh_distance and geodesic_arc are oracles from tests/oracles.py; the
+# two classes below check them before other tests measure against them.
 class TestDistance:
     def test_coincident(self):
         assert cosh_distance(pt(0, 1), pt(0, 1)) == 1

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hyptile.dyadic import ClopenSet, LocallyConstFn, PrecisionExhausted
+from hyptile.dyadic import LocallyConstFn, PrecisionExhausted
 from hyptile.geometry import (
     ColourWindow,
     ColourWindowExhausted,
@@ -38,7 +38,7 @@ from hyptile.hull import (
 from hyptile.ktheory import CylinderFunction
 from hyptile.subshift import Periodic, language
 
-from oracles import FIB, TM
+from oracles import FIB, TM, cylinder_indicator
 
 AB = Periodic("ab")
 
@@ -515,7 +515,7 @@ class TestTestFunction:
     def test_scalar_evaluation(self):
         f = TFn(
             word_part=CylinderFunction.of("Z", 0, {"12": 3}),
-            omega_part=ClopenSet.cylinder(2, 1).indicator(),
+            omega_part=cylinder_indicator(2, 1),
             t_bump=BumpProfile("bump3", 0.5, 0.5 - 1e-9),
         )
 
@@ -535,7 +535,7 @@ class TestTestFunction:
             word_part=CylinderFunction.of(
                 "Z", -1, {"121": 2, "212": -1, "131": 5, "aba": 3,
                           "bab": -2, "aca": 7}),
-            omega_part=ClopenSet.cylinder(1, 1).indicator(),
+            omega_part=cylinder_indicator(1, 1),
             t_bump=BumpProfile("bump3", 0.45, 0.4),
             s_bump=BumpProfile("bump3", 0.55, 0.4),
         )
@@ -717,7 +717,7 @@ class TestInvarianceCheck:
     def test_omega_and_bump_factors_invariant(self):
         f = TFn(
             word_part=CylinderFunction.of("Z", 0, {"12": 1, "21": -2}),
-            omega_part=ClopenSet.cylinder(2, 1).indicator(),
+            omega_part=cylinder_indicator(2, 1),
             t_bump=BumpProfile("bump3", 0.5, 0.45),
             s_bump=BumpProfile("bump3", 0.5, 0.45))
         rep = invariance_check(TM, f, self.GS, 30_000, 5151)
@@ -906,7 +906,7 @@ class TestSharedCores:
     def test_harmonicity_matches_whole_batch_probes(self, n):
         h = 2.0 ** -6
         f = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1, "21": -2}),
-                omega_part=ClopenSet.cylinder(2, 1).indicator(),
+                omega_part=cylinder_indicator(2, 1),
                 t_bump=BumpProfile("bump3", 0.5, 0.45),
                 s_bump=BumpProfile("bump3", 0.5, 0.45))
         rep = harmonicity_report(sample_batch(TM, n, self.SEED), f,

@@ -8,17 +8,26 @@ it imports no sympy, which only the tests use as an oracle; it keeps
 no unused top-level import; and every private helper is used somewhere
 in the package.  Every function of tests/oracles.py is used by a test
 module, and no test module defines a name that tests/oracles.py defines.
+
+Every public top-level function and class of a package module without
+__all__ is reached from an entry point: a name that cli.py,
+perfbench/pipelines.py, the tracer's REPORTED and _DELIMITERS, or a
+backticked span or Python block of README.md names, followed through
+the code (not the docstrings) of the package definitions it names.  A
+name that only the tests call belongs in tests/oracles.py or nowhere.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hyptile"
 TRACER = ROOT / "perfbench" / "tracer.py"
 TESTS = ROOT / "tests"
 
@@ -61,7 +70,7 @@ def _trees(paths):
 
 
 def _package_trees():
-    return _trees(sorted((ROOT / "src" / "hyptile").glob("**/*.py")))
+    return _trees(sorted(PACKAGE.glob("**/*.py")))
 
 
 def test_package_reads_no_environment():
@@ -174,3 +183,68 @@ def test_no_test_module_redefines_an_oracle():
     for path, tree in _test_modules():
         again = sorted(_top_level_names(tree) & shared)
         assert not again, f"{path.name} defines {again} again"
+
+
+# No entry point calls these until ROADMAP item 11 gives the aperiodicity
+# verdict a caller or deletes it.
+UNREACHED_UNTIL_ITEM_11 = {"check_minimal_aperiodic", "constant_length"}
+
+
+def _readme_names() -> set:
+    """Every name in a backticked span of README.md or its Python blocks."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = set()
+    for block in re.findall(r"```python\n(.*?)```", text, re.S):
+        names |= set(_references(ast.parse(block)))
+    for dotted in re.findall(r"`([A-Za-z_][\w.]*)[`(]", text):
+        names |= set(dotted.split("."))
+    return names
+
+
+def _entry_names() -> set:
+    """Names that cli.py, perfbench's pipelines and its tracer table name."""
+    names = _readme_names()
+    for path in (PACKAGE / "cli.py", ROOT / "perfbench" / "pipelines.py"):
+        names |= set(_references(_trees([path])[0][1]))
+    tracer = _tracer()
+    for dotted in list(tracer.REPORTED) + list(tracer._DELIMITERS):
+        names |= set(dotted.split(".")[1:])
+    return names
+
+
+def _reached(trees) -> set:
+    """The entry names, closed under the names each reached top-level
+    definition (def, class or assignment) refers to in its code; other
+    top-level statements run at import, so they count as reached."""
+    defs, reached = {}, _entry_names()
+    for _, tree in trees:
+        for node in tree.body:
+            bound = _top_level_names(ast.Module(body=[node], type_ignores=[]))
+            for name in bound:
+                defs.setdefault(name, []).append(node)
+            docstring = isinstance(node, ast.Expr) \
+                and isinstance(node.value, ast.Constant)
+            if not bound and not docstring and not isinstance(
+                    node, (ast.Import, ast.ImportFrom)):
+                reached |= set(_references(node))
+    todo = list(reached)
+    while todo:
+        for node in defs.get(todo.pop(), []):
+            new = set(_references(node)) - reached
+            reached |= new
+            todo.extend(new)
+    return reached
+
+
+def test_every_public_name_is_reached():
+    trees = _package_trees()
+    reached = _reached(trees) | UNREACHED_UNTIL_ITEM_11
+    for path, tree in trees:
+        if "__all__" in _top_level_names(tree):
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                assert node.name in reached, \
+                    f"{path.name}:{node.lineno}: {node.name} is reached " \
+                    "by no entry point"

@@ -14,12 +14,11 @@ from hyptile.geometry import (
     TileSet,
     edge_adjacency,
     generate_patch,
-    geodesic_arc,
     tile_vertices,
 )
 from hyptile.render import PALETTE, svg_render, tile_path
 
-from oracles import TM
+from oracles import TM, geodesic_arc
 
 
 def svg_arc_center(x1, y1, x2, y2, r, large, sweep):

@@ -27,7 +27,6 @@ from hyptile.subshift import (
     block_substitution,
     check_minimal_aperiodic,
     constant_length,
-    cylinder_measure,
     incidence_matrix,
     is_primitive,
     language,
@@ -286,7 +285,7 @@ def cyclic_count(word: str, u: str) -> Fraction:
 
 class TestPeriodicMeasures:
     def test_period_three_letter_weight(self):
-        got = cylinder_measure(Periodic("112"), "1")
+        got = measure_vector(Periodic("112"), 1)["1"]
         assert isinstance(got, Fraction) and got == F(2, 3)
 
     def test_matches_cyclic_count_oracle(self):
@@ -295,7 +294,7 @@ class TestPeriodicMeasures:
             spec = Periodic(word)
             for n in range(1, 6):
                 for u in language(spec, n):
-                    assert cylinder_measure(spec, u) == cyclic_count(word, u)
+                    assert measure_vector(spec, n)[u] == cyclic_count(word, u)
                 total = sum(measure_vector(spec, n).values())
                 assert total == 1
 
@@ -307,15 +306,13 @@ class TestPeriodicMeasures:
             assert list(measure_vector(spec, n)) == language(spec, n)
 
     def test_word_not_in_language(self):
-        with pytest.raises(ValueError):
-            cylinder_measure(Periodic("112"), "22")
-        with pytest.raises(ValueError):
-            cylinder_measure(Periodic("112"), "")
+        # a word outside the language has no entry, not a zero one
+        assert "22" not in measure_vector(Periodic("112"), 2)
 
 
 class TestSubstitutionMeasures:
     def test_thue_morse_pair(self):
-        got = cylinder_measure(TM, "12")
+        got = measure_vector(TM, 2)["12"]
         assert isinstance(got, Fraction) and got == F(1, 3)
 
     def test_thue_morse_two_block_vector(self):
@@ -324,7 +321,7 @@ class TestSubstitutionMeasures:
             "11": F(1, 6), "12": F(1, 3), "21": F(1, 3), "22": F(1, 6)}
 
     def test_fibonacci_letter_measure(self):
-        x = cylinder_measure(FIB, "1")
+        x = measure_vector(FIB, 1)["1"]
         assert isinstance(x, AlgebraicNumber)
         assert x * x + x - 1 == 0
         assert float(x) == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-12)
@@ -341,12 +338,12 @@ class TestSubstitutionMeasures:
         for u in language(TM, 3):
             emp = sum(prefix[i:i + 3] == u for i in range(len(prefix) - 2)) \
                 / (len(prefix) - 2)
-            assert float(cylinder_measure(TM, u)) == pytest.approx(emp, abs=2e-3)
+            assert float(measure_vector(TM, 3)[u]) == pytest.approx(emp, abs=2e-3)
         prefix = iterate_prefix(FIB, 1 << 14)
         for u in language(FIB, 2):
             emp = sum(prefix[i:i + 2] == u for i in range(len(prefix) - 1)) \
                 / (len(prefix) - 1)
-            assert float(cylinder_measure(FIB, u)) == pytest.approx(emp, abs=2e-3)
+            assert float(measure_vector(FIB, 2)[u]) == pytest.approx(emp, abs=2e-3)
 
     def test_kolmogorov_consistency_exact(self):
         for spec in (TM, FIB, FOUR_CYCLE):
@@ -382,11 +379,11 @@ class TestSubstitutionMeasures:
 
     def test_explicit_window_unsupported(self):
         with pytest.raises(UnsupportedSpec):
-            cylinder_measure(ExplicitWindow("1", "21", 3), "1")
+            measure_vector(ExplicitWindow("1", "21", 3), 1)
 
     def test_non_primitive_unsupported(self):
         with pytest.raises(UnsupportedSpec):
-            cylinder_measure(Substitution.of({"1": "12", "2": "22"}), "1")
+            measure_vector(Substitution.of({"1": "12", "2": "22"}), 1)
 
 
 class TestMeasureRecursion:
@@ -455,8 +452,8 @@ class TestPlainMeasures:
                 for v in measure_vector(spec, n).values():
                     assert isinstance(v, Fraction)
                     assert 0.0 < float(v) < 1.0
-        assert cylinder_measure(TM, "12") == F(1, 3)
-        assert float(cylinder_measure(TM, "12")) == pytest.approx(1 / 3)
+        assert measure_vector(TM, 2)["12"] == F(1, 3)
+        assert float(measure_vector(TM, 2)["12"]) == pytest.approx(1 / 3)
 
     def test_algebraic_measures(self):
         for spec in (FIB, TRIB):

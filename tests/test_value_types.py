@@ -12,10 +12,9 @@ from fractions import Fraction
 import pytest
 
 from hyptile.cli import JobConfig
-from hyptile.dyadic import ClopenSet, LocallyConstFn
+from hyptile.dyadic import LocallyConstFn
 from hyptile.geometry import (AdjacencyReport, AffineMap, ColourWindow,
-                              GeodesicArc, Point, TileIndex, TileSet,
-                              geodesic_arc)
+                              Point, TileIndex, TileSet)
 from hyptile.hull import BumpProfile
 from hyptile.hull import TestFunction as TFn
 from hyptile.ktheory import (CylinderFunction, FPAbelianGroup, GapLabelGroup,
@@ -33,20 +32,16 @@ CASES = [
      ("command", "spec", "radius", "nmax", "samples", "seed", "out"),
      "JobConfig(command='kgroups', spec=Periodic(word='12'), radius=3.0, "
      "nmax=8, samples=100000, seed=None, out=None)", []),
-    (ClopenSet,
-     lambda: ClopenSet(((2, 1), (2, 7))),
-     ("cylinders",),
-     "ClopenSet(cylinders=((1, 1),))",
-     [(lambda: ClopenSet(((-1, 0),)), ValueError,
-       "cylinder level must be >= 0"),
-      (lambda: ClopenSet(((1, 0), (2, 2))), ValueError,
-       "cylinders (1, 0) and (2, 2) overlap")]),
     (LocallyConstFn,
      lambda: LocallyConstFn(1, (2, Fraction(1, 2))),
      ("level", "values"),
      "LocallyConstFn(level=1, values=(2, Fraction(1, 2)))",
      [(lambda: LocallyConstFn(2, (1, 2)), ValueError,
-       "value table length must be 2**level")]),
+       "value table length must be 2**level"),
+      (lambda: LocallyConstFn(0, (0.5,)), ValueError,
+       "0.5 is not an int or a Fraction"),
+      (lambda: LocallyConstFn(0, (True,)), ValueError,
+       "True is not an int or a Fraction")]),
     (Point,
      lambda: Point(Fraction(-3, 4), 2),
      ("x", "y"),
@@ -66,12 +61,6 @@ CASES = [
      lambda: TileIndex(2, -5, 3),
      ("k", "n", "colour"),
      "TileIndex(k=2, n=-5, colour=3)", []),
-    (GeodesicArc,
-     lambda: geodesic_arc(Point(0, 1), Point(1, 1)),
-     ("start", "end", "center", "radius_sq"),
-     "GeodesicArc(start=Point(x=Fraction(0, 1), y=Fraction(1, 1)), "
-     "end=Point(x=Fraction(1, 1), y=Fraction(1, 1)), "
-     "center=Fraction(1, 2), radius_sq=Fraction(5, 4))", []),
     (ColourWindow,
      lambda: ColourWindow("ab", -1, ("a", "b")),
      ("word", "start", "alphabet"),
