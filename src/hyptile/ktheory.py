@@ -68,6 +68,7 @@ __all__ = [
     "CylinderFunction",
     "FPAbelianGroup",
     "GapLabelGroup",
+    "GapLabelLevel",
     "apply_shift",
     "constant_one",
     "refine_left",
@@ -299,47 +300,18 @@ def cf_equal(spec: SubshiftSpec, f: CylinderFunction,
 # groups
 
 
-class FPAbelianGroup:
+class FPAbelianGroup(namedtuple("FPAbelianGroup", [
+        "ring", "rank", "torsion", "generators", "stabilized", "n_used",
+        "approximate"], defaults=(False,))):
     """Finitely presented abelian group in Smith-canonical form.
 
     torsion holds the invariant factors > 1, odd when ring = Z[1/2];
-    generators is ((name, CylinderFunction representative), ...).  pres,
-    the _Presentation the group was read from, is left out of ==, hash
-    and repr: equal and hashed as the tuple of the other fields.
+    generators is ((name, CylinderFunction representative), ...).  The
+    group holds no presentation: ``coinvariant_class`` rebuilds it from
+    the spec, ring and n_used, and checks it against the generators.
     """
 
-    __slots__ = ("ring", "rank", "torsion", "generators", "stabilized",
-                 "n_used", "approximate", "pres")
-
-    def __init__(self, ring: str, rank: int, torsion: tuple,
-                 generators: tuple, stabilized: bool, n_used: int,
-                 approximate: bool = False, pres=None):
-        for name, value in zip(FPAbelianGroup.__slots__, (
-                ring, rank, torsion, generators, stabilized, n_used,
-                approximate, pres)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return (self.ring, self.rank, self.torsion, self.generators,
-                self.stabilized, self.n_used, self.approximate)
-
-    def __eq__(self, other):
-        if type(other) is not FPAbelianGroup:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return ("FPAbelianGroup(ring={!r}, rank={!r}, torsion={!r}, "
-                "generators={!r}, stabilized={!r}, n_used={!r}, "
-                "approximate={!r})".format(*self._key()))
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -440,21 +412,24 @@ def _presentation(spec: SubshiftSpec, ring: str, n: int) -> _Presentation:
         tuple(tuple(r) for r in kernel))
 
 
-def _group_from(pres: _Presentation, stabilized: bool,
-                approximate_flag: bool) -> FPAbelianGroup:
-    gens = tuple(
+def _generators(pres: _Presentation) -> tuple:
+    """((name, representative), ...), the columns of V^-1 as functions."""
+    return tuple(
         (name, CylinderFunction.of(
             pres.ring, 0, {w: c for w, c in zip(pres.cols, pres.v_inv[j]) if c}))
         for name, j, _ in pres.generator_columns())
+
+
+def _group_from(pres: _Presentation, stabilized: bool,
+                approximate_flag: bool) -> FPAbelianGroup:
     return FPAbelianGroup(
         ring=pres.ring,
         rank=len(pres.free),
         torsion=tuple(d for _, d in pres.tors),
-        generators=gens,
+        generators=_generators(pres),
         stabilized=stabilized,
         n_used=pres.level,
         approximate=approximate_flag,
-        pres=pres,
     )
 
 
@@ -502,23 +477,6 @@ def _iter_levels(spec: SubshiftSpec, ring: str, n_max: int):
         yield pres
 
 
-def _coinvariant_chain(spec: SubshiftSpec, ring: str, n_max: int,
-                       upto_pick: bool = False):
-    """Presentations for N = 1..n_max plus per-step isomorphism flags.
-
-    With upto_pick the chain ends at the first level whose two incoming
-    maps are isomorphisms, two levels past coinvariants' pick.
-    """
-    levels, isos = [], []
-    for pres in _iter_levels(spec, ring, n_max):
-        if levels:
-            isos.append(_bonding_is_iso(levels[-1], pres, ring))
-        levels.append(pres)
-        if upto_pick and isos[-2:] == [True, True]:
-            break
-    return levels, isos
-
-
 def coinvariants(spec: SubshiftSpec, ring: str,
                  n_max: int = 8) -> FPAbelianGroup:
     """Shift coinvariants at truncation; ``stabilized`` says what was checked.
@@ -544,9 +502,14 @@ def coinvariants(spec: SubshiftSpec, ring: str,
         return _group_from(_presentation(spec, ring, min(n0, n_max)),
                            n0 <= n_max, approx)
     # the chain stops two levels past the pick, if there is one
-    levels, isos = _coinvariant_chain(spec, ring, n_max, upto_pick=True)
-    picked = isos[-2:] == [True, True]
-    return _group_from(levels[-3 if picked else -1], picked, approx)
+    levels, run = [], 0  # run: isomorphisms in a row into this level
+    for pres in _iter_levels(spec, ring, n_max):
+        iso = bool(levels) and _bonding_is_iso(levels[-1], pres, ring)
+        run = run + 1 if iso else 0
+        levels.append(pres)
+        if run == 2:
+            return _group_from(levels[-3], True, approx)
+    return _group_from(levels[-1], False, approx)
 
 
 def invariant_rank(spec: SubshiftSpec, ring: str, n: int) -> int:
@@ -613,14 +576,18 @@ def coinvariant_class(spec: SubshiftSpec, f: CylinderFunction,
     coordinates modulo their invariant factor.  f is first shrunk by
     ``canonical``, so every cylinder function has a class in a periodic
     group read at its orbit level; otherwise a group of level N takes
-    windows of at most N + 1 letters.
+    windows of at most N + 1 letters.  The group must be the spec's
+    coinvariants at level n_used: generator representatives that differ
+    from that presentation's (another spec's, an ``invariants`` group)
+    raise ValueError, and names are not compared, so K0's retag passes.
     """
-    pres: _Presentation = group.pres
-    if pres is None:
-        raise ValueError("group carries no presentation; "
-                         "use a group returned by coinvariants()")
     if f.ring != group.ring:
         raise ValueError("ring of the function and the group differ")
+    pres = _presentation(spec, group.ring, group.n_used)
+    if [r for _, r in group.generators] != [r for _, r in _generators(pres)]:
+        raise ValueError("the group is not this spec's coinvariants at "
+                         f"N = {group.n_used}; use a group returned by "
+                         "coinvariants()")
     # f - shift(f) is a coboundary, so moving f to window 0 scales it by
     # psi**-start, psi the shift operator's factor.
     psi = Fraction(2 if group.ring == RING_HALF else 1)
@@ -648,10 +615,8 @@ def coinvariant_class(spec: SubshiftSpec, f: CylinderFunction,
 
 
 def _retag(group: FPAbelianGroup, prefix: str) -> FPAbelianGroup:
-    gens = tuple((f"{prefix}:{name}", rep) for name, rep in group.generators)
-    return FPAbelianGroup(group.ring, group.rank, group.torsion, gens,
-                          group.stabilized, group.n_used,
-                          group.approximate, group.pres)
+    return group._replace(generators=tuple(
+        (f"{prefix}:{name}", rep) for name, rep in group.generators))
 
 
 def k_groups(spec: SubshiftSpec, n_max: int = 8) -> dict:
@@ -687,7 +652,7 @@ class GapLabelGroup(namedtuple("GapLabelGroup", [
         "kind",  # "rational" | "algebraic"
         "minpoly",  # ascending Fraction coefficients, monic, or None
         "generators",  # Fraction | AlgebraicNumber, reduced, each in (0, 1]
-        "chain",  # per-truncation records, n = 1..n_used
+        "chain",  # GapLabelLevel records, n = 1..n_used
         "stabilized",
         "n_used",
         "dyadic_base",  # odd part of the generator when halving, or None
@@ -695,6 +660,11 @@ class GapLabelGroup(namedtuple("GapLabelGroup", [
     """Subgroup of (R, +) spanned by cylinder measures, per truncation."""
 
     __slots__ = ()
+
+
+# one truncation of a gap-label chain
+GapLabelLevel = namedtuple("GapLabelLevel",
+                           "n generators agrees_with_previous")
 
 
 def _frac_rows_canon(rows) -> tuple:
@@ -762,11 +732,7 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
         agrees = bool(canons) and canon == canons[-1]
         canons.append(canon)
         gens_last = gens
-        chain.append({
-            "n": n,
-            "generators": gens,
-            "agrees_with_previous": agrees,
-        })
+        chain.append(GapLabelLevel(n, gens, agrees))
 
     stabilized = len(canons) >= 2 and canons[-1] == canons[-2]
     if stabilized and isinstance(spec, Substitution):
@@ -805,15 +771,9 @@ def gap_label_to_json(g: GapLabelGroup) -> dict:
     out = {
         "kind": g.kind,
         "generators": [_measure_value_json(v) for v in g.generators],
-        "chain": [
-            {
-                "n": entry["n"],
-                "generators": [_measure_value_json(v)
-                               for v in entry["generators"]],
-                "agrees_with_previous": entry["agrees_with_previous"],
-            }
-            for entry in g.chain
-        ],
+        "chain": [dict(entry._asdict(), generators=[
+            _measure_value_json(v) for v in entry.generators])
+            for entry in g.chain],
         "stabilized": g.stabilized,
         "N_used": g.n_used,
     }

@@ -177,7 +177,7 @@ def test_criterion_06_gap_label_lattices():
         # p distinct letters: every cylinder at every level has measure 1/p
         gl = gap_labels(Periodic("123456"[:p]), 6)
         for entry in gl.chain:
-            (g,) = entry["generators"]
+            (g,) = entry.generators
             assert g == Fraction(1, p)
         (g,) = gl.generators
         assert g == Fraction(1, p) and gl.stabilized
@@ -189,14 +189,14 @@ def test_criterion_06_gap_label_lattices():
 
     gl = gap_labels(TM, 6)
     for entry in gl.chain:
-        mu = measure_vector(TM, entry["n"])
+        mu = measure_vector(TM, entry.n)
         expect = gcd_lattice(list(mu.values()))
-        (g,) = entry["generators"]
+        (g,) = entry.generators
         assert g == expect
         # enumerated oracle: every cylinder measure lies in the lattice
         assert all((v / expect).denominator == 1 for v in mu.values())
-    assert gl.chain[1]["n"] == 2
-    assert gl.chain[1]["generators"][0] == Fraction(1, 6)
+    assert gl.chain[1].n == 2
+    assert gl.chain[1].generators[0] == Fraction(1, 6)
     budget(t0, 30, "criterion 06 gap labels")
 
 

@@ -36,6 +36,10 @@ PERIODIC_12 = {"type": "periodic", "word": "12"}
 PERIODIC_112 = {"type": "periodic", "word": "112"}
 THUE_MORSE = {"type": "substitution", "rules": {"1": "12", "2": "21"}}
 FIBONACCI = {"type": "substitution", "rules": {"1": "12", "2": "1"}}
+PERIOD_DOUBLING = {"type": "substitution", "rules": {"1": "12", "2": "11"}}
+FOUR_LETTER = {"type": "substitution",
+               "rules": {"1": "1234", "2": "2143", "3": "3412",
+                         "4": "4321"}}
 
 
 class TestKGroups:
@@ -152,6 +156,58 @@ class TestSmallCommands:
                     "--samples", "20000", "--seed", str(seed)]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == expect
+
+    # sha256 of stdout at --nmax 6: every group, generator and chain
+    # entry.  An explicit window has no gap labels, so it pins two.
+    @pytest.mark.parametrize("spec, expect", [
+        (THUE_MORSE, {
+            "kgroups": "5654234944b17cc81179df72b1adedbb"
+                       "275c03cf63214032b7a95ecdbf5dc753",
+            "cech": "2651c4235a834d3b7435945eba18aee8"
+                    "f72e60aa5154461e07dc776afb1c9d3b",
+            "gaplabels": "b06acf32802b92a30ef05ecc95180232"
+                         "7876acf9f81d25b44ae586a2202f81d1"}),
+        (PERIOD_DOUBLING, {
+            "kgroups": "cc18ec5bbfe5add679433ce4c46df8f5"
+                       "ca9209af9c5afe07b9f67aa65527a223",
+            "cech": "f56ca455e718958f4edebb554f688ec4"
+                    "d8a423ce5d472f1f0dc2503091edb9d5",
+            "gaplabels": "0f6da90d94cb205d3bc89964079f558f"
+                         "c1324ef45ab6dfd755c99b92dafb68ac"}),
+        (FIBONACCI, {
+            "kgroups": "84510e4a6d779221a4737623ff99dac2"
+                       "c2376846ab0b1bfa9b8500d5ec20959d",
+            "cech": "5a7e2b45ca2fc6163cd21404484b6c40"
+                    "24f61f75243b7bc83617db8bacf5bc49",
+            "gaplabels": "f3c74052bd461710df7fa4e768df928a"
+                         "b8ee132f4c501e49f45e9f9088865cb8"}),
+        (FOUR_LETTER, {
+            "kgroups": "c8c55d61c07ec78018f1b962a81d698c"
+                       "b7154ca0c96ca4abed3a4dfadc9414e5",
+            "cech": "44b3301c7e1bef3afb01806657475996"
+                    "056b606ab6f85cb906289833d04a0d22",
+            "gaplabels": "fa7066523ae22ba6156bd0c0298abe2e"
+                         "59c93cb2ab3133ab2150522e34a25495"}),
+        ({"type": "periodic", "word": "11212"}, {
+            "kgroups": "c3323b240ddf54f18a0b15f450425bf6"
+                       "b1b0fb818cd53fddf1b69c51295048ac",
+            "cech": "3dfd658810ecd088b8c32868500e496f"
+                    "5026e2c66aa5b0fca150d0e62d6e9c88",
+            "gaplabels": "4b68b1922cc2a1672e5ea5f0fc53c1de"
+                         "94878f63f931ee2f71354b9806bb20f1"}),
+        ({"type": "explicit", "left": "121212", "right": "1212121",
+          "horizon": 7}, {
+            "kgroups": "db3090c942b929fd9270597602f7e225"
+                       "d0ec795e0c9fd401f0b461af8ea249ff",
+            "cech": "6c6c7faf2d931aad50c91d7f8cc31020"
+                    "a307674e1b7959cf630aafbc327af11b"}),
+    ], ids=["tm", "pd", "fib", "s4", "11212", "window"])
+    def test_group_reports_are_pinned(self, tmp_path, capsys, spec, expect):
+        path = write_spec(tmp_path, spec)
+        for command, digest in expect.items():
+            assert run([command, "--spec", path, "--nmax", "6"]) == 0
+            out = capsys.readouterr().out.encode()
+            assert hashlib.sha256(out).hexdigest() == digest, command
 
     # every command at the quick benchmark's sizes; render and measures
     # write no JSON report, so only their config document is checked
@@ -553,33 +609,60 @@ def bump_and_cocycle(out):
     return bump, Path(out).read_text()
 
 
+def hullcheck_report(out):
+    """The TM hullcheck report at seed 7, written to out."""
+    assert main(["hullcheck", "--spec", write_spec(Path(out).parent,
+                                                   THUE_MORSE),
+                 "--samples", "20000", "--seed", "7", "--out", out]) == 0
+    return Path(out).read_text()
+
+
 ON_BASELINE = f"""
 import json, sys
 sys.path.insert(0, {str(Path(__file__).parent)!r})
-from test_cli import bump_and_cocycle, simd_tables
-features = simd_tables()[1]
+import test_cli
+features = test_cli.simd_tables()[1]
 targets = json.loads(sys.argv[1])
 print(json.dumps([[t for t in targets if features[t]],
-                  bump_and_cocycle(sys.argv[2])]))
+                  getattr(test_cli, sys.argv[3])(sys.argv[2])]))
 """
 
 
-def test_hull_outputs_do_not_depend_on_the_simd_path(tmp_path):
-    # numpy picks a kernel per CPU among its dispatch targets; a fresh
-    # interpreter with every target this CPU has disabled runs the
-    # baseline kernels, which must give the same bits
+def on_baseline(name, out):
+    """name(out), run in a fresh interpreter on numpy's baseline kernels.
+
+    numpy picks a kernel per CPU among its dispatch targets; the fresh
+    interpreter has every target this CPU has disabled.
+    """
     dispatch, features = simd_tables()
     targets = [t for t in dispatch if features.get(t)]
     if not targets:
         pytest.skip("this CPU runs numpy's baseline kernels only")
-    out = str(tmp_path / "cocycle.json")
-    proc = run_python(["-c", ON_BASELINE, json.dumps(targets), out],
+    proc = run_python(["-c", ON_BASELINE, json.dumps(targets), out, name],
                       NPY_DISABLE_CPU_FEATURES=" ".join(targets),
                       NPY_ENABLE_CPU_FEATURES=None)
     assert proc.returncode == 0, proc.stderr
     still_on, got = json.loads(proc.stdout)
     assert still_on == []
-    assert got == list(bump_and_cocycle(out))
+    return got
+
+
+def test_hull_outputs_do_not_depend_on_the_simd_path(tmp_path):
+    out = str(tmp_path / "cocycle.json")
+    assert on_baseline("bump_and_cocycle", out) == list(bump_and_cocycle(out))
+
+
+# Known defect: hullcheck reads np.exp2 in SampleBatch.act and in
+# cli._random_group_elements, whose last bits differ between numpy's
+# kernels; at seed 7 the report's sha256 is 2d721b95... on AVX-512 and
+# 7aefbe30... on the baseline kernels.  The marker comes off when the
+# report is the same on every CPU (ROADMAP item 16).
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="hullcheck depends on numpy's exp2 kernel "
+                   "(ROADMAP item 16)")
+def test_hullcheck_does_not_depend_on_the_simd_path(tmp_path):
+    out = str(tmp_path / "hullcheck.json")
+    assert on_baseline("hullcheck_report", out) == hullcheck_report(out)
 
 
 def test_module_entry_point(tmp_path):

@@ -20,7 +20,8 @@ from hyptile.ktheory import (
     SHIFT_DOUBLING,
     SHIFT_PLAIN,
     CylinderFunction,
-    _coinvariant_chain,
+    _bonding_is_iso,
+    _iter_levels,
     _presentation,
     _relation_rows,
     _value_row,
@@ -75,6 +76,13 @@ def random_function(rng, spec, ring, length, start=0):
             for w in language(spec, length)
         }
     return CylinderFunction.of(ring, start, vals)
+
+
+def chain(spec, ring, n_max):
+    """Presentations for N = 1..n_max and the flag of each bonding map."""
+    levels = list(_iter_levels(spec, ring, n_max))
+    return levels, [_bonding_is_iso(p1, p2, ring)
+                    for p1, p2 in zip(levels, levels[1:])]
 
 
 def coboundary(spec, f, mode):
@@ -382,7 +390,7 @@ class TestCoinvariants:
         # isomorphisms although the third is not.
         spec = Periodic("11212")
         assert [len(language(spec, n)) for n in range(1, 6)] == [2, 3, 4, 5, 5]
-        levels, isos = _coinvariant_chain(spec, ring, 6)
+        levels, isos = chain(spec, ring, 6)
         assert isos[:3] == [True, True, False]
         got = coinvariants(spec, ring)
         want_rank, want_tors = snf_group(circulant_rows(5, psi),
@@ -419,7 +427,7 @@ class TestCoinvariants:
     def test_thue_morse_bonding_flags(self):
         # First map is an isomorphism; the second cannot be onto because
         # the rank jumps to 5.
-        levels, isos = _coinvariant_chain(TM, RING_Z, 4)
+        levels, isos = chain(TM, RING_Z, 4)
         assert isos[0] is True
         assert isos[1] is False
         assert len(levels[2].free) == 5
@@ -428,7 +436,7 @@ class TestCoinvariants:
         g = coinvariants(TM, RING_Z, 8)
         assert g.stabilized is False
         assert g.n_used == 8
-        _, isos = _coinvariant_chain(TM, RING_Z, 8)
+        _, isos = chain(TM, RING_Z, 8)
         assert not any(a and b for a, b in zip(isos, isos[1:]))
 
     # Known defect: two consecutive isomorphisms do not certify the group
@@ -460,7 +468,7 @@ class TestCoinvariants:
         # On 1 -> 221, 2 -> 1 the groups at N = 1 and 2 are isomorphic
         # but the bonding map between them is not onto.
         for ring in (RING_Z, RING_HALF):
-            levels, isos = _coinvariant_chain(spec, ring, n_max)
+            levels, isos = chain(spec, ring, n_max)
             assert len(isos) == len(levels) - 1
             for p1, p2, flag in zip(levels, levels[1:], isos):
                 c1, c2 = len(p1.cols), len(p2.cols)
@@ -740,6 +748,25 @@ class TestCoinvariantClass:
         with pytest.raises(ValueError):
             coinvariant_class(TM, cylinder(RING_Z, "1"), g)
 
+    def test_group_of_another_spec_rejected(self):
+        # read against period doubling's presentation, Thue-Morse's
+        # level-6 group would give every class all-zero coordinates
+        grp = coinvariants(TM, RING_Z, 6)
+        with pytest.raises(ValueError, match="not this spec's coinvariants "
+                           "at N = 6"):
+            coinvariant_class(PD, cylinder(RING_Z, "11"), grp)
+
+    def test_own_and_retagged_groups_keep_their_coordinates(self):
+        # pinned: rebuilding the presentation must not move a class,
+        # and K0's retagged names still read it
+        grp = coinvariants(TM, RING_Z, 6)
+        assert coinvariant_class(TM, cylinder(RING_Z, "1", start=-1), grp) \
+            == {"f0": 1, "f1": 1, "f2": 2, "f3": 2, "f4": 3}
+        co_half, _ = k_groups(TM, 6)["K0"]
+        cls = coinvariant_class(TM, cylinder(RING_HALF, "11"), co_half)
+        assert cls == {f"projection-class:{name}": v for name, v in (
+            ("t0", 0), ("f0", -416), ("f1", 128), ("f2", 8288), ("f3", -384))}
+
 
 class TestKGroupsAndCech:
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -835,9 +862,17 @@ class TestGapLabels:
         gl = gap_labels(spec, 5)
         assert gl.kind == "rational"
         for entry in gl.chain:
-            (g,) = entry["generators"]
+            (g,) = entry.generators
             assert g == Fraction(1, p)
         assert gl.stabilized and gl.dyadic_base is None
+
+    @pytest.mark.parametrize("spec, n_max", [(TM, 3), (FIB, 4)],
+                             ids=["tm", "fib"])
+    def test_chain_is_hashable_and_frozen(self, spec, n_max):
+        gl = gap_labels(spec, n_max)
+        assert hash(gl) == hash(gap_labels(spec, n_max))
+        with pytest.raises(AttributeError):
+            gl.chain[0].n = 2
 
     def test_repeated_letter_word(self):
         gl = gap_labels(Periodic("112"), 4)
@@ -850,13 +885,13 @@ class TestGapLabels:
         for spec in (TM, PD, S4, Periodic("11212")):
             gl = gap_labels(spec, 6 if spec != S4 else 4)
             for entry in gl.chain:
-                n = entry["n"]
+                n = entry.n
                 mu = measure_vector(spec, n)
-                (g,) = entry["generators"]
+                (g,) = entry.generators
                 assert isinstance(g, Fraction)
                 assert g == gcd_lattice(list(mu.values()))
         gl = gap_labels(TM, 6)
-        assert gl.chain[1]["generators"][0] == Fraction(1, 6)
+        assert gl.chain[1].generators[0] == Fraction(1, 6)
 
     def test_thue_morse_dyadic_pattern(self):
         gl = gap_labels(TM, 6)
@@ -877,7 +912,7 @@ class TestGapLabels:
             inv = _spec_perron(spec)[1]
             closed = all(frac_in_lattice(rows, _value_row(g * inv, degree))
                          for g in gl.generators)
-            repeated = gl.chain[-1]["agrees_with_previous"]
+            repeated = gl.chain[-1].agrees_with_previous
             assert flag == (repeated and closed), spec
             if spec == PD:
                 assert repeated and not closed
@@ -908,10 +943,10 @@ class TestGapLabels:
             gl = gap_labels(spec, 5)
             degree = 1 if gl.minpoly is None else len(gl.minpoly) - 1
             for entry in gl.chain:
-                mu = measure_vector(spec, entry["n"])
+                mu = measure_vector(spec, entry.n)
                 values = [mu[w] for w in sorted(mu)]
-                assert entry["generators"] == restart_scan(values, degree), \
-                    (spec, entry["n"])
+                assert entry.generators == restart_scan(values, degree), \
+                    (spec, entry.n)
 
     def test_fibonacci_algebraic_lattice(self):
         gl = gap_labels(FIB, 5)
@@ -919,10 +954,10 @@ class TestGapLabels:
         assert gl.minpoly is not None
         assert gl.stabilized
         mu1 = measure_vector(FIB, 1)
-        gens = {float(v) for v in gl.chain[0]["generators"]}
+        gens = {float(v) for v in gl.chain[0].generators}
         assert gens == {float(v) for v in mu1.values()}
         for entry in gl.chain[2:]:
-            assert entry["agrees_with_previous"]
+            assert entry.agrees_with_previous
 
     def test_generators_in_unit_interval_and_reduced(self):
         for spec in (TM, FIB, Periodic("112")):

@@ -18,7 +18,8 @@ from hyptile.geometry import (AdjacencyReport, AffineMap, ColourWindow,
 from hyptile.hull import BumpProfile
 from hyptile.hull import TestFunction as TFn
 from hyptile.ktheory import (CylinderFunction, FPAbelianGroup, GapLabelGroup,
-                             _Presentation, _presentation, coinvariants)
+                             GapLabelLevel, _Presentation, _presentation,
+                             coinvariants)
 from hyptile.subshift import ExplicitWindow, Periodic, Substitution
 
 P12 = Periodic("12")
@@ -146,6 +147,11 @@ CASES = [
      "GapLabelGroup(kind='rational', minpoly=None, "
      "generators=(Fraction(1, 2),), chain=(), "
      "stabilized=False, n_used=1, dyadic_base=None)", []),
+    (GapLabelLevel,
+     lambda: GapLabelLevel(2, (Fraction(1, 6),), False),
+     ("n", "generators", "agrees_with_previous"),
+     "GapLabelLevel(n=2, generators=(Fraction(1, 6),), "
+     "agrees_with_previous=False)", []),
     (BumpProfile,
      lambda: BumpProfile("bump3", 0.5, 0.25),
      ("name", "center", "width"),
@@ -192,15 +198,11 @@ def test_value_type(kind, make, names, text, errors):
         assert str(info.value) == message
 
 
-def test_group_ignores_its_presentation():
-    g = coinvariants(P12, "Z")
-    assert g.pres is not None
-    bare = FPAbelianGroup(g.ring, g.rank, g.torsion, g.generators,
-                          g.stabilized, g.n_used, g.approximate)
-    assert bare.pres is None
-    assert bare == g and hash(bare) == hash(g) and repr(bare) == repr(g)
-    assert FPAbelianGroup("Z", 0, (), (), True, 1) \
-        != FPAbelianGroup("Z", 0, (), (), False, 1)
+def test_group_is_a_record_of_its_fields():
+    # no presentation rides along: coinvariant_class rebuilds it
+    g = FPAbelianGroup("Z", 0, (), (), True, 1)
+    assert g.approximate is False and not hasattr(g, "pres")
+    assert g != FPAbelianGroup("Z", 0, (), (), False, 1)
 
 
 @pytest.mark.parametrize("make", [
