@@ -11,7 +11,6 @@ so a crash never leaves a partial file at the target path).
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -19,6 +18,7 @@ import sys
 import tempfile
 from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .geometry import (ColourWindow, TileSet, generate_patch, patch_size,
@@ -70,38 +70,132 @@ _NMAX_DEFAULT = {"kgroups": 8, "cech": 8, "gaplabels": 6, "measures": 4}
 
 
 class UsageError(ValueError):
-    """A command line that argparse rejects."""
+    """A malformed command line: reported as a structured error, exit 1."""
 
 
-class _Parser(argparse.ArgumentParser):
-    # report usage errors like every other failure, not as exit 2
-    def error(self, message):
-        raise UsageError(message)
+# flag: (type, default, help); the command may stand anywhere among them
+_FLAGS = {
+    "--spec": (str, None, "subshift spec document (JSON), required"),
+    "--radius": (float, 3.0, "hyperbolic patch radius (render, patch)"),
+    "--nmax": (int, None,
+               "truncation level (kgroups, cech, gaplabels, measures)"),
+    "--samples": (int, 100_000,
+                  "Monte-Carlo sample count (hullcheck, cocycle)"),
+    "--seed": (int, None, "RNG seed, required for stochastic commands"),
+    "--out": (str, None, "artifact path (default: stdout)"),
+}
+_HELP_FLAGS = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(
-        prog="hyptile",
-        description="Pentagon tilings of the half-plane: figures, "
-                    "K-theoretic group reports, measures, and seeded "
-                    "Monte-Carlo checks.")
-    p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--spec", required=True, metavar="FILE.json",
-                   help="subshift spec document")
-    p.add_argument("--radius", type=float, default=3.0,
-                   help="hyperbolic patch radius (render, patch)")
-    p.add_argument("--nmax", type=int, default=None,
-                   help="truncation level (kgroups, cech, gaplabels, measures)")
-    p.add_argument("--samples", type=int, default=100_000,
-                   help="Monte-Carlo sample count (hullcheck, cocycle)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed, required for stochastic commands")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="artifact path (default: stdout)")
-    return p
+def _help() -> str:
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [(f"{flag} {flag[2:].upper()}", text)
+             for flag, (_, _, text) in _FLAGS.items()]
+    return "\n".join([
+        "usage: hyptile COMMAND --spec SPEC [--flag VALUE ...]", "",
+        "Pentagon tilings of the half-plane: figures, K-theoretic group "
+        "reports,", "measures, and seeded Monte-Carlo checks.", "",
+        "commands: " + ", ".join(COMMANDS), "",
+        "options (--flag VALUE or --flag=VALUE; a unique prefix of a flag "
+        "will do):",
+        *(f"  {name:<19}{text}" for name, text in rows)]) + "\n"
 
 
-def load_config(args: argparse.Namespace) -> JobConfig:
+def _is_negative_number(arg: str) -> bool:
+    # for an arg that starts with "-": is the rest \d+ or \d*\.\d+, with
+    # a final newline allowed as a regex's $ allows it?
+    whole, dot, frac = arg[1:].removesuffix("\n").partition(".")
+    if dot:
+        return frac.isdecimal() and (not whole or whole.isdecimal())
+    return whole.isdecimal()
+
+
+def _option(arg: str):
+    """(flag, inline value or None) for an arg that names a flag,
+    (None, None) for an unknown flag, None for a value or a command."""
+    if arg[:1] != "-" or len(arg) == 1:
+        return None
+    name, eq, inline = arg.partition("=")
+    inline = inline if eq else None
+    if name in _FLAGS or name in _HELP_FLAGS:
+        return name, inline
+    if arg[1] == "-":
+        matches = [f for f in ("--help", *_FLAGS) if f.startswith(name)]
+    else:  # -h is the one short flag, and runs into its inline value
+        matches, inline = ["-h"] if arg[1] == "h" else [], arg[2:]
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {arg} could match "
+                         + ", ".join(matches))
+    if matches:
+        return matches[0], inline
+    if _is_negative_number(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """Read a command line: one command among the flags of _FLAGS.
+
+    ``--flag value`` and ``--flag=value``; a unique prefix of a flag; the
+    last of a repeated flag wins; a value starting with "-" is taken
+    only when it is a negative number; every arg after ``--`` is a
+    value.  -h/--help prints the help and exits 0; any other malformed
+    line raises UsageError, ambiguous prefixes first, then the first
+    fault from the left, then missing and unrecognized arguments.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    cut = args.index("--") if "--" in args else len(args)
+    kinds = [*map(_option, args[:cut]), "--"] + [None] * len(args[cut + 1:])
+    values = {flag[2:]: default for flag, (_, default, _) in _FLAGS.items()}
+    command, extras, i = None, [], 0
+    while i < len(args):
+        arg, kind = args[i], kinds[i]
+        i += 1
+        if kind == "--":
+            # the command takes a "--" next to it as its own
+            if command is not None and command_at != i - 2:
+                extras.append(arg)
+            continue
+        if kind is None and command is None:
+            if arg not in COMMANDS:
+                raise UsageError(
+                    f"argument command: invalid choice: {arg!r} (choose "
+                    f"from {', '.join(map(repr, COMMANDS))})")
+            command, command_at = arg, i - 1
+            continue
+        if kind is None or kind[0] is None:
+            extras.append(arg)
+            continue
+        flag, value = kind
+        if flag in _HELP_FLAGS:
+            if flag == "-h" and value:
+                value = value.lstrip("h") or None  # -hh is -h twice
+            if value is not None:
+                raise UsageError(f"argument -h/--help: ignored explicit "
+                                 f"argument {value!r}")
+            sys.stdout.write(_help())
+            raise SystemExit(0)
+        if value is None:
+            if i == len(args) or kinds[i] is not None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            value, i = args[i], i + 1
+        convert = _FLAGS[flag][0]
+        try:
+            values[flag[2:]] = convert(value)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid {convert.__name__} "
+                             f"value: {value!r}") from None
+    missing = [name for name, v in (("command", command),
+                                    ("--spec", values["spec"])) if v is None]
+    if missing:
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(missing))
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=command, **values)
+
+
+def load_config(args: SimpleNamespace) -> JobConfig:
     with open(args.spec, encoding="utf-8") as fh:
         spec = parse_spec(json.load(fh))
     # each flag is checked only where it is read
@@ -364,7 +458,7 @@ def run(cfg: JobConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(load_config(build_parser().parse_args(argv)))
+        return run(load_config(parse_args(argv)))
     except Exception as exc:  # structured error, no partial artifacts
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)

@@ -352,36 +352,36 @@ def hnf_row_lattice(rows):
     equal.  Zero rows are dropped.
     """
     work, m = _sparse_rows(rows, "row set")
-    work = list(filter(None, work))  # zero rows dropped
-    r = 0
+    # the rows not yet pivots, by first column, zero rows dropped: the
+    # columns before col are cleared from them, so the rows holding col
+    # are the ones that start there
+    waiting = {}
+    for row in filter(None, work):
+        waiting.setdefault(min(row), []).append(row)
+    basis = []
     for col in range(m):
-        # gcd-eliminate column col among rows r..
-        while True:
-            live = [i for i, row in enumerate(work[r:], r) if col in row]
-            if not live:
-                break
-            piv = min(live, key=lambda i: abs(work[i][col]))
-            work[r], work[piv] = work[piv], work[r]
-            if work[r][col] < 0:
-                work[r] = {k: -x for k, x in work[r].items()}
-            # the swap moved row r, live or not, to where piv was
-            rest = live[1:] if live[0] == r else [i for i in live if i != piv]
-            done = True
-            for i in rest:
-                _add(work[i], work[r], -(work[i][col] // work[r][col]))
-                if col in work[i]:
-                    done = False
-            if done:
-                break
-        if r < len(work) and col in work[r]:
-            p = work[r][col]
-            for k in range(r):
-                if col in work[k]:
-                    _add(work[k], work[r], -(work[k][col] // p))
-            r += 1
-        if r == len(work):
+        if not waiting:
             break
-    return _dense(work[:r], m, range(m))
+        # gcd-eliminate column col among the rows that start there
+        live, piv = waiting.pop(col, []), None
+        while live:
+            piv = live.pop(min(range(len(live)),
+                               key=lambda j: abs(live[j][col])))
+            if piv[col] < 0:
+                piv = {k: -x for k, x in piv.items()}
+            for row in live:
+                _add(row, piv, -(row[col] // piv[col]))
+                if row and col not in row:
+                    waiting.setdefault(min(row), []).append(row)
+            live = [row for row in live if col in row]
+            if live:
+                live.append(piv)
+        if piv is not None:
+            for row in basis:
+                if col in row:
+                    _add(row, piv, -(row[col] // piv[col]))
+            basis.append(piv)
+    return _dense(basis, m, range(m))
 
 
 def lattice_contains(rows, vec) -> bool:

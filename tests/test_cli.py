@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -232,7 +233,7 @@ class TestSmallCommands:
                 "--out", str(tmp_path / "out")]
         assert run(args) == 0
         assert len(docs) == (command not in ("render", "measures"))
-        docs.append(cli.load_config(cli.build_parser().parse_args(args))
+        docs.append(cli.load_config(cli.parse_args(args))
                     .document())
         for doc in docs:
             assert dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -569,6 +570,94 @@ class TestErrorHygiene:
                   "--nmax", "eight", "--out", str(out)])
         self.assert_error(rc, capsys, out)
 
+    # each refused line with its message, worded as argparse words it
+    @pytest.mark.parametrize("argv, message", [
+        (["kgroups", "--s", "tm.json"],
+         "ambiguous option: --s could match --spec, --samples, --seed"),
+        (["kgroups", "--spec", "tm.json", "--nmax"],
+         "argument --nmax: expected one argument"),
+        (["kgroups", "--spec", "tm.json", "--radius", "-inf"],
+         "argument --radius: expected one argument"),
+        (["kgroups", "--spec", "tm.json", "--nmax", "--", "4"],
+         "argument --nmax: expected one argument"),
+        (["kgroups", "--spec", "tm.json", "--nmax", "4.0"],
+         "argument --nmax: invalid int value: '4.0'"),
+        (["render", "--spec", "tm.json", "--radius", "three"],
+         "argument --radius: invalid float value: 'three'"),
+        (["kgroups", "--spec", "tm.json", "--bogus", "1"],
+         "unrecognized arguments: --bogus 1"),
+        (["kgroups", "--spec", "tm.json", "patch"],
+         "unrecognized arguments: patch"),
+        (["--spec", "tm.json"],
+         "the following arguments are required: command"),
+        (["--nmax", "4"],
+         "the following arguments are required: command, --spec"),
+        (["kgroups", "--help=x"],
+         "argument -h/--help: ignored explicit argument 'x'"),
+        (["--spec", "tm.json", "kgroup"],
+         "argument command: invalid choice: 'kgroup' (choose from "
+         "'render', 'patch', 'kgroups', 'cech', 'gaplabels', 'measures', "
+         "'hullcheck', 'cocycle')"),
+    ], ids=["ambiguous-prefix", "trailing-flag", "dash-value", "dashes",
+            "bad-int", "bad-float", "unknown-flag", "two-commands",
+            "no-command", "no-command-no-spec", "help-value",
+            "unknown-command"])
+    def test_malformed_command_line(self, capsys, argv, message):
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "UsageError", "message": message}
+
+    def test_negative_seed_reaches_range_check(self, tmp_path, capsys):
+        rc = run(["hullcheck", "--spec", write_spec(tmp_path, THUE_MORSE),
+                  "--samples", "100", "--seed", "-1"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError", "message": "--seed must be >= 0"}
+
+
+class TestCommandLine:
+    READ = {"command": "kgroups", "spec": "tm.json", "radius": 3.0,
+            "nmax": None, "samples": 100_000, "seed": None, "out": None}
+
+    @pytest.mark.parametrize("argv, read", [
+        (["kgroups", "--spec=tm.json", "--nmax=5"], {"nmax": 5}),
+        (["kgroups", "--sp", "tm.json", "--nm", "5", "--o=k.json"],
+         {"nmax": 5, "out": "k.json"}),
+        (["--spec", "tm.json", "--nmax", "5", "kgroups"], {"nmax": 5}),
+        (["kgroups", "--spec", "x.json", "--nmax", "4", "--spec", "tm.json",
+          "--nmax", "5"], {"nmax": 5}),
+        (["hullcheck", "--spec", "tm.json", "--seed", "-1", "--samples",
+          "-20"], {"command": "hullcheck", "seed": -1, "samples": -20}),
+        (["render", "--spec", "tm.json", "--radius", "-.5"],
+         {"command": "render", "radius": -0.5}),
+        (["render", "--spec", "tm.json", "--radius=-inf"],
+         {"command": "render", "radius": -math.inf}),
+        (["kgroups", "--spec", "-", "--out", "my file.json"],
+         {"spec": "-", "out": "my file.json"}),
+        (["--spec", "tm.json", "--", "kgroups"], {}),
+        (["kgroups", "--spec", "tm.json", "--nmax", " 1_0 "], {"nmax": 10}),
+    ], ids=["equals", "prefixes", "command-last", "repeated-flags",
+            "negative-numbers", "negative-fraction", "equals-negative",
+            "dash-and-space-values", "double-dash", "int-literal"])
+    def test_accepted(self, argv, read):
+        assert vars(cli.parse_args(argv)) == {**self.READ, **read}
+
+    def test_nan_radius_passes_the_type(self):
+        assert math.isnan(cli.parse_args(
+            ["render", "--spec", "tm.json", "--radius", "nan"]).radius)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["kgroups", "-h"],
+                                      ["--he", "--nmax", "x"]])
+    def test_help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: hyptile")
+        for flag in ("--spec", "--radius", "--nmax", "--samples", "--seed",
+                     "--out"):
+            assert f"\n  {flag} " in out, flag
+
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -705,6 +794,8 @@ print(json.dumps([m for m in ("dataclasses", "inspect", "numpy", "sympy")
                   if m in sys.modules]))
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 print(json.dumps([hyptile.cli.main(args) for args in json.loads(sys.argv[1])]))
+print(json.dumps([m for m in ("argparse", "gettext", "locale")
+                  if m in sys.modules]))
 del sys.modules["numpy"]
 import hyptile.hull
 print("dataclasses" in sys.modules)
@@ -714,7 +805,9 @@ print("dataclasses" in sys.modules)
 def test_non_sampler_commands_run_without_numpy(tmp_path):
     # only hullcheck and cocycle draw samples, so only they import numpy;
     # the value types generate no code at import, so the cli loads
-    # neither dataclasses nor the inspect module it imports
+    # neither dataclasses nor the inspect module it imports; the cli's
+    # own parser needs neither argparse nor the gettext and locale
+    # modules that argparse loads on its first parse
     spec = write_spec(tmp_path, THUE_MORSE)
     jobs = [[command, "--spec", spec, *extra,
              "--out", str(tmp_path / f"{command}.out")]
@@ -727,7 +820,7 @@ def test_non_sampler_commands_run_without_numpy(tmp_path):
     proc = run_python(["-c", NO_NUMPY, json.dumps(jobs)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", json.dumps([0] * len(jobs)),
-                                        "False"]
+                                        "[]", "False"]
 
 
 def test_commands_run_without_sympy(tmp_path):
