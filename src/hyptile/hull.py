@@ -415,6 +415,32 @@ class SampleBatch:
         self.omega, self.t, self.s, self.cursor = omega, t, s, cursor
 
 
+def _window_lookup(bounds: np.ndarray):
+    """u -> min(searchsorted(bounds, u, "right"), K - 1), by a guide table.
+
+    Chen and Asau's indexed search over the K non-decreasing bounds:
+    guide[j] is the first bound above (j - 1)/m for m = 4K buckets, so
+    a u whose u*m rounds up to j still starts at or below its own index,
+    and a forward walk over the bounds, padded with +inf, stops at it.
+    The clamp keeps a u above the last bound (which rounding may leave
+    below 1) on the last window.  The lookup writes into out.
+    """
+    last = len(bounds) - 1
+    m = 4 * len(bounds)
+    guide = np.searchsorted(bounds, (np.arange(m) - 1.0) / m, side="right")
+    padded = np.append(bounds, np.inf)
+
+    def lookup(u: np.ndarray, out: np.ndarray):
+        j = guide.take((u * m).astype(np.intp))
+        step = padded.take(j) <= u
+        while step.any():
+            j += step
+            np.less_equal(padded.take(j), u, out=step)
+        np.minimum(j, last, out=out)
+
+    return lookup
+
+
 def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
                  precision: int = 48, halfwidth: int = 8) -> SampleBatch:
     """n points: omega and (t, s) uniform, letter windows by their measure.
@@ -422,24 +448,40 @@ def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
     The windows are the admissible words of length 2*halfwidth + 1 in
     language order.  Rows are drawn in a fixed number of chunks, each
     from its own child RNG stream spawned from the seed, so the draw is
-    a function of (spec, n, seed) alone.
+    a function of (spec, n, seed) alone.  Each stream fills its rows of
+    the omega, t and s columns in place and turns its own letter
+    uniforms into window indices through a guide table, which gives the
+    index a binary search over the cumulative measure gives, to the bit.
     """
+    for name, value in (("n", n), ("seed", seed), ("precision", precision),
+                        ("halfwidth", halfwidth)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    # a numpy integer's 1 << precision would wrap in its own width
+    n, seed, precision, halfwidth = map(int, (n, seed, precision, halfwidth))
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if precision < 1 or precision > 62:
         raise ValueError("precision must be in [1, 62]")
+    if halfwidth < 0:
+        raise ValueError(f"halfwidth must be non-negative, got {halfwidth}")
     windows = tuple(language(spec, 2 * halfwidth + 1))
-    bounds = _cumulative_measure(spec, windows)
-    parts = []
+    lookup = _window_lookup(_cumulative_measure(spec, windows))
+    om = np.empty(n, dtype=np.int64)
+    t, s = np.empty(n), np.empty(n)
+    index = np.empty(n, dtype=np.intp)
+    lo = 0
     for i, child in enumerate(np.random.SeedSequence(seed).spawn(_CHUNKS)):
         size = n // _CHUNKS + (1 if i < n % _CHUNKS else 0)
+        rows = slice(lo, lo + size)
+        lo += size
         rng = np.random.default_rng(child)
-        parts.append((rng.integers(0, 1 << precision, size=size,
-                                   dtype=np.int64),
-                      rng.random(size), rng.random(size), rng.random(size)))
-    om, t, s, u = (np.concatenate(col) for col in zip(*parts))
-    index = np.minimum(np.searchsorted(bounds, u, side="right"),
-                       len(bounds) - 1)
+        om[rows] = rng.integers(0, 1 << precision, size=size, dtype=np.int64)
+        rng.random(out=t[rows])
+        rng.random(out=s[rows])
+        lookup(rng.random(size), index[rows])
     return SampleBatch(om, t, s, np.zeros(n, dtype=np.int64), index,
                        windows, halfwidth, precision)
 
@@ -463,7 +505,12 @@ def _report(stat, se, n, ok, seed, **extra) -> dict:
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    return float(x.mean()), float(x.std(ddof=1)) / math.sqrt(len(x))
+    # numpy's std(ddof=1) in its own steps, with the mean summed once
+    n = len(x)
+    mean = np.add.reduce(x) / n
+    d = x - mean
+    np.multiply(d, d, out=d)
+    return float(mean), math.sqrt(np.add.reduce(d) / (n - 1)) / math.sqrt(n)
 
 
 def _check_rows(base: SampleBatch):

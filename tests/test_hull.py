@@ -4,10 +4,12 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyptile.dyadic import LocallyConstFn, PrecisionExhausted
 from hyptile.geometry import (
@@ -19,7 +21,10 @@ from hyptile.geometry import (
 )
 from hyptile.hull import (
     _BLOCK,
+    _CHUNKS,
+    _cumulative_measure,
     _per_row,
+    _window_lookup,
     BumpProfile,
     SampleBatch,
     TestFunction as TFn,
@@ -36,11 +41,13 @@ from hyptile.hull import (
     tau_reports,
 )
 from hyptile.ktheory import CylinderFunction
-from hyptile.subshift import Periodic, language
+from hyptile.subshift import Periodic, Substitution, language
 
-from oracles import FIB, TM, cylinder_indicator
+from oracles import FIB, S4, TM, TRIB, cylinder_indicator
 
 AB = Periodic("ab")
+# two of its 17-letter windows' cumulative bounds share a guide bucket
+SKEW = Substitution.of({"1": "111112", "2": "12"})
 
 
 # -- test oracle ----------------------------------------------------------
@@ -647,6 +654,57 @@ class TestSampler:
             with pytest.raises(ValueError, match="at least 1"):
                 sample_batch(TM, n, 0)
 
+    def test_draw_peak_memory(self):
+        # numpy reports its buffers to tracemalloc.  The batch's five
+        # 8-byte columns (omega, t, s, cursor, index) plus one stream's
+        # temporaries, not a second copy of every column
+        n = 130_000
+        sample_batch(FIB, 16, 0)  # windows, measures and numpy.random loaded
+        tracemalloc.start()
+        try:
+            sample_batch(FIB, n, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * n + 8 * 8 * -(-n // _CHUNKS)
+
+    def test_bool_seed_refused(self):
+        f = TFn.word_indicator("12")
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_batch(TM, 50, True)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            invariance_check(TM, f, [(2.0, 0.0)], 50, seed=True)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            harmonicity_check(TM, f, 50, True)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            tau_pairing(TM, f, f, 50, np.True_)
+
+    def test_bool_precision_refused(self):
+        with pytest.raises(ValueError, match="precision must be an integer"):
+            sample_batch(TM, 50, 1, precision=True)
+
+    def test_float_sample_size_refused(self):
+        f = TFn.word_indicator("12")
+        with pytest.raises(ValueError, match="n must be an integer"):
+            sample_batch(TM, 2.0, 1)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            invariance_check(TM, f, [(2.0, 0.0)], 100.0, 1)
+
+    def test_negative_halfwidth_refused(self):
+        with pytest.raises(ValueError, match="halfwidth must be non-negative"):
+            sample_batch(TM, 50, 1, halfwidth=-1)
+        with pytest.raises(ValueError, match="halfwidth must be an integer"):
+            sample_batch(TM, 50, 1, halfwidth=2.0)
+
+    def test_numpy_integers_accepted(self):
+        a = sample_batch(TM, np.int64(50), np.uint32(3),
+                         precision=np.int32(40), halfwidth=np.int8(2))
+        b = sample_batch(TM, 50, 3, precision=40, halfwidth=2)
+        for name in ("omega", "t", "s", "cursor", "index"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.windows, a.origin, a.precision) == \
+            (b.windows, b.origin, b.precision)
+
     def test_large_alphabet(self):
         letters = "".join(chr(0x4E00 + i) for i in range(130))
         b = sample_batch(Periodic(letters), 4000, 6, halfwidth=2)
@@ -660,6 +718,65 @@ class TestSampler:
                 win = b.windows[b.index[i]]
                 assert vals[i] == (1.0 if win[lo:lo + 2] == u else 0.0)
             assert vals.any()
+
+
+def searchsorted_index(bounds, u):
+    return np.minimum(np.searchsorted(bounds, u, side="right"),
+                      len(bounds) - 1)
+
+
+def guide_index(bounds, u):
+    out = np.empty(len(u), dtype=np.intp)
+    _window_lookup(bounds)(u, out)
+    return out
+
+
+def probes(bounds):
+    """Each bound and bucket edge j/m with their neighbours, 0, 1 - 2**-53.
+
+    Only those a uniform draw in [0, 1) can give.
+    """
+    m = 4 * len(bounds)
+    edges = np.arange(m + 1) / m
+    u = np.concatenate([bounds, edges, [0.0, 1.0 - 2.0 ** -53]])
+    u = np.concatenate([u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestWindowLookup:
+    SPECS = {"tm": TM, "fib": FIB, "trib": TRIB, "s4": S4, "skew": SKEW}
+
+    @staticmethod
+    def bounds(spec):
+        return _cumulative_measure(spec, tuple(language(spec, 17)))
+
+    def test_specs_reach_the_edge_cases(self):
+        assert self.bounds(FIB)[-1] == 1.0000000000000002
+        assert self.bounds(TRIB)[-1] == 0.9999999999999996
+        assert len(self.bounds(S4)) == 224
+        b = self.bounds(SKEW)
+        buckets = np.floor(b * 4 * len(b))
+        assert len(np.unique(buckets)) < len(b)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_equals_searchsorted_at_edges(self, name):
+        b = self.bounds(self.SPECS[name])
+        u = probes(b)
+        assert np.array_equal(guide_index(b, u), searchsorted_index(b, u))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+           end=st.one_of(st.sampled_from([1.0 - 2.0 ** -52, 1.0,
+                                          1.0 + 2.0 ** -52]),
+                         st.floats(0.25, 1.75)),
+           extra=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                          max_size=20))
+    def test_equals_searchsorted_on_random_tables(self, weights, end, extra):
+        sums = np.cumsum([1.0] + weights)
+        # the last bound is end exactly; zero weights give equal bounds
+        b = sums / sums[-1] * end
+        u = np.concatenate([probes(b), extra])
+        assert np.array_equal(guide_index(b, u), searchsorted_index(b, u))
 
 
 class TestSampleSizeGuards:
