@@ -84,7 +84,6 @@ _FLAGS = {
     "--seed": (int, None, "RNG seed, required for stochastic commands"),
     "--out": (str, None, "artifact path (default: stdout)"),
 }
-_HELP_FLAGS = ("-h", "--help")
 
 
 def _help() -> str:
@@ -96,89 +95,43 @@ def _help() -> str:
         "Pentagon tilings of the half-plane: figures, K-theoretic group "
         "reports,", "measures, and seeded Monte-Carlo checks.", "",
         "commands: " + ", ".join(COMMANDS), "",
-        "options (--flag VALUE or --flag=VALUE; a unique prefix of a flag "
-        "will do):",
+        "options (--flag VALUE or --flag=VALUE; a repeated flag's last "
+        "value wins):",
         *(f"  {name:<19}{text}" for name, text in rows)]) + "\n"
-
-
-def _is_negative_number(arg: str) -> bool:
-    # for an arg that starts with "-": is the rest \d+ or \d*\.\d+, with
-    # a final newline allowed as a regex's $ allows it?
-    whole, dot, frac = arg[1:].removesuffix("\n").partition(".")
-    if dot:
-        return frac.isdecimal() and (not whole or whole.isdecimal())
-    return whole.isdecimal()
-
-
-def _option(arg: str):
-    """(flag, inline value or None) for an arg that names a flag,
-    (None, None) for an unknown flag, None for a value or a command."""
-    if arg[:1] != "-" or len(arg) == 1:
-        return None
-    name, eq, inline = arg.partition("=")
-    inline = inline if eq else None
-    if name in _FLAGS or name in _HELP_FLAGS:
-        return name, inline
-    if arg[1] == "-":
-        matches = [f for f in ("--help", *_FLAGS) if f.startswith(name)]
-    else:  # -h is the one short flag, and runs into its inline value
-        matches, inline = ["-h"] if arg[1] == "h" else [], arg[2:]
-    if len(matches) > 1:
-        raise UsageError(f"ambiguous option: {arg} could match "
-                         + ", ".join(matches))
-    if matches:
-        return matches[0], inline
-    if _is_negative_number(arg) or " " in arg:
-        return None
-    return None, None
 
 
 def parse_args(argv=None) -> SimpleNamespace:
     """Read a command line: one command among the flags of _FLAGS.
 
-    ``--flag value`` and ``--flag=value``; a unique prefix of a flag; the
-    last of a repeated flag wins; a value starting with "-" is taken
-    only when it is a negative number; every arg after ``--`` is a
-    value.  -h/--help prints the help and exits 0; any other malformed
-    line raises UsageError, ambiguous prefixes first, then the first
-    fault from the left, then missing and unrecognized arguments.
+    The command may stand anywhere.  A flag is its full name, written
+    ``--flag value`` or ``--flag=value``; its value is the next arg
+    unless that starts with "--", and the last of a repeated flag wins.
+    -h or --help prints the help and exits 0.  Any other malformed line
+    raises UsageError: the first fault from the left, then missing
+    arguments, then unrecognized ones.
     """
-    args = sys.argv[1:] if argv is None else list(argv)
-    cut = args.index("--") if "--" in args else len(args)
-    kinds = [*map(_option, args[:cut]), "--"] + [None] * len(args[cut + 1:])
+    args = iter(sys.argv[1:] if argv is None else argv)
     values = {flag[2:]: default for flag, (_, default, _) in _FLAGS.items()}
-    command, extras, i = None, [], 0
-    while i < len(args):
-        arg, kind = args[i], kinds[i]
-        i += 1
-        if kind == "--":
-            # the command takes a "--" next to it as its own
-            if command is not None and command_at != i - 2:
+    command, extras = None, []
+    for arg in args:
+        if arg in ("-h", "--help"):
+            sys.stdout.write(_help())
+            raise SystemExit(0)
+        flag, eq, value = arg.partition("=")
+        if flag not in _FLAGS:
+            if arg.startswith("--") or command is not None:
                 extras.append(arg)
-            continue
-        if kind is None and command is None:
-            if arg not in COMMANDS:
+            elif arg not in COMMANDS:
                 raise UsageError(
                     f"argument command: invalid choice: {arg!r} (choose "
                     f"from {', '.join(map(repr, COMMANDS))})")
-            command, command_at = arg, i - 1
+            else:
+                command = arg
             continue
-        if kind is None or kind[0] is None:
-            extras.append(arg)
-            continue
-        flag, value = kind
-        if flag in _HELP_FLAGS:
-            if flag == "-h" and value:
-                value = value.lstrip("h") or None  # -hh is -h twice
-            if value is not None:
-                raise UsageError(f"argument -h/--help: ignored explicit "
-                                 f"argument {value!r}")
-            sys.stdout.write(_help())
-            raise SystemExit(0)
-        if value is None:
-            if i == len(args) or kinds[i] is not None:
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
                 raise UsageError(f"argument {flag}: expected one argument")
-            value, i = args[i], i + 1
         convert = _FLAGS[flag][0]
         try:
             values[flag[2:]] = convert(value)

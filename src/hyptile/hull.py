@@ -441,6 +441,22 @@ def _window_lookup(bounds: np.ndarray):
     return lookup
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a non-integer is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    # a numpy integer's 1 << precision would wrap in its own width
+    return int(value)
+
+
+def _seed(seed) -> int:
+    """seed as an int; a bool, a non-integer or a negative is refused."""
+    seed = _integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
                  precision: int = 48, halfwidth: int = 8) -> SampleBatch:
     """n points: omega and (t, s) uniform, letter windows by their measure.
@@ -453,16 +469,11 @@ def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
     uniforms into window indices through a guide table, which gives the
     index a binary search over the cumulative measure gives, to the bit.
     """
-    for name, value in (("n", n), ("seed", seed), ("precision", precision),
-                        ("halfwidth", halfwidth)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    # a numpy integer's 1 << precision would wrap in its own width
-    n, seed, precision, halfwidth = map(int, (n, seed, precision, halfwidth))
+    seed = _seed(seed)
+    n, precision, halfwidth = map(_integer, ("n", "precision", "halfwidth"),
+                                  (n, precision, halfwidth))
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     if precision < 1 or precision > 62:
         raise ValueError("precision must be in [1, 62]")
     if halfwidth < 0:
@@ -609,6 +620,7 @@ def invariance_reports(base: SampleBatch, cases, g_list,
     once on each block of base's rows, and every case is evaluated on
     the moved block; only the per-g scalars are kept.
     """
+    seed = _seed(seed)
     _check_rows(base)
     scale_only = all(f.letters_only for f, _ in cases)
     f0 = _per_row(base, lambda rows, block, move: (
@@ -660,6 +672,7 @@ def harmonicity_check(spec: SubshiftSpec, f: TestFunction, n_samples: int,
 def harmonicity_report(base: SampleBatch, f: TestFunction, seed: int, *,
                        h: float = 2.0 ** -6) -> dict:
     """harmonicity_check's report on a given sample."""
+    seed = _seed(seed)
     _validate_step(h)
     _check_rows(base)
 
@@ -698,6 +711,7 @@ def tau_reports(base: SampleBatch, pairs, seed: int, *,
     The flow moves each block of base's rows up and down once, and every
     pair is evaluated on those two moved blocks.
     """
+    seed = _seed(seed)
     _validate_step(h)
     _check_rows(base)
 

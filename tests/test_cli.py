@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyptile import cli
 from hyptile.cli import main
@@ -572,12 +573,12 @@ class TestErrorHygiene:
 
     # each refused line with its message, worded as argparse words it
     @pytest.mark.parametrize("argv, message", [
-        (["kgroups", "--s", "tm.json"],
-         "ambiguous option: --s could match --spec, --samples, --seed"),
+        (["kgroups", "--spec", "tm.json", "--s", "3"],
+         "unrecognized arguments: --s 3"),
         (["kgroups", "--spec", "tm.json", "--nmax"],
          "argument --nmax: expected one argument"),
-        (["kgroups", "--spec", "tm.json", "--radius", "-inf"],
-         "argument --radius: expected one argument"),
+        (["kgroups", "--spec", "tm.json", "--out", "--k.json"],
+         "argument --out: expected one argument"),
         (["kgroups", "--spec", "tm.json", "--nmax", "--", "4"],
          "argument --nmax: expected one argument"),
         (["kgroups", "--spec", "tm.json", "--nmax", "4.0"],
@@ -592,8 +593,8 @@ class TestErrorHygiene:
          "the following arguments are required: command"),
         (["--nmax", "4"],
          "the following arguments are required: command, --spec"),
-        (["kgroups", "--help=x"],
-         "argument -h/--help: ignored explicit argument 'x'"),
+        (["kgroups", "--spec", "tm.json", "--help=x"],
+         "unrecognized arguments: --help=x"),
         (["--spec", "tm.json", "kgroup"],
          "argument command: invalid choice: 'kgroup' (choose from "
          "'render', 'patch', 'kgroups', 'cech', 'gaplabels', 'measures', "
@@ -614,6 +615,71 @@ class TestErrorHygiene:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"type": "ValueError", "message": "--seed must be >= 0"}
 
+    def test_spaced_negative_infinity_reaches_range_check(self, tmp_path,
+                                                          capsys):
+        rc = run(["render", "--spec", write_spec(tmp_path, THUE_MORSE),
+                  "--radius", "-inf"])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "ValueError",
+                       "message": "--radius must be finite"}
+
+    # forms the grammar does not have: a prefix of a flag, "--" as an end
+    # of options, a bundle of short flags (--s and --help=x are above)
+    @pytest.mark.parametrize("argv, message", [
+        (["kgroups", "--sp", "tm.json"],
+         "the following arguments are required: --spec"),
+        (["kgroups", "--spec", "tm.json", "--", "--nmax", "4"],
+         "unrecognized arguments: --"),
+        (["kgroups", "--spec", "tm.json", "--he"],
+         "unrecognized arguments: --he"),
+        (["kgroups", "--spec", "tm.json", "-hh"],
+         "unrecognized arguments: -hh"),
+    ], ids=["--sp", "--", "--he", "-hh"])
+    def test_removed_forms_refused(self, capsys, argv, message):
+        assert run(argv) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "UsageError", "message": message}
+
+
+FLAG_VALUES = {"--spec": st.text(), "--out": st.text(),
+               "--radius": st.floats(allow_nan=False), "--nmax": st.integers(),
+               "--samples": st.integers(), "--seed": st.integers()}
+REMOVED_FORMS = st.one_of(
+    st.just("--"),
+    st.text().map("--help=".__add__),
+    st.text(min_size=1).map("-h".__add__),
+    st.tuples(st.sampled_from([flag[:k] for flag in [*FLAG_VALUES, "--help"]
+                               for k in range(3, len(flag))]),
+              st.just("") | st.text().map("=".__add__)).map("".join))
+
+
+@st.composite
+def command_lines(draw):
+    """(units, namespace): a command and flags, each flag an arg or two.
+
+    The flags' order is the units' order, so a repeated flag's last unit
+    gives its value in the namespace.
+    """
+    command = draw(st.sampled_from(cli.COMMANDS))
+    flags = ["--spec", *draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)),
+                                      max_size=8))]
+    units = [[command]] + [[flag] for flag in flags]
+    units = draw(st.permutations(units))
+    read = {**TestCommandLine.READ, "command": command}
+    for unit in units:
+        if unit[0] == command:
+            continue
+        flag = unit.pop()
+        value = draw(FLAG_VALUES[flag])
+        text = value if isinstance(value, str) else repr(value)
+        if text.startswith("--") or draw(st.booleans()):
+            unit.append(f"{flag}={text}")
+        else:
+            unit += [flag, text]
+        read[flag[2:]] = value
+    return units, read
+
 
 class TestCommandLine:
     READ = {"command": "kgroups", "spec": "tm.json", "radius": 3.0,
@@ -621,8 +687,8 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("argv, read", [
         (["kgroups", "--spec=tm.json", "--nmax=5"], {"nmax": 5}),
-        (["kgroups", "--sp", "tm.json", "--nm", "5", "--o=k.json"],
-         {"nmax": 5, "out": "k.json"}),
+        (["kgroups", "--spec=--sp", "--out", "-o"],
+         {"spec": "--sp", "out": "-o"}),
         (["--spec", "tm.json", "--nmax", "5", "kgroups"], {"nmax": 5}),
         (["kgroups", "--spec", "x.json", "--nmax", "4", "--spec", "tm.json",
           "--nmax", "5"], {"nmax": 5}),
@@ -634,20 +700,37 @@ class TestCommandLine:
          {"command": "render", "radius": -math.inf}),
         (["kgroups", "--spec", "-", "--out", "my file.json"],
          {"spec": "-", "out": "my file.json"}),
-        (["--spec", "tm.json", "--", "kgroups"], {}),
+        (["--spec=--", "kgroups", "--out", "-"], {"spec": "--", "out": "-"}),
         (["kgroups", "--spec", "tm.json", "--nmax", " 1_0 "], {"nmax": 10}),
+        (["kgroups", "--out", "-k.json", "--spec", "-h"],
+         {"spec": "-h", "out": "-k.json"}),
     ], ids=["equals", "prefixes", "command-last", "repeated-flags",
             "negative-numbers", "negative-fraction", "equals-negative",
-            "dash-and-space-values", "double-dash", "int-literal"])
+            "dash-and-space-values", "double-dash", "int-literal",
+            "dash-values"])
     def test_accepted(self, argv, read):
         assert vars(cli.parse_args(argv)) == {**self.READ, **read}
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(command_lines())
+    def test_any_order_either_form(self, line):
+        units, read = line
+        assert vars(cli.parse_args(sum(units, []))) == read
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(command_lines(), REMOVED_FORMS, st.data())
+    def test_removed_form_raises(self, line, removed, data):
+        units, _ = line
+        units.insert(data.draw(st.integers(0, len(units))), [removed])
+        with pytest.raises(cli.UsageError):
+            cli.parse_args(sum(units, []))
 
     def test_nan_radius_passes_the_type(self):
         assert math.isnan(cli.parse_args(
             ["render", "--spec", "tm.json", "--radius", "nan"]).radius)
 
     @pytest.mark.parametrize("argv", [["--help"], ["kgroups", "-h"],
-                                      ["--he", "--nmax", "x"]])
+                                      ["--he", "--help"]])
     def test_help(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -801,6 +801,44 @@ class TestSampleSizeGuards:
         assert invariance_reports(two, [(f, two.index)], gs, 5)[0]["n"] == 2
 
 
+class TestReportSeed:
+    """The reports that draw nothing refuse a seed sample_batch refuses."""
+
+    F = TFn.word_indicator("12")
+
+    def reports(self, seed):
+        base = sample_batch(TM, 100, 3)
+        return {"invariance": lambda: invariance_reports(
+                    base, [(self.F, base.index)], [(2.0, 0.0)], seed)[0],
+                "harmonicity": lambda: harmonicity_report(base, self.F, seed),
+                "tau": lambda: tau_reports(base, [(self.F, self.F)], seed)[0]}
+
+    @pytest.mark.parametrize("seed", [True, np.False_])
+    def test_bool_refused(self, seed):
+        for report in self.reports(seed).values():
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                report()
+
+    @pytest.mark.parametrize("seed", ["x", 3.0, None])
+    def test_non_integer_refused(self, seed):
+        for report in self.reports(seed).values():
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                report()
+
+    def test_negative_refused(self):
+        for report in self.reports(-1).values():
+            with pytest.raises(ValueError, match="seed must be non-negative"):
+                report()
+
+    def test_numpy_integer_written_as_int(self):
+        for name, report in self.reports(np.uint16(3)).items():
+            rep = report()
+            assert type(rep["seed"]) is int and rep["seed"] == 3, name
+            assert rep == self.reports(3)[name]()
+        rep = invariance_check(TM, self.F, [(2.0, 0.0)], 100, np.int64(3))
+        assert json.loads(json.dumps(rep))["seed"] == 3
+
+
 class TestFirstWordControl:
     def test_equals_biased_draw(self):
         # the biased draw: the sample's own coordinates, every row reading
