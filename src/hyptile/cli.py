@@ -206,11 +206,24 @@ def _value(v) -> str:
 
 
 def _atomic_write(path: str, text: str):
+    """text into path by a rename, so a failed write leaves the old file.
+
+    The file gets the mode a plain open(path, "w") would leave it: an
+    existing target's own, else 0o666 less the umask (mkstemp alone
+    would give 0o600).
+    """
     target = os.path.abspath(path)
+    try:
+        mode = os.stat(target).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0o022)  # reading the umask means setting it
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
                                prefix=".hyptile-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:

@@ -301,10 +301,9 @@ class SampleBatch:
 
     omega holds residues mod 2**precision; row i reads the letter window
     windows[index[i]], whose position `origin` is letter index 0.
-    act rebinds the coordinate arrays and never writes into them, so
-    copies share every array and group elements can be applied to
-    common random numbers at no cost.  A batch from scaled has t and
-    omega None.
+    act and scaled return the moved batch and never write into the
+    receiver or its arrays, so group elements can be applied to common
+    random numbers at no cost.  A batch from scaled has t and omega None.
     """
 
     __slots__ = ("omega", "t", "s", "cursor", "index", "windows", "origin",
@@ -322,9 +321,6 @@ class SampleBatch:
         self.precision = precision
         self.n = len(s)
 
-    def copy(self) -> "SampleBatch":
-        return self.with_index(self.index)
-
     def rows(self, rows: slice) -> "SampleBatch":
         """The rows in a slice, as views of the coordinate arrays."""
         return SampleBatch(self.omega[rows], self.t[rows], self.s[rows],
@@ -336,9 +332,9 @@ class SampleBatch:
         return SampleBatch(self.omega, self.t, self.s, self.cursor, index,
                            self.windows, self.origin, self.precision)
 
-    def normalize(self):
-        """Carry t and s into normal form: the action of the identity."""
-        self.act(1.0, 0.0)
+    def normalize(self) -> "SampleBatch":
+        """t and s carried into normal form: the action of the identity."""
+        return self.act(1.0, 0.0)
 
     def _scale(self, a: float, b: float):
         """The scale half of act: the moved s and its wraps, writing nothing.
@@ -373,7 +369,8 @@ class SampleBatch:
         return SampleBatch(None, None, s, cursor, self.index, self.windows,
                            self.origin, self.precision - steps)
 
-    def act(self, a: float, b: float):
+    def act(self, a: float, b: float) -> "SampleBatch":
+        """The batch moved by z -> a z + b."""
         s, f, cursor, top, steps = self._scale(a, b)
         # b / (a * 2**s) is a zero of b's sign when b is zero
         t = self.t + b if b == 0 else b / (a * np.exp2(self.s)) + self.t
@@ -409,10 +406,11 @@ class SampleBatch:
         if steps:
             omega >>= np.maximum(-cursor, 0)
         # one digit gone for the whole batch per step: residues stay comparable
-        self.precision -= steps
-        omega &= (1 << self.precision) - 1
+        precision = self.precision - steps
+        omega &= (1 << precision) - 1
         cursor += self.cursor
-        self.omega, self.t, self.s, self.cursor = omega, t, s, cursor
+        return SampleBatch(omega, t, s, cursor, self.index, self.windows,
+                           self.origin, precision)
 
 
 def _window_lookup(bounds: np.ndarray):
@@ -539,44 +537,25 @@ def _check_rows(base: SampleBatch):
 _BLOCK = 16384
 
 
-def _moved(batch: SampleBatch, a: float, b: float,
-           precision: int | None = None) -> SampleBatch:
-    """A copy of batch acted on by (a, b), keeping at most precision digits."""
-    out = batch.copy()
-    out.act(a, b)
-    if precision is not None and precision < out.precision:
-        out.omega = out.omega & ((1 << precision) - 1)
-        out.precision = precision
-    return out
-
-
 def _per_row(base: SampleBatch, values, size: int = _BLOCK, *,
              scale_only: bool = False) -> list:
     """Full-length columns of per-row values, computed a block at a time.
 
     values(rows, block, move) yields arrays over `block`, the view of
-    base's rows in the slice `rows`, one per column; move(a, b) is a
-    moved copy of the block.  With scale_only, for test functions that
-    read the letter window alone, it is moved by the scale half only
-    (SampleBatch.scaled).  Else each block keeps the digits the whole
-    batch keeps (those of its row with the smallest s, which halves the
-    most), so a moved block holds exactly the whole batch's moved rows.
-    Either way the columns reduce to the whole batch's statistics bit
-    for bit.  If a block raises, the whole batch runs as one block and
-    raises its first error.
+    base's rows in the slice `rows`, one per column; move(a, b) is the
+    block moved by (a, b), by block.act or, with scale_only, for test
+    functions that read the letter window alone, by block.scaled.  A
+    moved block keeps at least the digits the moved whole batch keeps,
+    and its omega agrees with the whole batch's on those digits, so a
+    test function that reads no more digits than the whole batch keeps
+    gives the whole batch's values bit for bit.  If a block raises, the
+    whole batch runs as one block and raises its first error; the block
+    with the smallest s keeps exactly the whole batch's digits, so a
+    function that reads more raises there.
     """
     if size >= base.n:
-        return list(values(slice(None), base, base.scaled if scale_only
-                           else lambda a, b: _moved(base, a, b)))
-    i = int(base.s.argmin())
-    lowest = base.rows(slice(i, i + 1))
-    digits = {}
-
-    def kept(a, b):
-        if (a, b) not in digits:
-            digits[a, b] = _moved(lowest, a, b).precision
-        return digits[a, b]
-
+        return list(values(slice(None), base,
+                           base.scaled if scale_only else base.act))
     blocks = -(-base.n // size)
     size = -(-base.n // blocks)  # blocks as equal as possible, none larger
     cols = []
@@ -584,8 +563,7 @@ def _per_row(base: SampleBatch, values, size: int = _BLOCK, *,
         for lo in range(0, base.n, size):
             rows = slice(lo, lo + size)
             block = base.rows(rows)
-            move = block.scaled if scale_only else (
-                lambda a, b: _moved(block, a, b, kept(a, b)))
+            move = block.scaled if scale_only else block.act
             for j, v in enumerate(values(rows, block, move)):
                 if j == len(cols):
                     cols.append(np.empty(base.n, dtype=v.dtype))

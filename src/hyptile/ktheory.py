@@ -351,7 +351,6 @@ class _Presentation(namedtuple("_Presentation", [
         "ring",
         "level",  # window length N of the relation index set
         "cols",  # language(N + 1), the generator words
-        "rows",  # one combined relation per word of language(N)
         "v",
         "v_inv",
         "diag",
@@ -406,10 +405,9 @@ def _presentation(spec: SubshiftSpec, ring: str, n: int) -> _Presentation:
         elif d > 1:
             tors.append((j, d))
     return _Presentation(
-        ring, n, tuple(cols), tuple(tuple(r) for r in rows),
-        tuple(tuple(r) for r in v), tuple(tuple(r) for r in v_inv),
-        tuple(diag), tuple(tors), tuple(free),
-        tuple(tuple(r) for r in kernel))
+        ring, n, tuple(cols), tuple(tuple(r) for r in v),
+        tuple(tuple(r) for r in v_inv), tuple(diag), tuple(tors),
+        tuple(free), tuple(tuple(r) for r in kernel))
 
 
 def _generators(pres: _Presentation) -> tuple:

@@ -642,6 +642,34 @@ class TestErrorHygiene:
         assert err == {"type": "UsageError", "message": message}
 
 
+class TestOutFileMode:
+    """--out files get the mode a plain open(path, "w") would leave."""
+
+    @staticmethod
+    def write_under(umask, out):
+        spec = write_spec(out.parent, THUE_MORSE)
+        old = os.umask(umask)
+        try:
+            assert run(["measures", "--spec", spec, "--nmax", "2",
+                        "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        assert not list(out.parent.glob(".hyptile-tmp-*"))
+        return os.stat(out).st_mode & 0o777
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_new_file_follows_the_umask(self, tmp_path, umask, mode):
+        assert self.write_under(umask, tmp_path / "mu.csv") == mode
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "mu.csv"
+        out.write_text("old")
+        out.chmod(0o640)
+        assert self.write_under(0o022, out) == 0o640
+        assert out.read_text() != "old"
+
+
 FLAG_VALUES = {"--spec": st.text(), "--out": st.text(),
                "--radius": st.floats(allow_nan=False), "--nmax": st.integers(),
                "--samples": st.integers(), "--seed": st.integers()}

@@ -106,11 +106,6 @@ def row(batch, i=0):
             float(batch.s[i]), int(batch.cursor[i]))
 
 
-def normalized(batch):
-    batch.normalize()
-    return batch
-
-
 def close(p, q, tol=1e-9):
     """Same point up to tol in t and s, omega compared on common digits."""
     mod = 1 << min(p[1], q[1])
@@ -120,28 +115,28 @@ def close(p, q, tol=1e-9):
 
 class TestNormalize:
     def test_integer_carry(self):
-        assert row(normalized(point(0, 1.25, 0.0))) == (1, 16, 0.25, 0.0, 0)
+        assert row(point(0, 1.25, 0.0).normalize()) == (1, 16, 0.25, 0.0, 0)
 
     def test_scale_wrap_down(self):
-        assert row(normalized(point(3, 0.5, 1.0))) == (7, 16, 0.0, 0.0, 1)
+        assert row(point(3, 0.5, 1.0).normalize()) == (7, 16, 0.0, 0.0, 1)
 
     def test_scale_wrap_up_even_and_odd(self):
-        assert row(normalized(point(7, 0.0, -1.0))) == (3, 15, 0.5, 0.0, -1)
-        assert row(normalized(point(6, 0.5, -1.0))) == (3, 15, 0.25, 0.0, -1)
+        assert row(point(7, 0.0, -1.0).normalize()) == (3, 15, 0.5, 0.0, -1)
+        assert row(point(6, 0.5, -1.0).normalize()) == (3, 15, 0.25, 0.0, -1)
 
     def test_idempotent(self):
         rows = [(0, 1.25, 0.0, 0), (3, 0.5, 1.0, 0), (7, 0.25, -0.75, 0)]
         for batch in [point(*r) for r in rows] + [batch_of(rows)]:
-            batch.normalize()
-            once = [row(batch, i) for i in range(batch.n)]
-            batch.normalize()
-            assert [row(batch, i) for i in range(batch.n)] == once
+            once = batch.normalize()
+            twice = once.normalize()
+            assert [row(twice, i) for i in range(batch.n)] == \
+                [row(once, i) for i in range(batch.n)]
 
     def test_wrap_then_normalize_is_class_invariant(self):
         # Rewriting the point through the doubling identification first
         # must land on the same normal form (up to the digit it costs).
-        p = normalized(point(11, 0.3, 0.25))
-        moved = normalized(point(22, 0.6, -0.75, cursor=1))
+        p = point(11, 0.3, 0.25).normalize()
+        moved = point(22, 0.6, -0.75, cursor=1).normalize()
         assert close(row(moved), row(p))
 
     def test_precision_exhaustion(self):
@@ -151,7 +146,7 @@ class TestNormalize:
     def test_scale_wrap_limits(self):
         # 63 downward crossings fit one shift of int64; 64 are refused
         for om, prec in ((12345, 16), ((1 << 62) - 3, 62)):
-            p = normalized(point(om, 0.3, 63.5, prec=prec))
+            p = point(om, 0.3, 63.5, prec=prec).normalize()
             assert row(p) == ref_normalize(om, prec, 0.3, 63.5, 0)
         with pytest.raises(ValueError):
             point(5, 0.3, 64.0).normalize()
@@ -162,20 +157,14 @@ class TestNormalize:
 
 class TestAct:
     def test_unit_translation_carries(self):
-        p = point(0, 0.0, 0.0)
-        p.act(1.0, 1.0)
-        assert row(p) == (1, 16, 0.0, 0.0, 0)
+        assert row(point(0, 0.0, 0.0).act(1.0, 1.0)) == (1, 16, 0.0, 0.0, 0)
 
     def test_identity_fixes_points(self):
-        p = normalized(point(9, 0.625, 0.375))
-        before = row(p)
-        p.act(1.0, 0.0)
-        assert row(p) == before
+        p = point(9, 0.625, 0.375).normalize()
+        assert row(p.act(1.0, 0.0)) == row(p)
 
     def test_pure_doubling_wraps_once(self):
-        p = point(5, 0.25, 0.0)
-        p.act(2.0, 0.0)
-        assert row(p) == (10, 16, 0.5, 0.0, 1)
+        assert row(point(5, 0.25, 0.0).act(2.0, 0.0)) == (10, 16, 0.5, 0.0, 1)
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -191,9 +180,7 @@ class TestAct:
                     batch.act(a, b)
 
     def test_repeated_halving_exhausts_precision(self):
-        p = point(3, 0.0, 0.0, prec=2)
-        p.act(0.5, 0.0)
-        p.act(0.5, 0.0)
+        p = point(3, 0.0, 0.0, prec=2).act(0.5, 0.0).act(0.5, 0.0)
         with pytest.raises(PrecisionExhausted):
             p.act(0.5, 0.0)
 
@@ -206,12 +193,32 @@ class TestAct:
                 a1, a2 = [(a1, 2.0 ** 20), (2.0 ** -20, a2),
                           (2.0 ** 20, a2), (a1, 2.0 ** -20)][k // 10 % 4]
             b1, b2 = rng.uniform(-3.0, 3.0, 2)
-            lhs, rhs = base.copy(), base.copy()
-            lhs.act(a2, b2)
-            lhs.act(a1, b1)
-            rhs.act(a1 * a2, a1 * b2 + b1)
+            lhs = base.act(a2, b2).act(a1, b1)
+            rhs = base.act(a1 * a2, a1 * b2 + b1)
             for i in range(base.n):
                 assert close(row(lhs, i), row(rhs, i), tol=2e-9)
+
+    def test_moves_leave_the_receiver_unchanged(self):
+        # s out of normal form: one move wraps rows down and up by digits
+        rng = np.random.default_rng(13)
+        n, cols = 64, ("omega", "t", "s", "cursor")
+        base = SampleBatch(rng.integers(0, 1 << 62, n), rng.random(n),
+                           rng.uniform(-2.5, 3.5, n), rng.integers(-3, 4, n),
+                           np.zeros(n, dtype=np.int64), ("1" * 21,), 10, 62)
+        before = [getattr(base, col).copy() for col in cols]
+        moves = [lambda: base.act(0.7, 2.5), lambda: base.act(1.3, -2.0 ** 70),
+                 lambda: base.scaled(0.7, 2.5), base.normalize]
+        first = [move() for move in moves]
+        for moved, again in zip(first, (move() for move in moves)):
+            assert moved is not base and moved.precision < 62
+            assert moved.s.min() >= 0.0 and moved.s.max() < 1.0
+            for col in cols:
+                # a move repeated on the receiver gives the same batch
+                assert np.array_equal(getattr(moved, col),
+                                      getattr(again, col)), col
+        assert base.precision == 62
+        for col, old in zip(cols, before):
+            assert getattr(base, col).tobytes() == old.tobytes(), col
 
 
 class TestOracle:
@@ -247,7 +254,7 @@ class TestOracle:
             warnings.simplefilter("error", RuntimeWarning)
             for step, (a, b) in zip(range(2000), self.actions(rng)):
                 try:
-                    batch.act(a, b)
+                    batch = batch.act(a, b)
                     exhausted = False
                 except PrecisionExhausted:
                     exhausted = True
@@ -292,9 +299,9 @@ class TestOracle:
             (0, 16, 0.0, 0.0, 0)
         rows = [(0, 2.0 ** -60, 0.0, 0), (5, 0.5, 0.25, 0)]
         for batch in (batch_of(rows[:1]), batch_of(rows)):
-            batch.act(a, b)
+            moved = batch.act(a, b)
             for i, (om, t, s, cur) in enumerate(rows[:batch.n]):
-                assert row(batch, i) == ref_act(a, b, (om, 16, t, s, cur))
+                assert row(moved, i) == ref_act(a, b, (om, 16, t, s, cur))
 
 
 def full_pass_act(batch, a, b):
@@ -332,11 +339,11 @@ def full_pass_act(batch, a, b):
         raise PrecisionExhausted("no dyadic digits left to halve")
     for j in range(steps):
         np.copyto(t, (t + ((omega >> j) & 1)) / 2.0, where=d > j)
-    batch.precision -= steps
+    precision = batch.precision - steps
     omega >>= d
-    omega &= (1 << batch.precision) - 1
-    batch.omega, batch.t, batch.s = omega, t, s
-    batch.cursor = cursor + batch.cursor
+    omega &= (1 << precision) - 1
+    return SampleBatch(omega, t, s, cursor + batch.cursor, batch.index,
+                       batch.windows, batch.origin, precision)
 
 
 class TestSkippedPasses:
@@ -380,12 +387,11 @@ class TestSkippedPasses:
             a = float(np.exp2(rng.uniform(*log2a_range)))
             for b in self.translations(rng, a):
                 base = self.batch(rng, 64, s_range, prec)
-                got, want = base.copy(), base.copy()
-                outcome = []
-                for move in (lambda: got.act(a, b),
-                             lambda: full_pass_act(want, a, b)):
+                outcome, moved = [], []
+                for move in (base.act,
+                             lambda a, b: full_pass_act(base, a, b)):
                     try:
-                        move()
+                        moved.append(move(a, b))
                         outcome.append(None)
                     except PrecisionExhausted as exc:
                         outcome.append(str(exc))
@@ -393,6 +399,7 @@ class TestSkippedPasses:
                 if outcome[0] is not None:
                     raised += 1
                     continue
+                got, want = moved
                 assert got.precision == want.precision
                 for col in ("omega", "t", "s", "cursor"):
                     assert getattr(got, col).tobytes() == \
@@ -553,8 +560,8 @@ class TestTestFunction:
             pool = language(spec, len(batch.windows[0]))
             index = rng.integers(0, len(pool), batch.n)
             windows = [pool[k] for k in index]
-            batch = batch.with_index(index)
-            batch.act(2.5, -1.25)  # move the cursors off zero
+            # move the cursors off zero
+            batch = batch.with_index(index).act(2.5, -1.25)
             assert batch.cursor.any()
             vals = f.on_batch(batch)
             for i, win in enumerate(windows):
@@ -567,8 +574,8 @@ class TestTestFunction:
 
     def test_batch_window_exhaustion(self):
         f = TFn.word_indicator("12")
-        batch = sample_batch(TM, 8, 5, halfwidth=1)
-        batch.act(4.0, 0.0)  # cursor drifts past the sampled window
+        # the cursor drifts past the sampled window
+        batch = sample_batch(TM, 8, 5, halfwidth=1).act(4.0, 0.0)
         with pytest.raises(ColourWindowExhausted):
             f.on_batch(batch)
 
@@ -630,7 +637,7 @@ class TestSampler:
     def test_batch_act_matches_scalar_act(self):
         batch = sample_batch(TM, 32, 909)
         before = [row(batch, i) for i in range(32)]
-        batch.act(2.5, -1.25)
+        batch = batch.act(2.5, -1.25)
         for i, p in enumerate(before):
             assert close(ref_act(2.5, -1.25, p), row(batch, i), tol=1e-9)
 
@@ -641,7 +648,7 @@ class TestSampler:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for b in (2.0 ** 70, -2.0 ** 70):
-                batch.act(1.0, b)
+                batch = batch.act(1.0, b)
                 points = [ref_act(1.0, b, p) for p in points]
                 for i, p in enumerate(points):
                     assert p == row(batch, i)
@@ -709,7 +716,7 @@ class TestSampler:
         letters = "".join(chr(0x4E00 + i) for i in range(130))
         b = sample_batch(Periodic(letters), 4000, 6, halfwidth=2)
         assert len(set(b.index.tolist())) > 127
-        b.act(1.5, 0.0)  # cursors 0 and 1
+        b = b.act(1.5, 0.0)  # cursors 0 and 1
         assert set(b.cursor.tolist()) == {0, 1}
         for u in (letters[5:7], letters[128] + letters[129]):
             vals = TFn.word_indicator(u).on_batch(b)
@@ -919,19 +926,17 @@ class TestScaleOnlyMoves:
         acts = []
         act = SampleBatch.act
         monkeypatch.setattr(SampleBatch, "act", lambda self, a, b: (
-            acts.append((a, b)), act(self, a, b)))
+            acts.append((a, b)), act(self, a, b))[1])
         scaled = json.dumps(invariance_check(spec, f, gs, self.N, seed))
         assert acts == []
         assert scaled == full
         assert json.loads(scaled)["per_g"][0]["statistic"] != 0.0
 
     def test_scaled_is_act_in_s_cursor_and_precision(self):
-        base = sample_batch(TM, 500, 36)
-        base.act(3.0, 0.2)  # cursors 1 and 2
+        base = sample_batch(TM, 500, 36).act(3.0, 0.2)  # cursors 1 and 2
         assert base.cursor.any()
         for a, b in self.wrapping_moves(36):
-            moved = base.copy()
-            moved.act(a, b)
+            moved = base.act(a, b)
             got = base.scaled(a, b)
             assert got.t is None and got.omega is None
             assert got.s.tobytes() == moved.s.tobytes()
@@ -1052,8 +1057,7 @@ class TestSharedCores:
                 fresh = sample_batch(TM, n, self.SEED)
                 if biased:
                     fresh = first_word_control(fresh)
-                moved = fresh.copy()
-                moved.act(a, b)
+                moved = fresh.act(a, b)
                 diff, se = self.mean_se(f.on_batch(moved) - f.on_batch(fresh))
                 assert (entry["statistic"], entry["std_error"]) == (diff, se)
 
@@ -1068,9 +1072,7 @@ class TestSharedCores:
                                  self.SEED, h=h)
 
         def probe(a, b):
-            moved = sample_batch(TM, n, self.SEED)
-            moved.act(a, b)
-            return f.on_batch(moved)
+            return f.on_batch(sample_batch(TM, n, self.SEED).act(a, b))
 
         centre = f.on_batch(sample_batch(TM, n, self.SEED))
         lap = (probe(1.0, h) + probe(1.0, -h) + probe(1.0 + h, 0.0)
@@ -1087,9 +1089,7 @@ class TestSharedCores:
 
         def flow(fn):
             base = sample_batch(TM, n, self.SEED)
-            up, down = base.copy(), base.copy()
-            up.act(2.0 ** h, 0.0)
-            down.act(2.0 ** -h, 0.0)
+            up, down = base.act(2.0 ** h, 0.0), base.act(2.0 ** -h, 0.0)
             return ((fn.on_batch(up) - fn.on_batch(down)) / (2.0 * h),
                     fn.on_batch(base))
 
@@ -1131,13 +1131,16 @@ class TestBlockErrors:
         cols = _per_row(base, lambda rows, block, move: [
             (m := move(self.SQRT_HALF, 0.3)).omega, m.t, m.s, m.cursor,
             np.full(block.n, m.precision)])
-        whole = base.copy()
-        whole.act(self.SQRT_HALF, 0.3)
+        whole = base.act(self.SQRT_HALF, 0.3)
         assert whole.precision == 28
-        for col, expect in zip(cols, (whole.omega, whole.t, whole.s,
-                                      whole.cursor)):
-            assert np.array_equal(col, expect)
-        assert (cols[4] == 28).all()
+        for col, expect in zip(cols[1:4], (whole.t, whole.s, whole.cursor)):
+            assert col.tobytes() == expect.tobytes()
+        mask = (1 << whole.precision) - 1
+        assert np.array_equal(cols[0] & mask, whole.omega)
+        # each block keeps the digits its own rows cost: the first ones
+        # one more than the last, which holds the smallest s and keeps
+        # exactly the whole batch's
+        assert (cols[4][self.LAST] == 28).all() and cols[4][0] == 29
 
     @pytest.mark.parametrize("check", ["invariance", "harmonicity", "tau"])
     def test_precision_exhausted_as_for_the_whole_batch(self, check):
@@ -1151,8 +1154,7 @@ class TestBlockErrors:
             base = with_s(sample_batch(TM, self.N, 8, precision=prec), s)
             h = 2.0 ** -6
             a, b = (2.0 ** -h if check == "tau" else 1.0 - h), 0.0
-        whole = base.copy()
-        whole.act(a, b)
+        whole = base.act(a, b)
         lost = prec - whole.precision
         run = {"invariance": lambda f: invariance_reports(
                    base, [(f, base.index)], [(a, b)], 1),
@@ -1184,8 +1186,7 @@ class TestBlockErrors:
         s = np.full(self.N, 0.25)
         s[self.LAST] = 0.75
         base = with_s(inside, s)
-        whole = base.copy()
-        whole.act(*g[0])
+        whole = base.act(*g[0])
         with pytest.raises(ColourWindowExhausted) as expect:
             f.on_batch(whole)
         with pytest.raises(ColourWindowExhausted) as got:

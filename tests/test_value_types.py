@@ -134,9 +134,9 @@ CASES = [
      "stabilized=True, n_used=1, approximate=False)", []),
     (_Presentation,
      lambda: _presentation(Periodic("1"), "Z", 1),
-     ("ring", "level", "cols", "rows", "v", "v_inv", "diag", "tors",
-             "free", "kernel"),
-     "_Presentation(ring='Z', level=1, cols=('11',), rows=((0,),), "
+     ("ring", "level", "cols", "v", "v_inv", "diag", "tors", "free",
+             "kernel"),
+     "_Presentation(ring='Z', level=1, cols=('11',), "
      "v=((1,),), v_inv=((1,),), diag=(0,), tors=(), free=(0,), "
      "kernel=((1,),))", []),
     (GapLabelGroup,
