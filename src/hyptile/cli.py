@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
@@ -209,21 +208,26 @@ def _atomic_write(path: str, text: str):
     """text into path by a rename, so a failed write leaves the old file.
 
     The file gets the mode a plain open(path, "w") would leave it: an
-    existing target's own, else 0o666 less the umask (mkstemp alone
-    would give 0o600).
+    existing target's own, else 0o666 less the umask, which the kernel
+    applies when it creates the temporary file (mkstemp would give 0o600).
     """
     target = os.path.abspath(path)
     try:
         mode = os.stat(target).st_mode & 0o777
     except FileNotFoundError:
-        umask = os.umask(0o022)  # reading the umask means setting it
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target),
-                               prefix=".hyptile-tmp-")
+        mode = None
+    while True:
+        tmp = os.path.join(os.path.dirname(target),
+                           f".hyptile-tmp-{os.urandom(6).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.fchmod(fh.fileno(), mode)
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, target)
     except BaseException:
@@ -333,19 +337,19 @@ def _default_functions(spec: SubshiftSpec) -> list:
     ]
 
 
-def _random_group_elements(rng, count: int) -> list[tuple[float, float]]:
-    import numpy as np
-    a = np.exp2(rng.uniform(-1.5, 1.5, count))
-    b = rng.uniform(-3.0, 3.0, count)
-    return [(float(x), float(y)) for x, y in zip(a, b)]
+def _random_group_elements(seed: int, count: int) -> list[tuple[float, float]]:
+    """count elements z -> a z + b, log2(a) in [-1.5, 1.5) and b in [-3, 3),
+    from the seed's stream 1, in plain floats on every CPU."""
+    from .hull import _uniforms
+    u = _uniforms(seed, 1, 2 * count)
+    return [(2.0 ** (-1.5 + 3.0 * u[i]), -3.0 + 6.0 * u[count + i])
+            for i in range(count)]
 
 
 def _run_hullcheck(cfg: JobConfig) -> str:
-    import numpy as np
     from .hull import (TestFunction, first_word_control, harmonicity_report,
                        invariance_reports, sample_batch)
-    rng = np.random.default_rng(cfg.seed)
-    gs = _random_group_elements(rng, 8)
+    gs = _random_group_elements(cfg.seed, 8)
     batch = sample_batch(cfg.spec, cfg.samples, cfg.seed)
     first = language(cfg.spec, 1)[0]
     p_first = float(measure_vector(cfg.spec, 1)[first])
@@ -381,11 +385,10 @@ def _run_hullcheck(cfg: JobConfig) -> str:
 
 
 def _run_cocycle(cfg: JobConfig) -> str:
-    import numpy as np
-    from .hull import TestFunction, sample_batch, tau_reports
-    rng = np.random.default_rng(cfg.seed)
-    fgs = [(TestFunction.bump(*_bump_params(rng)),
-            TestFunction.bump(*_bump_params(rng))) for _ in range(3)]
+    from .hull import TestFunction, _uniforms, sample_batch, tau_reports
+    u = iter(_uniforms(cfg.seed, 2, 24))
+    fgs = [(TestFunction.bump(*_bump_params(u)),
+            TestFunction.bump(*_bump_params(u))) for _ in range(3)]
     fgs.append((TestFunction.bump(0.5, 0.45, 0.5, 0.45),
                 TestFunction.constant()))
     *pairs, with_one = tau_reports(
@@ -395,10 +398,11 @@ def _run_cocycle(cfg: JobConfig) -> str:
                   "tau_with_one": with_one, "pairs": pairs})
 
 
-def _bump_params(rng) -> tuple[float, float, float, float]:
+def _bump_params(u) -> tuple[float, float, float, float]:
+    """A bump's centres and widths from the next four uniforms of u."""
     def one():
-        c = float(rng.uniform(0.35, 0.65))
-        w = float(rng.uniform(0.2, min(c, 1 - c) - 0.02))
+        c = 0.35 + 0.3 * next(u)
+        w = 0.2 + (min(c, 1 - c) - 0.02 - 0.2) * next(u)
         return c, w
     ct, wt = one()
     cs, ws = one()

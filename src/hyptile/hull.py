@@ -17,7 +17,8 @@ The affine map z -> a z + b acts by scaling s and feeding b, divided by
 the new scale, into the suspension coordinate t; integer carries flow
 into omega.  Monte-Carlo checks (invariance of the product measure,
 leafwise harmonicity, the flow pairing) run on batches drawn from a
-fixed number of RNG streams spawned from one seed.
+counter-based stream of 64-bit words keyed by one seed, which needs
+integer arithmetic alone, so every CPU draws the same bits.
 """
 
 from __future__ import annotations
@@ -455,17 +456,67 @@ def _seed(seed) -> int:
     return seed
 
 
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) in counter mode: word i
+# of a stream is the finalizer of key + (i + 1)*GAMMA, mod 2**64, so any
+# word is drawn without the ones before it
+_GAMMA = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer of a uint64 array, in place, mod 2**64."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+def _key(seed: int, stream: int) -> int:
+    """The key of a stream: the seed's 64-bit limbs, lowest first, folded
+    into the mixed stream number."""
+    k = _mix(np.array([stream * _GAMMA & _MASK], dtype=np.uint64))
+    while True:
+        k ^= seed & _MASK
+        k += _GAMMA
+        _mix(k)
+        seed >>= 64
+        if not seed:
+            return int(k[0])
+
+
+def _words(key: int, first: int, count: int, stride: int = 1) -> np.ndarray:
+    """Words first, first + stride, ... (count of them) of the keyed stream."""
+    steps = np.arange(count, dtype=np.uint64) * (stride * _GAMMA & _MASK)
+    return _mix(steps + ((key + (first + 1) * _GAMMA) & _MASK))
+
+
+def _unit(words: np.ndarray, out=None) -> np.ndarray:
+    """Uniforms in [0, 1) from the top 53 bits of words, which it shifts."""
+    words >>= 11
+    return np.multiply(words.view(np.int64), 2.0 ** -53, out=out)
+
+
+def _uniforms(seed: int, stream: int, count: int) -> list[float]:
+    """The first count uniforms of a seed's stream."""
+    return _unit(_words(_key(seed, stream), 0, count)).tolist()
+
+
 def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
                  precision: int = 48, halfwidth: int = 8) -> SampleBatch:
     """n points: omega and (t, s) uniform, letter windows by their measure.
 
     The windows are the admissible words of length 2*halfwidth + 1 in
-    language order.  Rows are drawn in a fixed number of chunks, each
-    from its own child RNG stream spawned from the seed, so the draw is
-    a function of (spec, n, seed) alone.  Each stream fills its rows of
-    the omega, t and s columns in place and turns its own letter
-    uniforms into window indices through a guide table, which gives the
-    index a binary search over the cumulative measure gives, to the bit.
+    language order.  Row r reads words 4r to 4r + 3 of the seed's
+    stream 0: omega is the top precision bits of the first, and t, s
+    and the letter uniform are the top 53 bits of the others, scaled
+    into [0, 1).  The draw is a function of (spec, seed) and the row
+    alone, so a smaller sample is a prefix of a larger one.  Rows are
+    drawn in a fixed number of chunks, which bounds the temporaries;
+    each chunk turns its letter uniforms into window indices through a
+    guide table, which gives the index a binary search over the
+    cumulative measure gives, to the bit.
     """
     seed = _seed(seed)
     n, precision, halfwidth = map(_integer, ("n", "precision", "halfwidth"),
@@ -478,19 +529,22 @@ def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
         raise ValueError(f"halfwidth must be non-negative, got {halfwidth}")
     windows = tuple(language(spec, 2 * halfwidth + 1))
     lookup = _window_lookup(_cumulative_measure(spec, windows))
+    key = _key(seed, 0)
     om = np.empty(n, dtype=np.int64)
     t, s = np.empty(n), np.empty(n)
     index = np.empty(n, dtype=np.intp)
     lo = 0
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(_CHUNKS)):
+    for i in range(_CHUNKS):
         size = n // _CHUNKS + (1 if i < n % _CHUNKS else 0)
         rows = slice(lo, lo + size)
+        # words 4r + c of the chunk's rows r, one column c at a time
+        words = (_words(key, 4 * lo + c, size, 4) for c in range(4))
+        np.right_shift(next(words), 64 - precision,
+                       out=om[rows].view(np.uint64))
+        _unit(next(words), t[rows])
+        _unit(next(words), s[rows])
+        lookup(_unit(next(words)), index[rows])
         lo += size
-        rng = np.random.default_rng(child)
-        om[rows] = rng.integers(0, 1 << precision, size=size, dtype=np.int64)
-        rng.random(out=t[rows])
-        rng.random(out=s[rows])
-        lookup(rng.random(size), index[rows])
     return SampleBatch(om, t, s, np.zeros(n, dtype=np.int64), index,
                        windows, halfwidth, precision)
 

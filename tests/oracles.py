@@ -273,6 +273,36 @@ def cylinder_indicator(n: int, k: int, level: int | None = None):
                                   for r in range(1 << level)])
 
 
+def splitmix64(state: int, count: int) -> list:
+    """The first count outputs of SplitMix64 (Steele, Lea and Flood,
+    OOPSLA 2014) from state, in plain ints: the state steps by the
+    golden gamma and each output is the mixed state.  Shares nothing
+    with the package."""
+    gamma, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+    out = []
+    for _ in range(count):
+        state = (state + gamma) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def splitmix_key(seed: int, stream: int) -> int:
+    """The state from which a seed's stream runs: the stream number times
+    the gamma, mixed, then each 64-bit limb of the seed, lowest first
+    and at least one, XORed in and mixed one gamma step on, all by
+    splitmix64.  Shares nothing with the package."""
+    gamma, mask = 0x9E3779B97F4A7C15, (1 << 64) - 1
+    key = splitmix64((stream - 1) * gamma & mask, 1)[0]
+    while True:
+        key = splitmix64(key ^ (seed & mask), 1)[0]
+        seed >>= 64
+        if not seed:
+            return key
+
+
 # -- words and substitutions ------------------------------------------------
 
 def iterate_prefix(spec: Substitution, length: int) -> str:

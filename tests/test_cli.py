@@ -18,9 +18,9 @@ from hyptile import cli
 from hyptile.cli import main
 from hyptile.geometry import ColourWindow, generate_patch
 from hyptile.hull import TestFunction as TFn
-from hyptile.hull import (BumpProfile, first_word_control, harmonicity_check,
-                          invariance_check, invariance_reports, sample_batch,
-                          tau_pairing)
+from hyptile.hull import (BumpProfile, _uniforms, first_word_control,
+                          harmonicity_check, invariance_check,
+                          invariance_reports, sample_batch, tau_pairing)
 from hyptile.subshift import language, parse_spec, spec_to_json
 
 
@@ -147,10 +147,10 @@ class TestSmallCommands:
     # np.exp2, whose last bits differ between numpy's dispatch paths, and
     # its digest is the one on the AVX-512 path
     @pytest.mark.parametrize("command, spec, seed, expect", [
-        ("hullcheck", THUE_MORSE, 7, "2d721b95b97963aa51b0f4b9a820b1d6"
-                                     "6bf8b54cebd640f27b7419add0525b1c"),
-        ("cocycle", FIBONACCI, 3, "a759110bb34e788534dc1783727ffb59"
-                                  "bae6e89a1aae842d505dba6c3f1730e5"),
+        ("hullcheck", THUE_MORSE, 7, "09df697f72ce5a9acc9ae936e314cc9f"
+                                     "59369a03a41233c139a411ee81a41a8f"),
+        ("cocycle", FIBONACCI, 3, "5a3f1d55607917b292e65957078a1ff4"
+                                  "6ea6ab045fa80dc8ac60bc2c9f9327ee"),
     ])
     def test_hull_reports_are_pinned(self, tmp_path, capsys, command, spec,
                                      seed, expect):
@@ -272,8 +272,8 @@ class TestSmallCommands:
         report = invariance_check(spec, f, g_list, 70_000, 11)
         digest = hashlib.sha256(
             json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == ("cf3781a3f7564fc69c681c7be10f28c2"
-                          "b13fe0d0cb8d9d56f54b28d457be213a")
+        assert digest == ("b2c827610f187a33c05e67582d9e0056"
+                          "4d4d700434217a260514fc46cea79190")
 
     def test_nmax_ignored_where_unused(self, tmp_path, capsys):
         # patch has no truncation level: --nmax neither enters its config
@@ -437,7 +437,7 @@ class TestSharedDraw:
                     "--out", str(out)]) == 0
         res = json.loads(out.read_text())
         spec = parse_spec(doc)
-        gs = cli._random_group_elements(np.random.default_rng(seed), 8)
+        gs = cli._random_group_elements(seed, 8)
         f0, f1 = cli._default_functions(spec)
         expect = {
             "invariance_0": invariance_check(spec, f0, gs, n, seed),
@@ -460,11 +460,11 @@ class TestSharedDraw:
                     "--out", str(out)]) == 0
         res = json.loads(out.read_text())
         spec = parse_spec(FIBONACCI)
-        rng = np.random.default_rng(seed)
+        u = iter(_uniforms(seed, 2, 24))
         pairs = []
         for _ in range(3):
-            f = TFn.bump(*cli._bump_params(rng))
-            g = TFn.bump(*cli._bump_params(rng))
+            f = TFn.bump(*cli._bump_params(u))
+            g = TFn.bump(*cli._bump_params(u))
             pairs.append(tau_pairing(spec, f, g, n, seed))
         with_one = tau_pairing(spec, TFn.bump(0.5, 0.45, 0.5, 0.45),
                                TFn.constant(), n, seed)
@@ -669,6 +669,33 @@ class TestOutFileMode:
         assert self.write_under(0o022, out) == 0o640
         assert out.read_text() != "old"
 
+    def test_write_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        # the kernel applies the umask; setting it, even to read it,
+        # would change it for every thread of the process
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        spec = write_spec(tmp_path, THUE_MORSE)
+        out = tmp_path / "mu.csv"
+        monkeypatch.setattr(os, "umask", refuse)
+        assert run(["measures", "--spec", spec, "--nmax", "2",
+                    "--out", str(out)]) == 0
+        assert out.read_text().startswith("# hyptile")
+
+    def test_taken_temporary_name_is_skipped(self, tmp_path, monkeypatch):
+        spec = write_spec(tmp_path, THUE_MORSE)
+        taken = tmp_path / f".hyptile-tmp-{bytes(6).hex()}"
+        taken.write_text("another writer's")
+        draws = iter([bytes(6), bytes(6), b"\x01" * 6])
+        monkeypatch.setattr(os, "urandom", lambda size: next(draws))
+        out = tmp_path / "mu.csv"
+        assert run(["measures", "--spec", spec, "--nmax", "2",
+                    "--out", str(out)]) == 0
+        assert next(draws, None) is None
+        assert taken.read_text() == "another writer's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted([taken.name, "mu.csv", Path(spec).name])
+
 
 FLAG_VALUES = {"--spec": st.text(), "--out": st.text(),
                "--radius": st.floats(allow_nan=False), "--nmax": st.integers(),
@@ -817,6 +844,13 @@ def hullcheck_report(out):
     return Path(out).read_text()
 
 
+def group_elements(out):
+    """hullcheck's eight group elements for seeds 0-199, as hex floats;
+    out is not read."""
+    return [[a.hex(), b.hex()] for seed in range(200)
+            for a, b in cli._random_group_elements(seed, 8)]
+
+
 ON_BASELINE = f"""
 import json, sys
 sys.path.insert(0, {str(Path(__file__).parent)!r})
@@ -852,10 +886,14 @@ def test_hull_outputs_do_not_depend_on_the_simd_path(tmp_path):
     assert on_baseline("bump_and_cocycle", out) == list(bump_and_cocycle(out))
 
 
-# Known defect: hullcheck reads np.exp2 in SampleBatch.act and in
-# cli._random_group_elements, whose last bits differ between numpy's
-# kernels; at seed 7 the report's sha256 is 2d721b95... on AVX-512 and
-# 7aefbe30... on the baseline kernels.  The marker comes off when the
+def test_group_elements_do_not_depend_on_the_simd_path(tmp_path):
+    assert on_baseline("group_elements", str(tmp_path)) == \
+        group_elements(str(tmp_path))
+
+
+# Known defect: hullcheck reads np.exp2 in SampleBatch.act, whose last
+# bits differ between numpy's kernels; at seed 7 the report's sha256 is
+# 09df697f... on AVX-512 and 676a4c3b... on the baseline kernels.  The marker comes off when the
 # report is the same on every CPU (ROADMAP item 16).
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="hullcheck depends on numpy's exp2 kernel "
@@ -911,6 +949,26 @@ del sys.modules["numpy"]
 import hyptile.hull
 print("dataclasses" in sys.modules)
 """
+
+
+NO_NUMPY_RANDOM = """
+import json, sys
+from hyptile.cli import main
+print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))
+print("numpy" in sys.modules, "numpy.random" in sys.modules)
+"""
+
+
+def test_sampler_commands_do_not_import_numpy_random(tmp_path):
+    # the sampler and the group elements draw from hull's own integer
+    # stream, so a sampling job never loads numpy's generators
+    spec = write_spec(tmp_path, THUE_MORSE)
+    jobs = [[command, "--spec", spec, "--samples", "3000", "--seed", "1",
+             "--out", str(tmp_path / f"{command}.json")]
+            for command in ("hullcheck", "cocycle")]
+    proc = run_python(["-c", NO_NUMPY_RANDOM, json.dumps(jobs)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0]", "True False"]
 
 
 def test_non_sampler_commands_run_without_numpy(tmp_path):

@@ -23,8 +23,10 @@ from hyptile.hull import (
     _BLOCK,
     _CHUNKS,
     _cumulative_measure,
+    _key,
     _per_row,
     _window_lookup,
+    _words,
     BumpProfile,
     SampleBatch,
     TestFunction as TFn,
@@ -43,7 +45,8 @@ from hyptile.hull import (
 from hyptile.ktheory import CylinderFunction
 from hyptile.subshift import Periodic, Substitution, language
 
-from oracles import FIB, S4, TM, TRIB, cylinder_indicator
+from oracles import (FIB, S4, TM, TRIB, cylinder_indicator, splitmix64,
+                     splitmix_key)
 
 AB = Periodic("ab")
 # two of its 17-letter windows' cumulative bounds share a guide bucket
@@ -596,13 +599,13 @@ class TestSampler:
         assert one[0] == one[1] != one[2]
 
     # sha256 of omega, t, s and index (as int64) of sample_batch(spec, 333,
-    # 11); 333 rows leave the 16 chunk streams of unequal sizes, so any
-    # change to the chunk or stream layout changes the digest
+    # 11); 333 rows leave the 16 chunks of unequal sizes, so any change to
+    # which words of the stream a row reads changes the digest
     PINNED = {
-        "tm": (TM, "a093bde7cb5e2a3ead5f01612f965302"
-                   "20dcffed8dae3dcbac7db614e2ff392a"),
-        "ab": (AB, "b2ca9c9582a26fff5bfec83e759c43f1"
-                   "b273fb816bddf597419786066004edd5"),
+        "tm": (TM, "7bafed32cd3f2c9cd73add3bfd17a485"
+                   "8cfd6314478677dc3a79b7465986222b"),
+        "ab": (AB, "3c410acd29d563415976d09213621d8a"
+                   "5f171685a9eb0b1b68256a6a38180e8a"),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -663,10 +666,10 @@ class TestSampler:
 
     def test_draw_peak_memory(self):
         # numpy reports its buffers to tracemalloc.  The batch's five
-        # 8-byte columns (omega, t, s, cursor, index) plus one stream's
+        # 8-byte columns (omega, t, s, cursor, index) plus one chunk's
         # temporaries, not a second copy of every column
         n = 130_000
-        sample_batch(FIB, 16, 0)  # windows, measures and numpy.random loaded
+        sample_batch(FIB, 16, 0)  # windows and measures loaded
         tracemalloc.start()
         try:
             sample_batch(FIB, n, 7)
@@ -725,6 +728,53 @@ class TestSampler:
                 win = b.windows[b.index[i]]
                 assert vals[i] == (1.0 if win[lo:lo + 2] == u else 0.0)
             assert vals.any()
+
+    @pytest.mark.parametrize("spec", [TM, FIB], ids=["tm", "fib"])
+    def test_smaller_sample_is_a_prefix(self, spec):
+        small, large = sample_batch(spec, 333, 11), sample_batch(spec, 5000, 11)
+        for name in ("omega", "t", "s", "cursor", "index"):
+            assert np.array_equal(getattr(small, name),
+                                  getattr(large, name)[:333]), name
+
+
+class TestStream:
+    """The counter-mode words against SplitMix64 stepped in plain ints."""
+
+    SEEDS = [0, 11, 2 ** 64 + 5]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("stride", [1, 4])
+    def test_words_match_plain_splitmix(self, seed, stride):
+        for stream in (0, 1, 2):
+            key = _key(seed, stream)
+            assert key == splitmix_key(seed, stream)
+            first, count = 3, 50
+            plain = splitmix64(key, first + stride * count)[first::stride]
+            assert _words(key, first, count, stride).tolist() == plain
+
+    def test_first_outputs_from_state_zero(self):
+        expect = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                  0x06C45D188009454F, 0xF88BB8A8724C81EC]
+        assert splitmix64(0, 4) == expect
+        assert _words(0, 0, 4).tolist() == expect
+
+    def test_streams_and_limbs_differ(self):
+        keys = {_key(seed, stream) for seed in (5, 2 ** 64 + 5, 2 ** 128 + 5)
+                for stream in (0, 1, 2)}
+        assert len(keys) == 9
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_read_their_four_words(self, seed):
+        n, precision = 40, 37
+        b = sample_batch(FIB, n, seed, precision=precision)
+        words = splitmix64(splitmix_key(seed, 0), 4 * n)
+        bounds = _cumulative_measure(FIB, b.windows)
+        for r in range(n):
+            w = words[4 * r:4 * r + 4]
+            t, s, u = ((x >> 11) / 2 ** 53 for x in w[1:])
+            assert int(b.omega[r]) == w[0] >> (64 - precision)
+            assert (float(b.t[r]), float(b.s[r])) == (t, s)
+            assert b.index[r] == searchsorted_index(bounds, u)
 
 
 def searchsorted_index(bounds, u):
