@@ -893,8 +893,9 @@ def test_group_elements_do_not_depend_on_the_simd_path(tmp_path):
 
 # Known defect: hullcheck reads np.exp2 in SampleBatch.act, whose last
 # bits differ between numpy's kernels; at seed 7 the report's sha256 is
-# 09df697f... on AVX-512 and 676a4c3b... on the baseline kernels.  The marker comes off when the
-# report is the same on every CPU (ROADMAP item 16).
+# 09df697f... on AVX-512 and 676a4c3b... on the baseline kernels.  The
+# marker comes off when the report is the same on every CPU (ROADMAP
+# item 16).
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="hullcheck depends on numpy's exp2 kernel "
                    "(ROADMAP item 16)")

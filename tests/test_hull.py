@@ -731,7 +731,8 @@ class TestSampler:
 
     @pytest.mark.parametrize("spec", [TM, FIB], ids=["tm", "fib"])
     def test_smaller_sample_is_a_prefix(self, spec):
-        small, large = sample_batch(spec, 333, 11), sample_batch(spec, 5000, 11)
+        small = sample_batch(spec, 333, 11)
+        large = sample_batch(spec, 5000, 11)
         for name in ("omega", "t", "s", "cursor", "index"):
             assert np.array_equal(getattr(small, name),
                                   getattr(large, name)[:333]), name
