@@ -54,10 +54,6 @@ __all__ = [
 ]
 
 _MAX_WRAPS = 64
-# 2**k for k scale wraps: a lookup is several times faster than np.ldexp
-_POW2 = np.ldexp(1.0, np.arange(_MAX_WRAPS))
-# the factor of a halving step, by whether the row halves
-_HALVE = np.array([1.0, 0.5])
 
 
 # -- colour relation ----------------------------------------------------
@@ -340,8 +336,8 @@ class SampleBatch:
     def _scale(self, a: float, b: float):
         """The scale half of act: the moved s and its wraps, writing nothing.
 
-        Returns s in [0, 1), floor of the unwrapped s (float and int64),
-        its maximum and the digits its halvings use.  Every error act
+        Returns s in [0, 1), floor of the unwrapped s as int64, its
+        maximum and the digits its halvings use.  Every error act
         raises is raised here.
         """
         if not (math.isfinite(a) and math.isfinite(b) and a > 0):
@@ -356,7 +352,7 @@ class SampleBatch:
         steps = max(-int(low), 0)
         if steps > self.precision:
             raise PrecisionExhausted("no dyadic digits left to halve")
-        return s, f, cursor, top, steps
+        return s, cursor, top, steps
 
     def scaled(self, a: float, b: float) -> "SampleBatch":
         """A copy moved by (a, b) in s, the cursor and the precision alone.
@@ -365,14 +361,14 @@ class SampleBatch:
         (TestFunction.letters_only) takes the same values on it as on
         the fully moved copy, and it raises exactly what act raises.
         """
-        s, _, cursor, _, steps = self._scale(a, b)
+        s, cursor, _, steps = self._scale(a, b)
         cursor += self.cursor
         return SampleBatch(None, None, s, cursor, self.index, self.windows,
                            self.origin, self.precision - steps)
 
     def act(self, a: float, b: float) -> "SampleBatch":
         """The batch moved by z -> a z + b."""
-        s, f, cursor, top, steps = self._scale(a, b)
+        s, cursor, top, steps = self._scale(a, b)
         # b / (a * 2**s) is a zero of b's sign when b is zero
         t = self.t + b if b == 0 else b / (a * np.exp2(self.s)) + self.t
         c = np.floor(t)
@@ -392,7 +388,7 @@ class SampleBatch:
             # they are one shift and one carry below 2**63; omega stays
             # exact mod 2**64 (uint64 wraps) and is reduced once, at the end
             k = np.maximum(cursor, 0)
-            t *= _POW2.take(k, out=f)
+            np.ldexp(t, k.astype(np.int32), out=t)
             np.floor(t, out=c)
             t -= c
             u = omega.view(np.uint64)
@@ -403,7 +399,7 @@ class SampleBatch:
         for j in range(steps):
             halve = cursor < -j
             t += ((omega >> j) & halve).astype(float)
-            t *= _HALVE.take(halve)
+            np.ldexp(t, -halve.astype(np.int32), out=t)
         if steps:
             omega >>= np.maximum(-cursor, 0)
         # one digit gone for the whole batch per step: residues stay comparable
@@ -530,6 +526,8 @@ def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
     windows = tuple(language(spec, 2 * halfwidth + 1))
     lookup = _window_lookup(_cumulative_measure(spec, windows))
     key = _key(seed, 0)
+    # row r's offset in a column, r * 4 * GAMMA, for the largest chunk
+    steps = np.arange(-(-n // _CHUNKS), dtype=np.uint64) * (4 * _GAMMA & _MASK)
     om = np.empty(n, dtype=np.int64)
     t, s = np.empty(n), np.empty(n)
     index = np.empty(n, dtype=np.intp)
@@ -538,7 +536,9 @@ def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
         size = n // _CHUNKS + (1 if i < n % _CHUNKS else 0)
         rows = slice(lo, lo + size)
         # words 4r + c of the chunk's rows r, one column c at a time
-        words = (_words(key, 4 * lo + c, size, 4) for c in range(4))
+        words = (_mix(steps[:size] + ((key + (4 * lo + c + 1) * _GAMMA)
+                                      & _MASK))
+                 for c in range(4))
         np.right_shift(next(words), 64 - precision,
                        out=om[rows].view(np.uint64))
         _unit(next(words), t[rows])

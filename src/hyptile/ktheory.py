@@ -33,11 +33,11 @@ means only that two consecutive bonding maps are isomorphisms.  That
 says nothing about later levels, so it does not certify the group: the
 chains of Thue-Morse and period doubling settle on wrong groups, and
 their H^1 is not finitely generated (ROADMAP item 1).  A map is
-certified an isomorphism when it is onto, read off a Hermite form, and
-both groups have the same rank and torsion: finitely generated modules
-over a commutative ring are Hopfian, so such a map is one to one as
-well.  Over Z[1/2] both forms are taken over Z and powers of 2 are
-discarded, since 2 is a unit.
+certified an isomorphism when it is onto, read off a Hermite form in
+the target's Smith coordinates, and both groups have the same rank and
+torsion: finitely generated modules over a commutative ring are
+Hopfian, so such a map is one to one as well.  Over Z[1/2] both forms
+are taken over Z and powers of 2 are discarded, since 2 is a unit.
 """
 
 from __future__ import annotations
@@ -360,15 +360,6 @@ class _Presentation(namedtuple("_Presentation", [
 ])):
     __slots__ = ()
 
-    def relation_basis(self) -> list:
-        """Rows diag[i] * V^-1[i] spanning the relation lattice.
-
-        Over Z[1/2] diag holds odd parts, so this is the lattice of
-        integer vectors that some power of 2 moves into the relations.
-        """
-        return [[d * x for x in self.v_inv[i]]
-                for i, d in enumerate(self.diag) if d]
-
     def generator_columns(self) -> list:
         """(name, column, invariant factor or 0): torsion, then free."""
         return ([(f"t{i}", j, d) for i, (j, d) in enumerate(self.tors)]
@@ -431,33 +422,37 @@ def _group_from(pres: _Presentation, stabilized: bool,
     )
 
 
-def _bonding_matrix(p1: _Presentation, p2: _Presentation) -> list:
-    # e_w -> sum of its one-letter right refinements, rows over p1.cols.
-    idx = {w: i for i, w in enumerate(p1.cols)}
-    out = [[0] * len(p2.cols) for _ in p1.cols]
-    for j, v in enumerate(p2.cols):
-        out[idx[v[:-1]]][j] = 1
-    return out
-
-
 def _bonding_is_iso(p1: _Presentation, p2: _Presentation, ring: str) -> bool:
     """Is the induced map from p1's group to p2's an isomorphism?
 
     The two groups must have the same rank and torsion; then the map is
     an isomorphism exactly when it is onto, since a finitely generated
     module over a commutative ring is Hopfian (an onto endomorphism is
-    one to one).  Onto means the rows of F, the bonding matrix, and of
-    B2, p2's relation basis, span the ring's lattice: their Hermite form
-    is square, with one row per column of p2, and its pivots, whose
-    product is the index of the span, are units of the ring.
+    one to one).  Onto is read in p2's Smith coordinates x -> x V: e_w
+    goes to the rows of V of its one-letter right refinements, summed
+    and kept on p2's k generator columns.  With d * e_j for each torsion
+    column j, these rows span the ring's lattice exactly when their
+    Hermite form is square and its pivots, whose product is the index
+    of the span, are units of the ring.
     """
     if (len(p1.free) != len(p2.free)
             or [d for _, d in p1.tors] != [d for _, d in p2.tors]):
         return False
-    hnf = hnf_row_lattice(_bonding_matrix(p1, p2) + p2.relation_basis())
+    gens = [j for _, j, _ in p2.generator_columns()]
+    k = len(gens)
+    idx = {w: i for i, w in enumerate(p1.cols)}
+    rows = [[0] * k for _ in p1.cols]
+    for v, coords in zip(p2.cols, p2.v):
+        row = rows[idx[v[:-1]]]
+        for i, j in enumerate(gens):
+            row[i] += coords[j]
+    # the torsion columns come first
+    rows += [[0] * i + [d] + [0] * (k - i - 1)
+             for i, (_, d) in enumerate(p2.tors)]
+    hnf = hnf_row_lattice(rows)
     unit = odd_part if ring == RING_HALF else abs
-    return (len(hnf) == len(p2.cols)
-            and all(unit(row[i]) == 1 for i, row in enumerate(hnf)))
+    return len(hnf) == k and all(unit(row[i]) == 1
+                                 for i, row in enumerate(hnf))
 
 
 def _iter_levels(spec: SubshiftSpec, ring: str, n_max: int):

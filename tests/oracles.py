@@ -252,6 +252,42 @@ def reference_hnf(rows):
     return [row for row in work[:r]]
 
 
+def relation_basis(pres) -> list:
+    """Rows diag[i] * V^-1[i] spanning the relation lattice of a ktheory
+    presentation.  Over Z[1/2] diag holds odd parts, so this is the
+    lattice of integer vectors that some power of 2 moves into the
+    relations.  Reads the presentation's diag and V^-1."""
+    return [[d * x for x in pres.v_inv[i]]
+            for i, d in enumerate(pres.diag) if d]
+
+
+def bonding_matrix(p1, p2) -> list:
+    """The map from level N to level N + 1, e_w -> the sum of its
+    one-letter right refinements, as rows over p1.cols and columns over
+    p2.cols.  Reads the presentations' word lists."""
+    idx = {w: i for i, w in enumerate(p1.cols)}
+    out = [[0] * len(p2.cols) for _ in p1.cols]
+    for j, v in enumerate(p2.cols):
+        out[idx[v[:-1]]][j] = 1
+    return out
+
+
+def stacked_bonding_is_iso(p1, p2, ring) -> bool:
+    """The bonding map is an isomorphism: equal rank and torsion, and
+    onto, which holds when the bonding matrix stacked on p2's relation
+    basis spans the lattice, its Hermite form square with pivots that
+    are 1 (over "Z") or powers of 2 (over "Z[1/2]").  Reads the
+    presentations' ranks, torsion, diag and V^-1, reduced by
+    reference_hnf."""
+    if (len(p1.free) != len(p2.free)
+            or [d for _, d in p1.tors] != [d for _, d in p2.tors]):
+        return False
+    hnf = reference_hnf(bonding_matrix(p1, p2) + relation_basis(p2))
+    unit = (lambda d: split_twos(d)[1]) if ring == "Z[1/2]" else abs
+    return (len(hnf) == len(p2.cols)
+            and all(unit(row[i]) == 1 for i, row in enumerate(hnf)))
+
+
 def is_odometer_coboundary(h, g) -> bool:
     """h == g - g o (x -> x - 1) as locally constant functions on Z_2:
     g witnesses that h is a transfer coboundary.  Reads the package's

@@ -766,16 +766,19 @@ class TestStream:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_rows_read_their_four_words(self, seed):
-        n, precision = 40, 37
-        b = sample_batch(FIB, n, seed, precision=precision)
-        words = splitmix64(splitmix_key(seed, 0), 4 * n)
-        bounds = _cumulative_measure(FIB, b.windows)
-        for r in range(n):
-            w = words[4 * r:4 * r + 4]
-            t, s, u = ((x >> 11) / 2 ** 53 for x in w[1:])
-            assert int(b.omega[r]) == w[0] >> (64 - precision)
-            assert (float(b.t[r]), float(b.s[r])) == (t, s)
-            assert b.index[r] == searchsorted_index(bounds, u)
+        # 1 and 15 rows leave chunks empty, 17 and 20 001 make one chunk
+        # a row longer than the rest
+        precision = 37
+        words = splitmix64(splitmix_key(seed, 0), 4 * 20_001)
+        for n in (1, 15, 17, 40, 20_001):
+            b = sample_batch(FIB, n, seed, precision=precision)
+            bounds = _cumulative_measure(FIB, b.windows)
+            for r in range(n):
+                w = words[4 * r:4 * r + 4]
+                t, s, u = ((x >> 11) / 2 ** 53 for x in w[1:])
+                assert int(b.omega[r]) == w[0] >> (64 - precision)
+                assert (float(b.t[r]), float(b.s[r])) == (t, s)
+                assert b.index[r] == searchsorted_index(bounds, u)
 
 
 def searchsorted_index(bounds, u):

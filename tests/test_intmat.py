@@ -12,8 +12,9 @@ from hyptile.intmat import (hnf_row_lattice, identity, integer_kernel,
                             snf_rank, solve_integer)
 from hyptile.subshift import Periodic
 
-from oracles import (FIB, PD, S4, TM, TRIB, dense_matmul, det_bareiss,
-                     reference_hnf, reference_snf)
+from oracles import (FIB, PD, S4, TM, TRIB, bonding_matrix, dense_matmul,
+                     det_bareiss, reference_hnf, reference_snf,
+                     relation_basis)
 
 
 def test_snf_frozen_example():
@@ -330,20 +331,32 @@ def test_snf_transforms_pinned_on_wide_entries():
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SPECS))
-def test_hnf_matches_reference_on_group_rows(name):
-    # the bonding stacks _bonding_is_iso reduces and the kernel rows
+def test_hnf_matches_reference_on_group_rows(monkeypatch, name):
+    # the k-column rows _bonding_is_iso reduces in Smith coordinates, the
+    # full-width bonding stacks of the oracle and the kernel rows
     # invariants reduces, levels 1..6, over Z and Z[1/2]
     spec = _PINNED_SPECS[name]
+    seen = []
+
+    def recording(rows):
+        seen.append([list(row) for row in rows])
+        return hnf_row_lattice(rows)
+
+    monkeypatch.setattr(ktheory, "hnf_row_lattice", recording)
     ktheory._presentation.cache_clear()
     for ring in (ktheory.RING_Z, ktheory.RING_HALF):
         levels = [ktheory._presentation(spec, ring, n) for n in range(1, 7)]
         for p1, p2 in zip(levels, levels[1:]):
-            stack = ktheory._bonding_matrix(p1, p2) + p2.relation_basis()
+            stack = bonding_matrix(p1, p2) + relation_basis(p2)
             assert hnf_row_lattice(stack) == reference_hnf(stack)
+            ktheory._bonding_is_iso(p1, p2, ring)
         for pres in levels:
             assert (hnf_row_lattice(pres.kernel)
                     == reference_hnf(pres.kernel))
     ktheory._presentation.cache_clear()
+    assert seen
+    for rows in seen:
+        assert hnf_row_lattice(rows) == reference_hnf(rows)
 
 
 def test_hnf_matches_reference_on_random_rows():

@@ -22,6 +22,7 @@ from hyptile.ktheory import (
     CylinderFunction,
     _bonding_is_iso,
     _iter_levels,
+    _Presentation,
     _presentation,
     _relation_rows,
     _value_row,
@@ -54,9 +55,10 @@ from hyptile.subshift import (
 )
 
 from oracles import (FIB, PD, S4, TM, TRIB, anderson_putnam_rank,
-                     circulant_rows, det_bareiss, gcd_lattice,
-                     periodic_by_complexity, snf_group, split_twos,
-                     substitution_corpus, sympy_smith_diagonal)
+                     bonding_matrix, circulant_rows, det_bareiss, gcd_lattice,
+                     periodic_by_complexity, relation_basis, snf_group,
+                     split_twos, stacked_bonding_is_iso, substitution_corpus,
+                     sympy_smith_diagonal)
 
 TWO_ORBITS = Substitution.of({"1": "11", "2": "22"})
 
@@ -472,9 +474,7 @@ class TestCoinvariants:
             assert len(isos) == len(levels) - 1
             for p1, p2, flag in zip(levels, levels[1:], isos):
                 c1, c2 = len(p1.cols), len(p2.cols)
-                bond = [[1 if v[:-1] == w else 0 for v in p2.cols]
-                        for w in p1.cols]
-                stacked = bond + p2.relation_basis()
+                stacked = bonding_matrix(p1, p2) + relation_basis(p2)
                 _, s, v, _ = smith_normal_form(transpose(stacked))
                 nonzero = [s[i][i] for i in range(min(c2, len(stacked)))
                            if s[i][i]]
@@ -482,11 +482,50 @@ class TestCoinvariants:
                         else abs)
                 onto = (len(nonzero) == c2
                         and all(unit(d) == 1 for d in nonzero))
-                basis = p1.relation_basis()
+                basis = relation_basis(p1)
                 one_to_one = all(
                     lattice_contains(basis, [row[j] for row in v[:c1]])
                     for j in range(len(nonzero), len(stacked)))
                 assert flag == (onto and one_to_one)
+
+    @pytest.mark.parametrize("specs", [
+        [TM, PD, FIB, TRIB, S4, Substitution.of({"1": "221", "2": "1"}),
+         ExplicitWindow("121212", "1212121", 7),
+         ExplicitWindow("121", "2112", 4)],
+        substitution_corpus(2026, 40, letters=3, image=3),
+    ], ids=["named", "corpus"])
+    def test_smith_coordinates_agree_with_stacked_oracle(self, specs):
+        # The onto test reduces the images in p2's Smith coordinates; the
+        # oracle reduces the bonding matrix stacked on p2's whole relation
+        # basis.  Levels 1..6, or up to an explicit window's horizon.
+        flags = []
+        for spec in specs:
+            for ring in (RING_Z, RING_HALF):
+                levels, isos = chain(spec, ring, 6)
+                assert isos == [stacked_bonding_is_iso(p1, p2, ring)
+                                for p1, p2 in zip(levels, levels[1:])]
+                flags += isos
+        assert any(flags) and not all(flags)
+
+    @pytest.mark.parametrize("ring", [RING_Z, RING_HALF])
+    @pytest.mark.parametrize("v, v_inv, onto", [
+        (((2, 1), (1, 1)), ((1, -1), (-1, 2)), True),
+        (((1, 2), (0, 1)), ((1, -2), (0, 1)), False),
+    ], ids=["image-2", "image-3"])
+    def test_torsion_summand_needs_its_invariant_factor(self, ring, v,
+                                                        v_inv, onto):
+        # By hand: p1 has one word and group Z/3; p2's two words both
+        # refine it, and in p2's Smith coordinates x -> x V, with
+        # invariant factors (1, 3), its group is Z/3 on column 1.  The
+        # image of p1's word there is the column-1 sum of V's rows.  The
+        # image 2 generates Z/3 only together with the relation 3 * e_1;
+        # the image 3 is zero in it.
+        p1 = _Presentation(ring, 1, ("aa",), ((1,),), ((1,),), (3,),
+                           ((0, 3),), (), ())
+        p2 = _Presentation(ring, 2, ("aaa", "aab"), v, v_inv, (1, 3),
+                           ((1, 3),), (), ())
+        assert _bonding_is_iso(p1, p2, ring) == onto
+        assert stacked_bonding_is_iso(p1, p2, ring) == onto
 
     @pytest.mark.parametrize("groups, spec, n, want", [
         (k_groups, S4, 6, 12), (k_groups, TM, 8, 16),
@@ -641,7 +680,7 @@ class TestRelationMembership:
                 def oracle(x):
                     return lattice_contains(rows, [xi << e for xi in x])
 
-                basis = pres.relation_basis()
+                basis = relation_basis(pres)
                 for row in rng.sample(basis, min(5, len(basis))):
                     assert oracle(row)
                 for _ in range(10):
