@@ -19,9 +19,9 @@ every matrix:
 - its square-free part f / gcd(f, f');
 - the largest real root of f, isolated by a Sturm sequence;
 - the irreducible factor over Z holding that root, by Zassenhaus's
-  method: the distinct-degree split mod the first odd prime that keeps
-  it square-free, Cantor-Zassenhaus splitting, Hensel lifting, and
-  recombination of the lifted factors by exact division.
+  method mod one Proth prime above twice Mignotte's bound (no Hensel
+  lifting): distinct-degree and Cantor-Zassenhaus splitting, then
+  recombination of the factors by exact division.
 
 A linear factor x - r gives the rational eigenvalue r.  Otherwise the
 factor is the field's minimal polynomial, and the Sturm interval is its
@@ -289,7 +289,7 @@ class AlgebraicNumber:
 # Integer polynomials below are ascending coefficient lists.  The methods
 # follow Cohen, A Course in Computational Algebraic Number Theory (GTM
 # 138): characteristic polynomial, Sturm sequences, and factoring over Z
-# by factoring mod p and Hensel lifting.
+# by factoring mod one prime above a coefficient bound (section 3.5).
 
 
 def _charpoly(mat):
@@ -360,8 +360,7 @@ def _top_root_interval(f):
     return lo, hi
 
 
-# Polynomials mod m: ascending coefficients in [0, m), trimmed.  m is a
-# prime p, or a power of p when every divisor is monic.
+# Polynomials mod the prime m: ascending coefficients in [0, m), trimmed.
 
 
 def _mod_mul(a, b, m):
@@ -440,53 +439,24 @@ def _equal_degree(g, d, p, rng):
                     + _equal_degree(_mod_divmod(g, c, p)[0], d, p, rng))
 
 
-def _pick_prime(f):
-    """(p, distinct-degree split of f mod p) for the first odd prime p at
-    which f stays square-free; all but finitely many primes do."""
-    p = 3
+def _pick_prime(f, above):
+    """(p, distinct-degree split of f mod p) for a prime p > above at
+    which f stays square-free.  Candidates are p = k 2^e + 1 with k odd
+    and 2^(e-1) < k < 2^e, so p > 2^(2e-1) >= above; Proth's theorem
+    proves p prime when a^((p-1)/2) = -1 (mod p) for some a."""
+    e = (above.bit_length() + 2) // 2
+    k = (1 << (e - 1)) + 1
     while True:
-        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+        if k >= 1 << e:
+            e += 1
+            k = (1 << (e - 1)) + 1
+        p = k << e | 1
+        if any(pow(a, p >> 1, p) == p - 1 for a in (3, 5, 7, 11, 13, 17)):
             fp = _trim(c % p for c in f)
             dp = _trim(c % p for c in _derivative(fp))
             if len(_mod_gcd(fp, dp, p)) == 1:
                 return p, _distinct_degree(fp, p)
-        p += 2
-
-
-def _hensel_pair(f, g, h, p, k):
-    """Monic G = g, H = h (mod p) with f = G H (mod p^k), for f = g h
-    (mod p) and g, h coprime mod p; linear lifting one power at a time."""
-    r0, r1, t0, t1 = g, h, (), (1,)  # t: t h = 1 (mod g, p)
-    while r1:
-        q, r = _mod_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, _mod_sub(t0, _mod_mul(q, t1, p), p)
-    t = tuple(c * pow(r0[0], -1, p) % p for c in t0)
-    big_g, big_h, q = list(g), list(h), p
-    while q < p ** k:
-        # f = G H (mod q), so (f - G H) / q mod p needs G H mod q p only
-        e = _trim(c // q for c in _mod_sub(
-            f, _mod_mul(big_g, big_h, q * p), q * p))
-        # g a + h b = e (mod p) with deg b < deg g, deg a < deg h
-        b = _mod_divmod(_mod_mul(e, t, p), g, p)[1]
-        a = _mod_divmod(_mod_sub(e, _mod_mul(h, b, p), p), g, p)[0]
-        for i, c in enumerate(b):
-            big_g[i] += q * c
-        for i, c in enumerate(a):
-            big_h[i] += q * c
-        q *= p
-    return big_g, big_h
-
-
-def _hensel(f, factors, p, k):
-    """Lift f = prod(factors) (mod p) to monic factors mod p^k."""
-    if len(factors) == 1:
-        return [[c % p ** k for c in f]]
-    rest = (1,)
-    for g in factors[1:]:
-        rest = _mod_mul(rest, g, p)
-    g, h = _hensel_pair(f, factors[0], rest, p, k)
-    return [g] + _hensel(h, factors[1:], p, k)
+        k += 2
 
 
 def _minimal_polynomial(f, lo, hi):
@@ -494,30 +464,26 @@ def _minimal_polynomial(f, lo, hi):
 
     f is square-free, monic and integral, and has exactly one root in
     (lo, hi], which may be rational (the factor is then linear, and its
-    root may be hi).  Zassenhaus: factor f mod one prime, lift the
-    factorization past twice Mignotte's coefficient bound, then try
-    products of lifted factors by increasing count.  Every product is
-    tested by exact division over Z, and the first that divides at each
-    count is an irreducible factor; no degree sieve is needed.  The
-    constant-term prefilter lets a factor x through (g[0] == 0), since
-    skipping it would leave f's cofactor unsplit."""
-    p, split = _pick_prime(f)
-    rng = random.Random(p)
-    factors = [g for d, prod in split for g in _equal_degree(prod, d, p, rng)]
+    root may be hi).  Zassenhaus with one big prime: factor f mod a
+    prime p above twice Mignotte's coefficient bound, then try products
+    of the factors by increasing count, read in symmetric residues mod
+    p.  Every product is tested by exact division over Z; as p is prime,
+    the first that divides at each count is an irreducible factor, and
+    no degree sieve is needed.  The constant-term prefilter lets a
+    factor x through (g[0] == 0), since skipping it would leave f's
+    cofactor unsplit."""
     n = len(f) - 1
     bound = 2 ** n * (math.isqrt(sum(c * c for c in f)) + 1)
-    k = 1
-    while p ** k <= 2 * bound:
-        k += 1
-    m = p ** k
-    lifted = _hensel(f, factors, p, k)
+    p, split = _pick_prime(f, 2 * bound)
+    rng = random.Random(p)
+    factors = [g for d, prod in split for g in _equal_degree(prod, d, p, rng)]
     size = 1
-    while 2 * size <= len(lifted):
-        for subset in itertools.combinations(range(len(lifted)), size):
+    while 2 * size <= len(factors):
+        for subset in itertools.combinations(range(len(factors)), size):
             g = (1,)
             for i in subset:
-                g = _mod_mul(g, lifted[i], m)
-            g = [c - m if 2 * c > m else c for c in g]
+                g = _mod_mul(g, factors[i], p)
+            g = [c - p if 2 * c > p else c for c in g]
             if g[0] and f[0] % g[0]:
                 continue
             q, r = poly_divmod(f, g)
@@ -527,7 +493,7 @@ def _minimal_polynomial(f, lo, hi):
             if g_hi == 0 or poly_eval(g, lo) * g_hi < 0:
                 return g
             f = [int(c) for c in q]
-            lifted = [u for i, u in enumerate(lifted) if i not in subset]
+            factors = [u for i, u in enumerate(factors) if i not in subset]
             break
         else:
             size += 1

@@ -482,10 +482,10 @@ def _key(seed: int, stream: int) -> int:
             return int(k[0])
 
 
-def _words(key: int, first: int, count: int, stride: int = 1) -> np.ndarray:
-    """Words first, first + stride, ... (count of them) of the keyed stream."""
-    steps = np.arange(count, dtype=np.uint64) * (stride * _GAMMA & _MASK)
-    return _mix(steps + ((key + (first + 1) * _GAMMA) & _MASK))
+def _words(key: int, count: int) -> np.ndarray:
+    """Words 0 to count - 1 of the keyed stream."""
+    steps = np.arange(count, dtype=np.uint64) * _GAMMA
+    return _mix(steps + ((key + _GAMMA) & _MASK))
 
 
 def _unit(words: np.ndarray, out=None) -> np.ndarray:
@@ -496,7 +496,7 @@ def _unit(words: np.ndarray, out=None) -> np.ndarray:
 
 def _uniforms(seed: int, stream: int, count: int) -> list[float]:
     """The first count uniforms of a seed's stream."""
-    return _unit(_words(_key(seed, stream), 0, count)).tolist()
+    return _unit(_words(_key(seed, stream), count)).tolist()
 
 
 def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,

@@ -8,9 +8,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from hyptile import algebraic
 from hyptile.algebraic import (
     AlgebraicNumber,
     NumberField,
+    _charpoly,
+    _pick_prime,
+    _squarefree,
     nullspace_vector,
     perron_eigenvalue,
     poly_eval,
@@ -255,8 +259,11 @@ PINNED_ROOTS = {
 
 
 def oracle_corpus():
-    """330 integer matrices: 300 seeded nonnegative ones of sizes 1 to 6
-    (dense, sparse, block-diagonal and repeated-block), then named ones.
+    """342 integer matrices: 300 seeded nonnegative ones of sizes 1 to 6
+    (dense, sparse, block-diagonal and repeated-block), then named ones,
+    then 12 seeded ones: dense 7x7 and 8x8 matrices, and block-diagonals
+    of two such blocks, whose square-free characteristic polynomials of
+    degree 14 and 16 factor over Z.
 
     Three are companion matrices of the minimal polynomials of sqrt2 +
     sqrt3, sqrt2 + sqrt3 + sqrt5 and sqrt2 + sqrt3 + sqrt5 + sqrt7:
@@ -298,6 +305,12 @@ def oracle_corpus():
     rng = random.Random(11)
     for n in (4, 5):  # two irreducible blocks of degree n
         for _ in range(5):
+            mats.append(block_diag(rand(n, 3, 1.0), rand(n, 3, 1.0)))
+    rng = random.Random(40)
+    for n in (7, 8):
+        for _ in range(3):
+            mats.append(rand(n, 3, 1.0))
+        for _ in range(3):
             mats.append(block_diag(rand(n, 3, 1.0), rand(n, 3, 1.0)))
     mats += [
         companion([1, 0, -10, 0, 1]),
@@ -364,6 +377,57 @@ class TestPerronOracle:
             assert fld.minpoly == minpoly, mat
             assert sympy.Rational(fld.lo.numerator, fld.lo.denominator) \
                 < root < sympy.Rational(fld.hi.numerator, fld.hi.denominator)
+
+
+class TestBigPrime:
+    """The one prime the factorizer works mod: above the bound, a Proth
+    number k 2^e + 1 (k odd, k < 2^e), prime by sympy, and keeping f
+    square-free."""
+
+    @staticmethod
+    def check(f, above):
+        p, _ = _pick_prime(f, above)
+        assert p > above
+        k, e = p - 1, 0
+        while k % 2 == 0:
+            k, e = k // 2, e + 1
+        assert k < 2 ** e, (p, k, e)
+        assert sympy.isprime(p), p
+        assert sympy.Poly(f[::-1], X, modulus=p).is_sqf, (f, p)
+
+    def test_powers_of_two(self):
+        for j in range(3, 201):
+            self.check([-1, -1, 1], 2 ** j)
+
+    def test_corpus_bounds(self):
+        # twice Mignotte's bound on each square-free characteristic
+        # polynomial: what the factorizer asks for
+        for mat in oracle_corpus():
+            f = _squarefree(_charpoly(mat))
+            bound = 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f))
+                                         + 1)
+            self.check(f, 2 * bound)
+
+    def test_result_does_not_depend_on_the_prime(self, monkeypatch):
+        # a prime above the first two certified ones: the minimal
+        # polynomial is unique, so every prime above the bound gives it
+        mats = oracle_corpus()
+        before = [perron_eigenvalue(mat) for mat in mats]
+        pick = algebraic._pick_prime
+
+        def third(f, above):
+            for _ in range(2):
+                above, _ = pick(f, above)
+            return pick(f, above)
+
+        monkeypatch.setattr(algebraic, "_pick_prime", third)
+        for mat, lam in zip(mats, before):
+            again = perron_eigenvalue(mat)
+            if isinstance(lam, AlgebraicNumber):
+                assert (again.field.minpoly, again.field.lo, again.field.hi) \
+                    == (lam.field.minpoly, lam.field.lo, lam.field.hi), mat
+            else:
+                assert type(again) is Fraction and again == lam, mat
 
 
 class TestNullspace:

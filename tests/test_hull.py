@@ -751,13 +751,14 @@ class TestStream:
             assert key == splitmix_key(seed, stream)
             first, count = 3, 50
             plain = splitmix64(key, first + stride * count)[first::stride]
-            assert _words(key, first, count, stride).tolist() == plain
+            words = _words(key, first + stride * count)[first::stride]
+            assert words.tolist() == plain
 
     def test_first_outputs_from_state_zero(self):
         expect = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
                   0x06C45D188009454F, 0xF88BB8A8724C81EC]
         assert splitmix64(0, 4) == expect
-        assert _words(0, 0, 4).tolist() == expect
+        assert _words(0, 4).tolist() == expect
 
     def test_streams_and_limbs_differ(self):
         keys = {_key(seed, stream) for seed in (5, 2 ** 64 + 5, 2 ** 128 + 5)
