@@ -443,7 +443,9 @@ def _pick_prime(f, above):
     """(p, distinct-degree split of f mod p) for a prime p > above at
     which f stays square-free.  Candidates are p = k 2^e + 1 with k odd
     and 2^(e-1) < k < 2^e, so p > 2^(2e-1) >= above; Proth's theorem
-    proves p prime when a^((p-1)/2) = -1 (mod p) for some a."""
+    proves p prime when a^((p-1)/2) = -1 (mod p) for some a, and by
+    Euler's criterion any value but 1 or -1 proves it composite, so the
+    search moves on at the first base whose power is not 1."""
     e = (above.bit_length() + 2) // 2
     k = (1 << (e - 1)) + 1
     while True:
@@ -451,7 +453,11 @@ def _pick_prime(f, above):
             e += 1
             k = (1 << (e - 1)) + 1
         p = k << e | 1
-        if any(pow(a, p >> 1, p) == p - 1 for a in (3, 5, 7, 11, 13, 17)):
+        for a in (3, 5, 7, 11, 13, 17):
+            r = pow(a, p >> 1, p)
+            if r != 1:
+                break
+        if r == p - 1:
             fp = _trim(c % p for c in f)
             dp = _trim(c % p for c in _derivative(fp))
             if len(_mod_gcd(fp, dp, p)) == 1:

@@ -8,36 +8,22 @@ a finite, exact computation on truncations of that module:
 
 * ``invariants``       the fixed functions of the operator,
 * ``coinvariants``     the quotient by differences f - shift(f),
-* ``k_groups``         the K-theory of the associated tiling algebra,
-  assembled from the two computations above (K0 splits as the doubling
-  coinvariants plus the plain invariants; K1 is the plain coinvariants),
+* ``k_groups``         the K-theory of the associated tiling algebra
+  (K0 is the doubling coinvariants plus the plain invariants, K1 the
+  plain coinvariants),
 * ``cech_cohomology``  the same groups relabelled as degree 0..2,
 * ``gap_labels``       the subgroup of (R, +) spanned by cylinder
   measures, tracked truncation by truncation.
 
-Truncation at window length N presents the coinvariants by generators
-e_u over the length-(N+1) language with one combined relation per
-length-N word (right refinement minus psi-weighted left extension).
-The invariants at the same truncation are the left kernel of that one
-relation matrix: the combinations c of length-N words with c * rows = 0
-are the functions with c[v[:N]] = psi * c[v[1:]] for every word v of
-length N + 1.  One Smith form U * rows * V = S gives both, the cokernel
-from S and V and the left kernel as the rows of U past the rank.  It is
-the only Smith form taken, once per spec, ring and level.  The
-``stabilized`` flag says only what was checked.  A periodic word is
-read at its orbit level, where the language stops growing: from there
-every presentation is the circulant of the orbit, so the group is exact
-and no bonding map is tested.  Substitutions and explicit windows
-compare consecutive truncations through the induced maps, and the flag
-means only that two consecutive bonding maps are isomorphisms.  That
-says nothing about later levels, so it does not certify the group: the
-chains of Thue-Morse and period doubling settle on wrong groups, and
-their H^1 is not finitely generated (ROADMAP item 1).  A map is
-certified an isomorphism when it is onto, read off a Hermite form in
-the target's Smith coordinates, and both groups have the same rank and
-torsion: finitely generated modules over a commutative ring are
-Hopfian, so such a map is one to one as well.  Over Z[1/2] both forms
-are taken over Z and powers of 2 are discarded, since 2 is a unit.
+Truncation N presents the coinvariants by generators e_v, v of length
+N + 1, and one relation per word u of length N: the v that start with u
+minus psi times those that end with u.  That is the psi-twisted
+coboundary of the order-N Rauzy graph (vertices the words u, an edge v
+from v[:N] to v[1:]; Anderson & Putnam, ETDS 18, 1998), so each level is
+read off a breadth-first spanning forest, and no Smith form is taken.
+Levels are compared through the induced bonding maps, which are
+isomorphisms when onto between groups of the same rank and torsion
+(finitely generated modules are Hopfian).
 """
 
 from __future__ import annotations
@@ -48,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .dyadic import dyadic, odd_part
-from .intmat import hnf_row_lattice, smith_normal_form
+from .intmat import hnf_row_lattice
 from .subshift import (
     HorizonExhausted,
     Periodic,
@@ -61,31 +47,12 @@ from .subshift import (
 )
 
 __all__ = [
-    "RING_Z",
-    "RING_HALF",
-    "SHIFT_PLAIN",
-    "SHIFT_DOUBLING",
-    "CylinderFunction",
-    "FPAbelianGroup",
-    "GapLabelGroup",
-    "GapLabelLevel",
-    "apply_shift",
-    "constant_one",
-    "refine_left",
-    "refine_right",
-    "refine_to",
-    "canonical",
-    "cf_equal",
-    "invariant_rank",
-    "invariants",
-    "coinvariants",
-    "coinvariant_class",
-    "k_groups",
-    "cech_cohomology",
-    "gap_labels",
-    "measure_pairing",
-    "group_to_json",
-    "gap_label_to_json",
+    "RING_Z", "RING_HALF", "SHIFT_PLAIN", "SHIFT_DOUBLING",
+    "CylinderFunction", "FPAbelianGroup", "GapLabelGroup", "GapLabelLevel",
+    "apply_shift", "constant_one", "refine_left", "refine_right",
+    "refine_to", "canonical", "cf_equal", "invariant_rank", "invariants",
+    "coinvariants", "coinvariant_class", "k_groups", "cech_cohomology",
+    "gap_labels", "measure_pairing", "group_to_json", "gap_label_to_json",
 ]
 
 RING_Z = "Z"
@@ -349,14 +316,18 @@ def group_to_json(g: FPAbelianGroup) -> dict:
 
 class _Presentation(namedtuple("_Presentation", [
         "ring",
-        "level",  # window length N of the relation index set
-        "cols",  # language(N + 1), the generator words
-        "v",
-        "v_inv",
-        "diag",
+        "level",  # N: the Rauzy graph's vertices are language(N)
+        "words",  # language(N)
+        "cols",  # language(N + 1), the edges: v runs from v[:N] to v[1:]
+        "tree",  # (child, parent, edge, child is the edge's end), by depth
+        "coords",  # (edge, start, end) of each edge off the forest
+        "scale",  # psi ** (the forest's depth): potentials are integers
+        "relations",  # the components' nonzero root rows, on coords
+        "kernel",  # a fixed function of each component whose row is 0
+        "v",  # coords x go to x V
+        "v_inv",  # whose rows, on coords, are the generators
         "tors",  # ((column index, invariant factor), ...)
         "free",  # column indices
-        "kernel",  # rows of U past the rank: a basis of {c : c * rows = 0}
 ])):
     __slots__ = ()
 
@@ -366,93 +337,148 @@ class _Presentation(namedtuple("_Presentation", [
                 + [(f"f{i}", j, 0) for i, j in enumerate(self.free)])
 
 
-def _relation_rows(spec: SubshiftSpec, n: int, psi: int):
-    lo = {u: i for i, u in enumerate(language(spec, n))}
-    hi = language(spec, n + 1)
-    rows = [[0] * len(hi) for _ in lo]
-    for j, v in enumerate(hi):
-        rows[lo[v[:n]]][j] += 1
-        rows[lo[v[1:]]][j] -= psi
-    return rows, hi
+def _gcd_step(v, v_inv, i: int, j: int, x: int, y: int) -> int:
+    """Columns i, j of V times the unimodular T that takes the row (x, y)
+    to (gcd, 0) and diag(x, y) to a basis of diag(gcd, lcm); rows i, j
+    of V^-1 times T^-1.  Returns the gcd."""
+    g, s, t, g1, s1, t1 = x, 1, 0, y, 0, 1  # s x + t y = g throughout
+    while g1:
+        q = g // g1
+        g, s, t, g1, s1, t1 = g1, s1, t1, g - q * g1, s - q * s1, t - q * t1
+    g, s, t = (g, s, t) if g > 0 else (-g, -s, -t)
+    b, d = -y // g, x // g
+    for row in v:
+        row[i], row[j] = s * row[i] + t * row[j], b * row[i] + d * row[j]
+    v_inv[i], v_inv[j] = ([d * p - b * q for p, q in zip(v_inv[i], v_inv[j])],
+                          [s * q - t * p for p, q in zip(v_inv[i], v_inv[j])])
+    return g
 
 
 @functools.lru_cache(maxsize=64)
 def _presentation(spec: SubshiftSpec, ring: str, n: int) -> _Presentation:
-    """The level-n relation matrix and its Smith form, computed once."""
+    """The level-n group, read off a breadth-first spanning forest.
+
+    The tree edge into a child has coefficient 1 or -psi, a unit, in the
+    child's row, so the tree edges are eliminated from the leaves up.
+    Each component keeps its root's row c, on its edges off the forest:
+    dh there, for the h that is 1 at the root and has dh = 0 on the
+    tree.  Over Z, h is 1 and c is 0.  Over Z[1/2], c leaves
+    Z[1/2]^(k-1) + Z[1/2]/(odd part of gcd c), which extended-gcd column
+    steps split off; several cyclic summands merge to invariant factors.
+    """
     psi = 2 if ring == RING_HALF else 1
-    rows, cols = _relation_rows(spec, n, psi)
-    m = len(cols)
-    u, s, v, v_inv = smith_normal_form(rows)
-    diag = [s[i][i] for i in range(min(len(s), m))]
-    kernel = u[sum(1 for d in diag if d):]
-    if ring == RING_HALF:
-        diag = [odd_part(d) for d in diag]
-    tors = []
-    free = []
-    for j in range(m):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            free.append(j)
-        elif d > 1:
-            tors.append((j, d))
+    words, cols = language(spec, n), language(spec, n + 1)
+    at = {u: i for i, u in enumerate(words)}
+    ends = [(at[v[:n]], at[v[1:]]) for v in cols]
+    star = [[] for _ in words]
+    for e, (a, b) in enumerate(ends):
+        star[a].append(e)
+        star[b].append(e)
+    depth, comp, tree, roots = [-1] * len(words), [0] * len(words), [], []
+    for root in range(len(words)):  # roots in language order
+        if depth[root] < 0:
+            depth[root], queue = 0, [root]
+            for p in queue:  # read while it grows: breadth first
+                comp[p] = len(roots)
+                for e in star[p]:
+                    c = sum(ends[e]) - p  # the other end, p on a loop
+                    if depth[c] < 0:
+                        depth[c] = depth[p] + 1
+                        tree.append((c, p, e, ends[e][1] == c))
+                        queue.append(c)
+            roots.append(root)
+    scale = psi ** max(depth)
+    h = [scale] * len(words)  # scale times h
+    for c, p, _, down in tree:
+        h[c] = h[p] // psi if down else h[p] * psi
+    on_tree = {e for _, _, e, _ in tree}
+    coords = sorted((comp[a], e, a, b) for e, (a, b) in enumerate(ends)
+                    if e not in on_tree)
+    rows = [[0] * len(coords) for _ in roots]
+    for i, (k, _, a, b) in enumerate(coords):
+        rows[k][i] = h[a] - psi * h[b]
+    kernel = []
+    for k, row in enumerate(rows):
+        if not any(row):
+            g = math.gcd(*(x for x, c in zip(h, comp) if c == k))
+            kernel.append(tuple(x // g if c == k else 0
+                                for x, c in zip(h, comp)))
+    relations = [row for row in rows if any(row)]
+    v = [[int(i == j) for j in range(len(coords))] for i in range(len(coords))]
+    v_inv = [row[:] for row in v]
+    unit_part = odd_part if ring == RING_HALF else abs
+    pivots = []
+    for row in relations:  # to g e_i, i the row's first column
+        i, *rest = (j for j, x in enumerate(row) if x)
+        g = row[i]
+        for j in rest:
+            g = _gcd_step(v, v_inv, i, j, g, row[j])
+        pivots.append((i, unit_part(g)))
+    tors = [(i, d) for i, d in pivots if d > 1]
+    for x in range(len(tors)):
+        for y in range(x + 1, len(tors)):
+            (i, a), (j, b) = tors[x], tors[y]
+            g = _gcd_step(v, v_inv, i, j, a, b)
+            tors[x], tors[y] = (i, g), (j, a // g * b)
+    dead = {i for i, _ in pivots}
     return _Presentation(
-        ring, n, tuple(cols), tuple(tuple(r) for r in v),
-        tuple(tuple(r) for r in v_inv), tuple(diag), tuple(tors),
-        tuple(free), tuple(tuple(r) for r in kernel))
+        ring, n, tuple(words), tuple(cols), tuple(tree),
+        tuple((e, a, b) for _, e, a, b in coords), scale,
+        tuple(map(tuple, relations)), tuple(kernel), tuple(map(tuple, v)),
+        tuple(map(tuple, v_inv)), tuple((i, d) for i, d in tors if d > 1),
+        tuple(i for i in range(len(coords)) if i not in dead))
+
+
+def _tree_class(pres: _Presentation, y) -> list:
+    """scale times the class of the integer cochain y in tree coordinates.
+
+    Potentials x, 0 at the roots, make y - dx vanish on the tree edges,
+    and y - dx on the others is the class.  q is scale times x, so each
+    step is exact in integers.
+    """
+    psi, s = 2 if pres.ring == RING_HALF else 1, pres.scale
+    q = [0] * len(pres.words)
+    for c, p, e, down in pres.tree:
+        q[c] = (q[p] - s * y[e]) // psi if down else s * y[e] + psi * q[p]
+    return [s * y[e] - q[a] + psi * q[b] for e, a, b in pres.coords]
 
 
 def _generators(pres: _Presentation) -> tuple:
-    """((name, representative), ...), the columns of V^-1 as functions."""
+    """((name, representative), ...), the rows of V^-1 as functions."""
+    words = [pres.cols[e] for e, _, _ in pres.coords]
     return tuple(
         (name, CylinderFunction.of(
-            pres.ring, 0, {w: c for w, c in zip(pres.cols, pres.v_inv[j]) if c}))
+            pres.ring, 0, {w: c for w, c in zip(words, pres.v_inv[j]) if c}))
         for name, j, _ in pres.generator_columns())
 
 
 def _group_from(pres: _Presentation, stabilized: bool,
                 approximate_flag: bool) -> FPAbelianGroup:
-    return FPAbelianGroup(
-        ring=pres.ring,
-        rank=len(pres.free),
-        torsion=tuple(d for _, d in pres.tors),
-        generators=_generators(pres),
-        stabilized=stabilized,
-        n_used=pres.level,
-        approximate=approximate_flag,
-    )
+    return FPAbelianGroup(pres.ring, len(pres.free), tuple(
+        d for _, d in pres.tors), _generators(pres), stabilized, pres.level,
+        approximate_flag)
 
 
 def _bonding_is_iso(p1: _Presentation, p2: _Presentation, ring: str) -> bool:
     """Is the induced map from p1's group to p2's an isomorphism?
 
-    The two groups must have the same rank and torsion; then the map is
-    an isomorphism exactly when it is onto, since a finitely generated
-    module over a commutative ring is Hopfian (an onto endomorphism is
-    one to one).  Onto is read in p2's Smith coordinates x -> x V: e_w
-    goes to the rows of V of its one-letter right refinements, summed
-    and kept on p2's k generator columns.  With d * e_j for each torsion
-    column j, these rows span the ring's lattice exactly when their
-    Hermite form is square and its pivots, whose product is the index
-    of the span, are units of the ring.
+    With the same rank and torsion it is when it is onto (Hopfian).
+    p1's edges off its forest span its group; each goes to the sum of
+    its one-letter right refinements, read in p2's tree coordinates.
+    With p2's relations these rows span the lattice exactly when their
+    Hermite form is square with pivots, whose product is the index of
+    the span, that are units of the ring.
     """
     if (len(p1.free) != len(p2.free)
             or [d for _, d in p1.tors] != [d for _, d in p2.tors]):
         return False
-    gens = [j for _, j, _ in p2.generator_columns()]
-    k = len(gens)
-    idx = {w: i for i, w in enumerate(p1.cols)}
-    rows = [[0] * k for _ in p1.cols]
-    for v, coords in zip(p2.cols, p2.v):
-        row = rows[idx[v[:-1]]]
-        for i, j in enumerate(gens):
-            row[i] += coords[j]
-    # the torsion columns come first
-    rows += [[0] * i + [d] + [0] * (k - i - 1)
-             for i, (_, d) in enumerate(p2.tors)]
+    rows = [_tree_class(p2, [int(v[:-1] == p1.cols[e]) for v in p2.cols])
+            for e, _, _ in p1.coords]
+    rows += p2.relations
     hnf = hnf_row_lattice(rows)
     unit = odd_part if ring == RING_HALF else abs
-    return len(hnf) == k and all(unit(row[i]) == 1
-                                 for i, row in enumerate(hnf))
+    return len(hnf) == len(p2.coords) and all(unit(row[i]) == 1
+                                              for i, row in enumerate(hnf))
 
 
 def _iter_levels(spec: SubshiftSpec, ring: str, n_max: int):
@@ -474,15 +500,11 @@ def coinvariants(spec: SubshiftSpec, ring: str,
                  n_max: int = 8) -> FPAbelianGroup:
     """Shift coinvariants at truncation; ``stabilized`` says what was checked.
 
-    A periodic word's group is read at its orbit level N0, the first N
-    with |L(N)| = |L(N + 1)|: from there on every presentation is the
-    circulant of the orbit, so the group is exact and flagged stabilized
-    whenever N0 <= n_max.  Otherwise the group is reported at the first
-    truncation N whose two following induced maps are isomorphisms; when
-    no such N exists up to n_max (or N0 > n_max) the last computed group
-    is returned unstabilized rather than pretending the chain settled.
-    For a substitution the flag means only those two isomorphisms, not
-    the group: a later level can still change it (ROADMAP item 1).
+    A periodic word's group is exact from its orbit level N0, the first
+    N with |L(N)| = |L(N + 1)|, and flagged when N0 <= n_max.  Otherwise
+    it is read at the first N whose two following induced maps are
+    isomorphisms, or at the last level, unflagged, when none is.  For a
+    substitution the flag is not a certificate (ROADMAP item 1).
     """
     _check_ring(ring)
     if n_max < 2:
@@ -515,17 +537,13 @@ def invariants(spec: SubshiftSpec, ring: str,
                n_cap: int = 8) -> FPAbelianGroup:
     """Fixed functions of the shift operator, as a group with witnesses.
 
-    At truncation n they are the left kernel of the level-n relation
-    matrix, read off the coinvariants' Smith form; the generators are
-    its Hermite basis.  Over Z[1/2] the doubling operator scales every
-    fixed function's largest coefficient by 2, so only zero is fixed;
-    the chain of truncations is still checked explicitly up to n_cap,
-    and a level with fixed functions is reported unstabilized.  Over Z
-    the fixed functions at truncation n are spanned by the indicator
-    functions of the connected components of the length-n language
-    under the overlap relation, so the Hermite basis is those
-    indicators in order of their first word, and the rank chain
-    certifies stabilization when it repeats.
+    At truncation n they are the left kernel of the level-n relations,
+    one function per component of the Rauzy graph whose root row is 0,
+    printed as their Hermite basis.  Over Z these are the components'
+    indicators, and the chain is flagged when its rank repeats.  Over
+    Z[1/2] the doubling scales a fixed function's largest coefficient
+    by 2, so only 0 is fixed; a level with fixed functions (a window's
+    graph can have them) is reported unstabilized.
     """
     _check_ring(ring)
     if n_cap < 1:
@@ -552,10 +570,9 @@ def invariants(spec: SubshiftSpec, ring: str,
         stabilized = pick is not None
         prefix = "c"
     pres = levels[-1] if pick is None else pick
-    words = language(spec, pres.level)
     gens = tuple(
-        (f"{prefix}{i}",
-         CylinderFunction.of(ring, 0, {w: c for w, c in zip(words, vec) if c}))
+        (f"{prefix}{i}", CylinderFunction.of(
+            ring, 0, {w: c for w, c in zip(pres.words, vec) if c}))
         for i, vec in enumerate(hnf_row_lattice(pres.kernel)))
     return FPAbelianGroup(ring, len(gens), (), gens, stabilized, pres.level,
                           approximate(spec))
@@ -567,12 +584,10 @@ def coinvariant_class(spec: SubshiftSpec, f: CylinderFunction,
 
     Linear in f, kills coboundaries f - shift(f), and reduces torsion
     coordinates modulo their invariant factor.  f is first shrunk by
-    ``canonical``, so every cylinder function has a class in a periodic
-    group read at its orbit level; otherwise a group of level N takes
-    windows of at most N + 1 letters.  The group must be the spec's
-    coinvariants at level n_used: generator representatives that differ
-    from that presentation's (another spec's, an ``invariants`` group)
-    raise ValueError, and names are not compared, so K0's retag passes.
+    ``canonical``; a group of level N then takes windows of at most
+    N + 1 letters.  The group must be the spec's coinvariants at n_used:
+    other generators (another spec's, an ``invariants`` group) raise
+    ValueError, and names are not compared, so K0's retag passes.
     """
     if f.ring != group.ring:
         raise ValueError("ring of the function and the group differ")
@@ -593,15 +608,16 @@ def coinvariant_class(spec: SubshiftSpec, f: CylinderFunction,
             f"window of length {f.length} does not fit the group's level "
             f"N = {pres.level}, which takes windows of at most {width} letters")
     data = refine_to(spec, f, 0, width).as_dict()
-    x = [data.get(w, 0) for w in pres.cols]
+    x = [Fraction(data.get(w, 0)) for w in pres.cols]
+    den = math.lcm(*(xi.denominator for xi in x))
+    tree = [Fraction(c, den * pres.scale)
+            for c in _tree_class(pres, [int(xi * den) for xi in x])]
     coords = {}
     for (name, _), (_, j, d) in zip(group.generators,
                                     pres.generator_columns()):
-        w = sum(Fraction(xi) * vij for xi, vij in zip(x, [row[j] for row in pres.v]))
-        if d:
-            num, den = w.numerator, w.denominator
-            # den is a 2-power and d is odd over Z[1/2]; invert it mod d.
-            coords[name] = (num * pow(den, -1, d)) % d
+        w = sum(t * row[j] for t, row in zip(tree, pres.v))
+        if d:  # the denominator is a 2-power, d odd: invert it mod d
+            coords[name] = w.numerator * pow(w.denominator, -1, d) % d
         else:
             coords[name] = int(w) if w.denominator == 1 else w
     return coords
@@ -687,19 +703,12 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    per_level = []
-    for n in range(1, n_max + 1):
-        per_level.append(measure_vector(spec, n))  # raises UnsupportedSpec
-
+    # measure_vector raises UnsupportedSpec
+    per_level = [measure_vector(spec, n) for n in range(1, n_max + 1)]
     first = next(iter(per_level[0].values()))
     algebraic = not isinstance(first, Fraction)
-    if algebraic:
-        fld = first.field
-        degree = len(fld.minpoly) - 1
-        minpoly = tuple(fld.minpoly)
-    else:
-        degree = 1
-        minpoly = None
+    minpoly = tuple(first.field.minpoly) if algebraic else None
+    degree = len(minpoly) - 1 if algebraic else 1
 
     chain = []
     canons = []
@@ -741,15 +750,9 @@ def gap_labels(spec: SubshiftSpec, n_max: int = 6) -> GapLabelGroup:
         if halved and not algebraic:
             g = gens_last[0]
             dyadic_base = Fraction(odd_part(g.numerator), odd_part(g.denominator))
-    return GapLabelGroup(
-        kind="algebraic" if algebraic else "rational",
-        minpoly=minpoly,
-        generators=gens_last,
-        chain=tuple(chain),
-        stabilized=stabilized,
-        n_used=n_max,
-        dyadic_base=dyadic_base,
-    )
+    return GapLabelGroup("algebraic" if algebraic else "rational", minpoly,
+                         gens_last, tuple(chain), stabilized, n_max,
+                         dyadic_base)
 
 
 def _measure_value_json(v):
@@ -773,23 +776,18 @@ def gap_label_to_json(g: GapLabelGroup) -> dict:
     if g.minpoly is not None:
         out["minpoly"] = [f"{c.numerator}/{c.denominator}" for c in g.minpoly]
     if g.dyadic_base is not None:
-        b = g.dyadic_base
-        out["dyadic_base"] = (int(b) if b.denominator == 1
-                              else f"{b.numerator}/{b.denominator}")
+        out["dyadic_base"] = _measure_value_json(g.dyadic_base)
     return out
 
 
 def measure_pairing(spec: SubshiftSpec, f: CylinderFunction):
     """Integral of f against the invariant measure, exactly.
 
-    Independent of how the window is written (refinement on either side
-    preserves it, by additivity of the measure), equal to the word
-    measure on cylinder indicators, and constant on plain-shift
-    coinvariant classes since the measure is shift invariant.  It is
-    not constant on doubling-shift classes, and no positive additive
-    functional into the reals can be: 1 and 2 lie in one class there,
-    so nu(1) = 2 nu(1) forces nu(1) = 0.  (Torsion alone would only
-    force such a functional to vanish on the torsion.)
+    Independent of how the window is written, equal to the word measure
+    on cylinder indicators, and constant on plain-shift coinvariant
+    classes, the measure being shift invariant.  No positive additive
+    functional is constant on doubling-shift classes: 1 and 2 lie in one
+    class there, so nu(1) = 2 nu(1) forces nu(1) = 0.
     """
     f = _language_filter(spec, f)
     if f.is_zero:

@@ -28,10 +28,9 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 
 MUTANTS = [
     Mutant(
-        "bonding map without the torsion rows d * e_j",
+        "onto test without the target's relation rows",
         "src/hyptile/ktheory.py",
-        "    rows += [[0] * i + [d] + [0] * (k - i - 1)\n"
-        "             for i, (_, d) in enumerate(p2.tors)]\n",
+        "    rows += p2.relations\n",
         "",
         ["tests/test_ktheory.py::TestCoinvariants::"
          "test_torsion_summand_needs_its_invariant_factor"]),
@@ -71,9 +70,27 @@ MUTANTS = [
     Mutant(
         "factoring prime taken without its Proth certificate",
         "src/hyptile/algebraic.py",
-        "if any(pow(a, p >> 1, p) == p - 1 for a in (3, 5, 7, 11, 13, 17)):",
-        "if True:",
+        "        if r == p - 1:\n",
+        "        if True:\n",
         ["tests/test_algebraic.py::TestBigPrime"]),
+    Mutant(
+        "first free generator doubled: over Z its span has index 2",
+        "src/hyptile/ktheory.py",
+        "{w: c for w, c in zip(words, pres.v_inv[j]) if c}",
+        "{w: c * (1 + (j in pres.free[:1]))\n"
+        "                          for w, c in zip(words, pres.v_inv[j]) "
+        "if c}",
+        ["tests/test_ktheory.py::TestPrintedGenerators"]),
+    Mutant(
+        "torsion generator times its order: its class is 0",
+        "src/hyptile/ktheory.py",
+        "            pres.ring, 0, {w: c for w, c in zip(words, "
+        "pres.v_inv[j]) if c}))\n"
+        "        for name, j, _ in pres.generator_columns())\n",
+        "            pres.ring, 0, {w: c * (d or 1) for w, c in zip(words, "
+        "pres.v_inv[j]) if c}))\n"
+        "        for name, j, d in pres.generator_columns())\n",
+        ["tests/test_ktheory.py::TestPrintedGenerators"]),
 ]
 
 

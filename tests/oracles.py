@@ -14,7 +14,8 @@ import operator
 import random
 from fractions import Fraction
 
-from sympy import Matrix
+from sympy import Matrix, factorint
+from sympy.matrices.normalforms import smith_normal_decomp
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
@@ -22,7 +23,8 @@ from sympy.polys.matrices import DomainMatrix
 from hyptile.dyadic import LocallyConstFn
 from hyptile.geometry import (EDGE_LABELS, NEGATIVE_EDGES, POSITIVE_EDGE,
                               tile_vertices)
-from hyptile.subshift import Substitution, _spec_perron, block_substitution
+from hyptile.subshift import (Periodic, Substitution, _spec_perron,
+                              block_substitution, language)
 
 TM = Substitution.of({"1": "12", "2": "21"})
 PD = Substitution.of({"1": "12", "2": "11"})
@@ -103,6 +105,113 @@ def snf_group(rows, invert_two=False) -> tuple:
         diag = [split_twos(d)[1] for d in diag]
     rank = len(rows[0]) - sum(1 for d in diag if d)
     return rank, tuple(sorted(d for d in diag if d > 1))
+
+
+def oracle_language(spec, n: int) -> list:
+    """The sorted words of length n: the blocks of the 4096-letter
+    iterate prefixes of a substitution from each letter (one holds every
+    word of a primitive rule; a rule that is not primitive gets the
+    union of its letters' orbits), of the periodic word's cyclic
+    windows, or of an explicit window's letters.  Reads the spec's
+    fields only."""
+    if isinstance(spec, Substitution):
+        return sorted(set().union(*(
+            prefix_blocks(iterate_prefix(spec, 4096, a), n)
+            for a in spec.mapping())))
+    if isinstance(spec, Periodic):
+        word = spec.word * (n // len(spec.word) + 2)
+        return sorted({word[i:i + n] for i in range(len(spec.word))})
+    return sorted(prefix_blocks(spec.left + spec.right, n))
+
+
+def check_group_json(spec, js, invariant=False):
+    """Assert that a printed group is the level-N_used group it claims.
+
+    The relations are rebuilt from oracle_language: for u of length N,
+    the sum of e_v over the words v of length N + 1 that start with u,
+    minus psi times those that end with u (psi = 2 over Z[1/2]).  A
+    coinvariant group (the default) is their cokernel; with invariant,
+    the group is the fixed functions, the left kernel.  Generators are
+    read as vectors on the words of length N + 1 (N for invariants) from
+    window 0; any other window is refused.  Over Z[1/2] each is scaled
+    to integers by a power of 2, a unit.
+
+    A coinvariant group must have the rank and torsion of sympy's Smith
+    form of the relations; its generators and the relations must span
+    the lattice (over Z[1/2] up to a power of 2); each torsion
+    generator's order is its invariant factor (d times it is a
+    relation, d / p times it is not, for each prime p | d); and the free
+    generators stay independent modulo the relations and the torsion.
+    Fixed functions must each be fixed and together span the kernel's
+    lattice, saturated.  Reads nothing of the package but the spec's
+    fields."""
+    half = js["ring"] == "Z[1/2]"
+    psi = 2 if half else 1
+    unit = (lambda d: split_twos(d)[1]) if half else abs
+
+    def rank_q(rows):
+        return DomainMatrix.from_list(rows, QQ).rank()
+
+    def index(rows, diag=None):
+        # rank and |product of the nonzero invariant factors|, or its odd
+        # part over Z[1/2]: two lattices of one rank, one inside the
+        # other, are equal over the ring when these agree
+        diag = [d for d in diag or sympy_smith_diagonal(rows) if d]
+        return len(diag), unit(math.prod(diag))
+
+    n = js["N_used"]
+    lo, hi = oracle_language(spec, n), oracle_language(spec, n + 1)
+    rows = [[(v[:-1] == u) - psi * (v[1:] == u) for v in hi] for u in lo]
+    words = lo if invariant else hi
+    gens = []
+    for gen in js["generators"]:
+        assert gen["window"] == [0, len(words[0])], gen
+        assert set(gen["coefficients"]) <= set(words), gen
+        vec = [Fraction(gen["coefficients"].get(w, 0)) for w in words]
+        den = math.lcm(*(x.denominator for x in vec))
+        assert den == 1 or (half and unit(den) == 1), gen
+        gens.append([int(x * den) for x in vec])
+    assert len(gens) == js["rank"] + len(js["torsion"]), js
+    if invariant:
+        assert js["torsion"] == [], js
+        cols = [list(c) for c in zip(*rows)]
+        for g in gens:
+            assert all(sum(x * y for x, y in zip(g, col)) == 0
+                       for col in cols), g
+        kernel = len(lo) - rank_q(rows)
+        assert len(gens) == kernel, js
+        assert not gens or index(gens) == (kernel, 1), js
+        return
+    diag = sympy_smith_diagonal(rows)
+    base = index(rows, diag)
+    torsion = sorted(unit(d) for d in diag if unit(d) > 1)
+    assert (js["rank"], js["torsion"]) == (len(hi) - base[0], torsion), js
+    assert index(gens + rows) == (len(hi), 1), js
+
+    def is_relation(vec):
+        return index(rows + [vec]) == base
+
+    for g, d in zip(gens, js["torsion"]):
+        assert is_relation([d * x for x in g]), (g, d)
+        for p in factorint(d):
+            assert not is_relation([d // p * x for x in g]), (g, d, p)
+    free = gens[len(js["torsion"]):]
+    tors = gens[:len(js["torsion"])]
+    assert rank_q(rows + tors + free) == rank_q(rows + tors) + len(free), js
+
+
+def check_report_json(spec, doc):
+    """check_group_json on every group of a kgroups or cech document:
+    K0's summands (the doubling coinvariants, then the plain invariants)
+    and K1, or H0 (the invariants), H1 and H2.  Reads the document's
+    keys."""
+    if "K1" in doc:
+        co_half, inv_z = doc["K0"]["summands"]
+        groups = [(co_half, False), (inv_z, True), (doc["K1"], False)]
+    else:
+        groups = [(doc["H0"], True), (doc["H1"], False), (doc["H2"], False)]
+    for js, invariant in groups:
+        check_group_json(spec, js, invariant)
 
 
 def circulant_rows(p, psi):
@@ -252,40 +361,61 @@ def reference_hnf(rows):
     return [row for row in work[:r]]
 
 
-def relation_basis(pres) -> list:
-    """Rows diag[i] * V^-1[i] spanning the relation lattice of a ktheory
-    presentation.  Over Z[1/2] diag holds odd parts, so this is the
-    lattice of integer vectors that some power of 2 moves into the
-    relations.  Reads the presentation's diag and V^-1."""
-    return [[d * x for x in pres.v_inv[i]]
-            for i, d in enumerate(pres.diag) if d]
+def relation_rows(spec, n: int, psi: int):
+    """(rows, words): one row per word u of language(n) over the words v
+    of language(n + 1), the sum of e_v over the v that start with u
+    minus psi times those that end with u.  Reads the package's
+    language."""
+    lo = {u: i for i, u in enumerate(language(spec, n))}
+    hi = language(spec, n + 1)
+    rows = [[0] * len(hi) for _ in lo]
+    for j, v in enumerate(hi):
+        rows[lo[v[:n]]][j] += 1
+        rows[lo[v[1:]]][j] -= psi
+    return rows, hi
 
 
-def bonding_matrix(p1, p2) -> list:
+def relation_basis(rows, invert_two=False) -> list:
+    """Integer rows spanning the lattice of the integer rows; with
+    invert_two, the lattice of the integer vectors that some power of 2
+    moves into it: the rows s_i V^-1[i] of sympy's Smith decomposition
+    S = U A V, with s_i the odd part of S[i][i].  Shares nothing with
+    the package."""
+    if not invert_two:
+        return [list(r) for r in rows if any(r)]
+    s, _, v = smith_normal_decomp(Matrix(rows))
+    v_inv = v.inv()
+    return [[split_twos(int(s[i, i]))[1] * int(x) for x in v_inv.row(i)]
+            for i in range(min(s.shape)) if s[i, i]]
+
+
+def bonding_matrix(cols1, cols2) -> list:
     """The map from level N to level N + 1, e_w -> the sum of its
-    one-letter right refinements, as rows over p1.cols and columns over
-    p2.cols.  Reads the presentations' word lists."""
-    idx = {w: i for i, w in enumerate(p1.cols)}
-    out = [[0] * len(p2.cols) for _ in p1.cols]
-    for j, v in enumerate(p2.cols):
+    one-letter right refinements, as rows over the words cols1 and
+    columns over the words cols2.  Shares nothing with the package."""
+    idx = {w: i for i, w in enumerate(cols1)}
+    out = [[0] * len(cols2) for _ in cols1]
+    for j, v in enumerate(cols2):
         out[idx[v[:-1]]][j] = 1
     return out
 
 
-def stacked_bonding_is_iso(p1, p2, ring) -> bool:
-    """The bonding map is an isomorphism: equal rank and torsion, and
-    onto, which holds when the bonding matrix stacked on p2's relation
-    basis spans the lattice, its Hermite form square with pivots that
-    are 1 (over "Z") or powers of 2 (over "Z[1/2]").  Reads the
-    presentations' ranks, torsion, diag and V^-1, reduced by
-    reference_hnf."""
-    if (len(p1.free) != len(p2.free)
-            or [d for _, d in p1.tors] != [d for _, d in p2.tors]):
+def stacked_bonding_is_iso(spec, ring, n) -> bool:
+    """The bonding map from level n to n + 1 is an isomorphism: equal
+    rank and torsion by snf_group, and onto, which holds when the
+    bonding matrix stacked on level n + 1's relation rows has full rank
+    and Smith factors 1 (over "Z") or powers of 2 (over "Z[1/2]").
+    Reads the package's language through relation_rows; the rest is
+    sympy's."""
+    half = ring == "Z[1/2]"
+    rows1, cols1 = relation_rows(spec, n, 2 if half else 1)
+    rows2, cols2 = relation_rows(spec, n + 1, 2 if half else 1)
+    if snf_group(rows1, half) != snf_group(rows2, half):
         return False
-    hnf = reference_hnf(bonding_matrix(p1, p2) + relation_basis(p2))
-    unit = (lambda d: split_twos(d)[1]) if ring == "Z[1/2]" else abs
-    return (len(hnf) == len(p2.cols)
-            and all(unit(row[i]) == 1 for i, row in enumerate(hnf)))
+    diag = [d for d in sympy_smith_diagonal(
+        bonding_matrix(cols1, cols2) + rows2) if d]
+    unit = (lambda d: split_twos(d)[1]) if half else abs
+    return len(diag) == len(cols2) and all(unit(d) == 1 for d in diag)
 
 
 def is_odometer_coboundary(h, g) -> bool:
@@ -341,12 +471,12 @@ def splitmix_key(seed: int, stream: int) -> int:
 
 # -- words and substitutions ------------------------------------------------
 
-def iterate_prefix(spec: Substitution, length: int) -> str:
-    """The first length letters of sigma^k(a), a the least letter, by
-    plain iteration of the rules: a fixed-point prefix when sigma(a)
-    starts with a.  Reads spec.mapping() only."""
+def iterate_prefix(spec: Substitution, length: int, letter=None) -> str:
+    """The first length letters of sigma^k(a), a the given letter or the
+    least one, by plain iteration of the rules: a fixed-point prefix
+    when sigma(a) starts with a.  Reads spec.mapping() only."""
     rules = spec.mapping()
-    w = min(rules)
+    w = letter or min(rules)
     while len(w) < length:
         w = "".join(rules[c] for c in w)
     return w[:length]

@@ -395,18 +395,52 @@ class TestBigPrime:
         assert sympy.isprime(p), p
         assert sympy.Poly(f[::-1], X, modulus=p).is_sqf, (f, p)
 
+    @staticmethod
+    def corpus_bounds():
+        """(f, twice Mignotte's bound) for each square-free characteristic
+        polynomial of the corpus: what the factorizer asks for."""
+        out = []
+        for mat in oracle_corpus():
+            f = _squarefree(_charpoly(mat))
+            bound = 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f))
+                                         + 1)
+            out.append((f, 2 * bound))
+        return out
+
     def test_powers_of_two(self):
         for j in range(3, 201):
             self.check([-1, -1, 1], 2 ** j)
 
     def test_corpus_bounds(self):
-        # twice Mignotte's bound on each square-free characteristic
-        # polynomial: what the factorizer asks for
-        for mat in oracle_corpus():
-            f = _squarefree(_charpoly(mat))
-            bound = 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f))
-                                         + 1)
-            self.check(f, 2 * bound)
+        for f, above in self.corpus_bounds():
+            self.check(f, above)
+
+    def test_early_exit_finds_the_all_bases_prime(self):
+        # the search that tries every base on every candidate and takes
+        # the first that some base proves prime: a base that proves a
+        # candidate composite leaves no later base to prove it prime.
+        # A candidate with a factor below 100 is skipped unread, as no
+        # base proves a composite prime.
+        small = list(sympy.primerange(3, 100))
+
+        def all_bases(f, above):
+            e = (above.bit_length() + 2) // 2
+            k = (1 << (e - 1)) + 1
+            while True:
+                if k >= 1 << e:
+                    e += 1
+                    k = (1 << (e - 1)) + 1
+                p = k << e | 1
+                if all(p % q for q in small if q < p) \
+                        and any(pow(a, p >> 1, p) == p - 1
+                                for a in (3, 5, 7, 11, 13, 17)) \
+                        and sympy.Poly(f[::-1], X, modulus=p).is_sqf:
+                    return p
+                k += 2
+
+        cases = [([-1, -1, 1], 2 ** j) for j in range(3, 201)]
+        for f, above in cases + self.corpus_bounds():
+            assert _pick_prime(f, above)[0] == all_bases(f, above), above
 
     def test_result_does_not_depend_on_the_prime(self, monkeypatch):
         # a prime above the first two certified ones: the minimal

@@ -23,6 +23,8 @@ from hyptile.hull import (BumpProfile, _uniforms, first_word_control,
                           invariance_reports, sample_batch, tau_pairing)
 from hyptile.subshift import language, parse_spec, spec_to_json
 
+from oracles import check_report_json
+
 
 def write_spec(tmp_path, doc, name="spec.json"):
     p = tmp_path / name
@@ -163,31 +165,31 @@ class TestSmallCommands:
     # entry.  An explicit window has no gap labels, so it pins two.
     @pytest.mark.parametrize("spec, expect", [
         (THUE_MORSE, {
-            "kgroups": "5654234944b17cc81179df72b1adedbb"
-                       "275c03cf63214032b7a95ecdbf5dc753",
-            "cech": "2651c4235a834d3b7435945eba18aee8"
-                    "f72e60aa5154461e07dc776afb1c9d3b",
+            "kgroups": "1c0d6b05ca0ef3f3e5d11bca394ff555"
+                       "f09a711e91b68047abde91b3f1ce1291",
+            "cech": "3fc9fa5e5145327a4727e7e3ea2bf975"
+                    "c893ba30466e0ed957bafcf28a15a149",
             "gaplabels": "b06acf32802b92a30ef05ecc95180232"
                          "7876acf9f81d25b44ae586a2202f81d1"}),
         (PERIOD_DOUBLING, {
-            "kgroups": "cc18ec5bbfe5add679433ce4c46df8f5"
-                       "ca9209af9c5afe07b9f67aa65527a223",
-            "cech": "f56ca455e718958f4edebb554f688ec4"
-                    "d8a423ce5d472f1f0dc2503091edb9d5",
+            "kgroups": "60e19dbe8e3ef467d8e712aa2f5a20b6"
+                       "a47cf0317636336bbe69bab2990d82af",
+            "cech": "a97895c949ad8518bceaeafb6e2016d4"
+                    "3202fe0708869325f7167b1eb1c1d92d",
             "gaplabels": "0f6da90d94cb205d3bc89964079f558f"
                          "c1324ef45ab6dfd755c99b92dafb68ac"}),
         (FIBONACCI, {
-            "kgroups": "84510e4a6d779221a4737623ff99dac2"
-                       "c2376846ab0b1bfa9b8500d5ec20959d",
-            "cech": "5a7e2b45ca2fc6163cd21404484b6c40"
-                    "24f61f75243b7bc83617db8bacf5bc49",
+            "kgroups": "924566a443d92e51f24a765f2b300793"
+                       "63772bcc681fb38314e493fc1d8f2ee4",
+            "cech": "60a64ebb345067e89e09151323964af5"
+                    "f55fbc0237aa2a486348c73b1857ff64",
             "gaplabels": "f3c74052bd461710df7fa4e768df928a"
                          "b8ee132f4c501e49f45e9f9088865cb8"}),
         (FOUR_LETTER, {
-            "kgroups": "c8c55d61c07ec78018f1b962a81d698c"
-                       "b7154ca0c96ca4abed3a4dfadc9414e5",
-            "cech": "44b3301c7e1bef3afb01806657475996"
-                    "056b606ab6f85cb906289833d04a0d22",
+            "kgroups": "9624020b90ff409080956141b6e55cf0"
+                       "e43bc6370a46e47601f50a94ec213c2c",
+            "cech": "39f4f30750a18edabda6f6257239c5e2"
+                    "08d1570218b0d04783b9e2cf8215ac17",
             "gaplabels": "fa7066523ae22ba6156bd0c0298abe2e"
                          "59c93cb2ab3133ab2150522e34a25495"}),
         ({"type": "periodic", "word": "11212"}, {
@@ -205,10 +207,14 @@ class TestSmallCommands:
                     "a307674e1b7959cf630aafbc327af11b"}),
     ], ids=["tm", "pd", "fib", "s4", "11212", "window"])
     def test_group_reports_are_pinned(self, tmp_path, capsys, spec, expect):
+        # each kgroups and cech group is also checked against the
+        # relations rebuilt by check_report_json
         path = write_spec(tmp_path, spec)
         for command, digest in expect.items():
             assert run([command, "--spec", path, "--nmax", "6"]) == 0
             out = capsys.readouterr().out.encode()
+            if command != "gaplabels":
+                check_report_json(parse_spec(spec), json.loads(out))
             assert hashlib.sha256(out).hexdigest() == digest, command
 
     # every command at the quick benchmark's sizes; render and measures

@@ -14,7 +14,7 @@ from hyptile.subshift import Periodic
 
 from oracles import (FIB, PD, S4, TM, TRIB, bonding_matrix, dense_matmul,
                      det_bareiss, reference_hnf, reference_snf,
-                     relation_basis)
+                     relation_rows)
 
 
 def test_snf_frozen_example():
@@ -285,24 +285,14 @@ _PINNED_SPECS = {"tm": TM, "pd": PD, "fib": FIB, "trib": TRIB,
 
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SPECS))
-def test_snf_transforms_pinned_on_group_matrices(monkeypatch, name):
-    # every matrix k_groups and cech_cohomology factor, over Z and Z[1/2];
-    # the two share most of them, and each distinct one is compared once
+def test_snf_transforms_pinned_on_group_matrices(name):
+    # the relation matrices of levels 1..6 over Z and Z[1/2], which the
+    # groups took Smith forms of before the spanning forest replaced them
     spec = _PINNED_SPECS[name]
-    seen = {}
-
-    def recording(mat):
-        seen.setdefault(tuple(map(tuple, mat)), [list(row) for row in mat])
-        return smith_normal_form(mat)
-
-    monkeypatch.setattr(ktheory, "smith_normal_form", recording)
-    for groups in (ktheory.k_groups, ktheory.cech_cohomology):
-        ktheory._presentation.cache_clear()
-        groups(spec, 6)
-    ktheory._presentation.cache_clear()
-    assert seen
-    for mat in seen.values():
-        assert smith_normal_form(mat) == reference_snf(mat)
+    for psi in (1, 2):
+        for n in range(1, 7):
+            mat = relation_rows(spec, n, psi)[0]
+            assert smith_normal_form(mat) == reference_snf(mat)
 
 
 def test_snf_transforms_pinned_on_unit_ties():
@@ -332,8 +322,8 @@ def test_snf_transforms_pinned_on_wide_entries():
 
 @pytest.mark.parametrize("name", sorted(_PINNED_SPECS))
 def test_hnf_matches_reference_on_group_rows(monkeypatch, name):
-    # the k-column rows _bonding_is_iso reduces in Smith coordinates, the
-    # full-width bonding stacks of the oracle and the kernel rows
+    # the rows _bonding_is_iso reduces in tree coordinates, the
+    # full-width bonding stacks on the relation rows and the kernel rows
     # invariants reduces, levels 1..6, over Z and Z[1/2]
     spec = _PINNED_SPECS[name]
     seen = []
@@ -345,9 +335,11 @@ def test_hnf_matches_reference_on_group_rows(monkeypatch, name):
     monkeypatch.setattr(ktheory, "hnf_row_lattice", recording)
     ktheory._presentation.cache_clear()
     for ring in (ktheory.RING_Z, ktheory.RING_HALF):
+        psi = 2 if ring == ktheory.RING_HALF else 1
         levels = [ktheory._presentation(spec, ring, n) for n in range(1, 7)]
         for p1, p2 in zip(levels, levels[1:]):
-            stack = bonding_matrix(p1, p2) + relation_basis(p2)
+            stack = (bonding_matrix(p1.cols, p2.cols)
+                     + relation_rows(spec, p2.level, psi)[0])
             assert hnf_row_lattice(stack) == reference_hnf(stack)
             ktheory._bonding_is_iso(p1, p2, ring)
         for pres in levels:

@@ -12,8 +12,11 @@ from fractions import Fraction
 import pytest
 
 from hyptile import ktheory
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_decomp
+
 from hyptile.intmat import (hnf_row_lattice, integer_kernel, lattice_contains,
-                            rational_rank, smith_normal_form, transpose)
+                            rational_rank, smith_normal_form)
 from hyptile.ktheory import (
     RING_HALF,
     RING_Z,
@@ -23,8 +26,8 @@ from hyptile.ktheory import (
     _bonding_is_iso,
     _iter_levels,
     _Presentation,
+    _group_from,
     _presentation,
-    _relation_rows,
     _value_row,
     apply_shift,
     canonical,
@@ -55,12 +58,17 @@ from hyptile.subshift import (
 )
 
 from oracles import (FIB, PD, S4, TM, TRIB, anderson_putnam_rank,
-                     bonding_matrix, circulant_rows, det_bareiss, gcd_lattice,
-                     periodic_by_complexity, relation_basis, snf_group,
-                     split_twos, stacked_bonding_is_iso, substitution_corpus,
+                     bonding_matrix, check_group_json, circulant_rows,
+                     det_bareiss, gcd_lattice, oracle_language,
+                     periodic_by_complexity,
+                     relation_basis, relation_rows, snf_group, split_twos,
+                     stacked_bonding_is_iso, substitution_corpus,
                      sympy_smith_diagonal)
 
 TWO_ORBITS = Substitution.of({"1": "11", "2": "22"})
+# the orbits of 12 and of 345, periodic words of periods 2 and 3
+TWO_CYCLES = Substitution.of({"1": "12", "2": "12", "3": "345", "4": "345",
+                              "5": "345"})
 
 PERIODIC_WORDS = {1: "1", 2: "12", 3: "123", 4: "1234", 5: "12345"}
 
@@ -344,13 +352,20 @@ class TestInvariants:
         gens = [[int(x) for x in row] for row in gens]
         assert hnf_row_lattice(gens) == hnf_row_lattice(kernel)
 
+    def test_ring_half_flagged_after_two_levels(self):
+        # two levels without fixed functions flag the Z[1/2] chain; one
+        # level does not
+        assert invariants(TM, RING_HALF, n_cap=2).stabilized
+        assert not invariants(TM, RING_HALF, n_cap=1).stabilized
+
     def test_read_off_the_coinvariant_presentations(self, monkeypatch):
-        # Once coinvariants has run, invariants takes no Smith form and
-        # never tests a bonding map.
+        # Once coinvariants has run, invariants reads its cached
+        # presentations: it reads no language and never tests a bonding
+        # map.
         for ring in (RING_Z, RING_HALF):
             coinvariants(S4, ring, 4)
             with monkeypatch.context() as m:
-                for name in ("smith_normal_form", "_bonding_is_iso"):
+                for name in ("language", "_bonding_is_iso"):
                     m.setattr(ktheory, name, None)
                 g = invariants(S4, ring, n_cap=4)
             assert g.rank == (1 if ring == RING_Z else 0)
@@ -464,27 +479,31 @@ class TestCoinvariants:
             "window", "not-onto"])
     def test_iso_flags_match_onto_and_one_to_one(self, spec, n_max):
         # The chain certifies an isomorphism by onto-ness plus equal rank
-        # and torsion.  Oracle: onto and one to one tested separately,
-        # the kernel vectors (x, y) of x*F + y*B2 = 0 read off V of
-        # [F; B2]^T and each x tested against p1's relation lattice.
-        # On 1 -> 221, 2 -> 1 the groups at N = 1 and 2 are isomorphic
-        # but the bonding map between them is not onto.
+        # and torsion.  Oracle: onto and one to one tested separately on
+        # the relation rows, over Z[1/2] on the integer vectors that a
+        # power of 2 moves into them.  The kernel vectors (x, y) of
+        # x*F + y*B2 = 0 are read off V of sympy's Smith decomposition
+        # S = U [F; B2]^T V, and each x is tested against level N's
+        # relation lattice.  On 1 -> 221, 2 -> 1 the groups at N = 1 and
+        # 2 are isomorphic but the bonding map between them is not onto.
         for ring in (RING_Z, RING_HALF):
+            half, psi = ring == RING_HALF, 2 if ring == RING_HALF else 1
             levels, isos = chain(spec, ring, n_max)
             assert len(isos) == len(levels) - 1
-            for p1, p2, flag in zip(levels, levels[1:], isos):
-                c1, c2 = len(p1.cols), len(p2.cols)
-                stacked = bonding_matrix(p1, p2) + relation_basis(p2)
-                _, s, v, _ = smith_normal_form(transpose(stacked))
-                nonzero = [s[i][i] for i in range(min(c2, len(stacked)))
-                           if s[i][i]]
-                unit = ((lambda d: split_twos(d)[1]) if ring == RING_HALF
-                        else abs)
+            bases = [relation_basis(relation_rows(spec, p.level, psi)[0],
+                                    half) for p in levels]
+            for k, flag in enumerate(isos):
+                cols1, cols2 = levels[k].cols, levels[k + 1].cols
+                c1, c2 = len(cols1), len(cols2)
+                stacked = bonding_matrix(cols1, cols2) + bases[k + 1]
+                s, _, v = smith_normal_decomp(Matrix(stacked).T)
+                nonzero = [abs(int(s[i, i]))
+                           for i in range(min(c2, len(stacked))) if s[i, i]]
+                unit = ((lambda d: split_twos(d)[1]) if half else abs)
                 onto = (len(nonzero) == c2
                         and all(unit(d) == 1 for d in nonzero))
-                basis = relation_basis(p1)
                 one_to_one = all(
-                    lattice_contains(basis, [row[j] for row in v[:c1]])
+                    lattice_contains(bases[k], [int(x) for x in v[:c1, j]])
                     for j in range(len(nonzero), len(stacked)))
                 assert flag == (onto and one_to_one)
 
@@ -494,66 +513,83 @@ class TestCoinvariants:
          ExplicitWindow("121", "2112", 4)],
         substitution_corpus(2026, 40, letters=3, image=3),
     ], ids=["named", "corpus"])
-    def test_smith_coordinates_agree_with_stacked_oracle(self, specs):
-        # The onto test reduces the images in p2's Smith coordinates; the
-        # oracle reduces the bonding matrix stacked on p2's whole relation
-        # basis.  Levels 1..6, or up to an explicit window's horizon.
+    def test_tree_coordinates_agree_with_stacked_oracle(self, specs):
+        # The onto test reduces the images in the target's tree
+        # coordinates; the oracle reduces the bonding matrix stacked on
+        # the target's relation rows by sympy.  Levels 1..6, or up to an
+        # explicit window's horizon.
         flags = []
         for spec in specs:
             for ring in (RING_Z, RING_HALF):
                 levels, isos = chain(spec, ring, 6)
-                assert isos == [stacked_bonding_is_iso(p1, p2, ring)
-                                for p1, p2 in zip(levels, levels[1:])]
+                assert isos == [stacked_bonding_is_iso(spec, ring, p.level)
+                                for p in levels[:-1]]
                 flags += isos
         assert any(flags) and not all(flags)
 
+    @pytest.mark.parametrize("specs", [
+        [TM, PD, FIB, TRIB, S4, Substitution.of({"1": "221", "2": "1"}),
+         TWO_CYCLES, Periodic("11212"), Periodic("1"), Periodic("123"),
+         ExplicitWindow("121212", "1212121", 7),
+         ExplicitWindow("121", "2112", 4)],
+        substitution_corpus(2026, 40, letters=3, image=3),
+        substitution_corpus(7, 20, letters=4, image=4),
+    ], ids=["named", "corpus-3", "corpus-4"])
+    def test_every_level_matches_sympy(self, specs):
+        # each level's rank and torsion, read off the spanning forest,
+        # against sympy's Smith form of the relation rows: levels 1..6,
+        # or up to an explicit window's horizon
+        for spec in specs:
+            for ring, psi in ((RING_Z, 1), (RING_HALF, 2)):
+                for pres in _iter_levels(spec, ring, 6):
+                    rows = relation_rows(spec, pres.level, psi)[0]
+                    assert (len(pres.free), tuple(d for _, d in pres.tors)) \
+                        == snf_group(rows, psi == 2), (spec, ring, pres.level)
+
     @pytest.mark.parametrize("ring", [RING_Z, RING_HALF])
-    @pytest.mark.parametrize("v, v_inv, onto", [
-        (((2, 1), (1, 1)), ((1, -1), (-1, 2)), True),
-        (((1, 2), (0, 1)), ((1, -2), (0, 1)), False),
+    @pytest.mark.parametrize("relations, onto", [
+        (((1, -1), (0, 3)), True), (((1, -2), (0, 3)), False),
     ], ids=["image-2", "image-3"])
-    def test_torsion_summand_needs_its_invariant_factor(self, ring, v,
-                                                        v_inv, onto):
-        # By hand: p1 has one word and group Z/3; p2's two words both
-        # refine it, and in p2's Smith coordinates x -> x V, with
-        # invariant factors (1, 3), its group is Z/3 on column 1.  The
-        # image of p1's word there is the column-1 sum of V's rows.  The
-        # image 2 generates Z/3 only together with the relation 3 * e_1;
-        # the image 3 is zero in it.
-        p1 = _Presentation(ring, 1, ("aa",), ((1,),), ((1,),), (3,),
-                           ((0, 3),), (), ())
-        p2 = _Presentation(ring, 2, ("aaa", "aab"), v, v_inv, (1, 3),
-                           ((1, 3),), (), ())
+    def test_torsion_summand_needs_its_invariant_factor(self, ring,
+                                                        relations, onto):
+        # By hand: p1 has one word and group Z/3.  p2's two words both
+        # refine it and lie off its forest, and its relations present
+        # Z/3: with (1, -1) and (0, 3), e_aaa = e_aab generates it and
+        # the image e_aaa + e_aab is twice that generator; with (1, -2)
+        # and (0, 3), e_aaa = 2 e_aab and the image is 3 e_aab = 0.  The
+        # image generates Z/3 only together with the relations.
+        p1 = _Presentation(ring, 1, ("a",), ("aa",), (), ((0, 0, 0),), 1,
+                           ((3,),), (), ((1,),), ((1,),), ((0, 3),), ())
+        (_, c), _ = relations
+        p2 = _Presentation(ring, 2, ("aa",), ("aaa", "aab"), (),
+                           ((0, 0, 0), (1, 0, 0)), 1, relations, (),
+                           ((1, -c), (0, 1)), ((1, c), (0, 1)), ((1, 3),),
+                           ())
         assert _bonding_is_iso(p1, p2, ring) == onto
-        assert stacked_bonding_is_iso(p1, p2, ring) == onto
+        image = [1, 1]
+        assert (snf_group([image, *relations], ring == RING_HALF)
+                == (0, ())) == onto
 
     @pytest.mark.parametrize("groups, spec, n, want", [
         (k_groups, S4, 6, 12), (k_groups, TM, 8, 16),
         (k_groups, Periodic("11212"), 8, 4), (cech_cohomology, FIB, 8, 6)],
         ids=["s4", "tm", "periodic", "fib-cech"])
-    def test_smith_form_budget(self, monkeypatch, groups, spec, n, want):
-        # One Smith form per presentation, one presentation per ring and
-        # level: bonding maps are tested on the Hermite form.  A periodic
-        # word takes one per ring at its orbit level (4 for 11212) and,
-        # for the invariants over Z, levels 1 and 2, whose ranks repeat.
-        # Fibonacci picks N = 1 in both rings, so each chain stops at
-        # level 3, the second level past the pick, not at n.
+    def test_smith_form_budget(self, groups, spec, n, want):
+        # No Smith form (ktheory imports none, test_names.py checks) and
+        # one presentation per ring and level: bonding maps are tested on
+        # the Hermite form.  A periodic word takes one per ring at its
+        # orbit level (4 for 11212) and, for the invariants over Z,
+        # levels 1 and 2, whose ranks repeat.  Fibonacci picks N = 1 in
+        # both rings, so each chain stops at level 3, the second level
+        # past the pick, not at n.
         _presentation.cache_clear()
-        calls = []
-        real = ktheory.smith_normal_form
-
-        def counting(mat):
-            calls.append(len(mat))
-            return real(mat)
-
-        monkeypatch.setattr(ktheory, "smith_normal_form", counting)
         groups(spec, n)
-        assert len(calls) == want
+        assert _presentation.cache_info().misses == want
 
     def test_rank_against_rational_rank(self):
         for spec in (TM, FIB):
             for n in range(1, 5):
-                rows, cols = _relation_rows(spec, n, 1)
+                rows, cols = relation_rows(spec, n, 1)
                 pres = _presentation(spec, RING_Z, n)
                 assert len(pres.free) == len(cols) - rational_rank(rows)
                 assert invariant_rank(spec, RING_Z, n) == \
@@ -585,7 +621,7 @@ class TestCoinvariants:
                 a = snf_group(refinement + shift)
                 b = snf_group(shift + refinement)
                 assert a == b
-                eliminated = snf_group(_relation_rows(spec, n, psi)[0])
+                eliminated = snf_group(relation_rows(spec, n, psi)[0])
                 assert a == eliminated
 
     def test_functoriality_on_relations(self):
@@ -594,8 +630,8 @@ class TestCoinvariants:
             for ring in (RING_Z, RING_HALF):
                 psi = 2 if ring == RING_HALF else 1
                 for n in (1, 2, 3):
-                    rows_n, cols_n = _relation_rows(spec, n, psi)
-                    rows_n1, cols_n1 = _relation_rows(spec, n + 1, psi)
+                    rows_n, cols_n = relation_rows(spec, n, psi)
+                    rows_n1, cols_n1 = relation_rows(spec, n + 1, psi)
                     target = [r for r in rows_n1 if any(r)]
                     for row in rows_n:
                         image = [0] * len(cols_n1)
@@ -658,7 +694,8 @@ class TestAndersonPutnamOracle:
 
 
 class TestRelationMembership:
-    """The presentation's relation basis against lattice_contains."""
+    """The class map against lattice_contains: a cochain is a relation
+    exactly when every coordinate of its class is 0."""
 
     @pytest.mark.parametrize("spec", [TM, FIB, S4], ids=["tm", "fib", "s4"])
     def test_agrees_with_lattice_contains(self, spec):
@@ -666,8 +703,9 @@ class TestRelationMembership:
         for ring in (RING_Z, RING_HALF):
             for n in range(1, 5):
                 pres = _presentation(spec, ring, n)
+                group = _group_from(pres, False, False)
                 psi = 2 if ring == RING_HALF else 1
-                rows = [r for r in _relation_rows(spec, n, psi)[0] if any(r)]
+                rows = [r for r in relation_rows(spec, n, psi)[0] if any(r)]
                 m = len(pres.cols)
                 # Over Z[1/2], x is a relation iff 2**e * x is an integer
                 # one, e the largest 2-adic valuation of sympy's factors.
@@ -680,12 +718,16 @@ class TestRelationMembership:
                 def oracle(x):
                     return lattice_contains(rows, [xi << e for xi in x])
 
-                basis = relation_basis(pres)
-                for row in rng.sample(basis, min(5, len(basis))):
-                    assert oracle(row)
+                def zero_class(x):
+                    f = CylinderFunction.of(ring, 0, dict(zip(pres.cols, x)))
+                    return not any(
+                        coinvariant_class(spec, f, group).values())
+
+                for row in rng.sample(rows, min(5, len(rows))):
+                    assert zero_class(row)
                 for _ in range(10):
                     x = [rng.randint(-3, 3) for _ in range(m)]
-                    assert lattice_contains(basis, x) == oracle(x)
+                    assert zero_class(x) == oracle(x)
                     c = [rng.randint(-3, 3) for _ in rows]
                     y = [sum(ci * r[j] for ci, r in zip(c, rows))
                          for j in range(m)]
@@ -693,9 +735,9 @@ class TestRelationMembership:
                         g = math.gcd(*y)
                         y = [yj // (g & -g) for yj in y]
                     assert oracle(y)
-                    assert lattice_contains(basis, y)
+                    assert zero_class(y)
                     y[rng.randrange(m)] += rng.choice((-1, 1))
-                    assert lattice_contains(basis, y) == oracle(y)
+                    assert zero_class(y) == oracle(y)
 
 
 class TestCoinvariantClass:
@@ -799,11 +841,11 @@ class TestCoinvariantClass:
         # and K0's retagged names still read it
         grp = coinvariants(TM, RING_Z, 6)
         assert coinvariant_class(TM, cylinder(RING_Z, "1", start=-1), grp) \
-            == {"f0": 1, "f1": 1, "f2": 2, "f3": 2, "f4": 3}
+            == {"f0": -1, "f1": 3, "f2": 0, "f3": 2, "f4": 4}
         co_half, _ = k_groups(TM, 6)["K0"]
         cls = coinvariant_class(TM, cylinder(RING_HALF, "11"), co_half)
         assert cls == {f"projection-class:{name}": v for name, v in (
-            ("t0", 0), ("f0", -416), ("f1", 128), ("f2", 8288), ("f3", -384))}
+            ("t0", 2), ("f0", 64), ("f1", 0), ("f2", 128), ("f3", -4404))}
 
 
 class TestKGroupsAndCech:
@@ -893,6 +935,76 @@ class TestKGroupsAndCech:
         assert set(cls) == {"projection-class:t0"}
 
 
+def check_printed_groups(spec, n_max):
+    """check_group_json on the three groups k_groups prints; cech prints
+    the same three under other names."""
+    kg = k_groups(spec, n_max)
+    co_half, inv_z = kg["K0"]
+    ch = cech_cohomology(spec, n_max)
+    assert (ch["H0"], ch["H1"]) == (inv_z, kg["K1"])
+    assert [r for _, r in ch["H2"].generators] == \
+        [r for _, r in co_half.generators]
+    for group, invariant in ((co_half, False), (inv_z, True),
+                             (kg["K1"], False)):
+        check_group_json(spec, group_to_json(group), invariant)
+
+
+class TestPrintedGenerators:
+    """The printed generators generate the printed group with the printed
+    orders (ROADMAP item 25), on groups the pinned digests do not cover."""
+
+    @pytest.mark.parametrize("spec, n_max", [
+        (TM, 8), (PD, 8), (FIB, 8), (TRIB, 6), (S4, 3),
+        (Substitution.of({"1": "221", "2": "1"}), 6),
+        (Substitution.of({"1": "11"}), 3)],
+        ids=["tm", "pd", "fib", "trib", "s4", "not-onto", "one-letter"])
+    def test_named_specs(self, spec, n_max):
+        check_printed_groups(spec, n_max)
+
+    @pytest.mark.parametrize("spec, torsion", [
+        (TWO_ORBITS, ()), (TWO_CYCLES, (21,)),
+        (Substitution.of({"1": "12", "2": "12", "3": "3456", "4": "3456",
+                          "5": "3456", "6": "3456", "7": "777"}), (3, 15))],
+        ids=["two-orbits", "orders-3-7", "orders-3-15-1"])
+    def test_components_merge_to_invariant_factors(self, spec, torsion):
+        # rules that are not primitive: each periodic orbit is a
+        # component of the Rauzy graph with its own cyclic summand of
+        # order 2**p - 1 over Z[1/2], and the summands merge to the
+        # invariant factors of their sum (Z/3 + Z/7 = Z/21)
+        assert coinvariants(spec, RING_HALF, 4).torsion == torsion
+        check_printed_groups(spec, 4)
+
+    @pytest.mark.parametrize("word", [*PERIODIC_WORDS.values(), "11212",
+                                      "1122", "aab", "1121112"])
+    def test_periodic_words(self, word):
+        # n_max 2 reads some words below their orbit level
+        for n_max in (2, 6):
+            check_printed_groups(Periodic(word), n_max)
+
+    def test_corpus(self):
+        for spec in substitution_corpus(2026, 40, letters=3, image=3):
+            check_printed_groups(spec, 5)
+
+    def test_oracle_reads_the_same_language(self):
+        # the check's relations are the package's: its iterate prefix,
+        # cyclic windows and window blocks hold every word
+        specs = [TM, PD, FIB, TRIB, S4, TWO_ORBITS, TWO_CYCLES,
+                 Periodic("11212"), Periodic("aab"),
+                 ExplicitWindow("121", "2112", 4),
+                 *substitution_corpus(2026, 40, letters=3, image=3)]
+        for spec in specs:
+            for n in range(1, 5):
+                assert oracle_language(spec, n) == language(spec, n)
+
+    @pytest.mark.parametrize("spec, n_max", [
+        (ExplicitWindow("121212", "1212121", 7), 6),
+        (ExplicitWindow("121", "2112", 4), 4),
+        (ExplicitWindow("1122", "2211", 6), 5)],
+        ids=["readme", "short", "doubling-fixed"])
+    def test_explicit_windows(self, spec, n_max):
+        check_printed_groups(spec, n_max)
+
+
 class TestGapLabels:
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_periodic_every_truncation(self, p):
@@ -911,6 +1023,14 @@ class TestGapLabels:
         assert hash(gl) == hash(gap_labels(spec, n_max))
         with pytest.raises(AttributeError):
             gl.chain[0].n = 2
+
+    def test_one_level(self):
+        # n_max 1 is a chain of one level, which cannot repeat
+        gl = gap_labels(TM, 1)
+        assert (gl.n_used, len(gl.chain), gl.generators, gl.stabilized) \
+            == (1, 1, (Fraction(1, 2),), False)
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            gap_labels(TM, 0)
 
     def test_repeated_letter_word(self):
         gl = gap_labels(Periodic("112"), 4)

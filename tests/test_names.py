@@ -98,6 +98,18 @@ def test_package_imports_no_sympy():
                     f"{path.name}:{node.lineno}: {module}"
 
 
+def test_ktheory_takes_no_smith_form():
+    # the groups are read off a spanning forest of the Rauzy graph;
+    # intmat keeps its Smith form for the benchmark's tracer alone
+    tree = dict(_package_trees())[PACKAGE / "ktheory.py"]
+    names = {a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for a in node.names}
+    used = set(_references(tree))
+    for name in ("smith_normal_form", "smith_diagonal", "snf_rank",
+                 "solve_integer", "integer_kernel"):
+        assert name not in names | used, name
+
+
 def test_no_unused_top_level_imports():
     for path, tree in _package_trees():
         bound = {}

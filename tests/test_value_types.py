@@ -134,11 +134,11 @@ CASES = [
      "stabilized=True, n_used=1, approximate=False)", []),
     (_Presentation,
      lambda: _presentation(Periodic("1"), "Z", 1),
-     ("ring", "level", "cols", "v", "v_inv", "diag", "tors", "free",
-             "kernel"),
-     "_Presentation(ring='Z', level=1, cols=('11',), "
-     "v=((1,),), v_inv=((1,),), diag=(0,), tors=(), free=(0,), "
-     "kernel=((1,),))", []),
+     ("ring", "level", "words", "cols", "tree", "coords", "scale",
+             "relations", "kernel", "v", "v_inv", "tors", "free"),
+     "_Presentation(ring='Z', level=1, words=('1',), cols=('11',), "
+     "tree=(), coords=((0, 0, 0),), scale=1, relations=(), "
+     "kernel=((1,),), v=((1,),), v_inv=((1,),), tors=(), free=(0,))", []),
     (GapLabelGroup,
      lambda: GapLabelGroup("rational", None, (Fraction(1, 2),), (), False, 1,
                            None),
