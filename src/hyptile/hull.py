@@ -18,7 +18,9 @@ the new scale, into the suspension coordinate t; integer carries flow
 into omega.  Monte-Carlo checks (invariance of the product measure,
 leafwise harmonicity, the flow pairing) run on batches drawn from a
 counter-based stream of 64-bit words keyed by one seed, which needs
-integer arithmetic alone, so every CPU draws the same bits.
+integer arithmetic alone, so every CPU draws the same bits.  They move
+and evaluate a block of rows at a time and merge each block's moments,
+so they hold no full-length column.
 """
 
 from __future__ import annotations
@@ -567,64 +569,65 @@ def _report(stat, se, n, ok, seed, **extra) -> dict:
     return out
 
 
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    # numpy's std(ddof=1) in its own steps, with the mean summed once
-    n = len(x)
-    mean = np.add.reduce(x) / n
-    d = x - mean
-    np.multiply(d, d, out=d)
-    return float(mean), math.sqrt(np.add.reduce(d) / (n - 1)) / math.sqrt(n)
-
-
-def _check_rows(base: SampleBatch):
-    if base.n < 2:
-        raise ValueError("a standard error needs at least 2 samples, "
-                         f"the batch has {base.n}")
-
-
 # Most rows per block in the checks, sized by time, not by page faults:
 # on a 2-vCPU VM the hull benchmark's four jobs took 0.20 s at 16384 rows
 # and 0.22-0.24 s at 8192 (medians of 7, in one process), while a
 # 100 000-row hullcheck's minor faults fell only from about 2 630 to
 # 2 560 over its 96 actions.  Smaller blocks pay numpy's per-call cost
-# more often; whole-batch temporaries are mapped afresh at each action.
+# more often.  A check merges each block's moments into running ones and
+# holds no column longer than a block.
 _BLOCK = 16384
 
 
-def _per_row(base: SampleBatch, values, size: int = _BLOCK, *,
-             scale_only: bool = False) -> list:
-    """Full-length columns of per-row values, computed a block at a time.
+def _blocks(n: int, size: int = _BLOCK) -> list[slice]:
+    """n rows' slices in blocks as equal as possible, none above size."""
+    size = -(-n // -(-n // size))
+    return [slice(lo, lo + size) for lo in range(0, n, size)]
 
-    values(rows, block, move) yields arrays over `block`, the view of
-    base's rows in the slice `rows`, one per column; move(a, b) is the
-    block moved by (a, b), by block.act or, with scale_only, for test
-    functions that read the letter window alone, by block.scaled.  A
-    moved block keeps at least the digits the moved whole batch keeps,
-    and its omega agrees with the whole batch's on those digits, so a
-    test function that reads no more digits than the whole batch keeps
-    gives the whole batch's values bit for bit.  If a block raises, the
-    whole batch runs as one block and raises its first error; the block
-    with the smallest s keeps exactly the whole batch's digits, so a
-    function that reads more raises there.
+
+def _moments(base: SampleBatch, values, size: int = _BLOCK, *,
+             scale_only: bool) -> list[tuple[float, float]]:
+    """Mean and standard error of each column of per-row values.
+
+    values(rows, block, move) yields one array per column over `block`,
+    the view of base's rows in the slice `rows`; move(a, b) is block.act,
+    or block.scaled with scale_only (for test functions that read the
+    letter window alone).  Each block's count, sum and sum of squared
+    deviations from its mean are merged into the column's running ones
+    (Chan, Golub and LeVeque, 1979), so no column is held at full length
+    and an exact total stays exact.  A moved block keeps at least the
+    moved whole batch's digits and agrees with its omega on them, so a
+    function that reads no more digits gets the whole batch's values bit
+    for bit.  If a block raises, the whole batch runs as one block and
+    raises its first error; the block with the smallest s keeps exactly
+    the whole batch's digits.
     """
-    if size >= base.n:
-        return list(values(slice(None), base,
-                           base.scaled if scale_only else base.act))
-    blocks = -(-base.n // size)
-    size = -(-base.n // blocks)  # blocks as equal as possible, none larger
-    cols = []
+    if base.n < 2:
+        raise ValueError("a standard error needs at least 2 samples, "
+                         f"the batch has {base.n}")
+    sums = []
     try:
-        for lo in range(0, base.n, size):
-            rows = slice(lo, lo + size)
+        for rows in _blocks(base.n, size):
             block = base.rows(rows)
             move = block.scaled if scale_only else block.act
             for j, v in enumerate(values(rows, block, move)):
-                if j == len(cols):
-                    cols.append(np.empty(base.n, dtype=v.dtype))
-                cols[j][rows] = v
+                # numpy's std(ddof=1) in its own steps, the sum taken once
+                nb, tb = len(v), np.add.reduce(v)
+                d = v - tb / nb
+                m2 = np.add.reduce(np.multiply(d, d, out=d))
+                if j == len(sums):
+                    sums.append((nb, tb, m2))
+                    continue
+                na, ta, m2a = sums[j]
+                n = na + nb
+                delta = tb / nb - ta / na
+                sums[j] = (n, ta + tb, m2a + m2 + delta * delta * na * nb / n)
     except (ValueError, PrecisionExhausted, ColourWindowExhausted):
-        return _per_row(base, values, base.n, scale_only=scale_only)
-    return cols
+        if size >= base.n:
+            raise
+        return _moments(base, values, base.n, scale_only=scale_only)
+    return [(float(t / n), math.sqrt(m2 / (n - 1)) / math.sqrt(n))
+            for n, t, m2 in sums]
 
 
 _EXACT_SLACK = 1e-12
@@ -648,25 +651,25 @@ def invariance_reports(base: SampleBatch, cases, g_list,
     """invariance_check's report for each (f, index) case on one sample.
 
     Each case pairs a test function with window indices for base's rows
-    (base.index, or a control's from first_word_control).  Each g acts
-    once on each block of base's rows, and every case is evaluated on
-    the moved block; only the per-g scalars are kept.
+    (base.index, or a control's from first_word_control).  Each block of
+    base's rows gives every case's unmoved values, then each g acts once
+    on the block and every case is evaluated on the moved block; only
+    the per-g moments are kept.
     """
     seed = _seed(seed)
-    _check_rows(base)
-    scale_only = all(f.letters_only for f, _ in cases)
-    f0 = _per_row(base, lambda rows, block, move: (
-        f.on_batch(block.with_index(index[rows])) for f, index in cases))
-    per_g = [[] for _ in cases]
-    for a, b in g_list:
-        def diffs(rows, block, move):
+
+    def diffs(rows, block, move):
+        f0 = [f.on_batch(block.with_index(index[rows])) for f, index in cases]
+        for a, b in g_list:
             moved = move(a, b)
             for (f, index), fk in zip(cases, f0):
-                yield f.on_batch(moved.with_index(index[rows])) - fk[rows]
+                yield f.on_batch(moved.with_index(index[rows])) - fk
 
-        for d, out in zip(_per_row(base, diffs, scale_only=scale_only),
-                          per_g):
-            diff, se = _mean_se(d)
+    moments = iter(_moments(base, diffs, scale_only=all(
+        f.letters_only for f, _ in cases)))
+    per_g = [[] for _ in cases]
+    for a, b in g_list:
+        for out, (diff, se) in zip(per_g, moments):
             out.append({"g": [float(a), float(b)], "statistic": diff,
                         "std_error": se,
                         "pass": abs(diff) <= 3.0 * se + _EXACT_SLACK})
@@ -706,7 +709,6 @@ def harmonicity_report(base: SampleBatch, f: TestFunction, seed: int, *,
     """harmonicity_check's report on a given sample."""
     seed = _seed(seed)
     _validate_step(h)
-    _check_rows(base)
 
     def laplacian(rows, block, move):
         centre = f.on_batch(block)
@@ -715,8 +717,7 @@ def harmonicity_report(base: SampleBatch, f: TestFunction, seed: int, *,
                + f.on_batch(move(1.0 - h, 0.0))
                - 4.0 * centre) / (h * h)
 
-    lap, = _per_row(base, laplacian, scale_only=f.letters_only)
-    stat, se = _mean_se(lap)
+    (stat, se), = _moments(base, laplacian, scale_only=f.letters_only)
     bias = f.laplacian_bias(h)
     ok = abs(stat) <= 3.0 * se + bias + _EXACT_SLACK
     return _report(stat, se, base.n, ok, seed, fd_bias=bias, h=h)
@@ -745,7 +746,6 @@ def tau_reports(base: SampleBatch, pairs, seed: int, *,
     """
     seed = _seed(seed)
     _validate_step(h)
-    _check_rows(base)
 
     def products(rows, block, move):
         up, down = move(2.0 ** h, 0.0), move(2.0 ** -h, 0.0)
@@ -761,12 +761,10 @@ def tau_reports(base: SampleBatch, pairs, seed: int, *,
             yield yf_g0
             yield yf_g0 + yg * f0
 
-    cols = _per_row(base, products, scale_only=all(
-        f.letters_only and g.letters_only for f, g in pairs))
+    moments = iter(_moments(base, products, scale_only=all(
+        f.letters_only and g.letters_only for f, g in pairs)))
     reports = []
-    for (f, g), yf_g0, sym in zip(pairs, cols[::2], cols[1::2]):
-        tau, se = _mean_se(yf_g0)
-        defect, se_d = _mean_se(sym)
+    for (f, g), (tau, se), (defect, se_d) in zip(pairs, moments, moments):
         bias = 2.0 * (f.flow_bias(h) * g.sup_bound()
                       + g.flow_bias(h) * f.sup_bound())
         ok = abs(defect) <= 3.0 * se_d + bias + _EXACT_SLACK

@@ -91,6 +91,12 @@ MUTANTS = [
         "pres.v_inv[j]) if c}))\n"
         "        for name, j, d in pres.generator_columns())\n",
         ["tests/test_ktheory.py::TestPrintedGenerators"]),
+    Mutant(
+        "block moments merged without the cross term of their means",
+        "src/hyptile/hull.py",
+        "(n, ta + tb, m2a + m2 + delta * delta * na * nb / n)",
+        "(n, ta + tb, m2a + m2)",
+        ["tests/test_hull.py::TestMergedMoments::test_agrees_with_numpy"]),
 ]
 
 

@@ -469,6 +469,27 @@ def splitmix_key(seed: int, stream: int) -> int:
             return key
 
 
+def merged_mean_se(x, slices) -> tuple:
+    """Mean and standard error of the column x from its slices' moments.
+
+    Each slice gives its count, numpy sum and sum of squared deviations
+    from its mean; they are folded left by Chan, Golub and LeVeque's
+    (1979) pairwise update in plain floats.  Reads x alone; shares
+    nothing with the package."""
+    def moments(rows):
+        part = x[rows]
+        total = float(part.sum())
+        return len(part), total, float(((part - total / len(part)) ** 2).sum())
+
+    def merge(left, right):
+        (na, ta, qa), (nb, tb, qb) = left, right
+        delta = tb / nb - ta / na
+        return na + nb, ta + tb, qa + qb + delta * delta * na * nb / (na + nb)
+
+    n, total, q = functools.reduce(merge, map(moments, slices))
+    return total / n, math.sqrt(q / (n - 1)) / math.sqrt(n)
+
+
 # -- words and substitutions ------------------------------------------------
 
 def iterate_prefix(spec: Substitution, length: int, letter=None) -> str:

@@ -149,11 +149,11 @@ class TestSmallCommands:
     # np.exp2, whose last bits differ between numpy's dispatch paths, and
     # its digest is the one on the AVX-512 path
     @pytest.mark.parametrize("command, spec, seed, expect", [
-        ("hullcheck", THUE_MORSE, 7, "09df697f72ce5a9acc9ae936e314cc9f"
-                                     "59369a03a41233c139a411ee81a41a8f"),
-        ("cocycle", FIBONACCI, 3, "5a3f1d55607917b292e65957078a1ff4"
-                                  "6ea6ab045fa80dc8ac60bc2c9f9327ee"),
-    ])
+        ("hullcheck", THUE_MORSE, 7, "70a3f75d134cc67dac3af92a624e4fe5"
+                                     "4266a85033057cd1a801a11792d20be2"),
+        ("cocycle", FIBONACCI, 3, "d5e7965b0c2e29be75c70cffa4df6aa8"
+                                  "0dc72408ac4d81258009f5a684c375df"),
+    ], ids=["hullcheck-tm-7", "cocycle-fib-3"])
     def test_hull_reports_are_pinned(self, tmp_path, capsys, command, spec,
                                      seed, expect):
         assert run([command, "--spec", write_spec(tmp_path, spec),
@@ -278,8 +278,8 @@ class TestSmallCommands:
         report = invariance_check(spec, f, g_list, 70_000, 11)
         digest = hashlib.sha256(
             json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == ("b2c827610f187a33c05e67582d9e0056"
-                          "4d4d700434217a260514fc46cea79190")
+        assert digest == ("c6ed7d75f22f82b133614c3ffb7aab85"
+                          "4fb6886ef9ee7248f3c5576c63814ba8")
 
     def test_nmax_ignored_where_unused(self, tmp_path, capsys):
         # patch has no truncation level: --nmax neither enters its config
@@ -899,7 +899,7 @@ def test_group_elements_do_not_depend_on_the_simd_path(tmp_path):
 
 # Known defect: hullcheck reads np.exp2 in SampleBatch.act, whose last
 # bits differ between numpy's kernels; at seed 7 the report's sha256 is
-# 09df697f... on AVX-512 and 676a4c3b... on the baseline kernels.  The
+# 70a3f75d... on AVX-512 and 2fe186f9... on the baseline kernels.  The
 # marker comes off when the report is the same on every CPU (ROADMAP
 # item 16).
 @pytest.mark.xfail(strict=True, raises=AssertionError,

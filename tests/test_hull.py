@@ -24,7 +24,8 @@ from hyptile.hull import (
     _CHUNKS,
     _cumulative_measure,
     _key,
-    _per_row,
+    _blocks,
+    _moments,
     _window_lookup,
     _words,
     BumpProfile,
@@ -45,8 +46,8 @@ from hyptile.hull import (
 from hyptile.ktheory import CylinderFunction
 from hyptile.subshift import Periodic, Substitution, language
 
-from oracles import (FIB, S4, TM, TRIB, cylinder_indicator, splitmix64,
-                     splitmix_key)
+from oracles import (FIB, S4, TM, TRIB, cylinder_indicator, merged_mean_se,
+                     splitmix64, splitmix_key)
 
 AB = Periodic("ab")
 # two of its 17-letter windows' cumulative bounds share a guide bucket
@@ -1086,14 +1087,18 @@ BLOCK_SIZES = pytest.mark.parametrize(
 
 
 class TestSharedCores:
-    """The batch-level cores against a fresh draw and fresh moves per use."""
+    """The batch-level cores against a fresh draw and fresh moves per use.
+
+    The whole-batch columns are reduced by the oracle's merge of the
+    moments of the checks' row blocks.
+    """
 
     GS = [(1.0, 0.7), (2.0, 0.0), (0.5, 0.0), (1.5, -0.9), (0.7, 2.5)]
     SEED = 77
 
     @staticmethod
     def mean_se(x):
-        return float(x.mean()), float(x.std(ddof=1)) / math.sqrt(len(x))
+        return merged_mean_se(x, _blocks(len(x)))
 
     @BLOCK_SIZES
     def test_invariance_cases_match_separate_draws(self, n):
@@ -1157,6 +1162,123 @@ class TestSharedCores:
             assert rep["defect_std_error"] == se_d
 
 
+class TestMergedMoments:
+    """The checks' merged block moments against numpy's whole column.
+
+    The bound comes from the rounding of both sides, to first order in
+    the unit roundoff u, with gamma(k) = k u / (1 - k u) for k roundings
+    in a chain (Higham, Accuracy and Stability, 2002, ch. 3-4); it is
+    not fitted to the differences seen.  M = max |x|, n rows, B blocks.
+
+    - A sum whose additions chain at most D deep errs by gamma(D)
+      times the sum of the |x|.  numpy's sum splits in halves down to
+      128 values (ceil(log2 n) levels), adds them in 8 running sums of
+      at most 16 values (15), joins those (3) and adds at most 7 left
+      over, and may run in 8192-value buffers added in turn.
+    - numpy's mean errs by gamma(D_n + 1) M.  The merged mean is the
+      block sums added in turn (B - 1 more levels), then divided:
+      gamma(D_b + B) M.  A block's mean errs by gamma(D_b + 1) M.
+    - A sum of squared deviations from a computed mean m + e exceeds
+      the exact q by n e**2, and its nonnegative terms (a subtraction
+      and a square each) err by gamma(D + 3) relative.  A merge's cross
+      term reads a delta of two block means, which errs by
+      eps = 2 gamma(D_b + 1) M + 2 u M, so the term errs by
+      eps (4 M + eps) n_a n_b / n, and n_a n_b / n <= n_b sums to at
+      most n over the merges; it rounds 4 more times, and each merge
+      adds twice, so the merged q errs by gamma(D_b + 2 B + 5) relative
+      plus n (e_b**2 + eps (4 M + eps)).
+    - The standard error halves q's relative error and rounds 4 more
+      times on each side; the exact q is taken as at least half numpy's
+      and at most twice it.
+    """
+
+    U = 2.0 ** -53
+
+    @staticmethod
+    def depth(n):
+        return math.ceil(math.log2(n)) + 25 + -(-n // 8192)
+
+    def gamma(self, k):
+        return k * self.U / (1 - k * self.U)
+
+    def bounds(self, x):
+        n, big = len(x), float(np.abs(x).max())
+        blocks = len(_blocks(n))
+        d_n, d_b = self.depth(n), self.depth(-(-n // blocks))
+        e_np = self.gamma(d_n + 1) * big
+        e_b = self.gamma(d_b + 1) * big
+        eps = 2 * e_b + 2 * self.U * big
+        q = float(((x - x.mean()) ** 2).sum())
+        extra_np = n * e_np ** 2
+        extra = n * (e_b ** 2 + eps * (4 * big + eps))
+        dq = (self.gamma(d_n + 3) * (2 * q + extra_np) + extra_np
+              + self.gamma(d_b + 2 * blocks + 5) * (2 * q + extra) + extra)
+        return (e_np + self.gamma(d_b + blocks) * big,
+                dq / (q / 2) / 2 + 8 * self.U)
+
+    @staticmethod
+    def column(kind, n):
+        rng = np.random.default_rng(n)
+        if kind == "drift":  # block means far apart: a large cross term
+            return rng.normal(size=n) + np.linspace(0.0, 4.0, n)
+        if kind == "offset":  # deviations small against the values
+            return rng.normal(size=n) + 100.0
+        base = sample_batch(TM, n, 5)
+        f = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1, "21": -2}),
+                t_bump=BumpProfile("bump3", 0.5, 0.45))
+        return f.on_batch(base.act(1.5, -0.9)) - f.on_batch(base)
+
+    @pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 17,
+                                   5 * _BLOCK - 3])
+    @pytest.mark.parametrize("kind", ["drift", "offset", "check"])
+    def test_agrees_with_numpy(self, kind, n):
+        x = self.column(kind, n)
+        assert len(_blocks(n)) > 1
+        (mean, se), = _moments(sample_batch(TM, n, 1), lambda rows, block,
+                               move: [x[rows]], scale_only=True)
+        tol_mean, tol_se = self.bounds(x)
+        se_np = float(x.std(ddof=1)) / math.sqrt(n)
+        assert abs(mean - float(x.mean())) <= tol_mean
+        assert abs(se / se_np - 1.0) <= tol_se
+        assert tol_se < 1e-6  # far below a wrong merge's error
+
+
+class TestBlockMemory:
+    """The checks hold a block's working set, not full-length columns."""
+
+    N = 32 * _BLOCK
+    F = TFn.bump(0.5, 0.45, 0.5, 0.45)
+    G = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1}),
+            t_bump=BumpProfile("bump3", 0.5, 0.45))
+
+    def run(self, check, base, control):
+        if check == "invariance":
+            return invariance_reports(
+                base, [(self.G, base.index), (self.F, base.index),
+                       (self.G, control)], [(1.5, -0.9), (0.7, 2.5)], 1)
+        if check == "harmonicity":
+            return harmonicity_report(base, self.F, 1)
+        return tau_reports(base, [(self.F, self.G), (self.G, self.F),
+                                  (self.F, TFn.constant()),
+                                  (self.G, self.G)], 1)
+
+    @pytest.mark.parametrize("check", ["invariance", "harmonicity", "tau"])
+    def test_peak_is_below_one_column(self, check):
+        # numpy reports its buffers to tracemalloc; the sample's own
+        # columns are made before the trace starts
+        small = sample_batch(FIB, 100, 7)
+        self.run(check, small, small.index)  # caches filled
+        base = sample_batch(FIB, self.N, 7)
+        control = first_word_control(base).index
+        tracemalloc.start()
+        try:
+            self.run(check, base, control)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * self.N
+
+
 def with_s(batch, s):
     """batch's rows with the scale coordinates s."""
     return SampleBatch(batch.omega, batch.t, np.array(s, dtype=float),
@@ -1183,19 +1305,31 @@ class TestBlockErrors:
 
     def test_moved_blocks_are_the_whole_batch_rows(self):
         base = self.costly_last_block(prec=30)
-        cols = _per_row(base, lambda rows, block, move: [
-            (m := move(self.SQRT_HALF, 0.3)).omega, m.t, m.s, m.cursor,
-            np.full(block.n, m.precision)])
         whole = base.act(self.SQRT_HALF, 0.3)
         assert whole.precision == 28
-        for col, expect in zip(cols[1:4], (whole.t, whole.s, whole.cursor)):
-            assert col.tobytes() == expect.tobytes()
         mask = (1 << whole.precision) - 1
-        assert np.array_equal(cols[0] & mask, whole.omega)
+        digits = []
+        for rows in _blocks(base.n):
+            moved = base.rows(rows).act(self.SQRT_HALF, 0.3)
+            for got, expect in zip((moved.t, moved.s, moved.cursor),
+                                   (whole.t, whole.s, whole.cursor)):
+                assert got.tobytes() == expect[rows].tobytes()
+            assert np.array_equal(moved.omega & mask, whole.omega[rows])
+            digits.append(moved.precision)
         # each block keeps the digits its own rows cost: the first ones
         # one more than the last, which holds the smallest s and keeps
         # exactly the whole batch's
-        assert (cols[4][self.LAST] == 28).all() and cols[4][0] == 29
+        assert digits == [29, 29, 28]
+
+    @BLOCK_SIZES
+    def test_blocks_split_the_rows_evenly(self, n):
+        blocks = _blocks(n)
+        assert len(blocks) == -(-n // _BLOCK)
+        sizes = [len(range(n)[rows]) for rows in blocks]
+        assert sum(sizes) == n and max(sizes) <= _BLOCK
+        assert blocks[0].start == 0 and all(
+            a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) - min(sizes) < len(blocks)
 
     @pytest.mark.parametrize("check", ["invariance", "harmonicity", "tau"])
     def test_precision_exhausted_as_for_the_whole_batch(self, check):
@@ -1246,6 +1380,23 @@ class TestBlockErrors:
             f.on_batch(whole)
         with pytest.raises(ColourWindowExhausted) as got:
             invariance_reports(base, [(f, base.index)], g, 1)
+        assert str(got.value) == str(expect.value)
+
+    @pytest.mark.parametrize("f", [TFn.word_indicator("12"),
+                                   TFn.bump(0.5, 0.45, 0.5, 0.45)],
+                             ids=["letters", "full-act"])
+    def test_first_failing_g_wins_over_an_earlier_block(self, f):
+        # g1 costs the last block's rows a second digit that a
+        # one-digit batch lacks; g2 is refused on every block, so the
+        # blocks meet its error before g1 reaches the last block
+        base = self.costly_last_block(prec=1)
+        g1, g2 = (self.SQRT_HALF, 0.0), (0.0, 0.0)
+        with pytest.raises(PrecisionExhausted) as expect:
+            base.act(*g1)
+        with pytest.raises(ValueError):
+            base.rows(slice(0, 1)).act(*g2)
+        with pytest.raises(PrecisionExhausted) as got:
+            invariance_reports(base, [(f, base.index)], [g1, g2], 1)
         assert str(got.value) == str(expect.value)
 
     def test_first_error_of_the_whole_batch_wins(self):
