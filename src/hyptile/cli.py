@@ -347,15 +347,19 @@ def _random_group_elements(seed: int, count: int) -> list[tuple[float, float]]:
 
 
 def _run_hullcheck(cfg: JobConfig) -> str:
-    from .hull import (TestFunction, first_word_control, harmonicity_report,
-                       invariance_reports, sample_batch)
+    from .hull import (LazySample, TestFunction, first_word_control,
+                       hullcheck_reports)
     gs = _random_group_elements(cfg.seed, 8)
-    batch = sample_batch(cfg.spec, cfg.samples, cfg.seed)
+    sample = LazySample(cfg.spec, cfg.samples, cfg.seed)
     first = language(cfg.spec, 1)[0]
     p_first = float(measure_vector(cfg.spec, 1)[first])
-    freq_omega = float((batch.omega & 3 == 1).mean())
-    freq_word = float(
-        TestFunction.word_indicator(first).on_batch(batch).mean())
+    # one pass over one sample for every check; the negative control is
+    # the same sample with every row reading the first window
+    f0, f1 = _default_functions(cfg.spec)
+    freq_omega, freq_word, (inv0, inv1, biased), harmonic = hullcheck_reports(
+        sample, [(f0, None), (f1, None), (f0, first_word_control)], gs,
+        TestFunction.bump(0.5, 0.45, 0.5, 0.45),
+        TestFunction.word_indicator(first), cfg.seed)
     marginals = {
         "omega_mod4_is1": {
             "statistic": freq_omega, "expected": 0.25,
@@ -366,15 +370,8 @@ def _run_hullcheck(cfg: JobConfig) -> str:
             "pass": abs(freq_word - p_first)
             <= 3 * math.sqrt(p_first * (1 - p_first) / cfg.samples)},
     }
-    # one draw for every check; the negative control is the same sample
-    # with every row reading the first window
-    f0, f1 = _default_functions(cfg.spec)
-    inv0, inv1, biased = invariance_reports(
-        batch, [(f0, batch.index), (f1, batch.index),
-                (f0, first_word_control(batch).index)], gs, cfg.seed)
     reports = {"invariance_0": inv0, "invariance_1": inv1,
-               "harmonicity": harmonicity_report(
-                   batch, TestFunction.bump(0.5, 0.45, 0.5, 0.45), cfg.seed)}
+               "harmonicity": harmonic}
     control = {"detected": not biased["pass"], "report": biased}
     ok = (all(m["pass"] for m in marginals.values())
           and all(r["pass"] for r in reports.values())
@@ -385,14 +382,14 @@ def _run_hullcheck(cfg: JobConfig) -> str:
 
 
 def _run_cocycle(cfg: JobConfig) -> str:
-    from .hull import TestFunction, _uniforms, sample_batch, tau_reports
+    from .hull import LazySample, TestFunction, _uniforms, tau_reports
     u = iter(_uniforms(cfg.seed, 2, 24))
     fgs = [(TestFunction.bump(*_bump_params(u)),
             TestFunction.bump(*_bump_params(u))) for _ in range(3)]
     fgs.append((TestFunction.bump(0.5, 0.45, 0.5, 0.45),
                 TestFunction.constant()))
     *pairs, with_one = tau_reports(
-        sample_batch(cfg.spec, cfg.samples, cfg.seed), fgs, cfg.seed)
+        LazySample(cfg.spec, cfg.samples, cfg.seed), fgs, cfg.seed)
     ok = with_one["pass"] and all(r["pass"] for r in pairs)
     return _dump({"config": cfg.document(), "pass": ok,
                   "tau_with_one": with_one, "pairs": pairs})

@@ -16,11 +16,13 @@ digit.
 The affine map z -> a z + b acts by scaling s and feeding b, divided by
 the new scale, into the suspension coordinate t; integer carries flow
 into omega.  Monte-Carlo checks (invariance of the product measure,
-leafwise harmonicity, the flow pairing) run on batches drawn from a
+leafwise harmonicity, the flow pairing) run on samples drawn from a
 counter-based stream of 64-bit words keyed by one seed, which needs
-integer arithmetic alone, so every CPU draws the same bits.  They move
-and evaluate a block of rows at a time and merge each block's moments,
-so they hold no full-length column.
+integer arithmetic alone, so every CPU draws the same bits.  A row
+reads its own four words, so a LazySample draws each block of rows when
+a check reaches it; the check moves and evaluates that block and merges
+its moments, so no full-length column or sample is held, and memory
+does not grow with the sample size.
 """
 
 from __future__ import annotations
@@ -45,12 +47,14 @@ __all__ = [
     "BumpProfile",
     "TestFunction",
     "SampleBatch",
+    "LazySample",
     "sample_batch",
     "first_word_control",
     "invariance_check",
     "invariance_reports",
     "harmonicity_check",
     "harmonicity_report",
+    "hullcheck_reports",
     "tau_pairing",
     "tau_reports",
 ]
@@ -130,7 +134,7 @@ class BumpProfile(namedtuple("BumpProfile", "name center width")):
             return np.ones_like(x)
         z = np.subtract(x, self.center, out=np.empty_like(x, dtype=float))
         z /= self.width
-        np.clip(z, -1.0, 1.0, out=z)
+        z.clip(-1.0, 1.0, out=z)  # the method skips np.clip's dispatch
         np.square(z, out=z)
         np.subtract(1.0, z, out=z)
         # off the support the clamp makes u = 1 - z**2 exactly +0.0, so its
@@ -203,18 +207,7 @@ class TestFunction(namedtuple("TestFunction",
 
     def _factors(self, batch: "SampleBatch"):
         if self.word_part is not None:
-            a, b = self.word_part.window
-            cmin = int(batch.cursor.min())
-            lo = batch.origin + a + cmin
-            hi = batch.origin + b + int(batch.cursor.max())
-            width = len(batch.windows[0])
-            if lo < 0 or hi > width:
-                raise ColourWindowExhausted(
-                    f"sampled window of width {width} cannot "
-                    f"serve letter indices [{lo}, {hi})")
-            table = _letter_table(self.word_part, batch.windows, lo, hi)
-            offsets = hi - lo - (b - a) + 1
-            yield table.take(batch.index * offsets + (batch.cursor - cmin))
+            yield self._letters(batch)
         if self.omega_part is not None:
             lev = self.omega_part.level
             if lev > batch.precision:
@@ -226,6 +219,24 @@ class TestFunction(namedtuple("TestFunction",
         for bump, x in ((self.t_bump, batch.t), (self.s_bump, batch.s)):
             if bump.name != "one":
                 yield bump(x)
+
+    def _letters(self, batch: "SampleBatch") -> np.ndarray:
+        """word_part read through each row's cursor."""
+        a, b = self.word_part.window
+        cmin = int(batch.cursor.min())
+        lo = batch.origin + a + cmin
+        hi = batch.origin + b + int(batch.cursor.max())
+        width = len(batch.windows[0])
+        if lo < 0 or hi > width:
+            raise ColourWindowExhausted(
+                f"sampled window of width {width} cannot "
+                f"serve letter indices [{lo}, {hi})")
+        table = _letter_table(self.word_part, batch.windows, lo, hi)
+        # one index column: window * offsets + cursor - cmin, in place
+        at = batch.index * (hi - lo - (b - a) + 1)
+        at += batch.cursor
+        at -= cmin
+        return table.take(at)
 
     def sup_bound(self) -> float:
         out = 1.0
@@ -335,8 +346,9 @@ class SampleBatch:
         """t and s carried into normal form: the action of the identity."""
         return self.act(1.0, 0.0)
 
-    def _scale(self, a: float, b: float):
-        """The scale half of act: the moved s and its wraps, writing nothing.
+    def _scale(self, a: float, b: float, scratch: np.ndarray | None = None):
+        """The scale half of act: the moved s and its wraps, writing nothing
+        but scratch, a float column of the batch's length, if given.
 
         Returns s in [0, 1), floor of the unwrapped s as int64, its
         maximum and the digits its halvings use.  Every error act
@@ -345,7 +357,7 @@ class SampleBatch:
         if not (math.isfinite(a) and math.isfinite(b) and a > 0):
             raise ValueError("need a finite scale a > 0, finite translation")
         s = self.s + math.log2(a)
-        f = np.floor(s)
+        f = np.floor(s, out=scratch)
         top, low = f.max(), f.min()
         if top >= _MAX_WRAPS:
             raise ValueError("scale coordinate does not wrap down to [0,1)")
@@ -370,15 +382,24 @@ class SampleBatch:
 
     def act(self, a: float, b: float) -> "SampleBatch":
         """The batch moved by z -> a z + b."""
-        s, cursor, top, steps = self._scale(a, b)
-        # b / (a * 2**s) is a zero of b's sign when b is zero
-        t = self.t + b if b == 0 else b / (a * np.exp2(self.s)) + self.t
+        t = np.empty(self.n)
+        # t is written after the scale half, so it is that half's scratch
+        s, cursor, top, steps = self._scale(a, b, t)
+        # b / (a * 2**s), in place; it is a zero of b's sign when b is zero
+        if b == 0:
+            np.add(self.t, b, out=t)
+        else:
+            np.exp2(self.s, out=t)
+            t *= a
+            np.divide(b, t, out=t)
+            t += self.t
         c = np.floor(t)
         t -= c
         # a tiny negative t leaves 1 - |t|, which rounds to 1.0: one more wrap
         up = t == 1.0
-        c[up] += 1.0
-        t[up] = 0.0
+        if up.any():
+            c[up] += 1.0
+            t[up] = 0.0
         # |c| < 2**62 casts exactly, omega + c stays in int64 and the last
         # mask reduces it; else fmod(c, 2**precision) in exact steps, faster
         if not (-2.0 ** 62 < c.min() and c.max() < 2.0 ** 62):
@@ -400,10 +421,13 @@ class SampleBatch:
         # every row without a branch (a row that stays adds 0, times 1)
         for j in range(steps):
             halve = cursor < -j
-            t += ((omega >> j) & halve).astype(float)
+            parity = omega >> j
+            parity &= halve
+            t += parity
             np.ldexp(t, -halve.astype(np.int32), out=t)
         if steps:
-            omega >>= np.maximum(-cursor, 0)
+            shift = np.negative(cursor)
+            omega >>= np.maximum(shift, 0, out=shift)
         # one digit gone for the whole batch per step: residues stay comparable
         precision = self.precision - steps
         omega &= (1 << precision) - 1
@@ -471,6 +495,7 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+@lru_cache(maxsize=64)
 def _key(seed: int, stream: int) -> int:
     """The key of a stream: the seed's 64-bit limbs, lowest first, folded
     into the mixed stream number."""
@@ -501,35 +526,97 @@ def _uniforms(seed: int, stream: int, count: int) -> list[float]:
     return _unit(_words(_key(seed, stream), count)).tolist()
 
 
+@lru_cache(maxsize=16)
+def _window_table(spec: SubshiftSpec, halfwidth: int):
+    """The windows of length 2*halfwidth + 1, in language order, and the
+    lookup from a letter uniform to a window's index."""
+    windows = tuple(language(spec, 2 * halfwidth + 1))
+    return windows, _window_lookup(_cumulative_measure(spec, windows))
+
+
+class LazySample(namedtuple("LazySample", "spec n seed precision halfwidth")):
+    """sample_batch's n rows, each drawn when it is read.
+
+    rows(sl) draws the rows in a slice, bit for bit the rows of
+    sample_batch(spec, n, seed, precision=..., halfwidth=...).rows(sl):
+    row r reads only words 4r to 4r + 3 of the seed's stream, so a block
+    needs no row before it.  A check that reads its sample through n and
+    rows() alone holds one block of it at a time, never the whole.
+    The arguments are checked as sample_batch checks them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, spec: SubshiftSpec, n: int, seed: int,
+                precision: int = 48, halfwidth: int = 8):
+        seed = _seed(seed)
+        n, precision, halfwidth = map(_integer,
+                                      ("n", "precision", "halfwidth"),
+                                      (n, precision, halfwidth))
+        if n < 1:
+            raise ValueError(f"sample size must be at least 1, got {n}")
+        if precision < 1 or precision > 62:
+            raise ValueError("precision must be in [1, 62]")
+        if halfwidth < 0:
+            raise ValueError(
+                f"halfwidth must be non-negative, got {halfwidth}")
+        return super().__new__(cls, spec, n, seed, precision, halfwidth)
+
+    def rows(self, rows: slice) -> SampleBatch:
+        """The rows in a slice, drawn now."""
+        rows = range(self.n)[rows]
+        # the five columns share one buffer: one allocation, not five
+        out = np.empty((5, len(rows)))
+        t, s = out[0], out[1]
+        omega, cursor = out[2].view(np.int64), out[3].view(np.int64)
+        index = out[4].view(np.intp)
+        cursor[...] = 0
+        self._draw(rows, omega, t, s, index)
+        return SampleBatch(omega, t, s, cursor, index,
+                           _window_table(self.spec, self.halfwidth)[0],
+                           self.halfwidth, self.precision)
+
+    def _draw(self, rows: range, omega, t, s, index):
+        """The rows of a range into the columns given, one entry per row.
+
+        Row r reads words 4r to 4r + 3 of the seed's stream 0: omega is
+        the top precision bits of the first, and t, s and the letter
+        uniform are the top 53 bits of the others, scaled into [0, 1).
+        """
+        lookup = _window_table(self.spec, self.halfwidth)[1]
+        key = _key(self.seed, 0)
+        # the offset of the range's i-th row in a column, 4 * step * i * GAMMA
+        steps = np.arange(len(rows), dtype=np.uint64)
+        steps *= 4 * rows.step * _GAMMA & _MASK
+        # words 4r + c of the rows r, each column c mixed in the memory of
+        # the column it becomes
+        words = [col.view(np.uint64) for col in (omega, t, s, index)]
+        for c, z in enumerate(words):
+            np.add(steps, (key + (4 * rows.start + c + 1) * _GAMMA) & _MASK,
+                   out=z)
+            _mix(z)
+        words[0] >>= 64 - self.precision
+        _unit(words[1], t)
+        _unit(words[2], s)
+        lookup(_unit(words[3], index.view(float)), index)
+
+
 def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
                  precision: int = 48, halfwidth: int = 8) -> SampleBatch:
     """n points: omega and (t, s) uniform, letter windows by their measure.
 
     The windows are the admissible words of length 2*halfwidth + 1 in
     language order.  Row r reads words 4r to 4r + 3 of the seed's
-    stream 0: omega is the top precision bits of the first, and t, s
-    and the letter uniform are the top 53 bits of the others, scaled
-    into [0, 1).  The draw is a function of (spec, seed) and the row
-    alone, so a smaller sample is a prefix of a larger one.  Rows are
-    drawn in a fixed number of chunks, which bounds the temporaries;
-    each chunk turns its letter uniforms into window indices through a
-    guide table, which gives the index a binary search over the
-    cumulative measure gives, to the bit.
+    stream 0 (LazySample._draw), so the draw is a function of (spec,
+    seed) and the row alone, and a smaller sample is a prefix of a
+    larger one.  Rows are drawn in a fixed number of chunks, which
+    bounds the temporaries; each chunk turns its letter uniforms into
+    window indices through a guide table, which gives the index a binary
+    search over the cumulative measure gives, to the bit.
     """
-    seed = _seed(seed)
-    n, precision, halfwidth = map(_integer, ("n", "precision", "halfwidth"),
-                                  (n, precision, halfwidth))
-    if n < 1:
-        raise ValueError(f"sample size must be at least 1, got {n}")
-    if precision < 1 or precision > 62:
-        raise ValueError("precision must be in [1, 62]")
-    if halfwidth < 0:
-        raise ValueError(f"halfwidth must be non-negative, got {halfwidth}")
-    windows = tuple(language(spec, 2 * halfwidth + 1))
-    lookup = _window_lookup(_cumulative_measure(spec, windows))
-    key = _key(seed, 0)
-    # row r's offset in a column, r * 4 * GAMMA, for the largest chunk
-    steps = np.arange(-(-n // _CHUNKS), dtype=np.uint64) * (4 * _GAMMA & _MASK)
+    sample = LazySample(spec, n, seed, precision=precision,
+                        halfwidth=halfwidth)
+    n = sample.n
     om = np.empty(n, dtype=np.int64)
     t, s = np.empty(n), np.empty(n)
     index = np.empty(n, dtype=np.intp)
@@ -537,27 +624,23 @@ def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
     for i in range(_CHUNKS):
         size = n // _CHUNKS + (1 if i < n % _CHUNKS else 0)
         rows = slice(lo, lo + size)
-        # words 4r + c of the chunk's rows r, one column c at a time
-        words = (_mix(steps[:size] + ((key + (4 * lo + c + 1) * _GAMMA)
-                                      & _MASK))
-                 for c in range(4))
-        np.right_shift(next(words), 64 - precision,
-                       out=om[rows].view(np.uint64))
-        _unit(next(words), t[rows])
-        _unit(next(words), s[rows])
-        lookup(_unit(next(words)), index[rows])
+        sample._draw(range(lo, lo + size), om[rows], t[rows], s[rows],
+                     index[rows])
         lo += size
     return SampleBatch(om, t, s, np.zeros(n, dtype=np.int64), index,
-                       windows, halfwidth, precision)
+                       _window_table(spec, sample.halfwidth)[0],
+                       sample.halfwidth, sample.precision)
 
 
 def first_word_control(batch: SampleBatch) -> SampleBatch:
     """batch's coordinates with every row reading the first window.
 
     A deliberately wrong letter distribution that shares the genuine
-    check's sample and its moved copies, for negative controls.
+    check's sample and its moved copies, for negative controls.  The
+    index is one zero seen at every row (a read-only view), so it takes
+    no memory.
     """
-    return batch.with_index(np.zeros_like(batch.index))
+    return batch.with_index(np.broadcast_to(np.intp(0), batch.index.shape))
 
 
 # -- Monte-Carlo checks ---------------------------------------------------
@@ -571,11 +654,13 @@ def _report(stat, se, n, ok, seed, **extra) -> dict:
 
 # Most rows per block in the checks, sized by time, not by page faults:
 # on a 2-vCPU VM the hull benchmark's four jobs took 0.20 s at 16384 rows
-# and 0.22-0.24 s at 8192 (medians of 7, in one process), while a
-# 100 000-row hullcheck's minor faults fell only from about 2 630 to
-# 2 560 over its 96 actions.  Smaller blocks pay numpy's per-call cost
-# more often.  A check merges each block's moments into running ones and
-# holds no column longer than a block.
+# and 0.22-0.24 s at 8192 (medians of 7, timed in one process, so with an
+# allocator already warm from earlier runs), while a 100 000-row
+# hullcheck's minor faults fell only from about 2 630 to 2 560 over its
+# 96 actions.  Smaller blocks pay numpy's per-call cost more often.  A
+# check draws each block when it reaches it, merges the block's moments
+# into running ones and holds no column longer than a block, so its
+# memory does not grow with the sample size.
 _BLOCK = 16384
 
 
@@ -585,12 +670,14 @@ def _blocks(n: int, size: int = _BLOCK) -> list[slice]:
     return [slice(lo, lo + size) for lo in range(0, n, size)]
 
 
-def _moments(base: SampleBatch, values, size: int = _BLOCK, *,
+def _moments(base, values, size: int = _BLOCK, *,
              scale_only: bool) -> list[tuple[float, float]]:
     """Mean and standard error of each column of per-row values.
 
+    base is read through base.n and base.rows() alone: a LazySample
+    draws each block there, a SampleBatch gives views of its columns.
     values(rows, block, move) yields one array per column over `block`,
-    the view of base's rows in the slice `rows`; move(a, b) is block.act,
+    base's rows in the slice `rows`; move(a, b) is block.act,
     or block.scaled with scale_only (for test functions that read the
     letter window alone).  Each block's count, sum and sum of squared
     deviations from its mean are merged into the column's running ones
@@ -642,31 +729,29 @@ def invariance_check(spec: SubshiftSpec, f: TestFunction, g_list,
     own spread sets the 3-sigma tolerance.  The top-level statistic is
     the worst absolute difference over g_list.
     """
-    base = sample_batch(spec, n_samples, seed)
-    return invariance_reports(base, [(f, base.index)], g_list, seed)[0]
+    sample = LazySample(spec, n_samples, seed)
+    return invariance_reports(sample, [(f, None)], g_list, seed)[0]
 
 
-def invariance_reports(base: SampleBatch, cases, g_list,
-                       seed: int) -> list[dict]:
-    """invariance_check's report for each (f, index) case on one sample.
-
-    Each case pairs a test function with window indices for base's rows
-    (base.index, or a control's from first_word_control).  Each block of
-    base's rows gives every case's unmoved values, then each g acts once
-    on the block and every case is evaluated on the moved block; only
-    the per-g moments are kept.
-    """
-    seed = _seed(seed)
-
+def _invariance_diffs(cases, g_list):
+    """The per-row values of invariance_reports, for _moments."""
     def diffs(rows, block, move):
-        f0 = [f.on_batch(block.with_index(index[rows])) for f, index in cases]
+        views = [block if view is None else view(block) for _, view in cases]
+        f0 = [f.on_batch(v) for (f, _), v in zip(cases, views)]
         for a, b in g_list:
             moved = move(a, b)
-            for (f, index), fk in zip(cases, f0):
-                yield f.on_batch(moved.with_index(index[rows])) - fk
+            for (f, _), v, fk in zip(cases, views, f0):
+                # a view changes the windows alone, so its index serves
+                # the moved rows too
+                diff = f.on_batch(moved.with_index(v.index))
+                diff -= fk
+                yield diff
 
-    moments = iter(_moments(base, diffs, scale_only=all(
-        f.letters_only for f, _ in cases)))
+    return diffs
+
+
+def _invariance_out(moments, cases, g_list, n: int, seed: int) -> list[dict]:
+    """invariance_reports' reports from the next per-g moments."""
     per_g = [[] for _ in cases]
     for a, b in g_list:
         for out, (diff, se) in zip(per_g, moments):
@@ -679,10 +764,27 @@ def invariance_reports(base: SampleBatch, cases, g_list,
         for e in entries:
             if abs(e["statistic"]) >= worst[0]:
                 worst = (abs(e["statistic"]), e["std_error"])
-        reports.append(_report(worst[0], worst[1], base.n,
+        reports.append(_report(worst[0], worst[1], n,
                                all(e["pass"] for e in entries), seed,
                                per_g=entries))
     return reports
+
+
+def invariance_reports(base, cases, g_list, seed: int) -> list[dict]:
+    """invariance_check's report for each (f, view) case on one sample.
+
+    base is a LazySample or a SampleBatch.  Each case pairs a test
+    function with a view of the sample's rows: None for the rows as
+    drawn, or a function such as first_word_control that gives a block
+    the same coordinates reading other windows.  Each block of base's
+    rows gives every case's unmoved values, then each g acts once on the
+    block and every case is evaluated on the moved block; only the
+    per-g moments are kept.
+    """
+    seed = _seed(seed)
+    moments = _moments(base, _invariance_diffs(cases, g_list),
+                       scale_only=all(f.letters_only for f, _ in cases))
+    return _invariance_out(iter(moments), cases, g_list, base.n, seed)
 
 
 def _validate_step(h: float):
@@ -700,27 +802,75 @@ def harmonicity_check(spec: SubshiftSpec, f: TestFunction, n_samples: int,
     the reported O(h**2) bias bound.
     """
     _validate_step(h)
-    base = sample_batch(spec, n_samples, seed)
-    return harmonicity_report(base, f, seed, h=h)
+    sample = LazySample(spec, n_samples, seed)
+    return harmonicity_report(sample, f, seed, h=h)
 
 
-def harmonicity_report(base: SampleBatch, f: TestFunction, seed: int, *,
-                       h: float = 2.0 ** -6) -> dict:
-    """harmonicity_check's report on a given sample."""
-    seed = _seed(seed)
-    _validate_step(h)
-
+def _laplacian(f: TestFunction, h: float):
+    """The per-row values of harmonicity_report, for _moments."""
     def laplacian(rows, block, move):
         centre = f.on_batch(block)
-        yield (f.on_batch(move(1.0, h)) + f.on_batch(move(1.0, -h))
-               + f.on_batch(move(1.0 + h, 0.0))
-               + f.on_batch(move(1.0 - h, 0.0))
-               - 4.0 * centre) / (h * h)
+        # (f(x+h) + f(x-h) + f((1+h)y) + f((1-h)y) - 4 f) / h**2, in place
+        # and in that order, so with the same roundings
+        lap = f.on_batch(move(1.0, h))
+        for a, b in ((1.0, -h), (1.0 + h, 0.0), (1.0 - h, 0.0)):
+            lap += f.on_batch(move(a, b))
+        centre *= 4.0
+        lap -= centre
+        lap /= h * h
+        yield lap
 
-    (stat, se), = _moments(base, laplacian, scale_only=f.letters_only)
+    return laplacian
+
+
+def _harmonicity_out(moments, f: TestFunction, h: float, n: int,
+                     seed: int) -> dict:
+    """harmonicity_report's report from the next moments."""
+    stat, se = next(moments)
     bias = f.laplacian_bias(h)
     ok = abs(stat) <= 3.0 * se + bias + _EXACT_SLACK
-    return _report(stat, se, base.n, ok, seed, fd_bias=bias, h=h)
+    return _report(stat, se, n, ok, seed, fd_bias=bias, h=h)
+
+
+def harmonicity_report(base, f: TestFunction, seed: int, *,
+                       h: float = 2.0 ** -6) -> dict:
+    """harmonicity_check's report on a given sample (a LazySample or a
+    SampleBatch)."""
+    seed = _seed(seed)
+    _validate_step(h)
+    moments = _moments(base, _laplacian(f, h), scale_only=f.letters_only)
+    return _harmonicity_out(iter(moments), f, h, base.n, seed)
+
+
+def hullcheck_reports(sample, cases, g_list, f: TestFunction,
+                      letter: TestFunction, seed: int, *,
+                      h: float = 2.0 ** -6) -> tuple:
+    """hullcheck's statistics from one pass over one sample.
+
+    Each block of the sample's rows is drawn once and serves, in order:
+    the share of rows with omega = 1 mod 4, the mean of letter on the
+    unmoved rows, invariance_reports(sample, cases, g_list, seed) and
+    harmonicity_report(sample, f, seed, h=h).  Returns those four.  The
+    two means are sums of 0s and 1s, exact in every block, so they equal
+    a whole column's mean; every report is the one its function gives,
+    and so is the first error.
+    """
+    seed = _seed(seed)
+    _validate_step(h)
+    diffs, laplacian = _invariance_diffs(cases, g_list), _laplacian(f, h)
+
+    def values(rows, block, move):
+        yield (block.omega & 3 == 1).astype(float)
+        yield letter.on_batch(block)
+        yield from diffs(rows, block, move)
+        yield from laplacian(rows, block, move)
+
+    moments = iter(_moments(sample, values, scale_only=f.letters_only and all(
+        fc.letters_only for fc, _ in cases)))
+    (omega_1, _), (letter_mean, _) = next(moments), next(moments)
+    return (omega_1, letter_mean,
+            _invariance_out(moments, cases, g_list, sample.n, seed),
+            _harmonicity_out(moments, f, h, sample.n, seed))
 
 
 def tau_pairing(spec: SubshiftSpec, f: TestFunction, g: TestFunction,
@@ -733,13 +883,14 @@ def tau_pairing(spec: SubshiftSpec, f: TestFunction, g: TestFunction,
     within 3 sigma plus the finite-difference bias.
     """
     _validate_step(h)
-    base = sample_batch(spec, n_samples, seed)
-    return tau_reports(base, [(f, g)], seed, h=h)[0]
+    sample = LazySample(spec, n_samples, seed)
+    return tau_reports(sample, [(f, g)], seed, h=h)[0]
 
 
-def tau_reports(base: SampleBatch, pairs, seed: int, *,
+def tau_reports(base, pairs, seed: int, *,
                 h: float = 2.0 ** -6) -> list[dict]:
-    """tau_pairing's report for each (f, g) pair on one sample.
+    """tau_pairing's report for each (f, g) pair on one sample (a
+    LazySample or a SampleBatch).
 
     The flow moves each block of base's rows up and down once, and every
     pair is evaluated on those two moved blocks.
@@ -751,15 +902,21 @@ def tau_reports(base: SampleBatch, pairs, seed: int, *,
         up, down = move(2.0 ** h, 0.0), move(2.0 ** -h, 0.0)
 
         def flow_diff(fn):
-            return (fn.on_batch(up) - fn.on_batch(down)) / (2.0 * h)
+            d = fn.on_batch(up)
+            d -= fn.on_batch(down)
+            d /= 2.0 * h
+            return d
 
+        # Y(f) g and Y(f) g + Y(g) f, multiplied and added in place
         for f, g in pairs:
             yf = flow_diff(f)
             yg = flow_diff(g)
             f0 = f.on_batch(block)
-            yf_g0 = yf * g.on_batch(block)
-            yield yf_g0
-            yield yf_g0 + yg * f0
+            yf *= g.on_batch(block)
+            yield yf
+            yg *= f0
+            yg += yf
+            yield yg
 
     moments = iter(_moments(base, products, scale_only=all(
         f.letters_only and g.letters_only for f, g in pairs)))

@@ -97,6 +97,27 @@ MUTANTS = [
         "(n, ta + tb, m2a + m2 + delta * delta * na * nb / n)",
         "(n, ta + tb, m2a + m2)",
         ["tests/test_hull.py::TestMergedMoments::test_agrees_with_numpy"]),
+    Mutant(
+        "finite-difference step 2**-20 refused",
+        "src/hyptile/hull.py",
+        "if not (2.0 ** -20 <= h <= 0.125):",
+        "if not (2.0 ** -20 < h <= 0.125):",
+        ["tests/test_hull.py::TestHarmonicityCheck::"
+         "test_step_bounds_are_accepted"]),
+    Mutant(
+        "each block of a lazy sample drawn from row 0",
+        "src/hyptile/hull.py",
+        "(key + (4 * rows.start + c + 1) * _GAMMA)",
+        "(key + (c + 1) * _GAMMA)",
+        ["tests/test_hull.py::TestLazySample::"
+         "test_blocks_equal_the_whole_draw"]),
+    Mutant(
+        "a lazy sample's last block not clamped to n",
+        "src/hyptile/hull.py",
+        "        rows = range(self.n)[rows]\n",
+        "        rows = range(rows.start, rows.stop)\n",
+        ["tests/test_hull.py::TestLazySample::"
+         "test_blocks_equal_the_whole_draw"]),
 ]
 
 

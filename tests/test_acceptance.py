@@ -277,7 +277,7 @@ def test_criterion_09_invariance_and_harmonicity():
 
     base = sample_batch(TM, 100000, seed)
     biased = invariance_reports(
-        base, [(observables[0], first_word_control(base).index)], gs, seed)[0]
+        base, [(observables[0], first_word_control)], gs, seed)[0]
     assert not biased["pass"]
     budget(t0, 120, "criterion 09 invariance and harmonicity")
 

@@ -454,7 +454,7 @@ class TestSharedDraw:
         assert res["checks"] == self.json_round_trip(expect)
         base = sample_batch(spec, n, seed)
         biased = invariance_reports(
-            base, [(f0, first_word_control(base).index)], gs, seed)[0]
+            base, [(f0, first_word_control)], gs, seed)[0]
         assert res["negative_control"]["report"] == \
             self.json_round_trip(biased)
 

@@ -26,15 +26,18 @@ from hyptile.hull import (
     _key,
     _blocks,
     _moments,
+    _validate_step,
     _window_lookup,
     _words,
     BumpProfile,
+    LazySample,
     SampleBatch,
     TestFunction as TFn,
     check_relation_RPw,
     first_word_control,
     harmonicity_check,
     harmonicity_report,
+    hullcheck_reports,
     invariance_check,
     invariance_reports,
     random_colour_window,
@@ -783,6 +786,62 @@ class TestStream:
                 assert b.index[r] == searchsorted_index(bounds, u)
 
 
+class TestLazySample:
+    """Rows drawn when a check reaches them, against the whole draw."""
+
+    COLUMNS = ("omega", "t", "s", "cursor", "index")
+
+    def assert_rows_equal(self, got, expect):
+        for name in self.COLUMNS:
+            a, b = getattr(got, name), getattr(expect, name)
+            assert a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        assert (got.windows, got.origin, got.precision, got.n) == \
+            (expect.windows, expect.origin, expect.precision, expect.n)
+
+    # one block, both sides of a full block, the uneven two- and
+    # three-block splits (whose last slice runs past n) and seven blocks
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 17, 100_000])
+    def test_blocks_equal_the_whole_draw(self, n):
+        whole = sample_batch(FIB, n, 11)
+        lazy = LazySample(FIB, n, 11)
+        blocks = _blocks(n)
+        for rows in blocks:
+            self.assert_rows_equal(lazy.rows(rows), whole.rows(rows))
+        assert sum(lazy.rows(rows).n for rows in blocks) == n
+
+    def test_any_slice_equals_the_whole_draw(self):
+        n = 1000
+        whole = sample_batch(TM, n, 2 ** 64 + 5, precision=37, halfwidth=3)
+        lazy = LazySample(TM, n, 2 ** 64 + 5, precision=37, halfwidth=3)
+        for rows in (slice(None), slice(990, 2000), slice(5, 400, 7),
+                     slice(None, None, -3), slice(-20, -3), slice(7, 7)):
+            self.assert_rows_equal(lazy.rows(rows), whole.rows(rows))
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((TM, 0, 1), {}), ((TM, 2.0, 1), {}), ((TM, 5, True), {}),
+        ((TM, 5, -1), {}), ((TM, 5, 1), {"precision": 63}),
+        ((TM, 5, 1), {"halfwidth": -1}), ((TM, 5, 1), {"precision": True})])
+    def test_refuses_what_sample_batch_refuses(self, args, kwargs):
+        with pytest.raises(ValueError) as expect:
+            sample_batch(*args, **kwargs)
+        with pytest.raises(ValueError) as got:
+            LazySample(*args, **kwargs)
+        assert str(got.value) == str(expect.value)
+
+    def test_checks_draw_no_whole_sample(self, monkeypatch):
+        import hyptile.hull as hull
+        calls = []
+        monkeypatch.setattr(hull, "sample_batch",
+                            lambda *a, **k: calls.append(a))
+        f = TFn.bump(0.5, 0.45, 0.5, 0.45)
+        invariance_check(TM, f, [(2.0, 0.5)], 2 * _BLOCK + 17, 3)
+        harmonicity_check(TM, f, 2 * _BLOCK + 17, 3)
+        tau_pairing(TM, f, f, 2 * _BLOCK + 17, 3)
+        assert calls == []
+
+
 def searchsorted_index(bounds, u):
     return np.minimum(np.searchsorted(bounds, u, side="right"),
                       len(bounds) - 1)
@@ -855,13 +914,13 @@ class TestSampleSizeGuards:
                 tau_pairing(TM, f, f, n, 5)
         one = sample_batch(TM, 1, 5)
         with pytest.raises(ValueError, match="at least 2"):
-            invariance_reports(one, [(f, one.index)], gs, 5)
+            invariance_reports(one, [(f, None)], gs, 5)
         with pytest.raises(ValueError, match="at least 2"):
             harmonicity_report(one, f, 5)
         with pytest.raises(ValueError, match="at least 2"):
             tau_reports(one, [(f, f)], 5)
         two = sample_batch(TM, 2, 5)
-        assert invariance_reports(two, [(f, two.index)], gs, 5)[0]["n"] == 2
+        assert invariance_reports(two, [(f, None)], gs, 5)[0]["n"] == 2
 
 
 class TestReportSeed:
@@ -872,7 +931,7 @@ class TestReportSeed:
     def reports(self, seed):
         base = sample_batch(TM, 100, 3)
         return {"invariance": lambda: invariance_reports(
-                    base, [(self.F, base.index)], [(2.0, 0.0)], seed)[0],
+                    base, [(self.F, None)], [(2.0, 0.0)], seed)[0],
                 "harmonicity": lambda: harmonicity_report(base, self.F, seed),
                 "tau": lambda: tau_reports(base, [(self.F, self.F)], seed)[0]}
 
@@ -944,7 +1003,7 @@ class TestInvarianceCheck:
     def test_biased_sampler_detected(self):
         base = sample_batch(TM, 30_000, 5152)
         rep = invariance_reports(
-            base, [(TFn.word_indicator("12"), first_word_control(base).index)],
+            base, [(TFn.word_indicator("12"), first_word_control)],
             self.GS, 5152)[0]
         assert not rep["pass"]
         assert any(not g["pass"] for g in rep["per_g"])
@@ -1049,6 +1108,17 @@ class TestHarmonicityCheck:
         with pytest.raises(ValueError):
             harmonicity_check(TM, TFn.constant(), 10, 0, h=0.5)
 
+    def test_step_bounds_are_accepted(self):
+        # [2**-20, 1/8] is closed: both ends pass, the next doubles out
+        for h in (2.0 ** -20, 0.125):
+            _validate_step(h)
+            assert harmonicity_check(TM, TFn.constant(), 10, 0,
+                                     h=h)["h"] == h
+        for h in (math.nextafter(2.0 ** -20, 0.0),
+                  math.nextafter(0.125, 1.0)):
+            with pytest.raises(ValueError):
+                _validate_step(h)
+
 
 class TestTauPairing:
     def test_constants_give_exact_zero(self):
@@ -1087,7 +1157,8 @@ BLOCK_SIZES = pytest.mark.parametrize(
 
 
 class TestSharedCores:
-    """The batch-level cores against a fresh draw and fresh moves per use.
+    """The cores on a lazy sample against a fresh whole draw and fresh
+    moves per use.
 
     The whole-batch columns are reduced by the oracle's merge of the
     moments of the checks' row blocks.
@@ -1106,10 +1177,9 @@ class TestSharedCores:
         f1 = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1}),
                  t_bump=BumpProfile("bump3", 0.5, 0.45),
                  s_bump=BumpProfile("bump3", 0.5, 0.45))
-        base = sample_batch(TM, n, self.SEED)
-        control = first_word_control(base)
         reports = invariance_reports(
-            base, [(f0, base.index), (f1, base.index), (f0, control.index)],
+            LazySample(TM, n, self.SEED),
+            [(f0, None), (f1, None), (f0, first_word_control)],
             self.GS, self.SEED)
         for rep, (f, biased) in zip(reports, [(f0, False), (f1, False),
                                               (f0, True)]):
@@ -1128,7 +1198,7 @@ class TestSharedCores:
                 omega_part=cylinder_indicator(2, 1),
                 t_bump=BumpProfile("bump3", 0.5, 0.45),
                 s_bump=BumpProfile("bump3", 0.5, 0.45))
-        rep = harmonicity_report(sample_batch(TM, n, self.SEED), f,
+        rep = harmonicity_report(LazySample(TM, n, self.SEED), f,
                                  self.SEED, h=h)
 
         def probe(a, b):
@@ -1144,7 +1214,7 @@ class TestSharedCores:
         h = 2.0 ** -6
         pairs = [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn.constant()),
                  (TFn.bump(0.45, 0.3, 0.55, 0.35), TFn.word_indicator("12"))]
-        reports = tau_reports(sample_batch(TM, n, self.SEED), pairs,
+        reports = tau_reports(LazySample(TM, n, self.SEED), pairs,
                               self.SEED, h=h)
 
         def flow(fn):
@@ -1160,6 +1230,32 @@ class TestSharedCores:
             defect, se_d = self.mean_se(yf * g0 + yg * f0)
             assert rep["antisymmetry_defect"] == abs(defect)
             assert rep["defect_std_error"] == se_d
+
+
+class TestHullcheckPass:
+    """hullcheck's one pass against its checks run one at a time."""
+
+    GS = [(1.0, 0.7), (2.0, 0.0), (0.5, 0.0), (1.5, -0.9), (0.7, 2.5)]
+    SEED = 78
+
+    @BLOCK_SIZES
+    def test_equals_the_separate_checks(self, n):
+        f0 = TFn.word_indicator("12")
+        f1 = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1}),
+                 t_bump=BumpProfile("bump3", 0.5, 0.45),
+                 s_bump=BumpProfile("bump3", 0.5, 0.45))
+        f = TFn.bump(0.5, 0.45, 0.5, 0.45)
+        letter = TFn.word_indicator("1")
+        cases = [(f0, None), (f1, None), (f0, first_word_control)]
+        omega_1, letter_mean, inv, harm = hullcheck_reports(
+            LazySample(TM, n, self.SEED), cases, self.GS, f, letter,
+            self.SEED)
+        whole = sample_batch(TM, n, self.SEED)
+        # sums of 0s and 1s are exact, so the blocks give numpy's mean
+        assert omega_1 == float((whole.omega & 3 == 1).mean())
+        assert letter_mean == float(letter.on_batch(whole).mean())
+        assert inv == invariance_reports(whole, cases, self.GS, self.SEED)
+        assert harm == harmonicity_report(whole, f, self.SEED)
 
 
 class TestMergedMoments:
@@ -1251,13 +1347,16 @@ class TestBlockMemory:
     G = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1}),
             t_bump=BumpProfile("bump3", 0.5, 0.45))
 
-    def run(self, check, base, control):
+    def run(self, check, base):
+        cases = [(self.G, None), (self.F, None), (self.G, first_word_control)]
+        gs = [(1.5, -0.9), (0.7, 2.5)]
         if check == "invariance":
-            return invariance_reports(
-                base, [(self.G, base.index), (self.F, base.index),
-                       (self.G, control)], [(1.5, -0.9), (0.7, 2.5)], 1)
+            return invariance_reports(base, cases, gs, 1)
         if check == "harmonicity":
             return harmonicity_report(base, self.F, 1)
+        if check == "hullcheck":
+            return hullcheck_reports(base, cases, gs, self.F,
+                                     TFn.word_indicator("1"), 1)
         return tau_reports(base, [(self.F, self.G), (self.G, self.F),
                                   (self.F, TFn.constant()),
                                   (self.G, self.G)], 1)
@@ -1266,17 +1365,40 @@ class TestBlockMemory:
     def test_peak_is_below_one_column(self, check):
         # numpy reports its buffers to tracemalloc; the sample's own
         # columns are made before the trace starts
-        small = sample_batch(FIB, 100, 7)
-        self.run(check, small, small.index)  # caches filled
+        self.run(check, sample_batch(FIB, 100, 7))  # caches filled
         base = sample_batch(FIB, self.N, 7)
-        control = first_word_control(base).index
         tracemalloc.start()
         try:
-            self.run(check, base, control)
+            self.run(check, base)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * self.N
+
+    @pytest.mark.parametrize("check", ["invariance", "harmonicity", "tau",
+                                       "hullcheck"])
+    def test_peak_does_not_grow_with_the_sample(self, check):
+        """A lazy sample's checks peak at the same memory at any size.
+
+        At 8 and at 32 blocks every block has _BLOCK rows, so a block's
+        working set (its draw, its moves, the values and their merge) is
+        the same; what grows with the number of blocks is the list of
+        slices from _blocks, each under 200 bytes with its two ints, so
+        24 more blocks add under 5 kB.  An array whose length grows with
+        the sample, at even one byte a row, adds at least 24 * _BLOCK
+        bytes.  One block column, 8 * _BLOCK bytes, lies between the two.
+        """
+        self.run(check, LazySample(FIB, 100, 7))  # caches filled
+        peaks = []
+        for blocks in (8, 32):
+            sample = LazySample(FIB, blocks * _BLOCK, 7)
+            tracemalloc.start()
+            try:
+                self.run(check, sample)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * _BLOCK
 
 
 def with_s(batch, s):
@@ -1346,7 +1468,7 @@ class TestBlockErrors:
         whole = base.act(a, b)
         lost = prec - whole.precision
         run = {"invariance": lambda f: invariance_reports(
-                   base, [(f, base.index)], [(a, b)], 1),
+                   base, [(f, None)], [(a, b)], 1),
                "harmonicity": lambda f: harmonicity_report(base, f, 1),
                "tau": lambda f: tau_reports(base, [(f, f)], 1)}[check]
         def parity_at(level):
@@ -1370,7 +1492,7 @@ class TestBlockErrors:
         g = [(2.0 ** 0.5, 0.0)]
         inside = with_s(sample_batch(TM, self.N, 9, halfwidth=1),
                         np.full(self.N, 0.25))
-        rep = invariance_reports(inside, [(f, inside.index)], g, 1)[0]
+        rep = invariance_reports(inside, [(f, None)], g, 1)[0]
         assert rep["n"] == self.N
         s = np.full(self.N, 0.25)
         s[self.LAST] = 0.75
@@ -1379,7 +1501,7 @@ class TestBlockErrors:
         with pytest.raises(ColourWindowExhausted) as expect:
             f.on_batch(whole)
         with pytest.raises(ColourWindowExhausted) as got:
-            invariance_reports(base, [(f, base.index)], g, 1)
+            invariance_reports(base, [(f, None)], g, 1)
         assert str(got.value) == str(expect.value)
 
     @pytest.mark.parametrize("f", [TFn.word_indicator("12"),
@@ -1396,7 +1518,7 @@ class TestBlockErrors:
         with pytest.raises(ValueError):
             base.rows(slice(0, 1)).act(*g2)
         with pytest.raises(PrecisionExhausted) as got:
-            invariance_reports(base, [(f, base.index)], [g1, g2], 1)
+            invariance_reports(base, [(f, None)], [g1, g2], 1)
         assert str(got.value) == str(expect.value)
 
     def test_first_error_of_the_whole_batch_wins(self):
@@ -1408,8 +1530,7 @@ class TestBlockErrors:
         s[self.LAST] = 0.75
         base = with_s(sample_batch(TM, self.N, 10, precision=3,
                                    halfwidth=1), s)
-        cases = [(TFn.word_indicator("12"), base.index),
-                 (TFn(omega_part=LocallyConstFn(3, tuple(range(8)))),
-                  base.index)]
+        cases = [(TFn.word_indicator("12"), None),
+                 (TFn(omega_part=LocallyConstFn(3, tuple(range(8)))), None)]
         with pytest.raises(ColourWindowExhausted):
             invariance_reports(base, cases, [(2.0 ** 0.5, 0.0)], 1)
