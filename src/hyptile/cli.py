@@ -358,8 +358,7 @@ def _run_hullcheck(cfg: JobConfig) -> str:
     f0, f1 = _default_functions(cfg.spec)
     freq_omega, freq_word, (inv0, inv1, biased), harmonic = hullcheck_reports(
         sample, [(f0, None), (f1, None), (f0, first_word_control)], gs,
-        TestFunction.bump(0.5, 0.45, 0.5, 0.45),
-        TestFunction.word_indicator(first), cfg.seed)
+        TestFunction.bump(0.5, 0.45, 0.5, 0.45), first, cfg.seed)
     marginals = {
         "omega_mod4_is1": {
             "statistic": freq_omega, "expected": 0.25,

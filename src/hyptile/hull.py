@@ -134,7 +134,7 @@ class BumpProfile(namedtuple("BumpProfile", "name center width")):
             return np.ones_like(x)
         z = np.subtract(x, self.center, out=np.empty_like(x, dtype=float))
         z /= self.width
-        z.clip(-1.0, 1.0, out=z)  # the method skips np.clip's dispatch
+        np.clip(z, -1.0, 1.0, out=z)
         np.square(z, out=z)
         np.subtract(1.0, z, out=z)
         # off the support the clamp makes u = 1 - z**2 exactly +0.0, so its
@@ -207,7 +207,18 @@ class TestFunction(namedtuple("TestFunction",
 
     def _factors(self, batch: "SampleBatch"):
         if self.word_part is not None:
-            yield self._letters(batch)
+            a, b = self.word_part.window
+            cmin = int(batch.cursor.min())
+            lo = batch.origin + a + cmin
+            hi = batch.origin + b + int(batch.cursor.max())
+            width = len(batch.windows[0])
+            if lo < 0 or hi > width:
+                raise ColourWindowExhausted(
+                    f"sampled window of width {width} cannot "
+                    f"serve letter indices [{lo}, {hi})")
+            table = _letter_table(self.word_part, batch.windows, lo, hi)
+            offsets = hi - lo - (b - a) + 1
+            yield table.take(batch.index * offsets + (batch.cursor - cmin))
         if self.omega_part is not None:
             lev = self.omega_part.level
             if lev > batch.precision:
@@ -219,24 +230,6 @@ class TestFunction(namedtuple("TestFunction",
         for bump, x in ((self.t_bump, batch.t), (self.s_bump, batch.s)):
             if bump.name != "one":
                 yield bump(x)
-
-    def _letters(self, batch: "SampleBatch") -> np.ndarray:
-        """word_part read through each row's cursor."""
-        a, b = self.word_part.window
-        cmin = int(batch.cursor.min())
-        lo = batch.origin + a + cmin
-        hi = batch.origin + b + int(batch.cursor.max())
-        width = len(batch.windows[0])
-        if lo < 0 or hi > width:
-            raise ColourWindowExhausted(
-                f"sampled window of width {width} cannot "
-                f"serve letter indices [{lo}, {hi})")
-        table = _letter_table(self.word_part, batch.windows, lo, hi)
-        # one index column: window * offsets + cursor - cmin, in place
-        at = batch.index * (hi - lo - (b - a) + 1)
-        at += batch.cursor
-        at -= cmin
-        return table.take(at)
 
     def sup_bound(self) -> float:
         out = 1.0
@@ -397,9 +390,8 @@ class SampleBatch:
         t -= c
         # a tiny negative t leaves 1 - |t|, which rounds to 1.0: one more wrap
         up = t == 1.0
-        if up.any():
-            c[up] += 1.0
-            t[up] = 0.0
+        c[up] += 1.0
+        t[up] = 0.0
         # |c| < 2**62 casts exactly, omega + c stays in int64 and the last
         # mask reduces it; else fmod(c, 2**precision) in exact steps, faster
         if not (-2.0 ** 62 < c.min() and c.max() < 2.0 ** 62):
@@ -495,7 +487,6 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-@lru_cache(maxsize=64)
 def _key(seed: int, stream: int) -> int:
     """The key of a stream: the seed's 64-bit limbs, lowest first, folded
     into the mixed stream number."""
@@ -743,9 +734,7 @@ def _invariance_diffs(cases, g_list):
             for (f, _), v, fk in zip(cases, views, f0):
                 # a view changes the windows alone, so its index serves
                 # the moved rows too
-                diff = f.on_batch(moved.with_index(v.index))
-                diff -= fk
-                yield diff
+                yield f.on_batch(moved.with_index(v.index)) - fk
 
     return diffs
 
@@ -842,22 +831,22 @@ def harmonicity_report(base, f: TestFunction, seed: int, *,
     return _harmonicity_out(iter(moments), f, h, base.n, seed)
 
 
-def hullcheck_reports(sample, cases, g_list, f: TestFunction,
-                      letter: TestFunction, seed: int, *,
-                      h: float = 2.0 ** -6) -> tuple:
+def hullcheck_reports(sample, cases, g_list, f: TestFunction, word: str,
+                      seed: int) -> tuple:
     """hullcheck's statistics from one pass over one sample.
 
     Each block of the sample's rows is drawn once and serves, in order:
-    the share of rows with omega = 1 mod 4, the mean of letter on the
-    unmoved rows, invariance_reports(sample, cases, g_list, seed) and
-    harmonicity_report(sample, f, seed, h=h).  Returns those four.  The
-    two means are sums of 0s and 1s, exact in every block, so they equal
-    a whole column's mean; every report is the one its function gives,
-    and so is the first error.
+    the share of rows with omega = 1 mod 4, the share whose window reads
+    word at the cursor, invariance_reports(sample, cases, g_list, seed)
+    and harmonicity_report(sample, f, seed).  Returns those four.  The
+    two shares are sums of 0s and 1s, exact in every block, so they
+    equal a whole column's mean; every report is the one its function
+    gives, and so is the first error.
     """
     seed = _seed(seed)
-    _validate_step(h)
+    h = 2.0 ** -6
     diffs, laplacian = _invariance_diffs(cases, g_list), _laplacian(f, h)
+    letter = TestFunction.word_indicator(word)
 
     def values(rows, block, move):
         yield (block.omega & 3 == 1).astype(float)
@@ -902,21 +891,15 @@ def tau_reports(base, pairs, seed: int, *,
         up, down = move(2.0 ** h, 0.0), move(2.0 ** -h, 0.0)
 
         def flow_diff(fn):
-            d = fn.on_batch(up)
-            d -= fn.on_batch(down)
-            d /= 2.0 * h
-            return d
+            return (fn.on_batch(up) - fn.on_batch(down)) / (2.0 * h)
 
-        # Y(f) g and Y(f) g + Y(g) f, multiplied and added in place
         for f, g in pairs:
             yf = flow_diff(f)
             yg = flow_diff(g)
             f0 = f.on_batch(block)
-            yf *= g.on_batch(block)
-            yield yf
-            yg *= f0
-            yg += yf
-            yield yg
+            yf_g0 = yf * g.on_batch(block)
+            yield yf_g0
+            yield yf_g0 + yg * f0
 
     moments = iter(_moments(base, products, scale_only=all(
         f.letters_only and g.letters_only for f, g in pairs)))

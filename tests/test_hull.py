@@ -1245,15 +1245,14 @@ class TestHullcheckPass:
                  t_bump=BumpProfile("bump3", 0.5, 0.45),
                  s_bump=BumpProfile("bump3", 0.5, 0.45))
         f = TFn.bump(0.5, 0.45, 0.5, 0.45)
-        letter = TFn.word_indicator("1")
         cases = [(f0, None), (f1, None), (f0, first_word_control)]
         omega_1, letter_mean, inv, harm = hullcheck_reports(
-            LazySample(TM, n, self.SEED), cases, self.GS, f, letter,
-            self.SEED)
+            LazySample(TM, n, self.SEED), cases, self.GS, f, "1", self.SEED)
         whole = sample_batch(TM, n, self.SEED)
         # sums of 0s and 1s are exact, so the blocks give numpy's mean
         assert omega_1 == float((whole.omega & 3 == 1).mean())
-        assert letter_mean == float(letter.on_batch(whole).mean())
+        assert letter_mean == float(
+            TFn.word_indicator("1").on_batch(whole).mean())
         assert inv == invariance_reports(whole, cases, self.GS, self.SEED)
         assert harm == harmonicity_report(whole, f, self.SEED)
 
@@ -1355,8 +1354,7 @@ class TestBlockMemory:
         if check == "harmonicity":
             return harmonicity_report(base, self.F, 1)
         if check == "hullcheck":
-            return hullcheck_reports(base, cases, gs, self.F,
-                                     TFn.word_indicator("1"), 1)
+            return hullcheck_reports(base, cases, gs, self.F, "1", 1)
         return tau_reports(base, [(self.F, self.G), (self.G, self.F),
                                   (self.F, TFn.constant()),
                                   (self.G, self.G)], 1)
