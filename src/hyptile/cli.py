@@ -381,13 +381,13 @@ def _run_hullcheck(cfg: JobConfig) -> str:
 
 
 def _run_cocycle(cfg: JobConfig) -> str:
-    from .hull import LazySample, TestFunction, _uniforms, tau_reports
+    from .hull import LazySample, TestFunction, _uniforms, tau_pairing
     u = iter(_uniforms(cfg.seed, 2, 24))
     fgs = [(TestFunction.bump(*_bump_params(u)),
             TestFunction.bump(*_bump_params(u))) for _ in range(3)]
     fgs.append((TestFunction.bump(0.5, 0.45, 0.5, 0.45),
                 TestFunction.constant()))
-    *pairs, with_one = tau_reports(
+    *pairs, with_one = tau_pairing(
         LazySample(cfg.spec, cfg.samples, cfg.seed), fgs, cfg.seed)
     ok = with_one["pass"] and all(r["pass"] for r in pairs)
     return _dump({"config": cfg.document(), "pass": ok,

@@ -38,6 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .dyadic import _v2, dyadic
+from .subshift import SubshiftSpec, language
 
 LN2 = math.log(2.0)
 
@@ -316,6 +317,33 @@ def generate_patch(radius: float, colouring: ColourWindow | None = None,
         colour = colouring.get(-k) if colouring is not None and ns else None
         tiles += [TileIndex(k, n, colour) for n in ns]
     return TileSet(tuple(tiles), radius)
+
+
+def relation_defects(spec: SubshiftSpec | None, window: ColourWindow,
+                     radius: float = 3.0,
+                     patch: TileSet | None = None) -> list[tuple[int, int]]:
+    """Cells where rescaling the coloured patch disagrees with the shift.
+
+    The doubling map sends cell (k, n) to (k+1, n); colouring by the
+    window pins the colour of scale k to the letter at -k.  The rescaled
+    patch must therefore match the patch coloured by the shifted window
+    letter for letter; the returned list holds the offending (k+1, n)
+    cells and is empty exactly when the identity holds.  With a spec,
+    the window's letters must form one of its admissible words.
+    """
+    if spec is not None:
+        word = window.word
+        if word not in language(spec, len(word)):
+            raise ValueError("window letters do not form an admissible word")
+    if patch is None:
+        patch = generate_patch(radius, colouring=window)
+    shifted = ColourWindow(window.word, window.start - 1, window.alphabet)
+    bad = []
+    for tile in patch.tiles:
+        q = tile.k + 1
+        if shifted.get(-q) != tile.colour:
+            bad.append((q, tile.n))
+    return bad
 
 
 # -- exact distance ------------------------------------------------------

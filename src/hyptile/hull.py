@@ -36,14 +36,11 @@ from itertools import accumulate
 import numpy as np
 
 from .dyadic import PrecisionExhausted
-from .geometry import ColourWindow, ColourWindowExhausted, TileSet, generate_patch
+from .geometry import ColourWindowExhausted
 from .ktheory import CylinderFunction
-from .subshift import SubshiftSpec, alphabet, language, measure_vector
+from .subshift import SubshiftSpec, language, measure_vector
 
 __all__ = [
-    "check_relation_RPw",
-    "relation_defects",
-    "random_colour_window",
     "BumpProfile",
     "TestFunction",
     "SampleBatch",
@@ -53,54 +50,11 @@ __all__ = [
     "invariance_check",
     "invariance_reports",
     "harmonicity_check",
-    "harmonicity_report",
     "hullcheck_reports",
     "tau_pairing",
-    "tau_reports",
 ]
 
 _MAX_WRAPS = 64
-
-
-# -- colour relation ----------------------------------------------------
-
-def relation_defects(spec: SubshiftSpec | None, window: ColourWindow,
-                     radius: float = 3.0,
-                     patch: TileSet | None = None) -> list[tuple[int, int]]:
-    """Cells where rescaling the coloured patch disagrees with the shift.
-
-    The doubling map sends cell (k, n) to (k+1, n); colouring by the
-    window pins the colour of scale k to the letter at -k.  The rescaled
-    patch must therefore match the patch coloured by the shifted window
-    letter for letter; the returned list holds the offending (k+1, n)
-    cells and is empty exactly when the identity holds.
-    """
-    if spec is not None:
-        word = window.word
-        if word not in language(spec, len(word)):
-            raise ValueError("window letters do not form an admissible word")
-    if patch is None:
-        patch = generate_patch(radius, colouring=window)
-    shifted = ColourWindow(window.word, window.start - 1, window.alphabet)
-    bad = []
-    for tile in patch.tiles:
-        q = tile.k + 1
-        if shifted.get(-q) != tile.colour:
-            bad.append((q, tile.n))
-    return bad
-
-
-def check_relation_RPw(spec: SubshiftSpec | None, window: ColourWindow,
-                       radius: float = 3.0,
-                       patch: TileSet | None = None) -> bool:
-    return not relation_defects(spec, window, radius, patch)
-
-
-def random_colour_window(spec: SubshiftSpec, rng, halfwidth: int) -> ColourWindow:
-    """Admissible window of letters w[-halfwidth..halfwidth], uniform choice."""
-    words = language(spec, 2 * halfwidth + 1)
-    return ColourWindow(words[int(rng.integers(0, len(words)))], -halfwidth,
-                        alphabet(spec))
 
 
 # -- test functions ------------------------------------------------------
@@ -526,14 +480,13 @@ def _window_table(spec: SubshiftSpec, halfwidth: int):
 
 
 class LazySample(namedtuple("LazySample", "spec n seed precision halfwidth")):
-    """sample_batch's n rows, each drawn when it is read.
+    """n points of the product measure, each drawn when it is read.
 
-    rows(sl) draws the rows in a slice, bit for bit the rows of
-    sample_batch(spec, n, seed, precision=..., halfwidth=...).rows(sl):
-    row r reads only words 4r to 4r + 3 of the seed's stream, so a block
-    needs no row before it.  A check that reads its sample through n and
-    rows() alone holds one block of it at a time, never the whole.
-    The arguments are checked as sample_batch checks them.
+    rows(sl) draws the rows in a slice, and sample_batch draws them all.
+    Row r reads only words 4r to 4r + 3 of the seed's stream, so a block
+    needs no row before it and has the same bits in every slice that
+    holds it.  A check that reads its sample through n and rows() alone
+    holds one block of it at a time, never the whole.
     """
 
     __slots__ = ()
@@ -554,7 +507,8 @@ class LazySample(namedtuple("LazySample", "spec n seed precision halfwidth")):
         return super().__new__(cls, spec, n, seed, precision, halfwidth)
 
     def rows(self, rows: slice) -> SampleBatch:
-        """The rows in a slice, drawn now."""
+        """The rows in a slice, drawn now: in one piece if it is no longer
+        than a check's block, else in _CHUNKS pieces."""
         rows = range(self.n)[rows]
         # the five columns share one buffer: one allocation, not five
         out = np.empty((5, len(rows)))
@@ -562,7 +516,11 @@ class LazySample(namedtuple("LazySample", "spec n seed precision halfwidth")):
         omega, cursor = out[2].view(np.int64), out[3].view(np.int64)
         index = out[4].view(np.intp)
         cursor[...] = 0
-        self._draw(rows, omega, t, s, index)
+        pieces = [slice(None)]
+        if len(rows) > _BLOCK:
+            pieces = _blocks(len(rows), -(-len(rows) // _CHUNKS))
+        for p in pieces:
+            self._draw(rows[p], omega[p], t[p], s[p], index[p])
         return SampleBatch(omega, t, s, cursor, index,
                            _window_table(self.spec, self.halfwidth)[0],
                            self.halfwidth, self.precision)
@@ -597,30 +555,15 @@ def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
     """n points: omega and (t, s) uniform, letter windows by their measure.
 
     The windows are the admissible words of length 2*halfwidth + 1 in
-    language order.  Row r reads words 4r to 4r + 3 of the seed's
-    stream 0 (LazySample._draw), so the draw is a function of (spec,
-    seed) and the row alone, and a smaller sample is a prefix of a
-    larger one.  Rows are drawn in a fixed number of chunks, which
-    bounds the temporaries; each chunk turns its letter uniforms into
-    window indices through a guide table, which gives the index a binary
-    search over the cumulative measure gives, to the bit.
+    language order.  This is the LazySample of the same arguments read
+    whole.  Row r reads words 4r to 4r + 3 of the seed's stream 0
+    (LazySample._draw), so the draw is a function of (spec, seed) and
+    the row alone, and a smaller sample is a prefix of a larger one.
+    Letter uniforms become window indices through a guide table, which
+    gives the index a binary search over the cumulative measure gives,
+    to the bit.
     """
-    sample = LazySample(spec, n, seed, precision=precision,
-                        halfwidth=halfwidth)
-    n = sample.n
-    om = np.empty(n, dtype=np.int64)
-    t, s = np.empty(n), np.empty(n)
-    index = np.empty(n, dtype=np.intp)
-    lo = 0
-    for i in range(_CHUNKS):
-        size = n // _CHUNKS + (1 if i < n % _CHUNKS else 0)
-        rows = slice(lo, lo + size)
-        sample._draw(range(lo, lo + size), om[rows], t[rows], s[rows],
-                     index[rows])
-        lo += size
-    return SampleBatch(om, t, s, np.zeros(n, dtype=np.int64), index,
-                       _window_table(spec, sample.halfwidth)[0],
-                       sample.halfwidth, sample.precision)
+    return LazySample(spec, n, seed, precision, halfwidth).rows(slice(None))
 
 
 def first_word_control(batch: SampleBatch) -> SampleBatch:
@@ -781,22 +724,8 @@ def _validate_step(h: float):
         raise ValueError("finite-difference step outside [2**-20, 1/8]")
 
 
-def harmonicity_check(spec: SubshiftSpec, f: TestFunction, n_samples: int,
-                      seed: int, *, h: float = 2.0 ** -6) -> dict:
-    """Estimate the mean leafwise Laplacian of f against the sample.
-
-    At each point the leaf is charted by (x, y) -> (y, x).p with the
-    base at (0, 1), where the metric Laplacian is the flat one; second
-    central differences along both axes give y**2 (f_xx + f_yy) up to
-    the reported O(h**2) bias bound.
-    """
-    _validate_step(h)
-    sample = LazySample(spec, n_samples, seed)
-    return harmonicity_report(sample, f, seed, h=h)
-
-
 def _laplacian(f: TestFunction, h: float):
-    """The per-row values of harmonicity_report, for _moments."""
+    """The per-row values of harmonicity_check, for _moments."""
     def laplacian(rows, block, move):
         centre = f.on_batch(block)
         # (f(x+h) + f(x-h) + f((1+h)y) + f((1-h)y) - 4 f) / h**2, in place
@@ -814,17 +743,23 @@ def _laplacian(f: TestFunction, h: float):
 
 def _harmonicity_out(moments, f: TestFunction, h: float, n: int,
                      seed: int) -> dict:
-    """harmonicity_report's report from the next moments."""
+    """harmonicity_check's report from the next moments."""
     stat, se = next(moments)
     bias = f.laplacian_bias(h)
     ok = abs(stat) <= 3.0 * se + bias + _EXACT_SLACK
     return _report(stat, se, n, ok, seed, fd_bias=bias, h=h)
 
 
-def harmonicity_report(base, f: TestFunction, seed: int, *,
-                       h: float = 2.0 ** -6) -> dict:
-    """harmonicity_check's report on a given sample (a LazySample or a
-    SampleBatch)."""
+def harmonicity_check(base, f: TestFunction, seed: int, *,
+                      h: float = 2.0 ** -6) -> dict:
+    """Estimate the mean leafwise Laplacian of f against a sample.
+
+    base is a LazySample or a SampleBatch.  At each point the leaf is
+    charted by (x, y) -> (y, x).p with the base at (0, 1), where the
+    metric Laplacian is the flat one; second central differences along
+    both axes give y**2 (f_xx + f_yy) up to the reported O(h**2) bias
+    bound.
+    """
     seed = _seed(seed)
     _validate_step(h)
     moments = _moments(base, _laplacian(f, h), scale_only=f.letters_only)
@@ -838,7 +773,7 @@ def hullcheck_reports(sample, cases, g_list, f: TestFunction, word: str,
     Each block of the sample's rows is drawn once and serves, in order:
     the share of rows with omega = 1 mod 4, the share whose window reads
     word at the cursor, invariance_reports(sample, cases, g_list, seed)
-    and harmonicity_report(sample, f, seed).  Returns those four.  The
+    and harmonicity_check(sample, f, seed).  Returns those four.  The
     two shares are sums of 0s and 1s, exact in every block, so they
     equal a whole column's mean; every report is the one its function
     gives, and so is the first error.
@@ -862,27 +797,18 @@ def hullcheck_reports(sample, cases, g_list, f: TestFunction, word: str,
             _harmonicity_out(moments, f, h, sample.n, seed))
 
 
-def tau_pairing(spec: SubshiftSpec, f: TestFunction, g: TestFunction,
-                n_samples: int, seed: int, *, h: float = 2.0 ** -6) -> dict:
-    """Flow-derivative pairing E[Y(f) g] with its antisymmetry defect.
-
-    Y differentiates along the scale flow (unit speed in s, realized by
-    acting with a = 2**(+-h)); the defect |E[Y(f) g] + E[Y(g) f]|
-    estimates E[Y(f g)], which invariance makes zero, so it must stay
-    within 3 sigma plus the finite-difference bias.
-    """
-    _validate_step(h)
-    sample = LazySample(spec, n_samples, seed)
-    return tau_reports(sample, [(f, g)], seed, h=h)[0]
-
-
-def tau_reports(base, pairs, seed: int, *,
+def tau_pairing(base, pairs, seed: int, *,
                 h: float = 2.0 ** -6) -> list[dict]:
-    """tau_pairing's report for each (f, g) pair on one sample (a
-    LazySample or a SampleBatch).
+    """Flow-derivative pairing E[Y(f) g] with its antisymmetry defect,
+    one report for each (f, g) pair on one sample.
 
-    The flow moves each block of base's rows up and down once, and every
-    pair is evaluated on those two moved blocks.
+    base is a LazySample or a SampleBatch.  Y differentiates along the
+    scale flow (unit speed in s, realized by acting with a = 2**(+-h));
+    the defect |E[Y(f) g] + E[Y(g) f]| estimates E[Y(f g)], which
+    invariance makes zero, so it must stay within 3 sigma plus the
+    finite-difference bias.  The flow moves each block of base's rows
+    up and down once, and every pair is evaluated on those two moved
+    blocks.
     """
     seed = _seed(seed)
     _validate_step(h)

@@ -118,6 +118,29 @@ MUTANTS = [
         "        rows = range(rows.start, rows.stop)\n",
         ["tests/test_hull.py::TestLazySample::"
          "test_blocks_equal_the_whole_draw"]),
+    Mutant(
+        "each piece of a long slice drawn from the slice's first row",
+        "src/hyptile/hull.py",
+        "self._draw(rows[p], omega[p], t[p], s[p], index[p])",
+        "self._draw(rows[:len(rows[p])], omega[p], t[p], s[p], index[p])",
+        ["tests/test_hull.py::TestStream::test_rows_read_their_four_words",
+         "tests/test_hull.py::TestLazySample::"
+         "test_blocks_equal_the_whole_draw"]),
+    Mutant(
+        "rescaled colours compared with the window shifted the wrong way",
+        "src/hyptile/geometry.py",
+        "ColourWindow(window.word, window.start - 1, window.alphabet)",
+        "ColourWindow(window.word, window.start + 1, window.alphabet)",
+        ["tests/test_hull.py::TestRescalingRelation",
+         "tests/test_acceptance.py::"
+         "test_criterion_08_rescale_identity_and_agreement"]),
+    Mutant(
+        "an explicit window's alphabet read from its right part alone",
+        "src/hyptile/subshift.py",
+        "return tuple(sorted(set(spec.left + spec.right)))",
+        "return tuple(sorted(set(spec.right)))",
+        ["tests/test_subshift.py::TestLanguage::"
+         "test_explicit_window_alphabet"]),
 ]
 
 

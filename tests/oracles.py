@@ -22,8 +22,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from hyptile.dyadic import LocallyConstFn
 from hyptile.geometry import (EDGE_LABELS, NEGATIVE_EDGES, POSITIVE_EDGE,
-                              tile_vertices)
-from hyptile.subshift import (Periodic, Substitution, _spec_perron,
+                              ColourWindow, tile_vertices)
+from hyptile.subshift import (Periodic, Substitution, _spec_perron, alphabet,
                               block_substitution, language)
 
 TM = Substitution.of({"1": "12", "2": "21"})
@@ -660,6 +660,15 @@ def anderson_putnam_rank(spec: Substitution) -> int:
 
 
 # -- tilings ----------------------------------------------------------------
+
+def random_colour_window(spec, rng, halfwidth: int) -> ColourWindow:
+    """Admissible window of letters w[-halfwidth..halfwidth], a uniform
+    choice by the numpy Generator rng.  Reads the package's language and
+    alphabet."""
+    words = language(spec, 2 * halfwidth + 1)
+    return ColourWindow(words[int(rng.integers(0, len(words)))], -halfwidth,
+                        alphabet(spec))
+
 
 def cosh_distance(p, q) -> Fraction:
     """cosh of the hyperbolic distance between two Points, exactly:

@@ -19,16 +19,16 @@ from hyptile.geometry import (
     agreement_radius,
     edge_adjacency,
     generate_patch,
+    relation_defects,
 )
 from hyptile.hull import (
     BumpProfile,
+    LazySample,
     TestFunction as TFn,
-    check_relation_RPw,
     first_word_control,
     harmonicity_check,
     invariance_check,
     invariance_reports,
-    random_colour_window,
     sample_batch,
     tau_pairing,
 )
@@ -47,8 +47,8 @@ from hyptile.subshift import Periodic, measure_vector
 
 from oracles import (FIB, TM, circulant_rows, cylinder_indicator,
                      gcd_lattice, is_odometer_coboundary,
-                     ref_interiors_disjoint, side_ends, snf_group,
-                     split_twos)
+                     random_colour_window, ref_interiors_disjoint,
+                     side_ends, snf_group, split_twos)
 
 PERIODIC_WORDS = {1: "1", 2: "12", 3: "112", 4: "1122", 5: "11222",
                   6: "112122"}
@@ -231,10 +231,10 @@ def test_criterion_08_rescale_identity_and_agreement():
     pyrng = random.Random(20260815)
     for _ in range(60):
         word = "".join(pyrng.choice("12") for _ in range(21))
-        assert check_relation_RPw(None, ColourWindow(word, -10), radius=3.0)
+        assert not relation_defects(None, ColourWindow(word, -10), radius=3.0)
     for _ in range(40):
         win = random_colour_window(TM, rng, 10)
-        assert check_relation_RPw(TM, win, radius=3.0)
+        assert not relation_defects(TM, win, radius=3.0)
 
     by_v2 = defaultdict(list)
     while sum(len(v) for v in by_v2.values()) < 200:
@@ -271,8 +271,8 @@ def test_criterion_09_invariance_and_harmonicity():
     for i in range(5):
         tc = 0.35 + 0.06 * i
         tw = 0.2 + 0.02 * i
-        rep = harmonicity_check(TM, TFn.bump(tc, tw, 1.0 - tc, tw),
-                                100000, seed + 10 + i)
+        rep = harmonicity_check(LazySample(TM, 100000, seed + 10 + i),
+                                TFn.bump(tc, tw, 1.0 - tc, tw), seed + 10 + i)
         assert rep["pass"], rep
 
     base = sample_batch(TM, 100000, seed)
@@ -288,8 +288,9 @@ def test_criterion_10_cocycle_antisymmetry():
     t0 = time.monotonic()
     seed = 40961
     rng = np.random.default_rng(seed)
-    rep = tau_pairing(TM, TFn.bump(0.5, 0.45, 0.5, 0.45), TFn.constant(),
-                      100000, seed)
+    rep, = tau_pairing(LazySample(TM, 100000, seed),
+                       [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn.constant())],
+                       seed)
     assert rep["pass"], rep
     for i in range(5):
         def draw():
@@ -300,7 +301,8 @@ def test_criterion_10_cocycle_antisymmetry():
         sc1, sw1 = draw()
         tc2, tw2 = draw()
         sc2, sw2 = draw()
-        rep = tau_pairing(TM, TFn.bump(tc1, tw1, sc1, sw1),
-                          TFn.bump(tc2, tw2, sc2, sw2), 100000, seed + i)
+        rep, = tau_pairing(LazySample(TM, 100000, seed + i),
+                           [(TFn.bump(tc1, tw1, sc1, sw1),
+                             TFn.bump(tc2, tw2, sc2, sw2))], seed + i)
         assert rep["pass"], rep
     budget(t0, 60, "criterion 10 cocycle antisymmetry")

@@ -18,9 +18,10 @@ from hyptile import cli
 from hyptile.cli import main
 from hyptile.geometry import ColourWindow, generate_patch
 from hyptile.hull import TestFunction as TFn
-from hyptile.hull import (BumpProfile, _uniforms, first_word_control,
-                          harmonicity_check, invariance_check,
-                          invariance_reports, sample_batch, tau_pairing)
+from hyptile.hull import (BumpProfile, LazySample, _uniforms,
+                          first_word_control, harmonicity_check,
+                          invariance_check, invariance_reports, sample_batch,
+                          tau_pairing)
 from hyptile.subshift import language, parse_spec, spec_to_json
 
 from oracles import check_report_json
@@ -449,7 +450,8 @@ class TestSharedDraw:
             "invariance_0": invariance_check(spec, f0, gs, n, seed),
             "invariance_1": invariance_check(spec, f1, gs, n, seed),
             "harmonicity": harmonicity_check(
-                spec, TFn.bump(0.5, 0.45, 0.5, 0.45), n, seed),
+                LazySample(spec, n, seed), TFn.bump(0.5, 0.45, 0.5, 0.45),
+                seed),
         }
         assert res["checks"] == self.json_round_trip(expect)
         base = sample_batch(spec, n, seed)
@@ -471,9 +473,10 @@ class TestSharedDraw:
         for _ in range(3):
             f = TFn.bump(*cli._bump_params(u))
             g = TFn.bump(*cli._bump_params(u))
-            pairs.append(tau_pairing(spec, f, g, n, seed))
-        with_one = tau_pairing(spec, TFn.bump(0.5, 0.45, 0.5, 0.45),
-                               TFn.constant(), n, seed)
+            pairs += tau_pairing(LazySample(spec, n, seed), [(f, g)], seed)
+        with_one, = tau_pairing(LazySample(spec, n, seed),
+                                [(TFn.bump(0.5, 0.45, 0.5, 0.45),
+                                  TFn.constant())], seed)
         assert res["pairs"] == self.json_round_trip(pairs)
         assert res["tau_with_one"] == self.json_round_trip(with_one)
 

@@ -18,6 +18,7 @@ from hyptile.geometry import (
     TileIndex,
     TileSet,
     generate_patch,
+    relation_defects,
 )
 from hyptile.hull import (
     _BLOCK,
@@ -33,24 +34,19 @@ from hyptile.hull import (
     LazySample,
     SampleBatch,
     TestFunction as TFn,
-    check_relation_RPw,
     first_word_control,
     harmonicity_check,
-    harmonicity_report,
     hullcheck_reports,
     invariance_check,
     invariance_reports,
-    random_colour_window,
-    relation_defects,
     sample_batch,
     tau_pairing,
-    tau_reports,
 )
 from hyptile.ktheory import CylinderFunction
 from hyptile.subshift import Periodic, Substitution, language
 
 from oracles import (FIB, S4, TM, TRIB, cylinder_indicator, merged_mean_se,
-                     splitmix64, splitmix_key)
+                     random_colour_window, splitmix64, splitmix_key)
 
 AB = Periodic("ab")
 # two of its 17-letter windows' cumulative bounds share a guide bucket
@@ -428,11 +424,11 @@ class TestRescalingRelation:
         for spec in (TM, AB):
             for _ in range(25):
                 win = random_colour_window(spec, rng, 5)
-                assert check_relation_RPw(spec, win, 3.0)
+                assert not relation_defects(spec, win, 3.0)
 
     def test_constant_word_is_shift_fixed(self):
         win = ColourWindow("1" * 7, -3)
-        assert check_relation_RPw(None, win, 1.0)
+        assert not relation_defects(None, win, 1.0)
         # sigma(w) = w, so the rescaled patch also reproduces itself
         patch = generate_patch(1.0, colouring=win)
         rescaled = {(t.k + 1, t.n): t.colour for t in patch.tiles}
@@ -447,16 +443,15 @@ class TestRescalingRelation:
         t4 = tiles[4]
         tiles[4] = TileIndex(t4.k, t4.n, (t4.colour % 2) + 1)
         broken = TileSet(tuple(tiles), patch.radius)
-        assert not check_relation_RPw(None, win, 3.0, patch=broken)
         assert len(relation_defects(None, win, 3.0, patch=broken)) == 1
 
     def test_window_exhaustion(self):
         with pytest.raises(ColourWindowExhausted):
-            check_relation_RPw(None, ColourWindow("111", -1), 3.0)
+            relation_defects(None, ColourWindow("111", -1), 3.0)
 
     def test_inadmissible_word_rejected(self):
         with pytest.raises(ValueError, match="admissible"):
-            check_relation_RPw(TM, ColourWindow("111", -1), 0.0)
+            relation_defects(TM, ColourWindow("111", -1), 0.0)
 
 
 class TestTestFunction:
@@ -603,8 +598,7 @@ class TestSampler:
         assert one[0] == one[1] != one[2]
 
     # sha256 of omega, t, s and index (as int64) of sample_batch(spec, 333,
-    # 11); 333 rows leave the 16 chunks of unequal sizes, so any change to
-    # which words of the stream a row reads changes the digest
+    # 11): any change to which words of the stream a row reads changes it
     PINNED = {
         "tm": (TM, "7bafed32cd3f2c9cd73add3bfd17a485"
                    "8cfd6314478677dc3a79b7465986222b"),
@@ -689,9 +683,9 @@ class TestSampler:
         with pytest.raises(ValueError, match="seed must be an integer"):
             invariance_check(TM, f, [(2.0, 0.0)], 50, seed=True)
         with pytest.raises(ValueError, match="seed must be an integer"):
-            harmonicity_check(TM, f, 50, True)
+            harmonicity_check(LazySample(TM, 50, True), f, True)
         with pytest.raises(ValueError, match="seed must be an integer"):
-            tau_pairing(TM, f, f, 50, np.True_)
+            tau_pairing(LazySample(TM, 50, np.True_), [(f, f)], np.True_)
 
     def test_bool_precision_refused(self):
         with pytest.raises(ValueError, match="precision must be an integer"):
@@ -771,8 +765,8 @@ class TestStream:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_rows_read_their_four_words(self, seed):
-        # 1 and 15 rows leave chunks empty, 17 and 20 001 make one chunk
-        # a row longer than the rest
+        # 20 001 rows, more than a block, are drawn in _CHUNKS pieces,
+        # the last shorter than the rest
         precision = 37
         words = splitmix64(splitmix_key(seed, 0), 4 * 20_001)
         for n in (1, 15, 17, 40, 20_001):
@@ -837,8 +831,9 @@ class TestLazySample:
                             lambda *a, **k: calls.append(a))
         f = TFn.bump(0.5, 0.45, 0.5, 0.45)
         invariance_check(TM, f, [(2.0, 0.5)], 2 * _BLOCK + 17, 3)
-        harmonicity_check(TM, f, 2 * _BLOCK + 17, 3)
-        tau_pairing(TM, f, f, 2 * _BLOCK + 17, 3)
+        sample = LazySample(TM, 2 * _BLOCK + 17, 3)
+        harmonicity_check(sample, f, 3)
+        tau_pairing(sample, [(f, f)], 3)
         assert calls == []
 
 
@@ -909,16 +904,16 @@ class TestSampleSizeGuards:
             with pytest.raises(ValueError, match="at least"):
                 invariance_check(TM, f, gs, n, 5)
             with pytest.raises(ValueError, match="at least"):
-                harmonicity_check(TM, f, n, 5)
+                harmonicity_check(LazySample(TM, n, 5), f, 5)
             with pytest.raises(ValueError, match="at least"):
-                tau_pairing(TM, f, f, n, 5)
+                tau_pairing(LazySample(TM, n, 5), [(f, f)], 5)
         one = sample_batch(TM, 1, 5)
         with pytest.raises(ValueError, match="at least 2"):
             invariance_reports(one, [(f, None)], gs, 5)
         with pytest.raises(ValueError, match="at least 2"):
-            harmonicity_report(one, f, 5)
+            harmonicity_check(one, f, 5)
         with pytest.raises(ValueError, match="at least 2"):
-            tau_reports(one, [(f, f)], 5)
+            tau_pairing(one, [(f, f)], 5)
         two = sample_batch(TM, 2, 5)
         assert invariance_reports(two, [(f, None)], gs, 5)[0]["n"] == 2
 
@@ -932,8 +927,8 @@ class TestReportSeed:
         base = sample_batch(TM, 100, 3)
         return {"invariance": lambda: invariance_reports(
                     base, [(self.F, None)], [(2.0, 0.0)], seed)[0],
-                "harmonicity": lambda: harmonicity_report(base, self.F, seed),
-                "tau": lambda: tau_reports(base, [(self.F, self.F)], seed)[0]}
+                "harmonicity": lambda: harmonicity_check(base, self.F, seed),
+                "tau": lambda: tau_pairing(base, [(self.F, self.F)], seed)[0]}
 
     @pytest.mark.parametrize("seed", [True, np.False_])
     def test_bool_refused(self, seed):
@@ -1062,10 +1057,12 @@ class TestScaleOnlyMoves:
     def test_flow_and_laplacian_equal_full_act(self):
         f = TFn.word_indicator("12")
         g = self.full_act(f)
-        assert harmonicity_check(TM, f, self.N, 33) == \
-            harmonicity_check(TM, g, self.N, 33)
-        assert tau_pairing(TM, f, f, self.N, 34) == \
-            tau_pairing(TM, g, g, self.N, 34)
+        sample = LazySample(TM, self.N, 33)
+        assert harmonicity_check(sample, f, 33) == \
+            harmonicity_check(sample, g, 33)
+        sample = LazySample(TM, self.N, 34)
+        assert tau_pairing(sample, [(f, f)], 34) == \
+            tau_pairing(sample, [(g, g)], 34)
 
     @pytest.mark.parametrize("a, b", [
         (0.0, 0.0), (-1.0, 0.5), (math.nan, 0.0), (math.inf, 0.0),
@@ -1086,12 +1083,12 @@ class TestScaleOnlyMoves:
 
 class TestHarmonicityCheck:
     def test_constant_exact_zero(self):
-        rep = harmonicity_check(TM, TFn.constant(), 500, 2)
+        rep = harmonicity_check(LazySample(TM, 500, 2), TFn.constant(), 2)
         assert rep["pass"] and rep["statistic"] == 0.0
 
     def test_smooth_bump_within_tolerance(self):
-        rep = harmonicity_check(TM, TFn.bump(0.5, 0.45, 0.5, 0.45),
-                                30_000, 5153)
+        rep = harmonicity_check(LazySample(TM, 30_000, 5153),
+                                TFn.bump(0.5, 0.45, 0.5, 0.45), 5153)
         assert rep["pass"]
         assert abs(rep["statistic"]) <= 3 * rep["std_error"] + rep["fd_bias"]
 
@@ -1099,21 +1096,22 @@ class TestHarmonicityCheck:
         f = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1}),
                          t_bump=BumpProfile("bump3", 0.5, 0.4),
                          s_bump=BumpProfile("bump3", 0.5, 0.4))
-        rep = harmonicity_check(TM, f, 30_000, 5154)
+        rep = harmonicity_check(LazySample(TM, 30_000, 5154), f, 5154)
         assert rep["pass"]
 
     def test_step_validation(self):
         with pytest.raises(ValueError):
-            harmonicity_check(TM, TFn.constant(), 10, 0, h=2.0 ** -30)
+            harmonicity_check(LazySample(TM, 10, 0), TFn.constant(), 0,
+                              h=2.0 ** -30)
         with pytest.raises(ValueError):
-            harmonicity_check(TM, TFn.constant(), 10, 0, h=0.5)
+            harmonicity_check(LazySample(TM, 10, 0), TFn.constant(), 0, h=0.5)
 
     def test_step_bounds_are_accepted(self):
         # [2**-20, 1/8] is closed: both ends pass, the next doubles out
         for h in (2.0 ** -20, 0.125):
             _validate_step(h)
-            assert harmonicity_check(TM, TFn.constant(), 10, 0,
-                                     h=h)["h"] == h
+            assert harmonicity_check(LazySample(TM, 10, 0), TFn.constant(),
+                                     0, h=h)["h"] == h
         for h in (math.nextafter(2.0 ** -20, 0.0),
                   math.nextafter(0.125, 1.0)):
             with pytest.raises(ValueError):
@@ -1122,21 +1120,22 @@ class TestHarmonicityCheck:
 
 class TestTauPairing:
     def test_constants_give_exact_zero(self):
-        rep = tau_pairing(TM, TFn.constant(),
-                          TFn.constant(), 500, 3)
+        rep, = tau_pairing(LazySample(TM, 500, 3),
+                           [(TFn.constant(), TFn.constant())], 3)
         assert rep["pass"] and rep["statistic"] == 0.0
         assert rep["antisymmetry_defect"] == 0.0
 
     def test_pairing_with_one_vanishes(self):
-        rep = tau_pairing(TM, TFn.bump(0.5, 0.45, 0.5, 0.45),
-                          TFn.constant(), 30_000, 5155)
+        rep, = tau_pairing(LazySample(TM, 30_000, 5155),
+                           [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn.constant())],
+                           5155)
         assert abs(rep["statistic"]) <= 3 * rep["std_error"] + rep["fd_bias"]
         assert rep["pass"]
 
     def test_antisymmetry_defect_small(self):
         f = TFn.bump(0.5, 0.45, 0.5, 0.45)
         g = TFn.bump(0.45, 0.3, 0.55, 0.35)
-        rep = tau_pairing(TM, f, g, 30_000, 5156)
+        rep, = tau_pairing(LazySample(TM, 30_000, 5156), [(f, g)], 5156)
         assert rep["pass"]
         assert rep["antisymmetry_defect"] <= (3 * rep["defect_std_error"]
                                               + rep["fd_bias"] + 1e-12)
@@ -1144,8 +1143,8 @@ class TestTauPairing:
     def test_report_is_reproducible(self):
         f = TFn.bump(0.5, 0.4, 0.5, 0.4)
         g = TFn.word_indicator("12")
-        a = tau_pairing(TM, f, g, 5_000, 99)
-        b = tau_pairing(TM, f, g, 5_000, 99)
+        a = tau_pairing(LazySample(TM, 5_000, 99), [(f, g)], 99)
+        b = tau_pairing(LazySample(TM, 5_000, 99), [(f, g)], 99)
         assert a == b
 
 
@@ -1198,8 +1197,8 @@ class TestSharedCores:
                 omega_part=cylinder_indicator(2, 1),
                 t_bump=BumpProfile("bump3", 0.5, 0.45),
                 s_bump=BumpProfile("bump3", 0.5, 0.45))
-        rep = harmonicity_report(LazySample(TM, n, self.SEED), f,
-                                 self.SEED, h=h)
+        rep = harmonicity_check(LazySample(TM, n, self.SEED), f,
+                                self.SEED, h=h)
 
         def probe(a, b):
             return f.on_batch(sample_batch(TM, n, self.SEED).act(a, b))
@@ -1214,7 +1213,7 @@ class TestSharedCores:
         h = 2.0 ** -6
         pairs = [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn.constant()),
                  (TFn.bump(0.45, 0.3, 0.55, 0.35), TFn.word_indicator("12"))]
-        reports = tau_reports(LazySample(TM, n, self.SEED), pairs,
+        reports = tau_pairing(LazySample(TM, n, self.SEED), pairs,
                               self.SEED, h=h)
 
         def flow(fn):
@@ -1254,7 +1253,7 @@ class TestHullcheckPass:
         assert letter_mean == float(
             TFn.word_indicator("1").on_batch(whole).mean())
         assert inv == invariance_reports(whole, cases, self.GS, self.SEED)
-        assert harm == harmonicity_report(whole, f, self.SEED)
+        assert harm == harmonicity_check(whole, f, self.SEED)
 
 
 class TestMergedMoments:
@@ -1352,10 +1351,10 @@ class TestBlockMemory:
         if check == "invariance":
             return invariance_reports(base, cases, gs, 1)
         if check == "harmonicity":
-            return harmonicity_report(base, self.F, 1)
+            return harmonicity_check(base, self.F, 1)
         if check == "hullcheck":
             return hullcheck_reports(base, cases, gs, self.F, "1", 1)
-        return tau_reports(base, [(self.F, self.G), (self.G, self.F),
+        return tau_pairing(base, [(self.F, self.G), (self.G, self.F),
                                   (self.F, TFn.constant()),
                                   (self.G, self.G)], 1)
 
@@ -1467,8 +1466,8 @@ class TestBlockErrors:
         lost = prec - whole.precision
         run = {"invariance": lambda f: invariance_reports(
                    base, [(f, None)], [(a, b)], 1),
-               "harmonicity": lambda f: harmonicity_report(base, f, 1),
-               "tau": lambda f: tau_reports(base, [(f, f)], 1)}[check]
+               "harmonicity": lambda f: harmonicity_check(base, f, 1),
+               "tau": lambda f: tau_pairing(base, [(f, f)], 1)}[check]
         def parity_at(level):
             return TFn(omega_part=LocallyConstFn(
                 level, (0, 1) * (1 << level - 1)))

@@ -204,12 +204,11 @@ UNREACHED_UNTIL_ITEM_11 = {"check_minimal_aperiodic", "constant_length"}
 # Exported in their module's __all__, but only the tests and acceptance
 # criteria call them: the shift operator, the one-letter refinements,
 # function equality and the constant 1 that the coinvariant tests build
-# classes from, the seeded window the hull tests sample, and the tile
-# outline the render tests check.  They stay as library API; an entry
-# point that starts to call one takes it off this list.
+# classes from, and the tile outline the render tests check.  They stay
+# as library API; an entry point that starts to call one takes it off
+# this list.
 CALLED_ONLY_BY_TESTS = {"constant_one", "apply_shift", "refine_left",
-                        "refine_right", "cf_equal", "random_colour_window",
-                        "tile_path"}
+                        "refine_right", "cf_equal", "tile_path"}
 
 
 def _readme_names() -> set:

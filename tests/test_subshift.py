@@ -151,6 +151,12 @@ class TestLanguage:
         assert language(win, 2) == ["12", "21"]
         assert language(win, 4) == ["1212", "2121"]
 
+    def test_explicit_window_alphabet(self):
+        # letters from both parts, sorted: "3" occurs only left of index 0
+        assert alphabet(ExplicitWindow("3", "12", 4)) == ("1", "2", "3")
+        assert alphabet(ExplicitWindow("21", "", 2)) == ("1", "2")
+        assert alphabet(ExplicitWindow("", "ba", 2)) == ("a", "b")
+
     def test_explicit_window_horizon_exhausted(self):
         win = ExplicitWindow("12", "121", 4)
         with pytest.raises(HorizonExhausted):
