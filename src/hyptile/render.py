@@ -65,28 +65,22 @@ def tile_path(t: TileIndex) -> str:
                       _fmt(math.ldexp(m + 1, e)), _fmt(math.ldexp(m + 2, e)))
 
 
-def _fill(colour, palette) -> str:
+def _fill(colour) -> str:
     if colour is None:
         return _UNCOLOURED
-    return palette[(colour - 1) % len(palette)]
+    return PALETTE[(colour - 1) % len(PALETTE)]
 
 
-def svg_render(ts: TileSet, colours=None, window=None,
-               config: str | None = None) -> str:
+def svg_render(ts: TileSet, config: str | None = None) -> str:
     """Standalone SVG 1.1 document for the patch.
 
-    colours is a palette indexed by tile colour (1-based, wrapping);
-    window = (x0, x1, y0, y1) is the visible half-plane rectangle, by
-    default the hyperbolic ball's bounding box plus a small margin.
-    Tiles are emitted in (k, n) order and clipped to the window.
+    Tile colours index PALETTE (1-based, wrapping).  The view is the
+    hyperbolic ball's bounding box plus a small margin; tiles are
+    emitted in (k, n) order and clipped to it.
     """
-    palette = tuple(colours) if colours else PALETTE
-    if window is None:
-        s = math.sinh(ts.radius) + 0.6
-        window = (-s, s, 0.0, math.cosh(ts.radius) + math.sinh(ts.radius) + 0.6)
-    x0, x1, y0, y1 = (float(v) for v in window)
-    if not (x0 < x1 and y0 < y1):
-        raise ValueError("window must be a nonempty rectangle")
+    s = math.sinh(ts.radius) + 0.6
+    x0, x1, y0 = -s, s, 0.0
+    y1 = math.cosh(ts.radius) + math.sinh(ts.radius) + 0.6
     wide, high = x1 - x0, y1 - y0
     view = f"{_fmt(x0)} {_fmt(-y1)} {_fmt(wide)} {_fmt(high)}"
     stroke = _fmt(high / 320.0)
@@ -111,7 +105,7 @@ def svg_render(ts: TileSet, colours=None, window=None,
         right, n_next = _fmt(math.ldexp(m + 2, e)), t.n + 1
         path = _fill_path(template, left, _fmt(math.ldexp(m + 1, e)), right)
         lines.append(f'<path data-k="{k}" data-n="{t.n}" '
-                     f'fill="{_fill(t.colour, palette)}" d="{path}"/>')
+                     f'fill="{_fill(t.colour)}" d="{path}"/>')
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

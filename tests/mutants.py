@@ -98,13 +98,6 @@ MUTANTS = [
         "(n, ta + tb, m2a + m2)",
         ["tests/test_hull.py::TestMergedMoments::test_agrees_with_numpy"]),
     Mutant(
-        "finite-difference step 2**-20 refused",
-        "src/hyptile/hull.py",
-        "if not (2.0 ** -20 <= h <= 0.125):",
-        "if not (2.0 ** -20 < h <= 0.125):",
-        ["tests/test_hull.py::TestHarmonicityCheck::"
-         "test_step_bounds_are_accepted"]),
-    Mutant(
         "each block of a lazy sample drawn from row 0",
         "src/hyptile/hull.py",
         "(key + (4 * rows.start + c + 1) * _GAMMA)",
@@ -141,6 +134,19 @@ MUTANTS = [
         "return tuple(sorted(set(spec.right)))",
         ["tests/test_subshift.py::TestLanguage::"
          "test_explicit_window_alphabet"]),
+    Mutant(
+        "tile colour c painted with palette entry c + 1",
+        "src/hyptile/render.py",
+        "PALETTE[(colour - 1) % len(PALETTE)]",
+        "PALETTE[colour % len(PALETTE)]",
+        ["tests/test_render.py::TestSvgRender::"
+         "test_alternating_word_gives_bands_by_scale"]),
+    Mutant(
+        "flow derivative divided by h, not by the probes' distance 2h",
+        "src/hyptile/hull.py",
+        "/ (2.0 * _H)",
+        "/ _H",
+        ["tests/test_hull.py::TestTauPairing"]),
 ]
 
 

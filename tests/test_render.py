@@ -153,14 +153,9 @@ class TestSvgRender:
                 assert fills[k] != fills[k + 1]
         assert fills[0] == {PALETTE[0]} and fills[1] == {PALETTE[1]}
 
-    def test_custom_palette_and_uncoloured_fill(self):
-        ts = generate_patch(0.0)
-        doc = svg_render(ts, colours=("#000001", "#000002"))
+    def test_uncoloured_fill(self):
+        doc = svg_render(generate_patch(0.0))
         assert 'fill="#d8d2c7"' in doc  # no colouring given
-        win = ColourWindow("2222222", -3)
-        doc = svg_render(generate_patch(0.0, colouring=win),
-                         colours=("#000001", "#000002"))
-        assert 'fill="#000002"' in doc
 
     @pytest.mark.parametrize("coloured", [False, True])
     def test_every_path_is_the_tile_path(self, coloured):
@@ -178,11 +173,6 @@ class TestSvgRender:
             assert len(paths) == len(ts.tiles)
             for t, (k, n, d) in zip(ts.tiles, paths):
                 assert (int(k), int(n), d) == (t.k, t.n, tile_path(t))
-
-    def test_window_validation(self):
-        ts = generate_patch(0.0)
-        with pytest.raises(ValueError):
-            svg_render(ts, window=(1.0, 1.0, 0.0, 2.0))
 
     def test_no_scientific_notation_in_coordinates(self):
         doc = svg_render(generate_patch(2.5))
