@@ -11,12 +11,15 @@ A locally constant integer (or dyadic) valued function on the 2-adic
 integers is a `LocallyConstFn`, its table of values on the cylinders
 F(level, k) = 2**level * Omega + k, one per residue k mod 2**level.
 The class map of the odometer's coinvariants sends such a function to its
-Haar integral in Z[1/2]; `omega_coinvariant_class` computes the value and,
-on request, an exact transfer witness.
+Haar integral in Z[1/2]; `omega_coinvariant_class` computes the value
+and an exact transfer witness.  `_Frozen` is the one immutable base of
+the value classes that must not be tuples: `LocallyConstFn`,
+`ktheory.CylinderFunction` and `geometry.Point`.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -53,13 +56,46 @@ def dyadic(q) -> Fraction:
     return q
 
 
-class LocallyConstFn:
+class _Frozen:
+    """Immutable record over its subclass's __slots__ (two or more), but
+    not a tuple, so `*`, `len` and ordering stay undefined.  Equal to a
+    value of the same type with equal slots, hashed as the tuple of its
+    slots, and shown as Name(slot=value, ...)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._slot_values = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._slot_values(self) == self._slot_values(other)
+
+    def __hash__(self):
+        return hash(self._slot_values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class LocallyConstFn(_Frozen):
     """Function on the 2-adic integers constant on level-`level` cylinders.
 
     values[k] is the value on F(level, k).  Values are ints or Fractions,
     bools and floats refused, and are stored as a tuple; all ring
-    operations are exact.  Immutable and not a tuple, so `*` stays
-    undefined; equal and hashed as the tuple (level, values).
+    operations are exact.
     """
 
     __slots__ = ("level", "values")
@@ -71,24 +107,7 @@ class LocallyConstFn:
         for v in values:
             if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
                 raise ValueError(f"{v!r} is not an int or a Fraction")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not LocallyConstFn:
-            return NotImplemented
-        return (self.level, self.values) == (other.level, other.values)
-
-    def __hash__(self):
-        return hash((self.level, self.values))
-
-    def __repr__(self):
-        return f"LocallyConstFn(level={self.level!r}, values={self.values!r})"
+        super().__init__(level, values)
 
     @staticmethod
     def constant(c, level: int = 0) -> "LocallyConstFn":
@@ -148,24 +167,22 @@ def integrate(f: LocallyConstFn) -> Fraction:
     return sum(map(Fraction, f.values), Fraction(0)) / (1 << f.level)
 
 
-def omega_coinvariant_class(f: LocallyConstFn, want_witness: bool = False):
+def omega_coinvariant_class(f: LocallyConstFn):
     """Class of an integer-valued f in the odometer coinvariants.
 
     The class group is identified with Z[1/2] by f -> integral of f.
-    With want_witness=True also returns an integer-valued g with
+    Returns (value, g): the integral p / 2**n in lowest terms, and an
+    integer-valued witness g with
 
-        f - p * indicator(F(n, 0)) = g - g o (x -> x - 1)
+        f - p * indicator(F(n, 0)) = g - g o (x -> x - 1).
 
-    where integrate(f) = p / 2**n in lowest terms.  The witness lives at
-    level(f): the integral of an integer-valued f has a denominator
-    dividing 2**level(f), so n <= level(f).
+    The witness lives at level(f): the integral of an integer-valued f
+    has a denominator dividing 2**level(f), so n <= level(f).
     """
     for v in f.values:
         if not isinstance(v, int) and not (isinstance(v, Fraction) and v.denominator == 1):
             raise ValueError("coinvariant classes are computed for integer-valued f")
     value = integrate(f)
-    if not want_witness:
-        return value, None
     p = value.numerator
     n = value.denominator.bit_length() - 1
     lev = f.level

@@ -37,7 +37,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .dyadic import _v2, dyadic
+from .dyadic import _Frozen, _v2, dyadic
 from .subshift import SubshiftSpec, language
 
 LN2 = math.log(2.0)
@@ -56,41 +56,23 @@ def _pow2(k: int) -> Fraction:
     return Fraction(2) ** k
 
 
-class Point:
+class Point(_Frozen):
     """Point of the upper half-plane with dyadic coordinates, stored as
-    `dyadic` of the given values (ints become Fractions).  Immutable.
-
-    The hash is computed once, when the Point is made: a table of edges
-    keyed by their tile_vertices endpoints hashes both ends of each edge.
+    `dyadic` of the given values (ints become Fractions).  Immutable and
+    not a tuple; hashed by the coordinates' integer ratios, which is
+    cheaper than Fraction.__hash__ and its modular inverse.
     """
 
-    __slots__ = ("x", "y", "_hash")
+    __slots__ = ("x", "y")
 
     def __init__(self, x, y):
         x, y = dyadic(x), dyadic(y)
         if y.numerator <= 0:  # denominators are positive
             raise ValueError("points must lie strictly above the real axis")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        # cheaper than Fraction.__hash__, which takes a modular inverse
-        object.__setattr__(self, "_hash", hash((x.as_integer_ratio(),
-                                                y.as_integer_ratio())))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not Point:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
+        super().__init__(x, y)
 
     def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Point(x={self.x!r}, y={self.y!r})"
+        return hash((self.x.as_integer_ratio(), self.y.as_integer_ratio()))
 
 
 pt = Point  # short spelling of Point(x, y)
@@ -210,10 +192,12 @@ def _box_meets_disk(x0, x1, y0, y1, c, s) -> bool:
 def scale_range(radius: float) -> range:
     """Scales k whose band can meet the ball: 2**k in [e**-r / 2, 2 e**r].
 
-    Raises ValueError for a negative or NaN radius.
+    Raises ValueError for a negative, NaN or infinite radius.
     """
     if not radius >= 0:
         raise ValueError("radius must be >= 0")
+    if radius == math.inf:
+        raise ValueError("radius must be finite")
     k_min = math.ceil(-radius / LN2 - 1.0 - 1e-12)
     k_max = math.floor(radius / LN2 + 1.0 + 1e-12)
     return range(k_min, k_max + 1)

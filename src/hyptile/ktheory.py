@@ -33,7 +33,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .dyadic import dyadic, odd_part
+from .dyadic import _Frozen, dyadic, odd_part
 from .intmat import hnf_row_lattice
 from .subshift import (
     HorizonExhausted,
@@ -76,41 +76,17 @@ def _coerce_coeff(ring: str, value):
     return int(value)
 
 
-class CylinderFunction:
+class CylinderFunction(_Frozen):
     """Finitely supported combination of cylinder indicators.
 
     The function sits on the window [start, start + L) where L is the
     shared length of the coefficient words; the empty coefficient map is
     the zero function.  Coefficients live in Z or Z[1/2] according to
     the ring flag.  coeffs is sorted ((word, coefficient), ...).
-    Immutable and not a tuple, so `*` stays undefined; equal and hashed
-    as the tuple (ring, start, coeffs).
+    Immutable and not a tuple, so `*` stays undefined.
     """
 
     __slots__ = ("ring", "start", "coeffs")
-
-    def __init__(self, ring: str, start: int, coeffs: tuple):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not CylinderFunction:
-            return NotImplemented
-        return ((self.ring, self.start, self.coeffs)
-                == (other.ring, other.start, other.coeffs))
-
-    def __hash__(self):
-        return hash((self.ring, self.start, self.coeffs))
-
-    def __repr__(self):
-        return (f"CylinderFunction(ring={self.ring!r}, start={self.start!r}, "
-                f"coeffs={self.coeffs!r})")
 
     @classmethod
     def of(cls, ring: str, start: int, mapping) -> "CylinderFunction":

@@ -147,6 +147,13 @@ MUTANTS = [
         "/ (2.0 * _H)",
         "/ _H",
         ["tests/test_hull.py::TestTauPairing"]),
+    Mutant(
+        "inside test reads arc A2A3 over x in (1/3, 1/2]",
+        "src/hyptile/geometry.py",
+        "s[0 if 2 * x <= 1 else 1]",
+        "s[0 if 3 * x <= 1 else 1]",
+        ["tests/test_geometry.py::TestPointToPentagon::"
+         "test_below_the_left_bottom_arc"]),
 ]
 
 

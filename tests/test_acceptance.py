@@ -68,7 +68,7 @@ def test_criterion_01_odometer_classes_and_witnesses():
         base = cylinder_indicator(n, 0)
         for k in range(1 << n):
             f = cylinder_indicator(n, k)
-            value, witness = omega_coinvariant_class(f, want_witness=True)
+            value, witness = omega_coinvariant_class(f)
             assert value == Fraction(1, 2 ** n)
             # witness certifies the class equals that of the k = 0 cylinder
             diff = f.refine(witness.level) - base.refine(witness.level)
@@ -77,7 +77,7 @@ def test_criterion_01_odometer_classes_and_witnesses():
         # one level-n cylinder splits into two level-(n+1) cylinders
         split = (cylinder_indicator(n, 0, n + 1)
                  - cylinder_indicator(n + 1, 0).scale(2))
-        value, witness = omega_coinvariant_class(split, want_witness=True)
+        value, witness = omega_coinvariant_class(split)
         assert value == 0 and integrate(split) == 0
         assert is_odometer_coboundary(split.refine(witness.level), witness)
     budget(t0, 5, "criterion 01 odometer classes")

@@ -1002,6 +1002,42 @@ def test_non_sampler_commands_run_without_numpy(tmp_path):
                                         "[]", "False"]
 
 
+RUN_JOBS = """
+import json, sys
+from hyptile.cli import main
+print(json.dumps([main(args) for args in json.loads(sys.argv[1])]))
+"""
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(tmp_path):
+    # identical configs give byte-identical artifacts in any process,
+    # though sets of words iterate in an order that PYTHONHASHSEED picks
+    # (seeds 0 and 1 agree on two letters, not on four)
+    specs = {"tm": write_spec(tmp_path, THUE_MORSE, "tm.json"),
+             "fib": write_spec(tmp_path, FIBONACCI, "fib.json"),
+             "s4": write_spec(tmp_path, FOUR_LETTER, "s4.json")}
+    jobs = [("render", "s4", ["--radius", "2"]),
+            ("patch", "s4", ["--radius", "2"]),
+            ("kgroups", "s4", ["--nmax", "3"]),
+            ("cech", "tm", ["--nmax", "4"]),
+            ("gaplabels", "fib", ["--nmax", "3"]),
+            ("measures", "s4", ["--nmax", "3"]),
+            ("hullcheck", "tm", ["--samples", "3000", "--seed", "1"]),
+            ("cocycle", "fib", ["--samples", "3000", "--seed", "2"])]
+    artifacts = []
+    for hash_seed in ("0", "1"):
+        outs = [tmp_path / f"{command}-{hash_seed}.out"
+                for command, _, _ in jobs]
+        argv = [[command, "--spec", specs[spec], *extra, "--out", str(out)]
+                for (command, spec, extra), out in zip(jobs, outs)]
+        proc = run_python(["-c", RUN_JOBS, json.dumps(argv)],
+                          PYTHONHASHSEED=hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0] * len(jobs), proc.stderr
+        artifacts.append([out.read_bytes() for out in outs])
+    assert artifacts[0] == artifacts[1]
+
+
 def test_commands_run_without_sympy(tmp_path):
     # Perron data for non-constant-length substitutions is computed
     # without sympy, which is only a test dependency.

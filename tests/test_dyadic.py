@@ -99,7 +99,7 @@ def test_coinvariant_class_of_cylinders():
     for n in range(0, 7):
         for k in range(1 << n):
             f = cylinder_indicator(n, k)
-            value, witness = omega_coinvariant_class(f, want_witness=True)
+            value, witness = omega_coinvariant_class(f)
             assert value == Fraction(1, 1 << n)
             # witness certifies f - indicator(F(n,0)) is a transfer coboundary
             target = f - cylinder_indicator(n, 0, f.level)
@@ -112,7 +112,7 @@ def test_coinvariant_doubling_chain():
         f = cylinder_indicator(n, 0)
         g = cylinder_indicator(n + 1, 0).scale(2)
         diff = f.refine(n + 1) - g
-        value, witness = omega_coinvariant_class(diff, want_witness=True)
+        value, witness = omega_coinvariant_class(diff)
         assert value == 0
         assert is_odometer_coboundary(diff, witness)
 
@@ -123,7 +123,7 @@ def test_coinvariant_class_kills_coboundaries():
         lev = rng.randrange(0, 6)
         g = LocallyConstFn(lev, tuple(rng.randrange(-9, 10) for _ in range(1 << lev)))
         f = g - g.compose_odometer_inverse()
-        value, witness = omega_coinvariant_class(f, want_witness=True)
+        value, witness = omega_coinvariant_class(f)
         assert value == 0
         assert is_odometer_coboundary(f, witness)
 

@@ -216,6 +216,11 @@ class TestPatch:
         with pytest.raises(ValueError, match="radius must be >= 0"):
             make(radius)
 
+    def test_infinite_radius_refused(self):
+        # math.ceil would raise OverflowError
+        with pytest.raises(ValueError, match="radius must be finite"):
+            scale_range(math.inf)
+
     def test_exact_subset_of_conservative(self):
         for r in (0.0, 0.3, 1.0, 2.2):
             loose = generate_patch(r).index_set()
@@ -567,6 +572,29 @@ class TestAgreementRadius:
             assert agreement_radius(n, m) == agreement_radius(m, n)
 
 
+def _dense_boundary_cosh(px, py, cf, wf):
+    """cosh of the distance from (px, py) to the boundary of the tile
+    with corners from (cf, wf) to (cf + wf, 2 wf), by a dense walk over
+    its five edges in float arithmetic."""
+    best = math.inf
+    for i in range(2001):
+        s = i / 2000.0
+        probes = []
+        for xa, xb, yy in ((cf, cf + wf / 2, wf), (cf + wf / 2, cf + wf, wf),
+                           (cf, cf + wf, 2 * wf)):
+            m = (xa + xb) / 2
+            r = math.hypot((xb - xa) / 2, yy)
+            th0 = math.atan2(yy, xa - m)
+            th1 = math.atan2(yy, xb - m)
+            th = th0 + (th1 - th0) * s
+            probes.append((m + r * math.cos(th), r * math.sin(th)))
+        for xx in (cf, cf + wf):
+            probes.append((xx, wf + wf * s))
+        for x, y in probes:
+            best = min(best, 1 + ((x - px) ** 2 + (y - py) ** 2) / (2 * y * py))
+    return best
+
+
 class TestPointToPentagon:
     def test_matches_dense_boundary_sampling(self):
         rng = random.Random(43)
@@ -576,23 +604,18 @@ class TestPointToPentagon:
             k = rng.randrange(1, 4)
             n = rng.randrange(-4, 4)
             got = math.sqrt(1 + tile_distance_sinh2(TileIndex(k, n)))
-            best = math.inf
             wf = 2.0 ** k
-            cf = n * wf
-            # dense walk over all five edges in float arithmetic
-            for i in range(2001):
-                s = i / 2000.0
-                probes = []
-                for xa, xb, yy in ((cf, cf + wf / 2, wf), (cf + wf / 2, cf + wf, wf),
-                                   (cf, cf + wf, 2 * wf)):
-                    m = (xa + xb) / 2
-                    r = math.hypot((xb - xa) / 2, yy)
-                    th0 = math.atan2(yy, xa - m)
-                    th1 = math.atan2(yy, xb - m)
-                    th = th0 + (th1 - th0) * s
-                    probes.append((m + r * math.cos(th), r * math.sin(th)))
-                for xx in (cf, cf + wf):
-                    probes.append((xx, wf + wf * s))
-                for x, y in probes:
-                    best = min(best, 1 + (x * x + (y - 1) ** 2) / (2 * y))
+            best = _dense_boundary_cosh(0, 1, n * wf, wf)
             assert got == pytest.approx(best, abs=1e-5)
+
+    @pytest.mark.parametrize("x, y", [
+        (Fraction(7, 16), Fraction(1)), (Fraction(3, 8), Fraction(1)),
+        (Fraction(13, 32), Fraction(63, 64)), (Fraction(15, 32), Fraction(1))])
+    def test_below_the_left_bottom_arc(self, x, y):
+        # 1/3 < x <= 1/2, just below arc A1A2 and so outside P, but
+        # outside the A2A3 circle: read against arc A2A3, the inside test
+        # would put these points in P, at distance 0
+        got = math.sqrt(1 + min(_sinh2_terms(x, y)))
+        assert got > 1
+        assert got == pytest.approx(
+            _dense_boundary_cosh(float(x), float(y), 0.0, 1.0), abs=1e-6)

@@ -1,8 +1,10 @@
 """The package's immutable value types: hash, repr, immutability, checks.
 
-Each type is a namedtuple record or a __slots__ class.  Its hash is the
-hash of the tuple of its compared fields (Point's of their integer
-ratios), so sets and caches order and find values as they always have;
+Each type is a namedtuple record, or a subclass of the package's one
+frozen base where a tuple's `*`, `len` and ordering would mean nothing
+(CylinderFunction, LocallyConstFn and Point).  Its hash is the hash of
+the tuple of its compared fields (Point's of their integer ratios), so
+sets and caches order and find values as they always have;
 its repr is Name(field=value, ...); no attribute can be assigned or
 deleted; and each refused construction keeps its error type and text.
 """
@@ -217,3 +219,20 @@ def test_functions_are_not_sequences(make):
     with pytest.raises(TypeError):
         2 * f
     assert (f - f) + f == f
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CylinderFunction.of("Z", 0, {"1": 1}),
+    lambda: LocallyConstFn(1, (1, 2)),
+    lambda: Point(0, 1),
+], ids=["CylinderFunction", "LocallyConstFn", "Point"])
+def test_frozen_values_are_not_tuples(make):
+    # why they share a frozen base instead of being namedtuples
+    value = make()
+    assert not isinstance(value, tuple)
+    with pytest.raises(TypeError):
+        value * 2
+    with pytest.raises(TypeError):
+        len(value)
+    with pytest.raises(TypeError):
+        value < value
