@@ -101,6 +101,9 @@ class LocallyConstFn(_Frozen):
     __slots__ = ("level", "values")
 
     def __init__(self, level: int, values):
+        if not isinstance(level, int) or isinstance(level, bool) \
+                or level < 0:
+            raise ValueError(f"level must be an int >= 0, got {level!r}")
         values = tuple(values)
         if len(values) != 1 << level:
             raise ValueError("value table length must be 2**level")

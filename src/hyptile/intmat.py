@@ -1,35 +1,32 @@
-"""Exact matrix routines: Smith form, integer solves, kernels, and row
-reduction over a field.
+"""Exact matrix routines: Smith form, kernels, lattice membership, and
+row reduction over a field.
 
 Integer matrices are lists of lists of Python ints, so nothing here
-ever overflows or rounds.  The Smith reduction tracks the unimodular row
-transform U, the column transform V and its inverse V^-1 (each column
-operation on V is the inverse row operation on V^-1), so one
-factorization answers solves, kernels and lattice membership.
+ever overflows or rounds.  An entry that is not a Python int (bool
+included) raises ValueError.
 
-The Smith and Hermite reductions work on sparse rows, dicts from
-column to nonzero int, built once from the input; an entry that is not
-a Python int (bool included) raises ValueError.  The Smith reduction
-keeps U and A by rows and V by columns, and swaps columns by relabelling:
-columns of A and V and rows of V^-1 keep an id, ordered by a position
-table.  So an operation touches only nonzeros (the relation matrices
-have at most two per column); answers are dense lists.
+The Smith form is the plain dense reduction (Cohen, GTM 138, 2.4.4).
+It tracks the unimodular row transform U, the column transform V and
+its inverse V^-1 (each column operation on V is the inverse row
+operation on V^-1), and checks V*V^-1 == I and U*A*V == S exactly.  The
+pivot is the first entry of least magnitude, in row-major order, of the
+trailing block, and with the operation order it fixes the transforms.
+The rule never reduces the entries off the pivot's row and column, so
+on dense inputs the transforms' entries can grow to thousands of bits.
+No group computation takes the Smith form (ktheory._presentation gives
+printed generators); it and the kernel and membership tests built on it
+stay because the benchmark's tracer names them.
 
-The pivot is the first entry of least magnitude, in row-major order,
-of the trailing block (the scan stops after a row holding a unit), and
-with the operation order it fixes the transforms.  No group computation
-takes the Smith form (ktheory._presentation gives printed generators);
-it stays because the benchmark's tracer names it.  Every factorization is
-checked exactly, by V^-1*V == I (for square matrices the same as
-V*V^-1 == I) and U*A == S*V^-1 (equivalent to U*A*V == S given the
-first, and S*V^-1 is a row scaling), both as products of sparse rows.
+The Hermite form, which ktheory does run, eliminates on sparse rows,
+dicts from column to nonzero int, so an operation touches only
+nonzeros; its answer is dense lists.
 
 `row_reduce` is the one Gaussian elimination over a field: rank over Q
 and the kernel vectors of measure equations both read its output.
 
-`matmul`, `mat_vec`, `smith_normal_form`, `hnf_row_lattice`,
-`row_reduce`, `solve_integer` and `lattice_contains` raise ValueError on
-ragged rows or on operands whose shapes do not match.
+`matmul`, `smith_normal_form`, `hnf_row_lattice`, `row_reduce` and
+`lattice_contains` raise ValueError on ragged rows or on operands whose
+shapes do not match.
 """
 
 from __future__ import annotations
@@ -72,13 +69,6 @@ def matmul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    if a and _width(a, "matrix") != len(v):
-        raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} "
-                         f"by a vector of length {len(v)}")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def transpose(a):
     if not a:
         return []
@@ -111,26 +101,13 @@ def _add(dst, src, c):
                 del dst[k]
 
 
-def _spmul(a, b, width):
-    """The product of sparse rows a and b, as lists: row i of the
-    product is the sum of x * b[k] over the entries k: x of a[i]."""
-    out = []
-    for row in a:
-        acc = [0] * width
-        for k, x in row.items():
-            for j, y in b[k].items():
-                acc[j] += x * y
-        out.append(acc)
-    return out
-
-
-def _dense(rows, width, at):
-    """Sparse rows as lists of ints; entry k goes to column at[k]."""
+def _dense(rows, width):
+    """Sparse rows as lists of ints."""
     out = []
     for row in rows:
         d = [0] * width
         for k, x in row.items():
-            d[at[k]] = x
+            d[k] = x
         out.append(d)
     return out
 
@@ -143,123 +120,81 @@ def smith_normal_form(mat):
     row lattice of mat.  The factorization and the inverse are verified
     by exact re-multiplication before returning.
     """
-    orig, m = _sparse_rows(mat, "matrix")
-    n = len(orig)
-    a = [dict(row) for row in orig]  # rows of A, keyed by column id
-    u = [{i: 1} for i in range(n)]  # rows of U
-    v = [{j: 1} for j in range(m)]  # columns of V, by column id
-    v_inv = [{j: 1} for j in range(m)]  # rows of V^-1, by column id
-    col = list(range(m))  # position -> column id
-    pos = list(range(m))  # column id -> position
+    rows, m = _sparse_rows(mat, "matrix")
+    a = _dense(rows, m)
+    n = len(a)
+    u, v, v_inv = identity(n), identity(m), identity(m)
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
 
     def col_swap(i, j):
-        # columns of A and V and rows of V^-1 move with their ids
-        col[i], col[j] = col[j], col[i]
-        pos[col[i]], pos[col[j]] = i, j
+        for row in a + v:
+            row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def row_add(dst, src, c):
         # row dst += c * row src
-        _add(a[dst], a[src], c)
-        _add(u[dst], u[src], c)
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
-    def col_add(dst, src, c, rows):
-        # column id dst += c * column id src; rows: A's rows meeting src
-        if not c:
-            return
-        for i in rows:  # one entry each: cheaper here than _add
-            row = a[i]
-            x = row.get(dst, 0) + c * row[src]
-            if x:
-                row[dst] = x
-            else:
-                del row[dst]
-        _add(v[dst], v[src], c)
+    def col_add(dst, src, c):
+        # column dst += c * column src
+        for row in a + v:
+            row[dst] += c * row[src]
         # V -> V*E with E = I + c*e_src*e_dst^T; E^-1 acts on rows of V^-1
-        _add(v_inv[src], v_inv[dst], -c)
-
-    def row_neg(i):
-        a[i] = {k: -x for k, x in a[i].items()}
-        u[i] = {k: -x for k, x in u[i].items()}
+        v_inv[src] = [x - c * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     t = 0
     while t < min(n, m):
-        # the first minimal-magnitude nonzero entry of the trailing
-        # block, row-major (rows t.. hold no entry left of column t);
-        # nothing beats a unit, so stop after the first row with one
-        best = pi = pj = None
+        # the first entry of least magnitude of the trailing block,
+        # row-major
+        best = pivot = None
         for i in range(t, n):
-            for k, x in a[i].items():
-                x = abs(x)
-                if (best is None or x < best
-                        or (x == best and i == pi and pos[k] < pj)):
-                    best, pi, pj = x, i, pos[k]
-            if best == 1:
-                break
-        if best is None:
+            for j in range(t, m):
+                x = abs(a[i][j])
+                if x and (best is None or x < best):
+                    best, pivot = x, (i, j)
+        if pivot is None:
             break
-        row_swap(t, pi)
-        col_swap(t, pj)
-        if a[t][col[t]] < 0:
-            row_neg(t)
-        # clear row and column t; restart if a remainder revives an entry
+        row_swap(t, pivot[0])
+        col_swap(t, pivot[1])
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        # clear column t, then row t, until both are clean; a floored
+        # remainder lies in (0, pivot), so it is the next, positive pivot
         dirty = True
         while dirty:
             dirty = False
-            p = col[t]
-            rows = [t]  # A's rows meeting column p: t, then each swapped i
             for i in range(t + 1, n):
-                if p in a[i]:
-                    q = a[i][p] // a[t][p]
-                    row_add(i, t, -q)
-                    if p in a[i]:
+                if a[i][t]:
+                    row_add(i, t, -(a[i][t] // a[t][t]))
+                    if a[i][t]:
                         row_swap(t, i)
-                        if a[t][p] < 0:
-                            row_neg(t)
-                        rows.append(i)
                         dirty = True
-            # an operation at column j leaves row t's entries past j alone
-            for j in sorted(pos[k] for k in a[t] if k != p):
-                k = col[j]
-                q = a[t][k] // a[t][p]
-                col_add(k, p, -q, rows)
-                if k in a[t]:
-                    col_swap(t, j)
-                    p = k
-                    rows = [i for i in range(t, n) if p in a[i]]
-                    dirty = True
-        # divisibility: a[t][t] must divide the rest of the block; a
-        # unit always does
-        offender = None
-        d = a[t][col[t]]
-        if d not in (1, -1):
-            for i in range(t + 1, n):
-                if any(x % d for x in a[i].values()):
-                    offender = i
-                    break
-        if offender is not None:
+            for j in range(t + 1, m):
+                if a[t][j]:
+                    col_add(j, t, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
+                        col_swap(t, j)
+                        dirty = True
+        # divisibility: a[t][t] must divide the rest of the block, else
+        # the first offending row is added to row t and t starts over
+        d = a[t][t]
+        offender = next((i for i in range(t + 1, n)
+                         if any(x % d for x in a[i][t + 1:])), None)
+        if offender is None:
+            t += 1
+        else:
             row_add(t, offender, 1)
-            continue
-        t += 1
 
-    v_rows = [{} for _ in range(m)]  # rows of V, keyed by column id
-    for k, c in enumerate(v):
-        for r, x in c.items():
-            v_rows[r][k] = x
-    # V^-1*V == I, the same as V*V^-1 == I for square matrices
-    assert _spmul(v_inv, v_rows, m) == identity(m), \
+    assert matmul(v, v_inv) == identity(m), \
         "Smith reduction lost track of V^-1"
-    # S: the diagonal of A, keyed by column id as the rows of V^-1 are;
-    # given V*V^-1 == I, U*mat*V == S iff U*mat == S*V^-1, a row scaling
-    s = [{k: x for k, x in row.items() if pos[k] == i}
-         for i, row in enumerate(a)]
-    assert _spmul(u, orig, m) == _spmul(s, v_inv, m), \
+    assert matmul(matmul(u, mat), v) == a, \
         "Smith reduction lost track of its transforms"
-    return (_dense(u, n, range(n)), _dense(s, m, pos), _dense(v_rows, m, pos),
-            _dense([v_inv[k] for k in col], m, range(m)))
+    return u, a, v, v_inv
 
 
 def smith_diagonal(mat) -> list[int]:
@@ -267,48 +202,12 @@ def smith_diagonal(mat) -> list[int]:
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
 
 
-def snf_rank(s) -> int:
-    r = 0
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i]:
-            r += 1
-    return r
-
-
-def solve_integer(mat, rhs):
-    """One integer solution x of mat @ x = rhs, or None if none exists."""
-    n = len(mat)
-    if len(rhs) != n:
-        raise ValueError(f"right-hand side of length {len(rhs)} "
-                         f"for a matrix of {n} rows")
-    m = _width(mat, "matrix")
-    u, s, v, _ = smith_normal_form(mat)
-    y = mat_vec(u, rhs)
-    r = snf_rank(s)
-    z = [0] * m
-    for i in range(n):
-        if i < r:
-            d = s[i][i]
-            if y[i] % d:
-                return None
-            if i < m:
-                z[i] = y[i] // d
-        elif y[i] != 0:
-            return None
-    return mat_vec(v, z)
-
-
 def integer_kernel(mat):
-    """Basis (list of vectors) of the integer kernel of mat."""
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    if m == 0:
-        return []
-    if n == 0:
-        return identity(m)
-    u, s, v, _ = smith_normal_form(mat)
-    r = snf_rank(s)
-    return [[v[i][j] for i in range(m)] for j in range(r, m)]
+    """Basis (list of vectors) of the integer kernel of mat: the columns
+    of V past the rank."""
+    _, s, v, _ = smith_normal_form(mat)
+    rank = sum(1 for i in range(min(len(s), len(v))) if s[i][i])
+    return transpose(v)[rank:]
 
 
 def row_reduce(rows):
@@ -381,7 +280,7 @@ def hnf_row_lattice(rows):
                 if col in row:
                     _add(row, piv, -(row[col] // piv[col]))
             basis.append(piv)
-    return _dense(basis, m, range(m))
+    return _dense(basis, m)
 
 
 def lattice_contains(rows, vec) -> bool:
@@ -391,5 +290,10 @@ def lattice_contains(rows, vec) -> bool:
     if _width(rows, "row set") != len(vec):
         raise ValueError(f"vector of length {len(vec)} against rows "
                          f"of length {len(rows[0])}")
-    return solve_integer(transpose(rows), list(vec)) is not None
+    # U*rows = S*V^-1 and V is unimodular: vec is in the lattice iff
+    # vec*V = y*S for an integer row y
+    _, s, v, _ = smith_normal_form(rows)
+    w = matmul([list(vec)], v)[0]
+    return all(x % s[j][j] == 0 if j < len(s) and s[j][j] else x == 0
+               for j, x in enumerate(w))
 

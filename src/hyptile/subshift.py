@@ -102,6 +102,8 @@ class ExplicitWindow(collections.namedtuple("ExplicitWindow", [
         _check_letters(left + right)
         if not (left + right):
             raise ValueError("window must be nonempty")
+        if not isinstance(horizon, int) or isinstance(horizon, bool):
+            raise ValueError(f"horizon must be an int, got {horizon!r}")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         return super().__new__(cls, left, right, horizon)

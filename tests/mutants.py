@@ -154,6 +154,12 @@ MUTANTS = [
         "s[0 if 3 * x <= 1 else 1]",
         ["tests/test_geometry.py::TestPointToPentagon::"
          "test_below_the_left_bottom_arc"]),
+    Mutant(
+        "Smith pivot: the last entry of least magnitude, not the first",
+        "src/hyptile/intmat.py",
+        "x < best",
+        "x <= best",
+        ["tests/test_intmat.py::test_snf_transforms_pinned_on_unit_ties"]),
 ]
 
 

@@ -229,10 +229,10 @@ def circulant_rows(p, psi):
 
 
 def reference_snf(mat):
-    """`smith_normal_form` before its scans, column additions and checks
-    were sped up, with the dense product in its checks.  The transforms,
-    not only S, must match it: printed generators are rows of V^-1.
-    Shares nothing with the package.
+    """The plain dense Smith reduction, with the dense product in its
+    checks.  `smith_normal_form` runs the same reduction, written apart,
+    and its transforms, not only S, must match: printed generators are
+    rows of V^-1.  Shares nothing with the package.
     """
     a = [row[:] for row in mat]
     n = len(a)

@@ -44,7 +44,11 @@ CASES = [
       (lambda: LocallyConstFn(0, (0.5,)), ValueError,
        "0.5 is not an int or a Fraction"),
       (lambda: LocallyConstFn(0, (True,)), ValueError,
-       "True is not an int or a Fraction")]),
+       "True is not an int or a Fraction"),
+      (lambda: LocallyConstFn(True, (1, 2)), ValueError,
+       "level must be an int >= 0, got True"),
+      (lambda: LocallyConstFn(-1, (1,)), ValueError,
+       "level must be an int >= 0, got -1")]),
     (Point,
      lambda: Point(Fraction(-3, 4), 2),
      ("x", "y"),
@@ -116,7 +120,11 @@ CASES = [
      [(lambda: ExplicitWindow("", "", 3), ValueError,
        "window must be nonempty"),
       (lambda: ExplicitWindow("1", "2", 0), ValueError,
-       "horizon must be >= 1")]),
+       "horizon must be >= 1"),
+      (lambda: ExplicitWindow("1", "2", True), ValueError,
+       "horizon must be an int, got True"),
+      (lambda: ExplicitWindow("1", "2", 2.5), ValueError,
+       "horizon must be an int, got 2.5")]),
     (CylinderFunction,
      lambda: CylinderFunction.of("Z[1/2]", -1, {"21": Fraction(3, 2),
                                                 "12": 0}),
