@@ -23,7 +23,6 @@ from . import __version__
 from .geometry import (ColourWindow, TileSet, generate_patch, patch_size,
                        scale_range)
 from .ktheory import (
-    CylinderFunction,
     cech_cohomology,
     gap_label_to_json,
     gap_labels,
@@ -328,13 +327,9 @@ def _run_measures(cfg: JobConfig) -> str:
 
 def _default_functions(spec: SubshiftSpec) -> list:
     from .hull import BumpProfile, TestFunction
-    first2 = language(spec, 2)[0]
-    return [
-        TestFunction.word_indicator(first2),
-        TestFunction(word_part=CylinderFunction.of("Z", 0, {first2: 1}),
-                     t_bump=BumpProfile("bump3", 0.5, 0.45),
-                     s_bump=BumpProfile("bump3", 0.5, 0.45)),
-    ]
+    indicator = TestFunction.word_indicator(language(spec, 2)[0])
+    bump = BumpProfile(0.5, 0.45)
+    return [indicator, indicator._replace(t_bump=bump, s_bump=bump)]
 
 
 def _random_group_elements(seed: int, count: int) -> list[tuple[float, float]]:
@@ -385,8 +380,7 @@ def _run_cocycle(cfg: JobConfig) -> str:
     u = iter(_uniforms(cfg.seed, 2, 24))
     fgs = [(TestFunction.bump(*_bump_params(u)),
             TestFunction.bump(*_bump_params(u))) for _ in range(3)]
-    fgs.append((TestFunction.bump(0.5, 0.45, 0.5, 0.45),
-                TestFunction.constant()))
+    fgs.append((TestFunction.bump(0.5, 0.45, 0.5, 0.45), TestFunction()))
     *pairs, with_one = tau_pairing(
         LazySample(cfg.spec, cfg.samples, cfg.seed), fgs, cfg.seed)
     ok = with_one["pass"] and all(r["pass"] for r in pairs)

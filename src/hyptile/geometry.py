@@ -290,7 +290,8 @@ def generate_patch(radius: float, colouring: ColourWindow | None = None,
     than MAX_PATCH_TILES tiles raises ValueError before any tile is built.
     """
     ends = _scale_ends(radius)
-    r2 = Fraction(math.sinh(radius)) ** 2
+    if exact:
+        r2 = Fraction(math.sinh(radius)) ** 2
     tiles = []
     for k, end in ends:
         ns = range(-1 - end, end + 1)

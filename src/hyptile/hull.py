@@ -59,33 +59,26 @@ _MAX_WRAPS = 64
 
 # -- test functions ------------------------------------------------------
 
-class BumpProfile(namedtuple("BumpProfile", "name center width")):
-    """Named C2 profile in one real variable.
+class BumpProfile(namedtuple("BumpProfile", "center width")):
+    """The C2 bump (1 - z**2)**3 on |z| < 1 in one real variable.
 
-    "one" is the constant 1; "bump3" is (1 - z**2)**3 on |z| < 1 with
-    z = (x - center)/width, zero outside.  Bump support must sit inside
+    z = (x - center)/width, zero outside.  The support must sit inside
     the open unit interval so wrapping the coordinate never crosses it.
     """
 
     __slots__ = ()
 
-    def __new__(cls, name: str = "one", center: float = 0.5,
-                width: float = 0.25):
-        if name not in ("one", "bump3"):
-            raise ValueError(f"unknown profile {name!r}")
-        if name == "bump3":
-            # a NaN fails every comparison below, so it is refused first
-            if not (math.isfinite(center) and math.isfinite(width)):
-                raise ValueError("bump center and width must be finite")
-            if width <= 0:
-                raise ValueError("bump width must be positive")
-            if center - width <= 0 or center + width >= 1:
-                raise ValueError("bump support must lie inside (0, 1)")
-        return super().__new__(cls, name, center, width)
+    def __new__(cls, center: float, width: float):
+        # a NaN fails every comparison below, so it is refused first
+        if not (math.isfinite(center) and math.isfinite(width)):
+            raise ValueError("bump center and width must be finite")
+        if width <= 0:
+            raise ValueError("bump width must be positive")
+        if center - width <= 0 or center + width >= 1:
+            raise ValueError("bump support must lie inside (0, 1)")
+        return super().__new__(cls, center, width)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.name == "one":
-            return np.ones_like(x)
         z = np.subtract(x, self.center, out=np.empty_like(x, dtype=float))
         z /= self.width
         np.clip(z, -1.0, 1.0, out=z)
@@ -98,43 +91,36 @@ class BumpProfile(namedtuple("BumpProfile", "name center width")):
         cube *= z
         return cube
 
-    # max |d^k/dx^k| over the line, from the polynomial (1-z^2)**3:
-    # |phi'| <= 2.08, |phi''| <= 6, |phi'''| <= 48, |phi''''| <= 288.
+    # max |d^k/dx^k| over the line for k = 1..4, from the polynomial
+    # (1-z^2)**3: |phi'| <= 2.08, |phi''| <= 6, |phi'''| <= 48,
+    # |phi''''| <= 288; the bump itself is at most 1.
     def deriv_bound(self, order: int) -> float:
-        if self.name == "one":
-            return 1.0 if order == 0 else 0.0
-        mags = {0: 1.0, 1: 2.08, 2: 6.0, 3: 48.0, 4: 288.0}
+        mags = {1: 2.08, 2: 6.0, 3: 48.0, 4: 288.0}
         return mags[order] / self.width ** order
-
-
-ONE = BumpProfile("one")
 
 
 class TestFunction(namedtuple("TestFunction",
                               "word_part omega_part t_bump s_bump",
-                              defaults=(None, None, ONE, ONE))):
+                              defaults=(None, None, None, None))):
     """Product observable: letters x odometer x smooth (t, s) profile.
 
     The letter factor reads the window through the cursor, the odometer
     factor depends on finitely many digits of omega, and the (t, s)
-    factor is a product of named profiles.  Values are bounded; with
-    interior bump profiles in both t and s the function is C2 along
-    leaves, because every chart identification happens where the bumps
-    vanish to second order.  word_part is a CylinderFunction or None,
-    omega_part a LocallyConstFn or None, and both bumps BumpProfiles.
+    factor is a product of bumps.  Values are bounded; with bumps in
+    both t and s the function is C2 along leaves, because every chart
+    identification happens where the bumps vanish to second order.
+    word_part is a CylinderFunction, omega_part a LocallyConstFn and
+    each bump a BumpProfile.  An absent factor is None and reads 1, so
+    TestFunction() is the constant function 1.
     """
 
     __slots__ = ()
 
     @staticmethod
-    def constant() -> "TestFunction":
-        return TestFunction()
-
-    @staticmethod
     def bump(t_center: float, t_width: float,
              s_center: float, s_width: float) -> "TestFunction":
-        return TestFunction(t_bump=BumpProfile("bump3", t_center, t_width),
-                            s_bump=BumpProfile("bump3", s_center, s_width))
+        return TestFunction(t_bump=BumpProfile(t_center, t_width),
+                            s_bump=BumpProfile(s_center, s_width))
 
     @staticmethod
     def word_indicator(u: str) -> "TestFunction":
@@ -147,11 +133,11 @@ class TestFunction(namedtuple("TestFunction",
         Then it reads no t, omega or s, and a batch moved by
         SampleBatch.scaled serves it as well as one moved by act.
         """
-        return (self.omega_part is None and self.t_bump.name == "one"
-                and self.s_bump.name == "one")
+        return (self.omega_part is None and self.t_bump is None
+                and self.s_bump is None)
 
     def on_batch(self, batch: "SampleBatch") -> np.ndarray:
-        # letter x omega x t x s; constant profiles are skipped: x * 1.0 == x
+        # letter x omega x t x s; absent factors are skipped: x * 1.0 == x
         out = None
         for factor in self._factors(batch):
             out = factor if out is None else np.multiply(out, factor, out=out)
@@ -182,7 +168,7 @@ class TestFunction(namedtuple("TestFunction",
             table = np.array([float(v) for v in self.omega_part.values])
             yield table.take(batch.omega & ((1 << lev) - 1))
         for bump, x in ((self.t_bump, batch.t), (self.s_bump, batch.s)):
-            if bump.name != "one":
+            if bump is not None:
                 yield bump(x)
 
     def sup_bound(self) -> float:
@@ -194,14 +180,6 @@ class TestFunction(namedtuple("TestFunction",
             out *= max(abs(float(v)) for v in self.omega_part.values)
         return out
 
-    def _amp_excluding(self, skip: str) -> float:
-        out = self.sup_bound()
-        if skip != "t":
-            out *= self.t_bump.deriv_bound(0)
-        if skip != "s":
-            out *= self.s_bump.deriv_bound(0)
-        return out
-
     def laplacian_bias(self, h: float) -> float:
         """Upper bound for the second-order finite-difference error.
 
@@ -209,18 +187,19 @@ class TestFunction(namedtuple("TestFunction",
         fourth derivative along each probed direction.  The translation
         probe scales t by at most 1 per unit step; the scale probe moves
         s through log2, bounded here by a generous chain-rule envelope
-        for steps below 1/8.
+        for steps below 1/8.  An absent bump has no derivatives.
         """
-        mx = self._amp_excluding("t") * self.t_bump.deriv_bound(4)
-        w = self.s_bump
-        my = self._amp_excluding("s") * (
+        amp, w = self.sup_bound(), self.s_bump
+        mx = 0.0 if self.t_bump is None else amp * self.t_bump.deriv_bound(4)
+        my = 0.0 if w is None else amp * (
             4.8 * w.deriv_bound(4) + 20.0 * w.deriv_bound(3)
             + 26.0 * w.deriv_bound(2) + 10.0 * w.deriv_bound(1))
         return h * h / 12.0 * (mx + my)
 
     def flow_bias(self, h: float) -> float:
         """Central-difference error bound along the unit-speed scale flow."""
-        m3 = self._amp_excluding("s") * self.s_bump.deriv_bound(3)
+        w = self.s_bump
+        m3 = 0.0 if w is None else self.sup_bound() * w.deriv_bound(3)
         return h * h / 6.0 * m3
 
 

@@ -285,6 +285,7 @@ def hnf_row_lattice(rows):
 
 def lattice_contains(rows, vec) -> bool:
     """Is vec in the lattice spanned by the given row vectors?"""
+    _sparse_rows([vec], "vector")
     if not rows:
         return all(x == 0 for x in vec)
     if _width(rows, "row set") != len(vec):

@@ -148,6 +148,13 @@ MUTANTS = [
         "/ _H",
         ["tests/test_hull.py::TestTauPairing"]),
     Mutant(
+        "scale-probe bias bound without its first-derivative term",
+        "src/hyptile/hull.py",
+        "+ 26.0 * w.deriv_bound(2) + 10.0 * w.deriv_bound(1))",
+        "+ 26.0 * w.deriv_bound(2))",
+        ["tests/test_hull.py::TestTestFunction::"
+         "test_bias_bounds_are_pinned"]),
+    Mutant(
         "inside test reads arc A2A3 over x in (1/3, 1/2]",
         "src/hyptile/geometry.py",
         "s[0 if 2 * x <= 1 else 1]",

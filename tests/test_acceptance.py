@@ -261,8 +261,8 @@ def test_criterion_09_invariance_and_harmonicity():
     observables = [
         TFn.word_indicator("12"),
         TFn(word_part=CylinderFunction.of("Z", 0, {"1": 1}),
-            t_bump=BumpProfile("bump3", 0.5, 0.45),
-            s_bump=BumpProfile("bump3", 0.5, 0.45)),
+            t_bump=BumpProfile(0.5, 0.45),
+            s_bump=BumpProfile(0.5, 0.45)),
     ]
     for i, f in enumerate(observables):
         rep = invariance_check(TM, f, gs, 100000, seed + i)
@@ -289,7 +289,7 @@ def test_criterion_10_cocycle_antisymmetry():
     seed = 40961
     rng = np.random.default_rng(seed)
     rep, = tau_pairing(LazySample(TM, 100000, seed),
-                       [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn.constant())],
+                       [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn())],
                        seed)
     assert rep["pass"], rep
     for i in range(5):

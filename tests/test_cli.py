@@ -476,7 +476,7 @@ class TestSharedDraw:
             pairs += tau_pairing(LazySample(spec, n, seed), [(f, g)], seed)
         with_one, = tau_pairing(LazySample(spec, n, seed),
                                 [(TFn.bump(0.5, 0.45, 0.5, 0.45),
-                                  TFn.constant())], seed)
+                                  TFn())], seed)
         assert res["pairs"] == self.json_round_trip(pairs)
         assert res["tau_with_one"] == self.json_round_trip(with_one)
 
@@ -838,8 +838,8 @@ BUMP_ROWS = np.arange(20_000) / 20_000.0
 
 
 def bump_and_cocycle(out):
-    """bump3's bytes on BUMP_ROWS, and the cocycle report written to out."""
-    bump = BumpProfile("bump3", 0.5, 0.45)(BUMP_ROWS).tobytes().hex()
+    """The bump's bytes on BUMP_ROWS, and the cocycle report written to out."""
+    bump = BumpProfile(0.5, 0.45)(BUMP_ROWS).tobytes().hex()
     assert main(["cocycle", "--spec", write_spec(Path(out).parent, FIBONACCI),
                  "--samples", "20000", "--seed", "3", "--out", out]) == 0
     return bump, Path(out).read_text()

@@ -478,25 +478,22 @@ class TestRescalingRelation:
 class TestTestFunction:
     def test_bump_profile_validation(self):
         with pytest.raises(ValueError):
-            BumpProfile("bump5")
+            BumpProfile(0.9, 0.2)
         with pytest.raises(ValueError):
-            BumpProfile("bump3", 0.9, 0.2)
-        with pytest.raises(ValueError):
-            BumpProfile("bump3", 0.5, 0.0)
+            BumpProfile(0.5, 0.0)
         # every support check is False for a NaN, which then evaluated to
         # NaN on every row
         for center, width in [(math.nan, 0.2), (0.5, math.nan),
                               (math.inf, 0.2), (0.5, -math.inf)]:
             with pytest.raises(ValueError, match="finite"):
-                BumpProfile("bump3", center, width)
+                BumpProfile(center, width)
 
     def test_bump_values(self):
-        b = BumpProfile("bump3", 0.5, 0.25)
+        b = BumpProfile(0.5, 0.25)
         z = 0.5
         vals = b(np.array([0.5, 0.25, 0.9, 0.5 + 0.125]))
         assert vals[:3].tolist() == [1.0, 0.0, 0.0]
         assert vals[3] == pytest.approx((1 - z * z) ** 3)
-        assert BumpProfile()(np.array([0.3, 0.9])).tolist() == [1.0, 1.0]
 
     @staticmethod
     def gathered_bump(x, c, w):
@@ -525,7 +522,7 @@ class TestTestFunction:
             profiles.append((c, float(rng.uniform(0.01, min(c, 1.0 - c)))))
         far = [-1e295, -1e10, -3.0, -0.0, 0.0, 1.0, 7.5, 1e10, 1e295]
         for c, w in profiles:
-            bump = BumpProfile("bump3", c, w)
+            bump = BumpProfile(c, w)
             # both sides of each end of the support, and the ends
             edges = [np.nextafter(e, d) for e in (c - w, c + w)
                      for d in (0.0, 1.0)] + [c - w, c + w]
@@ -548,7 +545,7 @@ class TestTestFunction:
         f = TFn(
             word_part=CylinderFunction.of("Z", 0, {"12": 3}),
             omega_part=cylinder_indicator(2, 1),
-            t_bump=BumpProfile("bump3", 0.5, 0.5 - 1e-9),
+            t_bump=BumpProfile(0.5, 0.5 - 1e-9),
         )
 
         def value(om, cursor):
@@ -568,8 +565,8 @@ class TestTestFunction:
                 "Z", -1, {"121": 2, "212": -1, "131": 5, "aba": 3,
                           "bab": -2, "aca": 7}),
             omega_part=cylinder_indicator(1, 1),
-            t_bump=BumpProfile("bump3", 0.45, 0.4),
-            s_bump=BumpProfile("bump3", 0.55, 0.4),
+            t_bump=BumpProfile(0.45, 0.4),
+            s_bump=BumpProfile(0.55, 0.4),
         )
         coeffs = dict(f.word_part.coeffs)
         rng = np.random.default_rng(2024)
@@ -601,6 +598,25 @@ class TestTestFunction:
         f = TFn(word_part=CylinderFunction.of("Z", 0, {"12": -4}),
                          omega_part=LocallyConstFn(1, (2, 3)))
         assert f.sup_bound() == 12.0
+
+    # laplacian_bias(2**-6) and flow_bias(2**-6): plain float arithmetic,
+    # so these bits hold on every CPU, where a hull digest may not
+    BIASES = {
+        "word": (TFn.word_indicator("12"), 0.0, 0.0),
+        "weighted": (TFn.word_indicator("12")._replace(
+            t_bump=BumpProfile(0.5, 0.45), s_bump=BumpProfile(0.5, 0.45)),
+            1.0597091835276633, 0.02143347050754458),
+        "bump": (TFn.bump(0.5, 0.45, 0.5, 0.45),
+                 1.0597091835276633, 0.02143347050754458),
+        "s_only": (TFn(s_bump=BumpProfile(0.5, 0.45)),
+                   0.9168193801440327, 0.02143347050754458),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BIASES))
+    def test_bias_bounds_are_pinned(self, name):
+        f, laplacian, flow = self.BIASES[name]
+        assert f.laplacian_bias(2.0 ** -6) == laplacian
+        assert f.flow_bias(2.0 ** -6) == flow
 
 
 class TestSampler:
@@ -980,7 +996,7 @@ class TestInvarianceCheck:
     GS = [(1.0, 0.7), (2.0, 0.0), (0.5, 0.0), (1.5, -0.9)]
 
     def test_constant_function_exact(self):
-        rep = invariance_check(TM, TFn.constant(), self.GS, 500, 1)
+        rep = invariance_check(TM, TFn(), self.GS, 500, 1)
         assert rep["pass"] and rep["statistic"] == 0.0
 
     def test_cylinder_indicator_invariant(self):
@@ -994,8 +1010,8 @@ class TestInvarianceCheck:
         f = TFn(
             word_part=CylinderFunction.of("Z", 0, {"12": 1, "21": -2}),
             omega_part=cylinder_indicator(2, 1),
-            t_bump=BumpProfile("bump3", 0.5, 0.45),
-            s_bump=BumpProfile("bump3", 0.5, 0.45))
+            t_bump=BumpProfile(0.5, 0.45),
+            s_bump=BumpProfile(0.5, 0.45))
         rep = invariance_check(TM, f, self.GS, 30_000, 5151)
         assert rep["pass"]
 
@@ -1087,7 +1103,7 @@ class TestScaleOnlyMoves:
 
 class TestHarmonicityCheck:
     def test_constant_exact_zero(self):
-        rep = harmonicity_check(LazySample(TM, 500, 2), TFn.constant(), 2)
+        rep = harmonicity_check(LazySample(TM, 500, 2), TFn(), 2)
         assert rep["pass"] and rep["statistic"] == 0.0
 
     def test_smooth_bump_within_tolerance(self):
@@ -1098,8 +1114,8 @@ class TestHarmonicityCheck:
 
     def test_cylinder_bump_within_tolerance(self):
         f = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1}),
-                         t_bump=BumpProfile("bump3", 0.5, 0.4),
-                         s_bump=BumpProfile("bump3", 0.5, 0.4))
+                         t_bump=BumpProfile(0.5, 0.4),
+                         s_bump=BumpProfile(0.5, 0.4))
         rep = harmonicity_check(LazySample(TM, 30_000, 5154), f, 5154)
         assert rep["pass"]
 
@@ -1107,13 +1123,13 @@ class TestHarmonicityCheck:
 class TestTauPairing:
     def test_constants_give_exact_zero(self):
         rep, = tau_pairing(LazySample(TM, 500, 3),
-                           [(TFn.constant(), TFn.constant())], 3)
+                           [(TFn(), TFn())], 3)
         assert rep["pass"] and rep["statistic"] == 0.0
         assert rep["antisymmetry_defect"] == 0.0
 
     def test_pairing_with_one_vanishes(self):
         rep, = tau_pairing(LazySample(TM, 30_000, 5155),
-                           [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn.constant())],
+                           [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn())],
                            5155)
         assert abs(rep["statistic"]) <= 3 * rep["std_error"] + rep["fd_bias"]
         assert rep["pass"]
@@ -1137,10 +1153,10 @@ class TestTauPairing:
         # Y(f) for an s-bump is its derivative in s, up to the central
         # difference's error, flow_bias; on the bump's rising side the
         # pairing with 1 is their mean, far from zero
-        f = TFn(s_bump=BumpProfile("bump3", 0.5, 0.45))
+        f = TFn(s_bump=BumpProfile(0.5, 0.45))
         base = with_s(sample_batch(TM, 1000, 5157),
                       np.linspace(0.1, 0.45, 1000))
-        rep, = tau_pairing(base, [(f, TFn.constant())], 5157)
+        rep, = tau_pairing(base, [(f, TFn())], 5157)
         z = (base.s - 0.5) / 0.45
         deriv = float(np.mean(-6.0 * z * (1.0 - z * z) ** 2 / 0.45))
         assert deriv > 1.0
@@ -1173,8 +1189,8 @@ class TestSharedCores:
     def test_invariance_cases_match_separate_draws(self, n):
         f0 = TFn.word_indicator("12")
         f1 = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1}),
-                 t_bump=BumpProfile("bump3", 0.5, 0.45),
-                 s_bump=BumpProfile("bump3", 0.5, 0.45))
+                 t_bump=BumpProfile(0.5, 0.45),
+                 s_bump=BumpProfile(0.5, 0.45))
         reports = invariance_reports(
             LazySample(TM, n, self.SEED),
             [(f0, None), (f1, None), (f0, first_word_control)],
@@ -1194,8 +1210,8 @@ class TestSharedCores:
         h = 2.0 ** -6
         f = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1, "21": -2}),
                 omega_part=cylinder_indicator(2, 1),
-                t_bump=BumpProfile("bump3", 0.5, 0.45),
-                s_bump=BumpProfile("bump3", 0.5, 0.45))
+                t_bump=BumpProfile(0.5, 0.45),
+                s_bump=BumpProfile(0.5, 0.45))
         rep = harmonicity_check(LazySample(TM, n, self.SEED), f, self.SEED)
         assert rep["h"] == h
 
@@ -1210,7 +1226,7 @@ class TestSharedCores:
     @BLOCK_SIZES
     def test_tau_pairs_match_separate_flows(self, n):
         h = 2.0 ** -6
-        pairs = [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn.constant()),
+        pairs = [(TFn.bump(0.5, 0.45, 0.5, 0.45), TFn()),
                  (TFn.bump(0.45, 0.3, 0.55, 0.35), TFn.word_indicator("12"))]
         reports = tau_pairing(LazySample(TM, n, self.SEED), pairs, self.SEED)
 
@@ -1240,8 +1256,8 @@ class TestHullcheckPass:
     def test_equals_the_separate_checks(self, n):
         f0 = TFn.word_indicator("12")
         f1 = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1}),
-                 t_bump=BumpProfile("bump3", 0.5, 0.45),
-                 s_bump=BumpProfile("bump3", 0.5, 0.45))
+                 t_bump=BumpProfile(0.5, 0.45),
+                 s_bump=BumpProfile(0.5, 0.45))
         f = TFn.bump(0.5, 0.45, 0.5, 0.45)
         cases = [(f0, None), (f1, None), (f0, first_word_control)]
         omega_1, letter_mean, inv, harm = hullcheck_reports(
@@ -1318,7 +1334,7 @@ class TestMergedMoments:
             return rng.normal(size=n) + 100.0
         base = sample_batch(TM, n, 5)
         f = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1, "21": -2}),
-                t_bump=BumpProfile("bump3", 0.5, 0.45))
+                t_bump=BumpProfile(0.5, 0.45))
         return f.on_batch(base.act(1.5, -0.9)) - f.on_batch(base)
 
     @pytest.mark.parametrize("n", [_BLOCK + 1, 2 * _BLOCK + 17,
@@ -1344,7 +1360,7 @@ class TestBlockMemory:
     N = 32 * _BLOCK
     F = TFn.bump(0.5, 0.45, 0.5, 0.45)
     G = TFn(word_part=CylinderFunction.of("Z", 0, {"12": 1}),
-            t_bump=BumpProfile("bump3", 0.5, 0.45))
+            t_bump=BumpProfile(0.5, 0.45))
 
     def run(self, check, base):
         cases = [(self.G, None), (self.F, None), (self.G, first_word_control)]
@@ -1356,7 +1372,7 @@ class TestBlockMemory:
         if check == "hullcheck":
             return hullcheck_reports(base, cases, gs, self.F, "1", 1)
         return tau_pairing(base, [(self.F, self.G), (self.G, self.F),
-                                  (self.F, TFn.constant()),
+                                  (self.F, TFn()),
                                   (self.G, self.G)], 1)
 
     @pytest.mark.parametrize("check", ["invariance", "harmonicity", "tau"])

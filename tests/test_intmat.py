@@ -218,6 +218,15 @@ def test_lattice_contains_refuses_mismatched_shapes():
         lattice_contains([[1, 0], [0, 1, 0]], [1, 0])
 
 
+@pytest.mark.parametrize("rows, vec", [
+    ([[2, 0]], [2.0, 0]), ([[1]], [True]), ([[2]], [0.5]), ([], [0.0])])
+def test_lattice_contains_refuses_non_int_vector_entries(rows, vec):
+    bad = re.escape(repr(vec[0]))
+    with pytest.raises(ValueError, match=f"vector entry {bad} at row 0, "
+                                         "column 0 is not an int"):
+        lattice_contains(rows, vec)
+
+
 def test_smith_normal_form_refuses_ragged_rows():
     with pytest.raises(ValueError, match="rows of lengths"):
         smith_normal_form([[1, 2], [3]])

@@ -163,22 +163,20 @@ CASES = [
      "GapLabelLevel(n=2, generators=(Fraction(1, 6),), "
      "agrees_with_previous=False)", []),
     (BumpProfile,
-     lambda: BumpProfile("bump3", 0.5, 0.25),
-     ("name", "center", "width"),
-     "BumpProfile(name='bump3', center=0.5, width=0.25)",
-     [(lambda: BumpProfile("two"), ValueError, "unknown profile 'two'"),
-      (lambda: BumpProfile("bump3", float("nan")), ValueError,
+     lambda: BumpProfile(0.5, 0.25),
+     ("center", "width"),
+     "BumpProfile(center=0.5, width=0.25)",
+     [(lambda: BumpProfile(float("nan"), 0.25), ValueError,
        "bump center and width must be finite"),
-      (lambda: BumpProfile("bump3", 0.5, 0.0), ValueError,
+      (lambda: BumpProfile(0.5, 0.0), ValueError,
        "bump width must be positive"),
-      (lambda: BumpProfile("bump3", 0.2, 0.25), ValueError,
+      (lambda: BumpProfile(0.2, 0.25), ValueError,
        "bump support must lie inside (0, 1)")]),
     (TFn,
      lambda: TFn(omega_part=LocallyConstFn(0, (1,))),
      ("word_part", "omega_part", "t_bump", "s_bump"),
      "TestFunction(word_part=None, omega_part=LocallyConstFn(level=0, "
-     "values=(1,)), t_bump=BumpProfile(name='one', center=0.5, width=0.25), "
-     "s_bump=BumpProfile(name='one', center=0.5, width=0.25))", []),
+     "values=(1,)), t_bump=None, s_bump=None)", []),
 ]
 
 
